@@ -43,6 +43,6 @@ est = unbiased_cov_estimates(draw.pi_bar, d=1)
 print("coefficient estimates (a_-1, a_0, a_1):", np.round(est, 4))
 print("truth:                                 ", [0.25, 2.0, 0.25])
 
-# per-block streams make the draw reproducible in any execution order
+# all r blocks come from the one stream, so the draw is reproducible
 again = sample_pi_blocks(cos, scheme, RngStream(7, 2))
 print("\nsame stream, same draw:", bool(np.array_equal(draw.blocks, again.blocks)))

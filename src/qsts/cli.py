@@ -4,8 +4,8 @@ Subcommand groups: density, symbol, state, dist, simulate, estimate, audit,
 mc.  Exit codes: 0 success, 1 invalid input or config, 2 numerical failure,
 3 an audit row violated a proven bound.  The default seed comes from the
 QSTS_SEED environment variable; --seed overrides it.  With a fixed seed and
---no-timestamp, output files are byte identical across runs and --threads
-settings.
+--no-timestamp, output files are byte identical across runs.  --threads is
+accepted and has no effect: replicate loops run serially.
 """
 
 from __future__ import annotations
@@ -415,8 +415,7 @@ def cmd_mc_moments(args) -> int:
     def one(stream):
         return 2.0 * sampler.draw(stream).astype(float) + 1.0
 
-    out, rows = mc_run(one, args.replicates, args.seed, threads=args.threads,
-                       collect=True)
+    out, rows = mc_run(one, args.replicates, args.seed, collect=True)
     if args.raw_out:
         _write_raw_rows(args.raw_out, rows)
     se = np.sqrt(np.diag(cov) / args.replicates)
@@ -448,8 +447,7 @@ def cmd_mc_normality(args) -> int:
         theta = improved_estimator(draw.pi_bar, projected, scheme.m, args.d)
         return scale * (theta - theta_true)
 
-    _, rows = mc_run(one, args.replicates, args.seed, threads=args.threads,
-                     collect=True)
+    _, rows = mc_run(one, args.replicates, args.seed, collect=True)
     if args.raw_out:
         _write_raw_rows(args.raw_out, rows)
     rep = normality_check(rows, target, frob_tol=args.frob_tol)
@@ -481,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     root.add_argument("--seed", type=int, default=None,
                       help="random seed; default from QSTS_SEED or built in")
     root.add_argument("--threads", type=int, default=1,
-                      help="worker threads for replicate loops; results do not depend on it")
+                      help="accepted and has no effect; replicate loops run serially")
     root.add_argument("--json-errors", action="store_true",
                       help="emit machine-readable errors on stderr")
     root.add_argument("--no-timestamp", action="store_true",

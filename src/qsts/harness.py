@@ -2,16 +2,17 @@
 
 Every random quantity in the package is drawn from a stream addressed by an
 integer path (seed, stream_id, ...).  Streams are Philox counter-based
-generators keyed through numpy's SeedSequence hash of the path, so replicate
-i can be regenerated in isolation and results do not depend on how many
-threads produced them.
+generators keyed through numpy's SeedSequence hash of the path.  Monte Carlo
+replicate i owns the stream (seed, i) and draws everything from its one
+generator (a blocked measurement takes all r blocks as one batch), so it can
+be regenerated in isolation.  Replicates run serially in replicate order and
+summaries are plain numpy reductions over that fixed row order, so results
+are deterministic.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -45,29 +46,11 @@ class RngStream:
         return RngStream(self.seed, self.stream_id, (*self.subpath, int(k)))
 
 
-def _kahan_mean(rows: np.ndarray) -> np.ndarray:
-    """Compensated column means in fixed row order."""
-    total = np.zeros(rows.shape[1])
-    comp = np.zeros(rows.shape[1])
-    for i in range(rows.shape[0]):
-        y = rows[i] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total / rows.shape[0]
-
-
-def _chunked_cov(rows: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Sample covariance with a fixed, thread-independent reduction order."""
-    R, k = rows.shape
-    if R < 2:
-        return np.zeros((k, k))
-    acc = np.zeros((k, k))
-    step = 4096
-    for start in range(0, R, step):
-        c = rows[start:start + step] - mean
-        acc += np.einsum("ij,il->jl", c, c)
-    return acc / (R - 1)
+def _mean_cov(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and sample covariance of a replicate-ordered matrix."""
+    mean = rows.mean(axis=0)
+    c = rows - mean
+    return mean, c.T @ c / (rows.shape[0] - 1)
 
 
 @dataclass(frozen=True)
@@ -89,36 +72,25 @@ class McSummary:
             "diagnostics": self.diagnostics,
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
 
 def mc_run(sampler: Callable[[RngStream], np.ndarray], replicates: int,
            seed: int, threads: int = 1,
            collect: bool = False):
     """Run ``sampler`` on streams (seed, 1..R) and summarize.
 
-    The sampler maps a stream to a 1-d vector.  Replicates may be computed
-    on several threads, but aggregation always happens in replicate order
-    with compensated summation, so the summary is bit-identical for any
-    thread count.  With ``collect=True`` the raw replicate matrix is
-    returned alongside the summary.
+    The sampler maps a stream to a 1-d vector.  Replicates run serially in
+    replicate order; ``threads`` is accepted and has no effect.  The mean
+    and covariance are numpy reductions over the replicate-ordered matrix,
+    so the summary is deterministic.  With ``collect=True`` the raw
+    replicate matrix is returned alongside the summary.
     """
     if replicates < 2:
         raise RangeError("need at least 2 replicates")
-    streams = [RngStream(seed, i) for i in range(1, replicates + 1)]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(sampler, streams, chunksize=64))
-    else:
-        results = [sampler(s) for s in streams]
-
+    results = [sampler(RngStream(seed, i)) for i in range(1, replicates + 1)]
     rows = np.asarray([np.atleast_1d(np.asarray(r, dtype=float)) for r in results])
     if rows.ndim != 2:
         raise InputError("sampler must return vectors of a fixed length")
-    mean = _kahan_mean(rows)
-    cov = _chunked_cov(rows, mean)
+    mean, cov = _mean_cov(rows)
     se = np.sqrt(np.diag(cov) / rows.shape[0])
     summary = McSummary(rows.shape[0], mean, cov, se)
     return (summary, rows) if collect else summary
@@ -167,8 +139,7 @@ def normality_check(samples: np.ndarray, target_cov: np.ndarray,
     if np.any(var == 0.0):
         raise DegenerateSamples("a coordinate has zero variance")
 
-    mean = _kahan_mean(rows)
-    cov = _chunked_cov(rows, mean)
+    mean, cov = _mean_cov(rows)
     frob = float(np.linalg.norm(cov - target) / np.linalg.norm(target))
 
     from scipy.special import ndtr

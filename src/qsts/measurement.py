@@ -139,10 +139,18 @@ def pi_moments(A) -> tuple[np.ndarray, np.ndarray]:
     return mean.real.copy(), cov
 
 
-def _poisson_mixture_factor(M: np.ndarray) -> np.ndarray:
-    """Factor B with B B* = Q' = (M - I)/2, clamping tiny negative modes."""
+def _poisson_mixture_factor(M: np.ndarray, faithful: bool = False) -> np.ndarray:
+    """Factor B with B B* = Q' = (M - I)/2, clamping tiny negative modes.
+
+    With ``faithful`` the same eigenvalues gate lambda_min(M) = 1 +
+    2 lambda_min(Q') > 1, raising NotFaithful before the PSD guard.
+    """
     Q = 0.5 * (M - np.eye(M.shape[0]))
     lams, V = np.linalg.eigh(Q)
+    lam_min = 1.0 + 2.0 * float(lams[0])
+    if faithful and lam_min <= 1.0:
+        raise NotFaithful(
+            f"block symbol has lambda_min = {lam_min:.6g}, need > 1")
     if lams[0] < -_PSD_TOL:
         raise NotPSD(f"Q' has eigenvalue {lams[0]:.3g} < -{_PSD_TOL:g}")
     lams = np.clip(lams, 0.0, None)
@@ -154,12 +162,14 @@ class NumberOpSampler:
 
     Precomputes the mixture factor B with B B* = (U* A U - I)/2 once;
     ``draw`` then costs one complex normal batch and one Poisson batch.
+    With ``faithful=True`` a symbol with lambda_min(A) <= 1 raises
+    NotFaithful.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, faithful: bool = False):
         M = A.entries if isinstance(A, SymbolMatrix) else np.asarray(A, dtype=complex)
         self.m = M.shape[0]
-        self.factor = _poisson_mixture_factor(_dft_conjugate(M))
+        self.factor = _poisson_mixture_factor(_dft_conjugate(M), faithful)
 
     def draw(self, rng, size: int | None = None) -> np.ndarray:
         gen = rng.generator() if isinstance(rng, RngStream) else rng
@@ -188,23 +198,14 @@ def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
                      stream: RngStream) -> MeasurementDraw:
     """Draw r independent m-mode blocks and aggregate the averaged observable.
 
-    Each block uses the independent substream ``stream.child(b)``, so the
-    draw is deterministic given (seed path, scheme, density) and identical
-    under any parallel execution of the blocks.
+    The r x m block matrix is one batch from the single generator of
+    ``stream``: it equals ``NumberOpSampler(toeplitz_from_density(a, m))
+    .draw(stream, size=r)`` bit for bit, so the draw is deterministic given
+    (seed path, scheme, density).  The block symbol must satisfy
+    lambda_min(A) > 1, else NotFaithful.
     """
-    A = toeplitz_from_density(a, scheme.m)
-    lam_min = float(np.linalg.eigvalsh(A.entries)[0])
-    if lam_min <= 1.0:
-        raise NotFaithful(
-            f"block symbol has lambda_min = {lam_min:.6g}, need > 1")
-    B = _poisson_mixture_factor(_dft_conjugate(A.entries))
-    blocks = np.empty((scheme.r, scheme.m), dtype=np.int64)
-    for b in range(scheme.r):
-        gen = stream.child(b).generator()
-        z = (gen.standard_normal(scheme.m) + 1j * gen.standard_normal(scheme.m))
-        z /= math.sqrt(2.0)
-        alpha = B @ z
-        blocks[b] = gen.poisson(np.abs(alpha) ** 2)
+    sampler = NumberOpSampler(toeplitz_from_density(a, scheme.m), faithful=True)
+    blocks = sampler.draw(stream, size=scheme.r)
     pi_bar = np.mean(2.0 * blocks + 1.0, axis=0)
     return MeasurementDraw(blocks=blocks, pi_bar=pi_bar, scheme=scheme,
                            seed_path=stream.path, density_label=a.label)

@@ -58,6 +58,19 @@ class TestMcRun:
         np.testing.assert_array_equal(one.mean, four.mean)
         np.testing.assert_array_equal(one.cov, four.cov)
 
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_summary_is_numpy_reduction(self, threads):
+        def sampler(s):
+            return s.generator().standard_normal(3) + 10.0
+
+        out, rows = mc_run(sampler, 700, seed=19, threads=threads, collect=True)
+        c = rows - rows.mean(0)
+        np.testing.assert_array_equal(out.mean, rows.mean(0))
+        np.testing.assert_array_equal(out.cov, c.T @ c / (rows.shape[0] - 1))
+        # against exactly rounded column sums, to the accuracy of float64
+        exact = np.array([math.fsum(col) for col in rows.T]) / rows.shape[0]
+        np.testing.assert_allclose(out.mean, exact, rtol=1e-14)
+
     def test_covariance_psd_symmetric(self):
         out = mc_run(lambda s: s.generator().standard_normal(3), 2000, seed=5)
         np.testing.assert_allclose(out.cov, out.cov.T, atol=1e-12)

@@ -8,6 +8,7 @@ from qsts.errors import DimensionError, NotFaithful, NotPSD, RangeError, TooSmal
 from qsts.harness import RngStream, mc_run
 from qsts.measurement import (
     BlockScheme,
+    NumberOpSampler,
     block_scheme,
     joint_pmf_from_pgf,
     pi_moments,
@@ -179,6 +180,35 @@ class TestBlocks:
         var = np.diag(out.cov)
         se = np.sqrt(np.outer(var[:m], var[m:]) / rows.shape[0])
         assert np.all(np.abs(cross) < 5 * se)
+
+    def test_blocks_equal_sampler_batch(self):
+        # stream contract: the block matrix is one (r, m) batch of the sampler
+        scheme = block_scheme(4096, 1)
+        draw = sample_pi_blocks(COS_DENSITY, scheme, RngStream(29, 3))
+        batch = NumberOpSampler(toeplitz_from_density(COS_DENSITY, scheme.m)).draw(
+            RngStream(29, 3), size=scheme.r)
+        np.testing.assert_array_equal(draw.blocks, batch)
+
+    def test_one_generator_per_call(self, monkeypatch):
+        calls = []
+        original = RngStream.generator
+
+        def counted(self):
+            calls.append(self.path)
+            return original(self)
+
+        monkeypatch.setattr(RngStream, "generator", counted)
+        scheme = block_scheme(4096, 1)
+        for i in (1, 2):
+            sample_pi_blocks(COS_DENSITY, scheme, RngStream(31, i))
+        assert calls == [(31, 1), (31, 2)]
+
+    @pytest.mark.parametrize("a0", [0.5, 1.0])
+    def test_not_faithful_before_not_psd(self, a0):
+        # lambda_min(A) = a0 <= 1: the faithfulness gate fires, not the PSD guard
+        with pytest.raises(NotFaithful):
+            sample_pi_blocks(SpectralDensity.constant(a0), block_scheme(64, 1),
+                             RngStream(1, 0))
 
     def test_csv_export(self):
         scheme = block_scheme(64, 1)
