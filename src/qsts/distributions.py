@@ -28,12 +28,6 @@ def p_of_a(a: float) -> float:
     return (a - 1.0) / (a + 1.0)
 
 
-def a_of_p(p: float) -> float:
-    if not 0.0 <= p < 1.0:
-        raise RangeError(f"need p in [0, 1), got {p!r}")
-    return (1.0 + p) / (1.0 - p)
-
-
 @dataclass(frozen=True)
 class Geometric:
     """Law P(X = k) = (1 - p) p^k on k = 0, 1, ..."""
@@ -319,10 +313,32 @@ def gaussian_square_cov(sx2: float, sy2: float, sxy: float):
     return exy, 2.0 * sxy * sxy
 
 
-def geo_kl(a1: float, a2: float) -> float:
-    """KL(Geo(p(a1)) || Geo(p(a2))) in closed form."""
-    p1, p2 = p_of_a(a1), p_of_a(a2)
-    return math.log((1.0 - p1) / (1.0 - p2)) + (p1 / (1.0 - p1)) * math.log(p1 / p2)
+#: coefficients k = 9..2 of g(t) = sum_k (-t)^k / (k (k-1)), used for |t| < 1e-2
+_G_SERIES = np.array([(-1.0) ** k / (k * (k - 1)) for k in range(9, 1, -1)])
+
+
+def _g(t: np.ndarray) -> np.ndarray:
+    """g(t) = (1 + t) log(1 + t) - t >= 0 for t > -1, without cancellation near 0."""
+    return np.where(np.abs(t) < 1e-2, t * t * np.polyval(_G_SERIES, t),
+                    (1.0 + t) * np.log1p(t) - t)
+
+
+def geo_kl(a1, a2):
+    """KL(Geo(p(a1)) || Geo(p(a2))), broadcasting over arrays.
+
+    KL = [(a2 - 1) g(x) - (a2 + 1) g(y)] / 2 with x = (a1 - a2)/(a2 - 1) and
+    y = (a1 - a2)/(a2 + 1).  Both terms are of second order in a1 - a2, so
+    near-equal symbols keep their relative accuracy, and as 0 < y/x < 1 the
+    convexity of g makes KL >= 0.
+    """
+    a1 = np.asarray(a1, dtype=float)
+    a2 = np.asarray(a2, dtype=float)
+    if np.any(a1 <= 1.0) or np.any(a2 <= 1.0):
+        raise RangeError("need a_i > 1")
+    gap = a1 - a2
+    out = 0.5 * ((a2 - 1.0) * _g(gap / (a2 - 1.0))
+                 - (a2 + 1.0) * _g(gap / (a2 + 1.0)))
+    return float(out) if out.ndim == 0 else out
 
 
 def geo_l1(a1: float, a2: float, tail: float = _SERIES_TAIL) -> float:

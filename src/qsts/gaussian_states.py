@@ -1,14 +1,14 @@
 """Gauge-invariant centered Gaussian states represented by their symbols.
 
-A state with Hermitian symbol A >= I is handled entirely at the symbol
-level through
-
-    Q = (A - I)/2,   R = (A - I)(A + I)^{-1},
-
-with the covariance matrix, the relative entropy in closed form, the
-Pinsker bound and the symbol-distance entropy bound.  No Fock-space
-density operator is ever materialized; the one exception is the photon
-number law of a single thermal mode, which is plain geometric.
+A state with Hermitian symbol A = V diag(l) V* >= I is handled at the
+symbol level through Q = (A - I)/2 and R = (A - I)(A + I)^{-1} =
+V diag((l - 1)/(l + 1)) V*, read off the symbol's one cached
+eigendecomposition.  In that eigenbasis the state is a product of thermal
+modes with laws Geo(p(l_i)), so the relative entropy is the mixing-weighted
+geometric KL sum_ij |V1* V2|^2_ij KL(Geo(p(l1_i)) || Geo(p(l2_j))), with no
+matrix log and no clamp; ``s2_matrix`` keeps the operator trace formula as
+the reference.  No Fock-space density operator is ever materialized; the
+one exception is the photon number law of a single thermal mode.
 """
 
 from __future__ import annotations
@@ -18,30 +18,25 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
+from .distributions import geo_kl
 from .errors import (
     EigenFailure,
     NotFaithful,
     RangeError,
     SpectralRangeError,
 )
-from .toeplitz import SymbolMatrix, hs_distance
+from .toeplitz import SymbolMatrix, abs_square, as_symbol, hs_distance
 
 #: relative gate on lambda_min(A) - 1 below which entropy ops refuse
 EPS_FAITHFUL = 1e-8
 
-#: eigenvalues of R are clamped into [EPS_CLAMP, 1 - EPS_CLAMP] before log
+#: in the s2_matrix reference, eigenvalues of R are clamped into
+#: [EPS_CLAMP, 1 - EPS_CLAMP] before log
 EPS_CLAMP = 1e-14
 
 #: a clamp wider than this indicates broken input, not rounding
 _MAX_CLAMP = 1e-12
-
-
-def _as_matrix(A) -> np.ndarray:
-    if isinstance(A, SymbolMatrix):
-        return A.entries
-    return np.asarray(A, dtype=complex)
 
 
 def covariance_from_symbol(A) -> np.ndarray:
@@ -49,27 +44,17 @@ def covariance_from_symbol(A) -> np.ndarray:
 
     Sigma = (1/2) [[Re A, -Im A], [Im A, Re A]].
     """
-    M = _as_matrix(A)
+    M = as_symbol(A).entries
     re, im = M.real, M.imag
     top = np.hstack([re, -im])
     bot = np.hstack([im, re])
     return 0.5 * np.vstack([top, bot])
 
 
-def _check_faithful(M: np.ndarray, eps: float) -> np.ndarray:
-    lams = np.linalg.eigvalsh(M)
-    if lams[0] <= 1.0 + eps:
-        raise NotFaithful(
-            f"lambda_min(A) = {lams[0]:.12g} is not above 1 + {eps:g}")
-    return lams
-
-
 def r_from_symbol(A) -> np.ndarray:
-    """R = (A - I)(A + I)^{-1} by a Hermitian solve, re-Hermitized."""
-    M = _as_matrix(A)
-    n = M.shape[0]
-    R = scipy.linalg.solve(M + np.eye(n), M - np.eye(n), assume_a="her")
-    return 0.5 * (R + R.conj().T)
+    """R = (A - I)(A + I)^{-1} = V diag((l - 1)/(l + 1)) V* from A's spectrum."""
+    lams, V = as_symbol(A).spectrum
+    return (V * ((lams - 1.0) / (lams + 1.0))) @ V.conj().T
 
 
 def _log_psd(H: np.ndarray) -> np.ndarray:
@@ -90,13 +75,12 @@ def _log_psd(H: np.ndarray) -> np.ndarray:
     return (V * np.log(clamped)) @ V.conj().T
 
 
-def _check_r_open_interval(R: np.ndarray, lo: float, hi: float, what: str):
-    lams = np.linalg.eigvalsh(R)
+def _check_r_open_interval(lams: np.ndarray, lo: float, hi: float, what: str):
+    """Raise unless the ascending spectrum ``lams`` of R lies inside (lo, hi)."""
     if lams[0] <= lo or lams[-1] >= hi:
         raise SpectralRangeError(
             f"{what}: spectrum [{lams[0]:.6g}, {lams[-1]:.6g}] "
             f"not inside ({lo:g}, {hi:g})")
-    return lams
 
 
 def s2_matrix(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
@@ -111,8 +95,8 @@ def s2_matrix(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
     if R1.shape != R2.shape:
         raise SpectralRangeError("R1 and R2 must have equal shape")
     n = R1.shape[0]
-    _check_r_open_interval(R1, 0.0, 1.0, "R1")
-    _check_r_open_interval(R2, 0.0, 1.0, "R2")
+    _check_r_open_interval(np.linalg.eigvalsh(R1), 0.0, 1.0, "R1")
+    _check_r_open_interval(np.linalg.eigvalsh(R2), 0.0, 1.0, "R2")
     eye = np.eye(n)
     raw = (R1 @ (_log_psd(R1) - _log_psd(R2))
            + (eye - R1) @ (_log_psd(eye - R1) - _log_psd(eye - R2)))
@@ -122,33 +106,29 @@ def s2_matrix(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
 def relative_entropy(A1, A2, eps_faithful: float = EPS_FAITHFUL) -> float:
     """Relative entropy S(rho_1 || rho_2) between the states with these symbols.
 
-    S = Re Tr[(I + Q1) (R1 (log R1 - log R2)
-                        + (I - R1)(log(I - R1) - log(I - R2)))]
+    With the cached spectra A_k = V_k diag(l_k) V_k*,
 
-    with Q = (A - I)/2 and R = (A - I)(A + I)^{-1}.  Both symbols must be
-    strictly faithful: lambda_min(A) > 1 + eps_faithful.
+        S = sum_ij |V1* V2|^2_ij KL(Geo(p(l1_i)) || Geo(p(l2_j))),
+
+    which equals Re Tr[(I + Q1) s2_matrix(R1, R2)].  Every term is
+    nonnegative, so S is real and >= 0 by construction.  Both symbols must
+    be strictly faithful: lambda_min(A) > 1 + eps_faithful.
     """
-    M1, M2 = _as_matrix(A1), _as_matrix(A2)
-    if M1.shape != M2.shape:
+    A1, A2 = as_symbol(A1), as_symbol(A2)
+    if A1.n != A2.n:
         raise SpectralRangeError("symbols must have equal dimension")
-    _check_faithful(M1, eps_faithful)
-    _check_faithful(M2, eps_faithful)
-    n = M1.shape[0]
-    Q1 = 0.5 * (M1 - np.eye(n))
-    R1, R2 = r_from_symbol(M1), r_from_symbol(M2)
-    S2 = s2_matrix(R1, R2)
-    tr = np.trace((np.eye(n) + Q1) @ S2)
-    S = float(tr.real)
-    if abs(tr.imag) > 1e-8 * (1.0 + abs(S)):
-        raise EigenFailure(f"entropy trace has imaginary residue {tr.imag:g}")
-    if S < -1e-10:
-        raise EigenFailure(f"relative entropy came out negative: {S:g}")
-    return S
+    (l1, V1), (l2, V2) = A1.spectrum, A2.spectrum
+    for lams in (l1, l2):
+        if lams[0] <= 1.0 + eps_faithful:
+            raise NotFaithful(
+                f"lambda_min(A) = {lams[0]:.12g} is not above 1 + {eps_faithful:g}")
+    P = abs_square(V1.conj().T @ V2)
+    return float(np.sum(P * geo_kl(l1[:, None], l2[None, :])))
 
 
 def pinsker_trace_bound(A1, A2, eps_faithful: float = EPS_FAITHFUL) -> float:
     """sqrt(2 S(rho_1 || rho_2)), an upper bound on the trace distance."""
-    return math.sqrt(2.0 * max(relative_entropy(A1, A2, eps_faithful), 0.0))
+    return math.sqrt(2.0 * relative_entropy(A1, A2, eps_faithful))
 
 
 class SymbolBoundReport(NamedTuple):
@@ -172,14 +152,14 @@ def entropy_symbol_bound(A1, A2, lam: float) -> SymbolBoundReport:
     """
     if not 0.5 < lam < 1.0:
         raise RangeError("lam must lie in (1/2, 1)")
-    M1, M2 = _as_matrix(A1), _as_matrix(A2)
-    R1, R2 = r_from_symbol(M1), r_from_symbol(M2)
-    _check_r_open_interval(R1, 1.0 - lam, lam, "R1 bracket")
-    _check_r_open_interval(R2, 1.0 - lam, lam, "R2 bracket")
+    A1, A2 = as_symbol(A1), as_symbol(A2)
+    for what, A in (("R1 bracket", A1), ("R2 bracket", A2)):
+        lams = A.spectrum[0]
+        _check_r_open_interval((lams - 1.0) / (lams + 1.0), 1.0 - lam, lam, what)
     delta = min((1.0 - lam) / 2.0, (1.0 - lam) ** 3 / (8.0 * lam))
-    h_norm = hs_distance(R1, R2)
-    symbol_norm = hs_distance(M1, M2)
-    S = relative_entropy(M1, M2)
+    h_norm = hs_distance(r_from_symbol(A1), r_from_symbol(A2))
+    symbol_norm = hs_distance(A1, A2)
+    S = relative_entropy(A1, A2)
     if h_norm ** 2 > (1.0 - lam) ** -2 * symbol_norm ** 2 + 1e-9:
         raise SpectralRangeError(
             "||R1-R2|| exceeds its symbol-distance control; inputs inconsistent")
@@ -206,37 +186,28 @@ def thermal_pmf(a: float, k_max: int):
 
 @dataclass(frozen=True)
 class GaussState:
-    """Immutable state wrapper caching the derived Q and R matrices."""
+    """Immutable state wrapper; R and the entropy read the symbol's cached spectrum."""
 
     symbol: SymbolMatrix
     eps_faithful: float = EPS_FAITHFUL
 
     def __post_init__(self):
-        lams = np.linalg.eigvalsh(self.symbol.entries)
-        if lams[0] < 1.0 - 1e-10:
+        lam_min = self.symbol.spectrum[0][0]
+        if lam_min < 1.0 - 1e-10:
             raise NotFaithful(
-                f"symbol admits no state: lambda_min = {lams[0]:.12g} < 1")
+                f"symbol admits no state: lambda_min = {lam_min:.12g} < 1")
 
     @property
     def n(self) -> int:
         return self.symbol.n
 
     @property
-    def q_matrix(self) -> np.ndarray:
-        return 0.5 * (self.symbol.entries - np.eye(self.n))
-
-    @property
     def r_matrix(self) -> np.ndarray:
-        # recomputed on demand; idempotent, hence race-free
-        return r_from_symbol(self.symbol.entries)
+        return r_from_symbol(self.symbol)
 
     @property
     def covariance(self) -> np.ndarray:
         return covariance_from_symbol(self.symbol)
-
-    def is_faithful(self) -> bool:
-        lams = np.linalg.eigvalsh(self.symbol.entries)
-        return bool(lams[0] > 1.0 + self.eps_faithful)
 
     def relative_entropy_to(self, other: "GaussState") -> float:
         return relative_entropy(self.symbol, other.symbol, self.eps_faithful)

@@ -25,9 +25,9 @@ from .errors import (
     RangeError,
     TooSmall,
 )
-from .harness import RngStream
+from .harness import RngStream, as_generator
 from .spectral import SpectralDensity, psi_basis, fourier_frequencies
-from .toeplitz import DftUnitary, SymbolMatrix, abs_square, toeplitz_from_density
+from .toeplitz import DftUnitary, abs_square, as_symbol, toeplitz_from_density
 
 _PSD_TOL = 1e-10
 
@@ -127,15 +127,15 @@ def pi_moments(A) -> tuple[np.ndarray, np.ndarray]:
     mean_j = u_j* A u_j and Cov(Pi) = (U* A U)^[2] - I; requires a strictly
     faithful symbol (lambda_min(A) > 1).
     """
-    M = A.entries if isinstance(A, SymbolMatrix) else np.asarray(A, dtype=complex)
-    lam_min = float(np.linalg.eigvalsh(M)[0])
+    A = as_symbol(A)
+    lam_min = float(A.spectrum[0][0])
     if lam_min <= 1.0:
         raise NotFaithful(f"pi moments need lambda_min(A) > 1, got {lam_min:.6g}")
-    D = _dft_conjugate(M)
+    D = _dft_conjugate(A.entries)
     mean = np.diag(D)
     if np.max(np.abs(mean.imag)) > 1e-10 * (1.0 + np.max(np.abs(mean.real))):
         raise NotFaithful("diagonal of U*AU is not real")
-    cov = abs_square(D) - np.eye(M.shape[0])
+    cov = abs_square(D) - np.eye(A.n)
     return mean.real.copy(), cov
 
 
@@ -167,12 +167,12 @@ class NumberOpSampler:
     """
 
     def __init__(self, A, faithful: bool = False):
-        M = A.entries if isinstance(A, SymbolMatrix) else np.asarray(A, dtype=complex)
+        M = as_symbol(A).entries
         self.m = M.shape[0]
         self.factor = _poisson_mixture_factor(_dft_conjugate(M), faithful)
 
     def draw(self, rng, size: int | None = None) -> np.ndarray:
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
+        gen = as_generator(rng)
         rows = 1 if size is None else int(size)
         z = (gen.standard_normal((rows, self.m))
              + 1j * gen.standard_normal((rows, self.m)))
@@ -252,7 +252,7 @@ def joint_pmf_from_pgf(A, k_max: int = 12, grid: int = 64) -> np.ndarray:
     z_j on a ``grid``-point unit circle and takes the inverse DFT.  Only
     intended for m <= 2 (cost grows like grid^m).
     """
-    M = A.entries if isinstance(A, SymbolMatrix) else np.asarray(A, dtype=complex)
+    M = as_symbol(A).entries
     m = M.shape[0]
     if m > 2:
         raise DimensionError("generating-function inversion supports m <= 2")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,17 +62,16 @@ class SymbolMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def eigvals(self) -> np.ndarray:
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors of one cached ``eigh`` (read-only)."""
         try:
-            return np.linalg.eigvalsh(self.entries)
+            lams, V = np.linalg.eigh(self.entries)
         except np.linalg.LinAlgError as exc:
             raise EigenFailure(str(exc)) from exc
-
-    def eig(self):
-        try:
-            return np.linalg.eigh(self.entries)
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailure(str(exc)) from exc
+        lams.setflags(write=False)
+        V.setflags(write=False)
+        return lams, V
 
     def to_json(self) -> dict:
         return {
@@ -93,6 +93,11 @@ class SymbolMatrix:
         if re.shape != (n, n) or im.shape != (n, n):
             raise DimensionError("matrix JSON dimensions do not match n")
         return cls(re + 1j * im, tag=tag)
+
+
+def as_symbol(A) -> SymbolMatrix:
+    """``A`` itself if it is a SymbolMatrix, else ``SymbolMatrix(A)``."""
+    return A if isinstance(A, SymbolMatrix) else SymbolMatrix(A)
 
 
 @dataclass(frozen=True)
@@ -257,8 +262,7 @@ def eigen_bracket_check(a: SpectralDensity, n: int, grid_size: int = 4096):
     over a uniform grid (endpoints included) refined by the exact minimum
     for small supports.  Returns (lambda_min, lambda_max, inf_a, sup_a, pass).
     """
-    A = toeplitz_from_density(a, n)
-    lams = A.eigvals()
+    lams = toeplitz_from_density(a, n).spectrum[0]
     lam_min, lam_max = float(lams[0]), float(lams[-1])
     _, vals = density_grid(a, grid_size, endpoint=True)
     inf_a, sup_a = float(np.min(vals)), float(np.max(vals))

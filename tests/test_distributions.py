@@ -348,6 +348,31 @@ class TestExactSeriesHelpers:
         brute = float(np.sum(q1 * np.log(q1 / q2)))
         assert geo_kl(2.0, 3.5) == pytest.approx(brute, abs=1e-12)
 
+    def test_geo_kl_small_gaps_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        from qsts.distributions import geo_kl
+
+        bs = np.array([1.001, 1.5, 2.5, 40.0])
+        for rel in (1e-3, -1e-5, 1e-7, -1e-9, 1e-12):
+            a = bs * (1.0 + rel)
+            got = geo_kl(a, bs)
+            for x, y, value in zip(a, bs, got):
+                with mp.workdps(50):
+                    p1 = (mp.mpf(x) - 1) / (mp.mpf(x) + 1)
+                    p2 = (mp.mpf(y) - 1) / (mp.mpf(y) + 1)
+                    oracle = float(mp.log((1 - p1) / (1 - p2))
+                                   + p1 / (1 - p1) * mp.log(p1 / p2))
+                assert abs(value - oracle) <= 1e-12 * oracle
+                assert geo_kl(float(x), float(y)) == value
+
+    def test_geo_kl_range(self):
+        from qsts.distributions import geo_kl
+
+        with pytest.raises(RangeError):
+            geo_kl(1.0, 2.0)
+        with pytest.raises(RangeError):
+            geo_kl(np.array([2.0, 3.0]), np.array([2.0, 0.5]))
+
     def test_geo_l1_series(self):
         from qsts.distributions import geo_l1
 

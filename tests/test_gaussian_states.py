@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsts.errors import NotFaithful, RangeError, SpectralRangeError
+from qsts.experiments import audit_state_approximation
 from qsts.gaussian_states import (
     GaussState,
     covariance_from_symbol,
@@ -136,6 +137,72 @@ class TestRelativeEntropy:
     def test_dimension_mismatch(self):
         with pytest.raises(SpectralRangeError):
             relative_entropy(np.eye(2) * 3, np.eye(3) * 3)
+
+
+class TestSpectralEntropy:
+    """The spectral form against the operator trace formula and an mpmath oracle."""
+
+    def test_matches_operator_trace_formula(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 13):
+            for _ in range(3):
+                A1 = random_faithful_symbol(n, rng, spread=2.0)
+                A2 = random_faithful_symbol(n, rng, spread=2.0)
+                eye = np.eye(n)
+                R1 = np.linalg.solve(A1 + eye, A1 - eye)
+                R2 = np.linalg.solve(A2 + eye, A2 - eye)
+                R1, R2 = 0.5 * (R1 + R1.conj().T), 0.5 * (R2 + R2.conj().T)
+                Q1 = 0.5 * (A1 - eye)
+                expect = np.trace((eye + Q1) @ s2_matrix(R1, R2)).real
+                assert relative_entropy(A1, A2) == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6])
+    def test_near_equal_pair_keeps_relative_accuracy(self, delta):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(17)
+        d = 1.5 + rng.uniform(0.0, 3.0, size=6)
+        U = random_unitary(6, rng)
+        S = relative_entropy(U @ np.diag(d) @ U.conj().T,
+                             U @ np.diag(d + delta) @ U.conj().T)
+        with mp.workdps(50):
+            oracle = mp.mpf(0)
+            for x, y in zip(d, d + delta):
+                p1 = (mp.mpf(x) - 1) / (mp.mpf(x) + 1)
+                p2 = (mp.mpf(y) - 1) / (mp.mpf(y) + 1)
+                oracle += mp.log((1 - p1) / (1 - p2)) + p1 / (1 - p1) * mp.log(p1 / p2)
+            oracle = float(oracle)
+        assert abs(S - oracle) <= 1e-6 * oracle
+
+
+class TestOneEigensolvePerSymbol:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_relative_entropy_reuses_each_spectrum(self, solves):
+        rng = np.random.default_rng(4)
+        A1 = SymbolMatrix(random_faithful_symbol(5, rng))
+        A2 = SymbolMatrix(random_faithful_symbol(5, rng))
+        solves.clear()  # the test symbols are built with eigvalsh
+        S = relative_entropy(A1, A2)
+        assert solves == ["eigh", "eigh"]
+        assert relative_entropy(A1, A2) == S
+        assert solves == ["eigh", "eigh"]
+
+    def test_audit_ladder_solves_the_toeplitz_symbol_once(self, solves):
+        a = SpectralDensity(
+            np.concatenate([[2.0], [2.0 ** -k for k in range(1, 21)]]).astype(complex))
+        audit_state_approximation(a, 64, [67, 71, 79])
+        assert solves == ["eigh"] * 4
 
 
 class TestS2Matrix:

@@ -7,6 +7,7 @@ from qsts.errors import DegenerateSamples, RangeError
 from qsts.harness import (
     McSummary,
     RngStream,
+    as_generator,
     ks_critical,
     ks_statistic,
     mc_run,
@@ -16,6 +17,13 @@ from qsts.harness import (
 
 
 class TestRngStream:
+    def test_as_generator(self):
+        a = as_generator(RngStream(123, 5)).standard_normal(10)
+        b = RngStream(123, 5).generator().standard_normal(10)
+        np.testing.assert_array_equal(a, b)
+        gen = np.random.default_rng(1)
+        assert as_generator(gen) is gen
+
     def test_reproducible(self):
         a = RngStream(123, 5).generator().standard_normal(10)
         b = RngStream(123, 5).generator().standard_normal(10)
