@@ -1,7 +1,7 @@
 """Reproducible Monte Carlo: counter-based streams, summaries, diagnostics.
 
 Every random quantity in the package is drawn from a stream addressed by an
-integer path (seed, stream_id, ...).  Streams are Philox counter-based
+integer path (seed, stream_id).  Streams are Philox counter-based
 generators keyed through numpy's SeedSequence hash of the path.  Monte Carlo
 replicate i owns the stream (seed, i) and draws everything from its one
 generator (a blocked measurement takes all r blocks as one batch), so it can
@@ -24,26 +24,22 @@ from .errors import DegenerateSamples, InputError, RangeError
 
 @dataclass(frozen=True)
 class RngStream:
-    """A deterministic random stream addressed by (seed, stream_id, ...).
+    """A deterministic random stream addressed by (seed, stream_id).
 
     ``generator()`` always returns a fresh generator positioned at the
-    start of the stream; ``child(k)`` derives an independent substream.
+    start of the stream.
     """
 
     seed: int
     stream_id: int = 0
-    subpath: tuple = ()
 
     @property
     def path(self) -> tuple:
-        return (int(self.seed), int(self.stream_id), *self.subpath)
+        return (int(self.seed), int(self.stream_id))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(list(self.path))
         return np.random.Generator(np.random.Philox(seed=ss))
-
-    def child(self, k: int) -> "RngStream":
-        return RngStream(self.seed, self.stream_id, (*self.subpath, int(k)))
 
 
 def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:

@@ -120,12 +120,6 @@ class DftUnitary:
         u.setflags(write=False)
         object.__setattr__(self, "matrix", u)
 
-    def column(self, j: int) -> np.ndarray:
-        half = (self.m - 1) // 2
-        if abs(j) > half:
-            raise DimensionError(f"column index {j} outside +-{half}")
-        return self.matrix[:, j + half]
-
 
 def toeplitz_from_density(a: SpectralDensity, n: int) -> SymbolMatrix:
     """Symbol matrix A_n(a) with A[j][k] = a_{k-j}."""

@@ -1,11 +1,17 @@
 import json
 import math
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsts.cli import cli_dispatch
+from qsts.cli import build_parser, cli_dispatch
+
+ROOT = Path(__file__).resolve().parents[1]
+GEOM_DECAY = str(ROOT / "demos" / "densities" / "geom_decay.json")
 
 
 def run(capsys, *argv):
@@ -234,3 +240,106 @@ class TestMcCommands:
                          "moments", "--density", "const:3", "--m", "3",
                          "--replicates", "1000")
         assert out1 == out2
+
+
+def _config(tmp_path, obj):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+EXIT_CASES = {
+    "success": (0, ["dist", "varstab", "--a", "2"]),
+    "bad_input": (1, ["density", "eval", "--density", "cos:2", "--omega", "0"]),
+    "usage": (1, ["density", "eval", "--omega", "0"]),
+    "config_schema": (1, ["--config", "{cfg}", "dist", "varstab", "--a", "2"]),
+    "numerical": (2, ["state", "entropy", "--a1", "const:1", "--a2", "const:3",
+                      "--n", "2"]),
+    "audit": (3, ["symbol", "gap", "--density", GEOM_DECAY, "--n", "16", "--m", "19",
+                  "--alpha", "1", "--M", "1e-9"]),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(EXIT_CASES))
+    def test_exit_code_and_json_error(self, case, tmp_path, capsys):
+        expect, argv = EXIT_CASES[case]
+        cfg = _config(tmp_path, {"bogus": 1})
+        argv = [a.replace("{cfg}", cfg) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == expect
+        assert (err == "") == (expect == 0)
+        code, _, err = run(capsys, "--json-errors", *argv)
+        assert code == expect
+        lines = err.splitlines()
+        if expect == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == expect
+
+
+class TestConfigPrecedence:
+    def test_command_line_beats_config_in_every_spelling(self, tmp_path, capsys):
+        cfg = _config(tmp_path, {"density": "const:5"})
+        for argv in (["--density=const:3"], ["--density", "const:3"], ["--dens", "const:3"]):
+            code, out, _ = run(capsys, "--config", cfg, "density", "eval", *argv,
+                               "--omega", "0")
+            assert code == 0 and float(out.split()[1]) == 3.0
+        code, out, _ = run(capsys, "--config", cfg, "density", "eval", "--omega", "0")
+        assert code == 0 and float(out.split()[1]) == 5.0
+
+    def test_key_without_option_is_schema_error(self, tmp_path, capsys):
+        cfg = _config(tmp_path, {"density2": "const:3"})
+        code, _, err = run(capsys, "--json-errors", "--config", cfg, "density", "eval",
+                           "--density", "const:3", "--omega", "0")
+        obj = json.loads(err)
+        assert code == 1 and obj["error"] == "SchemaError" and "density2" in obj["message"]
+
+    def test_frob_tol_key_takes_effect(self, tmp_path, capsys):
+        argv = ["--seed", "4", "mc", "normality", "--density", "cos:2,0.5", "--n", "64",
+                "--d", "1", "--replicates", "500"]
+        code, out, _ = run(capsys, "--config", _config(tmp_path, {"frob_tol": 0.0}), *argv)
+        assert code == 3 and json.loads(out)["pass"] is False
+        code, out, _ = run(capsys, "--config", _config(tmp_path, {"frob_tol": 10.0}), *argv)
+        assert code == 0 and json.loads(out)["pass"] is True
+
+    def test_no_timestamp_key_takes_effect(self, tmp_path, capsys):
+        argv = ["audit", "chain", "--density", "cos:2,0.5", "--n-list", "65",
+                "--format", "json"]
+        _, stamped, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, "--config", _config(tmp_path, {"no_timestamp": True}),
+                           *argv)
+        _, flag, _ = run(capsys, "--no-timestamp", *argv)
+        assert code == 0 and out == flag
+        assert "written" not in json.loads(out)["meta"]
+        assert "written" in json.loads(stamped)["meta"]
+
+    def test_value_outside_choices_rejected(self, tmp_path, capsys):
+        cfg = _config(tmp_path, {"format": "xml"})
+        code, _, err = run(capsys, "--config", cfg, "audit", "chain", "--density",
+                           "cos:2,0.5", "--n-list", "65")
+        assert code == 1 and "format" in err
+
+    def test_seed_order(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QSTS_SEED", "99")
+        cfg = _config(tmp_path, {"seed": 42})
+        geo = ["simulate", "geo", "--density", "const:3", "--n", "10"]
+        outs = {}
+        for name, argv in (("flag", ["--seed", "5", "--config", cfg]),
+                           ("flag_last", ["--config", cfg, "--seed", "5"]),
+                           ("config", ["--config", cfg]), ("env", []),
+                           ("s5", ["--seed", "5"]), ("s42", ["--seed", "42"])):
+            outs[name] = run(capsys, *argv, *geo)[1]
+        assert outs["flag"] == outs["flag_last"] == outs["s5"]
+        assert outs["config"] == outs["s42"] != outs["env"]
+
+
+def test_readme_commands_parse():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [ln for ln in block.splitlines() if ln.startswith("qsts ")]
+    assert lines
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.fn)

@@ -34,14 +34,6 @@ class TestRngStream:
         b = RngStream(123, 2).generator().standard_normal(10)
         assert not np.allclose(a, b)
 
-    def test_child_streams(self):
-        s = RngStream(9, 4)
-        c1 = s.child(0).generator().standard_normal(5)
-        c2 = s.child(1).generator().standard_normal(5)
-        again = s.child(0).generator().standard_normal(5)
-        np.testing.assert_array_equal(c1, again)
-        assert not np.allclose(c1, c2)
-
     def test_pairwise_correlation_smoke(self):
         worst = stream_correlation(2024, ids=[1, 2, 3], n=10 ** 6)
         assert worst < 5.0 / math.sqrt(10 ** 6)
