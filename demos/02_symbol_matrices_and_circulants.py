@@ -11,10 +11,10 @@ Sobolev ball.
 import numpy as np
 
 from qsts import (
-    DftUnitary,
     SpectralDensity,
     circulant_eigs,
     circulant_from_density,
+    dft_unitary,
     eigen_bracket_check,
     toeplitz_from_density,
 )
@@ -32,7 +32,7 @@ print(np.round(C.entries.real, 4))
 
 # exact diagonalization: eigenvalues are the truncated density at 2 pi j / m
 eigs = circulant_eigs(C)
-U = DftUnitary(5).matrix
+U = dft_unitary(5)
 resid = np.max(np.abs(U.conj().T @ C.entries @ U - np.diag(eigs)))
 print("\ncirculant eigenvalues:", np.round(eigs, 6))
 print("off-diagonal residue after DFT conjugation:", f"{resid:.2e}")

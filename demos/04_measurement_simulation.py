@@ -11,13 +11,14 @@ import numpy as np
 
 from qsts import (
     NumberOpSampler,
+    RealParam,
     RngStream,
     SpectralDensity,
     block_scheme,
     pi_moments,
+    preliminary_estimator,
     sample_pi_blocks,
     toeplitz_from_density,
-    unbiased_cov_estimates,
 )
 
 cos = SpectralDensity.cosine(2.0, 0.5)
@@ -38,9 +39,11 @@ print(f"\nblock scheme at n=1024, d=1: m={scheme.m}, r={scheme.r}")
 draw = sample_pi_blocks(cos, scheme, RngStream(7, 2))
 print("averaged observable Pi_bar:", np.round(draw.pi_bar, 4))
 
-# one observable vector gives unbiased symbol-coefficient estimates
-est = unbiased_cov_estimates(draw.pi_bar, d=1)
-print("coefficient estimates (a_-1, a_0, a_1):", np.round(est, 4))
+# the preliminary estimate's density has the unbiased coefficient estimates
+theta = preliminary_estimator(draw.pi_bar, scheme.m, 1)
+est = RealParam(1, theta).to_density()
+print("coefficient estimates (a_-1, a_0, a_1):",
+      np.round([est.coeff(j) for j in (-1, 0, 1)], 4))
 print("truth:                                 ", [0.25, 2.0, 0.25])
 
 # all r blocks come from the one stream, so the draw is reproducible

@@ -14,12 +14,10 @@ from qsts import (
     RngStream,
     SpectralDensity,
     block_scheme,
-    improved_estimator,
     mc_run,
     nonparametric_estimate,
+    onestep_estimator,
     phi_matrices,
-    preliminary_estimator,
-    project_theta,
     sample_pi_blocks,
     theta2prime_space,
     toeplitz_from_density,
@@ -35,9 +33,7 @@ space = theta2prime_space(1, 5.0)
 
 def one_run(stream):
     draw = sample_pi_blocks(cos, scheme, stream)
-    prelim = preliminary_estimator(draw.pi_bar, scheme.m, 1)
-    theta_bar = project_theta(prelim, space)
-    return improved_estimator(draw.pi_bar, theta_bar, scheme.m, 1)
+    return onestep_estimator(draw.pi_bar, scheme.m, 1, space)
 
 
 single = one_run(RngStream(11, 0))

@@ -42,19 +42,19 @@ from .spectral import (
     local_averages,
     membership,
     parse_density,
-    piecewise_project,
     psi_basis,
+    psi_matrix,
     sobolev_norm,
     theta1_space,
     theta2_space,
     theta2prime_space,
 )
 from .toeplitz import (
-    DftUnitary,
     SymbolMatrix,
     abs_square,
     circulant_eigs,
     circulant_from_density,
+    dft_unitary,
     eigen_bracket_check,
     hs_distance,
     op_norm,
@@ -100,7 +100,6 @@ from .measurement import (
     pi_moments,
     sample_number_ops,
     sample_pi_blocks,
-    unbiased_cov_estimates,
 )
 from .estimators import (
     DesignMatrices,
@@ -109,6 +108,7 @@ from .estimators import (
     exact_pi_bar_mean,
     improved_estimator,
     nonparametric_estimate,
+    onestep_estimator,
     phi_matrices,
     preliminary_estimator,
     project_theta,

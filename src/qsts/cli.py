@@ -46,11 +46,10 @@ from .distributions import (
 )
 from .errors import AuditFailure, InputError, QstsError, SchemaError
 from .estimators import (
-    improved_estimator,
     nonparametric_estimate,
+    onestep_estimator,
     phi_matrices,
     preliminary_estimator,
-    project_theta,
 )
 from .experiments import (
     audit_hellinger_chain,
@@ -376,12 +375,6 @@ def cmd_simulate_measure(args):
 
 # --------------------------------------------------------------- estimate
 
-def _onestep(pi_bar, m: int, d: int, space):
-    """Weighted estimator at the projected preliminary estimate."""
-    projected = project_theta(preliminary_estimator(pi_bar, m, d), space)
-    return improved_estimator(pi_bar, projected, m, d)
-
-
 def _emit_estimate(args, scheme, theta):
     _emit(args, _json_dump({
         "theta": list(np.asarray(theta, dtype=float)),
@@ -402,7 +395,7 @@ def cmd_estimate_prelim(args):
 def cmd_estimate_onestep(args):
     scheme, draw = _blocks(args)
     space = theta2prime_space(args.d, args.M)
-    _emit_estimate(args, scheme, _onestep(draw.pi_bar, scheme.m, args.d, space))
+    _emit_estimate(args, scheme, onestep_estimator(draw.pi_bar, scheme.m, args.d, space))
 
 
 @command("estimate", "nonparam", "truncated series estimate sum_j theta_hat_j psi_j",
@@ -490,7 +483,7 @@ def cmd_mc_normality(args):
 
     def one(stream):
         draw = sample_pi_blocks(a, scheme, stream)
-        return scale * (_onestep(draw.pi_bar, scheme.m, args.d, space) - theta_true)
+        return scale * (onestep_estimator(draw.pi_bar, scheme.m, args.d, space) - theta_true)
 
     _, rows = mc_run(one, args.replicates, args.seed, collect=True)
     if args.raw_out:

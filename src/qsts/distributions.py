@@ -135,11 +135,8 @@ def hellinger_geo(lam: float, mu: float):
 
     and h2_exact <= h2_bound always.
     """
-    p1, p2 = p_of_a(lam), p_of_a(mu)
-    bc = math.sqrt((1.0 - p1) * (1.0 - p2)) / (1.0 - math.sqrt(p1 * p2))
-    h2_exact = 2.0 * (1.0 - bc)
     h2_bound = (lam - mu) ** 2 / ((lam - 1.0) * (mu - 1.0))
-    return h2_exact, h2_bound
+    return hellinger_geo_exact_p(p_of_a(lam), p_of_a(mu)), h2_bound
 
 
 def hellinger_geo_exact_p(p1: float, p2: float) -> float:

@@ -1,10 +1,15 @@
 """Parameter estimators for band-limited densities and their design matrices.
 
 The averaged observable Pi_bar of a blocked measurement has mean
-m^{1/2} W F^{-1} theta, which makes theta estimable by orthogonality
-(preliminary estimator) or by weighted least squares with the inverse
-variance weights Delta(theta)^{-1} (improved estimator).  Both reproduce
-theta exactly when fed the analytic mean.
+m^{1/2} W F^{-1} theta, with W the real trigonometric design psi_matrix over
+the Fourier frequencies scaled by m^{-1/2}.  This makes theta estimable by
+orthogonality (preliminary estimator) or by weighted least squares with the
+inverse variance weights Delta(theta)^{-1} (improved estimator); the
+one-step estimator applies the latter at the projected preliminary value.
+Both reproduce theta exactly when fed the analytic mean.  The
+nonparametric estimate is the preliminary estimator at full length n, and
+the complex coefficients of its density are the unbiased symbol-coefficient
+estimates.
 """
 
 from __future__ import annotations
@@ -21,14 +26,13 @@ from .errors import (
     RangeError,
     SingularSystem,
 )
-from .measurement import w_vector
 from .spectral import (
     RealParam,
     ParameterSpace,
-    SpectralDensity,
     TWO_PI,
     fourier_frequencies,
     psi_basis,
+    psi_matrix,
 )
 
 _QUAD_GRID = 4096
@@ -47,7 +51,7 @@ def _w_matrix(m: int, d: int) -> np.ndarray:
         raise DimensionError("design needs odd m")
     if 2 * d + 1 > m:
         raise DimensionError(f"2d+1 = {2 * d + 1} exceeds m = {m}")
-    return np.column_stack([w_vector(j, m) for j in range(-d, d + 1)])
+    return psi_matrix(d, fourier_frequencies(m)) / math.sqrt(m)
 
 
 def _f_diagonal(m: int, d: int) -> np.ndarray:
@@ -123,6 +127,13 @@ def improved_estimator(pi_bar: np.ndarray, theta_bar: np.ndarray,
     return weighted_estimator(pi_bar, Delta, m, d)
 
 
+def onestep_estimator(pi_bar: np.ndarray, m: int, d: int,
+                      space: ParameterSpace) -> np.ndarray:
+    """Weighted estimator at the projected preliminary estimate."""
+    projected = project_theta(preliminary_estimator(pi_bar, m, d), space)
+    return improved_estimator(pi_bar, projected, m, d)
+
+
 def exact_pi_bar_mean(theta: np.ndarray, m: int) -> np.ndarray:
     """Analytic mean of the averaged observable, m^{1/2} W F^{-1} theta."""
     theta = np.asarray(theta, dtype=float)
@@ -176,7 +187,7 @@ def project_theta(theta_hat: np.ndarray, space: ParameterSpace,
     floor = 1.0 + 1.0 / space.M
 
     omegas = -math.pi + TWO_PI * np.arange(grid_size) / grid_size
-    C = np.column_stack([psi_basis(j, omegas) for j in range(-d, d + 1)])
+    C = psi_matrix(d, omegas)
     row_norms = np.sqrt(np.sum(C * C, axis=1))
 
     def violation(v: np.ndarray) -> float:
@@ -227,7 +238,7 @@ def phi_matrices(theta: np.ndarray, d: int, grid: int = _QUAD_GRID) -> FisherMat
     weight = theta_density_values(theta, w) ** 2 - 1.0
     if np.any(weight <= 0.0):
         raise NotAdmissible("a_theta must stay above 1 for the phi matrices")
-    psi = np.column_stack([psi_basis(j, w) for j in range(-d, d + 1)])
+    psi = psi_matrix(d, w)
     phi0 = (psi * weight[:, None]).T @ psi / grid
     phi = (psi / weight[:, None]).T @ psi / grid
     phi0 = 0.5 * (phi0 + phi0.T)
@@ -238,8 +249,10 @@ def phi_matrices(theta: np.ndarray, d: int, grid: int = _QUAD_GRID) -> FisherMat
 def nonparametric_estimate(pi: np.ndarray, d_n: int):
     """Truncated-series density estimate from one full-length observable.
 
+    The preliminary estimator at block size n = len(pi):
     theta_hat_j = (n^{1/2} / (n - |j|)) w_j' pi for |j| <= d_n and
-    a_hat = sum_j theta_hat_j psi_j.  Returns (density, theta_hat).
+    a_hat = sum_j theta_hat_j psi_j, whose complex coefficients are the
+    unbiased symbol-coefficient estimates.  Returns (density, theta_hat).
     """
     pi = np.asarray(pi, dtype=float).reshape(-1)
     n = pi.size
@@ -247,8 +260,5 @@ def nonparametric_estimate(pi: np.ndarray, d_n: int):
         raise DimensionError("observable vector must have odd length")
     if d_n > math.sqrt(n) / 2.0:
         raise DimensionError(f"bandwidth d_n = {d_n} exceeds sqrt(n)/2")
-    theta = np.empty(2 * d_n + 1)
-    for j in range(-d_n, d_n + 1):
-        theta[j + d_n] = math.sqrt(n) / (n - abs(j)) * float(w_vector(j, n) @ pi)
-    density = RealParam(d_n, theta).to_density(label="nonparametric")
-    return density, theta
+    theta = preliminary_estimator(pi, n, d_n)
+    return RealParam(d_n, theta).to_density(label="nonparametric"), theta

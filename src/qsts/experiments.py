@@ -199,22 +199,10 @@ def simulate_hetero_normal(theta: np.ndarray, n: int, d: int,
     return theta + (root @ gen.standard_normal(theta.size)) / math.sqrt(n)
 
 
-def _hellinger_sum_circulant_vs_averages(a: SpectralDensity, m: int) -> float:
-    """sum_j H^2(Geo(p(a~_m(w_{j,m}))), Geo(p(J_{j,m}(a))))."""
-    kept, _ = fourier_truncate(a, m)
-    lam = np.asarray(eval_density(kept, fourier_frequencies(m)), dtype=float)
-    J = local_averages(a, m)
+def _hellinger_sum(levels: np.ndarray, J: np.ndarray) -> float:
+    """sum_j H^2(Geo(p(levels_j)), Geo(p(J_j)))."""
     return float(sum(
-        hellinger_geo_exact_p(_p_of(x), _p_of(y)) for x, y in zip(lam, J)))
-
-
-def _hellinger_sum_points_vs_averages(a: SpectralDensity, n: int) -> float:
-    """sum_j H^2(Geo(p(a(t_{j,n}))), Geo(p(J_{j,n}(a))))."""
-    t, _ = grids(n, 1)
-    pts = np.asarray(eval_density(a, t), dtype=float)
-    J = local_averages(a, n)
-    return float(sum(
-        hellinger_geo_exact_p(_p_of(x), _p_of(y)) for x, y in zip(pts, J)))
+        hellinger_geo_exact_p(_p_of(x), _p_of(y)) for x, y in zip(levels, J)))
 
 
 def nb_sufficiency_test(p: float, draws: int, stream: RngStream,
@@ -262,8 +250,10 @@ def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],
                                "kind": "hellinger_chain"})
     sums_i, sums_ii = [], []
     for n in ns:
-        s1 = _hellinger_sum_circulant_vs_averages(a, n)
-        s2 = _hellinger_sum_points_vs_averages(a, n)
+        J = local_averages(a, n)
+        s1 = _hellinger_sum(eval_density(fourier_truncate(a, n).density,
+                                         fourier_frequencies(n)), J)
+        s2 = _hellinger_sum(eval_density(a, grids(n, 1)[0]), J)
         sums_i.append(s1)
         sums_ii.append(s2)
         last = n == ns[-1]

@@ -75,15 +75,14 @@ class McSummary:
 
 
 def mc_run(sampler: Callable[[RngStream], np.ndarray], replicates: int,
-           seed: int, threads: int = 1,
-           collect: bool = False):
+           seed: int, collect: bool = False):
     """Run ``sampler`` on streams (seed, 1..R) and summarize.
 
     The sampler maps a stream to a 1-d vector.  Replicates run serially in
-    replicate order; ``threads`` is accepted and has no effect.  The mean
-    and covariance are numpy reductions over the replicate-ordered matrix,
-    so the summary is deterministic.  With ``collect=True`` the raw
-    replicate matrix is returned alongside the summary.
+    replicate order, and the mean and covariance are numpy reductions over
+    the replicate-ordered matrix, so the summary is deterministic.  With
+    ``collect=True`` the raw replicate matrix is returned alongside the
+    summary.
     """
     if replicates < 2:
         raise RangeError("need at least 2 replicates")

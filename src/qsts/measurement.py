@@ -6,7 +6,8 @@ of independent Poissons: with M = U* A U and Q' = (M - I)/2 >= 0, draw a
 complex normal alpha with E[alpha alpha*] = Q' and then N_j ~ Poisson(|alpha_j|^2).
 Marginals are geometric with parameter p(M_jj), means are Q'_jj and
 cross covariances |Q'_jk|^2, which is what the moment formulas demand; the
-probability generating function is det(I + Q'(I - Z))^{-1}.
+probability generating function is det(I + Q'(I - Z))^{-1}.  The
+observable vectors 2N + 1 feed the estimators in ``estimators``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .errors import (
     TooSmall,
 )
 from .harness import RngStream, as_generator
-from .spectral import SpectralDensity, psi_basis, fourier_frequencies
-from .toeplitz import DftUnitary, abs_square, as_symbol, toeplitz_from_density
+from .spectral import SpectralDensity
+from .toeplitz import abs_square, as_symbol, dft_unitary, toeplitz_from_density
 
 _PSD_TOL = 1e-10
 
@@ -115,7 +116,7 @@ class MeasurementDraw:
 def _dft_conjugate(A: np.ndarray) -> np.ndarray:
     m = A.shape[0]
     if m % 2 == 1:
-        U = DftUnitary(m).matrix
+        U = dft_unitary(m)
         return U.conj().T @ A @ U
     # even dimension has no symmetric frequency grid; measure in the given basis
     return A.copy()
@@ -209,40 +210,6 @@ def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
     pi_bar = np.mean(2.0 * blocks + 1.0, axis=0)
     return MeasurementDraw(blocks=blocks, pi_bar=pi_bar, scheme=scheme,
                            seed_path=stream.path, density_label=a.label)
-
-
-def v_vector(j: int, n: int) -> np.ndarray:
-    """v_{j,n} = n^{-1/2} (phi_j(w_{k,n}))_{|k| <= (n-1)/2}; orthonormal in j."""
-    if n % 2 == 0:
-        raise RangeError("v vectors need odd n")
-    w = fourier_frequencies(n)
-    return np.exp(1j * j * w) / math.sqrt(n)
-
-
-def w_vector(j: int, n: int) -> np.ndarray:
-    """w_{j,n} = n^{-1/2} (psi_j(w_{k,n}))_{|k| <= (n-1)/2}; real orthonormal."""
-    if n % 2 == 0:
-        raise RangeError("w vectors need odd n")
-    w = fourier_frequencies(n)
-    return psi_basis(j, w) / math.sqrt(n)
-
-
-def unbiased_cov_estimates(pi: np.ndarray, d: int) -> np.ndarray:
-    """Unbiased symbol-coefficient estimates from one observable vector.
-
-    a_check_j = (n^{1/2} / (n - |j|)) v_j* Pi for |j| <= d, returned as a
-    complex array indexed j = -d..d (position j + d).
-    """
-    pi = np.asarray(pi, dtype=float).reshape(-1)
-    n = pi.size
-    if n % 2 == 0:
-        raise DimensionError("observable vector must have odd length")
-    if d > (n - 1) // 2:
-        raise DimensionError(f"d = {d} exceeds (n-1)/2 = {(n - 1) // 2}")
-    out = np.empty(2 * d + 1, dtype=complex)
-    for j in range(-d, d + 1):
-        out[j + d] = math.sqrt(n) / (n - abs(j)) * (v_vector(j, n).conj() @ pi)
-    return out
 
 
 def joint_pmf_from_pgf(A, k_max: int = 12, grid: int = 64) -> np.ndarray:

@@ -276,6 +276,17 @@ def psi_basis(j: int, omega: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0) * np.sin(-j * omega)
 
 
+def psi_matrix(d: int, omega: np.ndarray) -> np.ndarray:
+    """Design with columns psi_j(omega) for j = -d..d (column j + d)."""
+    omega = np.asarray(omega, dtype=float)
+    jw = np.multiply.outer(omega, np.arange(1, d + 1))
+    out = np.empty((omega.size, 2 * d + 1))
+    out[:, d] = 1.0
+    out[:, d + 1:] = math.sqrt(2.0) * np.cos(jw)
+    out[:, :d] = (math.sqrt(2.0) * np.sin(jw))[:, ::-1]
+    return out
+
+
 def eval_density(a: SpectralDensity, omega) -> float | np.ndarray:
     """Evaluate a(w) = sum_k a_k exp(i k w) over both lag signs.
 
@@ -399,15 +410,6 @@ def local_averages(a: SpectralDensity, n: int) -> np.ndarray:
         # k and -k contribute conjugate terms: 2 Re(a_k * integral)
         out = out + (n / TWO_PI) * 2.0 * (ak * integral).real
     return out
-
-
-def piecewise_project(a: SpectralDensity, n: int) -> np.ndarray:
-    """Step heights of the L2 projection onto piecewise constants on W_{j,n}.
-
-    Identical to ``local_averages``: with the 1/(2 pi)-weighted inner
-    product the projection height on each cell is the plain cell average.
-    """
-    return local_averages(a, n)
 
 
 class TruncationResult(NamedTuple):

@@ -100,25 +100,20 @@ def as_symbol(A) -> SymbolMatrix:
     return A if isinstance(A, SymbolMatrix) else SymbolMatrix(A)
 
 
-@dataclass(frozen=True)
-class DftUnitary:
+def dft_unitary(m: int) -> np.ndarray:
     """Reordered DFT unitary with columns u_j, j = -(m-1)/2 .. (m-1)/2.
 
-    u_j = m^{-1/2} (1, e_j, e_j^2, ..., e_j^{m-1})' with e_j = exp(2 pi i j / m).
+    u_j = m^{-1/2} (1, e_j, e_j^2, ..., e_j^{m-1})' with e_j = exp(2 pi i j / m),
+    returned as a read-only array.
     """
-
-    m: int
-    matrix: np.ndarray = field(init=False, compare=False)
-
-    def __post_init__(self):
-        if self.m < 1 or self.m % 2 == 0:
-            raise RangeError("DFT unitary needs odd m >= 1")
-        half = (self.m - 1) // 2
-        rows = np.arange(self.m)[:, None]
-        js = np.arange(-half, half + 1)[None, :]
-        u = np.exp(2j * math.pi * rows * js / self.m) / math.sqrt(self.m)
-        u.setflags(write=False)
-        object.__setattr__(self, "matrix", u)
+    if m < 1 or m % 2 == 0:
+        raise RangeError("DFT unitary needs odd m >= 1")
+    half = (m - 1) // 2
+    rows = np.arange(m)[:, None]
+    js = np.arange(-half, half + 1)[None, :]
+    u = np.exp(2j * math.pi * rows * js / m) / math.sqrt(m)
+    u.setflags(write=False)
+    return u
 
 
 def toeplitz_from_density(a: SpectralDensity, n: int) -> SymbolMatrix:
@@ -272,7 +267,7 @@ def eigen_bracket_check(a: SpectralDensity, n: int, grid_size: int = 4096):
 def diagonalization_residue(a: SpectralDensity, m: int) -> float:
     """Max off-diagonal modulus of U* A~_m(a) U; zero in exact arithmetic."""
     C = circulant_from_density(a, m)
-    U = DftUnitary(m).matrix
+    U = dft_unitary(m)
     D = U.conj().T @ C.entries @ U
     off = D - np.diag(np.diag(D))
     return float(np.max(np.abs(off)))

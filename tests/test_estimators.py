@@ -14,12 +14,13 @@ from qsts.estimators import (
     exact_pi_bar_mean,
     improved_estimator,
     nonparametric_estimate,
+    onestep_estimator,
     phi_matrices,
     preliminary_estimator,
     project_theta,
     theta_density_values,
 )
-from qsts.harness import mc_run
+from qsts.harness import RngStream, mc_run
 from qsts.measurement import block_scheme, pi_moments, sample_pi_blocks
 from qsts.spectral import RealParam, SpectralDensity, theta2prime_space
 from qsts.toeplitz import toeplitz_from_density
@@ -123,6 +124,16 @@ class TestFixedPoints:
         for c in (1e-3, 0.5, 7.0, 1e4):
             scaled = weighted_estimator(pi_bar, c * Delta, m, d)
             np.testing.assert_allclose(scaled, base, atol=1e-10)
+
+
+def test_onestep_is_the_three_stage_chain():
+    scheme = block_scheme(2048, 1)
+    pi_bar = sample_pi_blocks(COS_DENSITY, scheme, RngStream(9, 1)).pi_bar
+    space = theta2prime_space(1, 5.0)
+    chain = improved_estimator(
+        pi_bar, project_theta(preliminary_estimator(pi_bar, scheme.m, 1), space),
+        scheme.m, 1)
+    np.testing.assert_array_equal(onestep_estimator(pi_bar, scheme.m, 1, space), chain)
 
 
 class TestProjection:
@@ -252,6 +263,13 @@ class TestNonparametric:
     def test_bandwidth_guard(self):
         with pytest.raises(DimensionError):
             nonparametric_estimate(np.ones(49), 4)
+
+    def test_is_preliminary_estimator_at_full_length(self):
+        pi = np.random.default_rng(5).uniform(1.0, 4.0, size=101)
+        density, theta = nonparametric_estimate(pi, 5)
+        np.testing.assert_array_equal(theta, preliminary_estimator(pi, 101, 5))
+        np.testing.assert_array_equal(
+            density.coeffs, RealParam(5, theta).to_density().coeffs)
 
     def test_mc_l2_error_shrinks(self):
         from qsts.measurement import NumberOpSampler

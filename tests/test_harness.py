@@ -48,22 +48,11 @@ class TestMcRun:
         out = mc_run(lambda s: s.generator().standard_normal(1), 10 ** 4, seed=3)
         assert abs(out.mean[0]) < 4.0 / math.sqrt(10 ** 4)
 
-    def test_thread_count_invariance(self):
-        def sampler(s):
-            g = s.generator()
-            return g.standard_normal(3) + g.poisson(2.0, size=3)
-
-        one = mc_run(sampler, 500, seed=11, threads=1)
-        four = mc_run(sampler, 500, seed=11, threads=4)
-        np.testing.assert_array_equal(one.mean, four.mean)
-        np.testing.assert_array_equal(one.cov, four.cov)
-
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_summary_is_numpy_reduction(self, threads):
+    def test_summary_is_numpy_reduction(self):
         def sampler(s):
             return s.generator().standard_normal(3) + 10.0
 
-        out, rows = mc_run(sampler, 700, seed=19, threads=threads, collect=True)
+        out, rows = mc_run(sampler, 700, seed=19, collect=True)
         c = rows - rows.mean(0)
         np.testing.assert_array_equal(out.mean, rows.mean(0))
         np.testing.assert_array_equal(out.cov, c.T @ c / (rows.shape[0] - 1))

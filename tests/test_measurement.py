@@ -14,11 +14,9 @@ from qsts.measurement import (
     pi_moments,
     sample_number_ops,
     sample_pi_blocks,
-    unbiased_cov_estimates,
-    v_vector,
-    w_vector,
 )
-from qsts.spectral import SpectralDensity
+from qsts.estimators import _w_matrix, preliminary_estimator
+from qsts.spectral import RealParam, SpectralDensity, fourier_frequencies, psi_matrix
 from qsts.toeplitz import SymbolMatrix, toeplitz_from_density
 
 COS_DENSITY = SpectralDensity.cosine(2.0, 0.5)   # 2 + 0.5 cos w
@@ -58,8 +56,8 @@ class TestPiMoments:
         A = toeplitz_from_density(COS_DENSITY, m)
         mean, _ = pi_moments(A)
         # oracle: direct quadratic form u_j* A u_j
-        from qsts.toeplitz import DftUnitary
-        U = DftUnitary(m).matrix
+        from qsts.toeplitz import dft_unitary
+        U = dft_unitary(m)
         for idx in range(m):
             u = U[:, idx]
             assert mean[idx] == pytest.approx(
@@ -221,44 +219,47 @@ class TestBlocks:
         assert len(lines) == 2 + scheme.r * scheme.m
 
 
-class TestVectorsAndEstimates:
-    def test_v_orthonormal(self):
-        n = 9
-        for j in range(-4, 5):
-            for k in range(-4, 5):
-                ip = v_vector(j, n).conj() @ v_vector(k, n)
-                assert abs(ip - (1.0 if j == k else 0.0)) < 1e-12
+def coefficient_estimates(pi, d):
+    """Complex a_j estimates: the coefficients of the preliminary estimate's density."""
+    pi = np.asarray(pi, dtype=float)
+    return RealParam(d, preliminary_estimator(pi, pi.size, d)).to_density()
 
+
+class TestVectorsAndEstimates:
     def test_w_orthonormal(self):
-        n = 11
-        for j in range(-5, 6):
-            for k in range(-5, 6):
-                ip = w_vector(j, n) @ w_vector(k, n)
-                assert abs(ip - (1.0 if j == k else 0.0)) < 1e-12
+        for m, d in ((9, 0), (11, 1), (11, 5), (1025, 3)):
+            W = _w_matrix(m, d)
+            np.testing.assert_array_equal(
+                W, psi_matrix(d, fourier_frequencies(m)) / math.sqrt(m))
+            np.testing.assert_allclose(W.T @ W, np.eye(2 * d + 1), atol=1e-12)
 
     def test_exact_mean_recovers_coefficients(self):
         # feed the analytic mean of Pi: estimates return a_j exactly
         n, d = 9, 2
         a = SpectralDensity.from_coeff_map({0: 2.0, 1: 0.3 + 0.1j, 2: -0.2j})
         mean, _ = pi_moments(toeplitz_from_density(a, n))
-        out = unbiased_cov_estimates(mean, d)
+        out = coefficient_estimates(mean, d)
         for j in range(-d, d + 1):
-            assert out[j + d] == pytest.approx(a.coeff(j), abs=1e-12)
+            assert out.coeff(j) == pytest.approx(a.coeff(j), abs=1e-12)
 
     def test_hermitian_pairing(self):
+        # a_check_j = (n - |j|)^{-1} sum_k exp(-i j w_k) Pi_k; a_check_{-j} is its conjugate
         rng = np.random.default_rng(3)
         pi = rng.uniform(1.0, 3.0, size=9)
-        out = unbiased_cov_estimates(pi, 3)
+        out = coefficient_estimates(pi, 3)
+        w = fourier_frequencies(9)
         for j in range(1, 4):
-            assert out[3 + j] == pytest.approx(np.conj(out[3 - j]), abs=1e-10)
+            direct = np.exp(-1j * j * w) @ pi / (9 - j)
+            assert out.coeff(j) == pytest.approx(direct, abs=1e-12)
+            assert out.coeff(-j) == pytest.approx(np.conj(direct), abs=1e-12)
 
     def test_mc_unbiasedness(self):
         scheme = block_scheme(256, 1)
 
         def sampler(stream):
             pi_bar = sample_pi_blocks(COS_DENSITY, scheme, stream).pi_bar
-            est = unbiased_cov_estimates(pi_bar, 1)
-            return np.array([est[1].real, est[2].real, est[2].imag])
+            est = coefficient_estimates(pi_bar, 1)
+            return np.array([est.coeff(0).real, est.coeff(1).real, est.coeff(1).imag])
 
         out = mc_run(sampler, 4000, seed=23)
         # truth: a_0 = 2, a_1 = 0.25
@@ -267,6 +268,6 @@ class TestVectorsAndEstimates:
 
     def test_dimension_errors(self):
         with pytest.raises(DimensionError):
-            unbiased_cov_estimates(np.ones(8), 1)   # even length
+            coefficient_estimates(np.ones(8), 1)   # even length
         with pytest.raises(DimensionError):
-            unbiased_cov_estimates(np.ones(9), 5)   # d too large
+            coefficient_estimates(np.ones(9), 5)   # d too large

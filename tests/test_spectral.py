@@ -13,7 +13,6 @@ from qsts.spectral import (
     grids,
     local_averages,
     membership,
-    piecewise_project,
     sobolev_norm,
     theta1_space,
     theta2_space,
@@ -130,16 +129,12 @@ class TestLocalAverages:
             out = local_averages(GEOM, n)
             assert np.mean(out) == pytest.approx(float(GEOM.coeffs[0].real), abs=1e-10)
 
-    def test_piecewise_project_alias(self):
-        np.testing.assert_allclose(piecewise_project(COS_2_05, 8),
-                                   local_averages(COS_2_05, 8), atol=0)
-
     def test_projection_rate(self):
         # || a - abar_n ||^2 decreases by at least factor 3.9 per doubling
         from qsts.spectral import l2_distance_sq, step_function_values
 
         def dist_sq(n):
-            heights = piecewise_project(COS_2_05, n)
+            heights = local_averages(COS_2_05, n)
             return l2_distance_sq(
                 COS_2_05, lambda w: step_function_values(heights, w, n),
                 grid=200000)

@@ -6,11 +6,11 @@ import pytest
 from qsts.errors import DimensionError, NotCirculant, RangeError
 from qsts.spectral import SpectralDensity, eval_density, fourier_frequencies
 from qsts.toeplitz import (
-    DftUnitary,
     SymbolMatrix,
     abs_square,
     circulant_eigs,
     circulant_from_density,
+    dft_unitary,
     diagonalization_residue,
     eigen_bracket_check,
     hs_distance,
@@ -126,8 +126,17 @@ class TestCirculantEigs:
 class TestDftUnitary:
     def test_unitarity(self):
         for m in (3, 7, 21):
-            U = DftUnitary(m).matrix
+            U = dft_unitary(m)
             np.testing.assert_allclose(U.conj().T @ U, np.eye(m), atol=1e-12)
+
+    def test_read_only_and_odd_only(self):
+        U = dft_unitary(5)
+        assert not U.flags.writeable
+        with pytest.raises(ValueError):
+            U[0, 0] = 0.0
+        for m in (0, 2, 8):
+            with pytest.raises(RangeError):
+                dft_unitary(m)
 
     def test_diagonalizes_circulant(self):
         for a in (COS_2_05, GEOM):
@@ -137,7 +146,7 @@ class TestDftUnitary:
     def test_conjugation_diagonal_matches_eigs(self):
         m = 7
         C = circulant_from_density(GEOM, m)
-        U = DftUnitary(m).matrix
+        U = dft_unitary(m)
         D = U.conj().T @ C.entries @ U
         np.testing.assert_allclose(np.diag(D).real, circulant_eigs(C), atol=1e-10)
 
@@ -230,7 +239,7 @@ class TestAbsSquare:
     def test_entrywise_oracle(self):
         rng = np.random.default_rng(3)
         H = random_hermitian(4, rng)
-        U = DftUnitary(4 + 1).matrix[:4, :4]  # any complex matrix works
+        U = dft_unitary(4 + 1)[:4, :4]  # any complex matrix works
         M = U.conj().T @ H @ U
         S = abs_square(M)
         for j in range(4):
