@@ -48,9 +48,10 @@ class TestMcRun:
         out = mc_run(lambda s: s.generator().standard_normal(1), 10 ** 4, seed=3)
         assert abs(out.mean[0]) < 4.0 / math.sqrt(10 ** 4)
 
-    def test_summary_is_numpy_reduction(self):
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_summary_is_numpy_reduction(self, dim):
         def sampler(s):
-            return s.generator().standard_normal(3) + 10.0
+            return s.generator().standard_normal(dim) + 10.0
 
         out, rows = mc_run(sampler, 700, seed=19, collect=True)
         c = rows - rows.mean(0)
