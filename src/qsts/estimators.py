@@ -14,6 +14,7 @@ estimates.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -37,6 +38,9 @@ from .spectral import (
 
 _QUAD_GRID = 4096
 
+#: distinct (m, d) designs and (d, grid_size) constraint sets kept per process
+_DESIGN_CACHE_SIZE = 32
+
 
 class DesignMatrices(NamedTuple):
     """W (m x (2d+1), orthonormal columns), F and Delta (diagonals)."""
@@ -46,17 +50,23 @@ class DesignMatrices(NamedTuple):
     Delta: np.ndarray
 
 
+@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
 def _w_matrix(m: int, d: int) -> np.ndarray:
     if m % 2 == 0:
         raise DimensionError("design needs odd m")
     if 2 * d + 1 > m:
         raise DimensionError(f"2d+1 = {2 * d + 1} exceeds m = {m}")
-    return psi_matrix(d, fourier_frequencies(m)) / math.sqrt(m)
+    W = psi_matrix(d, fourier_frequencies(m)) / math.sqrt(m)
+    W.setflags(write=False)
+    return W
 
 
+@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
 def _f_diagonal(m: int, d: int) -> np.ndarray:
     js = np.arange(-d, d + 1)
-    return m / (m - np.abs(js))
+    F = m / (m - np.abs(js))
+    F.setflags(write=False)
+    return F
 
 
 def theta_density_values(theta: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -72,6 +82,7 @@ def theta_density_values(theta: np.ndarray, omega: np.ndarray) -> np.ndarray:
 def design_matrices(m: int, d: int, theta: np.ndarray) -> DesignMatrices:
     """Design matrices at block size m for a parameter theta.
 
+    W and F are built once per (m, d) in the process and are read-only.
     Delta is the diagonal a_theta^2(w_{j,m}) - 1 over the Fourier
     frequencies; every entry must be positive or the parameter is
     inadmissible.
@@ -101,7 +112,9 @@ def weighted_estimator(pi_bar: np.ndarray, delta: np.ndarray,
 
     Scale invariant in D by construction (the weights enter both the normal
     matrix and the right-hand side); the small system is solved, never
-    inverted, and a condition number beyond 1e12 is refused.
+    inverted.  The condition number of the SPD normal matrix is
+    lambda_max / lambda_min from its eigenvalues; beyond 1e12, or with
+    lambda_min <= 0, the system is refused.
     """
     pi_bar = np.asarray(pi_bar, dtype=float).reshape(-1)
     delta = np.asarray(delta, dtype=float).reshape(-1)
@@ -111,7 +124,8 @@ def weighted_estimator(pi_bar: np.ndarray, delta: np.ndarray,
     F = _f_diagonal(m, d)
     Winv = W / delta[:, None]
     G = W.T @ Winv                       # W' Delta^{-1} W, symmetric PD
-    if np.linalg.cond(G) > 1e12:
+    lams = np.linalg.eigvalsh(G)
+    if lams[0] <= 0.0 or lams[-1] / lams[0] > 1e12:
         raise SingularSystem("weighted normal equations are too ill-conditioned")
     sol = np.linalg.solve(G, Winv.T @ pi_bar)
     return F * sol / math.sqrt(m)
@@ -167,6 +181,17 @@ def _project_polyhedron(x: np.ndarray, C: np.ndarray, b: float) -> np.ndarray:
     return x + (-r[:n] / r[n])
 
 
+@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
+def _constraints(d: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """psi design over the uniform projection grid and its row norms."""
+    omegas = -math.pi + TWO_PI * np.arange(grid_size) / grid_size
+    C = psi_matrix(d, omegas)
+    row_norms = np.sqrt(np.sum(C * C, axis=1))
+    C.setflags(write=False)
+    row_norms.setflags(write=False)
+    return C, row_norms
+
+
 def project_theta(theta_hat: np.ndarray, space: ParameterSpace,
                   tol: float = 1e-10, max_sweeps: int = 10_000,
                   grid_size: int = 512) -> np.ndarray:
@@ -178,6 +203,8 @@ def project_theta(theta_hat: np.ndarray, space: ParameterSpace,
     vectors; each sweep projects onto the whole family at once (exact
     least-distance solve), which avoids the slow ping-pong between nearly
     parallel neighboring half-spaces.  Feasible input is returned unchanged.
+    The grid_size x (2d+1) constraint matrix and its row norms are built
+    once per (d, grid_size) in the process and are read-only.
     """
     if space.kind != "theta2prime":
         raise RangeError("projection is defined for theta2prime spaces")
@@ -186,9 +213,7 @@ def project_theta(theta_hat: np.ndarray, space: ParameterSpace,
     radius = math.sqrt(space.M)
     floor = 1.0 + 1.0 / space.M
 
-    omegas = -math.pi + TWO_PI * np.arange(grid_size) / grid_size
-    C = psi_matrix(d, omegas)
-    row_norms = np.sqrt(np.sum(C * C, axis=1))
+    C, row_norms = _constraints(d, grid_size)
 
     def violation(v: np.ndarray) -> float:
         worst = max(0.0, float(np.linalg.norm(v)) - radius)

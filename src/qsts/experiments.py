@@ -11,6 +11,7 @@ scale and check the proven inequalities and decay trends.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,9 +33,9 @@ from .harness import RngStream, as_generator
 from .spectral import (
     SpectralDensity,
     TWO_PI,
+    _truncated_density,
     eval_density,
     fourier_frequencies,
-    fourier_truncate,
     grids,
     local_averages,
     sobolev_norm,
@@ -47,6 +48,9 @@ from .toeplitz import (
 )
 
 _BOUND_SLACK = 1e-9
+
+#: distinct (theta, d) covariance roots kept per process by simulate_hetero_normal
+_ROOT_CACHE_SIZE = 32
 
 
 def _p_of(value: float) -> float:
@@ -189,14 +193,25 @@ def simulate_white_noise(a: SpectralDensity, n: int, L: int,
 
 def simulate_hetero_normal(theta: np.ndarray, n: int, d: int,
                            rng: RngStream | np.random.Generator) -> np.ndarray:
-    """One draw from N(theta, n^{-1} Phi_theta^{-1})."""
+    """One draw from N(theta, n^{-1} Phi_theta^{-1}).
+
+    The factor of Phi_theta^{-1} is built once per process for each
+    (values of theta, d).
+    """
     theta = np.asarray(theta, dtype=float)
-    _, phi = phi_matrices(theta, d)
-    lams, V = np.linalg.eigh(phi)
-    # factor of Phi^{-1} via the eigensystem of Phi
-    root = V * (1.0 / np.sqrt(lams))
+    root = _inverse_phi_root(theta.tobytes(), d)
     gen = as_generator(rng)
     return theta + (root @ gen.standard_normal(theta.size)) / math.sqrt(n)
+
+
+@functools.lru_cache(maxsize=_ROOT_CACHE_SIZE)
+def _inverse_phi_root(theta: bytes, d: int) -> np.ndarray:
+    """Read-only R with R R' = Phi^{-1}, from the eigensystem of Phi."""
+    _, phi = phi_matrices(np.frombuffer(theta), d)
+    lams, V = np.linalg.eigh(phi)
+    root = V * (1.0 / np.sqrt(lams))
+    root.setflags(write=False)
+    return root
 
 
 def _hellinger_sum(levels: np.ndarray, J: np.ndarray) -> float:
@@ -251,7 +266,7 @@ def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],
     sums_i, sums_ii = [], []
     for n in ns:
         J = local_averages(a, n)
-        s1 = _hellinger_sum(eval_density(fourier_truncate(a, n).density,
+        s1 = _hellinger_sum(eval_density(_truncated_density(a, n),
                                          fourier_frequencies(n)), J)
         s2 = _hellinger_sum(eval_density(a, grids(n, 1)[0]), J)
         sums_i.append(s1)

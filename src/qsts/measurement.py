@@ -12,6 +12,7 @@ observable vectors 2N + 1 feed the estimators in ``estimators``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,6 +32,9 @@ from .spectral import SpectralDensity
 from .toeplitz import abs_square, as_symbol, dft_unitary, toeplitz_from_density
 
 _PSD_TOL = 1e-10
+
+#: distinct (density, block size) samplers kept per process by sample_pi_blocks
+_SAMPLER_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -161,22 +165,25 @@ def _poisson_mixture_factor(M: np.ndarray, faithful: bool = False) -> np.ndarray
 class NumberOpSampler:
     """Reusable sampler for the commuting number outcomes of one symbol.
 
-    Precomputes the mixture factor B with B B* = (U* A U - I)/2 once;
-    ``draw`` then costs one complex normal batch and one Poisson batch.
-    With ``faithful=True`` a symbol with lambda_min(A) <= 1 raises
-    NotFaithful.
+    Precomputes the mixture factor B with B B* = (U* A U - I)/2 once, as a
+    read-only array; ``draw`` then costs one complex normal batch and one
+    Poisson batch.  With ``faithful=True`` a symbol with lambda_min(A) <= 1
+    raises NotFaithful.  ``sample_pi_blocks`` keeps one sampler per block
+    symbol for the whole process.
     """
 
     def __init__(self, A, faithful: bool = False):
         M = as_symbol(A).entries
         self.m = M.shape[0]
         self.factor = _poisson_mixture_factor(_dft_conjugate(M), faithful)
+        self.factor.setflags(write=False)
 
     def draw(self, rng, size: int | None = None) -> np.ndarray:
         gen = as_generator(rng)
         rows = 1 if size is None else int(size)
-        z = (gen.standard_normal((rows, self.m))
-             + 1j * gen.standard_normal((rows, self.m)))
+        # real parts are the first rows x m normals, imaginary parts the next
+        re, im = gen.standard_normal((2, rows, self.m))
+        z = re + 1j * im
         z /= math.sqrt(2.0)
         alpha = z @ self.factor.T
         N = gen.poisson(np.abs(alpha) ** 2)
@@ -195,17 +202,28 @@ def sample_number_ops(A, rng, size: int | None = None) -> np.ndarray:
     return NumberOpSampler(A).draw(rng, size)
 
 
+@functools.lru_cache(maxsize=_SAMPLER_CACHE_SIZE)
+def _block_sampler(coeffs: bytes, m: int) -> NumberOpSampler:
+    """Faithful sampler of A_m(a) for the density with these coefficient bytes."""
+    a = SpectralDensity(np.frombuffer(coeffs, dtype=complex))
+    return NumberOpSampler(toeplitz_from_density(a, m), faithful=True)
+
+
 def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
                      stream: RngStream) -> MeasurementDraw:
     """Draw r independent m-mode blocks and aggregate the averaged observable.
 
     The r x m block matrix is one batch from the single generator of
-    ``stream``: it equals ``NumberOpSampler(toeplitz_from_density(a, m))
-    .draw(stream, size=r)`` bit for bit, so the draw is deterministic given
-    (seed path, scheme, density).  The block symbol must satisfy
-    lambda_min(A) > 1, else NotFaithful.
+    ``stream``: it equals ``NumberOpSampler(toeplitz_from_density(a, m),
+    faithful=True).draw(stream, size=r)`` bit for bit, so the draw is
+    deterministic given (seed path, scheme, density).  The block symbol must
+    satisfy lambda_min(A) > 1, else NotFaithful, on every call.
+
+    The sampler is built once per process for each (coefficient values of
+    ``a``, m): an equal-valued density built separately reuses it, whatever
+    its label, and the draw carries the label of the ``a`` passed in.
     """
-    sampler = NumberOpSampler(toeplitz_from_density(a, scheme.m), faithful=True)
+    sampler = _block_sampler(a.coeffs.tobytes(), scheme.m)
     blocks = sampler.draw(stream, size=scheme.r)
     pi_bar = np.mean(2.0 * blocks + 1.0, axis=0)
     return MeasurementDraw(blocks=blocks, pi_bar=pi_bar, scheme=scheme,

@@ -11,6 +11,7 @@ here once and used by every module.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,6 +28,9 @@ _FROM_FUNCTION_GRID = 8192
 
 #: grid used for sup-norm reports
 _SUP_GRID = 4096
+
+#: distinct sizes whose Fourier frequencies are kept per process
+_FREQUENCY_CACHE_SIZE = 32
 
 
 def reduce_angle(omega: float) -> float:
@@ -417,12 +421,17 @@ class TruncationResult(NamedTuple):
     sup_error: float
 
 
-def fourier_truncate(a: SpectralDensity, m: int) -> TruncationResult:
-    """Keep lags |k| <= (m-1)/2; reports the sup-error on a 4096 grid."""
+def _truncated_density(a: SpectralDensity, m: int) -> SpectralDensity:
+    """The lags |k| <= (m-1)/2 of a, for odd m >= 1."""
     if m < 1 or m % 2 == 0:
         raise RangeError("m must be odd and >= 1")
     half = (m - 1) // 2
-    kept = SpectralDensity(a.coeffs[:min(half, a.k_max) + 1].copy(), label=a.label)
+    return SpectralDensity(a.coeffs[:min(half, a.k_max) + 1].copy(), label=a.label)
+
+
+def fourier_truncate(a: SpectralDensity, m: int) -> TruncationResult:
+    """Keep lags |k| <= (m-1)/2; reports the sup-error on a 4096 grid."""
+    kept = _truncated_density(a, m)
     w = np.linspace(-math.pi, math.pi, _SUP_GRID + 1)
     err = float(np.max(np.abs(eval_density(a, w) - eval_density(kept, w))))
     return TruncationResult(kept, err)
@@ -445,7 +454,15 @@ def grids(n: int, m: int):
 
 
 def fourier_frequencies(m: int) -> np.ndarray:
-    return grids(1, m)[1]
+    """w_{j,m} for j = -(m-1)/2 .. (m-1)/2; built once per m, read-only."""
+    return _fourier_frequencies(m)
+
+
+@functools.lru_cache(maxsize=_FREQUENCY_CACHE_SIZE)
+def _fourier_frequencies(m: int) -> np.ndarray:
+    w = grids(1, m)[1]
+    w.setflags(write=False)
+    return w
 
 
 def l2_distance_sq(a: SpectralDensity, values_fn, grid: int = 8192) -> float:

@@ -1,12 +1,17 @@
 """The benchmark's traced run finds every function it names on qsts.
 
 ``perfbench/layers.py`` lists the functions its span wrappers rebind by
-dotted name.  The list is read with ``ast`` (perfbench is not imported), so
-a rename or removal in qsts fails here instead of in a traced benchmark run.
+dotted name, plus modules whose whole public surface it wraps.  The lists
+are read with ``ast`` (perfbench is not imported), so a rename or removal in
+qsts fails here instead of in a traced benchmark run.  Each target must be a
+plain function: the traced run skips what ``inspect.isfunction`` rejects,
+so a cache wrapper (cache the private builder it calls instead) would
+silently drop a span from the per-layer trace.
 """
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -14,12 +19,16 @@ import pytest
 LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
-def named_targets():
+def layers_constant(name):
     for node in ast.parse(LAYERS.read_text()).body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "NAMED_TARGETS" for t in node.targets):
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/layers.py defines no NAMED_TARGETS")
+    raise AssertionError(f"perfbench/layers.py defines no {name}")
+
+
+def named_targets():
+    return layers_constant("NAMED_TARGETS")
 
 
 @pytest.mark.parametrize("name", named_targets())
@@ -28,4 +37,14 @@ def test_named_target_resolves(name):
     owner = importlib.import_module("qsts." + module)
     for attr in attrs:
         owner = getattr(owner, attr)
-    assert callable(owner)
+    assert inspect.isfunction(owner), f"{name} is {type(owner).__name__}, not a function"
+
+
+@pytest.mark.parametrize("module", layers_constant("WHOLE_MODULES"))
+def test_whole_module_surface_is_plain_functions(module):
+    mod = importlib.import_module("qsts." + module)
+    wrapped = [k for k, v in vars(mod).items()
+               if not k.startswith("_") and callable(v) and not isinstance(v, type)
+               and getattr(v, "__module__", None) == mod.__name__
+               and not inspect.isfunction(v)]
+    assert wrapped == []

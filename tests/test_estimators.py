@@ -126,6 +126,48 @@ class TestFixedPoints:
             np.testing.assert_allclose(scaled, base, atol=1e-10)
 
 
+class TestWeightedGate:
+    """The 1e12 gate on cond(W' D^-1 W), read off its eigenvalues."""
+
+    M, D = 9, 1
+
+    def normal_matrix(self, delta):
+        from qsts.estimators import _w_matrix
+
+        W = _w_matrix(self.M, self.D)
+        return W.T @ (W / delta[:, None])
+
+    def test_sweep_across_the_gate(self):
+        from qsts.estimators import weighted_estimator
+
+        # weight 1 on two frequencies and eps elsewhere: cond ~ 0.43 / eps
+        pi_bar = np.random.default_rng(8).uniform(1.5, 3.0, size=self.M)
+        sides = []
+        for eps in np.logspace(-10, -15, 41):
+            delta = np.full(self.M, 1.0 / eps)
+            delta[[0, 4]] = 1.0
+            G = self.normal_matrix(delta)
+            lams = np.linalg.eigvalsh(G)
+            above = bool(lams[-1] / lams[0] > 1e12)
+            assert above == bool(np.linalg.cond(G) > 1e12)
+            sides.append(above)
+            if above:
+                with pytest.raises(SingularSystem):
+                    weighted_estimator(pi_bar, delta, self.M, self.D)
+            else:
+                assert np.all(np.isfinite(weighted_estimator(pi_bar, delta, self.M, self.D)))
+        assert 5 < sum(sides) < len(sides) - 5
+
+    def test_indefinite_weights_refused(self):
+        from qsts.estimators import weighted_estimator
+
+        # D = -I gives G = -I: condition number 1, but lambda_min < 0
+        delta = -np.ones(self.M)
+        assert np.linalg.cond(self.normal_matrix(delta)) == pytest.approx(1.0)
+        with pytest.raises(SingularSystem):
+            weighted_estimator(np.full(self.M, 2.0), delta, self.M, self.D)
+
+
 def test_onestep_is_the_three_stage_chain():
     scheme = block_scheme(2048, 1)
     pi_bar = sample_pi_blocks(COS_DENSITY, scheme, RngStream(9, 1)).pi_bar

@@ -142,6 +142,26 @@ class TestHeteroNormal:
         b = simulate_hetero_normal(theta, 64, 1, RngStream(19, 0))
         np.testing.assert_array_equal(a, b)
 
+    def test_cached_root_equals_direct_formula(self):
+        # the root of Phi^-1 is built once per theta; draws match the direct build
+        from qsts import experiments
+
+        experiments._inverse_phi_root.cache_clear()
+        for theta, d in ((np.array([0.0, 2.0, 0.1]), 1),
+                         (np.array([0.05, -0.1, 2.5, 0.2, 0.1]), 2)):
+            _, phi = phi_matrices(theta, d)
+            lams, V = np.linalg.eigh(phi)
+            root = V * (1.0 / np.sqrt(lams))
+            for i in range(3):
+                gen = RngStream(23, i).generator()
+                direct = theta + (root @ gen.standard_normal(theta.size)) / math.sqrt(40)
+                np.testing.assert_array_equal(
+                    simulate_hetero_normal(theta, 40, d, RngStream(23, i)), direct)
+        info = experiments._inverse_phi_root.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+        with pytest.raises(ValueError):
+            experiments._inverse_phi_root(theta.tobytes(), 2)[0, 0] = 0.0
+
 
 class TestHellingerChain:
     def test_constant_density_sums_zero(self):

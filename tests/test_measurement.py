@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qsts import estimators, measurement
 from qsts.errors import DimensionError, NotFaithful, NotPSD, RangeError, TooSmall
 from qsts.harness import RngStream, mc_run
 from qsts.measurement import (
@@ -180,12 +181,14 @@ class TestBlocks:
         assert np.all(np.abs(cross) < 5 * se)
 
     def test_blocks_equal_sampler_batch(self):
-        # stream contract: the block matrix is one (r, m) batch of the sampler
+        # stream contract: the block matrix is one (r, m) batch of the sampler,
+        # also once sample_pi_blocks reuses its cached sampler
         scheme = block_scheme(4096, 1)
-        draw = sample_pi_blocks(COS_DENSITY, scheme, RngStream(29, 3))
-        batch = NumberOpSampler(toeplitz_from_density(COS_DENSITY, scheme.m)).draw(
-            RngStream(29, 3), size=scheme.r)
-        np.testing.assert_array_equal(draw.blocks, batch)
+        for i in (3, 4):
+            draw = sample_pi_blocks(COS_DENSITY, scheme, RngStream(29, i))
+            batch = NumberOpSampler(toeplitz_from_density(COS_DENSITY, scheme.m),
+                                    faithful=True).draw(RngStream(29, i), size=scheme.r)
+            np.testing.assert_array_equal(draw.blocks, batch)
 
     def test_one_generator_per_call(self, monkeypatch):
         calls = []
@@ -217,6 +220,78 @@ class TestBlocks:
         assert lines[0].startswith("# {")
         assert lines[1] == "block,j,N"
         assert len(lines) == 2 + scheme.r * scheme.m
+
+
+class TestBlockSamplerCache:
+    """sample_pi_blocks builds one sampler per (density values, m) per process."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        measurement._block_sampler.cache_clear()
+
+    @pytest.fixture
+    def eighs(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_equal_values_reuse_the_sampler(self, eighs):
+        scheme = block_scheme(4096, 1)
+        first = sample_pi_blocks(SpectralDensity.cosine(2.0, 0.5, label="first"),
+                                 scheme, RngStream(3, 1))
+        assert len(eighs) == 1
+        again = sample_pi_blocks(SpectralDensity.cosine(2.0, 0.5, label="again"),
+                                 scheme, RngStream(3, 2))
+        assert len(eighs) == 1
+        assert (first.density_label, again.density_label) == ("first", "again")
+
+    def test_other_values_or_block_size_build_their_own(self, eighs):
+        sample_pi_blocks(COS_DENSITY, block_scheme(4096, 1), RngStream(3, 1))
+        sample_pi_blocks(SpectralDensity.cosine(2.0, 0.25), block_scheme(4096, 1),
+                         RngStream(3, 1))
+        assert len(eighs) == 2
+        m9, m7 = block_scheme(4096, 1), block_scheme(1024, 1)
+        assert (m9.m, m7.m) == (9, 7)
+        sample_pi_blocks(COS_DENSITY, m7, RngStream(3, 1))
+        assert len(eighs) == 3
+        sample_pi_blocks(COS_DENSITY, m9, RngStream(3, 2))
+        assert len(eighs) == 3
+
+    def test_not_faithful_on_every_call(self):
+        scheme = block_scheme(64, 1)
+        for _ in range(2):
+            with pytest.raises(NotFaithful):
+                sample_pi_blocks(SpectralDensity.constant(0.75), scheme, RngStream(1, 0))
+        assert measurement._block_sampler.cache_info().currsize == 0
+
+    def test_draw_equals_two_normal_batches(self):
+        # one (2, rows, m) batch is the real parts followed by the imaginary parts;
+        # a generic Hermitian symbol (not Toeplitz) makes swapping the parts show
+        X = np.random.default_rng(40).standard_normal((2, 9, 9))
+        H = 0.1 * (X[0] + 1j * X[1])
+        sampler = NumberOpSampler(SymbolMatrix(3.0 * np.eye(9) + H + H.conj().T),
+                                  faithful=True)
+        gen = np.random.default_rng(41)
+        z = gen.standard_normal((5, 9)) + 1j * gen.standard_normal((5, 9))
+        z /= math.sqrt(2.0)
+        expect = gen.poisson(np.abs(z @ sampler.factor.T) ** 2)
+        np.testing.assert_array_equal(
+            sampler.draw(np.random.default_rng(41), size=5), expect)
+
+    def test_cached_arrays_are_read_only(self):
+        sampler = measurement._block_sampler(COS_DENSITY.coeffs.tobytes(), 9)
+        C, row_norms = estimators._constraints(1, 512)
+        cached = [fourier_frequencies(9), _w_matrix(9, 1), estimators._f_diagonal(9, 1),
+                  C, row_norms, sampler.factor]
+        for arr in cached:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 def coefficient_estimates(pi, d):

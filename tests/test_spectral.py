@@ -170,6 +170,16 @@ class TestFourierTruncate:
         with pytest.raises(RangeError):
             fourier_truncate(GEOM, 4)
 
+    def test_density_without_sup_report_is_the_same(self):
+        # the Hellinger audit builds the truncation without the sup-error grid
+        from qsts.spectral import _truncated_density
+
+        for m in (1, 3, 9, 41, 65):
+            kept = _truncated_density(GEOM, m)
+            np.testing.assert_array_equal(kept.coeffs, fourier_truncate(GEOM, m).density.coeffs)
+        with pytest.raises(RangeError):
+            _truncated_density(GEOM, 4)
+
 
 class TestGrids:
     def test_points_n2(self):
