@@ -84,14 +84,14 @@ def design_matrices(m: int, d: int, theta: np.ndarray) -> DesignMatrices:
 
     W and F are built once per (m, d) in the process and are read-only.
     Delta is the diagonal a_theta^2(w_{j,m}) - 1 over the Fourier
-    frequencies; every entry must be positive or the parameter is
-    inadmissible.
+    frequencies; every entry must be positive (so not NaN) or the parameter
+    is inadmissible.
     """
     W = _w_matrix(m, d)
     F = _f_diagonal(m, d)
     vals = theta_density_values(theta, fourier_frequencies(m))
     Delta = vals ** 2 - 1.0
-    if np.any(Delta <= 0.0):
+    if not np.all(Delta > 0.0):
         raise NotAdmissible("a_theta^2 - 1 must be positive at all frequencies")
     return DesignMatrices(W, F, Delta)
 
@@ -113,13 +113,15 @@ def weighted_estimator(pi_bar: np.ndarray, delta: np.ndarray,
     Scale invariant in D by construction (the weights enter both the normal
     matrix and the right-hand side); the small system is solved, never
     inverted.  The condition number of the SPD normal matrix is
-    lambda_max / lambda_min from its eigenvalues; beyond 1e12, or with
-    lambda_min <= 0, the system is refused.
+    lambda_max / lambda_min from its eigenvalues; beyond 1e12, with
+    lambda_min <= 0, or with a non-finite weight, the system is refused.
     """
     pi_bar = np.asarray(pi_bar, dtype=float).reshape(-1)
     delta = np.asarray(delta, dtype=float).reshape(-1)
     if pi_bar.size != m or delta.size != m:
         raise DimensionError(f"pi_bar and delta must have length m = {m}")
+    if not np.all(np.isfinite(delta)):
+        raise SingularSystem("weights delta must all be finite")
     W = _w_matrix(m, d)
     F = _f_diagonal(m, d)
     Winv = W / delta[:, None]

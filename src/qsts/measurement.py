@@ -2,8 +2,9 @@
 
 After the DFT change of basis the observables N_j = B_j* B_j commute, and
 for a symbol A >= I their joint law is an exactly samplable Gaussian mixture
-of independent Poissons: with M = U* A U and Q' = (M - I)/2 >= 0, draw a
-complex normal alpha with E[alpha alpha*] = Q' and then N_j ~ Poisson(|alpha_j|^2).
+of independent Poissons: with M = U* A U and Q' = (M - I)/2 >= 0, draw the
+complex normal alpha = U* chol((A - I)/2) z, so E[alpha alpha*] = Q' with no
+eigensolve and one FFT, and then N_j ~ Poisson(|alpha_j|^2).
 Marginals are geometric with parameter p(M_jj), means are Q'_jj and
 cross covariances |Q'_jk|^2, which is what the moment formulas demand; the
 probability generating function is det(I + Q'(I - Z))^{-1}.  The
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .harness import RngStream, as_generator
 from .spectral import SpectralDensity
-from .toeplitz import abs_square, as_symbol, dft_unitary, toeplitz_from_density
+from .toeplitz import SymbolMatrix, abs_square, as_symbol, toeplitz_from_density
 
 _PSD_TOL = 1e-10
 
@@ -117,11 +118,15 @@ class MeasurementDraw:
                 fh.write(f"{b},{idx - half},{int(self.blocks[b, idx])}\n")
 
 
+def _dft_rows(X: np.ndarray) -> np.ndarray:
+    """U* X for odd m (U = ``dft_unitary(m)``): one FFT, rows j = -(m-1)/2..(m-1)/2."""
+    return np.fft.fftshift(np.fft.fft(X, axis=0, norm="ortho"), axes=0)
+
+
 def _dft_conjugate(A: np.ndarray) -> np.ndarray:
-    m = A.shape[0]
-    if m % 2 == 1:
-        U = dft_unitary(m)
-        return U.conj().T @ A @ U
+    """U* A U for Hermitian A and odd m, as U*((U* A)*) in two FFTs."""
+    if A.shape[0] % 2 == 1:
+        return _dft_rows(_dft_rows(A).conj().T)
     # even dimension has no symmetric frequency grid; measure in the given basis
     return A.copy()
 
@@ -144,38 +149,43 @@ def pi_moments(A) -> tuple[np.ndarray, np.ndarray]:
     return mean.real.copy(), cov
 
 
-def _poisson_mixture_factor(M: np.ndarray, faithful: bool = False) -> np.ndarray:
-    """Factor B with B B* = Q' = (M - I)/2, clamping tiny negative modes.
+def _poisson_mixture_factor(A: SymbolMatrix, faithful: bool = False) -> np.ndarray:
+    """Factor B = U* L with B B* = Q' = U* Q U, L = chol(Q), Q = (A - I)/2.
 
-    With ``faithful`` the same eigenvalues gate lambda_min(M) = 1 +
-    2 lambda_min(Q') > 1, raising NotFaithful before the PSD guard.
+    The Cholesky succeeds exactly when lambda_min(A) > 1, and then no
+    eigensolve runs.  Only when it fails is the cached spectrum of A read:
+    ``faithful`` raises NotFaithful before the PSD guard raises NotPSD, and a
+    singular PSD Q (``const:1``, the vacuum) gets L = V sqrt(q), the one place
+    that clips, and only eigenvalues of Q within _PSD_TOL below 0.
     """
-    Q = 0.5 * (M - np.eye(M.shape[0]))
-    lams, V = np.linalg.eigh(Q)
-    lam_min = 1.0 + 2.0 * float(lams[0])
-    if faithful and lam_min <= 1.0:
-        raise NotFaithful(
-            f"block symbol has lambda_min = {lam_min:.6g}, need > 1")
-    if lams[0] < -_PSD_TOL:
-        raise NotPSD(f"Q' has eigenvalue {lams[0]:.3g} < -{_PSD_TOL:g}")
-    lams = np.clip(lams, 0.0, None)
-    return V * np.sqrt(lams)
+    try:
+        L = np.linalg.cholesky(0.5 * (A.entries - np.eye(A.n)))
+    except np.linalg.LinAlgError:
+        lams, V = A.spectrum
+        if faithful and lams[0] <= 1.0:
+            raise NotFaithful(
+                f"block symbol has lambda_min = {lams[0]:.6g}, need > 1") from None
+        q = 0.5 * (lams - 1.0)
+        if q[0] < -_PSD_TOL:
+            raise NotPSD(f"Q has eigenvalue {q[0]:.3g} < -{_PSD_TOL:g}") from None
+        L = V * np.sqrt(np.clip(q, 0.0, None))
+    return _dft_rows(L) if A.n % 2 == 1 else L
 
 
 class NumberOpSampler:
     """Reusable sampler for the commuting number outcomes of one symbol.
 
     Precomputes the mixture factor B with B B* = (U* A U - I)/2 once, as a
-    read-only array; ``draw`` then costs one complex normal batch and one
-    Poisson batch.  With ``faithful=True`` a symbol with lambda_min(A) <= 1
-    raises NotFaithful.  ``sample_pi_blocks`` keeps one sampler per block
-    symbol for the whole process.
+    read-only array, from a Cholesky and one FFT; ``draw`` then costs one
+    complex normal batch and one Poisson batch.  With ``faithful=True`` a
+    symbol with lambda_min(A) <= 1 raises NotFaithful.  ``sample_pi_blocks``
+    keeps one sampler per block symbol for the whole process.
     """
 
     def __init__(self, A, faithful: bool = False):
-        M = as_symbol(A).entries
-        self.m = M.shape[0]
-        self.factor = _poisson_mixture_factor(_dft_conjugate(M), faithful)
+        A = as_symbol(A)
+        self.m = A.n
+        self.factor = _poisson_mixture_factor(A, faithful)
         self.factor.setflags(write=False)
 
     def draw(self, rng, size: int | None = None) -> np.ndarray:

@@ -300,8 +300,12 @@ class TestConfigPrecedence:
                 "--d", "1", "--replicates", "500"]
         code, out, _ = run(capsys, "--config", _config(tmp_path, {"frob_tol": 0.0}), *argv)
         assert code == 3 and json.loads(out)["pass"] is False
+        # with the Frobenius limit out of reach, the verdict is the KS tests'
         code, out, _ = run(capsys, "--config", _config(tmp_path, {"frob_tol": 10.0}), *argv)
-        assert code == 0 and json.loads(out)["pass"] is True
+        assert (code, out) == run(capsys, *argv, "--frob-tol", "10")[:2]
+        report = json.loads(out)
+        assert report["pass"] == all(ks < report["ks_critical"] for ks in report["ks_stats"])
+        assert code == (0 if report["pass"] else 3)
 
     def test_no_timestamp_key_takes_effect(self, tmp_path, capsys):
         argv = ["audit", "chain", "--density", "cos:2,0.5", "--n-list", "65",

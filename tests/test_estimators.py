@@ -78,6 +78,11 @@ class TestDesignMatrices:
         with pytest.raises(DimensionError):
             design_matrices(3, 2, np.zeros(5))
 
+    def test_nan_theta_rejected(self):
+        # NaN <= 0 is False, so only a test for positivity catches a NaN Delta
+        with pytest.raises(NotAdmissible):
+            design_matrices(9, 1, np.array([0.0, np.nan, 0.1]))
+
 
 class TestFixedPoints:
     @pytest.mark.parametrize("m,d", [(7, 1), (21, 2)])
@@ -164,6 +169,15 @@ class TestWeightedGate:
         # D = -I gives G = -I: condition number 1, but lambda_min < 0
         delta = -np.ones(self.M)
         assert np.linalg.cond(self.normal_matrix(delta)) == pytest.approx(1.0)
+        with pytest.raises(SingularSystem):
+            weighted_estimator(np.full(self.M, 2.0), delta, self.M, self.D)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_refused(self, bad):
+        from qsts.estimators import weighted_estimator
+
+        delta = np.full(self.M, 2.0)
+        delta[3] = bad
         with pytest.raises(SingularSystem):
             weighted_estimator(np.full(self.M, 2.0), delta, self.M, self.D)
 

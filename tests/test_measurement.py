@@ -18,7 +18,7 @@ from qsts.measurement import (
 )
 from qsts.estimators import _w_matrix, preliminary_estimator
 from qsts.spectral import RealParam, SpectralDensity, fourier_frequencies, psi_matrix
-from qsts.toeplitz import SymbolMatrix, toeplitz_from_density
+from qsts.toeplitz import SymbolMatrix, dft_unitary, toeplitz_from_density
 
 COS_DENSITY = SpectralDensity.cosine(2.0, 0.5)   # 2 + 0.5 cos w
 
@@ -204,12 +204,16 @@ class TestBlocks:
             sample_pi_blocks(COS_DENSITY, scheme, RngStream(31, i))
         assert calls == [(31, 1), (31, 2)]
 
-    @pytest.mark.parametrize("a0", [0.5, 1.0])
+    @pytest.mark.parametrize("a0", [0.5, 0.75, 1.0])
     def test_not_faithful_before_not_psd(self, a0):
         # lambda_min(A) = a0 <= 1: the faithfulness gate fires, not the PSD guard
+        # that the same symbol trips when a0 < 1 and faithfulness is not asked for
         with pytest.raises(NotFaithful):
             sample_pi_blocks(SpectralDensity.constant(a0), block_scheme(64, 1),
                              RngStream(1, 0))
+        if a0 < 1.0:
+            with pytest.raises(NotPSD):
+                NumberOpSampler(toeplitz_from_density(SpectralDensity.constant(a0), 5))
 
     def test_csv_export(self):
         scheme = block_scheme(64, 1)
@@ -230,38 +234,40 @@ class TestBlockSamplerCache:
         measurement._block_sampler.cache_clear()
 
     @pytest.fixture
-    def eighs(self, monkeypatch):
-        calls = []
-        original = np.linalg.eigh
+    def calls(self, monkeypatch):
+        """Counts of np.linalg.cholesky (one per sampler build) and np.linalg.eigh."""
+        counts = {"cholesky": 0, "eigh": 0}
+        for name in counts:
+            original = getattr(np.linalg, name)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        return calls
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
 
-    def test_equal_values_reuse_the_sampler(self, eighs):
+    def test_equal_values_reuse_the_sampler(self, calls):
         scheme = block_scheme(4096, 1)
         first = sample_pi_blocks(SpectralDensity.cosine(2.0, 0.5, label="first"),
                                  scheme, RngStream(3, 1))
-        assert len(eighs) == 1
+        assert calls == {"cholesky": 1, "eigh": 0}
         again = sample_pi_blocks(SpectralDensity.cosine(2.0, 0.5, label="again"),
                                  scheme, RngStream(3, 2))
-        assert len(eighs) == 1
+        assert calls["cholesky"] == 1
         assert (first.density_label, again.density_label) == ("first", "again")
 
-    def test_other_values_or_block_size_build_their_own(self, eighs):
+    def test_other_values_or_block_size_build_their_own(self, calls):
         sample_pi_blocks(COS_DENSITY, block_scheme(4096, 1), RngStream(3, 1))
         sample_pi_blocks(SpectralDensity.cosine(2.0, 0.25), block_scheme(4096, 1),
                          RngStream(3, 1))
-        assert len(eighs) == 2
+        assert calls["cholesky"] == 2
         m9, m7 = block_scheme(4096, 1), block_scheme(1024, 1)
         assert (m9.m, m7.m) == (9, 7)
         sample_pi_blocks(COS_DENSITY, m7, RngStream(3, 1))
-        assert len(eighs) == 3
+        assert calls["cholesky"] == 3
         sample_pi_blocks(COS_DENSITY, m9, RngStream(3, 2))
-        assert len(eighs) == 3
+        assert calls == {"cholesky": 3, "eigh": 0}
 
     def test_not_faithful_on_every_call(self):
         scheme = block_scheme(64, 1)
@@ -292,6 +298,88 @@ class TestBlockSamplerCache:
         for arr in cached:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+GEOM = SpectralDensity.from_coeff_map({0: 3.0, 1: 0.6 + 0.2j, 2: -0.3j, 3: 0.1})
+
+
+def generic_hermitian(m, seed):
+    """3 I + G / (max absolute row sum of G) for a random Hermitian G: lambda_min >= 2."""
+    X = np.random.default_rng(seed).standard_normal((2, m, m))
+    G = X[0] + 1j * X[1]
+    G = G + G.conj().T
+    return SymbolMatrix(3.0 * np.eye(m) + G / np.max(np.sum(np.abs(G), axis=1)))
+
+
+def dense_dft_conjugate(A):
+    """Oracle U* A U from the dense DFT unitary."""
+    U = dft_unitary(A.shape[0])
+    return U.conj().T @ A @ U
+
+
+def rel_err(X, Y):
+    return float(np.max(np.abs(X - Y)) / np.max(np.abs(Y)))
+
+
+class TestMixtureFactor:
+    """B B* = (U* A U - I)/2 from a Cholesky and one FFT, gated like the spectrum."""
+
+    @pytest.mark.parametrize("m", [1, 3, 9, 65, 1025])
+    @pytest.mark.parametrize("kind", ["toeplitz", "generic"])
+    def test_factor_matches_dense_oracle(self, m, kind):
+        A = toeplitz_from_density(GEOM, m) if kind == "toeplitz" else generic_hermitian(m, m)
+        B = NumberOpSampler(A, faithful=True).factor
+        oracle = 0.5 * (dense_dft_conjugate(A.entries) - np.eye(m))
+        assert rel_err(B @ B.conj().T, oracle) < 1e-12
+        # a faithful symbol is factored without an eigensolve
+        assert "spectrum" not in A.__dict__
+
+    @pytest.mark.parametrize("m", [2, 4, 10])
+    def test_even_factor_stays_in_the_given_basis(self, m):
+        for A in (toeplitz_from_density(GEOM, m), generic_hermitian(m, m)):
+            B = NumberOpSampler(A).factor
+            assert rel_err(B @ B.conj().T, 0.5 * (A.entries - np.eye(m))) < 1e-12
+
+    @pytest.mark.parametrize("m", [1, 3, 9, 65, 1025])
+    def test_dft_conjugate_matches_dense_oracle(self, m):
+        for A in (toeplitz_from_density(GEOM, m), generic_hermitian(m, m + 1)):
+            assert rel_err(measurement._dft_conjugate(A.entries),
+                           dense_dft_conjugate(A.entries)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["const", "cos"])
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_gate_as_lambda_min_tends_to_one(self, kind, k):
+        m = 9
+        if kind == "const":
+            a = SpectralDensity.constant(1.0 + 10.0 ** -k)
+        else:
+            # tridiagonal: lambda_min = a0 - 0.5 cos(pi / (m + 1)) = 1 + 10^-k
+            a = SpectralDensity.cosine(1.0 + 10.0 ** -k + 0.5 * math.cos(math.pi / (m + 1)),
+                                       0.5)
+        A = toeplitz_from_density(a, m)
+        try:
+            np.linalg.cholesky(0.5 * (A.entries - np.eye(m)))
+            cholesky_ok = True
+        except np.linalg.LinAlgError:
+            cholesky_ok = False
+        lam_min = float(A.spectrum[0][0])
+        if 10.0 ** -k >= 1e-8:
+            assert cholesky_ok and lam_min > 1.0
+        for faithful in (True, False):
+            try:
+                N = NumberOpSampler(A, faithful=faithful).draw(RngStream(37, k), size=200)
+            except NotFaithful:
+                assert faithful and not cholesky_ok and lam_min <= 1.0
+            else:
+                assert np.all(np.isfinite(N)) and np.all(N >= 0)
+
+    @pytest.mark.parametrize("A", [toeplitz_from_density(SpectralDensity.constant(1.0), 9),
+                                   SymbolMatrix(np.eye(9))], ids=["const:1", "vacuum"])
+    def test_singular_psd_fallback(self, A):
+        # Q = 0: the Cholesky fails and the cached spectrum gives the zero factor
+        assert np.all(NumberOpSampler(A).draw(RngStream(38, 0), size=20) == 0)
+        with pytest.raises(NotFaithful):
+            NumberOpSampler(A, faithful=True)
 
 
 def coefficient_estimates(pi, d):
