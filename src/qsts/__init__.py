@@ -57,37 +57,29 @@ from .toeplitz import (
     dft_unitary,
     eigen_bracket_check,
     hs_distance,
-    op_norm,
     principal_submatrix,
     toeplitz_circulant_gap,
     toeplitz_from_density,
 )
 from .gaussian_states import (
-    GaussState,
     covariance_from_symbol,
     entropy_symbol_bound,
     pinsker_trace_bound,
     relative_entropy,
-    s2_matrix,
     thermal_pmf,
 )
 from .distributions import (
     Geometric,
-    NegBinomial,
     chernoff_geo,
     chernoff_geo_inf,
     chernoff_quantum,
     chernoff_quantum_inf,
-    gaussian_square_cov,
     geo_kl,
-    geo_l1,
     geo_stats,
     hellinger_geo,
     nb_hellinger_bound_shapes,
     nb_hellinger_bound_symbols,
-    nb_hellinger_exact,
     nb_sample,
-    score,
     varstab_arccosh,
     varstab_ode_residual,
 )
@@ -98,7 +90,6 @@ from .measurement import (
     block_scheme,
     joint_pmf_from_pgf,
     pi_moments,
-    sample_number_ops,
     sample_pi_blocks,
 )
 from .estimators import (

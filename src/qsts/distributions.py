@@ -2,8 +2,7 @@
 
 The symbol value a > 1 of a thermal mode parameterizes a geometric law
 through p = (a - 1)/(a + 1); everything here is written in terms of a where
-that is the natural parameter.  Exact series are truncated when the running
-geometric tail bound drops below 1e-14.
+that is the natural parameter.
 """
 
 from __future__ import annotations
@@ -15,10 +14,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import NotPSD, RangeError
+from .errors import RangeError
 from .spectral import SpectralDensity, eval_density, TWO_PI
-
-_SERIES_TAIL = 1e-14
 
 
 def p_of_a(a: float) -> float:
@@ -55,36 +52,6 @@ class Geometric:
         return rng.geometric(1.0 - self.p, size=size) - 1
 
 
-@dataclass(frozen=True)
-class NegBinomial:
-    """Law P(X = k) = Gamma(k+r)/(k! Gamma(r)) (1-p)^r p^k on k = 0, 1, ..."""
-
-    r: float
-    p: float
-
-    def __post_init__(self):
-        if self.r <= 0.0:
-            raise RangeError("r must be positive")
-        if not 0.0 < self.p < 1.0:
-            raise RangeError("p must lie in (0, 1)")
-
-    def log_pmf(self, k) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        return (gammaln(k + self.r) - gammaln(k + 1.0) - gammaln(self.r)
-                + self.r * math.log1p(-self.p) + k * math.log(self.p))
-
-    def pmf(self, k) -> np.ndarray:
-        return np.exp(self.log_pmf(k))
-
-    @property
-    def mean(self) -> float:
-        return self.r * self.p / (1.0 - self.p)
-
-    @property
-    def var(self) -> float:
-        return self.r * self.p / (1.0 - self.p) ** 2
-
-
 class GeoStats(NamedTuple):
     p: float
     mean: float
@@ -109,20 +76,6 @@ def geo_stats(a: float) -> GeoStats:
         fisher_j=1.0 / (a * a - 1.0),
         tau=math.log(p),
     )
-
-
-def score(x, a: float):
-    """Score of the geometric law in the symbol parameter a,
-
-    s(x, a) = (x - (a-1)/2) * 2/(a^2 - 1);
-
-    zero mean under Geo(p(a)) and E s^2 = 1/(a^2 - 1).
-    """
-    if a <= 1.0:
-        raise RangeError("need a > 1")
-    x = np.asarray(x, dtype=float)
-    out = (x - (a - 1.0) / 2.0) * 2.0 / (a * a - 1.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def hellinger_geo(lam: float, mu: float):
@@ -160,30 +113,6 @@ def nb_hellinger_bound_shapes(r1: float, r2: float) -> float:
         raise RangeError("shapes must be positive")
     return 1.0 - math.exp(gammaln((r1 + r2) / 2.0)
                           - 0.5 * gammaln(r1) - 0.5 * gammaln(r2))
-
-
-def nb_hellinger_exact(r1: float, p1: float, r2: float, p2: float,
-                       tail: float = 1e-12) -> float:
-    """H^2 between two negative binomials by Bhattacharyya series.
-
-    Terms decay like sqrt(p1 p2)^k; summation stops once the geometric
-    tail bound of the remainder falls below ``tail``.
-    """
-    q1, q2 = NegBinomial(r1, p1), NegBinomial(r2, p2)
-    ratio = math.sqrt(p1 * p2)
-    bc, k = 0.0, 0
-    while True:
-        term = math.exp(0.5 * (q1.log_pmf(k) + q2.log_pmf(k)))
-        bc += term
-        # for k >= max(r1, r2): term_{k+1}/term_k <= sqrt(p1 p2) * (1 + r/k)
-        if k > max(r1, r2, 8):
-            bound = term * ratio * (1.0 + max(r1, r2) / k) / (1.0 - ratio)
-            if bound < tail:
-                break
-        k += 1
-        if k > 10_000_000:
-            raise RangeError("Bhattacharyya series did not converge")
-    return 2.0 * (1.0 - bc)
 
 
 def nb_sample(r: float, p: float, rng: np.random.Generator, size=None):
@@ -299,17 +228,6 @@ def varstab_ode_residual(a: float) -> float:
     return abs(g_prime - 1.0 / s)
 
 
-def gaussian_square_cov(sx2: float, sy2: float, sxy: float):
-    """Moments of squares of a centered bivariate normal pair.
-
-    E[X^2 Y^2] = 2 sxy^2 + sx2 sy2 and Cov(X^2, Y^2) = 2 sxy^2.
-    """
-    if sx2 < 0 or sy2 < 0 or sx2 * sy2 - sxy * sxy < -1e-15 * max(1.0, sx2 * sy2):
-        raise NotPSD("covariance matrix is not positive semidefinite")
-    exy = 2.0 * sxy * sxy + sx2 * sy2
-    return exy, 2.0 * sxy * sxy
-
-
 #: coefficients k = 9..2 of g(t) = sum_k (-t)^k / (k (k-1)), used for |t| < 1e-2
 _G_SERIES = np.array([(-1.0) ** k / (k * (k - 1)) for k in range(9, 1, -1)])
 
@@ -336,18 +254,3 @@ def geo_kl(a1, a2):
     out = 0.5 * ((a2 - 1.0) * _g(gap / (a2 - 1.0))
                  - (a2 + 1.0) * _g(gap / (a2 + 1.0)))
     return float(out) if out.ndim == 0 else out
-
-
-def geo_l1(a1: float, a2: float, tail: float = _SERIES_TAIL) -> float:
-    """Exact L1 distance between two geometric laws by series."""
-    p1, p2 = p_of_a(a1), p_of_a(a2)
-    total, k = 0.0, 0
-    while True:
-        q1 = (1.0 - p1) * p1 ** k
-        q2 = (1.0 - p2) * p2 ** k
-        total += abs(q1 - q2)
-        pmx = max(p1, p2)
-        if (q1 + q2) / (1.0 - pmx) < tail:
-            break
-        k += 1
-    return total

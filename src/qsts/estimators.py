@@ -41,6 +41,12 @@ _QUAD_GRID = 4096
 #: distinct (m, d) designs and (d, grid_size) constraint sets kept per process
 _DESIGN_CACHE_SIZE = 32
 
+#: the projection's Dykstra step and violation tolerance, its sweep budget
+#: (then NonConvergence), and the uniform grid that enforces a >= 1 + 1/M
+_DYKSTRA_TOL = 1e-10
+_DYKSTRA_SWEEPS = 10_000
+_PROJECTION_GRID = 512
+
 
 class DesignMatrices(NamedTuple):
     """W (m x (2d+1), orthonormal columns), F and Delta (diagonals)."""
@@ -194,9 +200,7 @@ def _constraints(d: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     return C, row_norms
 
 
-def project_theta(theta_hat: np.ndarray, space: ParameterSpace,
-                  tol: float = 1e-10, max_sweeps: int = 10_000,
-                  grid_size: int = 512) -> np.ndarray:
+def project_theta(theta_hat: np.ndarray, space: ParameterSpace) -> np.ndarray:
     """Euclidean projection onto the admissible parameter set by Dykstra.
 
     The set is {||theta||^2 <= M} intersected with the half-space family
@@ -205,8 +209,8 @@ def project_theta(theta_hat: np.ndarray, space: ParameterSpace,
     vectors; each sweep projects onto the whole family at once (exact
     least-distance solve), which avoids the slow ping-pong between nearly
     parallel neighboring half-spaces.  Feasible input is returned unchanged.
-    The grid_size x (2d+1) constraint matrix and its row norms are built
-    once per (d, grid_size) in the process and are read-only.
+    The _PROJECTION_GRID x (2d+1) constraint matrix and its row norms are
+    built once per d in the process and are read-only.
     """
     if space.kind != "theta2prime":
         raise RangeError("projection is defined for theta2prime spaces")
@@ -215,19 +219,19 @@ def project_theta(theta_hat: np.ndarray, space: ParameterSpace,
     radius = math.sqrt(space.M)
     floor = 1.0 + 1.0 / space.M
 
-    C, row_norms = _constraints(d, grid_size)
+    C, row_norms = _constraints(d, _PROJECTION_GRID)
 
     def violation(v: np.ndarray) -> float:
         worst = max(0.0, float(np.linalg.norm(v)) - radius)
         gaps = (floor - C @ v) / row_norms
         return max(worst, float(np.max(gaps, initial=0.0)))
 
-    if violation(x) <= tol:
+    if violation(x) <= _DYKSTRA_TOL:
         return x
 
     p_ball = np.zeros_like(x)
     p_poly = np.zeros_like(x)
-    for _ in range(max_sweeps):
+    for _ in range(_DYKSTRA_SWEEPS):
         x_prev = x.copy()
         y = x + p_ball
         nrm = float(np.linalg.norm(y))
@@ -237,10 +241,10 @@ def project_theta(theta_hat: np.ndarray, space: ParameterSpace,
         proj2 = _project_polyhedron(y, C, floor)
         p_poly = y - proj2
         x = proj2
-        if max(float(np.max(np.abs(x - x_prev))), violation(x)) <= tol:
+        if max(float(np.max(np.abs(x - x_prev))), violation(x)) <= _DYKSTRA_TOL:
             return x
     raise NonConvergence(
-        f"Dykstra projection residual {violation(x):.3g} after {max_sweeps} sweeps")
+        f"Dykstra projection residual {violation(x):.3g} after {_DYKSTRA_SWEEPS} sweeps")
 
 
 class FisherMatrices(NamedTuple):

@@ -6,37 +6,25 @@ V diag((l - 1)/(l + 1)) V*, read off the symbol's one cached
 eigendecomposition.  In that eigenbasis the state is a product of thermal
 modes with laws Geo(p(l_i)), so the relative entropy is the mixing-weighted
 geometric KL sum_ij |V1* V2|^2_ij KL(Geo(p(l1_i)) || Geo(p(l2_j))), with no
-matrix log and no clamp; ``s2_matrix`` keeps the operator trace formula as
-the reference.  No Fock-space density operator is ever materialized; the
-one exception is the photon number law of a single thermal mode.
+matrix log and no clamp; ``s2_matrix`` in ``tests/oracles.py`` keeps the
+operator trace formula as the reference.  No Fock-space density operator is
+ever materialized; the one exception is the photon number law of a single
+thermal mode.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import geo_kl
-from .errors import (
-    EigenFailure,
-    NotFaithful,
-    RangeError,
-    SpectralRangeError,
-)
-from .toeplitz import SymbolMatrix, abs_square, as_symbol, hs_distance
+from .errors import NotFaithful, RangeError, SpectralRangeError
+from .toeplitz import abs_square, as_symbol, hs_distance
 
 #: relative gate on lambda_min(A) - 1 below which entropy ops refuse
 EPS_FAITHFUL = 1e-8
-
-#: in the s2_matrix reference, eigenvalues of R are clamped into
-#: [EPS_CLAMP, 1 - EPS_CLAMP] before log
-EPS_CLAMP = 1e-14
-
-#: a clamp wider than this indicates broken input, not rounding
-_MAX_CLAMP = 1e-12
 
 
 def covariance_from_symbol(A) -> np.ndarray:
@@ -57,50 +45,12 @@ def r_from_symbol(A) -> np.ndarray:
     return (V * ((lams - 1.0) / (lams + 1.0))) @ V.conj().T
 
 
-def _log_psd(H: np.ndarray) -> np.ndarray:
-    """Matrix log of a Hermitian matrix with spectrum expected in (0, 1).
-
-    Eigenvalues are clamped into [EPS_CLAMP, 1 - EPS_CLAMP]; a clamp wider
-    than 1e-12 raises rather than silently regularizing.
-    """
-    try:
-        lams, V = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-    clamped = np.clip(lams, EPS_CLAMP, 1.0 - EPS_CLAMP)
-    if np.max(np.abs(clamped - lams)) > _MAX_CLAMP:
-        raise EigenFailure(
-            f"spectrum outside (0,1) beyond rounding: range "
-            f"[{lams.min():.3g}, {lams.max():.3g}]")
-    return (V * np.log(clamped)) @ V.conj().T
-
-
 def _check_r_open_interval(lams: np.ndarray, lo: float, hi: float, what: str):
     """Raise unless the ascending spectrum ``lams`` of R lies inside (lo, hi)."""
     if lams[0] <= lo or lams[-1] >= hi:
         raise SpectralRangeError(
             f"{what}: spectrum [{lams[0]:.6g}, {lams[-1]:.6g}] "
             f"not inside ({lo:g}, {hi:g})")
-
-
-def s2_matrix(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
-    """Hermitian part of R1 (log R1 - log R2) + (I-R1)(log(I-R1) - log(I-R2)).
-
-    The raw operator polarization is not Hermitian when R1 and R2 do not
-    commute, but only its Hermitian part survives the trace against any
-    Hermitian weight, so that part is what this returns.
-    """
-    R1 = np.asarray(R1, dtype=complex)
-    R2 = np.asarray(R2, dtype=complex)
-    if R1.shape != R2.shape:
-        raise SpectralRangeError("R1 and R2 must have equal shape")
-    n = R1.shape[0]
-    _check_r_open_interval(np.linalg.eigvalsh(R1), 0.0, 1.0, "R1")
-    _check_r_open_interval(np.linalg.eigvalsh(R2), 0.0, 1.0, "R2")
-    eye = np.eye(n)
-    raw = (R1 @ (_log_psd(R1) - _log_psd(R2))
-           + (eye - R1) @ (_log_psd(eye - R1) - _log_psd(eye - R2)))
-    return 0.5 * (raw + raw.conj().T)
 
 
 def relative_entropy(A1, A2, eps_faithful: float = EPS_FAITHFUL) -> float:
@@ -110,9 +60,10 @@ def relative_entropy(A1, A2, eps_faithful: float = EPS_FAITHFUL) -> float:
 
         S = sum_ij |V1* V2|^2_ij KL(Geo(p(l1_i)) || Geo(p(l2_j))),
 
-    which equals Re Tr[(I + Q1) s2_matrix(R1, R2)].  Every term is
-    nonnegative, so S is real and >= 0 by construction.  Both symbols must
-    be strictly faithful: lambda_min(A) > 1 + eps_faithful.
+    which equals Re Tr[(I + Q1) s2_matrix(R1, R2)], the operator reference
+    in ``tests/oracles.py``.  Every term is nonnegative, so S is real and
+    >= 0 by construction.  Both symbols must be strictly faithful:
+    lambda_min(A) > 1 + eps_faithful.
     """
     A1, A2 = as_symbol(A1), as_symbol(A2)
     if A1.n != A2.n:
@@ -182,32 +133,3 @@ def thermal_pmf(a: float, k_max: int):
     ks = np.arange(k_max + 1)
     pmf = (1.0 - p) * p ** ks
     return pmf, float(p ** (k_max + 1))
-
-
-@dataclass(frozen=True)
-class GaussState:
-    """Immutable state wrapper; R and the entropy read the symbol's cached spectrum."""
-
-    symbol: SymbolMatrix
-    eps_faithful: float = EPS_FAITHFUL
-
-    def __post_init__(self):
-        lam_min = self.symbol.spectrum[0][0]
-        if lam_min < 1.0 - 1e-10:
-            raise NotFaithful(
-                f"symbol admits no state: lambda_min = {lam_min:.12g} < 1")
-
-    @property
-    def n(self) -> int:
-        return self.symbol.n
-
-    @property
-    def r_matrix(self) -> np.ndarray:
-        return r_from_symbol(self.symbol)
-
-    @property
-    def covariance(self) -> np.ndarray:
-        return covariance_from_symbol(self.symbol)
-
-    def relative_entropy_to(self, other: "GaussState") -> float:
-        return relative_entropy(self.symbol, other.symbol, self.eps_faithful)

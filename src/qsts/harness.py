@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import kolmogi
@@ -152,14 +152,3 @@ def normality_check(samples: np.ndarray, target_cov: np.ndarray,
     stats = np.asarray(stats)
     passed = bool(frob <= frob_tol and np.all(stats < crit))
     return NormalityReport(frob, stats, crit, passed)
-
-
-def stream_correlation(seed: int, ids: Sequence[int], n: int = 10 ** 6) -> float:
-    """Max pairwise sample correlation between streams; smoke test helper."""
-    draws = [RngStream(seed, i).generator().standard_normal(n) for i in ids]
-    worst = 0.0
-    for i in range(len(draws)):
-        for j in range(i + 1, len(draws)):
-            r = float(np.corrcoef(draws[i], draws[j])[0, 1])
-            worst = max(worst, abs(r))
-    return worst

@@ -200,18 +200,6 @@ class NumberOpSampler:
         return N[0] if size is None else N
 
 
-def sample_number_ops(A, rng, size: int | None = None) -> np.ndarray:
-    """Draw the commuting number outcomes N for a symbol A >= I.
-
-    For odd dimension the observables live in the DFT basis (M = U* A U);
-    even dimension is sampled in the given basis, which the mixture law
-    supports equally.  ``rng`` is an RngStream or numpy Generator; ``size``
-    draws a batch of rows from the single stream.  For repeated draws from
-    the same symbol build a NumberOpSampler once instead.
-    """
-    return NumberOpSampler(A).draw(rng, size)
-
-
 @functools.lru_cache(maxsize=_SAMPLER_CACHE_SIZE)
 def _block_sampler(coeffs: bytes, m: int) -> NumberOpSampler:
     """Faithful sampler of A_m(a) for the density with these coefficient bytes."""

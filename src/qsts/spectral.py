@@ -465,23 +465,6 @@ def _fourier_frequencies(m: int) -> np.ndarray:
     return w
 
 
-def l2_distance_sq(a: SpectralDensity, values_fn, grid: int = 8192) -> float:
-    """Weighted L2 distance^2 between a and an arbitrary function of w.
-
-    (1/2 pi) int |a(w) - f(w)|^2 dw by periodic trapezoid on ``grid`` points.
-    ``values_fn`` maps an array of frequencies to function values.
-    """
-    w = -math.pi + TWO_PI * np.arange(grid) / grid
-    diff = eval_density(a, w) - np.asarray(values_fn(w), dtype=float)
-    return float(np.mean(diff ** 2))
-
-
-def step_function_values(heights: np.ndarray, omega: np.ndarray, n: int) -> np.ndarray:
-    """Evaluate the piecewise-constant function with given cell heights."""
-    x = np.clip((np.asarray(omega) / TWO_PI + 0.5) * n, 0, n - 1e-9)
-    return np.asarray(heights)[x.astype(int)]
-
-
 def parse_density(text: str) -> SpectralDensity:
     """Parse the CLI shorthand: ``const:<v>``, ``cos:<a0>,<a1>`` or a JSON path."""
     if text.startswith("const:"):

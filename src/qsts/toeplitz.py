@@ -38,7 +38,8 @@ class SymbolMatrix:
 
     The tag records how the matrix was built ("toeplitz", "circulant" or
     "general"); operations that need the structure check the tag.  Entries
-    are Hermitized on construction; an asymmetry above 1e-12 is an error.
+    are Hermitized on construction; a non-finite entry or an asymmetry above
+    1e-12 is an error.
     """
 
     entries: np.ndarray
@@ -51,8 +52,11 @@ class SymbolMatrix:
             raise DimensionError(f"symbol matrix must be square, got {e.shape}")
         if self.tag not in ("toeplitz", "circulant", "general"):
             raise InputError(f"unknown tag {self.tag!r}")
-        gap = np.max(np.abs(e - e.conj().T)) if e.size else 0.0
-        if gap > _HERMITIZE_TOL * (1.0 + np.max(np.abs(e))):
+        scale = np.max(np.abs(e))
+        if not np.isfinite(scale):
+            raise InputError("matrix entries must be finite")
+        gap = np.max(np.abs(e - e.conj().T))
+        if gap > _HERMITIZE_TOL * (1.0 + scale):
             raise InputError(f"matrix is not Hermitian (asymmetry {gap:g})")
         e = 0.5 * (e + e.conj().T)
         e.setflags(write=False)
@@ -204,14 +208,6 @@ def hs_distance(A, B) -> float:
     return float(np.linalg.norm(A - B))
 
 
-def op_norm(A) -> float:
-    """Operator norm; for Hermitian input this is max |eigenvalue|."""
-    M = A.entries if isinstance(A, SymbolMatrix) else np.asarray(A)
-    if np.allclose(M, M.conj().T, atol=1e-12):
-        return float(np.max(np.abs(np.linalg.eigvalsh(M))))
-    return float(np.linalg.norm(M, 2))
-
-
 def toeplitz_circulant_gap(a: SpectralDensity, n: int, m: int,
                            alpha: float, M: float):
     """Squared HS gap between A_n(a) and the circulant block, with its bound.
@@ -262,15 +258,6 @@ def eigen_bracket_check(a: SpectralDensity, n: int, grid_size: int = 4096):
         sup_a = max(sup_a, -density_min(neg)[0])
     ok = (inf_a - 1e-9 <= lam_min) and (lam_max <= sup_a + 1e-9)
     return lam_min, lam_max, inf_a, sup_a, ok
-
-
-def diagonalization_residue(a: SpectralDensity, m: int) -> float:
-    """Max off-diagonal modulus of U* A~_m(a) U; zero in exact arithmetic."""
-    C = circulant_from_density(a, m)
-    U = dft_unitary(m)
-    D = U.conj().T @ C.entries @ U
-    off = D - np.diag(np.diag(D))
-    return float(np.max(np.abs(off)))
 
 
 def gap_bound_report(a: SpectralDensity, n: int, alpha: float,

@@ -1,0 +1,193 @@
+"""Reference implementations that only the tests call, as ``from oracles import ...``.
+
+Each is a slow, literal form (matrix logs, truncated series, dense products)
+of a quantity the package computes another way, or a law it never samples.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+from scipy.special import gammaln
+
+from qsts.distributions import p_of_a
+from qsts.errors import EigenFailure, NotPSD, RangeError, SpectralRangeError
+from qsts.gaussian_states import _check_r_open_interval
+from qsts.harness import RngStream
+from qsts.spectral import TWO_PI, SpectralDensity, eval_density
+from qsts.toeplitz import circulant_from_density, dft_unitary
+
+#: in the s2_matrix reference, eigenvalues of R are clamped into
+#: [EPS_CLAMP, 1 - EPS_CLAMP] before log
+EPS_CLAMP = 1e-14
+
+#: a clamp wider than this indicates broken input, not rounding
+_MAX_CLAMP = 1e-12
+
+
+def _log_psd(H: np.ndarray) -> np.ndarray:
+    """Matrix log of a Hermitian matrix with spectrum expected in (0, 1).
+
+    Eigenvalues are clamped into [EPS_CLAMP, 1 - EPS_CLAMP]; a clamp wider
+    than 1e-12 raises rather than silently regularizing.
+    """
+    try:
+        lams, V = np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+    clamped = np.clip(lams, EPS_CLAMP, 1.0 - EPS_CLAMP)
+    if np.max(np.abs(clamped - lams)) > _MAX_CLAMP:
+        raise EigenFailure(
+            f"spectrum outside (0,1) beyond rounding: range "
+            f"[{lams.min():.3g}, {lams.max():.3g}]")
+    return (V * np.log(clamped)) @ V.conj().T
+
+
+def s2_matrix(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
+    """Hermitian part of R1 (log R1 - log R2) + (I-R1)(log(I-R1) - log(I-R2)).
+
+    The raw operator polarization is not Hermitian when R1 and R2 do not
+    commute, but only its Hermitian part survives the trace against any
+    Hermitian weight, so that part is what this returns.
+    """
+    R1 = np.asarray(R1, dtype=complex)
+    R2 = np.asarray(R2, dtype=complex)
+    if R1.shape != R2.shape:
+        raise SpectralRangeError("R1 and R2 must have equal shape")
+    n = R1.shape[0]
+    _check_r_open_interval(np.linalg.eigvalsh(R1), 0.0, 1.0, "R1")
+    _check_r_open_interval(np.linalg.eigvalsh(R2), 0.0, 1.0, "R2")
+    eye = np.eye(n)
+    raw = (R1 @ (_log_psd(R1) - _log_psd(R2))
+           + (eye - R1) @ (_log_psd(eye - R1) - _log_psd(eye - R2)))
+    return 0.5 * (raw + raw.conj().T)
+
+
+@dataclass(frozen=True)
+class NegBinomial:
+    """Law P(X = k) = Gamma(k+r)/(k! Gamma(r)) (1-p)^r p^k on k = 0, 1, ..."""
+
+    r: float
+    p: float
+
+    def __post_init__(self):
+        if self.r <= 0.0:
+            raise RangeError("r must be positive")
+        if not 0.0 < self.p < 1.0:
+            raise RangeError("p must lie in (0, 1)")
+
+    def log_pmf(self, k) -> np.ndarray:
+        k = np.asarray(k, dtype=float)
+        return (gammaln(k + self.r) - gammaln(k + 1.0) - gammaln(self.r)
+                + self.r * math.log1p(-self.p) + k * math.log(self.p))
+
+    def pmf(self, k) -> np.ndarray:
+        return np.exp(self.log_pmf(k))
+
+
+def score(x, a: float):
+    """Score of the geometric law in the symbol parameter a,
+
+    s(x, a) = (x - (a-1)/2) * 2/(a^2 - 1);
+
+    zero mean under Geo(p(a)) and E s^2 = 1/(a^2 - 1).
+    """
+    if a <= 1.0:
+        raise RangeError("need a > 1")
+    x = np.asarray(x, dtype=float)
+    out = (x - (a - 1.0) / 2.0) * 2.0 / (a * a - 1.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def nb_hellinger_exact(r1: float, p1: float, r2: float, p2: float,
+                       tail: float = 1e-12) -> float:
+    """H^2 between two negative binomials by Bhattacharyya series.
+
+    Terms decay like sqrt(p1 p2)^k; summation stops once the geometric
+    tail bound of the remainder falls below ``tail``.
+    """
+    q1, q2 = NegBinomial(r1, p1), NegBinomial(r2, p2)
+    ratio = math.sqrt(p1 * p2)
+    bc, k = 0.0, 0
+    while True:
+        term = math.exp(0.5 * (q1.log_pmf(k) + q2.log_pmf(k)))
+        bc += term
+        # for k >= max(r1, r2): term_{k+1}/term_k <= sqrt(p1 p2) * (1 + r/k)
+        if k > max(r1, r2, 8):
+            bound = term * ratio * (1.0 + max(r1, r2) / k) / (1.0 - ratio)
+            if bound < tail:
+                break
+        k += 1
+        if k > 10_000_000:
+            raise RangeError("Bhattacharyya series did not converge")
+    return 2.0 * (1.0 - bc)
+
+
+def gaussian_square_cov(sx2: float, sy2: float, sxy: float):
+    """Moments of squares of a centered bivariate normal pair.
+
+    E[X^2 Y^2] = 2 sxy^2 + sx2 sy2 and Cov(X^2, Y^2) = 2 sxy^2.
+    """
+    if sx2 < 0 or sy2 < 0 or sx2 * sy2 - sxy * sxy < -1e-15 * max(1.0, sx2 * sy2):
+        raise NotPSD("covariance matrix is not positive semidefinite")
+    exy = 2.0 * sxy * sxy + sx2 * sy2
+    return exy, 2.0 * sxy * sxy
+
+
+def geo_l1(a1: float, a2: float, tail: float = 1e-14) -> float:
+    """Exact L1 distance between two geometric laws by series."""
+    p1, p2 = p_of_a(a1), p_of_a(a2)
+    total, k = 0.0, 0
+    while True:
+        q1 = (1.0 - p1) * p1 ** k
+        q2 = (1.0 - p2) * p2 ** k
+        total += abs(q1 - q2)
+        pmx = max(p1, p2)
+        if (q1 + q2) / (1.0 - pmx) < tail:
+            break
+        k += 1
+    return total
+
+
+def op_norm(A) -> float:
+    """Operator norm, the largest singular value (max |eigenvalue| if Hermitian)."""
+    return float(np.linalg.norm(np.asarray(A), 2))
+
+
+def dense_dft_conjugate(A: np.ndarray) -> np.ndarray:
+    """U* A U from the dense DFT unitary ``dft_unitary(m)``, for odd m."""
+    U = dft_unitary(A.shape[0])
+    return U.conj().T @ A @ U
+
+
+def diagonalization_residue(a: SpectralDensity, m: int) -> float:
+    """Max off-diagonal modulus of U* A~_m(a) U; zero in exact arithmetic."""
+    D = dense_dft_conjugate(circulant_from_density(a, m).entries)
+    off = D - np.diag(np.diag(D))
+    return float(np.max(np.abs(off)))
+
+
+def l2_distance_sq(a: SpectralDensity, values_fn, grid: int = 8192) -> float:
+    """Weighted L2 distance^2 between a and an arbitrary function of w.
+
+    (1/2 pi) int |a(w) - f(w)|^2 dw by periodic trapezoid on ``grid`` points.
+    ``values_fn`` maps an array of frequencies to function values.
+    """
+    w = -math.pi + TWO_PI * np.arange(grid) / grid
+    diff = eval_density(a, w) - np.asarray(values_fn(w), dtype=float)
+    return float(np.mean(diff ** 2))
+
+
+def step_function_values(heights: np.ndarray, omega: np.ndarray, n: int) -> np.ndarray:
+    """Evaluate the piecewise-constant function with given cell heights."""
+    x = np.clip((np.asarray(omega) / TWO_PI + 0.5) * n, 0, n - 1e-9)
+    return np.asarray(heights)[x.astype(int)]
+
+
+def stream_correlation(seed: int, ids: Sequence[int], n: int = 10 ** 6) -> float:
+    """Max pairwise sample correlation between streams."""
+    corr = np.corrcoef([RngStream(seed, i).generator().standard_normal(n) for i in ids])
+    return float(np.max(np.abs(corr - np.eye(len(ids)))))

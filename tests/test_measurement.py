@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsts import estimators, measurement
-from qsts.errors import DimensionError, NotFaithful, NotPSD, RangeError, TooSmall
+from qsts.errors import DimensionError, InputError, NotFaithful, NotPSD, RangeError, TooSmall
 from qsts.harness import RngStream, mc_run
 from qsts.measurement import (
     BlockScheme,
@@ -13,12 +13,13 @@ from qsts.measurement import (
     block_scheme,
     joint_pmf_from_pgf,
     pi_moments,
-    sample_number_ops,
     sample_pi_blocks,
 )
 from qsts.estimators import _w_matrix, preliminary_estimator
 from qsts.spectral import RealParam, SpectralDensity, fourier_frequencies, psi_matrix
-from qsts.toeplitz import SymbolMatrix, dft_unitary, toeplitz_from_density
+from qsts.toeplitz import SymbolMatrix, toeplitz_from_density
+
+from oracles import dense_dft_conjugate
 
 COS_DENSITY = SpectralDensity.cosine(2.0, 0.5)   # 2 + 0.5 cos w
 
@@ -79,16 +80,21 @@ class TestPiMoments:
         with pytest.raises(NotFaithful):
             pi_moments(SymbolMatrix(np.eye(3).astype(complex)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_symbol_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            pi_moments(np.array([[2.0, bad], [bad, 2.0]]))
+
 
 class TestSampler:
     def test_vacuum_always_zero(self):
-        N = sample_number_ops(SymbolMatrix(np.eye(4).astype(complex)),
-                              RngStream(1, 1), size=50)
+        N = NumberOpSampler(SymbolMatrix(np.eye(4).astype(complex))).draw(
+            RngStream(1, 1), size=50)
         assert np.all(N == 0)
 
     def test_marginal_geometric_mean(self):
-        N = sample_number_ops(SymbolMatrix(3.0 * np.eye(3).astype(complex)),
-                              RngStream(2, 1), size=10 ** 5)
+        N = NumberOpSampler(SymbolMatrix(3.0 * np.eye(3).astype(complex))).draw(
+            RngStream(2, 1), size=10 ** 5)
         se = math.sqrt(2.0 / 10 ** 5)
         for j in range(3):
             assert abs(np.mean(N[:, j]) - 1.0) < 4 * se
@@ -97,7 +103,7 @@ class TestSampler:
         m, reps = 7, 2 * 10 ** 5
         A = toeplitz_from_density(COS_DENSITY, m)
         mean, cov = pi_moments(A)
-        N = sample_number_ops(A, RngStream(3, 1), size=reps)
+        N = NumberOpSampler(A).draw(RngStream(3, 1), size=reps)
         pi = 2.0 * N + 1.0
         emp_mean = pi.mean(axis=0)
         se_mean = np.sqrt(np.diag(cov) / reps)
@@ -112,13 +118,13 @@ class TestSampler:
 
     def test_not_psd_rejected(self):
         with pytest.raises((NotPSD, ValueError)):
-            sample_number_ops(SymbolMatrix(0.5 * np.eye(2).astype(complex)),
-                              RngStream(4, 1))
+            NumberOpSampler(SymbolMatrix(0.5 * np.eye(2).astype(complex))).draw(
+                RngStream(4, 1))
 
     def test_pgf_oracle_two_modes(self):
         A = SymbolMatrix(np.array([[2.0, 0.5 + 0.3j], [0.5 - 0.3j, 1.8]]))
         pmf = joint_pmf_from_pgf(A, k_max=12)
-        draws = sample_number_ops(A, RngStream(5, 1), size=5 * 10 ** 5)
+        draws = NumberOpSampler(A).draw(RngStream(5, 1), size=5 * 10 ** 5)
         kept = draws[(draws[:, 0] <= 12) & (draws[:, 1] <= 12)]
         emp = np.zeros((13, 13))
         for r, c in kept:
@@ -309,12 +315,6 @@ def generic_hermitian(m, seed):
     G = X[0] + 1j * X[1]
     G = G + G.conj().T
     return SymbolMatrix(3.0 * np.eye(m) + G / np.max(np.sum(np.abs(G), axis=1)))
-
-
-def dense_dft_conjugate(A):
-    """Oracle U* A U from the dense DFT unitary."""
-    U = dft_unitary(A.shape[0])
-    return U.conj().T @ A @ U
 
 
 def rel_err(X, Y):

@@ -18,6 +18,8 @@ from qsts.spectral import (
     theta2_space,
 )
 
+from oracles import l2_distance_sq, step_function_values
+
 COS_2_05 = SpectralDensity.from_coeff_map({0: 2.0, 1: 0.5})  # a(w) = 2 + cos w
 GEOM = SpectralDensity(np.array([2.0 ** -k for k in range(21)], dtype=complex))
 
@@ -131,8 +133,6 @@ class TestLocalAverages:
 
     def test_projection_rate(self):
         # || a - abar_n ||^2 decreases by at least factor 3.9 per doubling
-        from qsts.spectral import l2_distance_sq, step_function_values
-
         def dist_sq(n):
             heights = local_averages(COS_2_05, n)
             return l2_distance_sq(

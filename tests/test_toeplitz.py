@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsts.errors import DimensionError, NotCirculant, RangeError
+from qsts.errors import DimensionError, InputError, NotCirculant, RangeError
 from qsts.spectral import SpectralDensity, eval_density, fourier_frequencies
 from qsts.toeplitz import (
     SymbolMatrix,
@@ -11,14 +11,14 @@ from qsts.toeplitz import (
     circulant_eigs,
     circulant_from_density,
     dft_unitary,
-    diagonalization_residue,
     eigen_bracket_check,
     hs_distance,
-    op_norm,
     principal_submatrix,
     toeplitz_circulant_gap,
     toeplitz_from_density,
 )
+
+from oracles import dense_dft_conjugate, diagonalization_residue, op_norm
 
 COS_2_05 = SpectralDensity.from_coeff_map({0: 2.0, 1: 0.5})   # 2 + cos w
 COS_2_HALF = SpectralDensity.cosine(2.0, 0.5)                 # 2 + 0.5 cos w
@@ -30,6 +30,15 @@ INVSQ = SpectralDensity(np.array([(1.0 + k) ** -2 for k in range(60)],
 def random_hermitian(n, rng):
     M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (M + M.conj().T)
+
+
+class TestSymbolMatrix:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            SymbolMatrix(np.array([[2.0, bad], [bad, 2.0]]))
+        with pytest.raises(InputError, match="finite"):
+            SymbolMatrix(np.diag([bad, 2.0]))
 
 
 class TestToeplitzBuild:
@@ -146,8 +155,7 @@ class TestDftUnitary:
     def test_conjugation_diagonal_matches_eigs(self):
         m = 7
         C = circulant_from_density(GEOM, m)
-        U = dft_unitary(m)
-        D = U.conj().T @ C.entries @ U
+        D = dense_dft_conjugate(C.entries)
         np.testing.assert_allclose(np.diag(D).real, circulant_eigs(C), atol=1e-10)
 
 
