@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .distributions import (
     Geometric,
@@ -240,11 +239,34 @@ def nb_sufficiency_test(p: float, draws: int, stream: RngStream,
             break
         c1 = np.concatenate([c1[:-2], [c1[-2] + c1[-1]]])
         c2 = np.concatenate([c2[:-2], [c2[-2] + c2[-1]]])
-    table = np.vstack([c1, c2])
-    chi2, p_value = _scipy_stats.chi2_contingency(table)[:2]
+    return _pearson_2xk(np.vstack([c1, c2]))
+
+
+def _pearson_2xk(table: np.ndarray):
+    """(statistic, critical value at alpha = 0.001, p-value) of a 2 x K table.
+
+    Pearson's sum over expected counts row sum x column sum / total, with
+    Yates' correction when dof = 1; bit for bit what
+    ``scipy.stats.chi2_contingency`` and ``chi2.ppf(1 - 0.001, dof)`` give.
+    """
+    from scipy.special import chdtrc, chdtri
+    row_sums, col_sums = table.sum(axis=1, keepdims=True), table.sum(axis=0, keepdims=True)
+    expected = row_sums * col_sums / table.sum()
+    if np.any(expected == 0.0):
+        raise RangeError("a bin of the 2 x K table is empty in both samples")
     dof = table.shape[1] - 1
-    crit = float(_scipy_stats.chi2.ppf(1.0 - 0.001, dof))
-    return float(chi2), crit, float(p_value)
+    observed = table
+    if dof == 1:
+        # Yates' continuity correction, never past the expected count
+        diff = expected - table
+        observed = table + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    # 1 - (1 - alpha) is the tail mass chi2.ppf(1 - alpha) inverts; the
+    # literal alpha, chdtri(dof, 0.001), differs in the last bit
+    crit = float(chdtri(dof, 1.0 - (1.0 - 0.001)))
+    # one column (dof = 0) is observed == expected, chi2 = 0 at p-value 1
+    p_value = float(chdtrc(dof, chi2)) if dof else 1.0
+    return chi2, crit, p_value
 
 
 def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],

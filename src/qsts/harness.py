@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import kolmogi
 
 from .errors import DegenerateSamples, InputError, RangeError
 
@@ -108,6 +107,7 @@ def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -
 
 def ks_critical(n: int, alpha: float = 0.01) -> float:
     """Asymptotic two-sided KS critical value at level alpha."""
+    from scipy.special import kolmogi
     return float(kolmogi(alpha)) / math.sqrt(n)
 
 

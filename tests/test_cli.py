@@ -3,12 +3,18 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qsts.cli import build_parser, cli_dispatch
+from qsts.harness import RngStream
+from qsts.measurement import NumberOpSampler
+from qsts.spectral import parse_density
+from qsts.toeplitz import toeplitz_from_density
 
 ROOT = Path(__file__).resolve().parents[1]
 GEOM_DECAY = str(ROOT / "demos" / "densities" / "geom_decay.json")
@@ -240,6 +246,59 @@ class TestMcCommands:
                          "moments", "--density", "const:3", "--m", "3",
                          "--replicates", "1000")
         assert out1 == out2
+
+    def test_moments_raw_rows_are_one_batch(self, tmp_path, capsys):
+        seed, density, m, replicates = 3, "cos:2,0.5", 5, 4000
+        raw = tmp_path / "raw.csv"
+        code, out, _ = run(capsys, "--seed", str(seed), "mc", "moments",
+                           "--density", density, "--m", str(m),
+                           "--replicates", str(replicates), "--raw-out", str(raw))
+        A = toeplitz_from_density(parse_density(density), m)
+        expect = 2 * NumberOpSampler(A).draw(RngStream(seed, 0), size=replicates) + 1
+        lines = raw.read_text().splitlines()
+        assert lines[0] == "replicate,coordinate,value"
+        values = np.array([float(ln.rsplit(",", 1)[1]) for ln in lines[1:]])
+        assert np.array_equal(values.reshape(replicates, m), expect)
+        assert code == 0 and json.loads(out)["empirical_mean"] == list(expect.mean(axis=0))
+
+    def test_moments_one_replicate_exits_1(self, capsys):
+        code, out, err = run(capsys, "mc", "moments", "--density", "const:3",
+                             "--m", "3", "--replicates", "1")
+        assert code == 1 and out == "" and "RangeError" in err
+
+
+_NO_SCIPY_SCRIPT = """
+import io, json, sys
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+seen = {}
+import qsts
+seen["import qsts"] = scipy_modules()
+import qsts.cli
+seen["import qsts.cli"] = scipy_modules()
+for argv in json.loads(sys.argv[1]):
+    sys.stdout = io.StringIO()
+    code = qsts.cli.cli_dispatch(argv)
+    sys.stdout = sys.__stdout__
+    seen[" ".join(argv[:2])] = [code] + scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_no_scipy_module_at_import_or_in_light_commands():
+    """Structural: importing the CLI and running these commands loads no scipy module."""
+    commands = [
+        ["symbol", "bracket", "--density", "cos:2,0.5", "--n", "16"],
+        ["state", "entropy", "--a1", "const:2", "--a2", "const:3", "--n", "1"],
+        ["audit", "state", "--density", GEOM_DECAY, "--n", "16"],
+        ["mc", "moments", "--density", "cos:2,0.5", "--m", "5", "--replicates", "200"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands)],
+                          env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout)
+    assert seen == {"import qsts": [], "import qsts.cli": [], "symbol bracket": [0],
+                    "state entropy": [0], "audit state": [0], "mc moments": [0]}
 
 
 def _config(tmp_path, obj):

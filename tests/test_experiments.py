@@ -8,6 +8,7 @@ from qsts.errors import NotAdmissible, RangeError
 from qsts.estimators import phi_matrices
 from qsts.experiments import (
     AuditReport,
+    _pearson_2xk,
     audit_hellinger_chain,
     audit_state_approximation,
     nb_sufficiency_test,
@@ -219,6 +220,26 @@ class TestNbSufficiency:
     def test_identical_laws_pass(self):
         chi2, crit, p = nb_sufficiency_test(0.5, 50_000, RngStream(23, 0))
         assert chi2 <= crit and p > 0.001
+
+    def test_pearson_sum_is_scipy_chi2_contingency_bit_for_bit(self):
+        from scipy import stats
+        gen = np.random.default_rng(20240801)
+        # 1160 tables; K = 2 (dof 1) takes the Yates branch
+        for K in np.tile(np.arange(2, 31), 40):
+            scale = int(gen.choice([4, 40, 400, 4000]))
+            table = gen.integers(0, scale, size=(2, K)).astype(float)
+            table[gen.integers(0, 2), :] += 1.0  # no empty column
+            ref = stats.chi2_contingency(table)
+            expect = (float(ref[0]), float(stats.chi2.ppf(1.0 - 0.001, K - 1)),
+                      float(ref[1]))
+            assert _pearson_2xk(table) == expect, table
+
+    def test_pearson_sum_edge_tables(self):
+        # one column: scipy's dof = 0 result, chi2 = 0 at p-value 1, no critical value
+        chi2, crit, p = _pearson_2xk(np.array([[5.0], [7.0]]))
+        assert (chi2, p) == (0.0, 1.0) and math.isnan(crit)
+        with pytest.raises(RangeError):
+            _pearson_2xk(np.array([[0.0, 3.0, 4.0], [0.0, 2.0, 6.0]]))
 
 
 class TestAuditReport:

@@ -57,6 +57,23 @@ class TestToeplitzBuild:
         assert A.entries[0, 1] == pytest.approx(0.3 + 0.1j)
         assert A.entries[1, 0] == pytest.approx(0.3 - 0.1j)
 
+    @pytest.mark.parametrize("n", [3, 8, 9])
+    @pytest.mark.parametrize("shift", [-2, -1, 0, 4])
+    def test_support_up_to_and_past_n_matches_dense_definition(self, n, shift):
+        # K_max = n + shift: inside, at and past the largest lag n - 1 of A_n
+        k_max = n + shift
+        gen = np.random.default_rng(100 * n + shift)
+        coeffs = (gen.normal(size=k_max + 1) + 1j * gen.normal(size=k_max + 1)) / k_max
+        coeffs[0] = 3.0
+        a = SpectralDensity(coeffs)
+
+        def lag(k):  # a_k, with a_{-k} = conj(a_k) and 0 past K_max
+            return 0.0 if abs(k) > k_max else (coeffs[k] if k >= 0 else np.conj(coeffs[-k]))
+
+        dense = np.array([[lag(k - j) for k in range(n)] for j in range(n)])
+        assert np.array_equal(toeplitz_from_density(a, n).entries, dense)
+        assert eigen_bracket_check(a, n)[4]
+
     def test_nesting(self):
         big = toeplitz_from_density(GEOM, 12)
         small = toeplitz_from_density(GEOM, 5)
