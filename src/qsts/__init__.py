@@ -23,6 +23,7 @@ from .errors import (
     NotCirculant,
     NotFaithful,
     NotPSD,
+    NotToeplitz,
     NumericalError,
     QstsError,
     RangeError,

@@ -34,6 +34,10 @@ class NotCirculant(InputError):
     """Matrix tagged or required circulant is not."""
 
 
+class NotToeplitz(InputError):
+    """Matrix tagged Toeplitz is not constant along its diagonals."""
+
+
 class NotAdmissible(InputError):
     """Density or parameter fails an admissibility constraint (a > 1 etc.)."""
 

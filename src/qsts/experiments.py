@@ -25,7 +25,7 @@ from .distributions import (
     nb_sample,
     varstab_arccosh,
 )
-from .errors import NotAdmissible, RangeError
+from .errors import DegenerateSamples, NotAdmissible, RangeError
 from .estimators import phi_matrices
 from .gaussian_states import relative_entropy
 from .harness import RngStream, as_generator
@@ -224,22 +224,39 @@ def nb_sufficiency_test(p: float, draws: int, stream: RngStream,
     """Chi-square two-sample test: sum of ``pieces`` NB(1/pieces, p) vs Geo(p).
 
     Returns (statistic, critical value at alpha = 0.001, p-value).  Bins are
-    merged from the right until every expected count is at least 5.
+    merged from the right until every expected count is at least 5; fewer
+    than two bins left raises DegenerateSamples.
     """
     gen = stream.generator()
     sums = np.sum(nb_sample(1.0 / pieces, p, gen, size=(draws, pieces)), axis=1)
     geo = Geometric(p).sample(gen, size=draws)
     top = int(max(sums.max(), geo.max()))
-    c1 = np.bincount(sums, minlength=top + 1).astype(float)
-    c2 = np.bincount(geo, minlength=top + 1).astype(float)
-    # merge right tail until expected cell counts are adequate
-    while len(c1) > 2:
-        expected = (c1 + c2) / 2.0
-        if expected[-1] >= 5.0 and expected[-2] >= 5.0:
+    table = _merge_short_bins(np.vstack([np.bincount(sums, minlength=top + 1),
+                                         np.bincount(geo, minlength=top + 1)]).astype(float))
+    if table.shape[1] < 2:
+        raise DegenerateSamples(
+            f"{draws} draws at p = {p:g} leave fewer than two bins with 5 expected counts")
+    return _pearson_2xk(table)
+
+
+def _merge_short_bins(table: np.ndarray) -> np.ndarray:
+    """Merge adjacent columns of a 2 x K count table until each has 5 expected counts.
+
+    The rightmost short column joins its right neighbour when an adequate
+    column lies to its left (the right-tail fold), else its left neighbour;
+    so a run of short columns with nothing adequate to its left is grouped by
+    itself.  Returns one column when even the total falls short.
+    """
+    while table.shape[1] > 1:
+        short = table.sum(axis=0) / 2.0 < 5.0
+        if not short.any():
             break
-        c1 = np.concatenate([c1[:-2], [c1[-2] + c1[-1]]])
-        c2 = np.concatenate([c2[:-2], [c2[-2] + c2[-1]]])
-    return _pearson_2xk(np.vstack([c1, c2]))
+        k = int(np.flatnonzero(short)[-1])
+        right = k < table.shape[1] - 1 and (k == 0 or not short[:k].all())
+        j = k if right else k - 1
+        table = np.hstack([table[:, :j], table[:, j:j + 2].sum(axis=1, keepdims=True),
+                           table[:, j + 2:]])
+    return table
 
 
 def _pearson_2xk(table: np.ndarray):

@@ -30,12 +30,24 @@ from .errors import (
 )
 from .harness import RngStream, as_generator
 from .spectral import SpectralDensity
-from .toeplitz import SymbolMatrix, abs_square, as_symbol, toeplitz_from_density
+from .toeplitz import (
+    SymbolMatrix,
+    abs_square,
+    as_symbol,
+    toeplitz_first_row,
+    toeplitz_from_density,
+)
 
 _PSD_TOL = 1e-10
 
 #: distinct (density, block size) samplers kept per process by sample_pi_blocks
 _SAMPLER_CACHE_SIZE = 8
+
+#: Toeplitz symbols with at least this many modes are sampled by circulant
+#: embedding.  Below it the dense factor builds and draws once as fast or
+#: faster (measured crossover: n = 37-39 odd, 52-56 even), and it holds every
+#: block of the blocked pipeline.
+_EMBED_MIN_N = 64
 
 
 @dataclass(frozen=True)
@@ -172,31 +184,83 @@ def _poisson_mixture_factor(A: SymbolMatrix, faithful: bool = False) -> np.ndarr
     return _dft_rows(L) if A.n % 2 == 1 else L
 
 
+def _embedding_root(A: SymbolMatrix) -> np.ndarray | None:
+    """sqrt of the eigenvalues of a circulant that embeds Q = (A - I)/2, or None.
+
+    With K the last nonzero lag of the first row q of Q, Q is the leading
+    n x n block of the N = n + K circulant C with entries c_{(j-k) mod N},
+    c_s = conj(q_s) and c_{N-s} = q_s for s <= K, zero elsewhere; its
+    eigenvalues, in FFT order, are one FFT of c.  None when one of them is
+    <= 0: C is then no covariance, though Q may still be one.
+    """
+    q = toeplitz_first_row(A).copy()
+    q[0] -= 1.0
+    q *= 0.5
+    lags = np.flatnonzero(q[1:])
+    K = int(lags[-1]) + 1 if lags.size else 0
+    c = np.zeros(A.n + K, dtype=complex)
+    c[:K + 1] = q[:K + 1].conj()
+    c[c.size - K:] = q[K:0:-1]
+    lam = np.fft.fft(c).real
+    if lam.min() <= 0.0:
+        return None
+    root = np.sqrt(lam)
+    root.setflags(write=False)
+    return root
+
+
 class NumberOpSampler:
     """Reusable sampler for the commuting number outcomes of one symbol.
 
-    Precomputes the mixture factor B with B B* = (U* A U - I)/2 once, as a
-    read-only array, from a Cholesky and one FFT; ``draw`` then costs one
-    complex normal batch and one Poisson batch.  With ``faithful=True`` a
-    symbol with lambda_min(A) <= 1 raises NotFaithful.  ``sample_pi_blocks``
-    keeps one sampler per block symbol for the whole process.
+    ``draw`` maps one batch of standard complex normals z, ``width`` per row,
+    to amplitudes alpha with E[alpha alpha*] = Q' = (U* A U - I)/2 (for odd
+    m; even m stays in the given basis, Q' = (A - I)/2), then takes one
+    Poisson batch.  The map is built once, read-only, on one of two paths:
+
+    - a Toeplitz symbol with m >= _EMBED_MIN_N is embedded in the N-point
+      circulant C of ``_embedding_root``, and alpha = U* P W* (sqrt(lam) z)
+      with W the unitary DFT and P the first m of N coordinates: one FFT
+      down each row, and one more for odd m.  It is taken only when
+      min lam > 0, which proves lambda_min(A) > 1, since
+      x* Q x = (P* x)* C (P* x) >= min lam |x|^2;
+    - otherwise alpha = B z with the m x m factor B of
+      ``_poisson_mixture_factor``, from a Cholesky and one FFT, which is
+      faster for small m.
+
+    With ``faithful=True`` a symbol with lambda_min(A) <= 1 raises
+    NotFaithful.  ``sample_pi_blocks`` keeps one sampler per block symbol
+    for the whole process.
     """
 
     def __init__(self, A, faithful: bool = False):
         A = as_symbol(A)
         self.m = A.n
-        self.factor = _poisson_mixture_factor(A, faithful)
-        self.factor.setflags(write=False)
+        self.root = None
+        if A.tag == "toeplitz" and A.n >= _EMBED_MIN_N:
+            self.root = _embedding_root(A)
+        if self.root is None:
+            self.factor = _poisson_mixture_factor(A, faithful)
+            self.factor.setflags(write=False)
+            self.width = self.m
+        else:
+            self.factor = None
+            self.width = self.root.size
+
+    def amplitudes(self, z: np.ndarray) -> np.ndarray:
+        """alpha for each row of the (rows, width) batch z of standard complex normals."""
+        if self.root is None:
+            return z @ self.factor.T
+        x = np.fft.ifft(self.root * z, norm="ortho")[:, :self.m]
+        return _dft_rows(x.T).T if self.m % 2 == 1 else x
 
     def draw(self, rng, size: int | None = None) -> np.ndarray:
         gen = as_generator(rng)
         rows = 1 if size is None else int(size)
-        # real parts are the first rows x m normals, imaginary parts the next
-        re, im = gen.standard_normal((2, rows, self.m))
+        # real parts are the first rows x width normals, imaginary parts the next
+        re, im = gen.standard_normal((2, rows, self.width))
         z = re + 1j * im
         z /= math.sqrt(2.0)
-        alpha = z @ self.factor.T
-        N = gen.poisson(np.abs(alpha) ** 2)
+        N = gen.poisson(np.abs(self.amplitudes(z)) ** 2)
         return N[0] if size is None else N
 
 

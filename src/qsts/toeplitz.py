@@ -20,12 +20,12 @@ from .errors import (
     EigenFailure,
     InputError,
     NotCirculant,
+    NotToeplitz,
     RangeError,
 )
 from .spectral import (
     SpectralDensity,
     density_grid,
-    fourier_frequencies,
     sobolev_norm,
 )
 
@@ -120,14 +120,30 @@ def dft_unitary(m: int) -> np.ndarray:
     return u
 
 
+def _lag_view(full: np.ndarray) -> np.ndarray:
+    """n x n view with entry (j, k) = full[n - 1 + k - j] of a contiguous full of length 2n - 1."""
+    n = (full.size + 1) // 2
+    step = full.itemsize
+    # row j starts at full[n - 1 - j]: one step back per row, one forward per column
+    return np.ndarray((n, n), full.dtype, full, (n - 1) * step, (-step, step))
+
+
 def toeplitz_from_density(a: SpectralDensity, n: int) -> SymbolMatrix:
     """Symbol matrix A_n(a) with A[j][k] = a_{k-j}."""
     if n < 1:
         raise RangeError("n must be >= 1")
-    idx = np.arange(n)
-    lags = idx[None, :] - idx[:, None]
-    full = a.full_coeffs(n - 1)
-    return SymbolMatrix(full[lags + (n - 1)], tag="toeplitz", label=a.label)
+    return SymbolMatrix(_lag_view(a.full_coeffs(n - 1)), tag="toeplitz", label=a.label)
+
+
+def toeplitz_first_row(A: SymbolMatrix) -> np.ndarray:
+    """First row (a_0, a_1, ..., a_{n-1}) of a Toeplitz symbol, verifying the structure."""
+    if A.tag != "toeplitz":
+        raise NotToeplitz(f"matrix tagged {A.tag!r}")
+    row = A.entries[0]
+    rebuilt = _lag_view(np.concatenate((row[:0:-1].conj(), row)))
+    if np.max(np.abs(rebuilt - A.entries)) > 1e-12 * (1 + np.max(np.abs(row))):
+        raise NotToeplitz("entries are not constant along the diagonals")
+    return row
 
 
 def circulant_from_density(a: SpectralDensity, m: int) -> SymbolMatrix:
@@ -167,18 +183,12 @@ def representing_vector(C: SymbolMatrix) -> np.ndarray:
 def circulant_eigs(C: SymbolMatrix) -> np.ndarray:
     """Eigenvalues of a Hermitian circulant, indexed j = -(m-1)/2..(m-1)/2.
 
-    eigenvalue_j = sum_{|k| <= (m-1)/2} c_{-k} exp(i k w_{j,m}) evaluated at
-    the Fourier frequencies; no dense solve is involved (the dense
-    eigendecomposition is kept as a test oracle only).
+    eigenvalue_j = sum_s c_s exp(-i s w_{j,m}) at the Fourier frequencies: one
+    FFT of the representing vector, reordered to run from j = -(m-1)/2.  No
+    dense solve is involved (the dense eigendecomposition is kept as a test
+    oracle only).
     """
-    c = representing_vector(C)
-    m = C.n
-    half = (m - 1) // 2
-    # coefficient with lag k is c_{(-k) mod m}
-    ks = np.arange(-half, half + 1)
-    coeff = c[(-ks) % m]
-    w = fourier_frequencies(m)
-    vals = np.exp(1j * np.outer(w, ks)) @ coeff
+    vals = np.fft.fftshift(np.fft.fft(representing_vector(C)))
     if np.max(np.abs(vals.imag)) > 1e-10 * (1.0 + np.max(np.abs(vals.real))):
         raise NotCirculant("circulant is not Hermitian: complex eigenvalues")
     return vals.real

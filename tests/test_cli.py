@@ -212,6 +212,20 @@ class TestAuditCommands:
                            "--p", "0.5", "--draws", "20000")
         assert code == 0 and json.loads(out)["p_value"] > 0.001
 
+    @pytest.mark.parametrize("seed", ["2", "7"])
+    def test_sufficiency_on_degenerate_and_sparse_samples(self, seed, capsys):
+        code, out, err = run(capsys, "--seed", seed, "audit", "sufficiency",
+                             "--p", "0.01", "--draws", "1")
+        assert (code, out) == (2, "") and "DegenerateSamples" in err
+        code, out, _ = run(capsys, "--seed", seed, "audit", "sufficiency",
+                           "--p", "0.99", "--draws", "20")
+
+        def no_constants(name):
+            raise ValueError(f"{name} is not JSON")
+
+        obj = json.loads(out, parse_constant=no_constants)
+        assert code == (0 if obj["pass"] else 3)
+
 
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -292,13 +306,16 @@ def test_no_scipy_module_at_import_or_in_light_commands():
         ["state", "entropy", "--a1", "const:2", "--a2", "const:3", "--n", "1"],
         ["audit", "state", "--density", GEOM_DECAY, "--n", "16"],
         ["mc", "moments", "--density", "cos:2,0.5", "--m", "5", "--replicates", "200"],
+        # the full-length draw's FFTs stay on numpy.fft
+        ["estimate", "nonparam", "--density", "cos:2,0.5", "--n", "1025", "--d-n", "3"],
     ]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands)],
                           env=env, cwd=ROOT, capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout)
     assert seen == {"import qsts": [], "import qsts.cli": [], "symbol bracket": [0],
-                    "state entropy": [0], "audit state": [0], "mc moments": [0]}
+                    "state entropy": [0], "audit state": [0], "mc moments": [0],
+                    "estimate nonparam": [0]}
 
 
 def _config(tmp_path, obj):

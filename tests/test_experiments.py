@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from qsts.errors import NotAdmissible, RangeError
+from qsts.errors import DegenerateSamples, NotAdmissible, RangeError
 from qsts.estimators import phi_matrices
 from qsts.experiments import (
     AuditReport,
+    _merge_short_bins,
     _pearson_2xk,
     audit_hellinger_chain,
     audit_state_approximation,
@@ -233,6 +234,50 @@ class TestNbSufficiency:
             expect = (float(ref[0]), float(stats.chi2.ppf(1.0 - 0.001, K - 1)),
                       float(ref[1]))
             assert _pearson_2xk(table) == expect, table
+
+    @staticmethod
+    def right_tail_fold(table):
+        """The earlier merge: fold the last two columns while either is short."""
+        while table.shape[1] > 2 and np.any(table[:, -2:].sum(axis=0) / 2.0 < 5.0):
+            table = np.hstack([table[:, :-2], table[:, -2:].sum(axis=1, keepdims=True)])
+        return table
+
+    def test_merged_bins_each_hold_five_expected_counts(self):
+        gen = np.random.default_rng(5)
+        for K in np.tile([1, 2, 3, 8, 40, 400], 30):
+            scale = gen.choice([0.2, 2.0, 20.0])
+            table = gen.poisson(scale * gen.exponential(size=(2, K))).astype(float)
+            merged = _merge_short_bins(table)
+            expected = merged.sum(axis=0) / 2.0
+            assert merged.shape[1] == 1 or np.all(expected >= 5.0), table
+            # adjacent columns only: the merged boundaries are original boundaries
+            for row in (0, 1):
+                assert np.all(np.isin(np.cumsum(merged[row]), np.cumsum(table[row])))
+            assert np.array_equal(merged.sum(axis=1), table.sum(axis=1))
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+    def test_equals_the_right_tail_fold_where_that_sufficed(self, p):
+        from qsts.distributions import Geometric, nb_sample
+        for seed in range(20):
+            gen = RngStream(seed, 0).generator()
+            sums = np.sum(nb_sample(1.0 / 8, p, gen, size=(5000, 8)), axis=1)
+            geo = Geometric(p).sample(gen, size=5000)
+            top = int(max(sums.max(), geo.max()))
+            table = np.vstack([np.bincount(sums, minlength=top + 1),
+                               np.bincount(geo, minlength=top + 1)]).astype(float)
+            folded = self.right_tail_fold(table)
+            if np.all(folded.sum(axis=0) / 2.0 >= 5.0):
+                assert np.array_equal(_merge_short_bins(table), folded)
+
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_sparse_samples(self, seed):
+        # 20 draws spread over hundreds of values: the bins are grouped among
+        # themselves, not folded into one tail bin
+        chi2, crit, p = nb_sufficiency_test(0.99, 20, RngStream(seed, 0))
+        assert math.isfinite(crit) and 0.0 < p <= 1.0
+        # every draw 0: one bin, nothing to compare
+        with pytest.raises(DegenerateSamples):
+            nb_sufficiency_test(0.01, 1, RngStream(seed, 0))
 
     def test_pearson_sum_edge_tables(self):
         # one column: scipy's dof = 0 result, chi2 = 0 at p-value 1, no critical value

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from qsts import estimators, measurement
-from qsts.errors import DimensionError, InputError, NotFaithful, NotPSD, RangeError, TooSmall
+from qsts.errors import (
+    DimensionError,
+    InputError,
+    NotFaithful,
+    NotPSD,
+    NotToeplitz,
+    RangeError,
+    TooSmall,
+)
 from qsts.harness import RngStream, mc_run
 from qsts.measurement import (
     BlockScheme,
@@ -232,6 +240,46 @@ class TestBlocks:
         assert len(lines) == 2 + scheme.r * scheme.m
 
 
+GEOM = SpectralDensity.from_coeff_map({0: 3.0, 1: 0.6 + 0.2j, 2: -0.3j, 3: 0.1})
+
+
+def generic_hermitian(m, seed):
+    """3 I + G / (max absolute row sum of G) for a random Hermitian G: lambda_min >= 2."""
+    X = np.random.default_rng(seed).standard_normal((2, m, m))
+    G = X[0] + 1j * X[1]
+    G = G + G.conj().T
+    return SymbolMatrix(3.0 * np.eye(m) + G / np.max(np.sum(np.abs(G), axis=1)))
+
+
+def rel_err(X, Y):
+    return float(np.max(np.abs(X - Y)) / np.max(np.abs(Y)))
+
+
+E = measurement._EMBED_MIN_N
+# both parities just below the embedding threshold and at or just above it
+NEAR_THRESHOLD = [E - 2, E - 1, E, E + 1]
+
+
+def linear_map(sampler):
+    """B with alpha = B z for a normal row z: the sampler's map applied to the identity."""
+    return sampler.amplitudes(np.eye(sampler.width)).T
+
+
+def q_prime(A):
+    """(U* A U - I)/2 for odd m, (A - I)/2 in the given basis for even m."""
+    D = dense_dft_conjugate(A.entries) if A.n % 2 == 1 else A.entries
+    return 0.5 * (D - np.eye(A.n))
+
+
+def check_map(A, embeds):
+    """The faithful sampler's map B has B B* = q_prime(A) to 1e-12, with no eigensolve."""
+    sampler = NumberOpSampler(A, faithful=True)
+    assert (sampler.root is not None) == embeds
+    B = linear_map(sampler)
+    assert rel_err(B @ B.conj().T, q_prime(A)) < 1e-12
+    assert "spectrum" not in A.__dict__
+
+
 class TestBlockSamplerCache:
     """sample_pi_blocks builds one sampler per (density values, m) per process."""
 
@@ -283,62 +331,83 @@ class TestBlockSamplerCache:
         assert measurement._block_sampler.cache_info().currsize == 0
 
     def test_draw_equals_two_normal_batches(self):
-        # one (2, rows, m) batch is the real parts followed by the imaginary parts;
-        # a generic Hermitian symbol (not Toeplitz) makes swapping the parts show
+        # one (2, rows, width) batch is the real parts followed by the imaginary parts;
+        # a generic Hermitian symbol (not Toeplitz) makes swapping the parts show, and
+        # an embedded Toeplitz symbol draws width = n + K normals per row
         X = np.random.default_rng(40).standard_normal((2, 9, 9))
         H = 0.1 * (X[0] + 1j * X[1])
-        sampler = NumberOpSampler(SymbolMatrix(3.0 * np.eye(9) + H + H.conj().T),
-                                  faithful=True)
-        gen = np.random.default_rng(41)
-        z = gen.standard_normal((5, 9)) + 1j * gen.standard_normal((5, 9))
-        z /= math.sqrt(2.0)
-        expect = gen.poisson(np.abs(z @ sampler.factor.T) ** 2)
-        np.testing.assert_array_equal(
-            sampler.draw(np.random.default_rng(41), size=5), expect)
+        for A in (SymbolMatrix(3.0 * np.eye(9) + H + H.conj().T),
+                  toeplitz_from_density(GEOM, E + 1)):
+            sampler = NumberOpSampler(A, faithful=True)
+            gen = np.random.default_rng(41)
+            z = gen.standard_normal((5, sampler.width)) + 1j * gen.standard_normal((5, sampler.width))
+            z /= math.sqrt(2.0)
+            expect = gen.poisson(np.abs(sampler.amplitudes(z)) ** 2)
+            np.testing.assert_array_equal(
+                sampler.draw(np.random.default_rng(41), size=5), expect)
 
     def test_cached_arrays_are_read_only(self):
         sampler = measurement._block_sampler(COS_DENSITY.coeffs.tobytes(), 9)
         C, row_norms = estimators._constraints(1, 512)
         cached = [fourier_frequencies(9), _w_matrix(9, 1), estimators._f_diagonal(9, 1),
-                  C, row_norms, sampler.factor]
+                  C, row_norms, sampler.factor,
+                  NumberOpSampler(toeplitz_from_density(COS_DENSITY, E)).root]
         for arr in cached:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
 
-GEOM = SpectralDensity.from_coeff_map({0: 3.0, 1: 0.6 + 0.2j, 2: -0.3j, 3: 0.1})
-
-
-def generic_hermitian(m, seed):
-    """3 I + G / (max absolute row sum of G) for a random Hermitian G: lambda_min >= 2."""
-    X = np.random.default_rng(seed).standard_normal((2, m, m))
-    G = X[0] + 1j * X[1]
-    G = G + G.conj().T
-    return SymbolMatrix(3.0 * np.eye(m) + G / np.max(np.sum(np.abs(G), axis=1)))
-
-
-def rel_err(X, Y):
-    return float(np.max(np.abs(X - Y)) / np.max(np.abs(Y)))
+def check_gate(m, kind, k):
+    """NotFaithful exactly when the Cholesky fails and lambda_min(A) <= 1, as it tends to 1."""
+    if kind == "const":
+        a = SpectralDensity.constant(1.0 + 10.0 ** -k)
+    else:
+        # tridiagonal: lambda_min = a0 - 0.5 cos(pi / (m + 1)) = 1 + 10^-k
+        a = SpectralDensity.cosine(1.0 + 10.0 ** -k + 0.5 * math.cos(math.pi / (m + 1)), 0.5)
+    A = toeplitz_from_density(a, m)
+    try:
+        np.linalg.cholesky(0.5 * (A.entries - np.eye(m)))
+        cholesky_ok = True
+    except np.linalg.LinAlgError:
+        cholesky_ok = False
+    lam_min = float(A.spectrum[0][0])
+    if 10.0 ** -k >= 1e-8:
+        assert cholesky_ok and lam_min > 1.0
+    for faithful in (True, False):
+        try:
+            N = NumberOpSampler(A, faithful=faithful).draw(RngStream(37, k), size=200)
+        except NotFaithful:
+            assert faithful and not cholesky_ok and lam_min <= 1.0
+        else:
+            assert np.all(np.isfinite(N)) and np.all(N >= 0)
 
 
 class TestMixtureFactor:
-    """B B* = (U* A U - I)/2 from a Cholesky and one FFT, gated like the spectrum."""
+    """B B* = (U* A U - I)/2 by Cholesky or circulant embedding, gated like the spectrum."""
 
     @pytest.mark.parametrize("m", [1, 3, 9, 65, 1025])
     @pytest.mark.parametrize("kind", ["toeplitz", "generic"])
     def test_factor_matches_dense_oracle(self, m, kind):
         A = toeplitz_from_density(GEOM, m) if kind == "toeplitz" else generic_hermitian(m, m)
-        B = NumberOpSampler(A, faithful=True).factor
-        oracle = 0.5 * (dense_dft_conjugate(A.entries) - np.eye(m))
-        assert rel_err(B @ B.conj().T, oracle) < 1e-12
-        # a faithful symbol is factored without an eigensolve
-        assert "spectrum" not in A.__dict__
+        check_map(A, embeds=kind == "toeplitz" and m >= E)
 
     @pytest.mark.parametrize("m", [2, 4, 10])
     def test_even_factor_stays_in_the_given_basis(self, m):
         for A in (toeplitz_from_density(GEOM, m), generic_hermitian(m, m)):
-            B = NumberOpSampler(A).factor
-            assert rel_err(B @ B.conj().T, 0.5 * (A.entries - np.eye(m))) < 1e-12
+            check_map(A, embeds=False)
+
+    @pytest.mark.parametrize("m", NEAR_THRESHOLD)
+    @pytest.mark.parametrize("kind", ["geom", "const:3", "generic"])
+    def test_map_on_both_sides_of_the_embedding_threshold(self, m, kind):
+        A = {"geom": lambda: toeplitz_from_density(GEOM, m),
+             "const:3": lambda: toeplitz_from_density(SpectralDensity.constant(3.0), m),
+             "generic": lambda: generic_hermitian(m, m)}[kind]()
+        check_map(A, embeds=kind != "generic" and m >= E)
+
+    def test_embedding_width_is_n_plus_last_lag(self):
+        # GEOM has K = 3; const:3 has K = 0, a circulant of size n
+        assert NumberOpSampler(toeplitz_from_density(GEOM, E)).width == E + 3
+        assert NumberOpSampler(toeplitz_from_density(SpectralDensity.constant(3.0), E)).width == E
 
     @pytest.mark.parametrize("m", [1, 3, 9, 65, 1025])
     def test_dft_conjugate_matches_dense_oracle(self, m):
@@ -346,38 +415,42 @@ class TestMixtureFactor:
             assert rel_err(measurement._dft_conjugate(A.entries),
                            dense_dft_conjugate(A.entries)) < 1e-12
 
+    @pytest.mark.parametrize("n", [n for n in NEAR_THRESHOLD if n >= E])
+    def test_embedding_needs_the_grid_density_above_one(self, n):
+        # tridiagonal: lambda_min(A) = a0 - 0.5 cos(pi / (n + 1)) = 1.0002, but the
+        # circulant's eigenvalues are (a - 1)/2 on the n + 1 grid, and for odd n
+        # that grid holds w = pi, where a = a0 - 0.5 < 1
+        a = SpectralDensity.cosine(1.0002 + 0.5 * math.cos(math.pi / (n + 1)), 0.5)
+        A = toeplitz_from_density(a, n)
+        check_map(A, embeds=n % 2 == 0)
+        assert float(A.spectrum[0][0]) == pytest.approx(1.0002, abs=1e-12)
+
+    def test_mistagged_json_symbol_rejected(self):
+        obj = generic_hermitian(E + 1, 3).to_json()
+        obj["tag"] = "toeplitz"
+        with pytest.raises(NotToeplitz):
+            NumberOpSampler(SymbolMatrix.from_json(obj))
+
     @pytest.mark.parametrize("kind", ["const", "cos"])
     @pytest.mark.parametrize("k", range(1, 17))
     def test_gate_as_lambda_min_tends_to_one(self, kind, k):
-        m = 9
-        if kind == "const":
-            a = SpectralDensity.constant(1.0 + 10.0 ** -k)
-        else:
-            # tridiagonal: lambda_min = a0 - 0.5 cos(pi / (m + 1)) = 1 + 10^-k
-            a = SpectralDensity.cosine(1.0 + 10.0 ** -k + 0.5 * math.cos(math.pi / (m + 1)),
-                                       0.5)
-        A = toeplitz_from_density(a, m)
-        try:
-            np.linalg.cholesky(0.5 * (A.entries - np.eye(m)))
-            cholesky_ok = True
-        except np.linalg.LinAlgError:
-            cholesky_ok = False
-        lam_min = float(A.spectrum[0][0])
-        if 10.0 ** -k >= 1e-8:
-            assert cholesky_ok and lam_min > 1.0
-        for faithful in (True, False):
-            try:
-                N = NumberOpSampler(A, faithful=faithful).draw(RngStream(37, k), size=200)
-            except NotFaithful:
-                assert faithful and not cholesky_ok and lam_min <= 1.0
-            else:
-                assert np.all(np.isfinite(N)) and np.all(N >= 0)
+        check_gate(9, kind, k)
+
+    @pytest.mark.parametrize("kind", ["const", "cos"])
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_gate_past_the_embedding_threshold(self, kind, k):
+        check_gate(E + 1, kind, k)
 
     @pytest.mark.parametrize("A", [toeplitz_from_density(SpectralDensity.constant(1.0), 9),
-                                   SymbolMatrix(np.eye(9))], ids=["const:1", "vacuum"])
+                                   toeplitz_from_density(SpectralDensity.constant(1.0), 65),
+                                   SymbolMatrix(np.eye(9))],
+                             ids=["const:1", "const:1-65", "vacuum"])
     def test_singular_psd_fallback(self, A):
-        # Q = 0: the Cholesky fails and the cached spectrum gives the zero factor
-        assert np.all(NumberOpSampler(A).draw(RngStream(38, 0), size=20) == 0)
+        # Q = 0: the embedding's eigenvalues are 0, the Cholesky fails and the
+        # cached spectrum gives the zero factor
+        sampler = NumberOpSampler(A)
+        assert sampler.root is None
+        assert np.all(sampler.draw(RngStream(38, 0), size=20) == 0)
         with pytest.raises(NotFaithful):
             NumberOpSampler(A, faithful=True)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsts.errors import DimensionError, InputError, NotCirculant, RangeError
+from qsts.errors import DimensionError, InputError, NotCirculant, NotToeplitz, RangeError
 from qsts.spectral import SpectralDensity, eval_density, fourier_frequencies
 from qsts.toeplitz import (
     SymbolMatrix,
@@ -15,6 +15,7 @@ from qsts.toeplitz import (
     hs_distance,
     principal_submatrix,
     toeplitz_circulant_gap,
+    toeplitz_first_row,
     toeplitz_from_density,
 )
 
@@ -57,7 +58,7 @@ class TestToeplitzBuild:
         assert A.entries[0, 1] == pytest.approx(0.3 + 0.1j)
         assert A.entries[1, 0] == pytest.approx(0.3 - 0.1j)
 
-    @pytest.mark.parametrize("n", [3, 8, 9])
+    @pytest.mark.parametrize("n", [3, 8, 9, 65])
     @pytest.mark.parametrize("shift", [-2, -1, 0, 4])
     def test_support_up_to_and_past_n_matches_dense_definition(self, n, shift):
         # K_max = n + shift: inside, at and past the largest lag n - 1 of A_n
@@ -74,11 +75,43 @@ class TestToeplitzBuild:
         assert np.array_equal(toeplitz_from_density(a, n).entries, dense)
         assert eigen_bracket_check(a, n)[4]
 
+    @pytest.mark.parametrize("n", [1, 2, 1024, 1025])
+    def test_strided_build_equals_lag_index_build(self, n):
+        # the n x n int64 lag index the strided view replaced, as the bit-for-bit reference
+        gen = np.random.default_rng(n)
+        a = SpectralDensity(np.concatenate(([3.0], gen.normal(size=40) + 1j * gen.normal(size=40))))
+        idx = np.arange(n)
+        full = a.full_coeffs(n - 1)
+        expect = SymbolMatrix(full[idx[None, :] - idx[:, None] + (n - 1)], tag="toeplitz")
+        assert np.array_equal(toeplitz_from_density(a, n).entries, expect.entries)
+
     def test_nesting(self):
         big = toeplitz_from_density(GEOM, 12)
         small = toeplitz_from_density(GEOM, 5)
         np.testing.assert_allclose(principal_submatrix(big, 5).entries,
                                    small.entries, atol=0)
+
+
+class TestToeplitzFirstRow:
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_first_row_of_a_built_symbol(self, n):
+        a = SpectralDensity.from_coeff_map({0: 3.0, 1: 0.4 + 0.2j, 2: -0.1j})
+        A = toeplitz_from_density(a, n)
+        assert np.array_equal(toeplitz_first_row(A), A.entries[0])
+        assert np.array_equal(toeplitz_first_row(A), a.full_coeffs(n - 1)[n - 1:])
+
+    def test_wrong_tag_rejected(self):
+        for A in (SymbolMatrix(np.eye(3)), circulant_from_density(COS_2_05, 3)):
+            with pytest.raises(NotToeplitz, match="tagged"):
+                toeplitz_first_row(A)
+
+    def test_mistagged_entries_rejected(self):
+        # a JSON symbol may carry the tag without the structure
+        obj = SymbolMatrix(3.0 * np.eye(4) + random_hermitian(4, np.random.default_rng(7))).to_json()
+        obj["tag"] = "toeplitz"
+        with pytest.raises(NotToeplitz, match="diagonals"):
+            toeplitz_first_row(SymbolMatrix.from_json(obj))
+        assert issubclass(NotToeplitz, InputError)
 
 
 class TestCirculant:
@@ -142,6 +175,16 @@ class TestCirculantEigs:
         np.testing.assert_allclose(circulant_eigs(C),
                                    eval_density(kept, fourier_frequencies(m)),
                                    atol=1e-10)
+
+    @pytest.mark.parametrize("m", [7, 1025])
+    def test_complex_coeffs_in_frequency_order(self, m):
+        # unsorted: eigenvalue j sits at w_j, which a real, even density cannot show
+        a = SpectralDensity.from_coeff_map({0: 3.0, 1: 0.4 + 0.2j, 2: -0.1j})
+        C = circulant_from_density(a, m)
+        np.testing.assert_allclose(circulant_eigs(C), eval_density(a, fourier_frequencies(m)),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(circulant_eigs(C), np.diag(dense_dft_conjugate(C.entries)).real,
+                                   rtol=0, atol=1e-11)
 
     def test_not_circulant_rejected(self):
         A = toeplitz_from_density(GEOM, 5)
