@@ -38,13 +38,18 @@ class SymbolMatrix:
 
     The tag records how the matrix was built ("toeplitz", "circulant" or
     "general"); operations that need the structure check the tag.  Entries
-    are Hermitized on construction; a non-finite entry or an asymmetry above
-    1e-12 is an error.
+    given one by one (directly or from JSON) are checked and Hermitized here,
+    in O(n^2): an asymmetry above 1e-12, or an entry that is non-finite
+    before or after Hermitizing, is an error.  ``toeplitz_from_density``
+    instead checks its 2n - 1 lags and keeps ``entries`` as a read-only
+    strided view of them, so the symbol costs O(n) memory.
     """
 
     entries: np.ndarray
     tag: str = "general"
     label: str = field(default="", compare=False)
+    # a_{-(n-1)} .. a_{n-1} under a lag-built Toeplitz symbol, else None
+    _lags: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -55,12 +60,37 @@ class SymbolMatrix:
         scale = np.max(np.abs(e))
         if not np.isfinite(scale):
             raise InputError("matrix entries must be finite")
-        gap = np.max(np.abs(e - e.conj().T))
+        eh = e.conj().T
+        gap = np.max(np.abs(e - eh))
         if gap > _HERMITIZE_TOL * (1.0 + scale):
             raise InputError(f"matrix is not Hermitian (asymmetry {gap:g})")
-        e = 0.5 * (e + e.conj().T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = 0.5 * (e + eh)
+        if not np.isfinite(e).all():
+            raise InputError("matrix entries must be finite after Hermitizing")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
+
+    @classmethod
+    def _from_lags(cls, full: np.ndarray, label: str = "") -> "SymbolMatrix":
+        """Toeplitz symbol with entry (j, k) = full[n - 1 + k - j], checked in O(n).
+
+        ``full`` (length 2n - 1) must equal its reversed conjugate exactly.
+        It is Hermitized as 0.5 * (full + full): bit for bit what
+        ``__post_init__`` makes of the n x n entries, signed zeros included.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = 0.5 * (full + full)
+        if not np.isfinite(f).all():
+            raise InputError("matrix entries must be finite after Hermitizing")
+        if not np.array_equal(f, f[::-1].conj()):
+            raise InputError("matrix is not Hermitian: a_{-k} != conj(a_k)")
+        f.setflags(write=False)   # and with it the view over f
+        self = object.__new__(cls)
+        for name, value in (("entries", _lag_view(f)), ("tag", "toeplitz"),
+                            ("label", label), ("_lags", f)):
+            object.__setattr__(self, name, value)
+        return self
 
     @property
     def n(self) -> int:
@@ -129,16 +159,30 @@ def _lag_view(full: np.ndarray) -> np.ndarray:
 
 
 def toeplitz_from_density(a: SpectralDensity, n: int) -> SymbolMatrix:
-    """Symbol matrix A_n(a) with A[j][k] = a_{k-j}."""
+    """Symbol matrix A_n(a) with A[j][k] = a_{k-j}, built from its 2n - 1 lags.
+
+    The lags a_{-(n-1)} .. a_{n-1} are checked (finite, Hermitian) and
+    Hermitized in O(n); ``entries`` is a read-only n x n view of them, equal
+    byte for byte to ``SymbolMatrix`` of the dense matrix, and no n x n array
+    is made until a consumer copies the view.
+    """
     if n < 1:
         raise RangeError("n must be >= 1")
-    return SymbolMatrix(_lag_view(a.full_coeffs(n - 1)), tag="toeplitz", label=a.label)
+    return SymbolMatrix._from_lags(a.full_coeffs(n - 1), label=a.label)
 
 
 def toeplitz_first_row(A: SymbolMatrix) -> np.ndarray:
-    """First row (a_0, a_1, ..., a_{n-1}) of a Toeplitz symbol, verifying the structure."""
+    """First row (a_0, a_1, ..., a_{n-1}) of a Toeplitz symbol, read-only.
+
+    A symbol from ``toeplitz_from_density`` returns its stored lags, checked
+    when it was built.  A Toeplitz-tagged symbol given entry by entry
+    (directly or from JSON) is checked here, in O(n^2), against its
+    diagonals, else NotToeplitz.
+    """
     if A.tag != "toeplitz":
         raise NotToeplitz(f"matrix tagged {A.tag!r}")
+    if A._lags is not None:
+        return A._lags[A.n - 1:]
     row = A.entries[0]
     rebuilt = _lag_view(np.concatenate((row[:0:-1].conj(), row)))
     if np.max(np.abs(rebuilt - A.entries)) > 1e-12 * (1 + np.max(np.abs(row))):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -318,6 +319,22 @@ def test_no_scipy_module_at_import_or_in_light_commands():
                     "estimate nonparam": [0]}
 
 
+def test_nonparam_estimate_far_past_a_dense_symbol():
+    """At n = 65537 the symbol A_n would take 68 GB; the draw needs only its lags."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    limit = 2 * 2 ** 30   # address space: a dense n x n regression fails fast
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "qsts.cli", "--seed", "2", "estimate",
+                           "nonparam", "--density", "cos:2,0.5", "--n", "65537", "--d-n", "3"],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=300,
+                          preexec_fn=cap_memory)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["n"] == 65537
+
+
 def _config(tmp_path, obj):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(obj))
@@ -328,6 +345,7 @@ EXIT_CASES = {
     "success": (0, ["dist", "varstab", "--a", "2"]),
     "bad_input": (1, ["density", "eval", "--density", "cos:2", "--omega", "0"]),
     "usage": (1, ["density", "eval", "--omega", "0"]),
+    "overflow": (1, ["symbol", "build", "--density", "const:1.5e308", "--n", "2"]),
     "config_schema": (1, ["--config", "{cfg}", "dist", "varstab", "--a", "2"]),
     "numerical": (2, ["state", "entropy", "--a1", "const:1", "--a2", "const:3",
                       "--n", "2"]),

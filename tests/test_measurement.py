@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,24 @@ class TestSampler:
         prod_var = np.einsum("ij,ik->jk", centered ** 2, centered ** 2) / reps - emp_cov ** 2
         se_cov = np.sqrt(prod_var / reps)
         assert np.all(np.abs(emp_cov - cov) < 5 * se_cov)
+
+    def test_same_draw_from_the_lags_and_from_the_entries(self):
+        # rebuilt entry by entry, the symbol carries no lags and its first row is checked
+        A = toeplitz_from_density(COS_DENSITY, 1025)
+        B = SymbolMatrix(np.array(A.entries), tag="toeplitz")
+        assert A._lags is not None and B._lags is None
+        N_lags, N_entries = (NumberOpSampler(S).draw(RngStream(2, 0)) for S in (A, B))
+        assert N_lags.tobytes() == N_entries.tobytes()
+
+    def test_full_length_draw_memory_is_linear_in_n(self):
+        # one 4097 x 4097 complex matrix alone would take 268 MB
+        tracemalloc.start()
+        try:
+            NumberOpSampler(toeplitz_from_density(COS_DENSITY, 4097)).draw(RngStream(2, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_not_psd_rejected(self):
         with pytest.raises((NotPSD, ValueError)):

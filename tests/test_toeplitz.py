@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,15 @@ class TestSymbolMatrix:
             SymbolMatrix(np.array([[2.0, bad], [bad, 2.0]]))
         with pytest.raises(InputError, match="finite"):
             SymbolMatrix(np.diag([bad, 2.0]))
+
+    def test_overflow_when_hermitizing_rejected(self):
+        # finite entries whose Hermitized sum overflows once gave inf+nanj entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="finite"):
+                SymbolMatrix(np.array([[1e308, 1.5e308], [1.5e308, 1e308]]))
+            with pytest.raises(InputError, match="finite"):
+                toeplitz_from_density(SpectralDensity([1e308, 1e308]), 3)
 
 
 class TestToeplitzBuild:
@@ -85,6 +95,29 @@ class TestToeplitzBuild:
         expect = SymbolMatrix(full[idx[None, :] - idx[:, None] + (n - 1)], tag="toeplitz")
         assert np.array_equal(toeplitz_from_density(a, n).entries, expect.entries)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 1025])
+    @pytest.mark.parametrize("kind", ["real", "negative", "complex"])
+    @pytest.mark.parametrize("shift", [-1, 0, 4])
+    def test_lag_build_equals_dense_build(self, n, kind, shift):
+        # K_max = n + shift: at the largest lag n - 1 of A_n, and past it
+        k_max = n + shift
+        gen = np.random.default_rng(10 * n + shift)
+        coeffs = gen.normal(size=k_max + 1).astype(complex)
+        if kind == "negative":
+            coeffs = -np.abs(coeffs)
+        elif kind == "complex":
+            coeffs += 1j * gen.normal(size=k_max + 1)
+        coeffs[0] = 3.0
+        a = SpectralDensity(coeffs)
+        padded = np.concatenate((coeffs, np.zeros(n, dtype=complex)))
+        lag = np.arange(n)[None, :] - np.arange(n)[:, None]    # k - j
+        dense = np.where(lag >= 0, padded[np.abs(lag)], np.conj(padded[np.abs(lag)]))
+        expect = SymbolMatrix(dense, tag="toeplitz")
+        A = toeplitz_from_density(a, n)
+        assert A.entries.tobytes() == expect.entries.tobytes()
+        assert not A.entries.flags.writeable
+        assert toeplitz_first_row(A).tobytes() == A.entries[0].tobytes()
+
     def test_nesting(self):
         big = toeplitz_from_density(GEOM, 12)
         small = toeplitz_from_density(GEOM, 5)
@@ -112,6 +145,15 @@ class TestToeplitzFirstRow:
         with pytest.raises(NotToeplitz, match="diagonals"):
             toeplitz_first_row(SymbolMatrix.from_json(obj))
         assert issubclass(NotToeplitz, InputError)
+
+    @pytest.mark.parametrize("n", [4, 65])
+    def test_entrywise_symbol_with_one_bad_diagonal_entry_rejected(self, n):
+        # only a symbol built from its lags skips the O(n^2) diagonal check
+        e = np.array(toeplitz_from_density(GEOM, n).entries)
+        assert np.array_equal(toeplitz_first_row(SymbolMatrix(e, tag="toeplitz")), e[0])
+        e[2, 2] += 1e-6
+        with pytest.raises(NotToeplitz, match="diagonals"):
+            toeplitz_first_row(SymbolMatrix(e, tag="toeplitz"))
 
 
 class TestCirculant:
