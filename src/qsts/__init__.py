@@ -53,6 +53,7 @@ from .spectral import (
 from .toeplitz import (
     SymbolMatrix,
     abs_square,
+    circulant_block,
     circulant_eigs,
     circulant_from_density,
     dft_unitary,

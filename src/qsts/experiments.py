@@ -40,8 +40,7 @@ from .spectral import (
     sobolev_norm,
 )
 from .toeplitz import (
-    circulant_from_density,
-    principal_submatrix,
+    circulant_block,
     toeplitz_circulant_gap,
     toeplitz_from_density,
 )
@@ -374,8 +373,7 @@ def audit_state_approximation(a: SpectralDensity, n: int,
     for m in ms:
         gap_sq, bound = toeplitz_circulant_gap(a, n, m, alpha, M)
         report.add("symbol_gap_sq", n, m, gap_sq, bound)
-        block = principal_submatrix(circulant_from_density(a, m), n)
-        S = relative_entropy(A_n, block)
+        S = relative_entropy(A_n, circulant_block(a, m, n))
         entropies.append(S)
         report.add("relative_entropy", n, m, S)
         report.add("pinsker_bound", n, m, math.sqrt(2.0 * S))

@@ -7,7 +7,9 @@ eigendecomposition.  In that eigenbasis the state is a product of thermal
 modes with laws Geo(p(l_i)), so the relative entropy is the mixing-weighted
 geometric KL sum_ij |V1* V2|^2_ij KL(Geo(p(l1_i)) || Geo(p(l2_j))), with no
 matrix log and no clamp; ``s2_matrix`` in ``tests/oracles.py`` keeps the
-operator trace formula as the reference.  No Fock-space density operator is
+operator trace formula as the reference.  For real centrosymmetric symbols
+(every Toeplitz symbol of a real density) V is real, from two half-size
+real solves, and V1* V2 is a real product.  No Fock-space density operator is
 ever materialized; the one exception is the photon number law of a single
 thermal mode.
 """

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -41,7 +41,7 @@ def reduce_angle(omega: float) -> float:
     return float(w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDensity:
     """Finite Hermitian Fourier coefficient sequence.
 
@@ -53,7 +53,7 @@ class SpectralDensity:
     """
 
     coeffs: np.ndarray
-    label: str = field(default="", compare=False)
+    label: str = ""
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex).reshape(-1)
@@ -67,6 +67,18 @@ class SpectralDensity:
         c[0] = c[0].real
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+
+    def _key(self) -> bytes:
+        """What ``==`` and ``hash`` compare: the coefficient bytes (not the label)."""
+        return self.coeffs.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, SpectralDensity):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     # -- construction -----------------------------------------------------
 

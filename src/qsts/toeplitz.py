@@ -5,6 +5,12 @@ is the parameter of an n-mode gauge-invariant Gaussian state.  Its circulant
 approximant shares the central Fourier band and is diagonalized exactly by
 a reordered DFT unitary, which is what turns the state into a product of
 thermal modes.
+
+Each symbol is diagonalized once (``SymbolMatrix.spectrum``).  A real
+symmetric Toeplitz matrix commutes with the reversal J, so a real symbol
+with A == J A J (every Toeplitz symbol of a real density, and its circulant
+block) splits into two half-size real symmetric eigenproblems, for the
+symmetric and the skew-symmetric eigenvectors, and its V is real.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .spectral import (
 _HERMITIZE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolMatrix:
     """Dense Hermitian matrix with a structure tag.
 
@@ -47,9 +53,9 @@ class SymbolMatrix:
 
     entries: np.ndarray
     tag: str = "general"
-    label: str = field(default="", compare=False)
+    label: str = ""
     # a_{-(n-1)} .. a_{n-1} under a lag-built Toeplitz symbol, else None
-    _lags: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _lags: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -86,9 +92,18 @@ class SymbolMatrix:
         if not np.array_equal(f, f[::-1].conj()):
             raise InputError("matrix is not Hermitian: a_{-k} != conj(a_k)")
         f.setflags(write=False)   # and with it the view over f
+        return cls._checked(_lag_view(f), "toeplitz", label, f)
+
+    @classmethod
+    def _checked(cls, entries: np.ndarray, tag: str, label: str = "",
+                 lags: np.ndarray | None = None) -> "SymbolMatrix":
+        """Symbol over read-only entries that are already checked and Hermitized.
+
+        Hermitizing again is not the identity: it can flip the sign of a zero.
+        """
         self = object.__new__(cls)
-        for name, value in (("entries", _lag_view(f)), ("tag", "toeplitz"),
-                            ("label", label), ("_lags", f)):
+        for name, value in (("entries", entries), ("tag", tag),
+                            ("label", label), ("_lags", lags)):
             object.__setattr__(self, name, value)
         return self
 
@@ -96,11 +111,33 @@ class SymbolMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    def _key(self) -> tuple:
+        """What ``==`` and ``hash`` compare: tag, shape and entry bytes (not the label)."""
+        return self.tag, self.entries.shape, self.entries.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, SymbolMatrix):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvectors of one cached ``eigh`` (read-only)."""
+        """Ascending eigenvalues and eigenvectors, solved once per symbol (read-only).
+
+        Real entries with A == J A J exactly (J the reversal; every Toeplitz
+        symbol of a real density) take ``_centro_eigh``: two half-size real
+        symmetric solves, and V is real.  Any other symbol takes one complex
+        ``eigh``.
+        """
+        e = self.entries
         try:
-            lams, V = np.linalg.eigh(self.entries)
+            if not e.imag.any() and np.array_equal(e, e[::-1, ::-1]):
+                lams, V = _centro_eigh(e.real)
+            else:
+                lams, V = np.linalg.eigh(e)
         except np.linalg.LinAlgError as exc:
             raise EigenFailure(str(exc)) from exc
         lams.setflags(write=False)
@@ -127,6 +164,37 @@ class SymbolMatrix:
         if re.shape != (n, n) or im.shape != (n, n):
             raise DimensionError("matrix JSON dimensions do not match n")
         return cls(re + 1j * im, tag=tag)
+
+
+def _centro_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a real symmetric A with A == J A J, as two half-size solves.
+
+    With h = n // 2, B = A[:h, :h] and C = (A J)[:h, :h], the symmetric
+    eigenvectors are [w; J w]/sqrt 2 for the eigenvectors w of B + C and the
+    skew ones [w; -J w]/sqrt 2 for those of B - C (Cantoni & Butler 1976).
+    For odd n, B + C gains the middle row and column, scaled by sqrt 2, with
+    the middle diagonal entry, and a symmetric vector is
+    [w_top/sqrt 2; w_mid; J w_top/sqrt 2].  The two eigenvalue sets are
+    merged ascending by a stable sort.
+    """
+    n = A.shape[0]
+    h, odd = divmod(n, 2)
+    r = math.sqrt(0.5)
+    B, C = A[:h, :h], A[:h, ::-1][:, :h]
+    S = np.empty((h + odd, h + odd))
+    S[:h, :h] = B + C
+    if odd:
+        S[h, :h] = S[:h, h] = math.sqrt(2.0) * A[h, :h]
+        S[h, h] = A[h, h]
+    ls, Ws = np.linalg.eigh(S)
+    lk, Wk = np.linalg.eigh(B - C)
+    top_s, top_k = r * Ws[:h], r * Wk
+    V = np.block([[top_s, top_k],
+                  [Ws[h:], np.zeros((odd, h))],
+                  [top_s[::-1], -top_k[::-1]]])
+    lams = np.concatenate((ls, lk))
+    order = np.argsort(lams, kind="stable")
+    return lams[order], V[:, order]
 
 
 def as_symbol(A) -> SymbolMatrix:
@@ -190,6 +258,14 @@ def toeplitz_first_row(A: SymbolMatrix) -> np.ndarray:
     return row
 
 
+def _circulant_lags(a: SpectralDensity, m: int, lags: np.ndarray) -> np.ndarray:
+    """Lags of the m-circulant of ``a``: a_t for |t| <= (m-1)/2, else a_{t - sign(t) m}."""
+    if m < 1 or m % 2 == 0:
+        raise RangeError("m must be odd and >= 1")
+    half = (m - 1) // 2
+    return a.full_coeffs(half)[(lags + half) % m]
+
+
 def circulant_from_density(a: SpectralDensity, m: int) -> SymbolMatrix:
     """Hermitian circulant approximant with representing vector
 
@@ -199,17 +275,24 @@ def circulant_from_density(a: SpectralDensity, m: int) -> SymbolMatrix:
     (j, k) is c_{(j-k) mod m}; on the central band |k-j| <= (m-1)/2 this
     agrees with the Toeplitz matrix of the truncated density.
     """
-    if m < 1 or m % 2 == 0:
-        raise RangeError("m must be odd and >= 1")
-    half = (m - 1) // 2
-    c = np.zeros(m, dtype=complex)
-    for i in range(half + 1):
-        c[i] = a.coeff(-i)
-    for i in range(half + 1, m):
-        c[i] = a.coeff(m - i)
     idx = np.arange(m)
+    c = _circulant_lags(a, m, -idx)
     entries = c[(idx[:, None] - idx[None, :]) % m]
     return SymbolMatrix(entries, tag="circulant", label=a.label)
+
+
+def circulant_block(a: SpectralDensity, m: int, n: int) -> SymbolMatrix:
+    """Leading n x n block of ``circulant_from_density(a, m)``, built from its lags.
+
+    The block is Toeplitz with lag t equal to a_t for |t| <= (m-1)/2 and to
+    a_{t - sign(t) m} otherwise; it is built by ``SymbolMatrix._from_lags``
+    in O(n), with entries equal byte for byte to the dense block, and is
+    tagged "toeplitz".
+    """
+    if n < 1 or n > m:
+        raise DimensionError(f"block size {n} outside 1..{m}")
+    return SymbolMatrix._from_lags(_circulant_lags(a, m, np.arange(1 - n, n)),
+                                   label=a.label)
 
 
 def representing_vector(C: SymbolMatrix) -> np.ndarray:
@@ -239,12 +322,12 @@ def circulant_eigs(C: SymbolMatrix) -> np.ndarray:
 
 
 def principal_submatrix(A: SymbolMatrix, n: int) -> SymbolMatrix:
-    """Upper-left n x n block; the structure tag is downgraded to general."""
+    """Upper-left n x n block, a read-only view of A's entries, tagged general."""
     if n < 1 or n > A.n:
         raise DimensionError(f"block size {n} outside 1..{A.n}")
     if n == A.n:
         return A
-    return SymbolMatrix(A.entries[:n, :n].copy(), tag="general", label=A.label)
+    return SymbolMatrix._checked(A.entries[:n, :n], "general", A.label)
 
 
 def abs_square(M: np.ndarray) -> np.ndarray:
@@ -279,9 +362,7 @@ def toeplitz_circulant_gap(a: SpectralDensity, n: int, m: int,
         raise RangeError(f"need odd m with n < m < 2(n-1), got n={n}, m={m}")
     if alpha <= 0.5:
         raise RangeError("the bound needs alpha > 1/2")
-    A_n = toeplitz_from_density(a, n)
-    block = principal_submatrix(circulant_from_density(a, m), n)
-    dense = hs_distance(A_n, block) ** 2
+    dense = hs_distance(toeplitz_from_density(a, n), circulant_block(a, m, n)) ** 2
 
     ks = np.arange((m + 1) // 2, n)
     diffs = np.array([a.coeff(k) - np.conj(a.coeff(m - k)) for k in ks])

@@ -18,7 +18,7 @@ from qsts.errors import EigenFailure, NotPSD, RangeError, SpectralRangeError
 from qsts.gaussian_states import _check_r_open_interval
 from qsts.harness import RngStream
 from qsts.spectral import TWO_PI, SpectralDensity, eval_density
-from qsts.toeplitz import circulant_from_density, dft_unitary
+from qsts.toeplitz import SymbolMatrix, circulant_from_density, dft_unitary
 
 #: in the s2_matrix reference, eigenvalues of R are clamped into
 #: [EPS_CLAMP, 1 - EPS_CLAMP] before log
@@ -161,6 +161,18 @@ def dense_dft_conjugate(A: np.ndarray) -> np.ndarray:
     """U* A U from the dense DFT unitary ``dft_unitary(m)``, for odd m."""
     U = dft_unitary(A.shape[0])
     return U.conj().T @ A @ U
+
+
+def circulant_by_coeff_loop(a: SpectralDensity, m: int) -> SymbolMatrix:
+    """``circulant_from_density`` with its representing vector filled lag by lag."""
+    half = (m - 1) // 2
+    c = np.zeros(m, dtype=complex)
+    for i in range(half + 1):
+        c[i] = a.coeff(-i)
+    for i in range(half + 1, m):
+        c[i] = a.coeff(m - i)
+    idx = np.arange(m)
+    return SymbolMatrix(c[(idx[:, None] - idx[None, :]) % m], tag="circulant")
 
 
 def diagonalization_residue(a: SpectralDensity, m: int) -> float:

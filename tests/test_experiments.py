@@ -210,6 +210,14 @@ class TestStateApproximation:
         ents = [r.value for r in rep.rows if r.label == "relative_entropy"]
         assert ents == sorted(ents, reverse=True)
 
+    def test_small_entropy_matches_exact_value(self):
+        # mpmath 1.3 at 40 digits: eigsy of the same float A_64 and circulant
+        # block, then sum_ij |V1' V2|^2_ij KL(Geo(p1_i) || Geo(p2_j))
+        exact = 8.51213775573510503380729155006e-11
+        rep = audit_state_approximation(LIFTED_GEOM, 64, 79)
+        ent = [r.value for r in rep.rows if r.label == "relative_entropy"][0]
+        assert ent == pytest.approx(exact, rel=1e-8, abs=0.0)
+
     def test_pinsker_row_sqrt(self):
         rep = audit_state_approximation(LIFTED_GEOM, 32, 35)
         ent = [r.value for r in rep.rows if r.label == "relative_entropy"][0]

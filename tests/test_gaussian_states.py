@@ -168,9 +168,9 @@ class TestOneEigensolvePerSymbol:
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         return calls
@@ -181,15 +181,28 @@ class TestOneEigensolvePerSymbol:
         A2 = SymbolMatrix(random_faithful_symbol(5, rng))
         solves.clear()  # the test symbols are built with eigvalsh
         S = relative_entropy(A1, A2)
-        assert solves == ["eigh", "eigh"]
+        assert solves == [("eigh", (5, 5))] * 2
         assert relative_entropy(A1, A2) == S
-        assert solves == ["eigh", "eigh"]
+        assert solves == [("eigh", (5, 5))] * 2
+
+    def test_relative_entropy_reuses_each_split_toeplitz_spectrum(self, solves):
+        # a real Toeplitz symbol is solved once, as two half-size real problems
+        T1 = toeplitz_from_density(SpectralDensity([3.0, 0.5, 0.25]), 7)
+        T2 = toeplitz_from_density(SpectralDensity([3.5, -0.4]), 7)
+        S = relative_entropy(T1, T2)
+        halves = [("eigh", (4, 4)), ("eigh", (3, 3))]
+        assert solves == halves * 2
+        assert relative_entropy(T1, T2) == S
+        assert relative_entropy(T2, T1) > 0.0
+        assert solves == halves * 2
 
     def test_audit_ladder_solves_the_toeplitz_symbol_once(self, solves):
+        # A_64 and the three circulant blocks: each decomposed once, as two
+        # real 32 x 32 solves
         a = SpectralDensity(
             np.concatenate([[2.0], [2.0 ** -k for k in range(1, 21)]]).astype(complex))
         audit_state_approximation(a, 64, [67, 71, 79])
-        assert solves == ["eigh"] * 4
+        assert solves == [("eigh", (32, 32))] * 8
 
 
 class TestS2Matrix:

@@ -223,6 +223,15 @@ class TestSerialization:
 
 
 class TestConstruction:
+    def test_equality_and_hash_follow_coefficient_bytes(self):
+        a = SpectralDensity.cosine(2.0, 0.5)
+        same = SpectralDensity([2.0, 0.25], label="other")
+        assert a == same and hash(a) == hash(same)
+        assert len({a, same}) == 1
+        assert a != SpectralDensity([2.0, 0.25, 0.0])
+        assert a != SpectralDensity([2.0, 0.5])
+        assert a.__eq__(a.coeffs) is NotImplemented
+
     def test_from_function_recovers_coefficients(self):
         a = SpectralDensity.from_function(lambda w: 2.0 + np.cos(w), k_max=4)
         np.testing.assert_allclose(a.coeffs[:2], [2.0, 0.5], atol=1e-12)

@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qsts.errors import DimensionError, InputError, NotCirculant, NotToeplitz, RangeError
-from qsts.spectral import SpectralDensity, eval_density, fourier_frequencies
+from qsts.spectral import SpectralDensity, density_grid, eval_density, fourier_frequencies
 from qsts.toeplitz import (
     SymbolMatrix,
     abs_square,
+    circulant_block,
     circulant_eigs,
     circulant_from_density,
     dft_unitary,
@@ -20,7 +22,12 @@ from qsts.toeplitz import (
     toeplitz_from_density,
 )
 
-from oracles import dense_dft_conjugate, diagonalization_residue, op_norm
+from oracles import (
+    circulant_by_coeff_loop,
+    dense_dft_conjugate,
+    diagonalization_residue,
+    op_norm,
+)
 
 COS_2_05 = SpectralDensity.from_coeff_map({0: 2.0, 1: 0.5})   # 2 + cos w
 COS_2_HALF = SpectralDensity.cosine(2.0, 0.5)                 # 2 + 0.5 cos w
@@ -41,6 +48,16 @@ class TestSymbolMatrix:
             SymbolMatrix(np.array([[2.0, bad], [bad, 2.0]]))
         with pytest.raises(InputError, match="finite"):
             SymbolMatrix(np.diag([bad, 2.0]))
+
+    def test_equality_and_hash_follow_tag_shape_and_entry_bytes(self):
+        A = toeplitz_from_density(GEOM, 6)
+        same = SymbolMatrix(A.entries.copy(), tag="toeplitz", label="other")
+        assert A == same and hash(A) == hash(same)
+        assert len({A, same}) == 1
+        assert A != SymbolMatrix(A.entries, tag="general")
+        assert A != toeplitz_from_density(GEOM, 5)
+        assert A != toeplitz_from_density(COS_2_05, 6)
+        assert A.__eq__(A.entries) is NotImplemented
 
     def test_overflow_when_hermitizing_rejected(self):
         # finite entries whose Hermitized sum overflows once gave inf+nanj entries
@@ -123,6 +140,16 @@ class TestToeplitzBuild:
         small = toeplitz_from_density(GEOM, 5)
         np.testing.assert_allclose(principal_submatrix(big, 5).entries,
                                    small.entries, atol=0)
+
+    def test_principal_block_keeps_signed_zeros(self):
+        # Hermitizing the block again turned the -0.0 of a_1 into +0.0, so
+        # the dense block and circulant_block differed in their bytes
+        a = SpectralDensity(np.array([0.0, complex(-0.0, 0.0)]))
+        C = circulant_from_density(a, 3)
+        block = principal_submatrix(C, 2)
+        assert block.tag == "general" and not block.entries.flags.writeable
+        assert block.entries.tobytes() == C.entries[:2, :2].tobytes()
+        assert block.entries.tobytes() == circulant_block(a, 3, 2).entries.tobytes()
 
 
 class TestToeplitzFirstRow:
@@ -355,3 +382,88 @@ class TestAbsSquare:
         for j in range(4):
             for k in range(4):
                 assert S[j, k] == pytest.approx(abs(M[j, k]) ** 2, abs=1e-14)
+
+
+def _density(draw, complex_coeffs: bool) -> SpectralDensity:
+    """Hypothesis draw: a density with K_max <= 20 and a_0 in [-2, 6]."""
+    part = st.floats(-1.0, 1.0, allow_nan=False)
+    k_max = draw(st.integers(0, 20))
+    re = draw(st.lists(part, min_size=k_max, max_size=k_max))
+    im = draw(st.lists(part, min_size=k_max, max_size=k_max)) if complex_coeffs else [0.0] * k_max
+    a0 = draw(st.floats(-2.0, 6.0, allow_nan=False))
+    return SpectralDensity(np.array([a0] + [complex(x, y) for x, y in zip(re, im)]))
+
+
+@st.composite
+def toeplitz_symbols(draw):
+    a = _density(draw, draw(st.booleans()))
+    return a, toeplitz_from_density(a, draw(st.integers(1, 80)))
+
+
+@st.composite
+def general_symbols(draw):
+    """Entry-by-entry Hermitian symbols: complex, real, and real with A == J A J."""
+    n = draw(st.integers(1, 80))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = gen.normal(size=(n, n))
+    kind = draw(st.sampled_from(["complex", "real", "centrosymmetric"]))
+    if kind == "complex":
+        M = M + 1j * gen.normal(size=(n, n))
+    elif kind == "centrosymmetric":
+        M = M + M[::-1, ::-1]
+    return SymbolMatrix(0.5 * (M + M.conj().T))
+
+
+class TestSpectrumProperties:
+    """The cached spectrum, split or not, against the dense definitions."""
+
+    @staticmethod
+    def check_decomposition(A: SymbolMatrix):
+        lams, V = A.spectrum
+        E = np.array(A.entries)
+        tol = 1e-12 * (1.0 + np.linalg.norm(E, 2))
+        assert not lams.flags.writeable and not V.flags.writeable
+        assert np.all(np.diff(lams) >= 0.0)
+        assert np.max(np.abs((V * lams) @ V.conj().T - E)) <= tol
+        assert np.max(np.abs(V.conj().T @ V - np.eye(A.n))) <= 1e-12
+        assert np.max(np.abs(lams - np.linalg.eigvalsh(E))) <= tol
+        return lams, V
+
+    @given(toeplitz_symbols())
+    def test_toeplitz_spectrum(self, case):
+        a, A = case
+        lams, V = self.check_decomposition(A)
+        if not A.entries.imag.any():
+            assert V.dtype == float
+        # inf a <= lambda <= sup a, with the grid extremes widened by the
+        # rigorous grid error max|a''| h^2 / 2 (h = half the grid step)
+        ks = np.arange(a.k_max + 1)
+        grid = 8192
+        slack = np.sum(2.0 * ks ** 2 * np.abs(a.coeffs)) * (math.pi / grid) ** 2 / 2.0
+        _, vals = density_grid(a, grid)
+        slack += 1e-12 * (1.0 + np.max(np.abs(vals)))
+        assert np.min(vals) - slack <= lams[0]
+        assert lams[-1] <= np.max(vals) + slack
+
+    @given(general_symbols())
+    def test_general_spectrum(self, A):
+        self.check_decomposition(A)
+
+
+class TestCirculantBuildProperties:
+    """The lag-built circulant forms, byte for byte against the dense ones."""
+
+    @given(st.data())
+    def test_circulant_equals_lag_loop_build(self, data):
+        a = _density(data.draw, data.draw(st.booleans()))
+        m = 2 * data.draw(st.integers(0, 45)) + 1
+        expect = circulant_by_coeff_loop(a, m)
+        assert circulant_from_density(a, m).entries.tobytes() == expect.entries.tobytes()
+
+    @given(st.data())
+    def test_circulant_block_equals_dense_block(self, data):
+        a = _density(data.draw, data.draw(st.booleans()))
+        m = 2 * data.draw(st.integers(0, 45)) + 1
+        n = data.draw(st.integers(1, m))
+        dense = principal_submatrix(circulant_from_density(a, m), n)
+        assert circulant_block(a, m, n).entries.tobytes() == dense.entries.tobytes()
