@@ -49,6 +49,11 @@ class SymbolMatrix:
     before or after Hermitizing, is an error.  ``toeplitz_from_density``
     instead checks its 2n - 1 lags and keeps ``entries`` as a read-only
     strided view of them, so the symbol costs O(n) memory.
+
+    ``==`` and ``hash`` compare tag, shape and entry bytes (not the label).
+    They cost O(n^2) time and memory on every call, also on a lag-built
+    symbol, whose view is copied out in full: do not compare or hash large
+    symbols.
     """
 
     entries: np.ndarray
@@ -92,18 +97,9 @@ class SymbolMatrix:
         if not np.array_equal(f, f[::-1].conj()):
             raise InputError("matrix is not Hermitian: a_{-k} != conj(a_k)")
         f.setflags(write=False)   # and with it the view over f
-        return cls._checked(_lag_view(f), "toeplitz", label, f)
-
-    @classmethod
-    def _checked(cls, entries: np.ndarray, tag: str, label: str = "",
-                 lags: np.ndarray | None = None) -> "SymbolMatrix":
-        """Symbol over read-only entries that are already checked and Hermitized.
-
-        Hermitizing again is not the identity: it can flip the sign of a zero.
-        """
         self = object.__new__(cls)
-        for name, value in (("entries", entries), ("tag", tag),
-                            ("label", label), ("_lags", lags)):
+        for name, value in (("entries", _lag_view(f)), ("tag", "toeplitz"),
+                            ("label", label), ("_lags", f)):
             object.__setattr__(self, name, value)
         return self
 
@@ -322,12 +318,12 @@ def circulant_eigs(C: SymbolMatrix) -> np.ndarray:
 
 
 def principal_submatrix(A: SymbolMatrix, n: int) -> SymbolMatrix:
-    """Upper-left n x n block, a read-only view of A's entries, tagged general."""
+    """Upper-left n x n block; the structure tag is downgraded to general."""
     if n < 1 or n > A.n:
         raise DimensionError(f"block size {n} outside 1..{A.n}")
     if n == A.n:
         return A
-    return SymbolMatrix._checked(A.entries[:n, :n], "general", A.label)
+    return SymbolMatrix(A.entries[:n, :n].copy(), tag="general", label=A.label)
 
 
 def abs_square(M: np.ndarray) -> np.ndarray:

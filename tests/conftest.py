@@ -1,18 +1,12 @@
-"""Shared pytest configuration: the Hypothesis profiles.
+"""Shared pytest configuration: the Hypothesis profile.
 
-The default profile is derandomized (the same examples on every run) and
-bounded, so that the whole suite stays near a minute; ``HYPOTHESIS_PROFILE=
-thorough`` draws more, random examples for a longer local search.
+The profile is derandomized (the same examples on every run) and bounded,
+so that the whole suite stays near a minute.
 """
-
-import os
 
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
     "default", max_examples=40, derandomize=True, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
-settings.register_profile(
-    "thorough", max_examples=1000, derandomize=False, deadline=None,
-    suppress_health_check=[HealthCheck.too_slow])
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+settings.load_profile("default")
