@@ -59,7 +59,6 @@ from .toeplitz import (
     dft_unitary,
     eigen_bracket_check,
     hs_distance,
-    principal_submatrix,
     toeplitz_circulant_gap,
     toeplitz_from_density,
 )

@@ -233,9 +233,13 @@ _G_SERIES = np.array([(-1.0) ** k / (k * (k - 1)) for k in range(9, 1, -1)])
 
 
 def _g(t: np.ndarray) -> np.ndarray:
-    """g(t) = (1 + t) log(1 + t) - t >= 0 for t > -1, without cancellation near 0."""
-    return np.where(np.abs(t) < 1e-2, t * t * np.polyval(_G_SERIES, t),
-                    (1.0 + t) * np.log1p(t) - t)
+    """g(t) = (1 + t) log(1 + t) - t >= 0 for t > -1, by the series only where |t| < 1e-2."""
+    out = np.asarray((1.0 + t) * np.log1p(t) - t)
+    small = np.abs(t) < 1e-2
+    if small.any():
+        ts = t[small]
+        out[small] = ts * ts * np.polyval(_G_SERIES, ts)
+    return out
 
 
 def geo_kl(a1, a2):

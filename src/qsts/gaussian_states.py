@@ -7,11 +7,13 @@ eigendecomposition.  In that eigenbasis the state is a product of thermal
 modes with laws Geo(p(l_i)), so the relative entropy is the mixing-weighted
 geometric KL sum_ij |V1* V2|^2_ij KL(Geo(p(l1_i)) || Geo(p(l2_j))), with no
 matrix log and no clamp; ``s2_matrix`` in ``tests/oracles.py`` keeps the
-operator trace formula as the reference.  For real centrosymmetric symbols
-(every Toeplitz symbol of a real density) V is real, from two half-size
-real solves, and V1* V2 is a real product.  No Fock-space density operator is
-ever materialized; the one exception is the photon number law of a single
-thermal mode.
+operator trace formula as the reference.  Two real centrosymmetric symbols
+(every Toeplitz symbol of a real density) have real eigenvectors of two
+parities, symmetric and skew, and V1* V2 vanishes between parities; the sum
+then runs per parity block over the half-size solves
+(``SymbolMatrix.halves``), and no full V is built.  No Fock-space density
+operator is ever materialized; the one exception is the photon number law
+of a single thermal mode.
 """
 
 from __future__ import annotations
@@ -63,20 +65,27 @@ def relative_entropy(A1, A2, eps_faithful: float = EPS_FAITHFUL) -> float:
         S = sum_ij |V1* V2|^2_ij KL(Geo(p(l1_i)) || Geo(p(l2_j))),
 
     which equals Re Tr[(I + Q1) s2_matrix(R1, R2)], the operator reference
-    in ``tests/oracles.py``.  Every term is nonnegative, so S is real and
+    in ``tests/oracles.py``.  When both symbols have ``halves``, the
+    overlaps between a symmetric and a skew eigenvector are zero, and the
+    sum is taken over the symmetric and the skew block, each with the
+    half-size overlap W1^T W2.  Every term is nonnegative, so S is real and
     >= 0 by construction.  Both symbols must be strictly faithful:
     lambda_min(A) > 1 + eps_faithful.
     """
     A1, A2 = as_symbol(A1), as_symbol(A2)
     if A1.n != A2.n:
         raise SpectralRangeError("symbols must have equal dimension")
-    (l1, V1), (l2, V2) = A1.spectrum, A2.spectrum
-    for lams in (l1, l2):
-        if lams[0] <= 1.0 + eps_faithful:
+    for A in (A1, A2):
+        lam_min = A.eigenvalues[0]
+        if lam_min <= 1.0 + eps_faithful:
             raise NotFaithful(
-                f"lambda_min(A) = {lams[0]:.12g} is not above 1 + {eps_faithful:g}")
-    P = abs_square(V1.conj().T @ V2)
-    return float(np.sum(P * geo_kl(l1[:, None], l2[None, :])))
+                f"lambda_min(A) = {lam_min:.12g} is not above 1 + {eps_faithful:g}")
+    if A1.halves is not None and A2.halves is not None:
+        blocks = zip(A1.halves, A2.halves)
+    else:
+        blocks = [(A1.spectrum, A2.spectrum)]
+    return float(sum(np.sum(abs_square(V1.conj().T @ V2) * geo_kl(l1[:, None], l2[None, :]))
+                     for (l1, V1), (l2, V2) in blocks))
 
 
 def pinsker_trace_bound(A1, A2, eps_faithful: float = EPS_FAITHFUL) -> float:
@@ -107,7 +116,7 @@ def entropy_symbol_bound(A1, A2, lam: float) -> SymbolBoundReport:
         raise RangeError("lam must lie in (1/2, 1)")
     A1, A2 = as_symbol(A1), as_symbol(A2)
     for what, A in (("R1 bracket", A1), ("R2 bracket", A2)):
-        lams = A.spectrum[0]
+        lams = A.eigenvalues
         _check_r_open_interval((lams - 1.0) / (lams + 1.0), 1.0 - lam, lam, what)
     delta = min((1.0 - lam) / 2.0, (1.0 - lam) ** 3 / (8.0 * lam))
     h_norm = hs_distance(r_from_symbol(A1), r_from_symbol(A2))

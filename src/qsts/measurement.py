@@ -150,7 +150,7 @@ def pi_moments(A) -> tuple[np.ndarray, np.ndarray]:
     faithful symbol (lambda_min(A) > 1).
     """
     A = as_symbol(A)
-    lam_min = float(A.spectrum[0][0])
+    lam_min = float(A.eigenvalues[0])
     if lam_min <= 1.0:
         raise NotFaithful(f"pi moments need lambda_min(A) > 1, got {lam_min:.6g}")
     D = _dft_conjugate(A.entries)

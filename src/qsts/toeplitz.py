@@ -6,11 +6,15 @@ approximant shares the central Fourier band and is diagonalized exactly by
 a reordered DFT unitary, which is what turns the state into a product of
 thermal modes.
 
-Each symbol is diagonalized once (``SymbolMatrix.spectrum``).  A real
-symmetric Toeplitz matrix commutes with the reversal J, so a real symbol
-with A == J A J (every Toeplitz symbol of a real density, and its circulant
-block) splits into two half-size real symmetric eigenproblems, for the
-symmetric and the skew-symmetric eigenvectors, and its V is real.
+Each symbol is diagonalized once.  A real symmetric Toeplitz matrix
+commutes with the reversal J, so a real symbol with A == J A J (every
+Toeplitz symbol of a real density, and its circulant block) splits into two
+half-size real symmetric eigenproblems, for the symmetric and the
+skew-symmetric eigenvectors (``SymbolMatrix.halves``).  Readers of the
+eigenvalues alone (``SymbolMatrix.eigenvalues``) and the relative entropy
+work from the halves; the full ``SymbolMatrix.spectrum`` (lams, V), with V
+real, is assembled from them only when a consumer asks for it.  Any other
+symbol takes one complex ``eigh``.
 """
 
 from __future__ import annotations
@@ -46,9 +50,12 @@ class SymbolMatrix:
     "general"); operations that need the structure check the tag.  Entries
     given one by one (directly or from JSON) are checked and Hermitized here,
     in O(n^2): an asymmetry above 1e-12, or an entry that is non-finite
-    before or after Hermitizing, is an error.  ``toeplitz_from_density``
-    instead checks its 2n - 1 lags and keeps ``entries`` as a read-only
-    strided view of them, so the symbol costs O(n) memory.
+    before or after Hermitizing, is an error.  Entries that are already
+    Hermitian exactly are kept as given, signed zeros included, so
+    rebuilding a symbol from its own entries gives an equal symbol.
+    ``toeplitz_from_density`` instead checks its 2n - 1 lags and keeps
+    ``entries`` as a read-only strided view of them, so the symbol costs
+    O(n) memory.
 
     ``==`` and ``hash`` compare tag, shape and entry bytes (not the label).
     They cost O(n^2) time and memory on every call, also on a lag-built
@@ -76,9 +83,11 @@ class SymbolMatrix:
         if gap > _HERMITIZE_TOL * (1.0 + scale):
             raise InputError(f"matrix is not Hermitian (asymmetry {gap:g})")
         with np.errstate(over="ignore", invalid="ignore"):
-            e = 0.5 * (e + eh)
-        if not np.isfinite(e).all():
+            h = 0.5 * (e + eh)
+        if not np.isfinite(h).all():
             raise InputError("matrix entries must be finite after Hermitizing")
+        # 0.5 * (e + e^H) flips signed zeros, so exact Hermitian input is kept
+        e = h if gap > 0.0 else e.copy()
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -86,16 +95,16 @@ class SymbolMatrix:
     def _from_lags(cls, full: np.ndarray, label: str = "") -> "SymbolMatrix":
         """Toeplitz symbol with entry (j, k) = full[n - 1 + k - j], checked in O(n).
 
-        ``full`` (length 2n - 1) must equal its reversed conjugate exactly.
-        It is Hermitized as 0.5 * (full + full): bit for bit what
-        ``__post_init__`` makes of the n x n entries, signed zeros included.
+        ``full`` (length 2n - 1) must equal its reversed conjugate exactly, so,
+        like exactly Hermitian entries in ``__post_init__``, it is kept as given.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            f = 0.5 * (full + full)
-        if not np.isfinite(f).all():
+            finite = np.isfinite(full + full).all()
+        if not finite:
             raise InputError("matrix entries must be finite after Hermitizing")
-        if not np.array_equal(f, f[::-1].conj()):
+        if not np.array_equal(full, full[::-1].conj()):
             raise InputError("matrix is not Hermitian: a_{-k} != conj(a_k)")
+        f = full.copy()
         f.setflags(write=False)   # and with it the view over f
         self = object.__new__(cls)
         for name, value in (("entries", _lag_view(f)), ("tag", "toeplitz"),
@@ -120,22 +129,51 @@ class SymbolMatrix:
         return hash(self._key())
 
     @cached_property
+    def halves(self) -> tuple | None:
+        """``_centro_halves`` of a real symbol with A == J A J, else None (read-only).
+
+        A lag-built symbol has A == J A J exactly when its lags are real, an
+        O(n) test; one given entry by entry is compared with J A J in O(n^2).
+        """
+        e = self.entries
+        if self._lags is not None:
+            centro = not self._lags.imag.any()
+        else:
+            centro = not e.imag.any() and np.array_equal(e, e[::-1, ::-1])
+        if not centro:
+            return None
+        try:
+            halves = _centro_halves(e.real)
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure(str(exc)) from exc
+        for arr in (*halves[0], *halves[1]):
+            arr.setflags(write=False)
+        return halves
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues (read-only); a split symbol merges its halves, with no V."""
+        if self.halves is None:
+            return self.spectrum[0]
+        (ls, _), (lk, _) = self.halves
+        lams = np.sort(np.concatenate((ls, lk)), kind="stable")
+        lams.setflags(write=False)
+        return lams
+
+    @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and eigenvectors, solved once per symbol (read-only).
 
-        Real entries with A == J A J exactly (J the reversal; every Toeplitz
-        symbol of a real density) take ``_centro_eigh``: two half-size real
-        symmetric solves, and V is real.  Any other symbol takes one complex
-        ``eigh``.
+        A symbol with ``halves`` assembles them by ``_centro_spectrum``, and
+        V is real.  Any other symbol takes one complex ``eigh``.
         """
-        e = self.entries
-        try:
-            if not e.imag.any() and np.array_equal(e, e[::-1, ::-1]):
-                lams, V = _centro_eigh(e.real)
-            else:
-                lams, V = np.linalg.eigh(e)
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailure(str(exc)) from exc
+        if self.halves is not None:
+            lams, V = _centro_spectrum(self.halves)
+        else:
+            try:
+                lams, V = np.linalg.eigh(self.entries)
+            except np.linalg.LinAlgError as exc:
+                raise EigenFailure(str(exc)) from exc
         lams.setflags(write=False)
         V.setflags(write=False)
         return lams, V
@@ -162,7 +200,7 @@ class SymbolMatrix:
         return cls(re + 1j * im, tag=tag)
 
 
-def _centro_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _centro_halves(A: np.ndarray) -> tuple:
     """``eigh`` of a real symmetric A with A == J A J, as two half-size solves.
 
     With h = n // 2, B = A[:h, :h] and C = (A J)[:h, :h], the symmetric
@@ -170,20 +208,26 @@ def _centro_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     skew ones [w; -J w]/sqrt 2 for those of B - C (Cantoni & Butler 1976).
     For odd n, B + C gains the middle row and column, scaled by sqrt 2, with
     the middle diagonal entry, and a symmetric vector is
-    [w_top/sqrt 2; w_mid; J w_top/sqrt 2].  The two eigenvalue sets are
-    merged ascending by a stable sort.
+    [w_top/sqrt 2; w_mid; J w_top/sqrt 2].  Either way the overlap of two
+    full vectors of one parity is the dot product of their half vectors.
+    Returns ((ls, Ws), (lk, Wk)), each pair ascending from ``eigh``.
     """
     n = A.shape[0]
     h, odd = divmod(n, 2)
-    r = math.sqrt(0.5)
     B, C = A[:h, :h], A[:h, ::-1][:, :h]
     S = np.empty((h + odd, h + odd))
     S[:h, :h] = B + C
     if odd:
         S[h, :h] = S[:h, h] = math.sqrt(2.0) * A[h, :h]
         S[h, h] = A[h, h]
-    ls, Ws = np.linalg.eigh(S)
-    lk, Wk = np.linalg.eigh(B - C)
+    return tuple(np.linalg.eigh(S)), tuple(np.linalg.eigh(B - C))
+
+
+def _centro_spectrum(halves: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Full (lams, V) from ``_centro_halves``, merged ascending by a stable sort."""
+    (ls, Ws), (lk, Wk) = halves
+    h, odd = lk.size, ls.size - lk.size
+    r = math.sqrt(0.5)
     top_s, top_k = r * Ws[:h], r * Wk
     V = np.block([[top_s, top_k],
                   [Ws[h:], np.zeros((odd, h))],
@@ -317,15 +361,6 @@ def circulant_eigs(C: SymbolMatrix) -> np.ndarray:
     return vals.real
 
 
-def principal_submatrix(A: SymbolMatrix, n: int) -> SymbolMatrix:
-    """Upper-left n x n block; the structure tag is downgraded to general."""
-    if n < 1 or n > A.n:
-        raise DimensionError(f"block size {n} outside 1..{A.n}")
-    if n == A.n:
-        return A
-    return SymbolMatrix(A.entries[:n, :n].copy(), tag="general", label=A.label)
-
-
 def abs_square(M: np.ndarray) -> np.ndarray:
     """Entrywise squared modulus |M_{jl}|^2 as a real matrix."""
     M = np.asarray(M)
@@ -361,7 +396,8 @@ def toeplitz_circulant_gap(a: SpectralDensity, n: int, m: int,
     dense = hs_distance(toeplitz_from_density(a, n), circulant_block(a, m, n)) ** 2
 
     ks = np.arange((m + 1) // 2, n)
-    diffs = np.array([a.coeff(k) - np.conj(a.coeff(m - k)) for k in ks])
+    full = a.full_coeffs(n - 1)   # a_k at full[n - 1 + k]
+    diffs = full[n - 1 + ks] - np.conj(full[n - 1 + m - ks])
     lag_sum = 2.0 * float(np.sum((n - ks) * np.abs(diffs) ** 2))
     if abs(dense - lag_sum) > 1e-10 * (1.0 + abs(dense)):
         raise EigenFailure(
@@ -378,7 +414,7 @@ def eigen_bracket_check(a: SpectralDensity, n: int, grid_size: int = 4096):
     over a uniform grid (endpoints included) refined by the exact minimum
     for small supports.  Returns (lambda_min, lambda_max, inf_a, sup_a, pass).
     """
-    lams = toeplitz_from_density(a, n).spectrum[0]
+    lams = toeplitz_from_density(a, n).eigenvalues
     lam_min, lam_max = float(lams[0]), float(lams[-1])
     _, vals = density_grid(a, grid_size, endpoint=True)
     inf_a, sup_a = float(np.min(vals)), float(np.max(vals))

@@ -363,6 +363,21 @@ class TestExactSeriesHelpers:
                 assert abs(value - oracle) <= 1e-12 * oracle
                 assert geo_kl(float(x), float(y)) == value
 
+    def test_g_equals_the_two_branch_form_bit_for_bit(self):
+        # the series is evaluated only where |t| < 1e-2; every value keeps
+        # the bits of the form that evaluates both branches everywhere
+        from qsts.distributions import _G_SERIES, _g
+
+        rng = np.random.default_rng(6)
+        t = np.concatenate((rng.uniform(-0.02, 0.02, 400), rng.uniform(-0.99, 9.0, 400),
+                            [0.0, -0.0, 1e-2, -1e-2, np.nextafter(1e-2, 0.0), 1e-300]))
+        both = np.where(np.abs(t) < 1e-2, t * t * np.polyval(_G_SERIES, t),
+                        (1.0 + t) * np.log1p(t) - t)
+        assert _g(t).tobytes() == both.tobytes()
+        assert _g(t.reshape(26, 31)).tobytes() == both.tobytes()
+        for x, value in zip(t[::40], both[::40]):
+            assert np.asarray(_g(np.asarray(x))).tobytes() == value.tobytes()
+
     def test_geo_kl_range(self):
         from qsts.distributions import geo_kl
 

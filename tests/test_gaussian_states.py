@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from qsts.distributions import geo_kl
 from qsts.errors import NotFaithful, RangeError, SpectralRangeError
 from qsts.experiments import audit_state_approximation
 from qsts.gaussian_states import (
@@ -14,7 +16,7 @@ from qsts.gaussian_states import (
     thermal_pmf,
 )
 from qsts.spectral import SpectralDensity
-from qsts.toeplitz import SymbolMatrix, toeplitz_from_density
+from qsts.toeplitz import SymbolMatrix, abs_square, circulant_block, toeplitz_from_density
 
 from oracles import geo_l1, s2_matrix
 
@@ -203,6 +205,74 @@ class TestOneEigensolvePerSymbol:
             np.concatenate([[2.0], [2.0 ** -k for k in range(1, 21)]]).astype(complex))
         audit_state_approximation(a, 64, [67, 71, 79])
         assert solves == [("eigh", (32, 32))] * 8
+
+
+def full_form(A1, A2):
+    """The entropy sum over all n^2 pairs of the assembled spectra."""
+    (l1, V1), (l2, V2) = A1.spectrum, A2.spectrum
+    return float(np.sum(abs_square(V1.conj().T @ V2) * geo_kl(l1[:, None], l2[None, :])))
+
+
+@st.composite
+def admissible_real_densities(draw):
+    """Real density with inf a > 1: a_0 exceeds 1 + 2 sum |a_k| by a margin."""
+    k_max = draw(st.integers(0, 12))
+    coeffs = draw(st.lists(st.floats(-1.0, 1.0), min_size=k_max, max_size=k_max))
+    margin = draw(st.floats(0.05, 3.0))
+    a0 = 1.0 + margin + 2.0 * sum(abs(c) for c in coeffs)
+    return SpectralDensity(np.array([a0] + coeffs, dtype=complex))
+
+
+class TestParityBlocks:
+    """The entropy of two real centrosymmetric symbols, summed per parity block."""
+
+    @given(admissible_real_densities(), admissible_real_densities(),
+           st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 48)))
+    @example(SpectralDensity([3.0, 0.5]), SpectralDensity([2.5, -0.4, 0.1]), 1)
+    @example(SpectralDensity([3.0, 0.5]), SpectralDensity([2.5, -0.4, 0.1]), 2)
+    @example(SpectralDensity([3.0, 0.5]), SpectralDensity([2.5, -0.4, 0.1]), 3)
+    def test_blocks_equal_the_full_form(self, a, b, n):
+        A1, A2 = toeplitz_from_density(a, n), toeplitz_from_density(b, n)
+        S = relative_entropy(A1, A2)
+        assert "spectrum" not in A1.__dict__ and "spectrum" not in A2.__dict__
+        full = full_form(A1, A2)
+        assert abs(S - full) <= 1e-13 * full + 1e-24
+
+    def test_lag_built_pair_leaves_the_full_spectrum_unbuilt(self):
+        a = SpectralDensity(np.array([2.0] + [2.0 ** -k for k in range(1, 21)]))
+        A, C = toeplitz_from_density(a, 64), circulant_block(a, 79, 64)
+        assert relative_entropy(A, C) > 0.0
+        for sym in (A, C):
+            assert "halves" in sym.__dict__ and "spectrum" not in sym.__dict__
+
+    @pytest.mark.parametrize("kind", ["complex", "general"])
+    def test_real_toeplitz_with_another_symbol_takes_the_full_form(self, kind):
+        n = 6
+        T = toeplitz_from_density(SpectralDensity([3.0, 0.5, 0.25]), n)
+        if kind == "complex":
+            other = toeplitz_from_density(SpectralDensity([3.5, 0.3 + 0.4j]), n)
+        else:
+            other = SymbolMatrix(random_faithful_symbol(n, np.random.default_rng(3)).real)
+        assert T.halves is not None and other.halves is None
+        for A1, A2 in ((T, other), (other, T)):
+            assert relative_entropy(A1, A2) == full_form(A1, A2)
+        assert "spectrum" in T.__dict__
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 7])
+    @pytest.mark.parametrize("a1", [0.75, -0.75])
+    def test_not_faithful_from_either_half(self, n, a1):
+        # 1.5 + 1.5 cos w dips to 0; lambda_min = 1.5 - 1.5 cos(pi / (n + 1))
+        # has eigenvector (+-1)^j sin(pi j / (n + 1)), which is skew exactly
+        # for a_1 > 0 with n even, and symmetric otherwise
+        bad = toeplitz_from_density(SpectralDensity([1.5, a1]), n)
+        good = toeplitz_from_density(SpectralDensity([3.0, 0.25]), n)
+        (ls, _), (lk, _) = bad.halves
+        assert (lk[0] < ls[0]) == (a1 > 0 and n % 2 == 0)
+        assert min(ls[0], lk[0]) <= 1.0
+        for A1, A2 in ((bad, good), (good, bad)):
+            with pytest.raises(NotFaithful):
+                relative_entropy(A1, A2)
+        assert "spectrum" not in bad.__dict__
 
 
 class TestS2Matrix:

@@ -16,7 +16,6 @@ from qsts.toeplitz import (
     dft_unitary,
     eigen_bracket_check,
     hs_distance,
-    principal_submatrix,
     toeplitz_circulant_gap,
     toeplitz_first_row,
     toeplitz_from_density,
@@ -67,6 +66,22 @@ class TestSymbolMatrix:
                 SymbolMatrix(np.array([[1e308, 1.5e308], [1.5e308, 1e308]]))
             with pytest.raises(InputError, match="finite"):
                 toeplitz_from_density(SpectralDensity([1e308, 1e308]), 3)
+
+    @pytest.mark.parametrize("a1", [-0.0 + 0j, complex(-0.0, 0.0)])
+    def test_rebuild_from_entries_is_identity(self, a1):
+        # -0.0 + 0j is 0j in Python; complex(-0.0, 0.0) keeps the signed zero,
+        # which 0.5 * (e + e^H) used to flip
+        a = SpectralDensity(np.array([0.0, a1]))
+        for A in (circulant_from_density(a, 3), toeplitz_from_density(a, 3),
+                  circulant_block(a, 3, 2)):
+            rebuilt = SymbolMatrix(A.entries, tag=A.tag)
+            assert rebuilt == A and hash(rebuilt) == hash(A)
+
+    def test_entries_copied_when_kept_as_given(self):
+        M = np.diag([2.0, 3.0]).astype(complex)
+        A = SymbolMatrix(M)
+        M[0, 0] = 5.0
+        assert A.entries[0, 0] == 2.0 and M.flags.writeable
 
 
 class TestToeplitzBuild:
@@ -138,8 +153,7 @@ class TestToeplitzBuild:
     def test_nesting(self):
         big = toeplitz_from_density(GEOM, 12)
         small = toeplitz_from_density(GEOM, 5)
-        np.testing.assert_allclose(principal_submatrix(big, 5).entries,
-                                   small.entries, atol=0)
+        assert big.entries[:5, :5].tobytes() == small.entries.tobytes()
 
     def test_circulant_block_keeps_signed_zeros(self):
         # the -0.0 of a_1 must survive into the lag-built block
@@ -423,6 +437,11 @@ class TestSpectrumProperties:
         assert np.max(np.abs((V * lams) @ V.conj().T - E)) <= tol
         assert np.max(np.abs(V.conj().T @ V - np.eye(A.n))) <= 1e-12
         assert np.max(np.abs(lams - np.linalg.eigvalsh(E))) <= tol
+        assert A.eigenvalues.tobytes() == lams.tobytes()
+        # halves exactly for real centrosymmetric entries (from the lags in O(n)
+        # for a lag-built symbol)
+        centro = not E.imag.any() and np.array_equal(E, E[::-1, ::-1])
+        assert (A.halves is not None) == centro
         return lams, V
 
     @given(toeplitz_symbols())
@@ -444,6 +463,17 @@ class TestSpectrumProperties:
     @given(general_symbols())
     def test_general_spectrum(self, A):
         self.check_decomposition(A)
+
+    @given(st.one_of(toeplitz_symbols().map(lambda case: case[1]), general_symbols()))
+    def test_rebuild_from_entries_is_identity(self, A):
+        assert SymbolMatrix(A.entries, tag=A.tag) == A
+
+    @given(toeplitz_symbols())
+    def test_eigenvalues_leave_the_full_spectrum_unbuilt(self, case):
+        _, A = case
+        lams = A.eigenvalues
+        assert ("spectrum" in A.__dict__) == (A.halves is None)
+        assert lams.tobytes() == A.spectrum[0].tobytes()
 
 
 class TestCirculantBuildProperties:
