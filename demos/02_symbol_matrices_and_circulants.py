@@ -31,7 +31,7 @@ print("\ncirculant rows are cyclic shifts:")
 print(np.round(C.entries.real, 4))
 
 # exact diagonalization: eigenvalues are the truncated density at 2 pi j / m
-eigs = circulant_eigs(C)
+eigs = circulant_eigs(cos, 5)
 U = dft_unitary(5)
 resid = np.max(np.abs(U.conj().T @ C.entries @ U - np.diag(eigs)))
 print("\ncirculant eigenvalues:", np.round(eigs, 6))

@@ -225,7 +225,7 @@ def cmd_density_membership(args):
 def cmd_symbol_build(args):
     a = parse_density(args.density)
     if args.circulant:
-        M = circulant_from_density(a, args.m if args.m else args.n)
+        M = circulant_from_density(a, args.m if args.m is not None else args.n)
     else:
         M = toeplitz_from_density(a, args.n)
     _emit(args, _json_dump(M.to_json()))
@@ -234,7 +234,7 @@ def cmd_symbol_build(args):
 @command("symbol", "eigs", "circulant eigenvalues a~_m(2 pi j / m)",
          DENSITY, arg("--m", type=int, required=True))
 def cmd_symbol_eigs(args):
-    eigs = circulant_eigs(circulant_from_density(parse_density(args.density), args.m))
+    eigs = circulant_eigs(parse_density(args.density), args.m)
     _emit(args, "\n".join(f"{v:.15g}" for v in eigs))
 
 

@@ -143,13 +143,14 @@ def chernoff_geo(a0: float, a1: float, t: float) -> float:
     return -math.log(0.5 * bracket)
 
 
-def _golden_section_min(fn, lo: float, hi: float, tol: float = 1e-10):
+def _guarded_infimum(fn):
+    """Golden section on [0, 1] to width 1e-10, cross-checked against a 101-point grid."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 0.0, 1.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -158,24 +159,19 @@ def _golden_section_min(fn, lo: float, hi: float, tol: float = 1e-10):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-def _guarded_infimum(fn, tol: float = 1e-10, grid: int = 101):
-    """Golden section on [0,1] cross-checked against a grid minimum."""
-    ts = np.linspace(0.0, 1.0, grid)
+    t_star = 0.5 * (a + b)
+    v_star = fn(t_star)
+    ts = np.linspace(0.0, 1.0, 101)
     vals = np.array([fn(t) for t in ts])
     i = int(np.argmin(vals))
-    t_star, v_star = _golden_section_min(fn, 0.0, 1.0, tol)
     if vals[i] < v_star:
         t_star, v_star = float(ts[i]), float(vals[i])
     return t_star, v_star
 
 
-def chernoff_geo_inf(a0: float, a1: float, tol: float = 1e-10):
+def chernoff_geo_inf(a0: float, a1: float):
     """Infimum over t in [0, 1] of chernoff_geo; returns (t*, value)."""
-    return _guarded_infimum(lambda t: chernoff_geo(a0, a1, t), tol)
+    return _guarded_infimum(lambda t: chernoff_geo(a0, a1, t))
 
 
 def chernoff_quantum(a0: SpectralDensity, a1: SpectralDensity, t: float,
@@ -202,10 +198,9 @@ def chernoff_quantum(a0: SpectralDensity, a1: SpectralDensity, t: float,
     return float(-np.mean(np.log(0.5 * bracket)))
 
 
-def chernoff_quantum_inf(a0: SpectralDensity, a1: SpectralDensity,
-                         tol: float = 1e-10, grid: int = 4096):
+def chernoff_quantum_inf(a0: SpectralDensity, a1: SpectralDensity):
     """Infimum over t in [0, 1] of chernoff_quantum; returns (t*, value)."""
-    return _guarded_infimum(lambda t: chernoff_quantum(a0, a1, t, grid), tol)
+    return _guarded_infimum(lambda t: chernoff_quantum(a0, a1, t))
 
 
 def varstab_arccosh(a: float) -> float:

@@ -50,6 +50,9 @@ _BOUND_SLACK = 1e-9
 #: distinct (theta, d) covariance roots kept per process by simulate_hetero_normal
 _ROOT_CACHE_SIZE = 32
 
+#: NB(1/pieces, p) draws summed per sufficiency draw
+_NB_PIECES = 8
+
 
 def _p_of(value: float) -> float:
     if value < 1.0:
@@ -218,16 +221,15 @@ def _hellinger_sum(levels: np.ndarray, J: np.ndarray) -> float:
         hellinger_geo_exact_p(_p_of(x), _p_of(y)) for x, y in zip(levels, J)))
 
 
-def nb_sufficiency_test(p: float, draws: int, stream: RngStream,
-                        pieces: int = 8):
-    """Chi-square two-sample test: sum of ``pieces`` NB(1/pieces, p) vs Geo(p).
+def nb_sufficiency_test(p: float, draws: int, stream: RngStream):
+    """Chi-square two-sample test: sum of 8 NB(1/8, p) vs Geo(p).
 
     Returns (statistic, critical value at alpha = 0.001, p-value).  Bins are
     merged from the right until every expected count is at least 5; fewer
     than two bins left raises DegenerateSamples.
     """
     gen = stream.generator()
-    sums = np.sum(nb_sample(1.0 / pieces, p, gen, size=(draws, pieces)), axis=1)
+    sums = np.sum(nb_sample(1.0 / _NB_PIECES, p, gen, size=(draws, _NB_PIECES)), axis=1)
     geo = Geometric(p).sample(gen, size=draws)
     top = int(max(sums.max(), geo.max()))
     table = _merge_short_bins(np.vstack([np.bincount(sums, minlength=top + 1),
@@ -286,15 +288,14 @@ def _pearson_2xk(table: np.ndarray):
 
 
 def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],
-                          seed: int = 20240801,
-                          final_threshold: float = 0.05) -> AuditReport:
+                          seed: int = 20240801) -> AuditReport:
     """Hellinger-sum decay audit over a ladder of odd sizes.
 
     Per n: (i) the circulant-grid vs cell-average geometric regression sum
     and (ii) the point vs cell-average sum, both exact.  One extra row runs
     the negative-binomial sufficiency two-sample test.  Pass requires both
-    sums strictly decreasing along the ladder with final values below the
-    threshold, and the chi-square below its 0.001 critical value.
+    sums strictly decreasing along the ladder with final values below 0.05,
+    and the chi-square below its 0.001 critical value.
     """
     ns = [int(n) for n in n_list]
     if any(n % 2 == 0 for n in ns):
@@ -310,10 +311,9 @@ def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],
         sums_i.append(s1)
         sums_ii.append(s2)
         last = n == ns[-1]
-        report.add("hellinger_circulant_vs_avg", n, n, s1,
-                   final_threshold if last else math.nan)
-        report.add("hellinger_points_vs_avg", n, n, s2,
-                   final_threshold if last else math.nan)
+        limit = 0.05 if last else math.nan
+        report.add("hellinger_circulant_vs_avg", n, n, s1, limit)
+        report.add("hellinger_points_vs_avg", n, n, s2, limit)
     def worst_ratio(seq):
         # exact zeros (constant density) count as trivially decreasing
         pairs = [(x, y) for x, y in zip(seq, seq[1:])]
@@ -328,7 +328,7 @@ def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],
     mid = float(np.median(np.asarray(eval_density(a, np.array([0.0])))))
     p_mid = _p_of(mid)
     chi2, crit, p_value = nb_sufficiency_test(p_mid, 50_000, RngStream(seed, 0))
-    report.add("nb_sufficiency_chi2", ns[-1], 8, chi2, crit)
+    report.add("nb_sufficiency_chi2", ns[-1], _NB_PIECES, chi2, crit)
     report.meta["nb_sufficiency_p_value"] = p_value
     return report
 

@@ -57,7 +57,7 @@ def _check_r_open_interval(lams: np.ndarray, lo: float, hi: float, what: str):
             f"not inside ({lo:g}, {hi:g})")
 
 
-def relative_entropy(A1, A2, eps_faithful: float = EPS_FAITHFUL) -> float:
+def relative_entropy(A1, A2) -> float:
     """Relative entropy S(rho_1 || rho_2) between the states with these symbols.
 
     With the cached spectra A_k = V_k diag(l_k) V_k*,
@@ -70,16 +70,16 @@ def relative_entropy(A1, A2, eps_faithful: float = EPS_FAITHFUL) -> float:
     sum is taken over the symmetric and the skew block, each with the
     half-size overlap W1^T W2.  Every term is nonnegative, so S is real and
     >= 0 by construction.  Both symbols must be strictly faithful:
-    lambda_min(A) > 1 + eps_faithful.
+    lambda_min(A) > 1 + EPS_FAITHFUL.
     """
     A1, A2 = as_symbol(A1), as_symbol(A2)
     if A1.n != A2.n:
         raise SpectralRangeError("symbols must have equal dimension")
     for A in (A1, A2):
         lam_min = A.eigenvalues[0]
-        if lam_min <= 1.0 + eps_faithful:
+        if lam_min <= 1.0 + EPS_FAITHFUL:
             raise NotFaithful(
-                f"lambda_min(A) = {lam_min:.12g} is not above 1 + {eps_faithful:g}")
+                f"lambda_min(A) = {lam_min:.12g} is not above 1 + {EPS_FAITHFUL:g}")
     if A1.halves is not None and A2.halves is not None:
         blocks = zip(A1.halves, A2.halves)
     else:
@@ -88,9 +88,9 @@ def relative_entropy(A1, A2, eps_faithful: float = EPS_FAITHFUL) -> float:
                      for (l1, V1), (l2, V2) in blocks))
 
 
-def pinsker_trace_bound(A1, A2, eps_faithful: float = EPS_FAITHFUL) -> float:
+def pinsker_trace_bound(A1, A2) -> float:
     """sqrt(2 S(rho_1 || rho_2)), an upper bound on the trace distance."""
-    return math.sqrt(2.0 * relative_entropy(A1, A2, eps_faithful))
+    return math.sqrt(2.0 * relative_entropy(A1, A2))
 
 
 class SymbolBoundReport(NamedTuple):

@@ -15,16 +15,13 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import HermitianSymmetryViolation, InputError, RangeError
 
 TWO_PI = 2.0 * math.pi
-
-#: quadrature size used when building coefficients from a callable
-_FROM_FUNCTION_GRID = 8192
 
 #: grid used for sup-norm reports
 _SUP_GRID = 4096
@@ -118,23 +115,6 @@ class SpectralDensity:
         return cls(np.array([a0, a1 / 2.0], dtype=complex),
                    label=label or f"cos:{a0:g},{a1:g}")
 
-    @classmethod
-    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], k_max: int,
-                      label: str = "") -> "SpectralDensity":
-        """Fourier coefficients of a callable by periodic trapezoid quadrature.
-
-        a_k = (1/2 pi) int exp(-i k w) a(w) dw on an 8192-point uniform grid;
-        the integrand is periodic so the rule is spectrally accurate.  Only
-        k >= 0 is computed, which enforces Hermitian symmetry exactly.
-        """
-        w = -math.pi + TWO_PI * np.arange(_FROM_FUNCTION_GRID) / _FROM_FUNCTION_GRID
-        vals = np.asarray(fn(w), dtype=float)
-        ks = np.arange(k_max + 1)
-        phases = np.exp(-1j * np.outer(ks, w))
-        c = phases @ vals / _FROM_FUNCTION_GRID
-        c[0] = c[0].real
-        return cls(c, label=label)
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -173,15 +153,15 @@ class SpectralDensity:
     def from_json(cls, obj: dict, label: str = "") -> "SpectralDensity":
         try:
             kmax = int(obj["K_max"])
-            entries = obj["coeffs"]
-        except (KeyError, TypeError) as exc:
+            lags = [(int(e["k"]), complex(float(e["re"]), float(e["im"])))
+                    for e in obj["coeffs"]]
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed density JSON: {exc}") from exc
         c = np.zeros(kmax + 1, dtype=complex)
-        for e in entries:
-            k = int(e["k"])
+        for k, v in lags:
             if k < 0 or k > kmax:
                 raise InputError(f"density JSON stores lag {k} outside 0..{kmax}")
-            c[k] = float(e["re"]) + 1j * float(e["im"])
+            c[k] = v
         return cls(c, label=label)
 
 
@@ -327,12 +307,10 @@ def eval_density(a: SpectralDensity, omega) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def density_grid(a: SpectralDensity, size: int = _SUP_GRID, endpoint: bool = True):
-    """Values of a on a uniform grid over [-pi, pi]; returns (omegas, values)."""
-    if endpoint:
-        w = np.linspace(-math.pi, math.pi, size + 1)
-    else:
-        w = -math.pi + TWO_PI * np.arange(size) / size
+def density_grid(a: SpectralDensity, size: int = _SUP_GRID):
+    """Values of a on ``size`` + 1 uniform points over [-pi, pi], both endpoints
+    included; returns (omegas, values)."""
+    w = np.linspace(-math.pi, math.pi, size + 1)
     return w, eval_density(a, w)
 
 
@@ -343,7 +321,7 @@ def density_min(a: SpectralDensity, grid_size: int = 1024):
     z = exp(i w), so the global minimum is found exactly; larger supports
     fall back to the grid (plus both endpoints).  Returns (min, argmin).
     """
-    w, vals = density_grid(a, grid_size, endpoint=True)
+    w, vals = density_grid(a, grid_size)
     i = int(np.argmin(vals))
     best_w, best = float(w[i]), float(vals[i])
     if a.k_max <= 2 and a.k_max >= 1:

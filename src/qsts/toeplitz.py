@@ -53,9 +53,9 @@ class SymbolMatrix:
     before or after Hermitizing, is an error.  Entries that are already
     Hermitian exactly are kept as given, signed zeros included, so
     rebuilding a symbol from its own entries gives an equal symbol.
-    ``toeplitz_from_density`` instead checks its 2n - 1 lags and keeps
-    ``entries`` as a read-only strided view of them, so the symbol costs
-    O(n) memory.
+    ``toeplitz_from_density``, ``circulant_from_density`` and
+    ``circulant_block`` instead check their 2n - 1 lags and keep ``entries``
+    as a read-only strided view of them, so the symbol costs O(n) memory.
 
     ``==`` and ``hash`` compare tag, shape and entry bytes (not the label).
     They cost O(n^2) time and memory on every call, also on a lag-built
@@ -66,7 +66,7 @@ class SymbolMatrix:
     entries: np.ndarray
     tag: str = "general"
     label: str = ""
-    # a_{-(n-1)} .. a_{n-1} under a lag-built Toeplitz symbol, else None
+    # the lags -(n-1) .. n-1 under a lag-built symbol, else None
     _lags: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -92,8 +92,9 @@ class SymbolMatrix:
         object.__setattr__(self, "entries", e)
 
     @classmethod
-    def _from_lags(cls, full: np.ndarray, label: str = "") -> "SymbolMatrix":
-        """Toeplitz symbol with entry (j, k) = full[n - 1 + k - j], checked in O(n).
+    def _from_lags(cls, full: np.ndarray, tag: str = "toeplitz",
+                   label: str = "") -> "SymbolMatrix":
+        """Symbol with entry (j, k) = full[n - 1 + k - j], checked in O(n).
 
         ``full`` (length 2n - 1) must equal its reversed conjugate exactly, so,
         like exactly Hermitian entries in ``__post_init__``, it is kept as given.
@@ -107,7 +108,7 @@ class SymbolMatrix:
         f = full.copy()
         f.setflags(write=False)   # and with it the view over f
         self = object.__new__(cls)
-        for name, value in (("entries", _lag_view(f)), ("tag", "toeplitz"),
+        for name, value in (("entries", _lag_view(f)), ("tag", tag),
                             ("label", label), ("_lags", f)):
             object.__setattr__(self, name, value)
         return self
@@ -197,7 +198,10 @@ class SymbolMatrix:
             raise InputError(f"malformed matrix JSON: {exc}") from exc
         if re.shape != (n, n) or im.shape != (n, n):
             raise DimensionError("matrix JSON dimensions do not match n")
-        return cls(re + 1j * im, tag=tag)
+        # re + 1j * im would turn every -0.0 imaginary part into +0.0
+        e = np.empty((n, n), dtype=complex)
+        e.real, e.imag = re, im
+        return cls(e, tag=tag)
 
 
 def _centro_halves(A: np.ndarray) -> tuple:
@@ -313,12 +317,12 @@ def circulant_from_density(a: SpectralDensity, m: int) -> SymbolMatrix:
 
     Column k of the matrix is the k-th cyclic shift of c, so the entry at
     (j, k) is c_{(j-k) mod m}; on the central band |k-j| <= (m-1)/2 this
-    agrees with the Toeplitz matrix of the truncated density.
+    agrees with the Toeplitz matrix of the truncated density.  It is built
+    by ``SymbolMatrix._from_lags`` from its 2m - 1 lags in O(m), like
+    ``circulant_block``, and keeps the tag "circulant".
     """
-    idx = np.arange(m)
-    c = _circulant_lags(a, m, -idx)
-    entries = c[(idx[:, None] - idx[None, :]) % m]
-    return SymbolMatrix(entries, tag="circulant", label=a.label)
+    return SymbolMatrix._from_lags(_circulant_lags(a, m, np.arange(1 - m, m)),
+                                   tag="circulant", label=a.label)
 
 
 def circulant_block(a: SpectralDensity, m: int, n: int) -> SymbolMatrix:
@@ -335,27 +339,14 @@ def circulant_block(a: SpectralDensity, m: int, n: int) -> SymbolMatrix:
                                    label=a.label)
 
 
-def representing_vector(C: SymbolMatrix) -> np.ndarray:
-    """First column of a circulant matrix, verifying the cyclic structure."""
-    if C.tag != "circulant":
-        raise NotCirculant(f"matrix tagged {C.tag!r}")
-    c = C.entries[:, 0]
-    idx = np.arange(C.n)
-    rebuilt = c[(idx[:, None] - idx[None, :]) % C.n]
-    if np.max(np.abs(rebuilt - C.entries)) > 1e-12 * (1 + np.max(np.abs(c))):
-        raise NotCirculant("entries are not cyclic shifts of the first column")
-    return c
-
-
-def circulant_eigs(C: SymbolMatrix) -> np.ndarray:
-    """Eigenvalues of a Hermitian circulant, indexed j = -(m-1)/2..(m-1)/2.
+def circulant_eigs(a: SpectralDensity, m: int) -> np.ndarray:
+    """Eigenvalues of ``circulant_from_density(a, m)``, indexed j = -(m-1)/2..(m-1)/2.
 
     eigenvalue_j = sum_s c_s exp(-i s w_{j,m}) at the Fourier frequencies: one
-    FFT of the representing vector, reordered to run from j = -(m-1)/2.  No
-    dense solve is involved (the dense eigendecomposition is kept as a test
-    oracle only).
+    FFT of the representing vector c, read from the lags in O(m log m) and
+    reordered to run from j = -(m-1)/2.  No matrix is built.
     """
-    vals = np.fft.fftshift(np.fft.fft(representing_vector(C)))
+    vals = np.fft.fftshift(np.fft.fft(_circulant_lags(a, m, -np.arange(m))))
     if np.max(np.abs(vals.imag)) > 1e-10 * (1.0 + np.max(np.abs(vals.real))):
         raise NotCirculant("circulant is not Hermitian: complex eigenvalues")
     return vals.real
@@ -406,17 +397,18 @@ def toeplitz_circulant_gap(a: SpectralDensity, n: int, m: int,
     return dense, bound
 
 
-def eigen_bracket_check(a: SpectralDensity, n: int, grid_size: int = 4096):
+def eigen_bracket_check(a: SpectralDensity, n: int):
     """Check inf a - tol <= lambda_min(A_n) and lambda_max(A_n) <= sup a + tol.
 
     The quadratic form <x, A_n x> is an average of a against |trig poly|^2,
     hence trapped between the extremes of a; the extremes here are taken
-    over a uniform grid (endpoints included) refined by the exact minimum
-    for small supports.  Returns (lambda_min, lambda_max, inf_a, sup_a, pass).
+    over ``density_grid``'s 4097 points (endpoints included), refined by the
+    exact minimum for small supports.  Returns (lambda_min, lambda_max,
+    inf_a, sup_a, pass).
     """
     lams = toeplitz_from_density(a, n).eigenvalues
     lam_min, lam_max = float(lams[0]), float(lams[-1])
-    _, vals = density_grid(a, grid_size, endpoint=True)
+    _, vals = density_grid(a)
     inf_a, sup_a = float(np.min(vals)), float(np.max(vals))
     if a.k_max <= 2:
         from .spectral import density_min

@@ -68,6 +68,15 @@ class TestSymbolCommands:
         assert code == 0
         assert [float(x) for x in out.split()] == pytest.approx([4.0] * 3)
 
+    def test_circulant_size_zero_is_not_absent(self, capsys):
+        # --m 0 is an invalid size, not a request for the n-circulant
+        code, out, err = run(capsys, "symbol", "build", "--circulant", "--density",
+                             "cos:2,0.5", "--n", "3", "--m", "0")
+        assert code == 1 and out == "" and "RangeError" in err
+        code, out, _ = run(capsys, "symbol", "build", "--circulant", "--density",
+                           "cos:2,0.5", "--n", "3", "--m", "5")
+        assert code == 0 and json.loads(out)["n"] == 5
+
     def test_gap_passes(self, capsys):
         code, out, _ = run(capsys, "symbol", "gap", "--density", "cos:2,0.5",
                            "--n", "16", "--m", "21", "--alpha", "1")
@@ -335,10 +344,31 @@ def test_nonparam_estimate_far_past_a_dense_symbol():
     assert json.loads(proc.stdout)["n"] == 65537
 
 
-def _config(tmp_path, obj):
-    path = tmp_path / "cfg.json"
+def test_circulant_eigs_far_past_a_dense_circulant():
+    """At m = 100001 the dense circulant would take 160 GB; the eigenvalues need only its lags."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    limit = 2 * 2 ** 30   # address space: a dense m x m regression fails fast
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "qsts.cli", "symbol", "eigs",
+                           "--density", "cos:2,0.5", "--m", "100001"],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=300,
+                          preexec_fn=cap_memory)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    eigs = np.array(proc.stdout.split(), dtype=float)
+    assert eigs.size == 100001 and eigs.min() >= 1.5 and eigs.max() <= 2.5
+
+
+def _json_file(tmp_path, name, obj):
+    path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _config(tmp_path, obj):
+    return _json_file(tmp_path, "cfg.json", obj)
 
 
 EXIT_CASES = {
@@ -347,6 +377,10 @@ EXIT_CASES = {
     "usage": (1, ["density", "eval", "--omega", "0"]),
     "overflow": (1, ["symbol", "build", "--density", "const:1.5e308", "--n", "2"]),
     "config_schema": (1, ["--config", "{cfg}", "dist", "varstab", "--a", "2"]),
+    "density_json_missing_key": (1, ["density", "eval", "--density", "{no_im}",
+                                     "--omega", "0"]),
+    "density_json_bare_coeff": (1, ["density", "eval", "--density", "{bare}",
+                                    "--omega", "0"]),
     "numerical": (2, ["state", "entropy", "--a1", "const:1", "--a2", "const:3",
                       "--n", "2"]),
     "audit": (3, ["symbol", "gap", "--density", GEOM_DECAY, "--n", "16", "--m", "19",
@@ -358,8 +392,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(EXIT_CASES))
     def test_exit_code_and_json_error(self, case, tmp_path, capsys):
         expect, argv = EXIT_CASES[case]
-        cfg = _config(tmp_path, {"bogus": 1})
-        argv = [a.replace("{cfg}", cfg) for a in argv]
+        files = {"{cfg}": _config(tmp_path, {"bogus": 1}),
+                 "{no_im}": _json_file(tmp_path, "no_im.json",
+                                       {"K_max": 1, "coeffs": [{"k": 0, "re": 2.0}]}),
+                 "{bare}": _json_file(tmp_path, "bare.json", {"K_max": 1, "coeffs": [3]})}
+        argv = [files.get(a, a) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == expect
         assert (err == "") == (expect == 0)

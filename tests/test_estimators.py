@@ -321,6 +321,29 @@ class TestMonteCarloCalibration:
         assert np.linalg.norm(emp - target) / np.linalg.norm(target) < 0.10
 
 
+def test_finite_block_covariances_miss_the_limits_of_criteria_9_and_10():
+    """Structural: at the block sizes m = 2 floor(log(n)/2) + 1 of n <= 4096, the
+    exact finite-block covariances are still more than 0.15 (relative Frobenius)
+    from their limits, so no seed can pass acceptance criteria 9 and 10."""
+    phi0, phi = phi_matrices(COS_THETA, 1)
+    limits = (phi0, np.linalg.inv(phi))
+    errors = []
+    for n in (256, 1024, 4096):
+        m = block_scheme(n, 1).m
+        _, cov_pi = pi_moments(toeplitz_from_density(COS_DENSITY, m))
+        W, F, delta = design_matrices(m, 1, COS_THETA)
+        Wd = W / delta[:, None]
+        G = np.linalg.solve(W.T @ Wd, Wd.T)   # (W' D^-1 W)^-1 W' D^-1
+        # rm Cov of the preliminary and of the one-step estimator linearized at theta
+        covs = (np.diag(F) @ W.T @ cov_pi @ W @ np.diag(F),
+                np.diag(F) @ G @ cov_pi @ G.T @ np.diag(F))
+        errors.append([np.linalg.norm(c - lim) / np.linalg.norm(lim)
+                       for c, lim in zip(covs, limits)])
+    errors = np.array(errors)
+    assert np.all(np.diff(errors, axis=0) < 0.0)
+    assert np.all(errors[-1] > 0.15)
+
+
 class TestNonparametric:
     def test_exact_mean_recovers_band(self):
         n, d_n = 49, 3

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsts.errors import HermitianSymmetryViolation, RangeError
+from qsts.errors import HermitianSymmetryViolation, InputError, RangeError
 from qsts.spectral import (
     RealParam,
     SpectralDensity,
@@ -221,6 +221,13 @@ class TestSerialization:
         b = SpectralDensity.from_json(a.to_json())
         np.testing.assert_allclose(b.coeffs, a.coeffs, atol=0)
 
+    @pytest.mark.parametrize("coeffs", [[{"k": 0, "re": 2.0}], [3], [{"k": "x", "re": 2.0, "im": 0.0}],
+                                        None])
+    def test_malformed_entries_rejected(self, coeffs):
+        # a missing key, a bare number, a non-numeric lag, no list at all
+        with pytest.raises(InputError, match="malformed density JSON"):
+            SpectralDensity.from_json({"K_max": 1, "coeffs": coeffs})
+
 
 class TestConstruction:
     def test_equality_and_hash_follow_coefficient_bytes(self):
@@ -231,17 +238,6 @@ class TestConstruction:
         assert a != SpectralDensity([2.0, 0.25, 0.0])
         assert a != SpectralDensity([2.0, 0.5])
         assert a.__eq__(a.coeffs) is NotImplemented
-
-    def test_from_function_recovers_coefficients(self):
-        a = SpectralDensity.from_function(lambda w: 2.0 + np.cos(w), k_max=4)
-        np.testing.assert_allclose(a.coeffs[:2], [2.0, 0.5], atol=1e-12)
-        np.testing.assert_allclose(a.coeffs[2:], 0.0, atol=1e-12)
-
-    def test_from_function_matches_eval(self):
-        fn = lambda w: 2.5 + 0.4 * np.cos(2 * w) + 0.1 * np.sin(w)
-        a = SpectralDensity.from_function(fn, k_max=6)
-        w = np.linspace(-math.pi, math.pi, 257)
-        np.testing.assert_allclose(eval_density(a, w), fn(w), atol=1e-10)
 
     def test_angle_tie_maps_to_pi(self):
         from qsts.spectral import reduce_angle

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -158,7 +159,7 @@ class TestToeplitzBuild:
     def test_circulant_block_keeps_signed_zeros(self):
         # the -0.0 of a_1 must survive into the lag-built block
         a = SpectralDensity(np.array([0.0, complex(-0.0, 0.0)]))
-        dense = circulant_from_density(a, 3).entries[:2, :2]
+        dense = circulant_by_coeff_loop(a, 3).entries[:2, :2]
         assert circulant_block(a, 3, 2).entries.tobytes() == dense.tobytes()
 
 
@@ -214,6 +215,13 @@ class TestCirculant:
                 if abs(j - k) <= half:
                     assert C.entries[j, k] == A.entries[j, k]
 
+    @pytest.mark.parametrize("m", [1, 3, 79])
+    def test_entries_are_a_view_over_the_lags(self, m):
+        # no m x m array: the entries are a strided view over the 2m - 1 lags
+        C = circulant_from_density(GEOM, m)
+        assert C.tag == "circulant" and C.entries.base is C._lags
+        assert C._lags.size == 2 * m - 1 and not C.entries.flags.writeable
+
     def test_banded_fully_inside_band_equal(self):
         # K_max = 1 <= (m-1)/2 means the circulant equals the Toeplitz matrix
         # on the band; wrap-around terms vanish only outside n < m anyway.
@@ -226,32 +234,29 @@ class TestCirculant:
 
 class TestCirculantEigs:
     def test_scalar(self):
-        C = circulant_from_density(SpectralDensity.constant(4.0), 7)
-        np.testing.assert_allclose(circulant_eigs(C), 4.0, atol=1e-12)
+        np.testing.assert_allclose(circulant_eigs(SpectralDensity.constant(4.0), 7), 4.0,
+                                   atol=1e-12)
 
     def test_m3_values(self):
-        C = circulant_from_density(COS_2_05, 3)
-        np.testing.assert_allclose(circulant_eigs(C), [1.5, 3.0, 1.5], atol=1e-12)
+        np.testing.assert_allclose(circulant_eigs(COS_2_05, 3), [1.5, 3.0, 1.5], atol=1e-12)
 
     def test_against_dense_oracle(self):
         a = SpectralDensity(np.array([2.0, 0.5, 0.25], dtype=complex))
-        C = circulant_from_density(a, 5)
-        ours = np.sort(circulant_eigs(C))
-        dense = np.linalg.eigvalsh(C.entries)
+        ours = np.sort(circulant_eigs(a, 5))
+        dense = np.linalg.eigvalsh(circulant_from_density(a, 5).entries)
         np.testing.assert_allclose(ours, dense, atol=1e-10)
 
     def test_complex_coeffs_against_dense(self):
         a = SpectralDensity.from_coeff_map({0: 3.0, 1: 0.4 + 0.2j, 2: -0.1j})
         C = circulant_from_density(a, 7)
-        np.testing.assert_allclose(np.sort(circulant_eigs(C)),
+        np.testing.assert_allclose(np.sort(circulant_eigs(a, 7)),
                                    np.linalg.eigvalsh(C.entries), atol=1e-10)
 
     def test_eigs_equal_truncated_density_at_frequencies(self):
         m = 9
-        C = circulant_from_density(GEOM, m)
         from qsts.spectral import fourier_truncate
         kept, _ = fourier_truncate(GEOM, m)
-        np.testing.assert_allclose(circulant_eigs(C),
+        np.testing.assert_allclose(circulant_eigs(GEOM, m),
                                    eval_density(kept, fourier_frequencies(m)),
                                    atol=1e-10)
 
@@ -260,15 +265,25 @@ class TestCirculantEigs:
         # unsorted: eigenvalue j sits at w_j, which a real, even density cannot show
         a = SpectralDensity.from_coeff_map({0: 3.0, 1: 0.4 + 0.2j, 2: -0.1j})
         C = circulant_from_density(a, m)
-        np.testing.assert_allclose(circulant_eigs(C), eval_density(a, fourier_frequencies(m)),
+        np.testing.assert_allclose(circulant_eigs(a, m), eval_density(a, fourier_frequencies(m)),
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(circulant_eigs(C), np.diag(dense_dft_conjugate(C.entries)).real,
+        np.testing.assert_allclose(circulant_eigs(a, m),
+                                   np.diag(dense_dft_conjugate(C.entries)).real,
                                    rtol=0, atol=1e-11)
 
-    def test_not_circulant_rejected(self):
-        A = toeplitz_from_density(GEOM, 5)
-        with pytest.raises(NotCirculant):
-            circulant_eigs(A)
+    def test_complex_eigenvalues_rejected(self, monkeypatch):
+        # a Hermitian density always gives real eigenvalues; lags that are not
+        # Hermitian reach the guard
+        import qsts.toeplitz as toeplitz
+        monkeypatch.setattr(toeplitz, "_circulant_lags",
+                            lambda a, m, lags: np.array([2.0, 0.5j, 0.5j]))
+        with pytest.raises(NotCirculant, match="complex eigenvalues"):
+            circulant_eigs(COS_2_05, 3)
+
+    @pytest.mark.parametrize("m", [0, 2, -3])
+    def test_even_or_nonpositive_m_rejected(self, m):
+        with pytest.raises(RangeError):
+            circulant_eigs(COS_2_05, m)
 
 
 class TestDftUnitary:
@@ -293,9 +308,8 @@ class TestDftUnitary:
 
     def test_conjugation_diagonal_matches_eigs(self):
         m = 7
-        C = circulant_from_density(GEOM, m)
-        D = dense_dft_conjugate(C.entries)
-        np.testing.assert_allclose(np.diag(D).real, circulant_eigs(C), atol=1e-10)
+        D = dense_dft_conjugate(circulant_from_density(GEOM, m).entries)
+        np.testing.assert_allclose(np.diag(D).real, circulant_eigs(GEOM, m), atol=1e-10)
 
 
 class TestGap:
@@ -485,11 +499,33 @@ class TestCirculantBuildProperties:
         m = 2 * data.draw(st.integers(0, 45)) + 1
         expect = circulant_by_coeff_loop(a, m)
         assert circulant_from_density(a, m).entries.tobytes() == expect.entries.tobytes()
+        fft = np.fft.fftshift(np.fft.fft(expect.entries[:, 0])).real
+        assert circulant_eigs(a, m).tobytes() == fft.tobytes()
 
     @given(st.data())
     def test_circulant_block_equals_dense_block(self, data):
         a = _density(data.draw, data.draw(st.booleans()))
         m = 2 * data.draw(st.integers(0, 45)) + 1
         n = data.draw(st.integers(1, m))
-        dense = circulant_from_density(a, m).entries[:n, :n]
+        dense = circulant_by_coeff_loop(a, m).entries[:n, :n]
         assert circulant_block(a, m, n).entries.tobytes() == dense.tobytes()
+
+
+class TestJsonRoundTrip:
+    """Both JSON formats rebuild an equal object, byte keys and signed zeros included."""
+
+    @given(st.data())
+    def test_density(self, data):
+        a = _density(data.draw, data.draw(st.booleans()))
+        assert SpectralDensity.from_json(json.loads(json.dumps(a.to_json()))) == a
+
+    @given(st.one_of(toeplitz_symbols().map(lambda case: case[1]), general_symbols()))
+    def test_symbol(self, A):
+        assert SymbolMatrix.from_json(json.loads(json.dumps(A.to_json()))) == A
+
+    def test_signed_zeros_survive(self):
+        a = SpectralDensity(np.array([2.0, complex(-0.0, -0.0), complex(0.5, -0.0)]))
+        assert SpectralDensity.from_json(a.to_json()) == a
+        for A in (toeplitz_from_density(COS_2_HALF, 4), circulant_from_density(a, 5)):
+            assert np.signbit(A.entries.imag).any()
+            assert SymbolMatrix.from_json(A.to_json()) == A
