@@ -11,9 +11,11 @@ operator trace formula as the reference.  Two real centrosymmetric symbols
 (every Toeplitz symbol of a real density) have real eigenvectors of two
 parities, symmetric and skew, and V1* V2 vanishes between parities; the sum
 then runs per parity block over the half-size solves
-(``SymbolMatrix.halves``), and no full V is built.  No Fock-space density
-operator is ever materialized; the one exception is the photon number law
-of a single thermal mode.
+(``SymbolMatrix.halves``), and no full V is built.  Two symbols with equal
+entries give exactly 0 after the faithfulness gate on the first, with no
+solve of the second and no KL sum.  No Fock-space density operator is ever
+materialized; the one exception is the photon number law of a single
+thermal mode.
 """
 
 from __future__ import annotations
@@ -70,16 +72,21 @@ def relative_entropy(A1, A2) -> float:
     sum is taken over the symmetric and the skew block, each with the
     half-size overlap W1^T W2.  Every term is nonnegative, so S is real and
     >= 0 by construction.  Both symbols must be strictly faithful:
-    lambda_min(A) > 1 + EPS_FAITHFUL.
+    lambda_min(A) > 1 + EPS_FAITHFUL.  Two symbols with equal entries
+    (``SymbolMatrix.same_entries``) give exactly 0.0 once A1 passes that
+    gate; A2 is not diagonalized.
     """
     A1, A2 = as_symbol(A1), as_symbol(A2)
     if A1.n != A2.n:
         raise SpectralRangeError("symbols must have equal dimension")
-    for A in (A1, A2):
+    equal = A1.same_entries(A2)
+    for A in (A1,) if equal else (A1, A2):
         lam_min = A.eigenvalues[0]
         if lam_min <= 1.0 + EPS_FAITHFUL:
             raise NotFaithful(
                 f"lambda_min(A) = {lam_min:.12g} is not above 1 + {EPS_FAITHFUL:g}")
+    if equal:
+        return 0.0
     if A1.halves is not None and A2.halves is not None:
         blocks = zip(A1.halves, A2.halves)
     else:

@@ -157,6 +157,10 @@ class SpectralDensity:
                     for e in obj["coeffs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed density JSON: {exc}") from exc
+        # ``to_json`` stores every lag 0..K_max, so K_max is below the count
+        if not 0 <= kmax < len(lags):
+            raise InputError(f"density JSON K_max = {kmax} needs 0 <= K_max < {len(lags)}, "
+                             f"the number of stored coefficients")
         c = np.zeros(kmax + 1, dtype=complex)
         for k, v in lags:
             if k < 0 or k > kmax:

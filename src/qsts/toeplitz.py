@@ -15,6 +15,10 @@ eigenvalues alone (``SymbolMatrix.eigenvalues``) and the relative entropy
 work from the halves; the full ``SymbolMatrix.spectrum`` (lams, V), with V
 real, is assembled from them only when a consumer asks for it.  Any other
 symbol takes one complex ``eigh``.
+
+A symbol built from its 2n - 1 lags keeps them, so comparing two such
+symbols (``SymbolMatrix.same_entries``) and their Hilbert-Schmidt distance
+(``hs_distance``) cost O(n), with no n x n array.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ class SymbolMatrix:
     ``==`` and ``hash`` compare tag, shape and entry bytes (not the label).
     They cost O(n^2) time and memory on every call, also on a lag-built
     symbol, whose view is copied out in full: do not compare or hash large
-    symbols.
+    symbols.  ``same_entries`` compares entries in value, whatever the tags,
+    in O(n) for two lag-built symbols.
     """
 
     entries: np.ndarray
@@ -128,6 +133,16 @@ class SymbolMatrix:
 
     def __hash__(self):
         return hash(self._key())
+
+    def same_entries(self, other: "SymbolMatrix") -> bool:
+        """True when both symbols have equal entries in value, whatever their tags.
+
+        Two lag-built symbols compare their lags, in O(n); any other pair
+        compares its entries, in O(n^2).
+        """
+        if self._lags is not None and other._lags is not None:
+            return np.array_equal(self._lags, other._lags)
+        return np.array_equal(self.entries, other.entries)
 
     @cached_property
     def halves(self) -> tuple | None:
@@ -359,7 +374,16 @@ def abs_square(M: np.ndarray) -> np.ndarray:
 
 
 def hs_distance(A, B) -> float:
-    """Hilbert-Schmidt (Frobenius) distance ||A - B||_2."""
+    """Hilbert-Schmidt (Frobenius) distance ||A - B||_2.
+
+    Two lag-built symbols of equal n take the lag sum
+    sqrt(sum_s (n - |s|) |a_s - b_s|^2), s = -(n-1) .. n-1, in O(n), with no
+    n x n array; any other pair takes the dense norm of A - B.
+    """
+    if (isinstance(A, SymbolMatrix) and isinstance(B, SymbolMatrix)
+            and A._lags is not None and B._lags is not None and A.n == B.n):
+        weights = A.n - np.abs(np.arange(1 - A.n, A.n))
+        return math.sqrt(float(weights @ abs_square(A._lags - B._lags)))
     A = A.entries if isinstance(A, SymbolMatrix) else np.asarray(A)
     B = B.entries if isinstance(B, SymbolMatrix) else np.asarray(B)
     if A.shape != B.shape:
@@ -371,30 +395,31 @@ def toeplitz_circulant_gap(a: SpectralDensity, n: int, m: int,
                            alpha: float, M: float):
     """Squared HS gap between A_n(a) and the circulant block, with its bound.
 
-    Requires odd m with n < m < 2(n-1).  The gap is computed both entrywise
-    and through the lag-sum formula
+    Requires odd m with n < m < 2(n-1).  The gap is computed both by
+    ``hs_distance`` over the lags of the two symbols and through the
+    wrap-around sum
 
         2 sum_{k=(m+1)/2}^{n-1} (n-k) |a_k - conj(a_{m-k})|^2,
 
-    which must agree to 1e-10; the returned bound is 4 (m-n+1)^{1-2 alpha} M,
-    valid whenever the Sobolev norm of a at smoothness alpha is at most M
-    with alpha > 1/2.
+    which must agree to 1e-10; both take O(n).  The returned bound is
+    4 (m-n+1)^{1-2 alpha} M, valid whenever the Sobolev norm of a at
+    smoothness alpha is at most M with alpha > 1/2.
     """
     if m % 2 == 0 or not (n < m < 2 * (n - 1)):
         raise RangeError(f"need odd m with n < m < 2(n-1), got n={n}, m={m}")
     if alpha <= 0.5:
         raise RangeError("the bound needs alpha > 1/2")
-    dense = hs_distance(toeplitz_from_density(a, n), circulant_block(a, m, n)) ** 2
+    hs_sq = hs_distance(toeplitz_from_density(a, n), circulant_block(a, m, n)) ** 2
 
     ks = np.arange((m + 1) // 2, n)
     full = a.full_coeffs(n - 1)   # a_k at full[n - 1 + k]
     diffs = full[n - 1 + ks] - np.conj(full[n - 1 + m - ks])
-    lag_sum = 2.0 * float(np.sum((n - ks) * np.abs(diffs) ** 2))
-    if abs(dense - lag_sum) > 1e-10 * (1.0 + abs(dense)):
+    wrap_sum = 2.0 * float(np.sum((n - ks) * np.abs(diffs) ** 2))
+    if abs(hs_sq - wrap_sum) > 1e-10 * (1.0 + abs(hs_sq)):
         raise EigenFailure(
-            f"gap formulas disagree: dense {dense!r} vs lag sum {lag_sum!r}")
+            f"gap formulas disagree: lag-weighted HS {hs_sq!r} vs wrap-around sum {wrap_sum!r}")
     bound = 4.0 * (m - n + 1) ** (1.0 - 2.0 * alpha) * M
-    return dense, bound
+    return hs_sq, bound
 
 
 def eigen_bracket_check(a: SpectralDensity, n: int):

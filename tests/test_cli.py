@@ -361,6 +361,23 @@ def test_circulant_eigs_far_past_a_dense_circulant():
     assert eigs.size == 100001 and eigs.min() >= 1.5 and eigs.max() <= 2.5
 
 
+def test_symbol_gap_far_past_a_dense_symbol():
+    """At n = 100001 a dense A_n - block difference would take 149 GiB; the gap needs only lags."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    limit = 2 * 2 ** 30   # address space: a dense n x n regression fails fast
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "qsts.cli", "symbol", "gap",
+                           "--density", "cos:2,0.5", "--n", "100001", "--m", "100003"],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=300,
+                          preexec_fn=cap_memory)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    obj = json.loads(proc.stdout)
+    assert obj["pass"] and obj["hs_sq"] == 0.0
+
+
 def _json_file(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -381,6 +398,10 @@ EXIT_CASES = {
                                      "--omega", "0"]),
     "density_json_bare_coeff": (1, ["density", "eval", "--density", "{bare}",
                                     "--omega", "0"]),
+    "density_json_huge_k_max": (1, ["density", "eval", "--density", "{huge}",
+                                    "--omega", "0"]),
+    "density_json_negative_k_max": (1, ["density", "eval", "--density", "{negative}",
+                                        "--omega", "0"]),
     "numerical": (2, ["state", "entropy", "--a1", "const:1", "--a2", "const:3",
                       "--n", "2"]),
     "audit": (3, ["symbol", "gap", "--density", GEOM_DECAY, "--n", "16", "--m", "19",
@@ -395,7 +416,13 @@ class TestExitCodes:
         files = {"{cfg}": _config(tmp_path, {"bogus": 1}),
                  "{no_im}": _json_file(tmp_path, "no_im.json",
                                        {"K_max": 1, "coeffs": [{"k": 0, "re": 2.0}]}),
-                 "{bare}": _json_file(tmp_path, "bare.json", {"K_max": 1, "coeffs": [3]})}
+                 "{bare}": _json_file(tmp_path, "bare.json", {"K_max": 1, "coeffs": [3]}),
+                 # K_max beyond the stored lags would allocate 1.42 PiB
+                 "{huge}": _json_file(tmp_path, "huge.json",
+                                      {"K_max": 10 ** 14, "coeffs": []}),
+                 "{negative}": _json_file(tmp_path, "negative.json",
+                                          {"K_max": -5, "coeffs": [{"k": 0, "re": 2.0,
+                                                                    "im": 0.0}]})}
         argv = [files.get(a, a) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == expect

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from qsts.distributions import geo_kl
 from qsts.errors import NotFaithful, RangeError, SpectralRangeError
@@ -16,7 +16,14 @@ from qsts.gaussian_states import (
     thermal_pmf,
 )
 from qsts.spectral import SpectralDensity
-from qsts.toeplitz import SymbolMatrix, abs_square, circulant_block, toeplitz_from_density
+from qsts.toeplitz import (
+    SymbolMatrix,
+    abs_square,
+    circulant_block,
+    circulant_from_density,
+    hs_distance,
+    toeplitz_from_density,
+)
 
 from oracles import geo_l1, s2_matrix
 
@@ -214,10 +221,13 @@ def full_form(A1, A2):
 
 
 @st.composite
-def admissible_real_densities(draw):
-    """Real density with inf a > 1: a_0 exceeds 1 + 2 sum |a_k| by a margin."""
+def admissible_densities(draw, complex_coeffs=False):
+    """Density with inf a > 1: a_0 exceeds 1 + 2 sum |a_k| by a margin."""
     k_max = draw(st.integers(0, 12))
     coeffs = draw(st.lists(st.floats(-1.0, 1.0), min_size=k_max, max_size=k_max))
+    if complex_coeffs:
+        im = draw(st.lists(st.floats(-1.0, 1.0), min_size=k_max, max_size=k_max))
+        coeffs = [complex(x, y) for x, y in zip(coeffs, im)]
     margin = draw(st.floats(0.05, 3.0))
     a0 = 1.0 + margin + 2.0 * sum(abs(c) for c in coeffs)
     return SpectralDensity(np.array([a0] + coeffs, dtype=complex))
@@ -226,7 +236,7 @@ def admissible_real_densities(draw):
 class TestParityBlocks:
     """The entropy of two real centrosymmetric symbols, summed per parity block."""
 
-    @given(admissible_real_densities(), admissible_real_densities(),
+    @given(admissible_densities(), admissible_densities(),
            st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 48)))
     @example(SpectralDensity([3.0, 0.5]), SpectralDensity([2.5, -0.4, 0.1]), 1)
     @example(SpectralDensity([3.0, 0.5]), SpectralDensity([2.5, -0.4, 0.1]), 2)
@@ -273,6 +283,74 @@ class TestParityBlocks:
             with pytest.raises(NotFaithful):
                 relative_entropy(A1, A2)
         assert "spectrum" not in bad.__dict__
+
+
+def unsolved(A):
+    """True when neither the halves nor the spectrum of A has been computed."""
+    return "halves" not in A.__dict__ and "spectrum" not in A.__dict__
+
+
+any_admissible = st.booleans().flatmap(admissible_densities)
+
+
+class TestEqualSymbols:
+    """Equal symbols: exactly 0 after one faithfulness gate, the second never solved."""
+
+    @given(any_admissible, st.integers(1, 48))
+    def test_two_builds_of_one_toeplitz_symbol(self, a, n):
+        A1, A2 = toeplitz_from_density(a, n), toeplitz_from_density(a, n)
+        S = relative_entropy(A1, A2)
+        assert S == 0.0 and type(S) is float
+        assert unsolved(A2)
+
+    @given(any_admissible, st.integers(1, 48), st.integers(0, 8))
+    def test_circulant_block_within_the_band_is_the_toeplitz_symbol(self, a, n, extra):
+        # K_max <= m - n: every wrapped lag of the block is 0, as is a_t there
+        m = n + a.k_max + extra
+        m += 1 - m % 2
+        C = circulant_block(a, m, n)
+        assert relative_entropy(toeplitz_from_density(a, n), C) == 0.0
+        assert unsolved(C)
+
+    @given(any_admissible, st.integers(1, 48))
+    def test_lag_built_symbol_against_its_dense_copy(self, a, n):
+        for order in (1, -1):
+            A = toeplitz_from_density(a, n)
+            A1, A2 = (A, SymbolMatrix(A.entries.copy()))[::order]
+            assert relative_entropy(A1, A2) == 0.0
+            assert unsolved(A2)
+
+    @given(any_admissible, st.integers(0, 24))
+    def test_circulant_against_its_general_copy(self, a, half):
+        C = circulant_from_density(a, 2 * half + 1)
+        G = SymbolMatrix(C.entries)
+        assert G.tag == "general" and C.tag == "circulant"
+        assert relative_entropy(C, G) == 0.0
+        assert unsolved(G)
+
+    def test_equal_unfaithful_pair_rejected(self):
+        # 1.5 + 1.5 cos w dips to 0, so lambda_min(A_6) < 1
+        a = SpectralDensity([1.5, 0.75])
+        A1, A2 = toeplitz_from_density(a, 6), toeplitz_from_density(a, 6)
+        with pytest.raises(NotFaithful):
+            relative_entropy(A1, A2)
+        assert unsolved(A2)
+        with pytest.raises(NotFaithful):
+            relative_entropy(A2, SymbolMatrix(A2.entries.copy()))
+
+    @given(any_admissible, any_admissible, st.integers(1, 24), st.integers(0, 2 ** 32 - 1))
+    def test_unequal_pairs_nonnegative_and_unitarily_invariant(self, a, b, n, seed):
+        A1, A2 = toeplitz_from_density(a, n), toeplitz_from_density(b, n)
+        S = relative_entropy(A1, A2)
+        assert S >= 0.0
+        # the entropy of nearly equal states keeps only about eps / ||A1 - A2||_2
+        # of relative accuracy, so the rotation is compared on separated pairs
+        assume(hs_distance(A1, A2) >= 1e-2)
+        Q, R = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+        U = Q * np.sign(np.diag(R))
+        B1, B2 = (SymbolMatrix(U @ A.entries @ U.T) for A in (A1, A2))
+        assert B1.tag == "general"
+        assert abs(relative_entropy(B1, B2) - S) <= 1e-10 * S
 
 
 class TestS2Matrix:

@@ -228,6 +228,13 @@ class TestSerialization:
         with pytest.raises(InputError, match="malformed density JSON"):
             SpectralDensity.from_json({"K_max": 1, "coeffs": coeffs})
 
+    @pytest.mark.parametrize("kmax, stored", [(-5, 1), (1, 1), (10 ** 14, 0)])
+    def test_k_max_outside_the_stored_lags_rejected(self, kmax, stored):
+        # every lag 0..K_max is stored, so K_max < len(coeffs); checked before allocating
+        coeffs = [{"k": k, "re": 1.0, "im": 0.0} for k in range(stored)]
+        with pytest.raises(InputError, match="K_max"):
+            SpectralDensity.from_json({"K_max": kmax, "coeffs": coeffs})
+
 
 class TestConstruction:
     def test_equality_and_hash_follow_coefficient_bytes(self):

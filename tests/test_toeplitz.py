@@ -1,12 +1,20 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qsts.errors import DimensionError, InputError, NotCirculant, NotToeplitz, RangeError
+from qsts.errors import (
+    DimensionError,
+    EigenFailure,
+    InputError,
+    NotCirculant,
+    NotToeplitz,
+    RangeError,
+)
 from qsts.spectral import SpectralDensity, density_grid, eval_density, fourier_frequencies
 from qsts.toeplitz import (
     SymbolMatrix,
@@ -339,6 +347,17 @@ class TestGap:
             for n, m in ((16, 21), (32, 35), (32, 61)):
                 toeplitz_circulant_gap(a, n, m, 1.0, M)
 
+    def test_disagreeing_routes_raise(self, monkeypatch):
+        # a block with every lag off by 1e-3 moves the HS route, not the wrap-around sum
+        import qsts.toeplitz as tz
+
+        def shifted_block(a, m, n):
+            return toeplitz_from_density(SpectralDensity(a.coeffs + 1e-3), n)
+
+        monkeypatch.setattr(tz, "circulant_block", shifted_block)
+        with pytest.raises(EigenFailure, match="disagree"):
+            toeplitz_circulant_gap(GEOM, 16, 21, 1.0, 1.0)
+
     def test_range_checks(self):
         with pytest.raises(RangeError):
             toeplitz_circulant_gap(GEOM, 16, 16, 1.0, 1.0)
@@ -509,6 +528,48 @@ class TestCirculantBuildProperties:
         n = data.draw(st.integers(1, m))
         dense = circulant_by_coeff_loop(a, m).entries[:n, :n]
         assert circulant_block(a, m, n).entries.tobytes() == dense.tobytes()
+
+
+def _lag_built(draw, n):
+    """A lag-built n x n symbol: Toeplitz, a circulant block, or (odd n) a circulant."""
+    a = _density(draw, draw(st.booleans()))
+    kind = draw(st.sampled_from(["toeplitz", "block", "circulant"]))
+    if kind == "toeplitz":
+        return toeplitz_from_density(a, n)
+    if kind == "circulant" and n % 2:
+        return circulant_from_density(a, n)
+    m = n + draw(st.integers(0, 20))
+    return circulant_block(a, m + 1 - m % 2, n)
+
+
+class TestLagHsDistance:
+    """``hs_distance`` of two lag-built symbols: the weighted lag sum, in O(n)."""
+
+    @given(st.data())
+    def test_lag_sum_equals_the_dense_norm(self, data):
+        n = data.draw(st.integers(1, 80))
+        A, B = _lag_built(data.draw, n), _lag_built(data.draw, n)
+        assert A._lags is not None and B._lags is not None
+        dense = float(np.linalg.norm(A.entries - B.entries))
+        assert abs(hs_distance(A, B) - dense) <= 1e-12 * dense
+
+    @given(st.data())
+    def test_size_mismatch_rejected(self, data):
+        n = data.draw(st.integers(1, 40))
+        A, B = _lag_built(data.draw, n), _lag_built(data.draw, n + data.draw(st.integers(1, 40)))
+        with pytest.raises(DimensionError):
+            hs_distance(A, B)
+
+    def test_no_n_by_n_array(self):
+        n = 2000   # a dense difference would take 64 MB
+        A, B = toeplitz_from_density(GEOM, n), circulant_block(GEOM, n + 1, n)
+        tracemalloc.start()
+        try:
+            hs_distance(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestJsonRoundTrip:
