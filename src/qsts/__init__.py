@@ -43,7 +43,6 @@ from .spectral import (
     local_averages,
     membership,
     parse_density,
-    psi_basis,
     psi_matrix,
     sobolev_norm,
     theta1_space,

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import RangeError
 from .spectral import SpectralDensity, eval_density, TWO_PI
 
+#: quadrature points of the quantum error exponent
+_CHERNOFF_GRID = 4096
+
 
 def p_of_a(a: float) -> float:
     """Geometric parameter p = (a - 1)/(a + 1) of the thermal symbol a."""
@@ -175,7 +178,7 @@ def chernoff_geo_inf(a0: float, a1: float):
 
 
 def chernoff_quantum(a0: SpectralDensity, a1: SpectralDensity, t: float,
-                     grid: int = 4096) -> float:
+                     grid: int = _CHERNOFF_GRID) -> float:
     """Error exponent term for two quantum spectral densities at weight t,
 
     psi(t) = -(1/2 pi) int_0^{2 pi}
@@ -188,19 +191,31 @@ def chernoff_quantum(a0: SpectralDensity, a1: SpectralDensity, t: float,
     """
     if not 0.0 <= t <= 1.0:
         raise RangeError("t must lie in [0, 1]")
+    return _chernoff_values(*_chernoff_grid(a0, a1, grid), t)
+
+
+def _chernoff_grid(a0: SpectralDensity, a1: SpectralDensity, grid: int):
+    """Both densities on the quadrature grid, each strictly above 1."""
     w = TWO_PI * np.arange(grid) / grid
-    v0 = np.asarray(eval_density(a0, w), dtype=float)
-    v1 = np.asarray(eval_density(a1, w), dtype=float)
+    v0, v1 = eval_density(a0, w), eval_density(a1, w)
     if np.min(v0) <= 1.0 or np.min(v1) <= 1.0:
         raise RangeError("densities must stay strictly above 1 on the grid")
+    return v0, v1
+
+
+def _chernoff_values(v0: np.ndarray, v1: np.ndarray, t: float) -> float:
     bracket = ((v0 + 1.0) ** t * (v1 + 1.0) ** (1.0 - t)
                - (v0 - 1.0) ** t * (v1 - 1.0) ** (1.0 - t))
     return float(-np.mean(np.log(0.5 * bracket)))
 
 
 def chernoff_quantum_inf(a0: SpectralDensity, a1: SpectralDensity):
-    """Infimum over t in [0, 1] of chernoff_quantum; returns (t*, value)."""
-    return _guarded_infimum(lambda t: chernoff_quantum(a0, a1, t))
+    """Infimum over t in [0, 1] of chernoff_quantum; returns (t*, value).
+
+    Both densities are evaluated once and shared by every t of the search.
+    """
+    v0, v1 = _chernoff_grid(a0, a1, _CHERNOFF_GRID)
+    return _guarded_infimum(lambda t: _chernoff_values(v0, v1, t))
 
 
 def varstab_arccosh(a: float) -> float:

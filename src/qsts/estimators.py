@@ -32,7 +32,7 @@ from .spectral import (
     ParameterSpace,
     TWO_PI,
     fourier_frequencies,
-    psi_basis,
+    membership,
     psi_matrix,
 )
 
@@ -42,10 +42,13 @@ _QUAD_GRID = 4096
 _DESIGN_CACHE_SIZE = 32
 
 #: the projection's Dykstra step and violation tolerance, its sweep budget
-#: (then NonConvergence), and the uniform grid that enforces a >= 1 + 1/M
+#: (then NonConvergence), the uniform grid that enforces a >= 1 + 1/M, and
+#: how often a frequency where ``membership`` finds the floor violated may be
+#: added to that grid (then NonConvergence)
 _DYKSTRA_TOL = 1e-10
 _DYKSTRA_SWEEPS = 10_000
 _PROJECTION_GRID = 512
+_MEMBERSHIP_ROUNDS = 64
 
 
 class DesignMatrices(NamedTuple):
@@ -75,16 +78,6 @@ def _f_diagonal(m: int, d: int) -> np.ndarray:
     return F
 
 
-def theta_density_values(theta: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """a_theta(w) = sum_j theta_j psi_j(w) for theta indexed -d..d."""
-    theta = np.asarray(theta, dtype=float)
-    d = (theta.size - 1) // 2
-    out = np.zeros_like(np.asarray(omega, dtype=float))
-    for j in range(-d, d + 1):
-        out = out + theta[j + d] * psi_basis(j, omega)
-    return out
-
-
 def design_matrices(m: int, d: int, theta: np.ndarray) -> DesignMatrices:
     """Design matrices at block size m for a parameter theta.
 
@@ -95,8 +88,10 @@ def design_matrices(m: int, d: int, theta: np.ndarray) -> DesignMatrices:
     """
     W = _w_matrix(m, d)
     F = _f_diagonal(m, d)
-    vals = theta_density_values(theta, fourier_frequencies(m))
-    Delta = vals ** 2 - 1.0
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    if theta.size != 2 * d + 1:
+        raise DimensionError(f"theta must have length {2 * d + 1}")
+    Delta = (math.sqrt(m) * (W @ theta)) ** 2 - 1.0
     if not np.all(Delta > 0.0):
         raise NotAdmissible("a_theta^2 - 1 must be positive at all frequencies")
     return DesignMatrices(W, F, Delta)
@@ -165,7 +160,7 @@ def exact_pi_bar_mean(theta: np.ndarray, m: int) -> np.ndarray:
     return math.sqrt(m) * (W @ (theta / F))
 
 
-def _project_polyhedron(x: np.ndarray, C: np.ndarray, b: float) -> np.ndarray:
+def _project_polyhedron(x: np.ndarray, C: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection onto {v : C v >= b} (least distance).
 
     Solved through the Lawson-Hanson reduction to nonnegative least
@@ -200,51 +195,84 @@ def _constraints(d: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     return C, row_norms
 
 
-def project_theta(theta_hat: np.ndarray, space: ParameterSpace) -> np.ndarray:
-    """Euclidean projection onto the admissible parameter set by Dykstra.
+def _dykstra(x: np.ndarray, C: np.ndarray, row_norms: np.ndarray,
+             radius: float, b: np.ndarray) -> np.ndarray:
+    """Dykstra's projection of x onto {||v|| <= radius} and {C v >= b}.
 
-    The set is {||theta||^2 <= M} intersected with the half-space family
-    a_theta(w_g) >= 1 + 1/M over a uniform frequency grid.  Dykstra
-    alternates between the ball and the family with the usual correction
-    vectors; each sweep projects onto the whole family at once (exact
+    Each sweep projects onto the whole half-space family at once (exact
     least-distance solve), which avoids the slow ping-pong between nearly
-    parallel neighboring half-spaces.  Feasible input is returned unchanged.
-    The _PROJECTION_GRID x (2d+1) constraint matrix and its row norms are
-    built once per d in the process and are read-only.
+    parallel neighboring half-spaces.  Stops once a sweep moves no entry and
+    violates no constraint by more than _DYKSTRA_TOL (distances).
     """
-    if space.kind != "theta2prime":
-        raise RangeError("projection is defined for theta2prime spaces")
-    x = np.asarray(theta_hat, dtype=float).reshape(-1).copy()
-    d = (x.size - 1) // 2
-    radius = math.sqrt(space.M)
-    floor = 1.0 + 1.0 / space.M
-
-    C, row_norms = _constraints(d, _PROJECTION_GRID)
-
     def violation(v: np.ndarray) -> float:
         worst = max(0.0, float(np.linalg.norm(v)) - radius)
-        gaps = (floor - C @ v) / row_norms
-        return max(worst, float(np.max(gaps, initial=0.0)))
-
-    if violation(x) <= _DYKSTRA_TOL:
-        return x
+        return max(worst, float(np.max((b - C @ v) / row_norms, initial=0.0)))
 
     p_ball = np.zeros_like(x)
     p_poly = np.zeros_like(x)
     for _ in range(_DYKSTRA_SWEEPS):
-        x_prev = x.copy()
+        x_prev = x
         y = x + p_ball
         nrm = float(np.linalg.norm(y))
         proj = y if nrm <= radius else y * (radius / nrm)
         p_ball = y - proj
         y = proj + p_poly
-        proj2 = _project_polyhedron(y, C, floor)
-        p_poly = y - proj2
-        x = proj2
+        x = _project_polyhedron(y, C, b)
+        p_poly = y - x
         if max(float(np.max(np.abs(x - x_prev))), violation(x)) <= _DYKSTRA_TOL:
             return x
     raise NonConvergence(
         f"Dykstra projection residual {violation(x):.3g} after {_DYKSTRA_SWEEPS} sweeps")
+
+
+def _admissible(x: np.ndarray, C: np.ndarray, space: ParameterSpace) -> bool:
+    """Whether ``membership`` accepts theta = x, asked only when the grid cannot tell.
+
+    Every frequency lies within pi/G of one of the G uniform grid points and
+    |a_theta'| <= sum_j |j| sqrt(2) |theta_j|, so a grid minimum that clears
+    the floor by (pi/G) times that bound clears it everywhere.
+    """
+    d = (x.size - 1) // 2
+    slope = math.sqrt(2.0) * float(np.abs(np.arange(-d, d + 1)) @ np.abs(x))
+    if x @ x <= space.M and np.min(C @ x) - (1.0 + 1.0 / space.M) >= math.pi / len(C) * slope:
+        return True
+    return membership(RealParam(d, x).to_density(), space).member
+
+
+def project_theta(theta_hat: np.ndarray, space: ParameterSpace) -> np.ndarray:
+    """Euclidean projection onto the admissible parameter set by Dykstra.
+
+    The set is {||theta||^2 <= M} intersected with the half-space family
+    a_theta(w_g) >= 1 + 1/M over a uniform frequency grid, each target
+    tightened by _DYKSTRA_TOL so that a converged iterate lies inside.  When
+    ``membership`` still finds the floor violated between grid points, the
+    frequency it reports joins the family and the input is projected again,
+    at most _MEMBERSHIP_ROUNDS times (then NonConvergence); so the result is
+    always a member of ``space``.  Feasible input is returned unchanged.  The
+    _PROJECTION_GRID x (2d+1) constraint matrix and its row norms are built
+    once per d in the process and are read-only.
+    """
+    if space.kind != "theta2prime":
+        raise RangeError("projection is defined for theta2prime spaces")
+    x = np.asarray(theta_hat, dtype=float).reshape(-1).copy()
+    d = (x.size - 1) // 2
+    C, row_norms = _constraints(d, _PROJECTION_GRID)
+    if _admissible(x, C, space):
+        return x
+    radius = math.sqrt(space.M) - _DYKSTRA_TOL
+    floor = 1.0 + 1.0 / space.M
+    for _ in range(_MEMBERSHIP_ROUNDS):
+        out = _dykstra(x, C, row_norms, radius, floor + _DYKSTRA_TOL * row_norms)
+        witness = membership(RealParam(d, out).to_density(), space)
+        if witness.member:
+            return out
+        if witness.constraint != "lower_bound":
+            raise NonConvergence(f"projection violates the {witness.constraint} constraint")
+        row = psi_matrix(d, witness.location)
+        C = np.vstack([C, row])
+        row_norms = np.append(row_norms, np.linalg.norm(row))
+    raise NonConvergence(
+        f"projection still below the floor after {_MEMBERSHIP_ROUNDS} rounds")
 
 
 class FisherMatrices(NamedTuple):
@@ -265,11 +293,10 @@ def phi_matrices(theta: np.ndarray, d: int, grid: int = _QUAD_GRID) -> FisherMat
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != 2 * d + 1:
         raise DimensionError(f"theta must have length {2 * d + 1}")
-    w = -math.pi + TWO_PI * np.arange(grid) / grid
-    weight = theta_density_values(theta, w) ** 2 - 1.0
+    psi = psi_matrix(d, -math.pi + TWO_PI * np.arange(grid) / grid)
+    weight = (psi @ theta) ** 2 - 1.0
     if np.any(weight <= 0.0):
         raise NotAdmissible("a_theta must stay above 1 for the phi matrices")
-    psi = psi_matrix(d, w)
     phi0 = (psi * weight[:, None]).T @ psi / grid
     phi = (psi / weight[:, None]).T @ psi / grid
     phi0 = 0.5 * (phi0 + phi0.T)

@@ -65,14 +65,15 @@ class WhiteNoisePath:
     """Euler path of the signal-plus-white-noise model on [-pi, pi]."""
 
     grid: np.ndarray
-    increments: np.ndarray
     cumulative: np.ndarray
 
     def __post_init__(self):
         if self.cumulative[0] != 0.0:
             raise RangeError("cumulative path must start at 0")
-        if not np.array_equal(np.diff(self.cumulative), self.increments):
-            raise RangeError("cumulative differences must equal increments")
+
+    @functools.cached_property
+    def increments(self) -> np.ndarray:
+        return np.diff(self.cumulative)
 
 
 @dataclass
@@ -186,10 +187,7 @@ def simulate_white_noise(a: SpectralDensity, n: int, L: int,
     gen = as_generator(rng)
     noise = gen.standard_normal(L) * sd * math.sqrt(dt) * noise_scale
     cumulative = np.concatenate([[0.0], np.cumsum(drift * dt + noise)])
-    # increments are re-read off the stored path so the exact-difference
-    # invariant holds bitwise
-    return WhiteNoisePath(grid=grid, increments=np.diff(cumulative),
-                          cumulative=cumulative)
+    return WhiteNoisePath(grid=grid, cumulative=cumulative)
 
 
 def simulate_hetero_normal(theta: np.ndarray, n: int, d: int,
@@ -325,8 +323,7 @@ def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],
     dec_ii = worst_ratio(sums_ii)
     report.add("decay_ratio_circulant_vs_avg", ns[0], ns[-1], dec_i, 1.0, slack=-1e-12)
     report.add("decay_ratio_points_vs_avg", ns[0], ns[-1], dec_ii, 1.0, slack=-1e-12)
-    mid = float(np.median(np.asarray(eval_density(a, np.array([0.0])))))
-    p_mid = _p_of(mid)
+    p_mid = _p_of(eval_density(a, 0.0))
     chi2, crit, p_value = nb_sufficiency_test(p_mid, 50_000, RngStream(seed, 0))
     report.add("nb_sufficiency_chi2", ns[-1], _NB_PIECES, chi2, crit)
     report.meta["nb_sufficiency_p_value"] = p_value

@@ -88,11 +88,10 @@ class MeasurementDraw:
     """Simulated number outcomes per block and the averaged observable.
 
     ``blocks`` is the r x m integer matrix of N outcomes; ``pi_bar`` is the
-    length-m average of 2 N + 1 over blocks.
+    length-m average of 2 N + 1 over blocks, computed from them when first read.
     """
 
     blocks: np.ndarray
-    pi_bar: np.ndarray
     scheme: BlockScheme
     seed_path: tuple = field(default=(), compare=False)
     density_label: str = field(default="", compare=False)
@@ -103,9 +102,10 @@ class MeasurementDraw:
             raise DimensionError("blocks matrix does not match the scheme")
         if np.any(b < 0):
             raise RangeError("number outcomes must be nonnegative")
-        expect = np.mean(2.0 * b + 1.0, axis=0)
-        if not np.array_equal(expect, np.asarray(self.pi_bar)):
-            raise DimensionError("pi_bar inconsistent with blocks")
+
+    @functools.cached_property
+    def pi_bar(self) -> np.ndarray:
+        return np.mean(2.0 * self.blocks + 1.0, axis=0)
 
     def write_csv(self, fh: IO[str], no_timestamp: bool = True,
                   seed: int | None = None):
@@ -286,9 +286,7 @@ def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
     its label, and the draw carries the label of the ``a`` passed in.
     """
     sampler = _block_sampler(a.coeffs.tobytes(), scheme.m)
-    blocks = sampler.draw(stream, size=scheme.r)
-    pi_bar = np.mean(2.0 * blocks + 1.0, axis=0)
-    return MeasurementDraw(blocks=blocks, pi_bar=pi_bar, scheme=scheme,
+    return MeasurementDraw(blocks=sampler.draw(stream, size=scheme.r), scheme=scheme,
                            seed_path=stream.path, density_label=a.label)
 
 

@@ -157,14 +157,13 @@ class SpectralDensity:
                     for e in obj["coeffs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed density JSON: {exc}") from exc
-        # ``to_json`` stores every lag 0..K_max, so K_max is below the count
-        if not 0 <= kmax < len(lags):
-            raise InputError(f"density JSON K_max = {kmax} needs 0 <= K_max < {len(lags)}, "
-                             f"the number of stored coefficients")
+        # as ``to_json`` writes it: each lag 0..K_max once, checked before allocating
+        ks = sorted(k for k, _ in lags)
+        if kmax != len(lags) - 1 or ks != list(range(len(lags))):
+            raise InputError(f"density JSON with K_max = {kmax} must store each lag "
+                             f"0..K_max exactly once, got lags {ks}")
         c = np.zeros(kmax + 1, dtype=complex)
         for k, v in lags:
-            if k < 0 or k > kmax:
-                raise InputError(f"density JSON stores lag {k} outside 0..{kmax}")
             c[k] = v
         return cls(c, label=label)
 
@@ -245,40 +244,36 @@ class RealParam:
         return float(self.theta[j + self.d])
 
     def to_density(self, label: str = "") -> SpectralDensity:
-        c = np.zeros(self.d + 1, dtype=complex)
-        c[0] = self[0]
-        for j in range(1, self.d + 1):
-            c[j] = (self[j] - 1j * self[-j]) / math.sqrt(2.0)
+        """a_0 = theta_0 and a_j = (theta_j - i theta_{-j}) / sqrt(2)."""
+        d, s = self.d, math.sqrt(2.0)
+        x, y = self.theta[d + 1:], self.theta[:d][::-1]
+        c = np.empty(d + 1, dtype=complex)
+        c[0] = self.theta[d]
+        # Python's complex arithmetic for (x - 1j y) / s, spelled out so that
+        # the signed zeros come out the same
+        re, im = x - 0.0 * y, 0.0 - y
+        c[1:].real = (re + 0.0 * im) / s
+        c[1:].imag = (im - 0.0 * re) / s
         return SpectralDensity(c, label=label)
 
     @classmethod
     def from_density(cls, a: SpectralDensity, d: int | None = None) -> "RealParam":
         d = a.k_max if d is None else int(d)
-        th = np.zeros(2 * d + 1)
-        th[d] = a.coeff(0).real
-        for j in range(1, d + 1):
-            aj = a.coeff(j)
-            th[d + j] = math.sqrt(2.0) * aj.real
-            th[d - j] = -math.sqrt(2.0) * aj.imag
+        c = a.full_coeffs(d)[d:]
+        th = np.empty(2 * d + 1)
+        th[d] = c[0].real
+        th[d + 1:] = math.sqrt(2.0) * c[1:].real
+        th[:d] = (-math.sqrt(2.0) * c[1:].imag)[::-1]
         return cls(d, th)
 
 
-def psi_basis(j: int, omega: np.ndarray) -> np.ndarray:
-    """Real orthonormal trigonometric basis under the 1/(2 pi) inner product.
+def psi_matrix(d: int, omega) -> np.ndarray:
+    """Design with columns psi_j(omega) for j = -d..d (column j + d) of the
+    real orthonormal basis under the 1/(2 pi) inner product,
 
     psi_0 = 1, psi_j = sqrt(2) cos(j w), psi_{-j} = sqrt(2) sin(j w).
     """
-    omega = np.asarray(omega, dtype=float)
-    if j == 0:
-        return np.ones_like(omega)
-    if j > 0:
-        return math.sqrt(2.0) * np.cos(j * omega)
-    return math.sqrt(2.0) * np.sin(-j * omega)
-
-
-def psi_matrix(d: int, omega: np.ndarray) -> np.ndarray:
-    """Design with columns psi_j(omega) for j = -d..d (column j + d)."""
-    omega = np.asarray(omega, dtype=float)
+    omega = np.asarray(omega, dtype=float).reshape(-1)
     jw = np.multiply.outer(omega, np.arange(1, d + 1))
     out = np.empty((omega.size, 2 * d + 1))
     out[:, d] = 1.0
@@ -288,26 +283,13 @@ def psi_matrix(d: int, omega: np.ndarray) -> np.ndarray:
 
 
 def eval_density(a: SpectralDensity, omega) -> float | np.ndarray:
-    """Evaluate a(w) = sum_k a_k exp(i k w) over both lag signs.
+    """Evaluate a(w) as psi_matrix(K_max, w) @ theta, theta its real coordinates.
 
-    The imaginary residue is discarded after asserting
-    |Im| < 1e-10 (1 + |Re|); a violation means the symmetry invariant was
-    broken upstream.  Scalars are reduced mod 2 pi first.
+    Scalars are reduced mod 2 pi first and return a float.
     """
     scalar = np.isscalar(omega)
-    if scalar:
-        w = np.array([reduce_angle(float(omega))])
-    else:
-        w = np.asarray(omega, dtype=float)
-    ks = np.arange(-a.k_max, a.k_max + 1)
-    vals = np.exp(1j * np.outer(w, ks)) @ a.full_coeffs()
-    bad = np.abs(vals.imag) > 1e-10 * (1.0 + np.abs(vals.real))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise HermitianSymmetryViolation(
-            f"evaluation at w={w[i]:g} has imaginary residue {vals.imag[i]:g}"
-        )
-    out = vals.real
+    w = np.array([reduce_angle(float(omega))]) if scalar else omega
+    out = psi_matrix(a.k_max, w) @ RealParam.from_density(a).theta
     return float(out[0]) if scalar else out
 
 

@@ -193,6 +193,34 @@ def l2_distance_sq(a: SpectralDensity, values_fn, grid: int = 8192) -> float:
     return float(np.mean(diff ** 2))
 
 
+def density_by_exponentials(a: SpectralDensity, omega) -> np.ndarray:
+    """a(w) = sum_k a_k exp(i k w) over both lag signs, as a complex sum; the real part."""
+    ks = np.arange(-a.k_max, a.k_max + 1)
+    w = np.asarray(omega, dtype=float).reshape(-1)
+    return (np.exp(1j * np.outer(w, ks)) @ a.full_coeffs()).real
+
+
+def theta_by_lag_loop(a: SpectralDensity, d: int) -> np.ndarray:
+    """Real coordinates of a, lag by lag: theta_j = sqrt(2) Re a_j, theta_{-j} = -sqrt(2) Im a_j."""
+    th = np.zeros(2 * d + 1)
+    th[d] = a.coeff(0).real
+    for j in range(1, d + 1):
+        aj = a.coeff(j)
+        th[d + j] = math.sqrt(2.0) * aj.real
+        th[d - j] = -math.sqrt(2.0) * aj.imag
+    return th
+
+
+def coeffs_by_lag_loop(theta: np.ndarray) -> np.ndarray:
+    """a_0 .. a_d of theta, lag by lag in Python complex arithmetic."""
+    d = (len(theta) - 1) // 2
+    c = np.zeros(d + 1, dtype=complex)
+    c[0] = theta[d]
+    for j in range(1, d + 1):
+        c[j] = (float(theta[d + j]) - 1j * float(theta[d - j])) / math.sqrt(2.0)
+    return c
+
+
 def step_function_values(heights: np.ndarray, omega: np.ndarray, n: int) -> np.ndarray:
     """Evaluate the piecewise-constant function with given cell heights."""
     x = np.clip((np.asarray(omega) / TWO_PI + 0.5) * n, 0, n - 1e-9)

@@ -7,6 +7,10 @@ qsts fails here instead of in a traced benchmark run.  Each target must be a
 plain function: the traced run skips what ``inspect.isfunction`` rejects,
 so a cache wrapper (cache the private builder it calls instead) would
 silently drop a span from the per-layer trace.
+
+``perfbench/workloads.py`` calls qsts directly as well; every
+``<qsts module>.<attr>...`` chain it spells, and every name it imports from a
+qsts module, must resolve.
 """
 
 import ast
@@ -17,6 +21,7 @@ import pathlib
 import pytest
 
 LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+WORKLOADS = LAYERS.with_name("workloads.py")
 
 
 def layers_constant(name):
@@ -48,3 +53,35 @@ def test_whole_module_surface_is_plain_functions(module):
                and getattr(v, "__module__", None) == mod.__name__
                and not inspect.isfunction(v)]
     assert wrapped == []
+
+
+def workload_references():
+    """Dotted names ``module.attr...`` that workloads.py reads off qsts."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules, refs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "qsts":
+            modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qsts."):
+            refs.update(node.module[len("qsts."):] + "." + alias.name for alias in node.names)
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            refs.add(".".join([node.id] + chain))
+    return sorted(refs)
+
+
+def test_workloads_reach_qsts():
+    assert {"estimators.design_matrices", "spectral.RealParam.from_density",
+            "errors.QstsError"} <= set(workload_references())
+
+
+@pytest.mark.parametrize("name", workload_references())
+def test_workload_reference_resolves(name):
+    module, *attrs = name.split(".")
+    owner = importlib.import_module("qsts." + module)
+    for attr in attrs:
+        owner = getattr(owner, attr)

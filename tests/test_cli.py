@@ -402,6 +402,8 @@ EXIT_CASES = {
                                     "--omega", "0"]),
     "density_json_negative_k_max": (1, ["density", "eval", "--density", "{negative}",
                                         "--omega", "0"]),
+    "density_json_duplicate_lag": (1, ["density", "eval", "--density", "{duplicate}",
+                                       "--omega", "0"]),
     "numerical": (2, ["state", "entropy", "--a1", "const:1", "--a2", "const:3",
                       "--n", "2"]),
     "audit": (3, ["symbol", "gap", "--density", GEOM_DECAY, "--n", "16", "--m", "19",
@@ -422,7 +424,12 @@ class TestExitCodes:
                                       {"K_max": 10 ** 14, "coeffs": []}),
                  "{negative}": _json_file(tmp_path, "negative.json",
                                           {"K_max": -5, "coeffs": [{"k": 0, "re": 2.0,
-                                                                    "im": 0.0}]})}
+                                                                    "im": 0.0}]}),
+                 # lag 0 twice and lag 1 not at all
+                 "{duplicate}": _json_file(tmp_path, "duplicate.json",
+                                           {"K_max": 1, "coeffs": [
+                                               {"k": 0, "re": 2.0, "im": 0.0},
+                                               {"k": 0, "re": 3.0, "im": 0.0}]})}
         argv = [files.get(a, a) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == expect

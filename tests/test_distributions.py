@@ -228,6 +228,22 @@ class TestChernoff:
         tg, vg = chernoff_geo_inf(2.0, 4.0)
         assert vq == pytest.approx(vg, abs=1e-9)
 
+    def test_quantum_infimum_evaluates_each_density_once(self, monkeypatch):
+        from qsts import distributions
+
+        a0 = SpectralDensity.cosine(2.0, 0.5)
+        a1 = SpectralDensity.cosine(3.0, 0.7)
+        seen, evaluate = [], distributions.eval_density
+
+        def counted(a, w):
+            seen.append(a)
+            return evaluate(a, w)
+
+        monkeypatch.setattr(distributions, "eval_density", counted)
+        t, v = chernoff_quantum_inf(a0, a1)
+        assert seen == [a0, a1]
+        assert v == chernoff_quantum(a0, a1, t)
+
 
 class TestVarstab:
     def test_limit_at_one(self):

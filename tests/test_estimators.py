@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qsts import estimators
 from qsts.errors import (
@@ -19,31 +20,47 @@ from qsts.estimators import (
     phi_matrices,
     preliminary_estimator,
     project_theta,
-    theta_density_values,
 )
 from qsts.harness import RngStream, mc_run
 from qsts.measurement import block_scheme, pi_moments, sample_pi_blocks
-from qsts.spectral import RealParam, SpectralDensity, theta2prime_space
+from qsts.spectral import (
+    RealParam,
+    SpectralDensity,
+    membership,
+    psi_matrix,
+    theta2prime_space,
+)
 from qsts.toeplitz import toeplitz_from_density
 
 COS_DENSITY = SpectralDensity.cosine(2.0, 0.5)
 COS_THETA = RealParam.from_density(COS_DENSITY, d=1).theta  # (0, 2, sqrt2/4)
 
 
-def quad_project_oracle(x, space, grid_size=512):
-    """Oracle: projection by dense active-set QP over the same constraints."""
+def quad_project_oracle(x, space):
+    """Oracle: projection by dense SLSQP onto the set ``membership`` accepts.
+
+    For d <= 1 that set is {||v||^2 <= M} and the exact minimum
+    v_0 - sqrt(2) ||(v_-1, v_1)|| of a_v being at least 1 + 1/M.
+    """
     from scipy.optimize import minimize
 
     d = (len(x) - 1) // 2
-    omegas = -math.pi + 2 * math.pi * np.arange(grid_size) / grid_size
-    from qsts.spectral import psi_basis
-    C = np.column_stack([psi_basis(j, omegas) for j in range(-d, d + 1)])
+    assert d <= 1
     floor = 1.0 + 1.0 / space.M
+
+    def lowest(v):
+        return v[d] - math.sqrt(2.0) * np.linalg.norm(np.delete(v, d))
+
+    def lowest_jac(v):
+        r = np.linalg.norm(np.delete(v, d))
+        g = -math.sqrt(2.0) * v / r if r > 0.0 else np.zeros_like(v)
+        g[d] = 1.0
+        return g
 
     cons = [
         {"type": "ineq", "fun": lambda v: space.M - v @ v,
          "jac": lambda v: -2 * v},
-        {"type": "ineq", "fun": lambda v: C @ v - floor, "jac": lambda v: C},
+        {"type": "ineq", "fun": lambda v: lowest(v) - floor, "jac": lowest_jac},
     ]
     res = minimize(lambda v: np.sum((v - x) ** 2), x0=np.asarray(x, float),
                    jac=lambda v: 2 * (v - x), constraints=cons,
@@ -78,6 +95,10 @@ class TestDesignMatrices:
     def test_dimension_guard(self):
         with pytest.raises(DimensionError):
             design_matrices(3, 2, np.zeros(5))
+
+    def test_theta_of_another_bandwidth_rejected(self):
+        with pytest.raises(DimensionError):
+            design_matrices(9, 1, np.array([0.0, 0.0, 2.0, 0.0, 0.0]))
 
     def test_nan_theta_rejected(self):
         # NaN <= 0 is False, so only a test for positivity catches a NaN Delta
@@ -214,7 +235,7 @@ class TestProjection:
     def test_floor_violation(self):
         x = np.array([0.0, 1.0, 0.0])  # constant density 1.0 < 1.2
         out = project_theta(x, self.SPACE)
-        vals = theta_density_values(out, np.linspace(-math.pi, math.pi, 2001))
+        vals = psi_matrix(1, np.linspace(-math.pi, math.pi, 2001)) @ out
         assert vals.min() >= 1.0 + 1.0 / 5.0 - 1e-8
         oracle = quad_project_oracle(x, self.SPACE)
         np.testing.assert_allclose(out, oracle, atol=1e-6)
@@ -241,6 +262,42 @@ class TestProjection:
         out = project_theta(self.SLOW_X, self.SLOW_SPACE)
         oracle = quad_project_oracle(self.SLOW_X, self.SLOW_SPACE)
         np.testing.assert_allclose(out, oracle, atol=5e-6)
+
+    def test_result_clears_the_exact_minimum(self):
+        # the 512-point grid alone left an exact minimum of 1.09997 < 1.1 here
+        # and ||theta||^2 = M + 2.4e-10
+        out = project_theta(self.SLOW_X, self.SLOW_SPACE)
+        assert out @ out <= self.SLOW_SPACE.M
+        lowest = out[1] - math.sqrt(2.0) * math.hypot(out[0], out[2])
+        assert lowest >= 1.0 + 1.0 / self.SLOW_SPACE.M
+        assert membership(RealParam(1, out).to_density(), self.SLOW_SPACE).member
+
+    def test_exhausted_membership_rounds_raise(self, monkeypatch):
+        # the grid's own projection misses the exact minimum, so one round is not enough
+        monkeypatch.setattr(estimators, "_MEMBERSHIP_ROUNDS", 1)
+        with pytest.raises(NonConvergence, match="after 1 rounds"):
+            project_theta(self.SLOW_X, self.SLOW_SPACE)
+
+    def test_feasible_input_skips_membership_when_the_grid_clears_the_floor(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("membership called")
+
+        monkeypatch.setattr(estimators, "membership", refuse)
+        out = project_theta(COS_THETA, self.SPACE)
+        assert out.tobytes() == COS_THETA.tobytes()
+
+    def test_feasible_input_near_the_floor_unchanged(self):
+        # an exact minimum 1e-9 above the floor: the grid cannot tell, membership can
+        x = np.array([0.3, 0.0, 0.4])
+        x[1] = 1.2 + 1e-9 + math.sqrt(2.0) * 0.5
+        assert project_theta(x, self.SPACE).tobytes() == x.tobytes()
+
+    @given(st.integers(0, 3), st.floats(3.0, 20.0),
+           st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=7, max_size=7))
+    def test_result_is_a_member(self, d, M, coords):
+        space = theta2prime_space(d, M)
+        out = project_theta(np.array(coords[:2 * d + 1]), space)
+        assert membership(RealParam(d, out).to_density(), space).member
 
 
 class TestPhiMatrices:
@@ -273,7 +330,7 @@ class TestPhiMatrices:
         while count < 20:
             theta = rng.uniform(-0.5, 0.5, size=3)
             theta[1] = rng.uniform(1.6, 1.9)
-            vals = theta_density_values(theta, np.linspace(-math.pi, math.pi, 512))
+            vals = psi_matrix(1, np.linspace(-math.pi, math.pi, 512)) @ theta
             if vals.min() < 1.0 + 1.0 / 4.0 or theta @ theta > 4.0:
                 continue
             count += 1

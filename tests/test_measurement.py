@@ -175,6 +175,11 @@ class TestBlocks:
         np.testing.assert_array_equal(d1.blocks, d2.blocks)
         np.testing.assert_array_equal(d1.pi_bar, d2.pi_bar)
 
+    def test_pi_bar_is_read_off_the_blocks(self):
+        draw = sample_pi_blocks(COS_DENSITY, block_scheme(128, 1), RngStream(7, 0))
+        assert draw.pi_bar.tobytes() == np.mean(2.0 * draw.blocks + 1.0, axis=0).tobytes()
+        assert draw.pi_bar is draw.pi_bar
+
     def test_constant_density_symmetric_components(self):
         scheme = block_scheme(512, 0)
         a = SpectralDensity.constant(3.0)

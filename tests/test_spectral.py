@@ -1,7 +1,10 @@
 import math
+import pathlib
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qsts.errors import HermitianSymmetryViolation, InputError, RangeError
 from qsts.spectral import (
@@ -13,15 +16,44 @@ from qsts.spectral import (
     grids,
     local_averages,
     membership,
+    parse_density,
     sobolev_norm,
     theta1_space,
     theta2_space,
 )
 
-from oracles import l2_distance_sq, step_function_values
+from oracles import (
+    coeffs_by_lag_loop,
+    density_by_exponentials,
+    l2_distance_sq,
+    step_function_values,
+    theta_by_lag_loop,
+)
 
 COS_2_05 = SpectralDensity.from_coeff_map({0: 2.0, 1: 0.5})  # a(w) = 2 + cos w
 GEOM = SpectralDensity(np.array([2.0 ** -k for k in range(21)], dtype=complex))
+GEOM_DECAY = str(pathlib.Path(__file__).resolve().parents[1] / "demos" / "densities"
+                 / "geom_decay.json")
+
+
+@st.composite
+def densities(draw, k_max_top=30):
+    """A density with K_max <= k_max_top, a_0 in [-2, 6] and |Re a_k|, |Im a_k| <= 1."""
+    part = st.floats(-1.0, 1.0, allow_nan=False)
+    k_max = draw(st.integers(0, k_max_top))
+    re = draw(st.lists(part, min_size=k_max, max_size=k_max))
+    im = draw(st.lists(part, min_size=k_max, max_size=k_max))
+    a0 = draw(st.floats(-2.0, 6.0, allow_nan=False))
+    return SpectralDensity(np.array([a0] + [complex(x, y) for x, y in zip(re, im)]))
+
+
+def exact_density(a, w):
+    """a(w) in 40-digit arithmetic at the float w."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(w))
+        return a.coeffs[0].real + 2 * mpmath.fsum(
+            mpmath.mpf(c.real) * mpmath.cos(k * x) - mpmath.mpf(c.imag) * mpmath.sin(k * x)
+            for k, c in enumerate(a.coeffs[1:], start=1))
 
 
 def riemann_average(a, j, n, points=10 ** 6):
@@ -43,8 +75,23 @@ class TestEvalDensity:
 
     def test_real_on_grid(self):
         w = np.linspace(-math.pi, math.pi, 4097)
-        vals = eval_density(GEOM, w)  # raises if imaginary residue too large
-        assert np.all(np.isfinite(vals))
+        vals = eval_density(GEOM, w)
+        assert vals.dtype == float and np.all(np.isfinite(vals))
+
+    @given(densities(), st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1,
+                                 max_size=40))
+    def test_matches_the_complex_exponential_sum(self, a, omega):
+        tol = 1e-13 * (1.0 + float(np.sum(np.abs(a.full_coeffs()))))
+        np.testing.assert_allclose(eval_density(a, np.array(omega)),
+                                   density_by_exponentials(a, omega), rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("spec, bound", [(GEOM_DECAY, 1.2e-15), ("cos:2,0.5", 2.1e-16)])
+    def test_relative_error_against_40_digits(self, spec, bound):
+        a = parse_density(spec)
+        w = np.linspace(-math.pi, math.pi, 513)
+        worst = max(abs((v - exact_density(a, x)) / exact_density(a, x))
+                    for v, x in zip(eval_density(a, w), w))
+        assert worst <= bound
 
     def test_reduction_mod_2pi(self):
         assert eval_density(COS_2_05, 2 * math.pi + 0.3) == pytest.approx(
@@ -215,6 +262,21 @@ class TestRealParam:
             np.testing.assert_allclose(again.theta, theta.theta, atol=1e-14)
 
 
+class TestRealParamBits:
+    """The array forms of RealParam's maps give the lag loops' bits, signed zeros included."""
+
+    @given(densities(k_max_top=8), st.integers(0, 10))
+    def test_from_density(self, a, d):
+        assert RealParam.from_density(a, d).theta.tobytes() == theta_by_lag_loop(a, d).tobytes()
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -0.25]) | st.floats(-3.0, 3.0),
+                    min_size=1, max_size=9).filter(lambda v: len(v) % 2 == 1))
+    def test_to_density(self, theta):
+        d = (len(theta) - 1) // 2
+        assert RealParam(d, theta).to_density().coeffs.tobytes() == coeffs_by_lag_loop(
+            np.array(theta)).tobytes()
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         a = SpectralDensity.from_coeff_map({0: 2.0, 1: 0.3 + 0.1j, 3: -0.05j})
@@ -234,6 +296,19 @@ class TestSerialization:
         coeffs = [{"k": k, "re": 1.0, "im": 0.0} for k in range(stored)]
         with pytest.raises(InputError, match="K_max"):
             SpectralDensity.from_json({"K_max": kmax, "coeffs": coeffs})
+
+
+    @pytest.mark.parametrize("ks", [[0, 0], [0, 2], [1, 0, 1], [1]])
+    def test_each_lag_stored_exactly_once(self, ks):
+        # a lag twice (the second would overwrite the first) or one missing
+        coeffs = [{"k": k, "re": 2.0 + k, "im": 0.0} for k in ks]
+        with pytest.raises(InputError, match="exactly once"):
+            SpectralDensity.from_json({"K_max": 1, "coeffs": coeffs})
+
+    def test_lags_in_any_order(self):
+        coeffs = [{"k": 1, "re": 0.25, "im": 0.5}, {"k": 0, "re": 2.0, "im": 0.0}]
+        assert SpectralDensity.from_json({"K_max": 1, "coeffs": coeffs}) == SpectralDensity(
+            [2.0, 0.25 + 0.5j])
 
 
 class TestConstruction:
