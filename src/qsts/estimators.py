@@ -38,7 +38,8 @@ from .spectral import (
 
 _QUAD_GRID = 4096
 
-#: distinct (m, d) designs and (d, grid_size) constraint sets kept per process
+#: distinct (m, d) designs, (d, grid_size) uniform-grid designs and
+#: constraint sets kept per process
 _DESIGN_CACHE_SIZE = 32
 
 #: the projection's Dykstra step and violation tolerance, its sweep budget
@@ -185,12 +186,18 @@ def _project_polyhedron(x: np.ndarray, C: np.ndarray, b: np.ndarray) -> np.ndarr
 
 
 @functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
+def _grid_design(d: int, grid_size: int) -> np.ndarray:
+    """psi design over the uniform grid -pi + 2 pi g / grid_size (read-only)."""
+    C = psi_matrix(d, -math.pi + TWO_PI * np.arange(grid_size) / grid_size)
+    C.setflags(write=False)
+    return C
+
+
+@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
 def _constraints(d: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """psi design over the uniform projection grid and its row norms."""
-    omegas = -math.pi + TWO_PI * np.arange(grid_size) / grid_size
-    C = psi_matrix(d, omegas)
+    C = _grid_design(d, grid_size)
     row_norms = np.sqrt(np.sum(C * C, axis=1))
-    C.setflags(write=False)
     row_norms.setflags(write=False)
     return C, row_norms
 
@@ -288,12 +295,13 @@ def phi_matrices(theta: np.ndarray, d: int, grid: int = _QUAD_GRID) -> FisherMat
     phi0_jk = (1/2 pi) int (a_theta^2 - 1) psi_j psi_k dw,
     phi_jk  = (1/2 pi) int (a_theta^2 - 1)^{-1} psi_j psi_k dw,
 
-    by periodic trapezoid quadrature on ``grid`` points.
+    by periodic trapezoid quadrature on ``grid`` points.  The grid x (2d+1)
+    design is built once per (d, grid) in the process and is read-only.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != 2 * d + 1:
         raise DimensionError(f"theta must have length {2 * d + 1}")
-    psi = psi_matrix(d, -math.pi + TWO_PI * np.arange(grid) / grid)
+    psi = _grid_design(d, grid)
     weight = (psi @ theta) ** 2 - 1.0
     if np.any(weight <= 0.0):
         raise NotAdmissible("a_theta must stay above 1 for the phi matrices")

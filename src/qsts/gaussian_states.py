@@ -11,9 +11,11 @@ operator trace formula as the reference.  Two real centrosymmetric symbols
 (every Toeplitz symbol of a real density) have real eigenvectors of two
 parities, symmetric and skew, and V1* V2 vanishes between parities; the sum
 then runs per parity block over the half-size solves
-(``SymbolMatrix.halves``), and no full V is built.  Two symbols with equal
-entries give exactly 0 after the faithfulness gate on the first, with no
-solve of the second and no KL sum.  No Fock-space density operator is ever
+(``SymbolMatrix.halves``), and no full V is built.  An unequal pair takes
+these vector solves before its faithfulness gate, which then reads their
+eigenvalues.  Two symbols with equal entries give exactly 0 after the gate
+on the first, which needs only a values-only solve, with no solve of the
+second and no KL sum.  No Fock-space density operator is ever
 materialized; the one exception is the photon number law of a single
 thermal mode.
 """
@@ -59,6 +61,14 @@ def _check_r_open_interval(lams: np.ndarray, lo: float, hi: float, what: str):
             f"not inside ({lo:g}, {hi:g})")
 
 
+def _check_faithful(A):
+    """Raise NotFaithful unless lambda_min(A) > 1 + EPS_FAITHFUL."""
+    lam_min = A.eigenvalues[0]
+    if lam_min <= 1.0 + EPS_FAITHFUL:
+        raise NotFaithful(
+            f"lambda_min(A) = {lam_min:.12g} is not above 1 + {EPS_FAITHFUL:g}")
+
+
 def relative_entropy(A1, A2) -> float:
     """Relative entropy S(rho_1 || rho_2) between the states with these symbols.
 
@@ -72,25 +82,24 @@ def relative_entropy(A1, A2) -> float:
     sum is taken over the symmetric and the skew block, each with the
     half-size overlap W1^T W2.  Every term is nonnegative, so S is real and
     >= 0 by construction.  Both symbols must be strictly faithful:
-    lambda_min(A) > 1 + EPS_FAITHFUL.  Two symbols with equal entries
-    (``SymbolMatrix.same_entries``) give exactly 0.0 once A1 passes that
-    gate; A2 is not diagonalized.
+    lambda_min(A) > 1 + EPS_FAITHFUL, read after their vector solves.  Two
+    symbols with equal entries (``SymbolMatrix.same_entries``) give exactly
+    0.0 once A1 passes that gate, on its eigenvalues alone (a values-only
+    solve when A1 has none yet); A2 is not diagonalized.
     """
     A1, A2 = as_symbol(A1), as_symbol(A2)
     if A1.n != A2.n:
         raise SpectralRangeError("symbols must have equal dimension")
-    equal = A1.same_entries(A2)
-    for A in (A1,) if equal else (A1, A2):
-        lam_min = A.eigenvalues[0]
-        if lam_min <= 1.0 + EPS_FAITHFUL:
-            raise NotFaithful(
-                f"lambda_min(A) = {lam_min:.12g} is not above 1 + {EPS_FAITHFUL:g}")
-    if equal:
+    if A1.same_entries(A2):
+        _check_faithful(A1)
         return 0.0
+    # the vector solves come before the gate, which then reads their eigenvalues
     if A1.halves is not None and A2.halves is not None:
         blocks = zip(A1.halves, A2.halves)
     else:
         blocks = [(A1.spectrum, A2.spectrum)]
+    _check_faithful(A1)
+    _check_faithful(A2)
     return float(sum(np.sum(abs_square(V1.conj().T @ V2) * geo_kl(l1[:, None], l2[None, :]))
                      for (l1, V1), (l2, V2) in blocks))
 
@@ -118,12 +127,13 @@ def entropy_symbol_bound(A1, A2, lam: float) -> SymbolBoundReport:
     delta = min((1 - lam)/2, (1 - lam)^3 / (8 lam)) and the entropy bound
     holds whenever ||R1 - R2||_2 < delta.  The report also verifies the
     symbol-level control ||R1 - R2||_2^2 <= (1 - lam)^{-2} ||A1 - A2||_2^2.
+    Each symbol takes its one vector solve before its R bracket.
     """
     if not 0.5 < lam < 1.0:
         raise RangeError("lam must lie in (1/2, 1)")
     A1, A2 = as_symbol(A1), as_symbol(A2)
     for what, A in (("R1 bracket", A1), ("R2 bracket", A2)):
-        lams = A.eigenvalues
+        lams = A.spectrum[0]
         _check_r_open_interval((lams - 1.0) / (lams + 1.0), 1.0 - lam, lam, what)
     delta = min((1.0 - lam) / 2.0, (1.0 - lam) ** 3 / (8.0 * lam))
     h_norm = hs_distance(r_from_symbol(A1), r_from_symbol(A2))

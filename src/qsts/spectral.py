@@ -45,8 +45,8 @@ class SpectralDensity:
     Parameters
     ----------
     coeffs : complex ndarray, shape (K_max + 1,)
-        Coefficients a_0 .. a_{K_max}; negative lags are implied by
-        a_{-k} = conj(a_k), so symmetry holds by construction.
+        Coefficients a_0 .. a_{K_max}, all finite; negative lags are implied
+        by a_{-k} = conj(a_k), so symmetry holds by construction.
     """
 
     coeffs: np.ndarray
@@ -56,6 +56,8 @@ class SpectralDensity:
         c = np.asarray(self.coeffs, dtype=complex).reshape(-1)
         if c.size == 0:
             raise InputError("density needs at least the lag-0 coefficient")
+        if not np.isfinite(c).all():
+            raise InputError("density coefficients must be finite")
         if abs(c[0].imag) > 1e-12 * (1.0 + abs(c[0].real)):
             raise HermitianSymmetryViolation(
                 f"a_0 must be real, got imaginary part {c[0].imag!r}"

@@ -10,11 +10,14 @@ Each symbol is diagonalized once.  A real symmetric Toeplitz matrix
 commutes with the reversal J, so a real symbol with A == J A J (every
 Toeplitz symbol of a real density, and its circulant block) splits into two
 half-size real symmetric eigenproblems, for the symmetric and the
-skew-symmetric eigenvectors (``SymbolMatrix.halves``).  Readers of the
-eigenvalues alone (``SymbolMatrix.eigenvalues``) and the relative entropy
-work from the halves; the full ``SymbolMatrix.spectrum`` (lams, V), with V
-real, is assembled from them only when a consumer asks for it.  Any other
-symbol takes one complex ``eigh``.
+skew-symmetric eigenvectors (``SymbolMatrix.halves``).  The relative
+entropy works from the halves; the full ``SymbolMatrix.spectrum``
+(lams, V), with V real, is assembled from them only when a consumer asks
+for it.  Any other symbol takes one complex ``eigh``.  A reader of the
+eigenvalues alone (``SymbolMatrix.eigenvalues``) gets those of the solve
+already made, or else a values-only ``eigvalsh`` on the same halves or
+entries, which leaves the vectors unsolved; a consumer that reads vectors
+solves them before it reads the eigenvalues, so no symbol takes both.
 
 A symbol built from its 2n - 1 lags keeps them, so comparing two such
 symbols (``SymbolMatrix.same_entries``) and their Hilbert-Schmidt distance
@@ -145,34 +148,49 @@ class SymbolMatrix:
         return np.array_equal(self.entries, other.entries)
 
     @cached_property
-    def halves(self) -> tuple | None:
-        """``_centro_halves`` of a real symbol with A == J A J, else None (read-only).
+    def _centro(self) -> bool:
+        """True for a real symbol with A == J A J, the symbols that split in two.
 
         A lag-built symbol has A == J A J exactly when its lags are real, an
         O(n) test; one given entry by entry is compared with J A J in O(n^2).
         """
-        e = self.entries
         if self._lags is not None:
-            centro = not self._lags.imag.any()
-        else:
-            centro = not e.imag.any() and np.array_equal(e, e[::-1, ::-1])
-        if not centro:
+            return not self._lags.imag.any()
+        e = self.entries
+        return not e.imag.any() and np.array_equal(e, e[::-1, ::-1])
+
+    @cached_property
+    def halves(self) -> tuple | None:
+        """``_centro_halves`` of a real symbol with A == J A J, else None (read-only)."""
+        if not self._centro:
             return None
-        try:
-            halves = _centro_halves(e.real)
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailure(str(exc)) from exc
+        halves = _solve(_centro_halves, self.entries.real)
         for arr in (*halves[0], *halves[1]):
             arr.setflags(write=False)
         return halves
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues (read-only); a split symbol merges its halves, with no V."""
-        if self.halves is None:
-            return self.spectrum[0]
-        (ls, _), (lk, _) = self.halves
-        lams = np.sort(np.concatenate((ls, lk)), kind="stable")
+        """Ascending eigenvalues (read-only), with no V.
+
+        When ``halves`` or ``spectrum`` is cached, their eigenvalues, byte for
+        byte (the halves merged by a stable sort).  Otherwise a values-only
+        ``eigvalsh``, on the two halves of a symbol that splits, else on the
+        entries; ``halves`` and ``spectrum`` then stay unsolved, and they may
+        differ from these values in the last digits.  A consumer that also
+        reads eigenvectors takes its solve before it reads the eigenvalues,
+        so no symbol pays for both.
+        """
+        solved = self.__dict__
+        if solved.get("halves") is not None:
+            parts = [lams for lams, _ in solved["halves"]]
+        elif "spectrum" in solved:
+            return solved["spectrum"][0]
+        elif self._centro:
+            parts = _solve(_centro_halves, self.entries.real, vectors=False)
+        else:
+            parts = [_solve(np.linalg.eigvalsh, self.entries)]
+        lams = np.sort(np.concatenate(parts), kind="stable")
         lams.setflags(write=False)
         return lams
 
@@ -186,10 +204,7 @@ class SymbolMatrix:
         if self.halves is not None:
             lams, V = _centro_spectrum(self.halves)
         else:
-            try:
-                lams, V = np.linalg.eigh(self.entries)
-            except np.linalg.LinAlgError as exc:
-                raise EigenFailure(str(exc)) from exc
+            lams, V = _solve(np.linalg.eigh, self.entries)
         lams.setflags(write=False)
         V.setflags(write=False)
         return lams, V
@@ -219,7 +234,15 @@ class SymbolMatrix:
         return cls(e, tag=tag)
 
 
-def _centro_halves(A: np.ndarray) -> tuple:
+def _solve(solve, *args, **kwargs):
+    """``solve(*args, **kwargs)``, with numpy's LinAlgError raised as EigenFailure."""
+    try:
+        return solve(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+
+
+def _centro_halves(A: np.ndarray, vectors: bool = True) -> tuple:
     """``eigh`` of a real symmetric A with A == J A J, as two half-size solves.
 
     With h = n // 2, B = A[:h, :h] and C = (A J)[:h, :h], the symmetric
@@ -229,7 +252,8 @@ def _centro_halves(A: np.ndarray) -> tuple:
     the middle diagonal entry, and a symmetric vector is
     [w_top/sqrt 2; w_mid; J w_top/sqrt 2].  Either way the overlap of two
     full vectors of one parity is the dot product of their half vectors.
-    Returns ((ls, Ws), (lk, Wk)), each pair ascending from ``eigh``.
+    Returns ((ls, Ws), (lk, Wk)), each pair ascending from ``eigh``; with
+    ``vectors=False``, only (ls, lk), from ``eigvalsh``.
     """
     n = A.shape[0]
     h, odd = divmod(n, 2)
@@ -239,7 +263,9 @@ def _centro_halves(A: np.ndarray) -> tuple:
     if odd:
         S[h, :h] = S[:h, h] = math.sqrt(2.0) * A[h, :h]
         S[h, h] = A[h, h]
-    return tuple(np.linalg.eigh(S)), tuple(np.linalg.eigh(B - C))
+    if vectors:
+        return tuple(np.linalg.eigh(S)), tuple(np.linalg.eigh(B - C))
+    return np.linalg.eigvalsh(S), np.linalg.eigvalsh(B - C)
 
 
 def _centro_spectrum(halves: tuple) -> tuple[np.ndarray, np.ndarray]:

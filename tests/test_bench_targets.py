@@ -10,7 +10,9 @@ silently drop a span from the per-layer trace.
 
 ``perfbench/workloads.py`` calls qsts directly as well; every
 ``<qsts module>.<attr>...`` chain it spells, and every name it imports from a
-qsts module, must resolve.
+qsts module, must resolve.  The eigensolves of its dense audits are pinned
+here, so a return to vector solves where only values are read fails this
+suite rather than a benchmark pair.
 """
 
 import ast
@@ -19,6 +21,9 @@ import inspect
 import pathlib
 
 import pytest
+
+from qsts.experiments import audit_state_approximation
+from qsts.spectral import parse_density
 
 LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 WORKLOADS = LAYERS.with_name("workloads.py")
@@ -85,3 +90,11 @@ def test_workload_reference_resolves(name):
     owner = importlib.import_module("qsts." + module)
     for attr in attrs:
         owner = getattr(owner, attr)
+
+
+def test_cos256_audit_solves_for_values_only(solves):
+    # the circulant block equals A_256 (K_max = 1), so only the
+    # faithfulness gate runs, on the two halves of A_256
+    report = audit_state_approximation(parse_density("cos:2,0.5"), 256, None)
+    assert [r.value for r in report.rows if r.label == "relative_entropy"] == [0.0]
+    assert solves == [("eigvalsh", (128, 128))] * 2

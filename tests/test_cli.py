@@ -442,6 +442,16 @@ class TestExitCodes:
         else:
             assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == expect
 
+    def test_non_finite_density_json_is_input_error(self, tmp_path, capsys):
+        # json.load accepts NaN, and such a file was once reported a member
+        path = _json_file(tmp_path, "nan.json", {"K_max": 1, "coeffs": [
+            {"k": 0, "re": 2.0, "im": 0.0}, {"k": 1, "re": math.nan, "im": 0.0}]})
+        code, out, err = run(capsys, "--json-errors", "density", "membership",
+                             "--density", path, "--M", "5", "--space", "theta2", "--d", "1")
+        obj = json.loads(err)
+        assert (code, out) == (1, "")
+        assert obj["error"] == "InputError" and "finite" in obj["message"]
+
 
 class TestConfigPrecedence:
     def test_command_line_beats_config_in_every_spelling(self, tmp_path, capsys):

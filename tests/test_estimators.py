@@ -347,6 +347,25 @@ class TestPhiMatrices:
         with pytest.raises(NotAdmissible):
             phi_matrices(np.array([0.0, 1.0, 0.0]), 1)
 
+    @pytest.mark.parametrize("d, grid", [(0, 17), (1, 4096), (3, 4096), (3, 1000)])
+    def test_cached_design_gives_the_uncached_bytes(self, d, grid):
+        # reference: the design rebuilt on every call
+        theta = np.zeros(2 * d + 1)
+        theta[d] = 2.5
+        theta[d + 1:] = 0.1
+        psi = psi_matrix(d, -math.pi + 2.0 * math.pi * np.arange(grid) / grid)
+        weight = (psi @ theta) ** 2 - 1.0
+        phi0 = (psi * weight[:, None]).T @ psi / grid
+        phi = (psi / weight[:, None]).T @ psi / grid
+        for _ in range(2):
+            got = phi_matrices(theta, d, grid)
+            assert got.phi0.tobytes() == (0.5 * (phi0 + phi0.T)).tobytes()
+            assert got.phi.tobytes() == (0.5 * (phi + phi.T)).tobytes()
+        design = estimators._grid_design(d, grid)
+        assert design.tobytes() == psi.tobytes()
+        with pytest.raises(ValueError):
+            design[0, 0] = 0.0
+
 
 class TestMonteCarloCalibration:
     def test_preliminary_unbiased(self):

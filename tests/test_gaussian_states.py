@@ -15,12 +15,14 @@ from qsts.gaussian_states import (
     relative_entropy,
     thermal_pmf,
 )
+from qsts.measurement import pi_moments
 from qsts.spectral import SpectralDensity
 from qsts.toeplitz import (
     SymbolMatrix,
     abs_square,
     circulant_block,
     circulant_from_density,
+    eigen_bracket_check,
     hs_distance,
     toeplitz_from_density,
 )
@@ -171,18 +173,7 @@ class TestSpectralEntropy:
 
 
 class TestOneEigensolvePerSymbol:
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counted(a, *args, _name=name, _original=original, **kwargs):
-                calls.append((_name, np.shape(a)))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        return calls
+    """Each symbol takes one solve: ``eigh`` when a consumer reads vectors, else ``eigvalsh``."""
 
     def test_relative_entropy_reuses_each_spectrum(self, solves):
         rng = np.random.default_rng(4)
@@ -212,6 +203,39 @@ class TestOneEigensolvePerSymbol:
             np.concatenate([[2.0], [2.0 ** -k for k in range(1, 21)]]).astype(complex))
         audit_state_approximation(a, 64, [67, 71, 79])
         assert solves == [("eigh", (32, 32))] * 8
+
+    def test_descending_ladder_solves_the_toeplitz_symbol_once(self, solves):
+        # K_max = 5: the block at m = 73 equals A_64 and comes first, the one
+        # at m = 67 does not; A_64 still takes one vector solve and no other
+        a = SpectralDensity([2.0, 0.2, 0.1, 0.05, 0.02, 0.01])
+        down = audit_state_approximation(a, 64, [73, 67])
+        assert solves == [("eigh", (32, 32))] * 4
+        up = audit_state_approximation(a, 64, [67, 73])
+        entropy = {r.m: r.value for r in down.rows if r.label == "relative_entropy"}
+        assert entropy[73] == 0.0 and entropy[67] > 0.0
+        assert entropy == {r.m: r.value for r in up.rows if r.label == "relative_entropy"}
+
+    def test_equal_pair_gates_on_values_only(self, solves):
+        a = SpectralDensity.cosine(2.0, 0.5)
+        A1, A2 = toeplitz_from_density(a, 256), toeplitz_from_density(a, 256)
+        assert relative_entropy(A1, A2) == 0.0
+        assert solves == [("eigvalsh", (128, 128))] * 2
+        assert unsolved(A1) and unsolved(A2)
+
+    def test_bracket_and_pi_moments_read_values_only(self, solves):
+        a = SpectralDensity.cosine(2.0, 0.5)
+        assert eigen_bracket_check(a, 64)[-1]
+        pi_moments(toeplitz_from_density(a, 65))
+        assert solves == [("eigvalsh", (32, 32))] * 2 + [("eigvalsh", (33, 33)),
+                                                         ("eigvalsh", (32, 32))]
+
+    @pytest.mark.parametrize("equal", [False, True])
+    def test_symbol_bound_solves_each_symbol_once(self, solves, equal):
+        T1 = toeplitz_from_density(SpectralDensity([3.0, 0.5, 0.25]), 7)
+        T2 = toeplitz_from_density(SpectralDensity([3.0, 0.5, 0.25] if equal else [3.5, -0.4]), 7)
+        report = entropy_symbol_bound(T1, T2, 0.75)
+        assert (report.entropy == 0.0) == equal
+        assert solves == [("eigh", (4, 4)), ("eigh", (3, 3))] * 2
 
 
 def full_form(A1, A2):

@@ -150,6 +150,18 @@ class TestMembership:
         for M in (4.2, 5.0, 8.0, 50.0):
             assert membership(a, theta2_space(1, M)).member
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_coefficients_rejected(self, bad):
+        # a NaN coefficient once made every comparison False: member=True
+        with pytest.raises(InputError, match="finite"):
+            membership(SpectralDensity([2.0, bad, 0.1, 0.1]), theta2_space(3, 50.0))
+        with pytest.raises(InputError, match="finite"):
+            SpectralDensity.from_json({"K_max": 1, "coeffs": [
+                {"k": 0, "re": 2.0, "im": 0.0},
+                {"k": 1, "re": complex(bad).real, "im": complex(bad).imag}]})
+        with pytest.raises(InputError, match="finite"):
+            SpectralDensity.from_coeff_map({0: bad})
+
     def test_exact_min_small_support(self):
         # min of 2 + cos is 1 at w = pi, found exactly
         amin, at = density_min(COS_2_05, 1024)

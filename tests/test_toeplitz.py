@@ -501,12 +501,30 @@ class TestSpectrumProperties:
     def test_rebuild_from_entries_is_identity(self, A):
         assert SymbolMatrix(A.entries, tag=A.tag) == A
 
-    @given(toeplitz_symbols())
-    def test_eigenvalues_leave_the_full_spectrum_unbuilt(self, case):
-        _, A = case
+    @given(st.one_of(toeplitz_symbols().map(lambda case: case[1]), general_symbols()))
+    def test_eigenvalues_leave_the_full_spectrum_unbuilt(self, A):
+        # values first: a values-only solve (eigvalsh), with neither the
+        # halves nor the spectrum solved
         lams = A.eigenvalues
-        assert ("spectrum" in A.__dict__) == (A.halves is None)
-        assert lams.tobytes() == A.spectrum[0].tobytes()
+        assert "halves" not in A.__dict__ and "spectrum" not in A.__dict__
+        assert not lams.flags.writeable and np.all(np.diff(lams) >= 0.0)
+        # both routes are backward stable; their values agree within
+        # 4 n eps max|lambda|, which measured at most 0.8 n eps max|lambda|
+        ref = SymbolMatrix(A.entries, tag=A.tag).spectrum[0]
+        tol = 4.0 * A.n * np.finfo(float).eps * np.max(np.abs(ref))
+        assert np.max(np.abs(lams - ref)) <= tol
+
+    @given(st.one_of(toeplitz_symbols().map(lambda case: case[1]), general_symbols()))
+    def test_eigenvalues_after_a_vector_solve_are_its_values(self, A):
+        # halves first (the entropy's order): merged, the spectrum unbuilt
+        B = SymbolMatrix(A.entries, tag=A.tag)
+        if B.halves is not None:
+            lams = B.eigenvalues
+            assert "spectrum" not in B.__dict__
+            assert lams.tobytes() == B.spectrum[0].tobytes()
+        # spectrum first
+        lams = A.spectrum[0]
+        assert A.eigenvalues.tobytes() == lams.tobytes()
 
 
 class TestCirculantBuildProperties:
