@@ -355,8 +355,11 @@ def audit_state_approximation(a: SpectralDensity, n: int,
     the Pinsker trace-distance bound sqrt(2 S) from that same S (A_n is
     diagonalized once for the whole ladder; every m is checked before the
     first entropy).  With a ladder of m values the entropy must be
-    nonincreasing as m - n grows.  When ``m_values`` is omitted, m defaults
-    to n + ceil(n^(1/3)) forced odd.
+    nonincreasing as m - n grows, whatever order the ladder is given in.
+    The gap, entropy and Pinsker rows keep the order of ``m_values``; the
+    ``entropy_nonincreasing`` rows compare neighbours in ascending m, one
+    row per step, at its larger m.  When ``m_values`` is omitted, m
+    defaults to n + ceil(n^(1/3)) forced odd.
     """
     if m_values is None:
         m_values = default_audit_m(n)
@@ -371,13 +374,14 @@ def audit_state_approximation(a: SpectralDensity, n: int,
     blocks = [circulant_block(a, m, n) for m in ms]
     entropies = [0.0] * len(ms)
     # unequal pairs first: they take A_n's vector solve, whose eigenvalues an
-    # equal pair's faithfulness gate then reads instead of solving for values
+    # equal pair's faithfulness gate then reads, before its lag floor
     for i in sorted(range(len(ms)), key=lambda i: A_n.same_entries(blocks[i])):
         entropies[i] = relative_entropy(A_n, blocks[i])
     for m, (gap_sq, bound), S in zip(ms, gaps, entropies):
         report.add("symbol_gap_sq", n, m, gap_sq, bound)
         report.add("relative_entropy", n, m, S)
         report.add("pinsker_bound", n, m, math.sqrt(2.0 * S))
-    for (m1, s1), (m2, s2) in zip(zip(ms, entropies), zip(ms[1:], entropies[1:])):
+    ladder = sorted(zip(ms, entropies))
+    for (_, s1), (m2, s2) in zip(ladder, ladder[1:]):
         report.add("entropy_nonincreasing", n, m2, s2, s1)
     return report

@@ -14,8 +14,16 @@ then runs per parity block over the half-size solves
 (``SymbolMatrix.halves``), and no full V is built.  An unequal pair takes
 these vector solves before its faithfulness gate, which then reads their
 eigenvalues.  Two symbols with equal entries give exactly 0 after the gate
-on the first, which needs only a values-only solve, with no solve of the
-second and no KL sum.  No Fock-space density operator is ever
+on the first, with no solve of the second and no KL sum.  That gate
+(``SymbolMatrix.lambda_min_exceeds``) solves nothing for a lag-built symbol
+whose lag polynomial clears it: by Grenander & Szego (*Toeplitz Forms and
+Their Applications*, 1958) lambda_min(A_n) >= min_w sum_{|k|<n} a_k e^{ikw},
+taken on a grid of G >= 8n points by one FFT, less the slope term
+(pi/G) sum |k||a_k| and an allowance 4 (n + log2 G) eps sum |a_k| for the
+FFT's and the eigensolver's rounding.  A symbol whose floor falls short,
+or that has no lags, gates on a values-only solve, so the inputs that
+raise and the message they print do not depend on the floor.  No
+Fock-space density operator is ever
 materialized; the one exception is the photon number law of a single
 thermal mode.
 """
@@ -62,11 +70,14 @@ def _check_r_open_interval(lams: np.ndarray, lo: float, hi: float, what: str):
 
 
 def _check_faithful(A):
-    """Raise NotFaithful unless lambda_min(A) > 1 + EPS_FAITHFUL."""
-    lam_min = A.eigenvalues[0]
-    if lam_min <= 1.0 + EPS_FAITHFUL:
-        raise NotFaithful(
-            f"lambda_min(A) = {lam_min:.12g} is not above 1 + {EPS_FAITHFUL:g}")
+    """Raise NotFaithful unless lambda_min(A) > 1 + EPS_FAITHFUL.
+
+    ``SymbolMatrix.lambda_min_exceeds`` answers, from the lag floor when it
+    clears the gate, else from the eigenvalues, which the message prints.
+    """
+    if not A.lambda_min_exceeds(1.0 + EPS_FAITHFUL):
+        raise NotFaithful(f"lambda_min(A) = {A.eigenvalues[0]:.12g} "
+                          f"is not above 1 + {EPS_FAITHFUL:g}")
 
 
 def relative_entropy(A1, A2) -> float:
@@ -84,8 +95,9 @@ def relative_entropy(A1, A2) -> float:
     >= 0 by construction.  Both symbols must be strictly faithful:
     lambda_min(A) > 1 + EPS_FAITHFUL, read after their vector solves.  Two
     symbols with equal entries (``SymbolMatrix.same_entries``) give exactly
-    0.0 once A1 passes that gate, on its eigenvalues alone (a values-only
-    solve when A1 has none yet); A2 is not diagonalized.
+    0.0 once A1 passes that gate, from its lag floor or, when that falls
+    short, its eigenvalues (a values-only solve when A1 has none yet); A2
+    is not diagonalized.
     """
     A1, A2 = as_symbol(A1), as_symbol(A2)
     if A1.n != A2.n:

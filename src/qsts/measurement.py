@@ -147,12 +147,15 @@ def pi_moments(A) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of the observable vector Pi = 2N + 1.
 
     mean_j = u_j* A u_j and Cov(Pi) = (U* A U)^[2] - I; requires a strictly
-    faithful symbol (lambda_min(A) > 1).
+    faithful symbol (lambda_min(A) > 1).  A lag-built symbol whose lag floor
+    (Grenander & Szego: lambda_min >= min of its lag polynomial, less the
+    grid slope and rounding allowance of ``SymbolMatrix.lambda_min_exceeds``)
+    clears 1 runs no eigensolve; any other symbol gates on its eigenvalues.
     """
     A = as_symbol(A)
-    lam_min = float(A.eigenvalues[0])
-    if lam_min <= 1.0:
-        raise NotFaithful(f"pi moments need lambda_min(A) > 1, got {lam_min:.6g}")
+    if not A.lambda_min_exceeds(1.0):
+        raise NotFaithful(
+            f"pi moments need lambda_min(A) > 1, got {float(A.eigenvalues[0]):.6g}")
     D = _dft_conjugate(A.entries)
     mean = np.diag(D)
     if np.max(np.abs(mean.imag)) > 1e-10 * (1.0 + np.max(np.abs(mean.real))):

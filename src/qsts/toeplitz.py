@@ -19,6 +19,17 @@ already made, or else a values-only ``eigvalsh`` on the same halves or
 entries, which leaves the vectors unsolved; a consumer that reads vectors
 solves them before it reads the eigenvalues, so no symbol takes both.
 
+A faithfulness gate asks only whether lambda_min exceeds a threshold
+(``SymbolMatrix.lambda_min_exceeds``).  Every eigenvalue of a Hermitian
+Toeplitz matrix lies in [min p, max p], for the trigonometric polynomial
+p(w) = sum_{|k|<n} a_k e^{ikw} of its own lags (Grenander & Szego, *Toeplitz
+Forms and Their Applications*, 1958).  A lag-built symbol with no solve yet
+answers from that bracket (``_lag_floor``): p on G >= 8n grid points by one
+FFT of the lags, less the slope term (pi/G) sum |k||a_k| and an allowance
+4 (n + log2 G) eps sum |a_k| for the FFT's rounding and the eigensolver's
+backward error.  Only when that floor does not clear the threshold does the
+gate solve, so an input it clears is one the solve would clear too.
+
 A symbol built from its 2n - 1 lags keeps them, so comparing two such
 symbols (``SymbolMatrix.same_entries``) and their Hilbert-Schmidt distance
 (``hs_distance``) cost O(n), with no n x n array.
@@ -194,6 +205,24 @@ class SymbolMatrix:
         lams.setflags(write=False)
         return lams
 
+    def lambda_min_exceeds(self, t: float) -> bool:
+        """Whether lambda_min > t, with no eigensolve when the lags certify it.
+
+        A symbol with a solve cached (``halves``, ``spectrum`` or
+        ``eigenvalues``) compares its lambda_min.  Otherwise a lag-built
+        symbol whose ``_lag_floor`` exceeds t answers True with no solve;
+        when the floor falls short, or the symbol has no lags, ``eigenvalues``
+        decides.  The floor lies below the solved lambda_min by more than
+        the solve's rounding, so the answer is always that of
+        ``eigenvalues[0] > t``.
+        """
+        solved = self.__dict__
+        if (solved.get("halves") is None and "spectrum" not in solved
+                and "eigenvalues" not in solved and self._lags is not None
+                and _lag_floor(self._lags) > t):
+            return True
+        return bool(self.eigenvalues[0] > t)
+
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and eigenvectors, solved once per symbol (read-only).
@@ -240,6 +269,26 @@ def _solve(solve, *args, **kwargs):
         return solve(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
+
+
+def _lag_floor(full: np.ndarray) -> float:
+    """Lower bound on lambda_min of the Hermitian Toeplitz matrix with lags ``full``.
+
+    ``full`` holds a_{-(n-1)} .. a_{n-1}.  p(w) = sum_k a_k e^{ikw} is taken
+    at G = 2^j >= 8n uniform points by one Hermitian FFT; every w lies within
+    pi/G of one of them and |p'| <= sum |k||a_k|, so min p is at least the
+    grid minimum less (pi/G) sum |k||a_k|.  The bound subtracts that and
+    4 (n + log2 G) eps sum |a_k|, which covers the FFT's rounding and the
+    backward error of a solve on a matrix of norm <= sum |a_k|.  NaN or
+    -inf, never above a threshold, when the sums overflow.
+    """
+    n = (full.size + 1) // 2
+    G = 1 << (8 * n - 1).bit_length()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.abs(full)
+        slope = math.pi / G * float(np.abs(np.arange(1 - n, n)) @ mags)
+        allowance = 4.0 * (n + math.log2(G)) * np.finfo(float).eps * float(mags.sum())
+        return float(np.fft.hfft(full[n - 1:], G).min()) - slope - allowance
 
 
 def _centro_halves(A: np.ndarray, vectors: bool = True) -> tuple:

@@ -210,6 +210,32 @@ class TestStateApproximation:
         ents = [r.value for r in rep.rows if r.label == "relative_entropy"]
         assert ents == sorted(ents, reverse=True)
 
+    @pytest.mark.parametrize("order", [[79, 71, 67], [71, 79, 67]])
+    def test_ladder_in_any_order_is_checked_in_ascending_m(self, order):
+        up = audit_state_approximation(LIFTED_GEOM, 64, [67, 71, 79])
+        other = audit_state_approximation(LIFTED_GEOM, 64, order)
+        assert other.all_passed
+        steps = [r.as_csv() for r in up.rows if r.label == "entropy_nonincreasing"]
+        assert [r.as_csv() for r in other.rows if r.label == "entropy_nonincreasing"] == steps
+        assert [r.m for r in other.rows if r.label == "relative_entropy"] == order
+
+    def test_ascending_ladder_rows_keep_their_order(self):
+        # per m in the given order its gap, entropy and Pinsker rows, then one
+        # step per neighbouring pair: the rows an ascending ladder always had
+        rep = audit_state_approximation(LIFTED_GEOM, 64, [67, 71, 79])
+        per_m = [r for r in rep.rows if r.label != "entropy_nonincreasing"]
+        assert [(r.label, r.m) for r in per_m] == [
+            (label, m) for m in (67, 71, 79)
+            for label in ("symbol_gap_sq", "relative_entropy", "pinsker_bound")]
+        ents = [r for r in per_m if r.label == "relative_entropy"]
+        expect = AuditReport(rows=list(per_m))
+        for r1, r2 in zip(ents, ents[1:]):
+            expect.add("entropy_nonincreasing", 64, r2.m, r2.value, r1.value)
+        got, want = io.StringIO(), io.StringIO()
+        rep.write_csv(got)
+        expect.write_csv(want)
+        assert got.getvalue() == want.getvalue()
+
     def test_small_entropy_matches_exact_value(self):
         # mpmath 1.3 at 40 digits: eigsy of the same float A_64 and circulant
         # block, then sum_ij |V1' V2|^2_ij KL(Geo(p1_i) || Geo(p2_j))

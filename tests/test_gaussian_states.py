@@ -8,6 +8,7 @@ from qsts.distributions import geo_kl
 from qsts.errors import NotFaithful, RangeError, SpectralRangeError
 from qsts.experiments import audit_state_approximation
 from qsts.gaussian_states import (
+    EPS_FAITHFUL,
     covariance_from_symbol,
     entropy_symbol_bound,
     pinsker_trace_bound,
@@ -216,18 +217,36 @@ class TestOneEigensolvePerSymbol:
         assert entropy == {r.m: r.value for r in up.rows if r.label == "relative_entropy"}
 
     def test_equal_pair_gates_on_values_only(self, solves):
+        # the lag floor of 2 + 0.5 cos w clears the gate: no solve at all
         a = SpectralDensity.cosine(2.0, 0.5)
         A1, A2 = toeplitz_from_density(a, 256), toeplitz_from_density(a, 256)
         assert relative_entropy(A1, A2) == 0.0
-        assert solves == [("eigvalsh", (128, 128))] * 2
+        assert solves == []
         assert unsolved(A1) and unsolved(A2)
 
     def test_bracket_and_pi_moments_read_values_only(self, solves):
+        # symbol bracket prints lambda_min, so it solves for values; the
+        # pi_moments gate is cleared by the lag floor
         a = SpectralDensity.cosine(2.0, 0.5)
         assert eigen_bracket_check(a, 64)[-1]
         pi_moments(toeplitz_from_density(a, 65))
-        assert solves == [("eigvalsh", (32, 32))] * 2 + [("eigvalsh", (33, 33)),
-                                                         ("eigvalsh", (32, 32))]
+        assert solves == [("eigvalsh", (32, 32))] * 2
+
+    def test_gate_inside_the_floor_allowance_solves_and_passes(self, solves):
+        # lambda_min = a_0 lies 1e-15 above the gate, inside the lag floor's
+        # allowance 4 (n + log2 G) eps a_0 (about 1.2e-14 at n = 8), so the
+        # gate falls back to the values-only solve, which clears it
+        a = SpectralDensity([1.0 + EPS_FAITHFUL + 1e-15])
+        A1, A2 = toeplitz_from_density(a, 8), toeplitz_from_density(a, 8)
+        assert relative_entropy(A1, A2) == 0.0
+        assert solves == [("eigvalsh", (4, 4))] * 2
+
+    def test_gate_just_below_raises_the_solved_message(self):
+        a = SpectralDensity([1.0 + EPS_FAITHFUL - 1e-15])
+        A1, A2 = toeplitz_from_density(a, 8), toeplitz_from_density(a, 8)
+        with pytest.raises(NotFaithful) as err:
+            relative_entropy(A1, A2)
+        assert str(err.value) == "lambda_min(A) = 1.00000001 is not above 1 + 1e-08"
 
     @pytest.mark.parametrize("equal", [False, True])
     def test_symbol_bound_solves_each_symbol_once(self, solves, equal):

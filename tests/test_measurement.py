@@ -89,6 +89,19 @@ class TestPiMoments:
         with pytest.raises(NotFaithful):
             pi_moments(SymbolMatrix(np.eye(3).astype(complex)))
 
+    def test_gate_inside_the_floor_allowance_solves_and_passes(self):
+        # lambda_min = 1 + 1e-15 lies inside the lag floor's allowance, so
+        # the gate reads the values-only solve, which clears 1
+        A = toeplitz_from_density(SpectralDensity([1.0 + 1e-15]), 7)
+        mean, _ = pi_moments(A)
+        assert "eigenvalues" in A.__dict__
+        np.testing.assert_allclose(mean, 1.0, rtol=0.0, atol=1e-12)
+
+    def test_gate_at_one_raises_the_solved_message(self):
+        with pytest.raises(NotFaithful) as err:
+            pi_moments(toeplitz_from_density(SpectralDensity([1.0]), 7))
+        assert str(err.value) == "pi moments need lambda_min(A) > 1, got 1"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_symbol_rejected(self, bad):
         with pytest.raises(InputError, match="finite"):

@@ -18,6 +18,7 @@ from qsts.errors import (
 from qsts.spectral import SpectralDensity, density_grid, eval_density, fourier_frequencies
 from qsts.toeplitz import (
     SymbolMatrix,
+    _lag_floor,
     abs_square,
     circulant_block,
     circulant_eigs,
@@ -525,6 +526,51 @@ class TestSpectrumProperties:
         # spectrum first
         lams = A.spectrum[0]
         assert A.eigenvalues.tobytes() == lams.tobytes()
+
+
+@st.composite
+def lag_symbols(draw):
+    """Lag-built Toeplitz symbols with n <= 64 and any K_max < n, real or complex lags."""
+    n = draw(st.integers(1, 64))
+    k_max = draw(st.integers(0, n - 1))
+    part = st.floats(-1.0, 1.0, allow_nan=False)
+    re = draw(st.lists(part, min_size=k_max, max_size=k_max))
+    im = (draw(st.lists(part, min_size=k_max, max_size=k_max)) if draw(st.booleans())
+          else [0.0] * k_max)
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    a0 = draw(st.floats(-2.0, 6.0, allow_nan=False))
+    coeffs = scale * np.array([a0] + [complex(x, y) for x, y in zip(re, im)])
+    return toeplitz_from_density(SpectralDensity(coeffs), n)
+
+
+class TestLagFloor:
+    """The Grenander-Szego floor lies below every solved lambda_min, and the gate agrees."""
+
+    @given(lag_symbols())
+    def test_floor_never_exceeds_the_solved_lambda_min(self, A):
+        floor = _lag_floor(A._lags)
+        assert floor <= np.linalg.eigvalsh(np.array(A.entries))[0]
+        assert floor <= A.eigenvalues[0]   # the values-only route the gates fall back to
+
+    @given(lag_symbols(), st.floats(-0.5, 0.5))
+    def test_gate_answers_as_the_eigenvalues_do(self, A, shift):
+        lam = A.eigenvalues[0]
+        for t in (_lag_floor(A._lags) + shift, lam, np.nextafter(lam, -np.inf)):
+            fresh = SymbolMatrix._from_lags(A._lags)
+            assert fresh.lambda_min_exceeds(t) == (lam > t)
+
+    def test_a_cached_solve_answers_first(self, solves):
+        A = toeplitz_from_density(COS_2_HALF, 8)
+        lam = min(lams[0] for lams, _ in A.halves)
+        assert solves == [("eigh", (4, 4))] * 2
+        assert A.lambda_min_exceeds(np.nextafter(lam, -np.inf))
+        assert not A.lambda_min_exceeds(lam)
+        assert len(solves) == 2
+
+    def test_symbol_without_lags_solves_for_values(self, solves):
+        A = SymbolMatrix(np.array(toeplitz_from_density(COS_2_HALF, 6).entries))
+        assert A.lambda_min_exceeds(1.0)
+        assert solves == [("eigvalsh", (3, 3))] * 2
 
 
 class TestCirculantBuildProperties:
