@@ -11,9 +11,11 @@ stderr.
 A JSON config (--config FILE) supplies option defaults for the chosen
 command.  Its keys are option dests (density, n_list, frob_tol,
 no_timestamp, ...); each value is converted and checked as the option's
-own value would be, and a key that names no option is an error.  An option
-given on the command line wins, so the seed is --seed, else the config's
-seed, else the QSTS_SEED environment variable, else a built-in default.
+own value would be, and a key that names no option is an error.  A float
+option, on the command line or in the config, takes finite numbers only:
+nan and inf exit 1.  An option given on the command line wins, so the seed
+is --seed, else the config's seed, else the QSTS_SEED environment
+variable, else a built-in default.
 --format (csv or json) exists on audit chain and audit state only.  With a
 fixed seed and --no-timestamp, output files are byte identical across
 runs.  --threads is accepted and has no effect: replicate loops run
@@ -129,6 +131,20 @@ def _int_list(text: str) -> list:
     return [int(x) for x in text.split(",")]
 
 
+def _finite_float(text: str) -> float:
+    """The value of a float option, from the command line or a config: finite only.
+
+    ``float`` alone accepts nan and inf, which pass every ``x <= limit`` check.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 ROOT = (
     arg("--version", action="version", version=__version__),
     arg("--seed", type=int, default=None,
@@ -182,14 +198,14 @@ def _check(ok: bool, message: str):
 # ---------------------------------------------------------------- density
 
 @command("density", "eval", "a(w) = sum_k a_k exp(ikw) at given frequencies",
-         DENSITY, arg("--omega", type=float, nargs="+", required=True))
+         DENSITY, arg("--omega", type=_finite_float, nargs="+", required=True))
 def cmd_density_eval(args):
     a = parse_density(args.density)
     _emit(args, "\n".join(f"{w:.12g} {eval_density(a, w):.15g}" for w in args.omega))
 
 
 @command("density", "norms", "Sobolev seminorm and norm squared sum |k|^(2a)|a_k|^2",
-         DENSITY, arg("--alpha", type=float, required=True))
+         DENSITY, arg("--alpha", type=_finite_float, required=True))
 def cmd_density_norms(args):
     semi, norm = sobolev_norm(parse_density(args.density), args.alpha)
     _emit(args, _json_dump({"alpha": args.alpha, "seminorm_sq": semi,
@@ -199,9 +215,9 @@ def cmd_density_norms(args):
 @command("density", "membership", "norm constraint plus min a >= 1 + 1/M",
          DENSITY,
          arg("--space", choices=("theta1", "theta2", "theta2prime"), required=True),
-         arg("--alpha", type=float, default=1.0),
+         arg("--alpha", type=_finite_float, default=1.0),
          arg("--d", type=int, default=0),
-         arg("--M", type=float, required=True),
+         arg("--M", type=_finite_float, required=True),
          arg("--grid-size", type=int, default=1024))
 def cmd_density_membership(args):
     a = parse_density(args.density)
@@ -240,7 +256,7 @@ def cmd_symbol_eigs(args):
 
 @command("symbol", "gap", "||A_n - circulant block||_2^2 vs 4 (m-n+1)^(1-2a) M",
          DENSITY, N, arg("--m", type=int, required=True),
-         arg("--alpha", type=float, default=1.0), arg("--M", type=float, default=None))
+         arg("--alpha", type=_finite_float, default=1.0), arg("--M", type=_finite_float, default=None))
 def cmd_symbol_gap(args):
     a = parse_density(args.density)
     M = args.M if args.M is not None else sobolev_norm(a, args.alpha)[1]
@@ -278,7 +294,7 @@ def cmd_state_pinsker(args):
 
 @command("state", "bound", "S <= ||R1-R2||^2 / delta for small gaps, "
                            "delta = min((1-lam)/2, (1-lam)^3/(8 lam))",
-         A1, A2, N, arg("--lam", type=float, required=True))
+         A1, A2, N, arg("--lam", type=_finite_float, required=True))
 def cmd_state_bound(args):
     rep = entropy_symbol_bound(*_symbols(args), args.lam)
     _emit(args, _json_dump({
@@ -291,8 +307,8 @@ def cmd_state_bound(args):
 # ------------------------------------------------------------------- dist
 
 @command("dist", "hellinger", "H^2 exact and the ratio bound (lam-mu)^2/((lam-1)(mu-1))",
-         arg("--lam", type=float, required=True), arg("--mu", type=float, required=True),
-         arg("--r", type=float, default=None), arg("--r2", type=float, default=None))
+         arg("--lam", type=_finite_float, required=True), arg("--mu", type=_finite_float, required=True),
+         arg("--r", type=_finite_float, default=None), arg("--r2", type=_finite_float, default=None))
 def cmd_dist_hellinger(args):
     out = {}
     if args.r is not None and args.r2 is None:
@@ -307,7 +323,7 @@ def cmd_dist_hellinger(args):
 @command("dist", "chernoff", "error exponent "
          "-log (1/2)[(a0+1)^t(a1+1)^(1-t) - (a0-1)^t(a1-1)^(1-t)], "
          "frequency averaged in the quantum case",
-         arg("--a0", required=True), A1, arg("--t", type=float, default=None),
+         arg("--a0", required=True), A1, arg("--t", type=_finite_float, default=None),
          arg("--quantum", action="store_true"), arg("--classical", action="store_true"))
 def cmd_dist_chernoff(args):
     a0 = parse_density(args.a0)
@@ -332,7 +348,7 @@ def cmd_dist_chernoff(args):
 
 
 @command("dist", "varstab", "g(a) = log(a + sqrt(a^2-1)) with g' = 1/sqrt(a^2-1)",
-         arg("--a", type=float, required=True))
+         arg("--a", type=_finite_float, required=True))
 def cmd_dist_varstab(args):
     _emit(args, _json_dump({"a": args.a, "g": varstab_arccosh(args.a),
                             "residual": varstab_ode_residual(args.a),
@@ -377,7 +393,7 @@ def cmd_simulate_wn(args):
 def cmd_simulate_measure(args):
     _, draw = _blocks(args)
     with _output(args) as fh:
-        draw.write_csv(fh, no_timestamp=args.no_timestamp, seed=args.seed)
+        draw.write_csv(fh, no_timestamp=args.no_timestamp)
 
 
 # --------------------------------------------------------------- estimate
@@ -398,7 +414,7 @@ def cmd_estimate_prelim(args):
 
 @command("estimate", "onestep", "weighted estimator "
          "m^(-1/2) F (W'D^-1 W)^-1 W'D^-1 Pi_bar at the projected preliminary value",
-         DENSITY, N, D, arg("--M", type=float, required=True))
+         DENSITY, N, D, arg("--M", type=_finite_float, required=True))
 def cmd_estimate_onestep(args):
     scheme, draw = _blocks(args)
     space = theta2prime_space(args.d, args.M)
@@ -444,7 +460,7 @@ def cmd_audit_chain(args):
          DENSITY, N,
          arg("--m", type=_int_list, default=None,
              help="odd m or comma list; default n + ceil(n^(1/3)) odd"),
-         arg("--alpha", type=float, default=1.0), arg("--M", type=float, default=None),
+         arg("--alpha", type=_finite_float, default=1.0), arg("--M", type=_finite_float, default=None),
          FORMAT)
 def cmd_audit_state(args):
     _write_report(args, audit_state_approximation(parse_density(args.density), args.n,
@@ -453,7 +469,7 @@ def cmd_audit_state(args):
 
 @command("audit", "sufficiency", "chi-square two-sample test of "
                                  "sum of 8 NB(1/8,p) draws against Geo(p)",
-         arg("--p", type=float, default=0.5), arg("--draws", type=int, default=50_000))
+         arg("--p", type=_finite_float, default=0.5), arg("--draws", type=int, default=50_000))
 def cmd_audit_sufficiency(args):
     chi2, crit, p_value = nb_sufficiency_test(args.p, args.draws,
                                               RngStream(args.seed, 0))
@@ -476,9 +492,9 @@ def _write_raw_rows(path: str, rows: np.ndarray):
 
 @command("mc", "normality", "scaled estimator errors against "
                             "N(0, Phi^-1): Frobenius + KS checks",
-         DENSITY, N, D, arg("--M", type=float, default=5.0),
+         DENSITY, N, D, arg("--M", type=_finite_float, default=5.0),
          arg("--replicates", type=int, default=2000),
-         arg("--frob-tol", type=float, default=0.15), RAW_OUT)
+         arg("--frob-tol", type=_finite_float, default=0.15), RAW_OUT)
 def cmd_mc_normality(args):
     a = parse_density(args.density)
     scheme = block_scheme(args.n, args.d)

@@ -352,10 +352,11 @@ def audit_state_approximation(a: SpectralDensity, n: int,
 
     Per m: the squared HS symbol gap against its proven bound, the relative
     entropy between the Toeplitz state and the circulant-block state, and
-    the Pinsker trace-distance bound sqrt(2 S) from that same S (A_n is
-    diagonalized once for the whole ladder; every m is checked before the
-    first entropy).  With a ladder of m values the entropy must be
-    nonincreasing as m - n grows, whatever order the ladder is given in.
+    the Pinsker trace-distance bound sqrt(2 S) from that same S.  Every m
+    is checked before the first entropy; the entropies are then taken in
+    the order of ``m_values``, and A_n, shared by all of them, is
+    diagonalized at most once.  With a ladder of m values the entropy must
+    be nonincreasing as m - n grows, whatever order the ladder is given in.
     The gap, entropy and Pinsker rows keep the order of ``m_values``; the
     ``entropy_nonincreasing`` rows compare neighbours in ascending m, one
     row per step, at its larger m.  When ``m_values`` is omitted, m
@@ -372,11 +373,7 @@ def audit_state_approximation(a: SpectralDensity, n: int,
     A_n = toeplitz_from_density(a, n)
     gaps = [toeplitz_circulant_gap(a, n, m, alpha, M) for m in ms]
     blocks = [circulant_block(a, m, n) for m in ms]
-    entropies = [0.0] * len(ms)
-    # unequal pairs first: they take A_n's vector solve, whose eigenvalues an
-    # equal pair's faithfulness gate then reads, before its lag floor
-    for i in sorted(range(len(ms)), key=lambda i: A_n.same_entries(blocks[i])):
-        entropies[i] = relative_entropy(A_n, blocks[i])
+    entropies = [relative_entropy(A_n, block) for block in blocks]
     for m, (gap_sq, bound), S in zip(ms, gaps, entropies):
         report.add("symbol_gap_sq", n, m, gap_sq, bound)
         report.add("relative_entropy", n, m, S)

@@ -11,21 +11,20 @@ operator trace formula as the reference.  Two real centrosymmetric symbols
 (every Toeplitz symbol of a real density) have real eigenvectors of two
 parities, symmetric and skew, and V1* V2 vanishes between parities; the sum
 then runs per parity block over the half-size solves
-(``SymbolMatrix.halves``), and no full V is built.  An unequal pair takes
-these vector solves before its faithfulness gate, which then reads their
-eigenvalues.  Two symbols with equal entries give exactly 0 after the gate
-on the first, with no solve of the second and no KL sum.  That gate
-(``SymbolMatrix.lambda_min_exceeds``) solves nothing for a lag-built symbol
-whose lag polynomial clears it: by Grenander & Szego (*Toeplitz Forms and
-Their Applications*, 1958) lambda_min(A_n) >= min_w sum_{|k|<n} a_k e^{ikw},
+(``SymbolMatrix.halves``), and no full V is built.  Two symbols with
+equal entries give exactly 0 after the faithfulness gate on the first,
+with no solve of the second and no KL sum.  That gate
+(``SymbolMatrix.lambda_min_exceeds``) reads the eigenvalues of a symbol
+already solved, and solves nothing for a lag-built symbol whose lag
+polynomial clears it: by Grenander & Szego (*Toeplitz Forms and Their
+Applications*, 1958) lambda_min(A_n) >= min_w sum_{|k|<n} a_k e^{ikw},
 taken on a grid of G >= 8n points by one FFT, less the slope term
 (pi/G) sum |k||a_k| and an allowance 4 (n + log2 G) eps sum |a_k| for the
 FFT's and the eigensolver's rounding.  A symbol whose floor falls short,
-or that has no lags, gates on a values-only solve, so the inputs that
-raise and the message they print do not depend on the floor.  No
-Fock-space density operator is ever
-materialized; the one exception is the photon number law of a single
-thermal mode.
+or that has no lags, takes its one solve and gates on its eigenvalues, so
+the inputs that raise and the message they print do not depend on the
+floor.  No Fock-space density operator is ever materialized; the one
+exception is the photon number law of a single thermal mode.
 """
 
 from __future__ import annotations
@@ -93,11 +92,10 @@ def relative_entropy(A1, A2) -> float:
     sum is taken over the symmetric and the skew block, each with the
     half-size overlap W1^T W2.  Every term is nonnegative, so S is real and
     >= 0 by construction.  Both symbols must be strictly faithful:
-    lambda_min(A) > 1 + EPS_FAITHFUL, read after their vector solves.  Two
-    symbols with equal entries (``SymbolMatrix.same_entries``) give exactly
-    0.0 once A1 passes that gate, from its lag floor or, when that falls
-    short, its eigenvalues (a values-only solve when A1 has none yet); A2
-    is not diagonalized.
+    lambda_min(A) > 1 + EPS_FAITHFUL.  Two symbols with equal entries
+    (``SymbolMatrix.same_entries``) give exactly 0.0 once A1 passes that
+    gate, from its lag floor or, when that falls short, the eigenvalues of
+    its one solve; A2 is not diagonalized.
     """
     A1, A2 = as_symbol(A1), as_symbol(A2)
     if A1.n != A2.n:
@@ -105,7 +103,7 @@ def relative_entropy(A1, A2) -> float:
     if A1.same_entries(A2):
         _check_faithful(A1)
         return 0.0
-    # the vector solves come before the gate, which then reads their eigenvalues
+    # solved first, the gates read these eigenvalues and skip the lag floor
     if A1.halves is not None and A2.halves is not None:
         blocks = zip(A1.halves, A2.halves)
     else:

@@ -107,12 +107,13 @@ class MeasurementDraw:
     def pi_bar(self) -> np.ndarray:
         return np.mean(2.0 * self.blocks + 1.0, axis=0)
 
-    def write_csv(self, fh: IO[str], no_timestamp: bool = True,
-                  seed: int | None = None):
-        """CSV rows (block, j, N) preceded by a JSON header comment line."""
+    def write_csv(self, fh: IO[str], no_timestamp: bool = True):
+        """CSV rows (block, j, N) preceded by a JSON header comment line.
+
+        The header's seed is the first entry of ``seed_path``, None without one.
+        """
         header = {
-            "seed": seed if seed is not None else (
-                self.seed_path[0] if self.seed_path else None),
+            "seed": self.seed_path[0] if self.seed_path else None,
             "n": self.scheme.n,
             "d": self.scheme.d,
             "m": self.scheme.m,
@@ -169,7 +170,8 @@ def _poisson_mixture_factor(A: SymbolMatrix, faithful: bool = False) -> np.ndarr
 
     The Cholesky succeeds exactly when lambda_min(A) > 1, and then no
     eigensolve runs.  Only when it fails is the cached spectrum of A read:
-    ``faithful`` raises NotFaithful before the PSD guard raises NotPSD, and a
+    ``faithful`` raises NotFaithful, by the gate ``lambda_min_exceeds(1)``
+    on that spectrum, before the PSD guard raises NotPSD, and a
     singular PSD Q (``const:1``, the vacuum) gets L = V sqrt(q), the one place
     that clips, and only eigenvalues of Q within _PSD_TOL below 0.
     """
@@ -177,7 +179,7 @@ def _poisson_mixture_factor(A: SymbolMatrix, faithful: bool = False) -> np.ndarr
         L = np.linalg.cholesky(0.5 * (A.entries - np.eye(A.n)))
     except np.linalg.LinAlgError:
         lams, V = A.spectrum
-        if faithful and lams[0] <= 1.0:
+        if faithful and not A.lambda_min_exceeds(1.0):
             raise NotFaithful(
                 f"block symbol has lambda_min = {lams[0]:.6g}, need > 1") from None
         q = 0.5 * (lams - 1.0)

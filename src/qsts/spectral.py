@@ -201,9 +201,10 @@ class ParameterSpace:
     def __post_init__(self):
         if self.kind not in ("theta1", "theta2", "theta2prime"):
             raise InputError(f"unknown parameter space kind {self.kind!r}")
-        if self.M <= 1.0:
+        # written so that NaN fails them too
+        if not self.M > 1.0:
             raise RangeError("parameter space needs M > 1")
-        if self.kind == "theta1" and self.alpha <= 0.0:
+        if self.kind == "theta1" and not self.alpha > 0.0:
             raise RangeError("theta1 needs alpha > 0")
         if self.grid_size < 256:
             raise RangeError("membership grid must have at least 256 points")

@@ -13,11 +13,9 @@ half-size real symmetric eigenproblems, for the symmetric and the
 skew-symmetric eigenvectors (``SymbolMatrix.halves``).  The relative
 entropy works from the halves; the full ``SymbolMatrix.spectrum``
 (lams, V), with V real, is assembled from them only when a consumer asks
-for it.  Any other symbol takes one complex ``eigh``.  A reader of the
-eigenvalues alone (``SymbolMatrix.eigenvalues``) gets those of the solve
-already made, or else a values-only ``eigvalsh`` on the same halves or
-entries, which leaves the vectors unsolved; a consumer that reads vectors
-solves them before it reads the eigenvalues, so no symbol takes both.
+for it.  Any other symbol takes one complex ``eigh``.  The eigenvalues
+alone (``SymbolMatrix.eigenvalues``) are read from that same solve, so
+every consumer, in any order, shares one eigensolve per symbol.
 
 A faithfulness gate asks only whether lambda_min exceeds a threshold
 (``SymbolMatrix.lambda_min_exceeds``).  Every eigenvalue of a Hermitian
@@ -75,7 +73,7 @@ class SymbolMatrix:
     ``circulant_block`` instead check their 2n - 1 lags and keep ``entries``
     as a read-only strided view of them, so the symbol costs O(n) memory.
 
-    ``==`` and ``hash`` compare tag, shape and entry bytes (not the label).
+    ``==`` and ``hash`` compare tag, shape and entry bytes.
     They cost O(n^2) time and memory on every call, also on a lag-built
     symbol, whose view is copied out in full: do not compare or hash large
     symbols.  ``same_entries`` compares entries in value, whatever the tags,
@@ -84,7 +82,6 @@ class SymbolMatrix:
 
     entries: np.ndarray
     tag: str = "general"
-    label: str = ""
     # the lags -(n-1) .. n-1 under a lag-built symbol, else None
     _lags: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -111,8 +108,7 @@ class SymbolMatrix:
         object.__setattr__(self, "entries", e)
 
     @classmethod
-    def _from_lags(cls, full: np.ndarray, tag: str = "toeplitz",
-                   label: str = "") -> "SymbolMatrix":
+    def _from_lags(cls, full: np.ndarray, tag: str = "toeplitz") -> "SymbolMatrix":
         """Symbol with entry (j, k) = full[n - 1 + k - j], checked in O(n).
 
         ``full`` (length 2n - 1) must equal its reversed conjugate exactly, so,
@@ -127,8 +123,7 @@ class SymbolMatrix:
         f = full.copy()
         f.setflags(write=False)   # and with it the view over f
         self = object.__new__(cls)
-        for name, value in (("entries", _lag_view(f)), ("tag", tag),
-                            ("label", label), ("_lags", f)):
+        for name, value in (("entries", _lag_view(f)), ("tag", tag), ("_lags", f)):
             object.__setattr__(self, name, value)
         return self
 
@@ -137,7 +132,7 @@ class SymbolMatrix:
         return self.entries.shape[0]
 
     def _key(self) -> tuple:
-        """What ``==`` and ``hash`` compare: tag, shape and entry bytes (not the label)."""
+        """What ``==`` and ``hash`` compare: tag, shape and entry bytes."""
         return self.tag, self.entries.shape, self.entries.tobytes()
 
     def __eq__(self, other):
@@ -159,21 +154,18 @@ class SymbolMatrix:
         return np.array_equal(self.entries, other.entries)
 
     @cached_property
-    def _centro(self) -> bool:
-        """True for a real symbol with A == J A J, the symbols that split in two.
+    def halves(self) -> tuple | None:
+        """``_centro_halves`` of a real symbol with A == J A J, else None (read-only).
 
         A lag-built symbol has A == J A J exactly when its lags are real, an
         O(n) test; one given entry by entry is compared with J A J in O(n^2).
         """
         if self._lags is not None:
-            return not self._lags.imag.any()
-        e = self.entries
-        return not e.imag.any() and np.array_equal(e, e[::-1, ::-1])
-
-    @cached_property
-    def halves(self) -> tuple | None:
-        """``_centro_halves`` of a real symbol with A == J A J, else None (read-only)."""
-        if not self._centro:
+            centro = not self._lags.imag.any()
+        else:
+            e = self.entries
+            centro = not e.imag.any() and np.array_equal(e, e[::-1, ::-1])
+        if not centro:
             return None
         halves = _solve(_centro_halves, self.entries.real)
         for arr in (*halves[0], *halves[1]):
@@ -182,44 +174,31 @@ class SymbolMatrix:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues (read-only), with no V.
+        """Ascending eigenvalues (read-only) of the symbol's one solve.
 
-        When ``halves`` or ``spectrum`` is cached, their eigenvalues, byte for
-        byte (the halves merged by a stable sort).  Otherwise a values-only
-        ``eigvalsh``, on the two halves of a symbol that splits, else on the
-        entries; ``halves`` and ``spectrum`` then stay unsolved, and they may
-        differ from these values in the last digits.  A consumer that also
-        reads eigenvectors takes its solve before it reads the eigenvalues,
-        so no symbol pays for both.
+        The ``halves`` merged by a stable sort, else ``spectrum[0]``; either
+        way equal, byte for byte, to the eigenvalues of ``spectrum``.
         """
-        solved = self.__dict__
-        if solved.get("halves") is not None:
-            parts = [lams for lams, _ in solved["halves"]]
-        elif "spectrum" in solved:
-            return solved["spectrum"][0]
-        elif self._centro:
-            parts = _solve(_centro_halves, self.entries.real, vectors=False)
-        else:
-            parts = [_solve(np.linalg.eigvalsh, self.entries)]
-        lams = np.sort(np.concatenate(parts), kind="stable")
+        if self.halves is None:
+            return self.spectrum[0]
+        lams = np.sort(np.concatenate([ls for ls, _ in self.halves]), kind="stable")
         lams.setflags(write=False)
         return lams
 
     def lambda_min_exceeds(self, t: float) -> bool:
         """Whether lambda_min > t, with no eigensolve when the lags certify it.
 
-        A symbol with a solve cached (``halves``, ``spectrum`` or
-        ``eigenvalues``) compares its lambda_min.  Otherwise a lag-built
-        symbol whose ``_lag_floor`` exceeds t answers True with no solve;
-        when the floor falls short, or the symbol has no lags, ``eigenvalues``
-        decides.  The floor lies below the solved lambda_min by more than
-        the solve's rounding, so the answer is always that of
+        A symbol with ``halves`` or ``spectrum`` cached compares its
+        lambda_min.  Otherwise a lag-built symbol whose ``_lag_floor``
+        exceeds t answers True with no solve; when the floor falls short, or
+        the symbol has no lags, the symbol takes its one solve and
+        ``eigenvalues`` decides.  The floor lies below the solved lambda_min
+        by more than the solve's rounding, so the answer is always that of
         ``eigenvalues[0] > t``.
         """
         solved = self.__dict__
         if (solved.get("halves") is None and "spectrum" not in solved
-                and "eigenvalues" not in solved and self._lags is not None
-                and _lag_floor(self._lags) > t):
+                and self._lags is not None and _lag_floor(self._lags) > t):
             return True
         return bool(self.eigenvalues[0] > t)
 
@@ -291,7 +270,7 @@ def _lag_floor(full: np.ndarray) -> float:
         return float(np.fft.hfft(full[n - 1:], G).min()) - slope - allowance
 
 
-def _centro_halves(A: np.ndarray, vectors: bool = True) -> tuple:
+def _centro_halves(A: np.ndarray) -> tuple:
     """``eigh`` of a real symmetric A with A == J A J, as two half-size solves.
 
     With h = n // 2, B = A[:h, :h] and C = (A J)[:h, :h], the symmetric
@@ -301,8 +280,7 @@ def _centro_halves(A: np.ndarray, vectors: bool = True) -> tuple:
     the middle diagonal entry, and a symmetric vector is
     [w_top/sqrt 2; w_mid; J w_top/sqrt 2].  Either way the overlap of two
     full vectors of one parity is the dot product of their half vectors.
-    Returns ((ls, Ws), (lk, Wk)), each pair ascending from ``eigh``; with
-    ``vectors=False``, only (ls, lk), from ``eigvalsh``.
+    Returns ((ls, Ws), (lk, Wk)), each pair ascending from ``eigh``.
     """
     n = A.shape[0]
     h, odd = divmod(n, 2)
@@ -312,9 +290,7 @@ def _centro_halves(A: np.ndarray, vectors: bool = True) -> tuple:
     if odd:
         S[h, :h] = S[:h, h] = math.sqrt(2.0) * A[h, :h]
         S[h, h] = A[h, h]
-    if vectors:
-        return tuple(np.linalg.eigh(S)), tuple(np.linalg.eigh(B - C))
-    return np.linalg.eigvalsh(S), np.linalg.eigvalsh(B - C)
+    return tuple(np.linalg.eigh(S)), tuple(np.linalg.eigh(B - C))
 
 
 def _centro_spectrum(halves: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -370,7 +346,7 @@ def toeplitz_from_density(a: SpectralDensity, n: int) -> SymbolMatrix:
     """
     if n < 1:
         raise RangeError("n must be >= 1")
-    return SymbolMatrix._from_lags(a.full_coeffs(n - 1), label=a.label)
+    return SymbolMatrix._from_lags(a.full_coeffs(n - 1))
 
 
 def toeplitz_first_row(A: SymbolMatrix) -> np.ndarray:
@@ -412,7 +388,7 @@ def circulant_from_density(a: SpectralDensity, m: int) -> SymbolMatrix:
     ``circulant_block``, and keeps the tag "circulant".
     """
     return SymbolMatrix._from_lags(_circulant_lags(a, m, np.arange(1 - m, m)),
-                                   tag="circulant", label=a.label)
+                                   tag="circulant")
 
 
 def circulant_block(a: SpectralDensity, m: int, n: int) -> SymbolMatrix:
@@ -425,8 +401,7 @@ def circulant_block(a: SpectralDensity, m: int, n: int) -> SymbolMatrix:
     """
     if n < 1 or n > m:
         raise DimensionError(f"block size {n} outside 1..{m}")
-    return SymbolMatrix._from_lags(_circulant_lags(a, m, np.arange(1 - n, n)),
-                                   label=a.label)
+    return SymbolMatrix._from_lags(_circulant_lags(a, m, np.arange(1 - n, n)))
 
 
 def circulant_eigs(a: SpectralDensity, m: int) -> np.ndarray:

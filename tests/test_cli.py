@@ -404,6 +404,17 @@ EXIT_CASES = {
                                         "--omega", "0"]),
     "density_json_duplicate_lag": (1, ["density", "eval", "--density", "{duplicate}",
                                        "--omega", "0"]),
+    # float options refuse nan and inf, which pass every x <= limit check
+    "nan_radius": (1, ["density", "membership", "--density", "const:0.5",
+                       "--space", "theta2", "--M", "nan"]),
+    "nan_radius_config": (1, ["--config", "{nan_cfg}", "density", "membership",
+                              "--density", "const:0.5", "--space", "theta2"]),
+    "nan_smoothness": (1, ["symbol", "gap", "--density", "cos:2,0.5", "--n", "20",
+                           "--m", "25", "--alpha", "nan"]),
+    "nan_audit_radius": (1, ["audit", "state", "--density", "cos:2,0.5", "--n", "64",
+                             "--M", "nan"]),
+    "non_finite_omega": (1, ["density", "eval", "--density", "cos:2,0.5",
+                             "--omega", "nan", "inf"]),
     "numerical": (2, ["state", "entropy", "--a1", "const:1", "--a2", "const:3",
                       "--n", "2"]),
     "audit": (3, ["symbol", "gap", "--density", GEOM_DECAY, "--n", "16", "--m", "19",
@@ -416,6 +427,7 @@ class TestExitCodes:
     def test_exit_code_and_json_error(self, case, tmp_path, capsys):
         expect, argv = EXIT_CASES[case]
         files = {"{cfg}": _config(tmp_path, {"bogus": 1}),
+                 "{nan_cfg}": _json_file(tmp_path, "nan_cfg.json", {"M": math.nan}),
                  "{no_im}": _json_file(tmp_path, "no_im.json",
                                        {"K_max": 1, "coeffs": [{"k": 0, "re": 2.0}]}),
                  "{bare}": _json_file(tmp_path, "bare.json", {"K_max": 1, "coeffs": [3]}),

@@ -174,7 +174,7 @@ class TestSpectralEntropy:
 
 
 class TestOneEigensolvePerSymbol:
-    """Each symbol takes one solve: ``eigh`` when a consumer reads vectors, else ``eigvalsh``."""
+    """Each symbol takes at most one solve, ``eigh``, whatever its consumers read."""
 
     def test_relative_entropy_reuses_each_spectrum(self, solves):
         rng = np.random.default_rng(4)
@@ -225,21 +225,32 @@ class TestOneEigensolvePerSymbol:
         assert unsolved(A1) and unsolved(A2)
 
     def test_bracket_and_pi_moments_read_values_only(self, solves):
-        # symbol bracket prints lambda_min, so it solves for values; the
-        # pi_moments gate is cleared by the lag floor
+        # symbol bracket prints lambda_min, so it takes the symbol's one
+        # solve; the pi_moments gate is cleared by the lag floor
         a = SpectralDensity.cosine(2.0, 0.5)
         assert eigen_bracket_check(a, 64)[-1]
         pi_moments(toeplitz_from_density(a, 65))
-        assert solves == [("eigvalsh", (32, 32))] * 2
+        assert solves == [("eigh", (32, 32))] * 2
 
     def test_gate_inside_the_floor_allowance_solves_and_passes(self, solves):
         # lambda_min = a_0 lies 1e-15 above the gate, inside the lag floor's
         # allowance 4 (n + log2 G) eps a_0 (about 1.2e-14 at n = 8), so the
-        # gate falls back to the values-only solve, which clears it
+        # gate falls back to A1's one solve, which clears it
         a = SpectralDensity([1.0 + EPS_FAITHFUL + 1e-15])
         A1, A2 = toeplitz_from_density(a, 8), toeplitz_from_density(a, 8)
         assert relative_entropy(A1, A2) == 0.0
-        assert solves == [("eigvalsh", (4, 4))] * 2
+        assert solves == [("eigh", (4, 4))] * 2
+
+    def test_gate_solve_serves_a_later_unequal_pair(self, solves):
+        # an equal pair at the gate's rounding edge solves A, then an unequal
+        # pair with the same A reuses that solve: each symbol solved once
+        a = SpectralDensity([1.0 + EPS_FAITHFUL + 1e-15])
+        A, same = toeplitz_from_density(a, 8), toeplitz_from_density(a, 8)
+        other = toeplitz_from_density(SpectralDensity([3.0, 0.5]), 8)
+        assert relative_entropy(A, same) == 0.0
+        assert relative_entropy(A, other) > 0.0
+        assert solves == [("eigh", (4, 4))] * 4
+        assert unsolved(same)
 
     def test_gate_just_below_raises_the_solved_message(self):
         a = SpectralDensity([1.0 + EPS_FAITHFUL - 1e-15])

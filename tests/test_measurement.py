@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import tracemalloc
 
@@ -91,7 +92,7 @@ class TestPiMoments:
 
     def test_gate_inside_the_floor_allowance_solves_and_passes(self):
         # lambda_min = 1 + 1e-15 lies inside the lag floor's allowance, so
-        # the gate reads the values-only solve, which clears 1
+        # the gate reads the symbol's one solve, which clears 1
         A = toeplitz_from_density(SpectralDensity([1.0 + 1e-15]), 7)
         mean, _ = pi_moments(A)
         assert "eigenvalues" in A.__dict__
@@ -270,9 +271,10 @@ class TestBlocks:
         scheme = block_scheme(64, 1)
         draw = sample_pi_blocks(COS_DENSITY, scheme, RngStream(21, 0))
         buf = io.StringIO()
-        draw.write_csv(buf, seed=21)
+        draw.write_csv(buf)
         lines = buf.getvalue().strip().split("\n")
         assert lines[0].startswith("# {")
+        assert json.loads(lines[0][2:])["seed"] == 21   # from the draw's seed path
         assert lines[1] == "block,j,N"
         assert len(lines) == 2 + scheme.r * scheme.m
 

@@ -150,6 +150,13 @@ class TestMembership:
         for M in (4.2, 5.0, 8.0, 50.0):
             assert membership(a, theta2_space(1, M)).member
 
+    def test_nan_radius_or_smoothness_rejected(self):
+        # a NaN M or alpha once passed the M <= 1 and alpha <= 0 checks
+        with pytest.raises(RangeError, match="M > 1"):
+            theta2_space(1, float("nan"))
+        with pytest.raises(RangeError, match="alpha > 0"):
+            theta1_space(float("nan"), 5.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_non_finite_coefficients_rejected(self, bad):
         # a NaN coefficient once made every comparison False: member=True

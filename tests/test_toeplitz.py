@@ -60,7 +60,7 @@ class TestSymbolMatrix:
 
     def test_equality_and_hash_follow_tag_shape_and_entry_bytes(self):
         A = toeplitz_from_density(GEOM, 6)
-        same = SymbolMatrix(A.entries.copy(), tag="toeplitz", label="other")
+        same = SymbolMatrix(A.entries.copy(), tag="toeplitz")
         assert A == same and hash(A) == hash(same)
         assert len({A, same}) == 1
         assert A != SymbolMatrix(A.entries, tag="general")
@@ -503,17 +503,15 @@ class TestSpectrumProperties:
         assert SymbolMatrix(A.entries, tag=A.tag) == A
 
     @given(st.one_of(toeplitz_symbols().map(lambda case: case[1]), general_symbols()))
-    def test_eigenvalues_leave_the_full_spectrum_unbuilt(self, A):
-        # values first: a values-only solve (eigvalsh), with neither the
-        # halves nor the spectrum solved
+    def test_eigenvalues_equal_the_spectrum_whichever_is_read_first(self, A):
+        # values first: the symbol's one vector solve, then the spectrum
         lams = A.eigenvalues
-        assert "halves" not in A.__dict__ and "spectrum" not in A.__dict__
         assert not lams.flags.writeable and np.all(np.diff(lams) >= 0.0)
-        # both routes are backward stable; their values agree within
-        # 4 n eps max|lambda|, which measured at most 0.8 n eps max|lambda|
-        ref = SymbolMatrix(A.entries, tag=A.tag).spectrum[0]
-        tol = 4.0 * A.n * np.finfo(float).eps * np.max(np.abs(ref))
-        assert np.max(np.abs(lams - ref)) <= tol
+        assert lams.tobytes() == A.spectrum[0].tobytes()
+        # spectrum first, then the values
+        B = SymbolMatrix(A.entries, tag=A.tag)
+        lams = B.spectrum[0]
+        assert B.eigenvalues.tobytes() == lams.tobytes()
 
     @given(st.one_of(toeplitz_symbols().map(lambda case: case[1]), general_symbols()))
     def test_eigenvalues_after_a_vector_solve_are_its_values(self, A):
@@ -550,7 +548,7 @@ class TestLagFloor:
     def test_floor_never_exceeds_the_solved_lambda_min(self, A):
         floor = _lag_floor(A._lags)
         assert floor <= np.linalg.eigvalsh(np.array(A.entries))[0]
-        assert floor <= A.eigenvalues[0]   # the values-only route the gates fall back to
+        assert floor <= A.eigenvalues[0]   # the solve the gates fall back to
 
     @given(lag_symbols(), st.floats(-0.5, 0.5))
     def test_gate_answers_as_the_eigenvalues_do(self, A, shift):
@@ -567,10 +565,12 @@ class TestLagFloor:
         assert not A.lambda_min_exceeds(lam)
         assert len(solves) == 2
 
-    def test_symbol_without_lags_solves_for_values(self, solves):
+    def test_symbol_without_lags_takes_its_one_solve(self, solves):
         A = SymbolMatrix(np.array(toeplitz_from_density(COS_2_HALF, 6).entries))
         assert A.lambda_min_exceeds(1.0)
-        assert solves == [("eigvalsh", (3, 3))] * 2
+        assert solves == [("eigh", (3, 3))] * 2
+        assert A.spectrum[0].tobytes() == A.eigenvalues.tobytes()
+        assert len(solves) == 2
 
 
 class TestCirculantBuildProperties:
