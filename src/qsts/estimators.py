@@ -6,7 +6,10 @@ the Fourier frequencies scaled by m^{-1/2}.  This makes theta estimable by
 orthogonality (preliminary estimator) or by weighted least squares with the
 inverse variance weights Delta(theta)^{-1} (improved estimator); the
 one-step estimator applies the latter at the projected preliminary value.
-Both reproduce theta exactly when fed the analytic mean.  The
+Both reproduce theta exactly when fed the analytic mean.  The projection onto
+the admissible set is one exact least-distance solve over the floor's
+half-spaces, with the ball added as tangent cuts and missed floor
+frequencies as new rows until ``membership`` accepts the result.  The
 nonparametric estimate is the preliminary estimator at full length n, and
 the complex coefficients of its density are the unbiased symbol-coefficient
 estimates.
@@ -38,16 +41,16 @@ from .spectral import (
 
 _QUAD_GRID = 4096
 
-#: distinct (m, d) designs, (d, grid_size) uniform-grid designs and
-#: constraint sets kept per process
+#: distinct (m, d) designs and (d, grid_size) uniform-grid designs kept
+#: per process
 _DESIGN_CACHE_SIZE = 32
 
-#: the projection's Dykstra step and violation tolerance, its sweep budget
-#: (then NonConvergence), the uniform grid that enforces a >= 1 + 1/M, and
-#: how often a frequency where ``membership`` finds the floor violated may be
-#: added to that grid (then NonConvergence)
-_DYKSTRA_TOL = 1e-10
-_DYKSTRA_SWEEPS = 10_000
+#: the projection's tolerance, how many tangent cuts of the ball one solve
+#: may make (then NonConvergence), the uniform grid that enforces
+#: a >= 1 + 1/M, and how often a frequency where ``membership`` finds the
+#: floor violated may be added to that grid (then NonConvergence)
+_PROJECTION_TOL = 1e-10
+_BALL_CUTS = 64
 _PROJECTION_GRID = 512
 _MEMBERSHIP_ROUNDS = 64
 
@@ -193,43 +196,28 @@ def _grid_design(d: int, grid_size: int) -> np.ndarray:
     return C
 
 
-@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
-def _constraints(d: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """psi design over the uniform projection grid and its row norms."""
-    C = _grid_design(d, grid_size)
-    row_norms = np.sqrt(np.sum(C * C, axis=1))
-    row_norms.setflags(write=False)
-    return C, row_norms
+def _project_ball_polyhedron(x: np.ndarray, C: np.ndarray, target: float,
+                             radius: float) -> np.ndarray:
+    """Projection of x onto {||v|| <= radius} and {C v >= target}.
 
-
-def _dykstra(x: np.ndarray, C: np.ndarray, row_norms: np.ndarray,
-             radius: float, b: np.ndarray) -> np.ndarray:
-    """Dykstra's projection of x onto {||v|| <= radius} and {C v >= b}.
-
-    Each sweep projects onto the whole half-space family at once (exact
-    least-distance solve), which avoids the slow ping-pong between nearly
-    parallel neighboring half-spaces.  Stops once a sweep moves no entry and
-    violates no constraint by more than _DYKSTRA_TOL (distances).
+    The ball enters as tangent half-spaces: while the polyhedral projection
+    v lies outside the ball, the half-space -(v/||v||) u >= -radius, which
+    holds the whole ball and cuts v off, joins the family and x is projected
+    again.  Each solve is onto a superset of the set, so the result is never
+    farther from x than the exact projection; it is returned once
+    ||v|| <= radius + _PROJECTION_TOL / 2, after at most _BALL_CUTS cuts
+    (then NonConvergence).
     """
-    def violation(v: np.ndarray) -> float:
-        worst = max(0.0, float(np.linalg.norm(v)) - radius)
-        return max(worst, float(np.max((b - C @ v) / row_norms, initial=0.0)))
-
-    p_ball = np.zeros_like(x)
-    p_poly = np.zeros_like(x)
-    for _ in range(_DYKSTRA_SWEEPS):
-        x_prev = x
-        y = x + p_ball
-        nrm = float(np.linalg.norm(y))
-        proj = y if nrm <= radius else y * (radius / nrm)
-        p_ball = y - proj
-        y = proj + p_poly
-        x = _project_polyhedron(y, C, b)
-        p_poly = y - x
-        if max(float(np.max(np.abs(x - x_prev))), violation(x)) <= _DYKSTRA_TOL:
-            return x
+    b = np.full(len(C), target)
+    for _ in range(_BALL_CUTS + 1):
+        v = _project_polyhedron(x, C, b)
+        nrm = float(np.linalg.norm(v))
+        if nrm <= radius + 0.5 * _PROJECTION_TOL:
+            return v
+        C = np.vstack([C, -v / nrm])
+        b = np.append(b, -radius)
     raise NonConvergence(
-        f"Dykstra projection residual {violation(x):.3g} after {_DYKSTRA_SWEEPS} sweeps")
+        f"projection {nrm - radius:.3g} outside the ball after {_BALL_CUTS} cuts")
 
 
 def _admissible(x: np.ndarray, C: np.ndarray, space: ParameterSpace) -> bool:
@@ -247,37 +235,36 @@ def _admissible(x: np.ndarray, C: np.ndarray, space: ParameterSpace) -> bool:
 
 
 def project_theta(theta_hat: np.ndarray, space: ParameterSpace) -> np.ndarray:
-    """Euclidean projection onto the admissible parameter set by Dykstra.
+    """Euclidean projection onto the admissible parameter set.
 
     The set is {||theta||^2 <= M} intersected with the half-space family
-    a_theta(w_g) >= 1 + 1/M over a uniform frequency grid, each target
-    tightened by _DYKSTRA_TOL so that a converged iterate lies inside.  When
-    ``membership`` still finds the floor violated between grid points, the
-    frequency it reports joins the family and the input is projected again,
-    at most _MEMBERSHIP_ROUNDS times (then NonConvergence); so the result is
-    always a member of ``space``.  Feasible input is returned unchanged.  The
-    _PROJECTION_GRID x (2d+1) constraint matrix and its row norms are built
-    once per d in the process and are read-only.
+    a_theta(w_g) >= 1 + 1/M over a uniform frequency grid, the radius
+    shortened and each floor target raised by _PROJECTION_TOL (as a
+    distance: every psi row has norm sqrt(2d+1)), and is solved by
+    ``_project_ball_polyhedron``.  When ``membership`` still finds the floor
+    violated between grid points, the frequency it reports joins the family
+    and the input is projected again, at most _MEMBERSHIP_ROUNDS times (then
+    NonConvergence); so the result is always a member of ``space``.
+    Feasible input is returned unchanged.  The _PROJECTION_GRID x (2d+1)
+    grid design is built once per d in the process and is read-only.
     """
     if space.kind != "theta2prime":
         raise RangeError("projection is defined for theta2prime spaces")
     x = np.asarray(theta_hat, dtype=float).reshape(-1).copy()
     d = (x.size - 1) // 2
-    C, row_norms = _constraints(d, _PROJECTION_GRID)
+    C = _grid_design(d, _PROJECTION_GRID)
     if _admissible(x, C, space):
         return x
-    radius = math.sqrt(space.M) - _DYKSTRA_TOL
-    floor = 1.0 + 1.0 / space.M
+    radius = math.sqrt(space.M) - _PROJECTION_TOL
+    target = 1.0 + 1.0 / space.M + _PROJECTION_TOL * math.sqrt(2 * d + 1)
     for _ in range(_MEMBERSHIP_ROUNDS):
-        out = _dykstra(x, C, row_norms, radius, floor + _DYKSTRA_TOL * row_norms)
+        out = _project_ball_polyhedron(x, C, target, radius)
         witness = membership(RealParam(d, out).to_density(), space)
         if witness.member:
             return out
         if witness.constraint != "lower_bound":
             raise NonConvergence(f"projection violates the {witness.constraint} constraint")
-        row = psi_matrix(d, witness.location)
-        C = np.vstack([C, row])
-        row_norms = np.append(row_norms, np.linalg.norm(row))
+        C = np.vstack([C, psi_matrix(d, witness.location)])
     raise NonConvergence(
         f"projection still below the floor after {_MEMBERSHIP_ROUNDS} rounds")
 

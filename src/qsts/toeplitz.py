@@ -280,7 +280,8 @@ def _centro_halves(A: np.ndarray) -> tuple:
     the middle diagonal entry, and a symmetric vector is
     [w_top/sqrt 2; w_mid; J w_top/sqrt 2].  Either way the overlap of two
     full vectors of one parity is the dot product of their half vectors.
-    Returns ((ls, Ws), (lk, Wk)), each pair ascending from ``eigh``.
+    Returns ((ls, Ws), (lk, Wk)), each pair ascending from ``eigh``; for
+    n = 1 the skew pair is empty and takes no solve.
     """
     n = A.shape[0]
     h, odd = divmod(n, 2)
@@ -290,7 +291,10 @@ def _centro_halves(A: np.ndarray) -> tuple:
     if odd:
         S[h, :h] = S[:h, h] = math.sqrt(2.0) * A[h, :h]
         S[h, h] = A[h, h]
-    return tuple(np.linalg.eigh(S)), tuple(np.linalg.eigh(B - C))
+    sym = tuple(np.linalg.eigh(S))
+    if not h:
+        return sym, (np.empty(0), np.empty((0, 0)))
+    return sym, tuple(np.linalg.eigh(B - C))
 
 
 def _centro_spectrum(halves: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -453,12 +457,15 @@ def toeplitz_circulant_gap(a: SpectralDensity, n: int, m: int,
 
     which must agree to 1e-10; both take O(n).  The returned bound is
     4 (m-n+1)^{1-2 alpha} M, valid whenever the Sobolev norm of a at
-    smoothness alpha is at most M with alpha > 1/2.
+    smoothness alpha is at most M with alpha > 1/2; a NaN or infinite alpha
+    or M is refused.
     """
     if m % 2 == 0 or not (n < m < 2 * (n - 1)):
         raise RangeError(f"need odd m with n < m < 2(n-1), got n={n}, m={m}")
-    if alpha <= 0.5:
-        raise RangeError("the bound needs alpha > 1/2")
+    if not 0.5 < alpha < math.inf:
+        raise RangeError("the bound needs a finite alpha > 1/2")
+    if not math.isfinite(M):
+        raise RangeError("the bound needs a finite M")
     hs_sq = hs_distance(toeplitz_from_density(a, n), circulant_block(a, m, n)) ** 2
 
     ks = np.arange((m + 1) // 2, n)

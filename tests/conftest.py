@@ -1,4 +1,4 @@
-"""Shared pytest configuration: the Hypothesis profile and the solve counter.
+"""Shared pytest configuration: the Hypothesis profile and the solve counters.
 
 The profile is derandomized (the same examples on every run) and bounded,
 so that the whole suite stays near a minute.
@@ -26,4 +26,20 @@ def solves(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.fixture
+def nnls_calls(monkeypatch):
+    """List of the matrix shape of each ``scipy.optimize.nnls`` call, in order."""
+    import scipy.optimize
+
+    calls = []
+    original = scipy.optimize.nnls
+
+    def counted(A, *args, **kwargs):
+        calls.append(np.shape(A))
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "nnls", counted)
     return calls

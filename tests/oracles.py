@@ -231,3 +231,42 @@ def stream_correlation(seed: int, ids: Sequence[int], n: int = 10 ** 6) -> float
     """Max pairwise sample correlation between streams."""
     corr = np.corrcoef([RngStream(seed, i).generator().standard_normal(n) for i in ids])
     return float(np.max(np.abs(corr - np.eye(len(ids)))))
+
+
+def project_ball_cone(x, M: float) -> np.ndarray:
+    """Exact projection of theta = x (d <= 1) onto {||v||^2 <= M, min a_v >= 1 + 1/M}.
+
+    For d <= 1 the floor is the cone v_0 - f >= sqrt(2) ||r||, r the other
+    coordinates and f = 1 + 1/M.  The projection is x itself, the ball's or
+    the cone's projection of x, or a point of the circle where the sphere
+    meets the cone; each is the nearest point of its own piece, so it is
+    the nearest feasible one among x, the ball projection, the cone
+    projection, the apex (0, f, 0) and the corner in the half-plane of r.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    d = (x.size - 1) // 2
+    assert d <= 1
+    f = 1.0 + 1.0 / M
+    t, r = x[d] - f, np.delete(x, d)
+    s = float(np.linalg.norm(r))
+    u = r / s if s > 0.0 else np.eye(r.size, 1).reshape(-1)
+
+    def point(c, rho):
+        return np.insert(rho * u, d, c)
+
+    apex = point(f, 0.0)
+    # cone ||r|| <= t / sqrt 2: its boundary ray in the (t, s) plane is (1, k)
+    k = math.sqrt(0.5)
+    lam = max((t + k * s) / (1.0 + k * k), 0.0)
+    cone = x.copy() if s <= k * t else point(f + lam, k * lam)
+    ball = x * (math.sqrt(M) / max(float(np.linalg.norm(x)), math.sqrt(M)))
+    # corner: c = f + sqrt(2) rho and c^2 + rho^2 = M
+    rho = (-2.0 * math.sqrt(2.0) * f + math.sqrt(12.0 * M - 4.0 * f * f)) / 6.0
+    corner = point(f + math.sqrt(2.0) * rho, rho) if d else point(math.sqrt(M), 0.0)
+
+    def feasible(v):
+        lowest = v[d] - math.sqrt(2.0) * float(np.linalg.norm(np.delete(v, d)))
+        return v @ v <= M * (1 + 1e-14) and lowest >= f - 1e-12
+
+    candidates = [v for v in (x, ball, cone, apex, corner) if feasible(v)]
+    return min(candidates, key=lambda v: float(np.linalg.norm(v - x)))

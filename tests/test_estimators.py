@@ -32,6 +32,8 @@ from qsts.spectral import (
 )
 from qsts.toeplitz import toeplitz_from_density
 
+from oracles import project_ball_cone
+
 COS_DENSITY = SpectralDensity.cosine(2.0, 0.5)
 COS_THETA = RealParam.from_density(COS_DENSITY, d=1).theta  # (0, 2, sqrt2/4)
 
@@ -216,7 +218,8 @@ def test_onestep_is_the_three_stage_chain():
 
 class TestProjection:
     SPACE = theta2prime_space(1, 5.0)
-    # Dykstra needs more than 5 sweeps to project this point
+    # every round of this point's projection needs 3 tangent cuts of the ball,
+    # 7 rounds in all
     SLOW_X, SLOW_SPACE = np.array([0.2, 3.0, -3.0]), theta2prime_space(1, 10.0)
 
     def test_feasible_unchanged(self):
@@ -252,11 +255,21 @@ class TestProjection:
         twice = project_theta(once, self.SPACE)
         np.testing.assert_allclose(twice, once, atol=1e-9)
 
-    @pytest.mark.parametrize("sweeps", [1, 2, 5])
-    def test_exhausted_sweep_budget_raises(self, sweeps, monkeypatch):
-        monkeypatch.setattr(estimators, "_DYKSTRA_SWEEPS", sweeps)
-        with pytest.raises(NonConvergence, match=f"after {sweeps} sweeps"):
+    @pytest.mark.parametrize("cuts", [0, 1, 2])
+    def test_exhausted_cut_budget_raises(self, cuts, monkeypatch):
+        monkeypatch.setattr(estimators, "_BALL_CUTS", cuts)
+        with pytest.raises(NonConvergence, match=f"outside the ball after {cuts} cuts"):
             project_theta(self.SLOW_X, self.SLOW_SPACE)
+
+    @pytest.mark.parametrize("x, M, calls", [
+        ((0.0, 2.0, 0.0, 0.0, 0.0), 3.0, 17),
+        ((0.2, 3.0, -3.0), 10.0, 28),
+        ((1.8, 0.9, -2.2), 5.0, 28),
+    ])
+    def test_nnls_solves_per_projection(self, x, M, calls, nnls_calls):
+        # each polyhedral solve is one NNLS; slower cut convergence shows up here
+        project_theta(np.array(x), theta2prime_space((len(x) - 1) // 2, M))
+        assert len(nnls_calls) == calls
 
     def test_default_sweep_budget_converges(self):
         out = project_theta(self.SLOW_X, self.SLOW_SPACE)
@@ -291,6 +304,38 @@ class TestProjection:
         x = np.array([0.3, 0.0, 0.4])
         x[1] = 1.2 + 1e-9 + math.sqrt(2.0) * 0.5
         assert project_theta(x, self.SPACE).tobytes() == x.tobytes()
+
+    def assert_near_exact(self, x, M):
+        """A member, within 2e-5 of the exact projection and no farther from x."""
+        d = (len(x) - 1) // 2
+        space = theta2prime_space(d, M)
+        out = project_theta(x, space)
+        exact = project_ball_cone(x, M)
+        assert membership(RealParam(d, out).to_density(), space).member
+        assert np.linalg.norm(out - exact) <= 2e-5
+        assert np.linalg.norm(out - x) <= np.linalg.norm(exact - x) + 1e-9
+
+    @pytest.mark.parametrize("x, M", [
+        ((1.8, 0.9, -2.2), 5.0), ((0.2, 3.0, -3.0), 10.0), ((0.0, 1.0, 0.0), 5.0),
+        ((0.0, -4.0, 0.0), 5.0), ((3.0, 0.5, 0.0), 3.0), ((0.5,), 4.0), ((7.0,), 4.0)])
+    def test_exact_oracle_agrees_with_slsqp(self, x, M):
+        x = np.array(x)
+        exact = project_ball_cone(x, M)
+        np.testing.assert_allclose(exact, quad_project_oracle(x, theta2prime_space(len(x) // 2, M)),
+                                   atol=1e-6)
+
+    def test_sweep_against_the_exact_projection(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            x, M = rng.uniform(-5.0, 5.0, 3), rng.uniform(3.0, 20.0)
+            self.assert_near_exact(x, M)
+
+    def test_iterates_that_agree_do_not_stop_short(self):
+        # an alternating projection that stops once two iterates agree
+        # returned the apex (0, 1.32823, 0) here, 0.034 farther from x than
+        # the exact projection (-0.16192, 1.72300, 0.22739)
+        x = np.array([-3.0484047840301374, -1.5832481588165939, 4.281134210145737])
+        self.assert_near_exact(x, 3.0466685089400434)
 
     @given(st.integers(0, 3), st.floats(3.0, 20.0),
            st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=7, max_size=7))

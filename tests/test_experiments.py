@@ -244,6 +244,12 @@ class TestStateApproximation:
         ent = [r.value for r in rep.rows if r.label == "relative_entropy"][0]
         assert ent == pytest.approx(exact, rel=1e-8, abs=0.0)
 
+    @pytest.mark.parametrize("kwargs", [{"M": math.nan}, {"M": math.inf}, {"alpha": math.nan}])
+    def test_non_finite_bound_parameters_refused(self, kwargs):
+        # a NaN bound used to read as "no bound" and pass the gap row
+        with pytest.raises(RangeError, match="finite"):
+            audit_state_approximation(COS_DENSITY, 64, **kwargs)
+
     def test_pinsker_row_sqrt(self):
         rep = audit_state_approximation(LIFTED_GEOM, 32, 35)
         ent = [r.value for r in rep.rows if r.label == "relative_entropy"][0]

@@ -259,6 +259,16 @@ class TestOneEigensolvePerSymbol:
             relative_entropy(A1, A2)
         assert str(err.value) == "lambda_min(A) = 1.00000001 is not above 1 + 1e-08"
 
+    def test_one_mode_symbols_take_no_empty_solve(self, solves):
+        # n = 1 has no skew half: one (1, 1) solve per symbol and no (0, 0) one
+        A1 = toeplitz_from_density(SpectralDensity([2.0]), 1)
+        A2 = toeplitz_from_density(SpectralDensity([3.0]), 1)
+        S = relative_entropy(A1, A2)
+        assert solves == [("eigh", (1, 1))] * 2
+        # the entropy of two one-mode states, KL(Geo(p1) || Geo(p2)) at l = 2, 3
+        assert S == 0.08494951839769871
+        assert S == pytest.approx(float(geo_kl(2.0, 3.0)), rel=1e-14)
+
     @pytest.mark.parametrize("equal", [False, True])
     def test_symbol_bound_solves_each_symbol_once(self, solves, equal):
         T1 = toeplitz_from_density(SpectralDensity([3.0, 0.5, 0.25]), 7)

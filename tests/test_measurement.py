@@ -387,9 +387,8 @@ class TestBlockSamplerCache:
 
     def test_cached_arrays_are_read_only(self):
         sampler = measurement._block_sampler(COS_DENSITY.coeffs.tobytes(), 9)
-        C, row_norms = estimators._constraints(1, 512)
         cached = [fourier_frequencies(9), _w_matrix(9, 1), estimators._f_diagonal(9, 1),
-                  C, row_norms, sampler.factor,
+                  estimators._grid_design(1, 512), sampler.factor,
                   NumberOpSampler(toeplitz_from_density(COS_DENSITY, E)).root]
         for arr in cached:
             with pytest.raises(ValueError):

@@ -367,6 +367,13 @@ class TestGap:
         with pytest.raises(RangeError):
             toeplitz_circulant_gap(GEOM, 16, 20, 1.0, 1.0)  # even m
 
+    @pytest.mark.parametrize("alpha, M", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
+    def test_non_finite_alpha_or_M_refused(self, alpha, M):
+        # NaN passed the old alpha <= 1/2 check and returned a NaN bound
+        with pytest.raises(RangeError, match="finite"):
+            toeplitz_circulant_gap(GEOM, 16, 21, alpha, M)
+
 
 class TestEigenBracket:
     def test_constant(self):
