@@ -23,10 +23,8 @@ serially, and mc moments draws all its replicates as one batch from
 stream (seed, 0).
 
 Importing this module loads no scipy module.  scipy is imported only by
-the commands that need it: audit chain and audit sufficiency (chi-square
-tail), mc normality (KS critical value, normal cdf), dist hellinger with
---r and --r2 (log-gamma), and the projection's NNLS when a preliminary
-estimate lies outside the parameter space.
+mc normality (KS critical value, normal cdf) and by the projection's NNLS
+when a preliminary estimate lies outside the parameter space.
 """
 
 from __future__ import annotations

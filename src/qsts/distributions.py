@@ -113,9 +113,8 @@ def nb_hellinger_bound_shapes(r1: float, r2: float) -> float:
     """Bound H^2(NB(r1, p), NB(r2, p)) <= 1 - G((r1+r2)/2)/sqrt(G(r1) G(r2))."""
     if r1 <= 0 or r2 <= 0:
         raise RangeError("shapes must be positive")
-    from scipy.special import gammaln
-    return 1.0 - math.exp(gammaln((r1 + r2) / 2.0)
-                          - 0.5 * gammaln(r1) - 0.5 * gammaln(r2))
+    return 1.0 - math.exp(math.lgamma((r1 + r2) / 2.0)
+                          - 0.5 * math.lgamma(r1) - 0.5 * math.lgamma(r2))
 
 
 def nb_sample(r: float, p: float, rng: np.random.Generator, size=None):

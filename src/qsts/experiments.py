@@ -25,7 +25,7 @@ from .distributions import (
     nb_sample,
     varstab_arccosh,
 )
-from .errors import DegenerateSamples, NotAdmissible, RangeError
+from .errors import DegenerateSamples, NonConvergence, NotAdmissible, RangeError
 from .estimators import phi_matrices
 from .gaussian_states import relative_entropy
 from .harness import RngStream, as_generator
@@ -52,6 +52,21 @@ _ROOT_CACHE_SIZE = 32
 
 #: NB(1/pieces, p) draws summed per sufficiency draw
 _NB_PIECES = 8
+
+#: test level of the sufficiency chi-square; 1 - (1 - alpha) is the tail
+#: mass that chi2.ppf(1 - alpha) inverts, one bit above the literal alpha
+_CHI2_ALPHA = 0.001
+_CHI2_TAIL = 1.0 - (1.0 - _CHI2_ALPHA)
+
+#: the standard normal point with upper tail _CHI2_ALPHA, for the
+#: Wilson-Hilferty start of the chi-square quantile
+_Z_ALPHA = 3.090232306167813
+
+#: Newton or bisection steps the chi-square quantile may take
+_QUANTILE_STEPS = 64
+
+#: the largest y in one factor e^{-y} of the chi-square tail; e^{-600} is normal
+_EXP_PIECE = 600.0
 
 
 def _p_of(value: float) -> float:
@@ -262,27 +277,100 @@ def _pearson_2xk(table: np.ndarray):
     """(statistic, critical value at alpha = 0.001, p-value) of a 2 x K table.
 
     Pearson's sum over expected counts row sum x column sum / total, with
-    Yates' correction when dof = 1; bit for bit what
-    ``scipy.stats.chi2_contingency`` and ``chi2.ppf(1 - 0.001, dof)`` give.
+    Yates' correction when dof = 1; the statistic is bit for bit what
+    ``scipy.stats.chi2_contingency`` gives, and the critical value and
+    p-value come from the closed-form tail ``_chi2_sf``.
     """
-    from scipy.special import chdtrc, chdtri
     row_sums, col_sums = table.sum(axis=1, keepdims=True), table.sum(axis=0, keepdims=True)
     expected = row_sums * col_sums / table.sum()
     if np.any(expected == 0.0):
         raise RangeError("a bin of the 2 x K table is empty in both samples")
     dof = table.shape[1] - 1
+    if dof == 0:
+        # one column is observed == expected: chi2 = 0 at p-value 1, no critical value
+        return 0.0, math.nan, 1.0
     observed = table
     if dof == 1:
         # Yates' continuity correction, never past the expected count
         diff = expected - table
         observed = table + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
-    # 1 - (1 - alpha) is the tail mass chi2.ppf(1 - alpha) inverts; the
-    # literal alpha, chdtri(dof, 0.001), differs in the last bit
-    crit = float(chdtri(dof, 1.0 - (1.0 - 0.001)))
-    # one column (dof = 0) is observed == expected, chi2 = 0 at p-value 1
-    p_value = float(chdtrc(dof, chi2)) if dof else 1.0
-    return chi2, crit, p_value
+    return chi2, _chi2_critical(dof), _chi2_sf(dof, chi2)
+
+
+def _chi2_sf(dof: int, x: float) -> float:
+    """Upper tail Q(dof, x) of the chi-square law with integer dof >= 1.
+
+    The finite sums of Abramowitz & Stegun 26.4.4 and 26.4.5, with y = x/2:
+    e^{-y} sum_{j < dof/2} y^j / j! for even dof, and erfc(sqrt y) +
+    e^{-y} sum_{j < (dof-1)/2} y^{j+1/2} / Gamma(j + 3/2) for odd dof.
+    Each term is the one before times y / (j + s), s = 0 or 1/2.  e^{-y}
+    is applied in factors of at most e^{-_EXP_PIECE}: one on the first term,
+    one on the running sum whenever a term passes 1e250, and the rest at
+    the end.  The terms times e^{-y} sum to at most 1, so nothing overflows,
+    and y less whole pieces is exact, so each factor costs one rounding.
+    """
+    y = 0.5 * x
+    if y <= 0.0:
+        return 1.0
+    # Chernoff: Q <= exp(-(x - dof - dof log(x/dof)) / 2), here below the least double
+    if x > dof and not x - dof * (1.0 + math.log(x / dof)) <= 1500.0:
+        return 0.0
+    odd = dof % 2
+    head = math.erfc(math.sqrt(y)) if odd else 0.0
+    if dof == 1:
+        return head
+    piece = min(y, _EXP_PIECE)
+    owed = y - piece
+    term = math.exp(-piece) * (2.0 * math.sqrt(y / math.pi) if odd else 1.0)
+    total = term
+    for j in range(1, dof // 2):
+        term *= y / (j + 0.5 * odd)
+        if term > 1e250:
+            piece = min(owed, _EXP_PIECE)
+            owed -= piece
+            scale = math.exp(-piece)
+            term *= scale
+            total *= scale
+        total += term
+    while owed > 0.0 and total > 0.0:
+        piece = min(owed, _EXP_PIECE)
+        owed -= piece
+        total *= math.exp(-piece)
+    return head + total
+
+
+def _chi2_critical(dof: int) -> float:
+    """The x at which ``_chi2_sf(dof, x)`` equals _CHI2_TAIL, for dof >= 1.
+
+    Newton's method from the Wilson-Hilferty approximation, keeping a
+    bracket lo < x < hi with Q(lo) > tail > Q(hi) and bisecting whenever a
+    step leaves it.  Stops once a step moves x by at most 4 ulp; raises
+    NonConvergence after _QUANTILE_STEPS steps.
+    """
+    c = 2.0 / (9.0 * dof)
+    x = dof * (1.0 - c + _Z_ALPHA * math.sqrt(c)) ** 3
+    lo, hi = 0.0, math.inf
+    for _ in range(_QUANTILE_STEPS):
+        excess = _chi2_sf(dof, x) - _CHI2_TAIL
+        if excess > 0.0:
+            lo = x
+        elif excess < 0.0:
+            hi = x
+        else:
+            return x
+        # the chi-square density at x, the slope of -Q
+        pdf = 0.5 * math.exp((0.5 * dof - 1.0) * math.log(0.5 * x) - 0.5 * x
+                             - math.lgamma(0.5 * dof))
+        step = x + excess / pdf if pdf > 0.0 else math.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
+        if abs(step - x) <= 4.0 * math.ulp(x):
+            return step
+        x = step
+    raise NonConvergence(
+        f"chi-square critical value at dof {dof}: no convergence "
+        f"in {_QUANTILE_STEPS} steps (bracket [{lo!r}, {hi!r}])")
 
 
 def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],

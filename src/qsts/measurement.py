@@ -126,9 +126,10 @@ class MeasurementDraw:
         fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
         fh.write("block,j,N\n")
         half = (self.scheme.m - 1) // 2
-        for b in range(self.scheme.r):
-            for idx in range(self.scheme.m):
-                fh.write(f"{b},{idx - half},{int(self.blocks[b, idx])}\n")
+        # one write per block: field 0 is the block, field idx + 1 its column idx
+        rows = "".join(f"{{0}},{idx - half},{{{idx + 1}}}\n" for idx in range(self.scheme.m))
+        for b, block in enumerate(np.asarray(self.blocks, dtype=np.int64).tolist()):
+            fh.write(rows.format(b, *block))
 
 
 def _dft_rows(X: np.ndarray) -> np.ndarray:

@@ -190,6 +190,9 @@ class ParameterSpace:
                         the same lower bound.
     kind "theta2prime": the same set seen through the real parameter theta
                         (the two norms coincide), used by the estimators.
+
+    Each set is empty when (1 + 1/M)^2 > M, that is below M = 2.14790, and
+    such an M is refused.
     """
 
     kind: str
@@ -204,6 +207,11 @@ class ParameterSpace:
         # written so that NaN fails them too
         if not self.M > 1.0:
             raise RangeError("parameter space needs M > 1")
+        # a >= 1 + 1/M forces a_0 >= 1 + 1/M, and every kind bounds a_0^2 <= M
+        if not (1.0 + 1.0 / self.M) ** 2 <= self.M:
+            raise RangeError(
+                f"parameter space is empty at M = {self.M!r}: it needs (1 + 1/M)^2 <= M, "
+                "that is M >= 2.1478990357047874, the real root of M^3 - M^2 - 2M - 1")
         if self.kind == "theta1" and not self.alpha > 0.0:
             raise RangeError("theta1 needs alpha > 0")
         if self.grid_size < 256:

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import mpmath
 import numpy as np
 from scipy.special import gammaln
 
@@ -270,3 +271,19 @@ def project_ball_cone(x, M: float) -> np.ndarray:
 
     candidates = [v for v in (x, ball, cone, apex, corner) if feasible(v)]
     return min(candidates, key=lambda v: float(np.linalg.norm(v - x)))
+
+
+def chi2_tail_mp(dof: int, x: float) -> mpmath.mpf:
+    """Upper tail Q(dof, x) of the chi-square law, to 40 digits."""
+    with mpmath.workdps(40):
+        return +mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                                regularized=True)
+
+
+def chi2_quantile_mp(dof: int, tail: float) -> mpmath.mpf:
+    """The x with Q(dof, x) = tail, to 40 digits, from a Wilson-Hilferty start."""
+    with mpmath.workdps(40):
+        z = mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(tail))
+        c = mpmath.mpf(2) / (9 * dof)
+        start = dof * (1 - c + z * mpmath.sqrt(c)) ** 3
+        return mpmath.findroot(lambda x: chi2_tail_mp(dof, x) - mpmath.mpf(tail), start)

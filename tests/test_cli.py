@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -143,6 +144,15 @@ class TestDistCommands:
 
 
 class TestSimulateAndEstimate:
+    def test_measure_file_bytes_are_pinned(self, tmp_path, capsys):
+        # SHA-256 of the file as the per-entry writer produced it
+        out = tmp_path / "m.csv"
+        code, _, _ = run(capsys, "--seed", "5", "--no-timestamp", "simulate", "measure",
+                         "--density", "cos:2,0.5", "--n", "65536", "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8535549d82ccd0765869fca14d41f7166d69b0f81075d31c954fc790189e873d")
+
     def test_measure_deterministic(self, tmp_path, capsys):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for f, threads in ((f1, "1"), (f2, "4")):
@@ -318,6 +328,11 @@ def test_no_scipy_module_at_import_or_in_light_commands():
         ["mc", "moments", "--density", "cos:2,0.5", "--m", "5", "--replicates", "200"],
         # the full-length draw's FFTs stay on numpy.fft
         ["estimate", "nonparam", "--density", "cos:2,0.5", "--n", "1025", "--d-n", "3"],
+        # the chi-square tail and quantile are closed form, log-gamma is math.lgamma
+        ["audit", "chain", "--density", "cos:2,0.5", "--n-list", "65,129"],
+        ["audit", "sufficiency", "--p", "0.5"],
+        ["dist", "hellinger", "--lam", "2", "--mu", "3", "--r", "1.5", "--r2", "2.5"],
+        ["simulate", "measure", "--density", "cos:2,0.5", "--n", "256"],
     ]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands)],
@@ -325,7 +340,8 @@ def test_no_scipy_module_at_import_or_in_light_commands():
     seen = json.loads(proc.stdout)
     assert seen == {"import qsts": [], "import qsts.cli": [], "symbol bracket": [0],
                     "state entropy": [0], "audit state": [0], "mc moments": [0],
-                    "estimate nonparam": [0]}
+                    "estimate nonparam": [0], "audit chain": [0], "audit sufficiency": [0],
+                    "dist hellinger": [0], "simulate measure": [0]}
 
 
 def test_nonparam_estimate_far_past_a_dense_symbol():
@@ -409,6 +425,9 @@ EXIT_CASES = {
                        "--space", "theta2", "--M", "nan"]),
     "nan_radius_config": (1, ["--config", "{nan_cfg}", "density", "membership",
                               "--density", "const:0.5", "--space", "theta2"]),
+    # below M = 2.1479 no density clears both a_0^2 <= M and a >= 1 + 1/M
+    "empty_space": (1, ["density", "membership", "--density", "const:2",
+                        "--space", "theta2", "--d", "1", "--M", "2"]),
     "nan_smoothness": (1, ["symbol", "gap", "--density", "cos:2,0.5", "--n", "20",
                            "--m", "25", "--alpha", "nan"]),
     "nan_audit_radius": (1, ["audit", "state", "--density", "cos:2,0.5", "--n", "64",

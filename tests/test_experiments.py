@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from qsts.errors import DegenerateSamples, NotAdmissible, RangeError
+from qsts import experiments
+from qsts.errors import DegenerateSamples, NonConvergence, NotAdmissible, RangeError
 from qsts.estimators import phi_matrices
 from qsts.experiments import (
+    _CHI2_TAIL,
     AuditReport,
+    _chi2_critical,
+    _chi2_sf,
     _merge_short_bins,
     _pearson_2xk,
     audit_hellinger_chain,
@@ -20,6 +24,8 @@ from qsts.experiments import (
 from qsts.harness import RngStream, mc_run
 from qsts.spectral import SpectralDensity, local_averages
 from qsts.distributions import varstab_arccosh
+
+from oracles import chi2_quantile_mp, chi2_tail_mp
 
 COS_DENSITY = SpectralDensity.cosine(2.0, 0.5)
 # geometric decay lifted so the density stays above 1 (state admissible)
@@ -271,9 +277,60 @@ class TestNbSufficiency:
             table = gen.integers(0, scale, size=(2, K)).astype(float)
             table[gen.integers(0, 2), :] += 1.0  # no empty column
             ref = stats.chi2_contingency(table)
-            expect = (float(ref[0]), float(stats.chi2.ppf(1.0 - 0.001, K - 1)),
-                      float(ref[1]))
-            assert _pearson_2xk(table) == expect, table
+            chi2, crit, p = _pearson_2xk(table)
+            assert chi2 == float(ref[0]), table
+            # the tail and quantile are closed form, not scipy's: equal to rounding
+            assert crit == pytest.approx(stats.chi2.ppf(1.0 - 0.001, K - 1), rel=4e-15)
+            # scipy returns 0 for a subnormal tail
+            assert p == pytest.approx(ref[1], rel=2e-13, abs=1e-300), table
+
+    def test_critical_value_is_the_exact_root(self):
+        from scipy.special import chdtri
+        for dof in range(1, 201):
+            exact = chi2_quantile_mp(dof, _CHI2_TAIL)
+            crit = _chi2_critical(dof)
+            assert abs(crit - exact) <= 4e-15 * exact, dof
+            assert crit == pytest.approx(chdtri(dof, _CHI2_TAIL), rel=4e-15), dof
+
+    def test_tail_against_40_digits(self):
+        from scipy.special import chdtrc
+        for dof in range(1, 201):
+            spread = math.sqrt(2.0 * dof)
+            for x in (1e-3, 0.1 * dof, 0.5 * dof, dof, dof + 3.0 * spread,
+                      dof + 10.0 * spread, 8.0 * dof, 700.0, 1300.0, 2000.0, 2900.0):
+                exact = chi2_tail_mp(dof, x)
+                if exact < 1e-300:
+                    continue
+                q = _chi2_sf(dof, x)
+                assert abs(q - exact) <= 2e-13 * exact, (dof, x)
+                assert q == pytest.approx(chdtrc(dof, x), rel=2e-13, abs=0.0), (dof, x)
+
+    def test_tail_limits(self):
+        assert [_chi2_sf(dof, 0.0) for dof in (1, 2, 9)] == [1.0, 1.0, 1.0]
+        # past the Chernoff bound's reach of the least double, at once
+        assert [_chi2_sf(dof, x) for dof in (1, 2, 9) for x in (1e6, math.inf)] == [0.0] * 6
+        assert _chi2_sf(10 ** 6, 1e300) == 0.0
+        assert math.isnan(_chi2_sf(9, math.nan))
+        # e^{-y} below the smallest normal double, paid in several factors;
+        # 3317 dof is `audit sufficiency --p 0.9995 --seed 1`
+        for dof, x in ((999, 3262.0), (2001, 2900.0), (2001, 4000.0),
+                       (3317, 3299.0942156173987), (10001, 10443.75)):
+            exact = chi2_tail_mp(dof, x)
+            assert abs(_chi2_sf(dof, x) - exact) <= 2e-13 * exact, (dof, x)
+
+    @pytest.mark.parametrize("z", [8.0, 30.0])
+    def test_far_start_falls_back_to_bisection(self, monkeypatch, z):
+        # a start deep in the tail, where Newton steps land below 0 or the density underflows
+        expect = {dof: _chi2_critical(dof) for dof in (1, 9, 100)}
+        monkeypatch.setattr(experiments, "_Z_ALPHA", z)
+        for dof, crit in expect.items():
+            assert _chi2_critical(dof) == pytest.approx(crit, rel=4e-15), dof
+
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    def test_exhausted_quantile_budget_raises(self, monkeypatch, steps):
+        monkeypatch.setattr(experiments, "_QUANTILE_STEPS", steps)
+        with pytest.raises(NonConvergence, match=f"in {steps} steps"):
+            _chi2_critical(9)
 
     @staticmethod
     def right_tail_fold(table):

@@ -278,6 +278,30 @@ class TestBlocks:
         assert lines[1] == "block,j,N"
         assert len(lines) == 2 + scheme.r * scheme.m
 
+    @staticmethod
+    def per_entry_csv(draw) -> str:
+        """The earlier writer: one write and one numpy scalar read per entry."""
+        fh = io.StringIO()
+        header = {"seed": draw.seed_path[0] if draw.seed_path else None,
+                  "n": draw.scheme.n, "d": draw.scheme.d, "m": draw.scheme.m,
+                  "r": draw.scheme.r, "density": draw.density_label}
+        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        fh.write("block,j,N\n")
+        half = (draw.scheme.m - 1) // 2
+        for b in range(draw.scheme.r):
+            for idx in range(draw.scheme.m):
+                fh.write(f"{b},{idx - half},{int(draw.blocks[b, idx])}\n")
+        return fh.getvalue()
+
+    @pytest.mark.parametrize("n, d, r", [(8, 2, 1), (64, 1, 10), (65536, 0, 5957)])
+    def test_csv_bytes_equal_the_per_entry_writer(self, n, d, r):
+        scheme = block_scheme(n, d)
+        draw = sample_pi_blocks(COS_DENSITY, scheme, RngStream(21, 0))
+        buf = io.StringIO()
+        draw.write_csv(buf)
+        assert scheme.r == r
+        assert buf.getvalue() == self.per_entry_csv(draw)
+
 
 GEOM = SpectralDensity.from_coeff_map({0: 3.0, 1: 0.6 + 0.2j, 2: -0.3j, 3: 0.1})
 

@@ -20,6 +20,7 @@ from qsts.spectral import (
     sobolev_norm,
     theta1_space,
     theta2_space,
+    theta2prime_space,
 )
 
 from oracles import (
@@ -29,6 +30,10 @@ from oracles import (
     step_function_values,
     theta_by_lag_loop,
 )
+
+with mpmath.workdps(40):
+    # the real root of M^3 - M^2 - 2M - 1, where (1 + 1/M)^2 = M
+    EMPTY_BELOW = float(mpmath.findroot(lambda M: M ** 3 - M ** 2 - 2 * M - 1, 2.15))
 
 COS_2_05 = SpectralDensity.from_coeff_map({0: 2.0, 1: 0.5})  # a(w) = 2 + cos w
 GEOM = SpectralDensity(np.array([2.0 ** -k for k in range(21)], dtype=complex))
@@ -156,6 +161,22 @@ class TestMembership:
             theta2_space(1, float("nan"))
         with pytest.raises(RangeError, match="alpha > 0"):
             theta1_space(float("nan"), 5.0)
+
+    @pytest.mark.parametrize("M", [1.5, 2.0, 2.1, math.nextafter(EMPTY_BELOW, 0.0)])
+    def test_empty_space_refused(self, M):
+        # a >= 1 + 1/M forces a_0^2 >= (1 + 1/M)^2 > M: no density is a member
+        for make in (theta2_space, theta2prime_space):
+            with pytest.raises(RangeError, match="empty"):
+                make(1, M)
+        with pytest.raises(RangeError, match="empty"):
+            theta1_space(1.0, M)
+
+    def test_boundary_space_holds_the_constant(self):
+        space = theta2prime_space(1, EMPTY_BELOW)
+        assert space.M == 2.1478990357047874
+        # the one member: a = 1 + 1/M, whose a_0^2 is M
+        assert membership(SpectralDensity.constant(1.0 + 1.0 / EMPTY_BELOW), space).member
+        assert not membership(SpectralDensity.constant(1.0 + 1.1 / EMPTY_BELOW), space).member
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_non_finite_coefficients_rejected(self, bad):
