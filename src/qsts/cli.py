@@ -23,8 +23,8 @@ serially, and mc moments draws all its replicates as one batch from
 stream (seed, 0).
 
 Importing this module loads no scipy module.  scipy is imported only by
-mc normality (KS critical value, normal cdf) and by the projection's NNLS
-when a preliminary estimate lies outside the parameter space.
+the projection's NNLS, when a preliminary estimate lies outside the
+parameter space.
 """
 
 from __future__ import annotations
@@ -481,11 +481,12 @@ def cmd_audit_sufficiency(args):
 
 def _write_raw_rows(path: str, rows: np.ndarray):
     """Raw replicate dump, one line per (replicate, coordinate, value)."""
+    # one write per replicate: field 0 is the replicate, field j + 1 its coordinate j
+    lines = "".join(f"{{0}},{j},{{{j + 1}!r}}\n" for j in range(rows.shape[1]))
     with open(path, "w") as fh:
         fh.write("replicate,coordinate,value\n")
-        for i in range(rows.shape[0]):
-            for j in range(rows.shape[1]):
-                fh.write(f"{i + 1},{j},{float(rows[i, j])!r}\n")
+        for i, row in enumerate(np.asarray(rows, dtype=float).tolist(), 1):
+            fh.write(lines.format(i, *row))
 
 
 @command("mc", "normality", "scaled estimator errors against "

@@ -111,8 +111,8 @@ def nb_hellinger_bound_symbols(r: float, a1: float, a2: float) -> float:
 
 def nb_hellinger_bound_shapes(r1: float, r2: float) -> float:
     """Bound H^2(NB(r1, p), NB(r2, p)) <= 1 - G((r1+r2)/2)/sqrt(G(r1) G(r2))."""
-    if r1 <= 0 or r2 <= 0:
-        raise RangeError("shapes must be positive")
+    if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
+        raise RangeError(f"shapes need 0 < r < inf, got r1={r1!r}, r2={r2!r}")
     return 1.0 - math.exp(math.lgamma((r1 + r2) / 2.0)
                           - 0.5 * math.lgamma(r1) - 0.5 * math.lgamma(r2))
 
@@ -123,8 +123,8 @@ def nb_sample(r: float, p: float, rng: np.random.Generator, size=None):
     lam ~ Gamma(shape r, rate (1-p)/p), then Poisson(lam); works for any
     real r > 0 including r < 1.
     """
-    if r <= 0:
-        raise RangeError("r must be positive")
+    if not 0.0 < r < math.inf:
+        raise RangeError(f"r needs 0 < r < inf, got {r!r}")
     if not 0.0 < p < 1.0:
         raise RangeError("p must lie in (0, 1)")
     lam = rng.gamma(shape=r, scale=p / (1.0 - p), size=size)

@@ -28,7 +28,7 @@ from .distributions import (
 from .errors import DegenerateSamples, NonConvergence, NotAdmissible, RangeError
 from .estimators import phi_matrices
 from .gaussian_states import relative_entropy
-from .harness import RngStream, as_generator
+from .harness import _QUANTILE_STEPS, RngStream, as_generator
 from .spectral import (
     SpectralDensity,
     TWO_PI,
@@ -61,9 +61,6 @@ _CHI2_TAIL = 1.0 - (1.0 - _CHI2_ALPHA)
 #: the standard normal point with upper tail _CHI2_ALPHA, for the
 #: Wilson-Hilferty start of the chi-square quantile
 _Z_ALPHA = 3.090232306167813
-
-#: Newton or bisection steps the chi-square quantile may take
-_QUANTILE_STEPS = 64
 
 #: the largest y in one factor e^{-y} of the chi-square tail; e^{-600} is normal
 _EXP_PIECE = 600.0

@@ -287,3 +287,42 @@ def chi2_quantile_mp(dof: int, tail: float) -> mpmath.mpf:
         c = mpmath.mpf(2) / (9 * dof)
         start = dof * (1 - c + z * mpmath.sqrt(c)) ** 3
         return mpmath.findroot(lambda x: chi2_tail_mp(dof, x) - mpmath.mpf(tail), start)
+
+
+def norm_cdf_mp(x: float) -> mpmath.mpf:
+    """Standard normal cdf at the double x, to 40 digits."""
+    with mpmath.workdps(40):
+        return +mpmath.ncdf(mpmath.mpf(x))
+
+
+def kolmogorov_sf_mp(x) -> mpmath.mpf:
+    """Upper tail Q(x) = 2 sum_{k>=1} (-1)^{k-1} e^{-2 k^2 x^2} of the Kolmogorov law, to 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return 2 * mpmath.nsum(lambda k: (-1) ** (k - 1) * mpmath.exp(-2 * k * k * x * x),
+                               [1, mpmath.inf])
+
+
+def kolmogorov_cdf_mp(x) -> mpmath.mpf:
+    """P(x) = 1 - Q(x) in its theta form (sqrt(2 pi)/x) sum_k e^{-(2k-1)^2 pi^2/(8 x^2)}, to 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return mpmath.sqrt(2 * mpmath.pi) / x * mpmath.nsum(
+            lambda k: mpmath.exp(-(2 * k - 1) ** 2 * mpmath.pi ** 2 / (8 * x * x)),
+            [1, mpmath.inf])
+
+
+def kolmogorov_quantile_mp(alpha: float) -> mpmath.mpf:
+    """The x with Q(x) = alpha, to 40 digits.
+
+    Solved on log Q from the root of its first term for alpha < 1/2, and on
+    log P in the bracket [0.05, 0.84] otherwise, where Q is close to 1.
+    """
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        if alpha < 0.5:
+            start = mpmath.sqrt(mpmath.log(2 / a) / 2)
+            return mpmath.findroot(lambda x: mpmath.log(kolmogorov_sf_mp(x)) - mpmath.log(a),
+                                   start)
+        return mpmath.findroot(lambda x: mpmath.log(kolmogorov_cdf_mp(x)) - mpmath.log(1 - a),
+                               (0.05, 0.84), solver="anderson")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsts.cli import build_parser, cli_dispatch
+from qsts.cli import _write_raw_rows, build_parser, cli_dispatch
 from qsts.harness import RngStream
 from qsts.measurement import NumberOpSampler
 from qsts.spectral import parse_density
@@ -295,6 +295,25 @@ class TestMcCommands:
         assert np.array_equal(values.reshape(replicates, m), expect)
         assert code == 0 and json.loads(out)["empirical_mean"] == list(expect.mean(axis=0))
 
+    @staticmethod
+    def per_entry_raw_rows(path, rows):
+        """The earlier --raw-out writer: one write and one numpy scalar read per entry."""
+        with open(path, "w") as fh:
+            fh.write("replicate,coordinate,value\n")
+            for i in range(rows.shape[0]):
+                for j in range(rows.shape[1]):
+                    fh.write(f"{i + 1},{j},{float(rows[i, j])!r}\n")
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (20000, 7)])
+    def test_raw_rows_bytes_equal_the_per_entry_writer(self, tmp_path, shape):
+        gen = np.random.default_rng(31)
+        rows = gen.standard_normal(shape) * 10.0 ** gen.integers(-300, 300, shape)
+        rows.flat[::7] = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0, 0.1])[
+            :rows.flat[::7].size]
+        _write_raw_rows(tmp_path / "new.csv", rows)
+        self.per_entry_raw_rows(tmp_path / "old.csv", rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_moments_one_replicate_exits_1(self, capsys):
         code, out, err = run(capsys, "mc", "moments", "--density", "const:3",
                              "--m", "3", "--replicates", "1")
@@ -333,6 +352,9 @@ def test_no_scipy_module_at_import_or_in_light_commands():
         ["audit", "sufficiency", "--p", "0.5"],
         ["dist", "hellinger", "--lam", "2", "--mu", "3", "--r", "1.5", "--r2", "2.5"],
         ["simulate", "measure", "--density", "cos:2,0.5", "--n", "256"],
+        # normal cdf and Kolmogorov quantile are closed form; n = 4096 never projects
+        ["mc", "normality", "--density", "cos:2,0.5", "--n", "4096", "--d", "1",
+         "--replicates", "500"],
     ]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands)],
@@ -341,7 +363,7 @@ def test_no_scipy_module_at_import_or_in_light_commands():
     assert seen == {"import qsts": [], "import qsts.cli": [], "symbol bracket": [0],
                     "state entropy": [0], "audit state": [0], "mc moments": [0],
                     "estimate nonparam": [0], "audit chain": [0], "audit sufficiency": [0],
-                    "dist hellinger": [0], "simulate measure": [0]}
+                    "dist hellinger": [0], "simulate measure": [0], "mc normality": [3]}
 
 
 def test_nonparam_estimate_far_past_a_dense_symbol():

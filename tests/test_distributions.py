@@ -128,6 +128,13 @@ class TestNegBinomial:
             h2c = nb_hellinger_exact(r1, p, r2, p)
             assert h2c <= nb_hellinger_bound_shapes(r1, r2) + 1e-12
 
+    @pytest.mark.parametrize("r1, r2", [(math.nan, 1.0), (math.inf, 2.0), (1.0, math.inf),
+                                        (1.0, -math.inf), (0.0, 1.0), (1.0, -2.0)])
+    def test_bound_shapes_refuses_shapes_outside_the_open_half_line(self, r1, r2):
+        # NaN and infinite shapes returned NaN
+        with pytest.raises(RangeError, match="0 < r < inf"):
+            nb_hellinger_bound_shapes(r1, r2)
+
     def test_exact_vs_brute_force(self):
         k = np.arange(4000)
         q1 = NegBinomial(0.7, 0.5).pmf(k)
@@ -142,6 +149,12 @@ class TestNbSample:
         draws = nb_sample(1.0, 0.5, rng, size=10 ** 6)
         se = math.sqrt(2.0 / 10 ** 6)
         assert abs(np.mean(draws) - 1.0) < 4 * se
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+    def test_refuses_shape_outside_the_open_half_line(self, r):
+        # a NaN shape raised numpy's "lam value too large"
+        with pytest.raises(RangeError, match="0 < r < inf"):
+            nb_sample(r, 0.5, np.random.default_rng(0), size=3)
 
     def test_sum_of_fractional_draws_is_geometric(self):
         rng = np.random.default_rng(7)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qsts.errors import DegenerateSamples, RangeError
+from qsts import harness
+from qsts.errors import DegenerateSamples, InputError, NonConvergence, NotPSD, RangeError
 from qsts.harness import (
     RngStream,
+    _norm_cdf,
     as_generator,
     ks_critical,
     ks_statistic,
@@ -13,7 +15,7 @@ from qsts.harness import (
     normality_check,
 )
 
-from oracles import stream_correlation
+from oracles import kolmogorov_quantile_mp, norm_cdf_mp, stream_correlation
 
 
 class TestRngStream:
@@ -106,6 +108,101 @@ class TestNormalityCheck:
             out = mc_run(lambda s: s.generator().standard_normal(1), 400, seed=100 + i)
             hits += abs(out.mean[0]) <= 4 * out.se[0]
         assert hits >= 99
+
+
+class TestNormalityCheckRefusals:
+    """Each refusal names its qsts error; the CLI exits with that error's code."""
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.0, 1.5, math.nan, math.inf, -math.inf])
+    def test_ks_alpha_outside_the_open_unit_interval(self, alpha):
+        # three times the target's s.d.: at alpha = 0 the critical value was inf and this passed
+        wide = 3.0 * np.random.default_rng(11).standard_normal((2000, 1))
+        with pytest.raises(RangeError, match="0 < alpha < 1"):
+            normality_check(wide, np.eye(1), frob_tol=100.0, ks_alpha=alpha)
+        with pytest.raises(RangeError, match="0 < alpha < 1"):
+            ks_critical(500, alpha)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_ks_critical_needs_a_sample(self, n):
+        with pytest.raises(RangeError, match="n >= 1"):
+            ks_critical(n, 0.01)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample(self, bad):
+        samples = np.random.default_rng(12).standard_normal((600, 2))
+        samples[17, 1] = bad
+        with pytest.raises(DegenerateSamples, match="not finite"):
+            normality_check(samples, np.eye(2))
+        assert DegenerateSamples.exit_code == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_target(self, bad):
+        samples = np.random.default_rng(13).standard_normal((600, 2))
+        target = np.eye(2)
+        target[0, 1] = target[1, 0] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            normality_check(samples, target)
+        assert InputError.exit_code == 1
+
+    @pytest.mark.parametrize("diagonal", [-1.0, 0.0])
+    def test_target_diagonal_not_positive(self, diagonal):
+        # a negative diagonal raised a bare ValueError (math domain error)
+        samples = np.random.default_rng(14).standard_normal((600, 2))
+        with pytest.raises(NotPSD, match="diagonal"):
+            normality_check(samples, np.diag([1.0, diagonal]))
+        assert NotPSD.exit_code == 2
+
+
+class TestClosedForms:
+    """The normal cdf and the Kolmogorov quantile against 40 digits and scipy."""
+
+    GRID = np.linspace(-38.0, 9.0, 941)
+
+    def test_norm_cdf_against_40_digits(self):
+        # the rounding of x sqrt(1/2) costs up to x^2 ulp; below x = -37.5 the cdf is subnormal
+        for x, cdf in zip(self.GRID.tolist(), _norm_cdf(self.GRID).tolist()):
+            exact = norm_cdf_mp(x)
+            assert abs(cdf - exact) <= 4e-16 * (1.0 + x * x) * exact + 1e-320, x
+
+    def test_norm_cdf_against_ndtr(self):
+        from scipy.special import ndtr
+        grid = self.GRID[self.GRID >= -37.0]
+        cdf, ref = _norm_cdf(grid), ndtr(grid)
+        assert np.all(np.abs(cdf - ref) <= 8e-16 * (1.0 + grid * grid) * ref)
+
+    def test_norm_cdf_keeps_shape_and_limits(self):
+        x = np.array([[0.0, -0.0], [math.inf, -math.inf]])
+        assert _norm_cdf(x).tolist() == [[0.5, 0.5], [1.0, 0.0]]
+        assert math.isnan(_norm_cdf(np.array([math.nan]))[0])
+
+    ALPHAS = (10.0 ** -np.linspace(300.0, 0.31, 61)).tolist() + \
+        (1.0 - 10.0 ** -np.linspace(9.0, 0.31, 61)).tolist() + [0.5]
+
+    def test_quantile_is_the_exact_root(self):
+        from scipy.special import kolmogi
+        for alpha in self.ALPHAS:
+            x = ks_critical(1, alpha)
+            exact = kolmogorov_quantile_mp(alpha)
+            assert abs(x - exact) <= 1e-14 * exact, alpha
+            assert x == pytest.approx(float(kolmogi(alpha)), rel=1e-14), alpha
+
+    @pytest.mark.parametrize("alpha", [0.01, 1e-6])
+    def test_quantile_is_kolmogi_at_the_levels_in_use(self, alpha):
+        from scipy.special import kolmogi
+        assert ks_critical(1, alpha) == float(kolmogi(alpha))
+        assert ks_critical(2000, alpha) == float(kolmogi(alpha)) / math.sqrt(2000)
+
+    def test_quantile_in_the_subnormal_tail(self):
+        # past x = 4 the start is the root; the tail of the least double is still finite
+        for alpha in (1e-310, 5e-324):
+            exact = kolmogorov_quantile_mp(alpha)
+            assert abs(ks_critical(1, alpha) - exact) <= 1e-15 * exact, alpha
+
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    def test_exhausted_quantile_budget_raises(self, monkeypatch, steps):
+        monkeypatch.setattr(harness, "_QUANTILE_STEPS", steps)
+        with pytest.raises(NonConvergence, match=f"in {steps} steps"):
+            ks_critical(1, 0.01)
 
 
 class TestSummarySerialization:
