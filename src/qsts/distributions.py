@@ -242,12 +242,27 @@ _G_SERIES = np.array([(-1.0) ** k / (k * (k - 1)) for k in range(9, 1, -1)])
 
 
 def _g(t: np.ndarray) -> np.ndarray:
-    """g(t) = (1 + t) log(1 + t) - t >= 0 for t > -1, by the series only where |t| < 1e-2."""
-    out = np.asarray((1.0 + t) * np.log1p(t) - t)
-    small = np.abs(t) < 1e-2
-    if small.any():
-        ts = t[small]
-        out[small] = ts * ts * np.polyval(_G_SERIES, ts)
+    """g(t) = (1 + t) log(1 + t) - t >= 0 for t > -1, by the series only where |t| < 1e-2.
+
+    Every step writes into one workspace of two arrays the shape of t, so a
+    large t costs two allocations, not one per step.  The series is Horner's
+    rule from its leading two coefficients: the steps of ``np.polyval``
+    after its exact first one, 0 t + c_9 = c_9.
+    """
+    ws = np.empty((2,) + t.shape)
+    out, tmp = ws[0, ...], ws[1, ...]   # views, also where t is 0-d
+    np.log1p(t, out=out)
+    np.add(t, 1.0, out=tmp)
+    out *= tmp
+    out -= t
+    small = np.abs(t, out=tmp) < 1e-2
+    ts = t[small]
+    if ts.size:
+        poly = _G_SERIES[0] * ts + _G_SERIES[1]
+        for c in _G_SERIES[2:]:
+            poly *= ts
+            poly += c
+        out[small] = ts * ts * poly
     return out
 
 
@@ -257,13 +272,34 @@ def geo_kl(a1, a2):
     KL = [(a2 - 1) g(x) - (a2 + 1) g(y)] / 2 with x = (a1 - a2)/(a2 - 1) and
     y = (a1 - a2)/(a2 + 1).  Both terms are of second order in a1 - a2, so
     near-equal symbols keep their relative accuracy, and as 0 < y/x < 1 the
-    convexity of g makes KL >= 0.
+    convexity of g makes KL >= 0.  Every a_i must be finite and > 1.
     """
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
-    if np.any(a1 <= 1.0) or np.any(a2 <= 1.0):
-        raise RangeError("need a_i > 1")
-    gap = a1 - a2
-    out = 0.5 * ((a2 - 1.0) * _g(gap / (a2 - 1.0))
-                 - (a2 + 1.0) * _g(gap / (a2 + 1.0)))
+    if not all(np.all((a > 1.0) & (a < math.inf)) for a in (a1, a2)):
+        raise RangeError("need finite a_i > 1")
+    out = _geo_kl_unchecked(a1, a2)
     return float(out) if out.ndim == 0 else out
+
+
+def _geo_kl_unchecked(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """``geo_kl`` of float arrays already known to be finite and > 1.
+
+    x and y share one (2, *shape) buffer, so g runs once over both, and
+    the rest runs in place.  Each element takes the operations of the
+    formula above in their order, as g(x) and g(y) taken apart would, so
+    the result does not depend on the fusion.
+    """
+    lo, hi = a2 - 1.0, a2 + 1.0
+    xy = np.empty((2,) + np.broadcast(a1, a2).shape)
+    x, y = xy[0, ...], xy[1, ...]
+    np.subtract(a1, a2, out=x)
+    np.divide(x, hi, out=y)
+    x /= lo
+    g = _g(xy)
+    gx, gy = g[0, ...], g[1, ...]
+    gx *= lo
+    gy *= hi
+    gx -= gy
+    gx *= 0.5
+    return gx

@@ -25,10 +25,10 @@ from .distributions import (
     nb_sample,
     varstab_arccosh,
 )
-from .errors import DegenerateSamples, NonConvergence, NotAdmissible, RangeError
+from .errors import DegenerateSamples, NotAdmissible, RangeError
 from .estimators import phi_matrices
 from .gaussian_states import relative_entropy
-from .harness import _QUANTILE_STEPS, RngStream, as_generator
+from .harness import _QUANTILE_STEPS, RngStream, _bracketed_newton, as_generator
 from .spectral import (
     SpectralDensity,
     TWO_PI,
@@ -40,8 +40,9 @@ from .spectral import (
     sobolev_norm,
 )
 from .toeplitz import (
+    _gap_bound,
+    _symbol_gap_sq,
     circulant_block,
-    toeplitz_circulant_gap,
     toeplitz_from_density,
 )
 
@@ -340,34 +341,19 @@ def _chi2_sf(dof: int, x: float) -> float:
 def _chi2_critical(dof: int) -> float:
     """The x at which ``_chi2_sf(dof, x)`` equals _CHI2_TAIL, for dof >= 1.
 
-    Newton's method from the Wilson-Hilferty approximation, keeping a
-    bracket lo < x < hi with Q(lo) > tail > Q(hi) and bisecting whenever a
-    step leaves it.  Stops once a step moves x by at most 4 ulp; raises
-    NonConvergence after _QUANTILE_STEPS steps.
+    ``_bracketed_newton`` from the Wilson-Hilferty approximation, for at
+    most _QUANTILE_STEPS steps; the slope of -Q is the chi-square density.
     """
     c = 2.0 / (9.0 * dof)
     x = dof * (1.0 - c + _Z_ALPHA * math.sqrt(c)) ** 3
-    lo, hi = 0.0, math.inf
-    for _ in range(_QUANTILE_STEPS):
-        excess = _chi2_sf(dof, x) - _CHI2_TAIL
-        if excess > 0.0:
-            lo = x
-        elif excess < 0.0:
-            hi = x
-        else:
-            return x
-        # the chi-square density at x, the slope of -Q
+
+    def excess(x):
         pdf = 0.5 * math.exp((0.5 * dof - 1.0) * math.log(0.5 * x) - 0.5 * x
                              - math.lgamma(0.5 * dof))
-        step = x + excess / pdf if pdf > 0.0 else math.nan
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
-        if abs(step - x) <= 4.0 * math.ulp(x):
-            return step
-        x = step
-    raise NonConvergence(
-        f"chi-square critical value at dof {dof}: no convergence "
-        f"in {_QUANTILE_STEPS} steps (bracket [{lo!r}, {hi!r}])")
+        return _chi2_sf(dof, x) - _CHI2_TAIL, pdf
+
+    return _bracketed_newton(excess, x, _QUANTILE_STEPS,
+                             f"chi-square critical value at dof {dof}")
 
 
 def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],
@@ -437,10 +423,13 @@ def audit_state_approximation(a: SpectralDensity, n: int,
 
     Per m: the squared HS symbol gap against its proven bound, the relative
     entropy between the Toeplitz state and the circulant-block state, and
-    the Pinsker trace-distance bound sqrt(2 S) from that same S.  Every m
-    is checked before the first entropy; the entropies are then taken in
-    the order of ``m_values``, and A_n, shared by all of them, is
-    diagonalized at most once.  With a ladder of m values the entropy must
+    the Pinsker trace-distance bound sqrt(2 S) from that same S.  A_n and
+    each circulant block are built once; the gap row of each m reads the
+    same two symbols as its entropy (``toeplitz_circulant_gap`` builds its
+    own pair and takes the same helper).  Every m is checked before the
+    first entropy; the entropies are then taken in the order of
+    ``m_values``, and A_n, shared by all of them, is diagonalized at most
+    once.  With a ladder of m values the entropy must
     be nonincreasing as m - n grows, whatever order the ladder is given in.
     The gap, entropy and Pinsker rows keep the order of ``m_values``; the
     ``entropy_nonincreasing`` rows compare neighbours in ascending m, one
@@ -456,8 +445,12 @@ def audit_state_approximation(a: SpectralDensity, n: int,
                                "alpha": alpha, "M": M,
                                "kind": "state_approximation"})
     A_n = toeplitz_from_density(a, n)
-    gaps = [toeplitz_circulant_gap(a, n, m, alpha, M) for m in ms]
-    blocks = [circulant_block(a, m, n) for m in ms]
+    gaps, blocks = [], []
+    for m in ms:
+        bound = _gap_bound(n, m, alpha, M)
+        block = circulant_block(a, m, n)
+        blocks.append(block)
+        gaps.append((_symbol_gap_sq(A_n, block, m), bound))
     entropies = [relative_entropy(A_n, block) for block in blocks]
     for m, (gap_sq, bound), S in zip(ms, gaps, entropies):
         report.add("symbol_gap_sq", n, m, gap_sq, bound)

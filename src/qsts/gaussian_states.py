@@ -11,7 +11,13 @@ operator trace formula as the reference.  Two real centrosymmetric symbols
 (every Toeplitz symbol of a real density) have real eigenvectors of two
 parities, symmetric and skew, and V1* V2 vanishes between parities; the sum
 then runs per parity block over the half-size solves
-(``SymbolMatrix.halves``), and no full V is built.  Two symbols with
+(``SymbolMatrix.halves``), and no full V is built.  Each block takes one
+fused KL pass (``distributions._geo_kl_unchecked``): the faithfulness
+gates have already put both spectra above 1, so the pass checks nothing,
+and x and y share one buffer with a single pass of g over it.  Each
+element takes the operations of g(x) and g(y) computed apart
+(``entropy_per_block`` in ``tests/oracles.py``), so the sum does not
+depend on the fusion.  Two symbols with
 equal entries give exactly 0 after the faithfulness gate on the first,
 with no solve of the second and no KL sum.  That gate
 (``SymbolMatrix.lambda_min_exceeds``) reads the eigenvalues of a symbol
@@ -30,11 +36,12 @@ exception is the photon number law of a single thermal mode.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import geo_kl
+from .distributions import _geo_kl_unchecked
 from .errors import NotFaithful, RangeError, SpectralRangeError
 from .toeplitz import abs_square, as_symbol, hs_distance
 
@@ -110,7 +117,8 @@ def relative_entropy(A1, A2) -> float:
         blocks = [(A1.spectrum, A2.spectrum)]
     _check_faithful(A1)
     _check_faithful(A2)
-    return float(sum(np.sum(abs_square(V1.conj().T @ V2) * geo_kl(l1[:, None], l2[None, :]))
+    # the gates have put both spectra above 1 + EPS_FAITHFUL, which geo_kl would check
+    return float(sum(np.sum(abs_square(V1.conj().T @ V2) * _geo_kl_unchecked(l1[:, None], l2[None, :]))
                      for (l1, V1), (l2, V2) in blocks))
 
 
@@ -161,10 +169,16 @@ def thermal_pmf(a: float, k_max: int):
     """Photon number pmf of a one-mode thermal state with symbol a >= 1.
 
     pmf(k) = (1 - p) p^k with p = (a - 1)/(a + 1) for k = 0..k_max;
-    the second return value is the tail mass p^{k_max + 1}.
+    the second return value is the tail mass p^{k_max + 1}.  A NaN or
+    infinite a, and a k_max that is not a nonnegative integer, raise
+    RangeError.
     """
-    if a < 1.0:
-        raise RangeError("thermal symbol must satisfy a >= 1")
+    if not 1.0 <= a < math.inf:
+        raise RangeError(f"thermal symbol must satisfy 1 <= a < inf, got {a!r}")
+    try:
+        k_max = operator.index(k_max)
+    except TypeError:
+        raise RangeError(f"k_max must be an integer, got {k_max!r}") from None
     if k_max < 0:
         raise RangeError("k_max must be nonnegative")
     p = (a - 1.0) / (a + 1.0)

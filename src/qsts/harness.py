@@ -181,12 +181,9 @@ def ks_critical(n: int, alpha: float = 0.01) -> float:
     x* solves Q(x*) = alpha for the Kolmogorov tail Q; for alpha >= 1/2
     it solves P(x*) = 1 - alpha instead, which is exact there.  Newton
     starts from sqrt(log(2/alpha)/2), the root of the first term of Q,
-    which from _KS_ONE_TERM on is x* itself to double precision.  It keeps
-    a bracket lo < x < hi and bisects whenever a step leaves it, stops
-    once a step moves x by at most 4 ulp (a Newton step that rounds onto
-    the bracket's end included), and raises NonConvergence after
-    _QUANTILE_STEPS steps.  Raises RangeError unless 0 < alpha < 1 and
-    n >= 1.
+    which from _KS_ONE_TERM on is x* itself to double precision, and
+    runs in ``_bracketed_newton`` for at most _QUANTILE_STEPS steps.
+    Raises RangeError unless 0 < alpha < 1 and n >= 1.
     """
     if not (0.0 < alpha < 1.0 and n >= 1):
         raise RangeError(f"KS critical value needs 0 < alpha < 1 and n >= 1, "
@@ -194,23 +191,40 @@ def ks_critical(n: int, alpha: float = 0.01) -> float:
     x = math.sqrt(0.5 * (math.log(2.0) - math.log(alpha)))
     if x >= _KS_ONE_TERM:
         return x / math.sqrt(n)
-    lo, hi = 0.0, math.inf
-    for _ in range(_QUANTILE_STEPS):
+
+    def excess(x):
         q, p, density = _kolmogorov(x)
-        excess = q - alpha if alpha < 0.5 else (1.0 - alpha) - p
-        if excess == 0.0:
-            return x / math.sqrt(n)
-        lo, hi = (x, hi) if excess > 0.0 else (lo, x)
+        return (q - alpha if alpha < 0.5 else (1.0 - alpha) - p), density
+
+    return _bracketed_newton(excess, x, _QUANTILE_STEPS,
+                             f"Kolmogorov quantile at alpha {alpha!r}") / math.sqrt(n)
+
+
+def _bracketed_newton(excess, x: float, steps: int, what: str) -> float:
+    """Root of a decreasing function f on (0, inf) by Newton from x.
+
+    ``excess(x)`` returns (f(x), -f'(x)).  The loop keeps a bracket
+    lo < x < hi, 0 <= lo, around the root and bisects whenever a step
+    leaves it (doubling x while hi is unknown).  It stops at an exact zero
+    or once a step moves x by at most 4 ulp, a Newton step that rounds onto
+    the bracket's end included, and raises NonConvergence naming ``what``
+    after ``steps`` steps.
+    """
+    lo, hi = 0.0, math.inf
+    for _ in range(steps):
+        fx, slope = excess(x)
+        if fx == 0.0:
+            return x
+        lo, hi = (x, hi) if fx > 0.0 else (lo, x)
         near = 4.0 * math.ulp(x)
-        step = x + excess / density if density > 0.0 else math.nan
+        step = x + fx / slope if slope > 0.0 else math.nan
         if not (abs(step - x) <= near or lo < step < hi):
             step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
         if abs(step - x) <= near:
-            return step / math.sqrt(n)
+            return step
         x = step
-    raise NonConvergence(
-        f"Kolmogorov quantile at alpha {alpha!r}: no convergence in "
-        f"{_QUANTILE_STEPS} steps (bracket [{lo!r}, {hi!r}])")
+    raise NonConvergence(f"{what}: no convergence in {steps} steps "
+                         f"(bracket [{lo!r}, {hi!r}])")
 
 
 class NormalityReport(NamedTuple):

@@ -460,23 +460,37 @@ def toeplitz_circulant_gap(a: SpectralDensity, n: int, m: int,
     smoothness alpha is at most M with alpha > 1/2; a NaN or infinite alpha
     or M is refused.
     """
+    bound = _gap_bound(n, m, alpha, M)
+    return _symbol_gap_sq(toeplitz_from_density(a, n), circulant_block(a, m, n), m), bound
+
+
+def _gap_bound(n: int, m: int, alpha: float, M: float) -> float:
+    """4 (m-n+1)^{1-2 alpha} M, once n, m, alpha and M pass the gap's checks."""
     if m % 2 == 0 or not (n < m < 2 * (n - 1)):
         raise RangeError(f"need odd m with n < m < 2(n-1), got n={n}, m={m}")
     if not 0.5 < alpha < math.inf:
         raise RangeError("the bound needs a finite alpha > 1/2")
     if not math.isfinite(M):
         raise RangeError("the bound needs a finite M")
-    hs_sq = hs_distance(toeplitz_from_density(a, n), circulant_block(a, m, n)) ** 2
+    return 4.0 * (m - n + 1) ** (1.0 - 2.0 * alpha) * M
 
+
+def _symbol_gap_sq(A: SymbolMatrix, C: SymbolMatrix, m: int) -> float:
+    """||A - C||_2^2 of ``toeplitz_from_density(a, n)`` and ``circulant_block(a, m, n)``.
+
+    Both symbols are read as given, from their lags; the wrap-around sum
+    over A's lags must agree with the HS distance to 1e-10.
+    """
+    n = A.n
+    hs_sq = hs_distance(A, C) ** 2
     ks = np.arange((m + 1) // 2, n)
-    full = a.full_coeffs(n - 1)   # a_k at full[n - 1 + k]
+    full = A._lags   # a_k at full[n - 1 + k]
     diffs = full[n - 1 + ks] - np.conj(full[n - 1 + m - ks])
     wrap_sum = 2.0 * float(np.sum((n - ks) * np.abs(diffs) ** 2))
     if abs(hs_sq - wrap_sum) > 1e-10 * (1.0 + abs(hs_sq)):
         raise EigenFailure(
             f"gap formulas disagree: lag-weighted HS {hs_sq!r} vs wrap-around sum {wrap_sum!r}")
-    bound = 4.0 * (m - n + 1) ** (1.0 - 2.0 * alpha) * M
-    return hs_sq, bound
+    return hs_sq
 
 
 def eigen_bracket_check(a: SpectralDensity, n: int):

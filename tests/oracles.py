@@ -14,12 +14,12 @@ import mpmath
 import numpy as np
 from scipy.special import gammaln
 
-from qsts.distributions import p_of_a
+from qsts.distributions import _G_SERIES, p_of_a
 from qsts.errors import EigenFailure, NotPSD, RangeError, SpectralRangeError
 from qsts.gaussian_states import _check_r_open_interval
 from qsts.harness import RngStream
 from qsts.spectral import TWO_PI, SpectralDensity, eval_density
-from qsts.toeplitz import SymbolMatrix, circulant_from_density, dft_unitary
+from qsts.toeplitz import SymbolMatrix, abs_square, circulant_from_density, dft_unitary
 
 #: in the s2_matrix reference, eigenvalues of R are clamped into
 #: [EPS_CLAMP, 1 - EPS_CLAMP] before log
@@ -65,6 +65,35 @@ def s2_matrix(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
     raw = (R1 @ (_log_psd(R1) - _log_psd(R2))
            + (eye - R1) @ (_log_psd(eye - R1) - _log_psd(eye - R2)))
     return 0.5 * (raw + raw.conj().T)
+
+
+def geo_kl_two_pass(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """KL(Geo(p(a1)) || Geo(p(a2))) as the gap, x, y and two passes of g, each masked for its series."""
+
+    def g(t):
+        out = np.asarray((1.0 + t) * np.log1p(t) - t)
+        small = np.abs(t) < 1e-2
+        if small.any():
+            ts = t[small]
+            out[small] = ts * ts * np.polyval(_G_SERIES, ts)
+        return out
+
+    gap = a1 - a2
+    return 0.5 * ((a2 - 1.0) * g(gap / (a2 - 1.0)) - (a2 + 1.0) * g(gap / (a2 + 1.0)))
+
+
+def entropy_per_block(A1: SymbolMatrix, A2: SymbolMatrix) -> float:
+    """The spectral entropy sum, one two-pass KL matrix per parity block, blocks summed in order.
+
+    Real centrosymmetric pairs sum over their ``halves``; any other pair
+    takes the full spectra.
+    """
+    if A1.halves is not None and A2.halves is not None:
+        blocks = zip(A1.halves, A2.halves)
+    else:
+        blocks = [(A1.spectrum, A2.spectrum)]
+    return float(sum(np.sum(abs_square(V1.conj().T @ V2) * geo_kl_two_pass(l1[:, None], l2[None, :]))
+                     for (l1, V1), (l2, V2) in blocks))
 
 
 @dataclass(frozen=True)

@@ -415,6 +415,28 @@ class TestExactSeriesHelpers:
         with pytest.raises(RangeError):
             geo_kl(np.array([2.0, 3.0]), np.array([2.0, 0.5]))
 
+    @pytest.mark.parametrize("a1, a2", [
+        (math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (2.0, math.inf), (-math.inf, 2.0),
+        (np.array([2.0, math.nan]), 3.0), (3.0, np.array([[2.0], [math.inf]]))])
+    def test_geo_kl_refuses_non_finite_symbols(self, a1, a2):
+        # NaN returned NaN silently, and inf NaN with a RuntimeWarning
+        from qsts.distributions import geo_kl
+
+        with pytest.raises(RangeError, match="finite"):
+            geo_kl(a1, a2)
+
+    def test_geo_kl_broadcasts_to_the_two_pass_form(self):
+        from qsts.distributions import geo_kl
+        from oracles import geo_kl_two_pass
+
+        rng = np.random.default_rng(11)
+        a1 = 1.0 + rng.exponential(1.0, (5, 1))
+        a2 = np.concatenate((1.0 + rng.exponential(1.0, 6), a1[:2, 0] * (1.0 + 1e-9)))
+        got = geo_kl(a1, a2)
+        assert got.shape == (5, 8)
+        assert got.tobytes() == geo_kl_two_pass(a1, a2).tobytes()
+        assert geo_kl(a1[0, 0], a2[3]) == float(geo_kl_two_pass(a1[0, 0], a2[3]))
+
     def test_geo_l1_series(self):
         k = np.arange(5000)
         brute = float(np.sum(np.abs(geo_pmf(3.0, k) - geo_pmf(3.2, k))))

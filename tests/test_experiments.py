@@ -256,6 +256,50 @@ class TestStateApproximation:
         with pytest.raises(RangeError, match="finite"):
             audit_state_approximation(COS_DENSITY, 64, **kwargs)
 
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count of each symbol build, wherever it is called from."""
+        from qsts import toeplitz
+
+        counts = {"toeplitz_from_density": 0, "circulant_block": 0}
+        for name in counts:
+            original = getattr(toeplitz, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module in (toeplitz, experiments):
+                monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("ms", [79, [67, 71, 79], [79, 67, 71, 67]])
+    def test_each_symbol_is_built_once(self, builds, ms):
+        rep = audit_state_approximation(LIFTED_GEOM, 64, ms)
+        assert rep.all_passed
+        m_count = 1 if np.isscalar(ms) else len(ms)
+        assert builds == {"toeplitz_from_density": 1, "circulant_block": m_count}
+
+    @pytest.mark.parametrize("a, n, ms", [
+        (LIFTED_GEOM, 64, [67, 71, 79, 125]), (LIFTED_GEOM, 17, [19, 21, 31]),
+        (COS_DENSITY, 16, [17, 21, 29]),
+        (SpectralDensity(np.array([4.0, 0.5 + 0.3j, -0.25j, 0.1])), 12, [13, 15, 21])])
+    def test_gap_rows_equal_the_gap_function_bit_for_bit(self, a, n, ms):
+        from qsts.spectral import sobolev_norm
+        from qsts.toeplitz import toeplitz_circulant_gap
+
+        _, M = sobolev_norm(a, 1.0)
+        rep = audit_state_approximation(a, n, ms, alpha=1.0, M=M)
+        rows = [(r.value, r.bound) for r in rep.rows if r.label == "symbol_gap_sq"]
+        expect = [toeplitz_circulant_gap(a, n, m, 1.0, M) for m in ms]
+        assert [(v.hex(), b.hex()) for v, b in rows] == [(v.hex(), b.hex()) for v, b in expect]
+
+    def test_every_m_is_checked_before_the_first_entropy(self, builds, solves):
+        with pytest.raises(RangeError, match="odd m"):
+            audit_state_approximation(LIFTED_GEOM, 64, [67, 71, 80])
+        assert builds == {"toeplitz_from_density": 1, "circulant_block": 2}
+        assert solves == []
+
     def test_pinsker_row_sqrt(self):
         rep = audit_state_approximation(LIFTED_GEOM, 32, 35)
         ent = [r.value for r in rep.rows if r.label == "relative_entropy"][0]
@@ -291,6 +335,13 @@ class TestNbSufficiency:
             crit = _chi2_critical(dof)
             assert abs(crit - exact) <= 4e-15 * exact, dof
             assert crit == pytest.approx(chdtri(dof, _CHI2_TAIL), rel=4e-15), dof
+
+    @pytest.mark.parametrize("dof", [4, 5, 14, 16, 20])
+    def test_critical_value_stops_on_a_step_onto_the_bracket(self, dof):
+        # bisecting on a Newton step that rounds onto the bracket's end left
+        # these 6.1e-16 to 9.3e-16 from the root
+        exact = chi2_quantile_mp(dof, _CHI2_TAIL)
+        assert abs(_chi2_critical(dof) - exact) <= 2e-16 * exact
 
     def test_tail_against_40_digits(self):
         from scipy.special import chdtrc

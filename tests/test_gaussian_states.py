@@ -28,7 +28,7 @@ from qsts.toeplitz import (
     toeplitz_from_density,
 )
 
-from oracles import geo_l1, s2_matrix
+from oracles import entropy_per_block, geo_l1, s2_matrix
 
 
 def geo_p(a):
@@ -312,6 +312,24 @@ class TestParityBlocks:
         full = full_form(A1, A2)
         assert abs(S - full) <= 1e-13 * full + 1e-24
 
+    @given(st.sampled_from([(False, False), (True, True), (False, True), (True, False)])
+           .flatmap(lambda kinds: st.tuples(*(admissible_densities(c) for c in kinds))),
+           st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 48)))
+    @example((SpectralDensity([3.0, 0.5]), SpectralDensity([2.5, -0.4, 0.1])), 1)
+    @example((SpectralDensity([3.0, 0.5]), SpectralDensity([2.5, -0.4, 0.1])), 2)
+    @example((SpectralDensity([3.0, 0.5]), SpectralDensity([2.5, -0.4, 0.1])), 7)
+    @example((SpectralDensity([3.0, 0.5j]), SpectralDensity([2.5, -0.4, 0.1 + 0.2j])), 6)
+    @example((SpectralDensity([3.0, 0.5j]), SpectralDensity([2.5, -0.4, 0.1 + 0.2j])), 1)
+    def test_fused_pass_keeps_the_bytes_of_the_per_block_form(self, pair, n):
+        # one KL pass over x and y together, against the gap, x, y and two
+        # passes of g per block: real pairs by halves (n = 1: an empty skew
+        # half), complex or mixed pairs by the full form
+        A1, A2 = (toeplitz_from_density(a, n) for a in pair)
+        assume(not A1.same_entries(A2))
+        S = relative_entropy(A1, A2)
+        assert S == entropy_per_block(A1, A2)
+        assert ("spectrum" in A1.__dict__) == (A1.halves is None or A2.halves is None)
+
     def test_lag_built_pair_leaves_the_full_spectrum_unbuilt(self):
         a = SpectralDensity(np.array([2.0] + [2.0 ** -k for k in range(1, 21)]))
         A, C = toeplitz_from_density(a, 64), circulant_block(a, 79, 64)
@@ -527,6 +545,22 @@ class TestThermalPmf:
     def test_range(self):
         with pytest.raises(RangeError):
             thermal_pmf(0.5, 3)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_non_finite_symbol_refused(self, a):
+        # both returned an array of NaN
+        with pytest.raises(RangeError, match="1 <= a < inf"):
+            thermal_pmf(a, 3)
+
+    @pytest.mark.parametrize("k_max", [3.5, 3.0, "3", None])
+    def test_non_integer_k_max_refused(self, k_max):
+        # 3.5 returned five entries, k = 0..4
+        with pytest.raises(RangeError, match="integer"):
+            thermal_pmf(2.0, k_max)
+
+    def test_numpy_integer_k_max(self):
+        pmf, tail = thermal_pmf(3.0, np.int64(3))
+        assert pmf.tolist() == thermal_pmf(3.0, 3)[0].tolist() and tail == 0.0625
 
 
 class TestGaussState:
