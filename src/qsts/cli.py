@@ -22,9 +22,7 @@ runs.  --threads is accepted and has no effect: replicate loops run
 serially, and mc moments draws all its replicates as one batch from
 stream (seed, 0).
 
-Importing this module loads no scipy module.  scipy is imported only by
-the projection's NNLS, when a preliminary estimate lies outside the
-parameter space.
+No command loads a scipy module: numpy is the only runtime dependency.
 """
 
 from __future__ import annotations

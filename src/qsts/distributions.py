@@ -110,11 +110,36 @@ def nb_hellinger_bound_symbols(r: float, a1: float, a2: float) -> float:
 
 
 def nb_hellinger_bound_shapes(r1: float, r2: float) -> float:
-    """Bound H^2(NB(r1, p), NB(r2, p)) <= 1 - G((r1+r2)/2)/sqrt(G(r1) G(r2))."""
+    """Bound H^2(NB(r1, p), NB(r2, p)) <= 1 - G((r1+r2)/2)/sqrt(G(r1) G(r2)), without cancellation.
+
+    With c = (r1+r2)/2 and h = |r1-r2|/2 the bound is -expm1(D), where
+    e^{2D} = G(c)^2/(G(c+h) G(c-h)) = prod_{k>=0} (1 - h^2/(c+k)^2) by the
+    Weierstrass product of 1/G, and -log(1 - h^2/(c+k)^2) is
+    log1p(h^2/((c-h+k)(c+h+k))).  The first K factors are multiplied out, with
+    z = c + K and z - h >= 64, and the rest is the Stirling tail at z:
+    -(z-1/2) log1p(-u^2) - 2h atanh(u) with u = h/z, plus the B_2, B_4 and
+    B_6 terms, each B_2j/(2j(2j-1)) z^(1-2j) times
+    2 - (1+u)^(1-2j) - (1-u)^(1-2j), written as a polynomial with positive
+    coefficients in w = u^2/(1-u^2).  D is exactly 0 when r1 = r2.
+    """
     if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
         raise RangeError(f"shapes need 0 < r < inf, got r1={r1!r}, r2={r2!r}")
-    return 1.0 - math.exp(math.lgamma((r1 + r2) / 2.0)
-                          - 0.5 * math.lgamma(r1) - 0.5 * math.lgamma(r2))
+    lo, hi = min(r1, r2), max(r1, r2)
+    h = 0.5 * hi - 0.5 * lo
+    K = max(0, math.ceil(64.0 - lo))
+    z = 0.5 * lo + 0.5 * hi + K
+    w = (h / (lo + K)) * (h / (hi + K))
+    two_d = -math.fsum(math.log1p((h / (lo + k)) * (h / (hi + k))) for k in range(K))
+    # atanh(u) = log1p(2u/(1-u))/2 with z - h = lo + K; z factored out so that
+    # shapes near the float limit give -inf, not inf - inf
+    two_d += z * (math.log1p(w) - h / z * math.log1p(2.0 * h / (lo + K))) - 0.5 * math.log1p(w)
+    # the B_2j terms in y = 1/z and t = w/z <= 1/64, which cannot overflow
+    y, t = 1.0 / z, w / z
+    two_d -= 2.0 * t * (1.0 / 12.0 - (6.0 * y * y + t * (9.0 * y + 4.0 * t)) / 360.0
+                        + (15.0 * y ** 4 + t * (55.0 * y ** 3 + t * (85.0 * y * y
+                                                                   + t * (60.0 * y + 16.0 * t))))
+                        / 1260.0)
+    return 0.0 - math.expm1(0.5 * two_d)
 
 
 def nb_sample(r: float, p: float, rng: np.random.Generator, size=None):

@@ -7,12 +7,12 @@ orthogonality (preliminary estimator) or by weighted least squares with the
 inverse variance weights Delta(theta)^{-1} (improved estimator); the
 one-step estimator applies the latter at the projected preliminary value.
 Both reproduce theta exactly when fed the analytic mean.  The projection onto
-the admissible set is one exact least-distance solve over the floor's
-half-spaces, with the ball added as tangent cuts and missed floor
-frequencies as new rows until ``membership`` accepts the result.  The
-nonparametric estimate is the preliminary estimator at full length n, and
-the complex coefficients of its density are the unbiased symbol-coefficient
-estimates.
+the admissible set is one dual active-set loop that adds one violated
+half-space per step (a floor row on the grid, a tangent cut of the ball, or
+the floor row where ``membership`` finds a miss) until ``membership``
+accepts the result.  The nonparametric estimate is the preliminary
+estimator at full length n, and the complex coefficients of its density
+are the unbiased symbol-coefficient estimates.
 """
 
 from __future__ import annotations
@@ -45,14 +45,11 @@ _QUAD_GRID = 4096
 #: per process
 _DESIGN_CACHE_SIZE = 32
 
-#: the projection's tolerance, how many tangent cuts of the ball one solve
-#: may make (then NonConvergence), the uniform grid that enforces
-#: a >= 1 + 1/M, and how often a frequency where ``membership`` finds the
-#: floor violated may be added to that grid (then NonConvergence)
+#: the projection's tolerance, how many rows its active-set loop may add
+#: (then NonConvergence), and the uniform grid that enforces a >= 1 + 1/M
 _PROJECTION_TOL = 1e-10
-_BALL_CUTS = 64
+_PROJECTION_STEPS = 256
 _PROJECTION_GRID = 512
-_MEMBERSHIP_ROUNDS = 64
 
 
 class DesignMatrices(NamedTuple):
@@ -164,60 +161,12 @@ def exact_pi_bar_mean(theta: np.ndarray, m: int) -> np.ndarray:
     return math.sqrt(m) * (W @ (theta / F))
 
 
-def _project_polyhedron(x: np.ndarray, C: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection onto {v : C v >= b} (least distance).
-
-    Solved through the Lawson-Hanson reduction to nonnegative least
-    squares: minimize ||u|| s.t. C u >= b - C x, then v = x + u.  The
-    active-set NNLS terminates finitely, so the projection is exact up to
-    rounding.
-    """
-    from scipy.optimize import nnls
-
-    gaps = b - C @ x
-    if np.all(gaps <= 0.0):
-        return x.copy()
-    n = x.size
-    E = np.vstack([C.T, gaps[None, :]])
-    f = np.zeros(n + 1)
-    f[n] = 1.0
-    z, _ = nnls(E, f)
-    r = E @ z - f
-    if abs(r[n]) < 1e-14:
-        raise NonConvergence("half-space family is numerically infeasible")
-    return x + (-r[:n] / r[n])
-
-
 @functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
 def _grid_design(d: int, grid_size: int) -> np.ndarray:
     """psi design over the uniform grid -pi + 2 pi g / grid_size (read-only)."""
     C = psi_matrix(d, -math.pi + TWO_PI * np.arange(grid_size) / grid_size)
     C.setflags(write=False)
     return C
-
-
-def _project_ball_polyhedron(x: np.ndarray, C: np.ndarray, target: float,
-                             radius: float) -> np.ndarray:
-    """Projection of x onto {||v|| <= radius} and {C v >= target}.
-
-    The ball enters as tangent half-spaces: while the polyhedral projection
-    v lies outside the ball, the half-space -(v/||v||) u >= -radius, which
-    holds the whole ball and cuts v off, joins the family and x is projected
-    again.  Each solve is onto a superset of the set, so the result is never
-    farther from x than the exact projection; it is returned once
-    ||v|| <= radius + _PROJECTION_TOL / 2, after at most _BALL_CUTS cuts
-    (then NonConvergence).
-    """
-    b = np.full(len(C), target)
-    for _ in range(_BALL_CUTS + 1):
-        v = _project_polyhedron(x, C, b)
-        nrm = float(np.linalg.norm(v))
-        if nrm <= radius + 0.5 * _PROJECTION_TOL:
-            return v
-        C = np.vstack([C, -v / nrm])
-        b = np.append(b, -radius)
-    raise NonConvergence(
-        f"projection {nrm - radius:.3g} outside the ball after {_BALL_CUTS} cuts")
 
 
 def _admissible(x: np.ndarray, C: np.ndarray, space: ParameterSpace) -> bool:
@@ -234,19 +183,50 @@ def _admissible(x: np.ndarray, C: np.ndarray, space: ParameterSpace) -> bool:
     return membership(RealParam(d, x).to_density(), space).member
 
 
+def _add_row(v: np.ndarray, N: np.ndarray, u: np.ndarray, c: np.ndarray, b: float):
+    """One Goldfarb-Idnani step (identity Hessian) that makes c v >= b hold and active.
+
+    v - x = N' u with multipliers u >= 0 makes v the projection of x onto the
+    active rows N.  The entering row moves v along z, c minus its projection
+    onto the active rows, while u falls by r, c's coefficients in them; an
+    active row whose multiplier would turn negative first leaves.  Returns
+    (v, N, u) once c v = b.
+    """
+    entering = 0.0
+    while True:
+        Q, R = np.linalg.qr(N.T)
+        r = np.linalg.solve(R, Q.T @ c) if len(N) else u
+        z = c - Q @ (Q.T @ c)
+        zz = float(z @ z)
+        full = (b - float(c @ v)) / zz if zz > 1e-20 * float(c @ c) else math.inf
+        ratios = np.divide(u, r, out=np.full(len(u), math.inf), where=r > 0.0)
+        k = int(np.argmin(np.append(full, ratios))) - 1   # -1: the full step
+        t = full if k < 0 else float(ratios[k])
+        if t == math.inf:
+            raise NonConvergence("half-space family is numerically infeasible")
+        v = v + t * z if full < math.inf else v
+        u, entering = np.maximum(u - t * r, 0.0), entering + t
+        if k < 0:
+            return v, np.vstack([N, c]), np.append(u, entering)
+        N, u = np.delete(N, k, axis=0), np.delete(u, k)
+
+
 def project_theta(theta_hat: np.ndarray, space: ParameterSpace) -> np.ndarray:
     """Euclidean projection onto the admissible parameter set.
 
-    The set is {||theta||^2 <= M} intersected with the half-space family
-    a_theta(w_g) >= 1 + 1/M over a uniform frequency grid, the radius
-    shortened and each floor target raised by _PROJECTION_TOL (as a
-    distance: every psi row has norm sqrt(2d+1)), and is solved by
-    ``_project_ball_polyhedron``.  When ``membership`` still finds the floor
-    violated between grid points, the frequency it reports joins the family
-    and the input is projected again, at most _MEMBERSHIP_ROUNDS times (then
-    NonConvergence); so the result is always a member of ``space``.
-    Feasible input is returned unchanged.  The _PROJECTION_GRID x (2d+1)
-    grid design is built once per d in the process and is read-only.
+    The set is {||theta||^2 <= M} and a_theta >= 1 + 1/M, the radius
+    shortened and the floor raised by _PROJECTION_TOL (as a distance: every
+    psi row has norm sqrt(2d+1)).  One dual active-set loop (Goldfarb and
+    Idnani, Math. Programming 27, 1983) starts at v = theta_hat and adds one
+    violated row per ``_add_row``: the most violated floor row of the grid,
+    else the ball's tangent cut at v, else the floor row at ``membership``'s
+    witness frequency.  It returns v once ``membership`` accepts it, and
+    raises NonConvergence past _PROJECTION_STEPS rows.  Every row holds the
+    shrunken set, so v is never farther from theta_hat than its projection
+    onto that set.  A row that leaves needs no memory: grid rows are checked
+    at every step, a violated old cut means ||v|| > radius, and
+    ``membership`` finds a missed witness again.  Feasible input is returned
+    unchanged.
     """
     if space.kind != "theta2prime":
         raise RangeError("projection is defined for theta2prime spaces")
@@ -257,16 +237,26 @@ def project_theta(theta_hat: np.ndarray, space: ParameterSpace) -> np.ndarray:
         return x
     radius = math.sqrt(space.M) - _PROJECTION_TOL
     target = 1.0 + 1.0 / space.M + _PROJECTION_TOL * math.sqrt(2 * d + 1)
-    for _ in range(_MEMBERSHIP_ROUNDS):
-        out = _project_ball_polyhedron(x, C, target, radius)
-        witness = membership(RealParam(d, out).to_density(), space)
-        if witness.member:
-            return out
-        if witness.constraint != "lower_bound":
-            raise NonConvergence(f"projection violates the {witness.constraint} constraint")
-        C = np.vstack([C, psi_matrix(d, witness.location)])
-    raise NonConvergence(
-        f"projection still below the floor after {_MEMBERSHIP_ROUNDS} rounds")
+    v, N, u = x, np.empty((0, x.size)), np.empty(0)
+    for added in range(_PROJECTION_STEPS + 1):
+        gaps = C @ v - target
+        g = int(np.argmin(gaps))
+        nrm = float(np.linalg.norm(v))
+        # a floor row's rounding grows with ||v||, so far outside the ball it
+        # needs a wider margin to count as violated
+        if gaps[g] < -0.5 * _PROJECTION_TOL * math.sqrt(2 * d + 1) * max(1.0, nrm / radius):
+            row, b, kind = C[g], target, "floor grid row"
+        elif nrm > radius + 0.5 * _PROJECTION_TOL:
+            row, b, kind = -v / nrm, -radius, "tangent cut of the ball"
+        else:
+            witness = membership(RealParam(d, v).to_density(), space)
+            if witness.member:
+                return v
+            row, b, kind = psi_matrix(d, witness.location)[0], target, "witness row"
+        if added == _PROJECTION_STEPS:
+            raise NonConvergence(f"projection not admissible after _PROJECTION_STEPS = "
+                                 f"{added} added rows; next would be a {kind}")
+        v, N, u = _add_row(v, N, u, row, b)
 
 
 class FisherMatrices(NamedTuple):

@@ -11,8 +11,7 @@ are deterministic.
 
 The normality check needs only the standard normal cdf and the quantile of
 the limiting Kolmogorov law; both are closed form here, on ``math.erf`` and
-fast series, so this module loads no scipy.  In the package scipy is left
-only in the projection's NNLS.
+fast series, so this module loads no scipy.
 """
 
 from __future__ import annotations

@@ -517,13 +517,12 @@ def eigen_bracket_check(a: SpectralDensity, n: int):
 
 def gap_bound_report(a: SpectralDensity, n: int, alpha: float,
                      M: float | None = None):
-    """(m, gap, bound) rows for every admissible odd m at this n."""
+    """(m, gap, bound) rows of ``toeplitz_circulant_gap`` for every admissible odd m at this n.
+
+    A_n is built once and every circulant block is read against it.
+    """
     if M is None:
         _, M = sobolev_norm(a, alpha)
-    rows = []
-    m = n + 1 if n % 2 == 0 else n + 2
-    while m < 2 * (n - 1):
-        gap, bound = toeplitz_circulant_gap(a, n, m, alpha, M)
-        rows.append((m, gap, bound))
-        m += 2
-    return rows
+    A = toeplitz_from_density(a, n)
+    return [(m, _symbol_gap_sq(A, circulant_block(a, m, n), m), _gap_bound(n, m, alpha, M))
+            for m in range(n + 1 + n % 2, 2 * (n - 1), 2)]

@@ -1,4 +1,4 @@
-"""Shared pytest configuration: the Hypothesis profile and the solve counters.
+"""Shared pytest configuration: the Hypothesis profile and the solve and step counters.
 
 The profile is derandomized (the same examples on every run) and bounded,
 so that the whole suite stays near a minute.
@@ -30,16 +30,16 @@ def solves(monkeypatch):
 
 
 @pytest.fixture
-def nnls_calls(monkeypatch):
-    """List of the matrix shape of each ``scipy.optimize.nnls`` call, in order."""
-    import scipy.optimize
+def added_rows(monkeypatch):
+    """List of the active-set size before each row the projection adds, in order."""
+    from qsts import estimators
 
     calls = []
-    original = scipy.optimize.nnls
+    original = estimators._add_row
 
-    def counted(A, *args, **kwargs):
-        calls.append(np.shape(A))
-        return original(A, *args, **kwargs)
+    def counted(v, N, *args):
+        calls.append(len(N))
+        return original(v, N, *args)
 
-    monkeypatch.setattr(scipy.optimize, "nnls", counted)
+    monkeypatch.setattr(estimators, "_add_row", counted)
     return calls

@@ -156,6 +156,14 @@ def nb_hellinger_exact(r1: float, p1: float, r2: float, p2: float,
     return 2.0 * (1.0 - bc)
 
 
+def nb_hellinger_bound_shapes_mp(r1: float, r2: float) -> mpmath.mpf:
+    """1 - G((r1+r2)/2)/sqrt(G(r1) G(r2)) at 40 digits, from log-gamma."""
+    with mpmath.workdps(40):
+        r1, r2 = mpmath.mpf(r1), mpmath.mpf(r2)
+        return -mpmath.expm1(mpmath.loggamma((r1 + r2) / 2)
+                             - (mpmath.loggamma(r1) + mpmath.loggamma(r2)) / 2)
+
+
 def gaussian_square_cov(sx2: float, sy2: float, sxy: float):
     """Moments of squares of a centered bivariate normal pair.
 

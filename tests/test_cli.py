@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,14 +14,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsts import estimators
 from qsts.cli import _write_raw_rows, build_parser, cli_dispatch
 from qsts.harness import RngStream
 from qsts.measurement import NumberOpSampler
-from qsts.spectral import parse_density
+from qsts.spectral import RealParam, membership, parse_density, theta2prime_space
 from qsts.toeplitz import toeplitz_from_density
 
 ROOT = Path(__file__).resolve().parents[1]
 GEOM_DECAY = str(ROOT / "demos" / "densities" / "geom_decay.json")
+# at this seed the preliminary estimate lies outside the space, so the one-step
+# estimate projects (``prelim_outside_the_space`` shows it)
+PROJECTING = ["--seed", "1", "estimate", "onestep", "--density", "cos:2,0.5", "--n", "64",
+              "--d", "1", "--M", "5"]
+
+
+def prelim_outside_the_space():
+    """Whether the preliminary estimate of ``PROJECTING`` lies outside its space."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_dispatch([*PROJECTING[:2], "estimate", "prelim", *PROJECTING[4:-2]]) == 0
+    theta = np.array(json.loads(out.getvalue())["theta"])
+    return not membership(RealParam(1, theta).to_density(), theta2prime_space(1, 5.0)).member
 
 
 def run(capsys, *argv):
@@ -333,7 +349,7 @@ for argv in json.loads(sys.argv[1]):
     sys.stdout = io.StringIO()
     code = qsts.cli.cli_dispatch(argv)
     sys.stdout = sys.__stdout__
-    seen[" ".join(argv[:2])] = [code] + scipy_modules()
+    seen[" ".join(argv[2:4] if argv[0] == "--seed" else argv[:2])] = [code] + scipy_modules()
 print(json.dumps(seen))
 """
 
@@ -355,15 +371,19 @@ def test_no_scipy_module_at_import_or_in_light_commands():
         # normal cdf and Kolmogorov quantile are closed form; n = 4096 never projects
         ["mc", "normality", "--density", "cos:2,0.5", "--n", "4096", "--d", "1",
          "--replicates", "500"],
+        # the projection's active-set loop is numpy alone
+        PROJECTING,
     ]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    assert prelim_outside_the_space()
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands)],
                           env=env, cwd=ROOT, capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout)
     assert seen == {"import qsts": [], "import qsts.cli": [], "symbol bracket": [0],
                     "state entropy": [0], "audit state": [0], "mc moments": [0],
                     "estimate nonparam": [0], "audit chain": [0], "audit sufficiency": [0],
-                    "dist hellinger": [0], "simulate measure": [0], "mc normality": [3]}
+                    "dist hellinger": [0], "simulate measure": [0], "mc normality": [3],
+                    "estimate onestep": [0]}
 
 
 def test_nonparam_estimate_far_past_a_dense_symbol():
@@ -494,6 +514,19 @@ class TestExitCodes:
             assert lines == []
         else:
             assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == expect
+
+    def test_exhausted_projection_budget_is_a_numerical_failure(self, capsys, monkeypatch):
+        # a solver that gave up with a bare RuntimeError once ended in a traceback
+        assert prelim_outside_the_space()
+        monkeypatch.setattr(estimators, "_PROJECTION_STEPS", 0)
+        code, out, err = run(capsys, *PROJECTING)
+        assert (code, out) == (2, "") and err.startswith("qsts: NonConvergence:")
+        code, out, err = run(capsys, "--json-errors", *PROJECTING)
+        lines = err.splitlines()
+        assert (code, out, len(lines)) == (2, "", 1)
+        obj = json.loads(lines[0])
+        assert (obj["error"], obj["exit_code"]) == ("NonConvergence", 2)
+        assert "_PROJECTION_STEPS = 0" in obj["message"]
 
     def test_non_finite_density_json_is_input_error(self, tmp_path, capsys):
         # json.load accepts NaN, and such a file was once reported a member

@@ -21,7 +21,14 @@ from qsts.distributions import (
 from qsts.errors import NotPSD, RangeError
 from qsts.spectral import SpectralDensity
 
-from oracles import NegBinomial, gaussian_square_cov, geo_l1, nb_hellinger_exact, score
+from oracles import (
+    NegBinomial,
+    gaussian_square_cov,
+    geo_l1,
+    nb_hellinger_bound_shapes_mp,
+    nb_hellinger_exact,
+    score,
+)
 
 
 def geo_pmf(a, k):
@@ -127,6 +134,33 @@ class TestNegBinomial:
         for r1, r2, p in ((1.0, 0.5, 0.5), (2.0, 3.0, 0.3), (0.25, 1.0, 0.6)):
             h2c = nb_hellinger_exact(r1, p, r2, p)
             assert h2c <= nb_hellinger_bound_shapes(r1, r2) + 1e-12
+
+    def test_bound_shapes_is_exactly_zero_at_equal_shapes(self):
+        for r in (0.05, 1.5, 63.5, 64.0, 1e6):
+            assert nb_hellinger_bound_shapes(r, r) == 0.0
+
+    def test_bound_shapes_against_40_digits(self):
+        # near-equal shapes are where 1 - exp(D) from lgamma lost up to every digit
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(600):
+            r1 = math.exp(rng.uniform(-3.0, 4.0))
+            if rng.uniform() < 0.7:
+                r2 = r1 * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -0.01))
+            else:
+                r2 = math.exp(rng.uniform(-3.0, 4.0))
+            exact = nb_hellinger_bound_shapes_mp(r1, r2)
+            got = nb_hellinger_bound_shapes(r1, r2)
+            assert got == nb_hellinger_bound_shapes(r2, r1)
+            worst = max(worst, float(abs(got - exact) / exact))
+        assert worst < 2e-15
+
+    @pytest.mark.parametrize("r1, r2", [(1e-300, 1.0), (1e-10, 64.0), (1.0, 1e300),
+                                        (1e20, 1e20 * (1.0 + 1e-12)), (1e300, 1.7e308)])
+    def test_bound_shapes_far_from_unit_shapes(self, r1, r2):
+        got = nb_hellinger_bound_shapes(r1, r2)
+        assert 0.0 <= got <= 1.0
+        assert got == pytest.approx(float(nb_hellinger_bound_shapes_mp(r1, r2)), rel=1e-14)
 
     @pytest.mark.parametrize("r1, r2", [(math.nan, 1.0), (math.inf, 2.0), (1.0, math.inf),
                                         (1.0, -math.inf), (0.0, 1.0), (1.0, -2.0)])

@@ -218,8 +218,8 @@ def test_onestep_is_the_three_stage_chain():
 
 class TestProjection:
     SPACE = theta2prime_space(1, 5.0)
-    # every round of this point's projection needs 3 tangent cuts of the ball,
-    # 7 rounds in all
+    # this point's projection adds 23 rows: 2 grid rows, then 15 tangent cuts
+    # of the ball interleaved with 6 witness rows from ``membership``
     SLOW_X, SLOW_SPACE = np.array([0.2, 3.0, -3.0]), theta2prime_space(1, 10.0)
 
     def test_feasible_unchanged(self):
@@ -255,21 +255,24 @@ class TestProjection:
         twice = project_theta(once, self.SPACE)
         np.testing.assert_allclose(twice, once, atol=1e-9)
 
-    @pytest.mark.parametrize("cuts", [0, 1, 2])
-    def test_exhausted_cut_budget_raises(self, cuts, monkeypatch):
-        monkeypatch.setattr(estimators, "_BALL_CUTS", cuts)
-        with pytest.raises(NonConvergence, match=f"outside the ball after {cuts} cuts"):
+    @pytest.mark.parametrize("steps, kind", [(2, "tangent cut of the ball"), (5, "witness row")],
+                             ids=["ball", "witness"])
+    def test_exhausted_step_budget_raises(self, steps, kind, monkeypatch):
+        # stopped while the loop still cuts the ball, and while it still adds witness rows
+        monkeypatch.setattr(estimators, "_PROJECTION_STEPS", steps)
+        with pytest.raises(NonConvergence, match=f"_PROJECTION_STEPS = {steps} added rows; "
+                                                 f"next would be a {kind}"):
             project_theta(self.SLOW_X, self.SLOW_SPACE)
 
-    @pytest.mark.parametrize("x, M, calls", [
-        ((0.0, 2.0, 0.0, 0.0, 0.0), 3.0, 17),
-        ((0.2, 3.0, -3.0), 10.0, 28),
-        ((1.8, 0.9, -2.2), 5.0, 28),
+    @pytest.mark.parametrize("x, M, rows", [
+        ((0.0, 2.0, 0.0, 0.0, 0.0), 3.0, 29),
+        ((0.2, 3.0, -3.0), 10.0, 23),
+        ((1.8, 0.9, -2.2), 5.0, 16),
     ])
-    def test_nnls_solves_per_projection(self, x, M, calls, nnls_calls):
-        # each polyhedral solve is one NNLS; slower cut convergence shows up here
+    def test_rows_added_per_projection(self, x, M, rows, added_rows):
+        # each step adds one row; slower cut or witness convergence shows up here
         project_theta(np.array(x), theta2prime_space((len(x) - 1) // 2, M))
-        assert len(nnls_calls) == calls
+        assert len(added_rows) == rows
 
     def test_default_sweep_budget_converges(self):
         out = project_theta(self.SLOW_X, self.SLOW_SPACE)
@@ -284,12 +287,6 @@ class TestProjection:
         lowest = out[1] - math.sqrt(2.0) * math.hypot(out[0], out[2])
         assert lowest >= 1.0 + 1.0 / self.SLOW_SPACE.M
         assert membership(RealParam(1, out).to_density(), self.SLOW_SPACE).member
-
-    def test_exhausted_membership_rounds_raise(self, monkeypatch):
-        # the grid's own projection misses the exact minimum, so one round is not enough
-        monkeypatch.setattr(estimators, "_MEMBERSHIP_ROUNDS", 1)
-        with pytest.raises(NonConvergence, match="after 1 rounds"):
-            project_theta(self.SLOW_X, self.SLOW_SPACE)
 
     def test_feasible_input_skips_membership_when_the_grid_clears_the_floor(self, monkeypatch):
         def refuse(*_):
@@ -343,6 +340,25 @@ class TestProjection:
         space = theta2prime_space(d, M)
         out = project_theta(np.array(coords[:2 * d + 1]), space)
         assert membership(RealParam(d, out).to_density(), space).member
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_projection_sweep_above_d1_gives_members(d):
+    # inputs on which nested cut loops over a least-squares solver can stop 5-8e-11
+    # outside the ball
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        x, space = rng.uniform(-5.0, 5.0, 2 * d + 1), theta2prime_space(d, rng.uniform(3.0, 20.0))
+        out = project_theta(x, space)
+        assert membership(RealParam(d, out).to_density(), space).member
+
+
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_projection_far_outside_the_ball_gives_a_member(d):
+    # at ||x|| ~ 1e6 a met floor row rounds to -1e-10 and was added again and again
+    space = theta2prime_space(d, 1e4)
+    out = project_theta(np.full(2 * d + 1, 1e6), space)
+    assert membership(RealParam(d, out).to_density(), space).member
 
 
 class TestPhiMatrices:
