@@ -255,10 +255,19 @@ class TestProjection:
         twice = project_theta(once, self.SPACE)
         np.testing.assert_allclose(twice, once, atol=1e-9)
 
-    @pytest.mark.parametrize("steps, kind", [(2, "tangent cut of the ball"), (5, "witness row")],
-                             ids=["ball", "witness"])
+    @pytest.mark.parametrize("cuts", [0, 1, 2])
+    def test_exhausted_cut_budget_raises(self, cuts, monkeypatch):
+        # the budget stops the loop after its 2 grid rows and ``cuts`` tangent
+        # cuts, while it still cuts the ball
+        steps = 2 + cuts
+        monkeypatch.setattr(estimators, "_PROJECTION_STEPS", steps)
+        with pytest.raises(NonConvergence, match=f"_PROJECTION_STEPS = {steps} added rows; "
+                                                 "next would be a tangent cut of the ball"):
+            project_theta(self.SLOW_X, self.SLOW_SPACE)
+
+    @pytest.mark.parametrize("steps, kind", [(5, "witness row")], ids=["witness"])
     def test_exhausted_step_budget_raises(self, steps, kind, monkeypatch):
-        # stopped while the loop still cuts the ball, and while it still adds witness rows
+        # stopped while the loop still adds witness rows
         monkeypatch.setattr(estimators, "_PROJECTION_STEPS", steps)
         with pytest.raises(NonConvergence, match=f"_PROJECTION_STEPS = {steps} added rows; "
                                                  f"next would be a {kind}"):
