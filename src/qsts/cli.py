@@ -72,13 +72,12 @@ from .measurement import (
     sample_pi_blocks,
 )
 from .spectral import (
+    ParameterSpace,
     RealParam,
     eval_density,
     membership,
     parse_density,
     sobolev_norm,
-    theta1_space,
-    theta2_space,
     theta2prime_space,
 )
 from .toeplitz import (
@@ -213,20 +212,12 @@ def cmd_density_norms(args):
          arg("--space", choices=("theta1", "theta2", "theta2prime"), required=True),
          arg("--alpha", type=_finite_float, default=1.0),
          arg("--d", type=int, default=0),
-         arg("--M", type=_finite_float, required=True),
-         arg("--grid-size", type=int, default=1024))
+         arg("--M", type=_finite_float, required=True))
 def cmd_density_membership(args):
     a = parse_density(args.density)
-    if args.space == "theta1":
-        space = theta1_space(args.alpha, args.M, args.grid_size)
-    else:
-        make = theta2_space if args.space == "theta2" else theta2prime_space
-        space = make(args.d, args.M, args.grid_size)
-    w = membership(a, space)
-    _emit(args, _json_dump({
-        "member": w.member, "constraint": w.constraint,
-        "location": None if math.isnan(w.location) else w.location,
-        "value": w.value, "limit": w.limit}))
+    w = membership(a, ParameterSpace(args.space, M=args.M, alpha=args.alpha, d=args.d))
+    _emit(args, _json_dump({**w._asdict(),
+                            "location": None if math.isnan(w.location) else w.location}))
 
 
 # ----------------------------------------------------------------- symbol
@@ -293,10 +284,7 @@ def cmd_state_pinsker(args):
          A1, A2, N, arg("--lam", type=_finite_float, required=True))
 def cmd_state_bound(args):
     rep = entropy_symbol_bound(*_symbols(args), args.lam)
-    _emit(args, _json_dump({
-        "delta": rep.delta, "holds": rep.holds, "vacuous": rep.vacuous,
-        "h_norm": rep.h_norm, "symbol_norm": rep.symbol_norm,
-        "entropy": rep.entropy}))
+    _emit(args, _json_dump(rep._asdict()))
     _check(rep.holds, "relative entropy exceeds the symbol-distance bound")
 
 

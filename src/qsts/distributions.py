@@ -91,12 +91,12 @@ def hellinger_geo(lam: float, mu: float):
     and h2_exact <= h2_bound always.
     """
     h2_bound = (lam - mu) ** 2 / ((lam - 1.0) * (mu - 1.0))
-    return hellinger_geo_exact_p(p_of_a(lam), p_of_a(mu)), h2_bound
+    return float(hellinger_geo_exact_p(p_of_a(lam), p_of_a(mu))), h2_bound
 
 
-def hellinger_geo_exact_p(p1: float, p2: float) -> float:
-    """Closed-form H^2 between Geo(p1) and Geo(p2), allowing p = 0."""
-    bc = math.sqrt((1.0 - p1) * (1.0 - p2)) / (1.0 - math.sqrt(p1 * p2))
+def hellinger_geo_exact_p(p1, p2):
+    """Closed-form H^2 between Geo(p1) and Geo(p2), allowing p = 0; elementwise on arrays."""
+    bc = np.sqrt((1.0 - p1) * (1.0 - p2)) / (1.0 - np.sqrt(p1 * p2))
     return 2.0 * (1.0 - bc)
 
 

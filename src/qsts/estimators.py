@@ -64,6 +64,8 @@ class DesignMatrices(NamedTuple):
 def _w_matrix(m: int, d: int) -> np.ndarray:
     if m % 2 == 0:
         raise DimensionError("design needs odd m")
+    if d < 0:
+        raise DimensionError(f"design needs d >= 0, got {d}")
     if 2 * d + 1 > m:
         raise DimensionError(f"2d+1 = {2 * d + 1} exceeds m = {m}")
     W = psi_matrix(d, fourier_frequencies(m)) / math.sqrt(m)

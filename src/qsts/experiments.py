@@ -67,10 +67,13 @@ _Z_ALPHA = 3.090232306167813
 _EXP_PIECE = 600.0
 
 
-def _p_of(value: float) -> float:
-    if value < 1.0:
-        raise NotAdmissible(f"density value {value:.6g} below 1")
-    return (value - 1.0) / (value + 1.0)
+def _p_of(values):
+    """p = (a - 1)/(a + 1) of each density value; the first value below 1 is refused."""
+    values = np.asarray(values, dtype=float)
+    low = values < 1.0
+    if low.any():
+        raise NotAdmissible(f"density value {values.flat[np.argmax(low)]:.6g} below 1")
+    return (values - 1.0) / (values + 1.0)
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ def simulate_geo_regression(a: SpectralDensity, n: int, variant: str,
         levels = np.asarray(eval_density(a, t), dtype=float)
     else:
         raise RangeError(f"unknown variant {variant!r}")
-    ps = np.array([_p_of(v) for v in levels])
+    ps = _p_of(levels)
     gen = as_generator(rng)
     # Geo(p) = failures before first success of probability 1-p
     return gen.geometric(1.0 - ps) - 1
@@ -227,9 +230,9 @@ def _inverse_phi_root(theta: bytes, d: int) -> np.ndarray:
 
 
 def _hellinger_sum(levels: np.ndarray, J: np.ndarray) -> float:
-    """sum_j H^2(Geo(p(levels_j)), Geo(p(J_j)))."""
-    return float(sum(
-        hellinger_geo_exact_p(_p_of(x), _p_of(y)) for x, y in zip(levels, J)))
+    """sum_j H^2(Geo(p(levels_j)), Geo(p(J_j))), added in order j = 1, 2, ..."""
+    p = _p_of(np.column_stack((levels, J)))
+    return float(sum(hellinger_geo_exact_p(p[:, 0], p[:, 1]).tolist()))
 
 
 def nb_sufficiency_test(p: float, draws: int, stream: RngStream):
@@ -239,6 +242,8 @@ def nb_sufficiency_test(p: float, draws: int, stream: RngStream):
     merged from the right until every expected count is at least 5; fewer
     than two bins left raises DegenerateSamples.
     """
+    if draws < 1:
+        raise RangeError(f"sufficiency test needs draws >= 1, got {draws}")
     gen = stream.generator()
     sums = np.sum(nb_sample(1.0 / _NB_PIECES, p, gen, size=(draws, _NB_PIECES)), axis=1)
     geo = Geometric(p).sample(gen, size=draws)

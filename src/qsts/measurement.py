@@ -40,6 +40,9 @@ from .toeplitz import (
 
 _PSD_TOL = 1e-10
 
+#: points per unit circle of the generating-function inversion
+_PGF_GRID = 64
+
 #: distinct (density, block size) samplers kept per process by sample_pi_blocks
 _SAMPLER_CACHE_SIZE = 8
 
@@ -133,16 +136,19 @@ class MeasurementDraw:
 
 
 def _dft_rows(X: np.ndarray) -> np.ndarray:
-    """U* X for odd m (U = ``dft_unitary(m)``): one FFT, rows j = -(m-1)/2..(m-1)/2."""
+    """U* X (U = ``dft_unitary(m)``): one FFT, rows j = -(m-1)/2..(m-1)/2.
+
+    An even m has no symmetric frequency grid, so it is measured in the given
+    basis: U = I and X is returned as it is.
+    """
+    if X.shape[0] % 2 == 0:
+        return X
     return np.fft.fftshift(np.fft.fft(X, axis=0, norm="ortho"), axes=0)
 
 
 def _dft_conjugate(A: np.ndarray) -> np.ndarray:
-    """U* A U for Hermitian A and odd m, as U*((U* A)*) in two FFTs."""
-    if A.shape[0] % 2 == 1:
-        return _dft_rows(_dft_rows(A).conj().T)
-    # even dimension has no symmetric frequency grid; measure in the given basis
-    return A.copy()
+    """U* A U for Hermitian A, as U*((U* A)*) in two FFTs."""
+    return _dft_rows(_dft_rows(A).conj().T)
 
 
 def pi_moments(A) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +193,7 @@ def _poisson_mixture_factor(A: SymbolMatrix, faithful: bool = False) -> np.ndarr
         if q[0] < -_PSD_TOL:
             raise NotPSD(f"Q has eigenvalue {q[0]:.3g} < -{_PSD_TOL:g}") from None
         L = V * np.sqrt(np.clip(q, 0.0, None))
-    return _dft_rows(L) if A.n % 2 == 1 else L
+    return _dft_rows(L)
 
 
 def _embedding_root(A: SymbolMatrix) -> np.ndarray | None:
@@ -219,9 +225,8 @@ class NumberOpSampler:
     """Reusable sampler for the commuting number outcomes of one symbol.
 
     ``draw`` maps one batch of standard complex normals z, ``width`` per row,
-    to amplitudes alpha with E[alpha alpha*] = Q' = (U* A U - I)/2 (for odd
-    m; even m stays in the given basis, Q' = (A - I)/2), then takes one
-    Poisson batch.  The map is built once, read-only, on one of two paths:
+    to amplitudes alpha with E[alpha alpha*] = Q' = (U* A U - I)/2 (U = I
+    for even m, as in ``_dft_rows``), then takes one Poisson batch.  The map is built once, read-only, on one of two paths:
 
     - a Toeplitz symbol with m >= _EMBED_MIN_N is embedded in the N-point
       circulant C of ``_embedding_root``, and alpha = U* P W* (sqrt(lam) z)
@@ -257,7 +262,7 @@ class NumberOpSampler:
         if self.root is None:
             return z @ self.factor.T
         x = np.fft.ifft(self.root * z, norm="ortho")[:, :self.m]
-        return _dft_rows(x.T).T if self.m % 2 == 1 else x
+        return _dft_rows(x.T).T
 
     def draw(self, rng, size: int | None = None) -> np.ndarray:
         gen = as_generator(rng)
@@ -296,30 +301,23 @@ def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
                            seed_path=stream.path, density_label=a.label)
 
 
-def joint_pmf_from_pgf(A, k_max: int = 12, grid: int = 64) -> np.ndarray:
+def joint_pmf_from_pgf(A, k_max: int = 12) -> np.ndarray:
     """Joint pmf of N on {0..k_max}^m by inverting the generating function.
 
     E prod z_j^{N_j} = 1 / det(I + Q'(I - Z)); the inversion samples each
-    z_j on a ``grid``-point unit circle and takes the inverse DFT.  Only
-    intended for m <= 2 (cost grows like grid^m).
+    z_j on the _PGF_GRID-point unit circle, takes one stacked determinant
+    over the whole grid^m torus and one inverse DFT.  Only for m <= 2 (cost
+    grows like _PGF_GRID^m).
     """
     M = as_symbol(A).entries
     m = M.shape[0]
     if m > 2:
         raise DimensionError("generating-function inversion supports m <= 2")
-    D = _dft_conjugate(M)
-    Q = 0.5 * (D - np.eye(m))
-    zs = np.exp(2j * math.pi * np.arange(grid) / grid)
-    if m == 1:
-        vals = np.array([1.0 / (1.0 + Q[0, 0] * (1.0 - z)) for z in zs])
-        pmf = np.fft.fft(vals) / grid
-        out = pmf[: k_max + 1].real
-        return np.clip(out, 0.0, None)
-    vals = np.empty((grid, grid), dtype=complex)
-    eye = np.eye(2)
-    for i1, z1 in enumerate(zs):
-        for i2, z2 in enumerate(zs):
-            Z = np.diag([z1, z2])
-            vals[i1, i2] = 1.0 / np.linalg.det(eye + Q @ (eye - Z))
-    pmf = np.fft.fft2(vals) / grid ** 2
-    return np.clip(pmf[: k_max + 1, : k_max + 1].real, 0.0, None)
+    eye = np.eye(m)
+    Q = 0.5 * (_dft_conjugate(M) - eye)
+    z = np.exp(2j * math.pi * np.arange(_PGF_GRID) / _PGF_GRID)
+    # diag(z_1, .., z_m) at every point of the torus, shape (_PGF_GRID,) * m + (m, m)
+    Z = np.stack(np.meshgrid(*[z] * m, indexing="ij"), axis=-1)[..., None] * eye
+    vals = 1.0 / np.linalg.det(eye + Q @ (eye - Z))
+    pmf = np.fft.fftn(vals) / _PGF_GRID ** m
+    return np.clip(pmf[(slice(k_max + 1),) * m].real, 0.0, None)

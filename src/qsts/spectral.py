@@ -26,6 +26,10 @@ TWO_PI = 2.0 * math.pi
 #: grid used for sup-norm reports
 _SUP_GRID = 4096
 
+#: steps of the grid on which ``density_min``, and so every membership test,
+#: takes the minimum of a density
+_MEMBERSHIP_GRID = 1024
+
 #: distinct sizes whose Fourier frequencies are kept per process
 _FREQUENCY_CACHE_SIZE = 32
 
@@ -199,7 +203,6 @@ class ParameterSpace:
     M: float
     alpha: float = 0.0
     d: int = 0
-    grid_size: int = 1024
 
     def __post_init__(self):
         if self.kind not in ("theta1", "theta2", "theta2prime"):
@@ -214,20 +217,20 @@ class ParameterSpace:
                 "that is M >= 2.1478990357047874, the real root of M^3 - M^2 - 2M - 1")
         if self.kind == "theta1" and not self.alpha > 0.0:
             raise RangeError("theta1 needs alpha > 0")
-        if self.grid_size < 256:
-            raise RangeError("membership grid must have at least 256 points")
+        if self.d < 0:
+            raise RangeError(f"parameter space needs d >= 0, got {self.d}")
 
 
-def theta1_space(alpha: float, M: float, grid_size: int = 1024) -> ParameterSpace:
-    return ParameterSpace("theta1", M=float(M), alpha=float(alpha), grid_size=grid_size)
+def theta1_space(alpha: float, M: float) -> ParameterSpace:
+    return ParameterSpace("theta1", M=float(M), alpha=float(alpha))
 
 
-def theta2_space(d: int, M: float, grid_size: int = 1024) -> ParameterSpace:
-    return ParameterSpace("theta2", M=float(M), d=int(d), grid_size=grid_size)
+def theta2_space(d: int, M: float) -> ParameterSpace:
+    return ParameterSpace("theta2", M=float(M), d=int(d))
 
 
-def theta2prime_space(d: int, M: float, grid_size: int = 1024) -> ParameterSpace:
-    return ParameterSpace("theta2prime", M=float(M), d=int(d), grid_size=grid_size)
+def theta2prime_space(d: int, M: float) -> ParameterSpace:
+    return ParameterSpace("theta2prime", M=float(M), d=int(d))
 
 
 @dataclass(frozen=True)
@@ -311,14 +314,15 @@ def density_grid(a: SpectralDensity, size: int = _SUP_GRID):
     return w, eval_density(a, w)
 
 
-def density_min(a: SpectralDensity, grid_size: int = 1024):
+def density_min(a: SpectralDensity):
     """Minimum of a over [-pi, pi]; exact for K_max <= 2, grid surrogate above.
 
     For K_max <= 2 the critical points solve a small polynomial in
     z = exp(i w), so the global minimum is found exactly; larger supports
-    fall back to the grid (plus both endpoints).  Returns (min, argmin).
+    fall back to the _MEMBERSHIP_GRID-step grid (plus both endpoints).
+    Returns (min, argmin).
     """
-    w, vals = density_grid(a, grid_size)
+    w, vals = density_grid(a, _MEMBERSHIP_GRID)
     i = int(np.argmin(vals))
     best_w, best = float(w[i]), float(vals[i])
     if a.k_max <= 2 and a.k_max >= 1:
@@ -356,8 +360,7 @@ def membership(a: SpectralDensity, space: ParameterSpace) -> MembershipWitness:
     """Test membership of a density in a parameter space, with witness.
 
     True iff the norm constraint holds and min a(w) >= 1 + 1/M - 1e-12,
-    the minimum taken over the space's frequency grid (exactly for
-    K_max <= 2).
+    the minimum taken by ``density_min``.
     """
     slack = 1e-12
     if space.kind == "theta1":
@@ -376,7 +379,7 @@ def membership(a: SpectralDensity, space: ParameterSpace) -> MembershipWitness:
         if norm_sq > space.M + slack:
             return MembershipWitness(False, "norm", math.nan, norm_sq, space.M)
     lower = 1.0 + 1.0 / space.M
-    amin, at = density_min(a, space.grid_size)
+    amin, at = density_min(a)
     if amin < lower - slack:
         return MembershipWitness(False, "lower_bound", at, amin, lower)
     return MembershipWitness(True, "", math.nan, amin, lower)

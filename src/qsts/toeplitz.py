@@ -52,6 +52,7 @@ from .errors import (
 from .spectral import (
     SpectralDensity,
     density_grid,
+    density_min,
     sobolev_norm,
 )
 
@@ -507,10 +508,8 @@ def eigen_bracket_check(a: SpectralDensity, n: int):
     _, vals = density_grid(a)
     inf_a, sup_a = float(np.min(vals)), float(np.max(vals))
     if a.k_max <= 2:
-        from .spectral import density_min
         inf_a = min(inf_a, density_min(a)[0])
-        neg = SpectralDensity(np.concatenate(([-a.coeffs[0].real], -a.coeffs[1:])))
-        sup_a = max(sup_a, -density_min(neg)[0])
+        sup_a = max(sup_a, -density_min(SpectralDensity(-a.coeffs))[0])
     ok = (inf_a - 1e-9 <= lam_min) and (lam_max <= sup_a + 1e-9)
     return lam_min, lam_max, inf_a, sup_a, ok
 

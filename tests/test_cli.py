@@ -470,6 +470,12 @@ EXIT_CASES = {
     # below M = 2.1479 no density clears both a_0^2 <= M and a >= 1 + 1/M
     "empty_space": (1, ["density", "membership", "--density", "const:2",
                         "--space", "theta2", "--d", "1", "--M", "2"]),
+    # a negative bandwidth or draw count is refused, not left to numpy
+    "negative_space_bandwidth": (1, ["density", "membership", "--density", "cos:2,0.5",
+                                     "--space", "theta2", "--d", "-1", "--M", "5"]),
+    "negative_design_bandwidth": (1, ["estimate", "nonparam", "--density", "cos:2,0.5",
+                                      "--n", "65", "--d-n", "-1"]),
+    "no_sufficiency_draws": (1, ["audit", "sufficiency", "--draws", "0"]),
     "nan_smoothness": (1, ["symbol", "gap", "--density", "cos:2,0.5", "--n", "20",
                            "--m", "25", "--alpha", "nan"]),
     "nan_audit_radius": (1, ["audit", "state", "--density", "cos:2,0.5", "--n", "64",

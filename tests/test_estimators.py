@@ -98,6 +98,13 @@ class TestDesignMatrices:
         with pytest.raises(DimensionError):
             design_matrices(3, 2, np.zeros(5))
 
+    def test_negative_bandwidth_rejected(self):
+        # d = -1 once reached numpy's "negative dimensions are not allowed"
+        with pytest.raises(DimensionError, match="d >= 0"):
+            design_matrices(9, -1, np.zeros(0))
+        with pytest.raises(DimensionError, match="d >= 0"):
+            nonparametric_estimate(np.full(65, 3.0), -1)
+
     def test_theta_of_another_bandwidth_rejected(self):
         with pytest.raises(DimensionError):
             design_matrices(9, 1, np.array([0.0, 0.0, 2.0, 0.0, 0.0]))

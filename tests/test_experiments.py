@@ -427,6 +427,11 @@ class TestNbSufficiency:
         with pytest.raises(DegenerateSamples):
             nb_sufficiency_test(0.01, 1, RngStream(seed, 0))
 
+    def test_no_draws_refused(self):
+        # zero draws once failed in numpy's max of an empty array
+        with pytest.raises(RangeError, match="draws >= 1"):
+            nb_sufficiency_test(0.5, 0, RngStream(2, 0))
+
     def test_pearson_sum_edge_tables(self):
         # one column: scipy's dof = 0 result, chi2 = 0 at p-value 1, no critical value
         chi2, crit, p = _pearson_2xk(np.array([[5.0], [7.0]]))

@@ -171,6 +171,12 @@ class TestMembership:
         with pytest.raises(RangeError, match="empty"):
             theta1_space(1.0, M)
 
+    def test_negative_bandwidth_refused(self):
+        # d = -1 once built a space whose support check flagged lag 0
+        for make in (theta2_space, theta2prime_space):
+            with pytest.raises(RangeError, match="d >= 0"):
+                make(-1, 5.0)
+
     def test_boundary_space_holds_the_constant(self):
         space = theta2prime_space(1, EMPTY_BELOW)
         assert space.M == 2.1478990357047874
@@ -192,7 +198,7 @@ class TestMembership:
 
     def test_exact_min_small_support(self):
         # min of 2 + cos is 1 at w = pi, found exactly
-        amin, at = density_min(COS_2_05, 1024)
+        amin, at = density_min(COS_2_05)
         assert amin == pytest.approx(1.0, abs=1e-10)
         assert abs(abs(at) - math.pi) < 1e-6
 
