@@ -1,6 +1,6 @@
 """Record the golden corpus of fixed-seed CLI outputs in ``cli.json`` beside this file.
 
-Run from anywhere as ``PYTHONPATH=src python tests/golden/record.py``.  Each
+Run as ``python tests/golden/record.py``; it puts ``src`` on the path.  Each
 case of ``CASES`` runs in-process through ``cli_dispatch`` from the
 repository root.  The corpus stores, per case, the exit code, stderr, the
 sha256 of stdout and stdout parsed: JSON, or else one row per line of comma
