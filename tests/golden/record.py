@@ -27,6 +27,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[2]
 CORPUS = Path(__file__).resolve().with_name("cli.json")
 GEOM = "demos/densities/geom_decay.json"
+CONFIG = "tests/golden/chernoff_config.json"
 
 #: name -> argv; every case sets --seed and --no-timestamp, so its bytes are fixed
 CASES = {
@@ -56,6 +57,8 @@ CASES = {
     "dist_hellinger": ["dist", "hellinger", "--lam", "2", "--mu", "3"],
     "dist_hellinger_shapes": ["dist", "hellinger", "--lam", "2", "--mu", "3",
                               "--r", "1.5", "--r2", "2.5"],
+    "dist_hellinger_symbols": ["dist", "hellinger", "--lam", "2", "--mu", "3",
+                               "--r", "1.5"],
     "dist_chernoff": ["dist", "chernoff", "--a0", "const:2", "--a1", "cos:3,0.5"],
     "dist_chernoff_t": ["dist", "chernoff", "--a0", "const:2", "--a1", "const:4",
                         "--t", "0.3", "--classical"],
@@ -84,6 +87,7 @@ CASES = {
                        "--replicates", "300"],
     "mc_moments_even": ["mc", "moments", "--density", GEOM, "--m", "8",
                         "--replicates", "300"],
+    "config_dist_chernoff": ["--config", CONFIG, "dist", "chernoff"],
 }
 
 SEED = "1"
@@ -91,6 +95,11 @@ SEED = "1"
 
 def argv_of(name: str) -> list:
     return ["--seed", SEED, "--no-timestamp", *CASES[name]]
+
+
+def command_of(argv: list) -> tuple:
+    """The (group, command) of a case's argv, after a leading ``--config FILE``."""
+    return tuple(argv[2:4] if argv[0] == "--config" else argv[:2])
 
 
 def _field(text: str):

@@ -11,7 +11,7 @@ import json
 import math
 from pathlib import Path
 
-from golden.record import CASES, CORPUS, option_surface, run_case
+from golden.record import CASES, CORPUS, command_of, option_surface, run_case
 
 CORPUS_DATA = json.loads(Path(CORPUS).read_text())
 
@@ -32,7 +32,7 @@ def same(got, want) -> bool:
 
 def test_corpus_covers_every_case_and_subcommand():
     assert sorted(CORPUS_DATA["cases"]) == sorted(CASES)
-    commands = {tuple(argv[:2]) for argv in CASES.values()}
+    commands = {command_of(argv) for argv in CASES.values()}
     assert commands == {(g, c) for g, c, _ in option_surface() if g}
     assert len(commands) == 24
 
