@@ -21,9 +21,9 @@ _CHERNOFF_GRID = 4096
 
 
 def p_of_a(a: float) -> float:
-    """Geometric parameter p = (a - 1)/(a + 1) of the thermal symbol a."""
-    if a <= 1.0:
-        raise RangeError(f"need a > 1, got {a!r}")
+    """Geometric parameter p = (a - 1)/(a + 1) of the thermal symbol 1 < a < inf."""
+    if not 1.0 < a < math.inf:
+        raise RangeError(f"need 1 < a < inf, got {a!r}")
     return (a - 1.0) / (a + 1.0)
 
 
@@ -36,18 +36,6 @@ class Geometric:
     def __post_init__(self):
         if not 0.0 <= self.p < 1.0:
             raise RangeError(f"p must lie in [0, 1), got {self.p!r}")
-
-    def pmf(self, k) -> np.ndarray:
-        k = np.asarray(k)
-        return (1.0 - self.p) * self.p ** k
-
-    @property
-    def mean(self) -> float:
-        return self.p / (1.0 - self.p)
-
-    @property
-    def var(self) -> float:
-        return self.p / (1.0 - self.p) ** 2
 
     def sample(self, rng: np.random.Generator, size=None):
         # numpy's geometric counts trials to first success (support 1, 2, ...)
@@ -68,16 +56,35 @@ def geo_stats(a: float) -> GeoStats:
 
     p = (a-1)/(a+1), mean = (a-1)/2, var = (a^2-1)/4,
     E(X - EX)^4 <= (5/8)(a+1)^4, J(a) = 1/(a^2 - 1), tau = log p.
+    Needs 1 < a < inf; RangeError when the fourth-moment bound overflows.
     """
     p = p_of_a(a)
+    try:
+        m4_bound = 0.625 * (a + 1.0) ** 4
+    except OverflowError:
+        raise RangeError(f"the fourth-moment bound (5/8)(a+1)^4 overflows at a = {a!r}") from None
     return GeoStats(
         p=p,
         mean=(a - 1.0) / 2.0,
         var=(a * a - 1.0) / 4.0,
-        m4_bound=0.625 * (a + 1.0) ** 4,
+        m4_bound=m4_bound,
         fisher_j=1.0 / (a * a - 1.0),
         tau=math.log(p),
     )
+
+
+def _ratio_bound(r: float, a1: float, a2: float) -> float:
+    """r (a1 - a2)^2 / ((a1 - 1)(a2 - 1)) for 1 < a_i < inf; RangeError if it overflows.
+
+    Taken as r times the product of the quotients (a1 - a2)/(a1 - 1) and
+    (a1 - a2)/(a2 - 1): where one is large the other is near 1, so no step
+    overflows unless the value, or for r < 1 the value over r, does.
+    """
+    d = a1 - a2
+    bound = r * (d / (a1 - 1.0) * (d / (a2 - 1.0)))
+    if not math.isfinite(bound):
+        raise RangeError(f"the ratio bound of a = {a1!r}, {a2!r} overflows")
+    return bound
 
 
 def hellinger_geo(lam: float, mu: float):
@@ -88,10 +95,13 @@ def hellinger_geo(lam: float, mu: float):
         h2_exact = 2 (1 - sqrt((1-p1)(1-p2)) / (1 - sqrt(p1 p2))),
         h2_bound = (lam - mu)^2 / ((lam - 1)(mu - 1)),
 
-    and h2_exact <= h2_bound always.
+    and h2_exact <= h2_bound always.  Needs 1 < lam, mu < inf; RangeError
+    when both p round to 1, where h2_exact is 0/0, or when h2_bound overflows.
     """
-    h2_bound = (lam - mu) ** 2 / ((lam - 1.0) * (mu - 1.0))
-    return float(hellinger_geo_exact_p(p_of_a(lam), p_of_a(mu))), h2_bound
+    p1, p2 = p_of_a(lam), p_of_a(mu)
+    if p1 == p2 == 1.0:
+        raise RangeError(f"lam = {lam!r} and mu = {mu!r} both round to p = 1")
+    return float(hellinger_geo_exact_p(p1, p2)), _ratio_bound(1.0, lam, mu)
 
 
 def hellinger_geo_exact_p(p1, p2):
@@ -101,12 +111,15 @@ def hellinger_geo_exact_p(p1, p2):
 
 
 def nb_hellinger_bound_symbols(r: float, a1: float, a2: float) -> float:
-    """Bound H^2(NB(r, p(a1)), NB(r, p(a2))) <= r (a1-a2)^2 / ((a1-1)(a2-1))."""
-    if r <= 0:
-        raise RangeError("r must be positive")
-    if a1 <= 1.0 or a2 <= 1.0:
-        raise RangeError("need a_i > 1")
-    return r * (a1 - a2) ** 2 / ((a1 - 1.0) * (a2 - 1.0))
+    """Bound H^2(NB(r, p(a1)), NB(r, p(a2))) <= r (a1-a2)^2 / ((a1-1)(a2-1)).
+
+    Needs 0 < r < inf and 1 < a_i < inf; RangeError when the bound overflows.
+    """
+    if not 0.0 < r < math.inf:
+        raise RangeError(f"r needs 0 < r < inf, got {r!r}")
+    if not (1.0 < a1 < math.inf and 1.0 < a2 < math.inf):
+        raise RangeError(f"need 1 < a_i < inf, got {a1!r}, {a2!r}")
+    return _ratio_bound(r, a1, a2)
 
 
 def nb_hellinger_bound_shapes(r1: float, r2: float) -> float:
@@ -201,26 +214,25 @@ def chernoff_geo_inf(a0: float, a1: float):
     return _guarded_infimum(lambda t: chernoff_geo(a0, a1, t))
 
 
-def chernoff_quantum(a0: SpectralDensity, a1: SpectralDensity, t: float,
-                     grid: int = _CHERNOFF_GRID) -> float:
+def chernoff_quantum(a0: SpectralDensity, a1: SpectralDensity, t: float) -> float:
     """Error exponent term for two quantum spectral densities at weight t,
 
     psi(t) = -(1/2 pi) int_0^{2 pi}
              log (1/2)[(a0(w)+1)^t (a1(w)+1)^{1-t}
                        - (a0(w)-1)^t (a1(w)-1)^{1-t}] dw,
 
-    computed by periodic trapezoid quadrature on ``grid`` points.  The
+    computed by periodic trapezoid quadrature on _CHERNOFF_GRID points.  The
     integrand is 2 pi periodic, so integrating over [0, 2 pi] or
     [-pi, pi] gives the same value.
     """
     if not 0.0 <= t <= 1.0:
         raise RangeError("t must lie in [0, 1]")
-    return _chernoff_values(*_chernoff_grid(a0, a1, grid), t)
+    return _chernoff_values(*_chernoff_grid(a0, a1), t)
 
 
-def _chernoff_grid(a0: SpectralDensity, a1: SpectralDensity, grid: int):
+def _chernoff_grid(a0: SpectralDensity, a1: SpectralDensity):
     """Both densities on the quadrature grid, each strictly above 1."""
-    w = TWO_PI * np.arange(grid) / grid
+    w = TWO_PI * np.arange(_CHERNOFF_GRID) / _CHERNOFF_GRID
     v0, v1 = eval_density(a0, w), eval_density(a1, w)
     if np.min(v0) <= 1.0 or np.min(v1) <= 1.0:
         raise RangeError("densities must stay strictly above 1 on the grid")
@@ -238,7 +250,7 @@ def chernoff_quantum_inf(a0: SpectralDensity, a1: SpectralDensity):
 
     Both densities are evaluated once and shared by every t of the search.
     """
-    v0, v1 = _chernoff_grid(a0, a1, _CHERNOFF_GRID)
+    v0, v1 = _chernoff_grid(a0, a1)
     return _guarded_infimum(lambda t: _chernoff_values(v0, v1, t))
 
 

@@ -39,6 +39,7 @@ from .spectral import (
     psi_matrix,
 )
 
+#: quadrature points of the phi matrices
 _QUAD_GRID = 4096
 
 #: distinct (m, d) designs and (d, grid_size) uniform-grid designs kept
@@ -268,24 +269,25 @@ class FisherMatrices(NamedTuple):
     phi: np.ndarray
 
 
-def phi_matrices(theta: np.ndarray, d: int, grid: int = _QUAD_GRID) -> FisherMatrices:
+def phi_matrices(theta: np.ndarray, d: int) -> FisherMatrices:
     """Limit matrices of the estimators,
 
     phi0_jk = (1/2 pi) int (a_theta^2 - 1) psi_j psi_k dw,
     phi_jk  = (1/2 pi) int (a_theta^2 - 1)^{-1} psi_j psi_k dw,
 
-    by periodic trapezoid quadrature on ``grid`` points.  The grid x (2d+1)
-    design is built once per (d, grid) in the process and is read-only.
+    by periodic trapezoid quadrature on _QUAD_GRID points.  The
+    _QUAD_GRID x (2d+1) design is built once per d in the process and is
+    read-only.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != 2 * d + 1:
         raise DimensionError(f"theta must have length {2 * d + 1}")
-    psi = _grid_design(d, grid)
+    psi = _grid_design(d, _QUAD_GRID)
     weight = (psi @ theta) ** 2 - 1.0
     if np.any(weight <= 0.0):
         raise NotAdmissible("a_theta must stay above 1 for the phi matrices")
-    phi0 = (psi * weight[:, None]).T @ psi / grid
-    phi = (psi / weight[:, None]).T @ psi / grid
+    phi0 = (psi * weight[:, None]).T @ psi / _QUAD_GRID
+    phi = (psi / weight[:, None]).T @ psi / _QUAD_GRID
     phi0 = 0.5 * (phi0 + phi0.T)
     phi = 0.5 * (phi + phi.T)
     return FisherMatrices(phi0, phi)

@@ -11,7 +11,7 @@ scale and check the proven inequalities and decay trends.
 
 from __future__ import annotations
 
-import functools
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,12 +23,11 @@ from .distributions import (
     Geometric,
     hellinger_geo_exact_p,
     nb_sample,
-    varstab_arccosh,
 )
 from .errors import DegenerateSamples, NotAdmissible, RangeError
 from .estimators import phi_matrices
 from .gaussian_states import relative_entropy
-from .harness import _QUANTILE_STEPS, RngStream, _bracketed_newton, as_generator
+from .harness import _QUANTILE_STEPS, RngStream, _bracketed_newton
 from .spectral import (
     SpectralDensity,
     TWO_PI,
@@ -47,9 +46,6 @@ from .toeplitz import (
 )
 
 _BOUND_SLACK = 1e-9
-
-#: distinct (theta, d) covariance roots kept per process by simulate_hetero_normal
-_ROOT_CACHE_SIZE = 32
 
 #: NB(1/pieces, p) draws summed per sufficiency draw
 _NB_PIECES = 8
@@ -86,10 +82,6 @@ class WhiteNoisePath:
     def __post_init__(self):
         if self.cumulative[0] != 0.0:
             raise RangeError("cumulative path must start at 0")
-
-    @functools.cached_property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.cumulative)
 
 
 @dataclass
@@ -146,7 +138,7 @@ class AuditReport:
 
 
 def simulate_geo_regression(a: SpectralDensity, n: int, variant: str,
-                            rng: RngStream | np.random.Generator) -> np.ndarray:
+                            rng: RngStream) -> np.ndarray:
     """n independent geometric draws indexed by cells or grid points.
 
     variant "averages": X_j ~ Geo(p(J_{j,n}(a))); variant "points":
@@ -162,22 +154,18 @@ def simulate_geo_regression(a: SpectralDensity, n: int, variant: str,
     else:
         raise RangeError(f"unknown variant {variant!r}")
     ps = _p_of(levels)
-    gen = as_generator(rng)
     # Geo(p) = failures before first success of probability 1-p
-    return gen.geometric(1.0 - ps) - 1
+    return rng.generator().geometric(1.0 - ps) - 1
 
 
-def simulate_white_noise(a: SpectralDensity, n: int, L: int,
-                         transform: str,
-                         rng: RngStream | np.random.Generator,
-                         a0: SpectralDensity | None = None,
-                         noise_scale: float = 1.0) -> WhiteNoisePath:
+def simulate_white_noise(a: SpectralDensity, n: int, L: int, transform: str,
+                         rng: RngStream,
+                         a0: SpectralDensity | None = None) -> WhiteNoisePath:
     """Euler path of dY = drift(w) dw + noise dW on [-pi, pi] with L steps.
 
-    transform "arccosh": drift = arccosh(a(w)), noise sd sqrt(2 pi / n);
-    transform "local": drift = a(w), noise sd sqrt(2 pi / n) sqrt(a0(w)^2 - 1)
-    with the localization center a0.  ``noise_scale`` = 0 recovers the
-    deterministic drift quadrature.
+    transform "arccosh": drift = arccosh(a(w)) = log(a + sqrt(a^2 - 1)),
+    noise sd sqrt(2 pi / n); transform "local": drift = a(w), noise sd
+    sqrt(2 pi / n) sqrt(a0(w)^2 - 1) with the localization center a0.
     """
     if L < 64:
         raise RangeError("need L >= 64 grid steps")
@@ -188,7 +176,7 @@ def simulate_white_noise(a: SpectralDensity, n: int, L: int,
         raise NotAdmissible("arccosh drift needs a > 1 on the grid")
     dt = TWO_PI / L
     if transform == "arccosh":
-        drift = np.array([varstab_arccosh(v) for v in vals])
+        drift = np.log(vals + np.sqrt(vals * vals - 1.0))
         sd = math.sqrt(TWO_PI / n) * np.ones(L)
     elif transform == "local":
         if a0 is None:
@@ -200,33 +188,21 @@ def simulate_white_noise(a: SpectralDensity, n: int, L: int,
         sd = math.sqrt(TWO_PI / n) * np.sqrt(center ** 2 - 1.0)
     else:
         raise RangeError(f"unknown transform {transform!r}")
-    gen = as_generator(rng)
-    noise = gen.standard_normal(L) * sd * math.sqrt(dt) * noise_scale
+    noise = rng.generator().standard_normal(L) * sd * math.sqrt(dt)
     cumulative = np.concatenate([[0.0], np.cumsum(drift * dt + noise)])
     return WhiteNoisePath(grid=grid, cumulative=cumulative)
 
 
 def simulate_hetero_normal(theta: np.ndarray, n: int, d: int,
-                           rng: RngStream | np.random.Generator) -> np.ndarray:
+                           rng: RngStream) -> np.ndarray:
     """One draw from N(theta, n^{-1} Phi_theta^{-1}).
 
-    The factor of Phi_theta^{-1} is built once per process for each
-    (values of theta, d).
+    The factor R with R R' = Phi^{-1} comes from the eigensystem of Phi.
     """
     theta = np.asarray(theta, dtype=float)
-    root = _inverse_phi_root(theta.tobytes(), d)
-    gen = as_generator(rng)
-    return theta + (root @ gen.standard_normal(theta.size)) / math.sqrt(n)
-
-
-@functools.lru_cache(maxsize=_ROOT_CACHE_SIZE)
-def _inverse_phi_root(theta: bytes, d: int) -> np.ndarray:
-    """Read-only R with R R' = Phi^{-1}, from the eigensystem of Phi."""
-    _, phi = phi_matrices(np.frombuffer(theta), d)
-    lams, V = np.linalg.eigh(phi)
+    lams, V = np.linalg.eigh(phi_matrices(theta, d).phi)
     root = V * (1.0 / np.sqrt(lams))
-    root.setflags(write=False)
-    return root
+    return theta + (root @ rng.generator().standard_normal(theta.size)) / math.sqrt(n)
 
 
 def _hellinger_sum(levels: np.ndarray, J: np.ndarray) -> float:
@@ -259,21 +235,31 @@ def nb_sufficiency_test(p: float, draws: int, stream: RngStream):
 def _merge_short_bins(table: np.ndarray) -> np.ndarray:
     """Merge adjacent columns of a 2 x K count table until each has 5 expected counts.
 
-    The rightmost short column joins its right neighbour when an adequate
-    column lies to its left (the right-tail fold), else its left neighbour;
-    so a run of short columns with nothing adequate to its left is grouped by
-    itself.  Returns one column when even the total falls short.
+    One right-to-left pass over the column sums, in prefix sums C:
+
+    - the right tail folds left until it holds 5 expected counts, the
+      shortest such suffix;
+    - a short column with an adequate column to its left joins its right
+      neighbour, so each group after the first adequate column f ends in
+      an adequate column or in the tail;
+    - the short columns left of f fold left in the shortest groups that
+      hold 5 expected counts, and a short remainder at column 0 joins its
+      right neighbour.
+
+    Returns one column when even the total falls short.  Each group is
+    summed by ``np.add.reduceat``, exactly, as the counts are integers.
     """
-    while table.shape[1] > 1:
-        short = table.sum(axis=0) / 2.0 < 5.0
-        if not short.any():
-            break
-        k = int(np.flatnonzero(short)[-1])
-        right = k < table.shape[1] - 1 and (k == 0 or not short[:k].all())
-        j = k if right else k - 1
-        table = np.hstack([table[:, :j], table[:, j:j + 2].sum(axis=1, keepdims=True),
-                           table[:, j + 2:]])
-    return table
+    cols = table.sum(axis=0)
+    C = np.concatenate(([0.0], np.cumsum(cols))).tolist()
+    if C[-1] / 2.0 < 5.0:
+        return table.sum(axis=1, keepdims=True)
+    t = bisect.bisect_right(C, C[-1] - 10.0) - 1
+    adequate = np.flatnonzero(cols[:t] / 2.0 >= 5.0)
+    starts = [int(adequate[0]) if adequate.size else t]
+    while C[starts[-1]] / 2.0 >= 5.0:
+        starts.append(bisect.bisect_right(C, C[starts[-1]] - 10.0) - 1)
+    starts[-1] = 0
+    return np.add.reduceat(table, np.concatenate((starts[::-1], adequate + 1)), axis=1)
 
 
 def _pearson_2xk(table: np.ndarray):

@@ -59,11 +59,6 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seed=ss))
 
 
-def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    """The stream's fresh generator, or ``rng`` itself if it is a Generator."""
-    return rng.generator() if isinstance(rng, RngStream) else rng
-
-
 def _mean_cov(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column means and sample covariance of a replicate-ordered matrix."""
     mean = rows.mean(axis=0)

@@ -28,7 +28,7 @@ from .errors import (
     RangeError,
     TooSmall,
 )
-from .harness import RngStream, as_generator
+from .harness import RngStream
 from .spectral import SpectralDensity
 from .toeplitz import (
     SymbolMatrix,
@@ -264,8 +264,9 @@ class NumberOpSampler:
         x = np.fft.ifft(self.root * z, norm="ortho")[:, :self.m]
         return _dft_rows(x.T).T
 
-    def draw(self, rng, size: int | None = None) -> np.ndarray:
-        gen = as_generator(rng)
+    def draw(self, rng: RngStream, size: int | None = None) -> np.ndarray:
+        """Number outcomes of ``size`` draws (one without it) from the generator of ``rng``."""
+        gen = rng.generator()
         rows = 1 if size is None else int(size)
         # real parts are the first rows x width normals, imaginary parts the next
         re, im = gen.standard_normal((2, rows, self.width))
@@ -276,9 +277,8 @@ class NumberOpSampler:
 
 
 @functools.lru_cache(maxsize=_SAMPLER_CACHE_SIZE)
-def _block_sampler(coeffs: bytes, m: int) -> NumberOpSampler:
-    """Faithful sampler of A_m(a) for the density with these coefficient bytes."""
-    a = SpectralDensity(np.frombuffer(coeffs, dtype=complex))
+def _block_sampler(a: SpectralDensity, m: int) -> NumberOpSampler:
+    """Faithful sampler of A_m(a), keyed by the coefficient bytes of ``a`` (not its label)."""
     return NumberOpSampler(toeplitz_from_density(a, m), faithful=True)
 
 
@@ -296,7 +296,7 @@ def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
     ``a``, m): an equal-valued density built separately reuses it, whatever
     its label, and the draw carries the label of the ``a`` passed in.
     """
-    sampler = _block_sampler(a.coeffs.tobytes(), scheme.m)
+    sampler = _block_sampler(a, scheme.m)
     return MeasurementDraw(blocks=sampler.draw(stream, size=scheme.r), scheme=scheme,
                            seed_path=stream.path, density_label=a.label)
 
@@ -307,12 +307,16 @@ def joint_pmf_from_pgf(A, k_max: int = 12) -> np.ndarray:
     E prod z_j^{N_j} = 1 / det(I + Q'(I - Z)); the inversion samples each
     z_j on the _PGF_GRID-point unit circle, takes one stacked determinant
     over the whole grid^m torus and one inverse DFT.  Only for m <= 2 (cost
-    grows like _PGF_GRID^m).
+    grows like _PGF_GRID^m) and 0 <= k_max < _PGF_GRID: the inversion folds
+    the mass of k + _PGF_GRID onto k, so a larger k_max would alias.
     """
     M = as_symbol(A).entries
     m = M.shape[0]
     if m > 2:
         raise DimensionError("generating-function inversion supports m <= 2")
+    if not 0 <= k_max < _PGF_GRID:
+        raise RangeError(f"generating-function inversion needs 0 <= k_max < {_PGF_GRID}, "
+                         f"got {k_max}")
     eye = np.eye(m)
     Q = 0.5 * (_dft_conjugate(M) - eye)
     z = np.exp(2j * math.pi * np.arange(_PGF_GRID) / _PGF_GRID)

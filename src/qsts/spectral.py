@@ -11,7 +11,6 @@ here once and used by every module.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -29,9 +28,6 @@ _SUP_GRID = 4096
 #: steps of the grid on which ``density_min``, and so every membership test,
 #: takes the minimum of a density
 _MEMBERSHIP_GRID = 1024
-
-#: distinct sizes whose Fourier frequencies are kept per process
-_FREQUENCY_CACHE_SIZE = 32
 
 
 def reduce_angle(omega: float) -> float:
@@ -252,11 +248,6 @@ class RealParam:
         th.setflags(write=False)
         object.__setattr__(self, "theta", th)
 
-    def __getitem__(self, j: int) -> float:
-        if abs(j) > self.d:
-            raise IndexError(j)
-        return float(self.theta[j + self.d])
-
     def to_density(self, label: str = "") -> SpectralDensity:
         """a_0 = theta_0 and a_j = (theta_j - i theta_{-j}) / sqrt(2)."""
         d, s = self.d, math.sqrt(2.0)
@@ -444,15 +435,8 @@ def grids(n: int, m: int):
 
 
 def fourier_frequencies(m: int) -> np.ndarray:
-    """w_{j,m} for j = -(m-1)/2 .. (m-1)/2; built once per m, read-only."""
-    return _fourier_frequencies(m)
-
-
-@functools.lru_cache(maxsize=_FREQUENCY_CACHE_SIZE)
-def _fourier_frequencies(m: int) -> np.ndarray:
-    w = grids(1, m)[1]
-    w.setflags(write=False)
-    return w
+    """w_{j,m} for j = -(m-1)/2 .. (m-1)/2."""
+    return grids(1, m)[1]
 
 
 def parse_density(text: str) -> SpectralDensity:

@@ -363,3 +363,24 @@ def kolmogorov_quantile_mp(alpha: float) -> mpmath.mpf:
                                    start)
         return mpmath.findroot(lambda x: mpmath.log(kolmogorov_cdf_mp(x)) - mpmath.log(1 - a),
                                (0.05, 0.84), solver="anderson")
+
+
+def merge_short_bins_loop(table: np.ndarray) -> np.ndarray:
+    """Merge adjacent columns of a 2 x K count table until each has 5 expected counts.
+
+    One merge per pass: the rightmost short column joins its right neighbour
+    when an adequate column lies to its left (the right-tail fold), else its
+    left neighbour; so a run of short columns with nothing adequate to its
+    left is grouped by itself.  Returns one column when even the total
+    falls short.
+    """
+    while table.shape[1] > 1:
+        short = table.sum(axis=0) / 2.0 < 5.0
+        if not short.any():
+            break
+        k = int(np.flatnonzero(short)[-1])
+        right = k < table.shape[1] - 1 and (k == 0 or not short[:k].all())
+        j = k if right else k - 1
+        table = np.hstack([table[:, :j], table[:, j:j + 2].sum(axis=1, keepdims=True),
+                           table[:, j + 2:]])
+    return table

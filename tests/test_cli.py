@@ -476,6 +476,12 @@ EXIT_CASES = {
     "negative_design_bandwidth": (1, ["estimate", "nonparam", "--density", "cos:2,0.5",
                                       "--n", "65", "--d-n", "-1"]),
     "no_sufficiency_draws": (1, ["audit", "sufficiency", "--draws", "0"]),
+    # symbols at 1 or near the float limit: a typed error or finite values, no traceback
+    "hellinger_symbol_at_one": (1, ["dist", "hellinger", "--lam", "1", "--mu", "2"]),
+    "hellinger_huge_symbol": (0, ["dist", "hellinger", "--lam", "1e308", "--mu", "2"]),
+    "hellinger_huge_symbol_nb": (0, ["dist", "hellinger", "--lam", "2", "--mu", "1e308",
+                                     "--r", "1"]),
+    "varstab_huge_symbol": (1, ["dist", "varstab", "--a", "1e100"]),
     "nan_smoothness": (1, ["symbol", "gap", "--density", "cos:2,0.5", "--n", "20",
                            "--m", "25", "--alpha", "nan"]),
     "nan_audit_radius": (1, ["audit", "state", "--density", "cos:2,0.5", "--n", "64",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qsts import distributions
 from qsts.distributions import (
     Geometric,
     chernoff_geo,
@@ -19,7 +20,7 @@ from qsts.distributions import (
     varstab_ode_residual,
 )
 from qsts.errors import NotPSD, RangeError
-from qsts.spectral import SpectralDensity
+from qsts.spectral import SpectralDensity, eval_density
 
 from oracles import (
     NegBinomial,
@@ -61,6 +62,12 @@ class TestGeoStats:
         with pytest.raises(RangeError):
             geo_stats(1.0)
 
+    def test_overflowing_fourth_moment_bound_is_refused(self):
+        # (a + 1) ** 4 once ended in OverflowError
+        assert geo_stats(1e70).m4_bound == pytest.approx(6.25e279)
+        with pytest.raises(RangeError, match="overflows"):
+            geo_stats(1e100)
+
 
 class TestScore:
     def test_zero_at_mean(self):
@@ -88,6 +95,27 @@ class TestHellingerGeo:
     def test_equal(self):
         assert hellinger_geo(2.5, 2.5) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("lam, mu", [(1.0, 2.0), (2.0, 0.5), (math.inf, 2.0),
+                                         (2.0, math.nan)])
+    def test_symbols_outside_one_to_inf_are_refused(self, lam, mu):
+        # lam = 1 once divided by zero in the ratio bound before p_of_a checked it
+        with pytest.raises(RangeError, match="1 < a < inf"):
+            hellinger_geo(lam, mu)
+
+    def test_huge_symbols_give_the_finite_bound(self):
+        # (lam - mu) ** 2 once overflowed where the bound itself is about 1e308
+        assert hellinger_geo(1e308, 2.0) == (2.0, pytest.approx(1e308, rel=1e-15))
+        assert hellinger_geo(2.0, 1e308) == (2.0, pytest.approx(1e308, rel=1e-15))
+        assert nb_hellinger_bound_symbols(1.0, 2.0, 1e308) == pytest.approx(1e308, rel=1e-15)
+        # past the largest double the bound is refused, never clamped
+        with pytest.raises(RangeError, match="overflows"):
+            hellinger_geo(1e308, 1.5)
+        with pytest.raises(RangeError, match="overflows"):
+            nb_hellinger_bound_symbols(4.0, 2.0, 1e308)
+        # both p round to 1, where the exact H^2 is 0/0
+        with pytest.raises(RangeError, match="p = 1"):
+            hellinger_geo(1e300, 1e301)
+
     def test_bound_value(self):
         h2, bound = hellinger_geo(2.0, 3.0)
         assert bound == pytest.approx(0.5)
@@ -114,9 +142,9 @@ class TestHellingerGeo:
 
 class TestNegBinomial:
     def test_nb1_is_geometric(self):
+        # Geo(p): P(X = k) = (1 - p) p^k
         k = np.arange(30)
-        np.testing.assert_allclose(NegBinomial(1.0, 0.4).pmf(k),
-                                   Geometric(0.4).pmf(k), atol=1e-14)
+        np.testing.assert_allclose(NegBinomial(1.0, 0.4).pmf(k), 0.6 * 0.4 ** k, atol=1e-14)
 
     def test_bound_symbols_zero_at_equal(self):
         assert nb_hellinger_bound_symbols(2.0, 3.0, 3.0) == 0.0
@@ -264,9 +292,12 @@ class TestChernoff:
     def test_quantum_quadrature_refinement(self):
         a0 = SpectralDensity.cosine(2.0, 0.5)
         a1 = SpectralDensity.cosine(3.0, 0.4)
-        v1 = chernoff_quantum(a0, a1, 0.3, grid=4096)
-        v2 = chernoff_quantum(a0, a1, 0.3, grid=8192)
-        assert abs(v1 - v2) < 1e-10
+        # the fixed grid against the same rule on twice as many points
+        grid = 2 * distributions._CHERNOFF_GRID
+        v0, v1 = (eval_density(a, 2 * math.pi * np.arange(grid) / grid) for a in (a0, a1))
+        doubled = float(-np.mean(np.log(0.5 * ((v0 + 1) ** 0.3 * (v1 + 1) ** 0.7
+                                               - (v0 - 1) ** 0.3 * (v1 - 1) ** 0.7))))
+        assert abs(chernoff_quantum(a0, a1, 0.3) - doubled) < 1e-10
 
     def test_quantum_infimum_constant(self):
         a0 = SpectralDensity.constant(2.0)
@@ -276,8 +307,6 @@ class TestChernoff:
         assert vq == pytest.approx(vg, abs=1e-9)
 
     def test_quantum_infimum_evaluates_each_density_once(self, monkeypatch):
-        from qsts import distributions
-
         a0 = SpectralDensity.cosine(2.0, 0.5)
         a1 = SpectralDensity.cosine(3.0, 0.7)
         seen, evaluate = [], distributions.eval_density
@@ -386,14 +415,14 @@ class TestChernoffIntervalConvention:
         a0 = SpectralDensity.cosine(2.0, 0.5)
         a1 = SpectralDensity.cosine(3.0, 0.4)
         t = 0.3
-        grid = 4096
+        grid = distributions._CHERNOFF_GRID
         w_sym = -math.pi + 2 * math.pi * np.arange(grid) / grid
         v0 = np.asarray(eval_density(a0, w_sym))
         v1 = np.asarray(eval_density(a1, w_sym))
         bracket = ((v0 + 1) ** t * (v1 + 1) ** (1 - t)
                    - (v0 - 1) ** t * (v1 - 1) ** (1 - t))
         sym_value = float(-np.mean(np.log(0.5 * bracket)))
-        assert chernoff_quantum(a0, a1, t, grid=grid) == pytest.approx(
+        assert chernoff_quantum(a0, a1, t) == pytest.approx(
             sym_value, abs=1e-12)
 
 

@@ -377,6 +377,15 @@ def test_projection_far_outside_the_ball_gives_a_member(d):
     assert membership(RealParam(d, out).to_density(), space).member
 
 
+def phi_on_grid(theta, d, grid):
+    """phi0 and phi by the trapezoid rule on ``grid`` points, the design rebuilt."""
+    psi = psi_matrix(d, -math.pi + 2.0 * math.pi * np.arange(grid) / grid)
+    weight = (psi @ theta) ** 2 - 1.0
+    phi0 = (psi * weight[:, None]).T @ psi / grid
+    phi = (psi / weight[:, None]).T @ psi / grid
+    return 0.5 * (phi0 + phi0.T), 0.5 * (phi + phi.T)
+
+
 class TestPhiMatrices:
     def test_constant_density(self):
         c = 3.0
@@ -395,10 +404,10 @@ class TestPhiMatrices:
         np.testing.assert_allclose(phi0, expect, atol=1e-10)
 
     def test_quadrature_doubling(self):
-        p1 = phi_matrices(COS_THETA, 1, grid=4096)
-        p2 = phi_matrices(COS_THETA, 1, grid=8192)
-        assert np.max(np.abs(p1.phi0 - p2.phi0)) < 1e-10
-        assert np.max(np.abs(p1.phi - p2.phi)) < 1e-10
+        p1 = phi_matrices(COS_THETA, 1)
+        phi0, phi = phi_on_grid(COS_THETA, 1, 2 * estimators._QUAD_GRID)
+        assert np.max(np.abs(p1.phi0 - phi0)) < 1e-10
+        assert np.max(np.abs(p1.phi - phi)) < 1e-10
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(8)
@@ -426,18 +435,17 @@ class TestPhiMatrices:
 
     @pytest.mark.parametrize("d, grid", [(0, 17), (1, 4096), (3, 4096), (3, 1000)])
     def test_cached_design_gives_the_uncached_bytes(self, d, grid):
-        # reference: the design rebuilt on every call
+        # reference: the design rebuilt on every call; phi_matrices reads the
+        # _QUAD_GRID one, the projection a design of its own size
         theta = np.zeros(2 * d + 1)
         theta[d] = 2.5
         theta[d + 1:] = 0.1
-        psi = psi_matrix(d, -math.pi + 2.0 * math.pi * np.arange(grid) / grid)
-        weight = (psi @ theta) ** 2 - 1.0
-        phi0 = (psi * weight[:, None]).T @ psi / grid
-        phi = (psi / weight[:, None]).T @ psi / grid
+        phi0, phi = phi_on_grid(theta, d, estimators._QUAD_GRID)
         for _ in range(2):
-            got = phi_matrices(theta, d, grid)
-            assert got.phi0.tobytes() == (0.5 * (phi0 + phi0.T)).tobytes()
-            assert got.phi.tobytes() == (0.5 * (phi + phi.T)).tobytes()
+            got = phi_matrices(theta, d)
+            assert got.phi0.tobytes() == phi0.tobytes()
+            assert got.phi.tobytes() == phi.tobytes()
+        psi = psi_matrix(d, -math.pi + 2.0 * math.pi * np.arange(grid) / grid)
         design = estimators._grid_design(d, grid)
         assert design.tobytes() == psi.tobytes()
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from qsts.errors import DegenerateSamples, InputError, NonConvergence, NotPSD, R
 from qsts.harness import (
     RngStream,
     _norm_cdf,
-    as_generator,
     ks_critical,
     ks_statistic,
     mc_run,
@@ -19,13 +18,6 @@ from oracles import kolmogorov_quantile_mp, norm_cdf_mp, stream_correlation
 
 
 class TestRngStream:
-    def test_as_generator(self):
-        a = as_generator(RngStream(123, 5)).standard_normal(10)
-        b = RngStream(123, 5).generator().standard_normal(10)
-        np.testing.assert_array_equal(a, b)
-        gen = np.random.default_rng(1)
-        assert as_generator(gen) is gen
-
     def test_reproducible(self):
         a = RngStream(123, 5).generator().standard_normal(10)
         b = RngStream(123, 5).generator().standard_normal(10)

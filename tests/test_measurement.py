@@ -180,6 +180,14 @@ class TestSampler:
         expect = 0.5 * 0.5 ** np.arange(11)
         np.testing.assert_allclose(pmf, expect, atol=1e-10)
 
+    def test_pgf_refuses_an_aliasing_k_max(self):
+        # the 64-point inversion folds k + 64 onto k: k_max = 100 once gave 64 values
+        A = SymbolMatrix(np.array([[3.0]], dtype=complex))
+        assert joint_pmf_from_pgf(A, k_max=63).shape == (64,)
+        for k_max in (64, 100, -1):
+            with pytest.raises(RangeError, match="k_max"):
+                joint_pmf_from_pgf(A, k_max=k_max)
+
 
 class TestBlocks:
     def test_determinism(self):
@@ -402,16 +410,15 @@ class TestBlockSamplerCache:
         for A in (SymbolMatrix(3.0 * np.eye(9) + H + H.conj().T),
                   toeplitz_from_density(GEOM, E + 1)):
             sampler = NumberOpSampler(A, faithful=True)
-            gen = np.random.default_rng(41)
+            gen = RngStream(41, 0).generator()
             z = gen.standard_normal((5, sampler.width)) + 1j * gen.standard_normal((5, sampler.width))
             z /= math.sqrt(2.0)
             expect = gen.poisson(np.abs(sampler.amplitudes(z)) ** 2)
-            np.testing.assert_array_equal(
-                sampler.draw(np.random.default_rng(41), size=5), expect)
+            np.testing.assert_array_equal(sampler.draw(RngStream(41, 0), size=5), expect)
 
     def test_cached_arrays_are_read_only(self):
-        sampler = measurement._block_sampler(COS_DENSITY.coeffs.tobytes(), 9)
-        cached = [fourier_frequencies(9), _w_matrix(9, 1), estimators._f_diagonal(9, 1),
+        sampler = measurement._block_sampler(COS_DENSITY, 9)
+        cached = [_w_matrix(9, 1), estimators._f_diagonal(9, 1),
                   estimators._grid_design(1, 512), sampler.factor,
                   NumberOpSampler(toeplitz_from_density(COS_DENSITY, E)).root]
         for arr in cached:
