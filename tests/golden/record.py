@@ -59,6 +59,7 @@ CASES = {
                               "--r", "1.5", "--r2", "2.5"],
     "dist_hellinger_symbols": ["dist", "hellinger", "--lam", "2", "--mu", "3",
                                "--r", "1.5"],
+    "dist_hellinger_huge": ["dist", "hellinger", "--lam", "1e15", "--mu", "2e15"],
     "dist_chernoff": ["dist", "chernoff", "--a0", "const:2", "--a1", "cos:3,0.5"],
     "dist_chernoff_t": ["dist", "chernoff", "--a0", "const:2", "--a1", "const:4",
                         "--t", "0.3", "--classical"],
@@ -79,6 +80,8 @@ CASES = {
                           "--d-n", "2"],
     "audit_chain": ["audit", "chain", "--density", "cos:2,0.5", "--n-list", "65,129",
                     "--format", "json"],
+    "audit_chain_large": ["audit", "chain", "--density", "cos:2,0.5", "--n-list", "257,513",
+                          "--format", "json"],
     "audit_state": ["audit", "state", "--density", GEOM, "--n", "32", "--m", "35,41"],
     "audit_sufficiency": ["audit", "sufficiency", "--p", "0.5", "--draws", "2000"],
     "mc_normality": ["mc", "normality", "--density", "cos:2,0.5", "--n", "64", "--d", "1",
