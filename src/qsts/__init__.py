@@ -69,12 +69,12 @@ from .gaussian_states import (
     thermal_pmf,
 )
 from .distributions import (
-    Geometric,
     chernoff_geo,
     chernoff_geo_inf,
     chernoff_quantum,
     chernoff_quantum_inf,
     geo_kl,
+    geo_sample,
     geo_stats,
     hellinger_geo,
     nb_hellinger_bound_shapes,

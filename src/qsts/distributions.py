@@ -8,7 +8,6 @@ that is the natural parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,21 +26,6 @@ def p_of_a(a: float) -> float:
     return (a - 1.0) / (a + 1.0)
 
 
-@dataclass(frozen=True)
-class Geometric:
-    """Law P(X = k) = (1 - p) p^k on k = 0, 1, ..."""
-
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p < 1.0:
-            raise RangeError(f"p must lie in [0, 1), got {self.p!r}")
-
-    def sample(self, rng: np.random.Generator, size=None):
-        # numpy's geometric counts trials to first success (support 1, 2, ...)
-        return rng.geometric(1.0 - self.p, size=size) - 1
-
-
 class GeoStats(NamedTuple):
     p: float
     mean: float
@@ -55,7 +39,8 @@ def geo_stats(a: float) -> GeoStats:
     """Moments, fourth-moment bound, Fisher information and log p at symbol a.
 
     p = (a-1)/(a+1), mean = (a-1)/2, var = (a^2-1)/4,
-    E(X - EX)^4 <= (5/8)(a+1)^4, J(a) = 1/(a^2 - 1), tau = log p.
+    E(X - EX)^4 <= (5/8)(a+1)^4, J(a) = 1/(a^2 - 1),
+    tau = log p = log1p(-2/(a+1)).
     Needs 1 < a < inf; RangeError when the fourth-moment bound overflows.
     """
     p = p_of_a(a)
@@ -69,7 +54,7 @@ def geo_stats(a: float) -> GeoStats:
         var=(a * a - 1.0) / 4.0,
         m4_bound=m4_bound,
         fisher_j=1.0 / (a * a - 1.0),
-        tau=math.log(p),
+        tau=math.log1p(-2.0 / (a + 1.0)),
     )
 
 
@@ -90,24 +75,33 @@ def _ratio_bound(r: float, a1: float, a2: float) -> float:
 def hellinger_geo(lam: float, mu: float):
     """Exact squared Hellinger distance of two geometrics and its ratio bound.
 
-    With p_i the geometric parameters of lam and mu,
-
-        h2_exact = 2 (1 - sqrt((1-p1)(1-p2)) / (1 - sqrt(p1 p2))),
-        h2_bound = (lam - mu)^2 / ((lam - 1)(mu - 1)),
-
-    and h2_exact <= h2_bound always.  Needs 1 < lam, mu < inf; RangeError
-    when both p round to 1, where h2_exact is 0/0, or when h2_bound overflows.
+    h2_exact is ``hellinger_geo_exact(lam, mu)``, h2_bound is
+    (lam - mu)^2 / ((lam - 1)(mu - 1)), and h2_exact <= h2_bound always.
+    Needs 1 < lam, mu < inf; RangeError when h2_bound overflows.
     """
-    p1, p2 = p_of_a(lam), p_of_a(mu)
-    if p1 == p2 == 1.0:
-        raise RangeError(f"lam = {lam!r} and mu = {mu!r} both round to p = 1")
-    return float(hellinger_geo_exact_p(p1, p2)), _ratio_bound(1.0, lam, mu)
+    for a in (lam, mu):
+        if not 1.0 < a < math.inf:
+            raise RangeError(f"need 1 < a < inf, got {a!r}")
+    return float(hellinger_geo_exact(lam, mu)), _ratio_bound(1.0, lam, mu)
 
 
-def hellinger_geo_exact_p(p1, p2):
-    """Closed-form H^2 between Geo(p1) and Geo(p2), allowing p = 0; elementwise on arrays."""
-    bc = np.sqrt((1.0 - p1) * (1.0 - p2)) / (1.0 - np.sqrt(p1 * p2))
-    return 2.0 * (1.0 - bc)
+def hellinger_geo_exact(a1, a2):
+    """H^2 between Geo(p(a1)) and Geo(p(a2)) for a_i >= 1; elementwise on arrays.
+
+    H^2 = 2 (1 - BC) = [(sqrt(a1+1) - sqrt(a2+1))^2 + (sqrt(a1-1) - sqrt(a2-1))^2]
+    / (a1 + a2), taken as d^2 (1/s^2 + 1/t^2) / (a1 + a2) with d = a1 - a2
+    and s, t the sums of the roots: every term is >= 0, so nothing cancels.
+    t = 0 only at a1 = a2 = 1, where d = 0 and H^2 = 0.  Each square u^2,
+    u = d/s or d/t, is taken as u (u / h) with h = (a1 + a2)/2, so no step
+    overflows below the largest double.
+    """
+    a1, a2 = np.asarray(a1, dtype=float), np.asarray(a2, dtype=float)
+    d = a1 - a2
+    s = np.sqrt(a1 + 1.0) + np.sqrt(a2 + 1.0)
+    t = np.sqrt(a1 - 1.0) + np.sqrt(a2 - 1.0)
+    half = 0.5 * a1 + 0.5 * a2
+    u, v = d / s, d / np.where(t > 0.0, t, 1.0)
+    return 0.5 * (u * (u / half) + v * (v / half))
 
 
 def nb_hellinger_bound_symbols(r: float, a1: float, a2: float) -> float:
@@ -153,6 +147,15 @@ def nb_hellinger_bound_shapes(r1: float, r2: float) -> float:
                                                                    + t * (60.0 * y + 16.0 * t))))
                         / 1260.0)
     return 0.0 - math.expm1(0.5 * two_d)
+
+
+def geo_sample(p, rng: np.random.Generator, size=None):
+    """Draw from Geo(p), P(X = k) = (1 - p) p^k on k = 0, 1, ...; p may be an array.
+
+    numpy's geometric counts the trials to the first success of
+    probability 1 - p (support 1, 2, ...), hence the - 1.
+    """
+    return rng.geometric(1.0 - p, size=size) - 1
 
 
 def nb_sample(r: float, p: float, rng: np.random.Generator, size=None):
@@ -255,10 +258,10 @@ def chernoff_quantum_inf(a0: SpectralDensity, a1: SpectralDensity):
 
 
 def varstab_arccosh(a: float) -> float:
-    """Variance-stabilizing transform g(a) = log(a + sqrt(a^2 - 1))."""
+    """Variance-stabilizing transform g(a) = arccosh a = log(a + sqrt(a^2 - 1))."""
     if a <= 1.0:
         raise RangeError("need a > 1")
-    return math.log(a + math.sqrt(a * a - 1.0))
+    return math.acosh(a)
 
 
 def varstab_ode_residual(a: float) -> float:
@@ -269,7 +272,7 @@ def varstab_ode_residual(a: float) -> float:
     """
     if a <= 1.0:
         raise RangeError("need a > 1")
-    s = math.sqrt(a * a - 1.0)
+    s = math.sqrt(a - 1.0) * math.sqrt(a + 1.0)
     g_prime = (1.0 + a / s) / (a + s)
     return abs(g_prime - 1.0 / s)
 

@@ -19,11 +19,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .distributions import (
-    Geometric,
-    hellinger_geo_exact_p,
-    nb_sample,
-)
+from .distributions import geo_sample, hellinger_geo_exact, nb_sample
 from .errors import DegenerateSamples, NotAdmissible, RangeError
 from .estimators import phi_matrices
 from .gaussian_states import relative_entropy
@@ -63,12 +59,18 @@ _Z_ALPHA = 3.090232306167813
 _EXP_PIECE = 600.0
 
 
-def _p_of(values):
-    """p = (a - 1)/(a + 1) of each density value; the first value below 1 is refused."""
+def _admissible(values) -> np.ndarray:
+    """Density values as floats; the first value below 1 is refused."""
     values = np.asarray(values, dtype=float)
     low = values < 1.0
     if low.any():
         raise NotAdmissible(f"density value {values.flat[np.argmax(low)]:.6g} below 1")
+    return values
+
+
+def _p_of(values):
+    """p = (a - 1)/(a + 1) of each density value; the first value below 1 is refused."""
+    values = _admissible(values)
     return (values - 1.0) / (values + 1.0)
 
 
@@ -153,9 +155,7 @@ def simulate_geo_regression(a: SpectralDensity, n: int, variant: str,
         levels = np.asarray(eval_density(a, t), dtype=float)
     else:
         raise RangeError(f"unknown variant {variant!r}")
-    ps = _p_of(levels)
-    # Geo(p) = failures before first success of probability 1-p
-    return rng.generator().geometric(1.0 - ps) - 1
+    return geo_sample(_p_of(levels), rng.generator())
 
 
 def simulate_white_noise(a: SpectralDensity, n: int, L: int, transform: str,
@@ -163,7 +163,7 @@ def simulate_white_noise(a: SpectralDensity, n: int, L: int, transform: str,
                          a0: SpectralDensity | None = None) -> WhiteNoisePath:
     """Euler path of dY = drift(w) dw + noise dW on [-pi, pi] with L steps.
 
-    transform "arccosh": drift = arccosh(a(w)) = log(a + sqrt(a^2 - 1)),
+    transform "arccosh": drift = arccosh(a(w)),
     noise sd sqrt(2 pi / n); transform "local": drift = a(w), noise sd
     sqrt(2 pi / n) sqrt(a0(w)^2 - 1) with the localization center a0.
     """
@@ -176,7 +176,7 @@ def simulate_white_noise(a: SpectralDensity, n: int, L: int, transform: str,
         raise NotAdmissible("arccosh drift needs a > 1 on the grid")
     dt = TWO_PI / L
     if transform == "arccosh":
-        drift = np.log(vals + np.sqrt(vals * vals - 1.0))
+        drift = np.arccosh(vals)
         sd = math.sqrt(TWO_PI / n) * np.ones(L)
     elif transform == "local":
         if a0 is None:
@@ -207,8 +207,8 @@ def simulate_hetero_normal(theta: np.ndarray, n: int, d: int,
 
 def _hellinger_sum(levels: np.ndarray, J: np.ndarray) -> float:
     """sum_j H^2(Geo(p(levels_j)), Geo(p(J_j))), added in order j = 1, 2, ..."""
-    p = _p_of(np.column_stack((levels, J)))
-    return float(sum(hellinger_geo_exact_p(p[:, 0], p[:, 1]).tolist()))
+    pairs = _admissible(np.column_stack((levels, J)))
+    return float(sum(hellinger_geo_exact(pairs[:, 0], pairs[:, 1]).tolist()))
 
 
 def nb_sufficiency_test(p: float, draws: int, stream: RngStream):
@@ -222,7 +222,7 @@ def nb_sufficiency_test(p: float, draws: int, stream: RngStream):
         raise RangeError(f"sufficiency test needs draws >= 1, got {draws}")
     gen = stream.generator()
     sums = np.sum(nb_sample(1.0 / _NB_PIECES, p, gen, size=(draws, _NB_PIECES)), axis=1)
-    geo = Geometric(p).sample(gen, size=draws)
+    geo = geo_sample(p, gen, size=draws)
     top = int(max(sums.max(), geo.max()))
     table = _merge_short_bins(np.vstack([np.bincount(sums, minlength=top + 1),
                                          np.bincount(geo, minlength=top + 1)]).astype(float))

@@ -168,10 +168,10 @@ def entropy_symbol_bound(A1, A2, lam: float) -> SymbolBoundReport:
 def thermal_pmf(a: float, k_max: int):
     """Photon number pmf of a one-mode thermal state with symbol a >= 1.
 
-    pmf(k) = (1 - p) p^k with p = (a - 1)/(a + 1) for k = 0..k_max;
-    the second return value is the tail mass p^{k_max + 1}.  A NaN or
-    infinite a, and a k_max that is not a nonnegative integer, raise
-    RangeError.
+    pmf(k) = (1 - p) p^k for k = 0..k_max, with p = (a - 1)/(a + 1) and
+    1 - p = 2/(a + 1); the second return value is the tail mass
+    p^{k_max + 1}.  A NaN or infinite a, and a k_max that is not a
+    nonnegative integer, raise RangeError.
     """
     if not 1.0 <= a < math.inf:
         raise RangeError(f"thermal symbol must satisfy 1 <= a < inf, got {a!r}")
@@ -183,5 +183,5 @@ def thermal_pmf(a: float, k_max: int):
         raise RangeError("k_max must be nonnegative")
     p = (a - 1.0) / (a + 1.0)
     ks = np.arange(k_max + 1)
-    pmf = (1.0 - p) * p ** ks
+    pmf = 2.0 / (a + 1.0) * p ** ks
     return pmf, float(p ** (k_max + 1))

@@ -76,15 +76,6 @@ class McSummary:
     se: np.ndarray
     diagnostics: dict = field(default_factory=dict, compare=False)
 
-    def to_json(self) -> dict:
-        return {
-            "replicates": self.replicates,
-            "mean": self.mean.tolist(),
-            "cov": self.cov.tolist(),
-            "se": self.se.tolist(),
-            "diagnostics": self.diagnostics,
-        }
-
 
 def mc_run(sampler: Callable[[RngStream], np.ndarray], replicates: int,
            seed: int, collect: bool = False):

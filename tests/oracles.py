@@ -164,6 +164,17 @@ def nb_hellinger_bound_shapes_mp(r1: float, r2: float) -> mpmath.mpf:
                              - (mpmath.loggamma(r1) + mpmath.loggamma(r2)) / 2)
 
 
+def hellinger_geo_mp(a1: float, a2: float) -> mpmath.mpf:
+    """H^2 = 2 (1 - (S + T)/(a1 + a2)) between Geo(p(a1)) and Geo(p(a2)) at 50 digits,
+
+    with S = sqrt((a1+1)(a2+1)) and T = sqrt((a1-1)(a2-1)), for a_i >= 1.
+    """
+    with mpmath.workdps(50):
+        a1, a2 = mpmath.mpf(a1), mpmath.mpf(a2)
+        bc = (mpmath.sqrt((a1 + 1) * (a2 + 1)) + mpmath.sqrt((a1 - 1) * (a2 - 1))) / (a1 + a2)
+        return 2 * (1 - bc)
+
+
 def gaussian_square_cov(sx2: float, sy2: float, sxy: float):
     """Moments of squares of a centered bivariate normal pair.
 

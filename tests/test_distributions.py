@@ -1,18 +1,21 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from qsts import distributions
 from qsts.distributions import (
-    Geometric,
     chernoff_geo,
     chernoff_geo_inf,
     chernoff_quantum,
     chernoff_quantum_inf,
+    geo_sample,
     geo_stats,
     hellinger_geo,
+    hellinger_geo_exact,
     nb_hellinger_bound_shapes,
     nb_hellinger_bound_symbols,
     nb_sample,
@@ -26,6 +29,7 @@ from oracles import (
     NegBinomial,
     gaussian_square_cov,
     geo_l1,
+    hellinger_geo_mp,
     nb_hellinger_bound_shapes_mp,
     nb_hellinger_exact,
     score,
@@ -54,7 +58,7 @@ class TestGeoStats:
 
     def test_empirical_variance(self):
         rng = np.random.default_rng(1234)
-        draws = Geometric(0.5).sample(rng, size=10 ** 6)
+        draws = geo_sample(0.5, rng, size=10 ** 6)
         se = math.sqrt(stats.moment(draws, 4) / 10 ** 6)  # rough SE of var
         assert abs(np.var(draws) - 2.0) < 4 * max(se, 2.0 / math.sqrt(10 ** 6) * 3)
 
@@ -67,6 +71,11 @@ class TestGeoStats:
         assert geo_stats(1e70).m4_bound == pytest.approx(6.25e279)
         with pytest.raises(RangeError, match="overflows"):
             geo_stats(1e100)
+
+    def test_tau_keeps_its_digits_at_large_symbols(self):
+        # log of the rounded p lost 2.2e-5 relative at a = 1e12
+        exact = mpmath.log1p(-2 / (mpmath.mpf(1e12) + 1))
+        assert geo_stats(1e12).tau == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 class TestScore:
@@ -112,9 +121,45 @@ class TestHellingerGeo:
             hellinger_geo(1e308, 1.5)
         with pytest.raises(RangeError, match="overflows"):
             nb_hellinger_bound_symbols(4.0, 2.0, 1e308)
-        # both p round to 1, where the exact H^2 is 0/0
-        with pytest.raises(RangeError, match="p = 1"):
-            hellinger_geo(1e300, 1e301)
+        # both p round to 1, which the form in a does not need
+        assert hellinger_geo(1e300, 1e301) == (0.8500808508478624, pytest.approx(8.1, rel=1e-15))
+
+    @pytest.mark.parametrize("a1, a2", [
+        (1e15, 2e15), (1e12, 3e12), (1e300, 1e301), (1e308, 2.0), (2.0, 1e308),
+        (1.0, 3.0), (1.0, 1.0 + 2.0 ** -52), (1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51),
+        (43.53229371173461, 43.498961346488855)])
+    def test_exact_against_50_digits(self, a1, a2):
+        # from the rounded p the pair (1e15, 2e15) read 0.1817 against 0.1144
+        got = hellinger_geo_exact(a1, a2)
+        assert got == pytest.approx(float(hellinger_geo_mp(a1, a2)), rel=1e-15, abs=0.0)
+
+    def test_exact_is_zero_at_the_vacuum_pair(self):
+        assert hellinger_geo_exact(1.0, 1.0) == 0.0
+        assert hellinger_geo_exact(np.ones(3), np.array([1.0, 2.0, 1.0])).tolist() == [
+            0.0, float(hellinger_geo_mp(1.0, 2.0)), 0.0]
+
+    def test_exact_on_seeded_pairs_against_50_digits(self):
+        # 70% near-equal pairs, a - 1 log-uniform up to 1e15
+        rng = np.random.default_rng(30)
+        a1 = 1.0 + 10.0 ** rng.uniform(-15.0, 15.0, 500)
+        near = a1 * (1.0 + rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-12.0, -0.5, 500))
+        a2 = np.where(rng.uniform(size=500) < 0.7, np.maximum(near, 1.0),
+                      1.0 + 10.0 ** rng.uniform(-15.0, 15.0, 500))
+        got = hellinger_geo_exact(a1, a2)
+        exact = [hellinger_geo_mp(x, y) for x, y in zip(a1.tolist(), a2.tolist())]
+        worst = max(float(abs(g - e) / e) for g, e in zip(got.tolist(), exact))
+        assert worst < 1e-15
+
+    @given(st.floats(-15.0, 15.0), st.one_of(st.floats(-15.0, 15.0), st.floats(-16.0, 0.0)))
+    def test_exact_properties(self, x, y):
+        # a1 - 1 = 10^x; a2 - 1 = 10^y, or a2 = a1 (1 + 10^y) for y <= 0
+        a1 = 1.0 + 10.0 ** x
+        a2 = a1 * (1.0 + 10.0 ** y) if y <= 0.0 else 1.0 + 10.0 ** y
+        h2, bound = hellinger_geo(a1, a2)
+        assert h2 == hellinger_geo_exact(a2, a1) and hellinger_geo_exact(a1, a1) == 0.0
+        assert h2 <= bound
+        exact = hellinger_geo_mp(a1, a2)
+        assert abs(h2 - exact) <= 1e-14 * exact
 
     def test_bound_value(self):
         h2, bound = hellinger_geo(2.0, 3.0)
@@ -166,6 +211,16 @@ class TestNegBinomial:
     def test_bound_shapes_is_exactly_zero_at_equal_shapes(self):
         for r in (0.05, 1.5, 63.5, 64.0, 1e6):
             assert nb_hellinger_bound_shapes(r, r) == 0.0
+
+    @given(st.floats(-3.0, 4.0), st.one_of(st.floats(-3.0, 4.0), st.floats(-12.0, -0.01)))
+    def test_bound_shapes_properties(self, x, y):
+        # r2 = e^y, or r2 = r1 (1 + 10^y) for y < 0 so that near-equal shapes come up
+        r1 = math.exp(x)
+        r2 = r1 * (1.0 + 10.0 ** y) if y < 0.0 else math.exp(y)
+        got = nb_hellinger_bound_shapes(r1, r2)
+        assert got == nb_hellinger_bound_shapes(r2, r1) and nb_hellinger_bound_shapes(r1, r1) == 0.0
+        exact = nb_hellinger_bound_shapes_mp(r1, r2)
+        assert abs(got - exact) <= 2e-15 * exact
 
     def test_bound_shapes_against_40_digits(self):
         # near-equal shapes are where 1 - exp(D) from lgamma lost up to every digit
@@ -222,7 +277,7 @@ class TestNbSample:
         rng = np.random.default_rng(7)
         n = 50_000
         sums = np.sum(nb_sample(1 / 8, 0.5, rng, size=(n, 8)), axis=1)
-        geo = Geometric(0.5).sample(rng, size=n)
+        geo = geo_sample(0.5, rng, size=n)
         kmax = 12
         obs1 = np.bincount(np.minimum(sums, kmax), minlength=kmax + 1)
         obs2 = np.bincount(np.minimum(geo, kmax), minlength=kmax + 1)
@@ -328,6 +383,11 @@ class TestVarstab:
     def test_residual_tiny(self):
         for a in (1.01, 2.0, 3.0, 10.0):
             assert varstab_ode_residual(a) < 1e-12
+
+    def test_huge_symbol_does_not_overflow(self):
+        # a * a overflowed above 1.34e154: arccosh read inf and the residual 0
+        assert varstab_arccosh(1e200) == 461.2101657793691
+        assert math.isfinite(varstab_ode_residual(1e200))
 
     def test_finite_difference(self):
         a, h = 3.0, 1e-6

@@ -1,5 +1,8 @@
 import io
 import math
+import warnings
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -22,10 +25,17 @@ from qsts.experiments import (
     simulate_white_noise,
 )
 from qsts.harness import RngStream, mc_run
-from qsts.spectral import SpectralDensity, local_averages
+from qsts.spectral import (
+    SpectralDensity,
+    _truncated_density,
+    eval_density,
+    fourier_frequencies,
+    grids,
+    local_averages,
+)
 from qsts.distributions import varstab_arccosh
 
-from oracles import chi2_quantile_mp, chi2_tail_mp, merge_short_bins_loop
+from oracles import chi2_quantile_mp, chi2_tail_mp, hellinger_geo_mp, merge_short_bins_loop
 
 COS_DENSITY = SpectralDensity.cosine(2.0, 0.5)
 # geometric decay lifted so the density stays above 1 (state admissible)
@@ -116,6 +126,14 @@ class TestWhiteNoise:
         with pytest.raises(RangeError):
             simulate_white_noise(COS_DENSITY, 32, 32, "arccosh", RngStream(1, 0))
 
+    def test_huge_symbol_drift_is_finite(self):
+        # log(a + sqrt(a * a - 1)) overflowed in a * a above 1.34e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = simulate_white_noise(SpectralDensity.constant(1e200), 16, 64, "arccosh",
+                                        RngStream(1, 0))
+        assert np.all(np.isfinite(path.cumulative))
+
 
 class TestHeteroNormal:
     def test_constant_theta_iid_coordinates(self):
@@ -184,6 +202,22 @@ class TestHellingerChain:
     def test_even_n_rejected(self):
         with pytest.raises(RangeError):
             audit_hellinger_chain(COS_DENSITY, [64, 128])
+
+    def test_sums_against_50_digits(self):
+        # H^2 from the rounded p was off by up to 2.2e-5 relative at n = 513
+        ns = [65, 129, 257, 513]
+        rep = audit_hellinger_chain(COS_DENSITY, ns)
+        for label, levels_of in (
+                ("hellinger_circulant_vs_avg", lambda n: eval_density(
+                    _truncated_density(COS_DENSITY, n), fourier_frequencies(n))),
+                ("hellinger_points_vs_avg", lambda n: eval_density(COS_DENSITY,
+                                                                   grids(n, 1)[0]))):
+            got = [r.value for r in rep.rows if r.label == label]
+            for n, value in zip(ns, got, strict=True):
+                pairs = zip(levels_of(n).tolist(), local_averages(COS_DENSITY, n).tolist())
+                with mpmath.workdps(50):
+                    exact = mpmath.fsum(hellinger_geo_mp(x, y) for x, y in pairs)
+                assert abs(value - exact) <= 1e-14 * exact, (label, n)
 
     def test_csv_round_trip(self):
         rep = audit_hellinger_chain(COS_DENSITY, [9, 17])
@@ -400,11 +434,11 @@ class TestNbSufficiency:
 
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
     def test_equals_the_right_tail_fold_where_that_sufficed(self, p):
-        from qsts.distributions import Geometric, nb_sample
+        from qsts.distributions import geo_sample, nb_sample
         for seed in range(20):
             gen = RngStream(seed, 0).generator()
             sums = np.sum(nb_sample(1.0 / 8, p, gen, size=(5000, 8)), axis=1)
-            geo = Geometric(p).sample(gen, size=5000)
+            geo = geo_sample(p, gen, size=5000)
             top = int(max(sums.max(), geo.max()))
             table = np.vstack([np.bincount(sums, minlength=top + 1),
                                np.bincount(geo, minlength=top + 1)]).astype(float)

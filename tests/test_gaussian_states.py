@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -530,6 +531,11 @@ class TestThermalPmf:
         pmf, tail = thermal_pmf(1.0 + 1e-12, 5)
         assert pmf[0] == pytest.approx(1.0, abs=1e-11)
         assert tail == pytest.approx(0.0, abs=1e-11)
+
+    def test_large_symbol_keeps_one_minus_p(self):
+        # 1 - p from the rounded p lost 2.2e-5 relative at a = 1e12
+        pmf, _ = thermal_pmf(1e12, 2)
+        assert pmf[0] == pytest.approx(float(2 / (mpmath.mpf(1e12) + 1)), rel=1e-15, abs=0.0)
 
     def test_a3_geometric_half(self):
         pmf, _ = thermal_pmf(3.0, 3)

@@ -48,6 +48,7 @@ class TestMcRun:
             return s.generator().standard_normal(dim) + 10.0
 
         out, rows = mc_run(sampler, 700, seed=19, collect=True)
+        assert out.replicates == rows.shape[0] == 700
         c = rows - rows.mean(0)
         np.testing.assert_array_equal(out.mean, rows.mean(0))
         np.testing.assert_array_equal(out.cov, c.T @ c / (rows.shape[0] - 1))
@@ -195,11 +196,3 @@ class TestClosedForms:
         monkeypatch.setattr(harness, "_QUANTILE_STEPS", steps)
         with pytest.raises(NonConvergence, match=f"in {steps} steps"):
             ks_critical(1, 0.01)
-
-
-class TestSummarySerialization:
-    def test_json_round_trip_fields(self):
-        out = mc_run(lambda s: s.generator().standard_normal(2), 300, seed=2)
-        obj = out.to_json()
-        assert obj["replicates"] == 300
-        assert len(obj["mean"]) == 2 and len(obj["cov"]) == 2
