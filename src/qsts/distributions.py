@@ -13,9 +13,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RangeError
-from .spectral import SpectralDensity, eval_density, TWO_PI
+from .spectral import SpectralDensity, _grid_size, _on_grid, density_min
 
-#: quadrature points of the quantum error exponent
+#: the fewest quadrature points of the quantum error exponent
 _CHERNOFF_GRID = 4096
 
 
@@ -149,13 +149,13 @@ def nb_hellinger_bound_shapes(r1: float, r2: float) -> float:
     return 0.0 - math.expm1(0.5 * two_d)
 
 
-def geo_sample(p, rng: np.random.Generator, size=None):
-    """Draw from Geo(p), P(X = k) = (1 - p) p^k on k = 0, 1, ...; p may be an array.
+def geo_sample(q, rng: np.random.Generator, size=None):
+    """Draw from Geo(p), P(X = k) = q p^k on k = 0, 1, ..., from q = 1 - p (may be an array).
 
-    numpy's geometric counts the trials to the first success of
-    probability 1 - p (support 1, 2, ...), hence the - 1.
+    q = 2/(a + 1) keeps its digits where p = (a - 1)/(a + 1) rounds to 1 (a > 2^53).
+    numpy's geometric counts the trials to a first success of probability q, hence the - 1.
     """
-    return rng.geometric(1.0 - p, size=size) - 1
+    return rng.geometric(q, size=size) - 1
 
 
 def nb_sample(r: float, p: float, rng: np.random.Generator, size=None):
@@ -224,7 +224,7 @@ def chernoff_quantum(a0: SpectralDensity, a1: SpectralDensity, t: float) -> floa
              log (1/2)[(a0(w)+1)^t (a1(w)+1)^{1-t}
                        - (a0(w)-1)^t (a1(w)-1)^{1-t}] dw,
 
-    computed by periodic trapezoid quadrature on _CHERNOFF_GRID points.  The
+    computed by periodic trapezoid quadrature on the ``_chernoff_grid``.  The
     integrand is 2 pi periodic, so integrating over [0, 2 pi] or
     [-pi, pi] gives the same value.
     """
@@ -234,12 +234,12 @@ def chernoff_quantum(a0: SpectralDensity, a1: SpectralDensity, t: float) -> floa
 
 
 def _chernoff_grid(a0: SpectralDensity, a1: SpectralDensity):
-    """Both densities on the quadrature grid, each strictly above 1."""
-    w = TWO_PI * np.arange(_CHERNOFF_GRID) / _CHERNOFF_GRID
-    v0, v1 = eval_density(a0, w), eval_density(a1, w)
-    if np.min(v0) <= 1.0 or np.min(v1) <= 1.0:
-        raise RangeError("densities must stay strictly above 1 on the grid")
-    return v0, v1
+    """Both densities on max(_CHERNOFF_GRID, ``_grid_size``) points; each needs min a > 1."""
+    amin, at = min(density_min(a0), density_min(a1))
+    if amin <= 1.0:
+        raise RangeError(f"densities must stay strictly above 1, got {amin!r} at w = {at!r}")
+    G = max(_CHERNOFF_GRID, _grid_size(max(a0.k_max, a1.k_max)))
+    return _on_grid(a0.coeffs, G), _on_grid(a1.coeffs, G)
 
 
 def _chernoff_values(v0: np.ndarray, v1: np.ndarray, t: float) -> float:

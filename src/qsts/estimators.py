@@ -9,8 +9,8 @@ one-step estimator applies the latter at the projected preliminary value.
 Both reproduce theta exactly when fed the analytic mean.  The projection onto
 the admissible set is one dual active-set loop that adds one violated
 half-space per step (a floor row on the grid, a tangent cut of the ball, or
-the floor row where ``membership`` finds a miss) until ``membership``
-accepts the result.  The nonparametric estimate is the preliminary
+the floor row where ``density_min`` finds a miss) until ``membership``
+certifies the result.  The nonparametric estimate is the preliminary
 estimator at full length n, and the complex coefficients of its density
 are the unbiased symbol-coefficient estimates.
 """
@@ -34,6 +34,8 @@ from .spectral import (
     RealParam,
     ParameterSpace,
     TWO_PI,
+    _grid_slack,
+    density_min,
     fourier_frequencies,
     membership,
     psi_matrix,
@@ -175,15 +177,17 @@ def _grid_design(d: int, grid_size: int) -> np.ndarray:
 def _admissible(x: np.ndarray, C: np.ndarray, space: ParameterSpace) -> bool:
     """Whether ``membership`` accepts theta = x, asked only when the grid cannot tell.
 
-    Every frequency lies within pi/G of one of the G uniform grid points and
-    |a_theta'| <= sum_j |j| sqrt(2) |theta_j|, so a grid minimum that clears
-    the floor by (pi/G) times that bound clears it everywhere.
+    a_theta lies above its minimum over the G rows of C less sqrt(2) times
+    ``_grid_slack`` of |theta_j|, which bounds that of the |a_j|.  A grid
+    minimum below the floor's 1e-12 slack by the allowance is a rejection.
     """
-    d = (x.size - 1) // 2
-    slope = math.sqrt(2.0) * float(np.abs(np.arange(-d, d + 1)) @ np.abs(x))
-    if x @ x <= space.M and np.min(C @ x) - (1.0 + 1.0 / space.M) >= math.pi / len(C) * slope:
+    curvature, allowance = _grid_slack(np.abs(x), len(C))
+    floor, low = 1.0 + 1.0 / space.M, float((C @ x).min())
+    if x @ x <= space.M and low - math.sqrt(2.0) * (curvature + allowance) >= floor:
         return True
-    return membership(RealParam(d, x).to_density(), space).member
+    if low < floor - 1e-12 - math.sqrt(2.0) * allowance:
+        return False
+    return membership(RealParam((x.size - 1) // 2, x).to_density(), space).member
 
 
 def _add_row(v: np.ndarray, N: np.ndarray, u: np.ndarray, c: np.ndarray, b: float):
@@ -222,13 +226,14 @@ def project_theta(theta_hat: np.ndarray, space: ParameterSpace) -> np.ndarray:
     psi row has norm sqrt(2d+1)).  One dual active-set loop (Goldfarb and
     Idnani, Math. Programming 27, 1983) starts at v = theta_hat and adds one
     violated row per ``_add_row``: the most violated floor row of the grid,
-    else the ball's tangent cut at v, else the floor row at ``membership``'s
-    witness frequency.  It returns v once ``membership`` accepts it, and
-    raises NonConvergence past _PROJECTION_STEPS rows.  Every row holds the
+    else the ball's tangent cut at v, else the floor row where ``density_min``
+    finds a_v below the floor.  It returns v once that minimum clears the floor
+    and ``membership`` accepts v, and raises NonConvergence past
+    _PROJECTION_STEPS rows.  Every row holds the
     shrunken set, so v is never farther from theta_hat than its projection
     onto that set.  A row that leaves needs no memory: grid rows are checked
     at every step, a violated old cut means ||v|| > radius, and
-    ``membership`` finds a missed witness again.  Feasible input is returned
+    ``density_min`` finds a missed witness again.  Feasible input is returned
     unchanged.
     """
     if space.kind != "theta2prime":
@@ -252,10 +257,11 @@ def project_theta(theta_hat: np.ndarray, space: ParameterSpace) -> np.ndarray:
         elif nrm > radius + 0.5 * _PROJECTION_TOL:
             row, b, kind = -v / nrm, -radius, "tangent cut of the ball"
         else:
-            witness = membership(RealParam(d, v).to_density(), space)
-            if witness.member:
+            a = RealParam(d, v).to_density()
+            amin, at = density_min(a)   # at or above the floor, membership has 1e-12 to certify
+            if amin >= 1.0 + 1.0 / space.M and membership(a, space).member:
                 return v
-            row, b, kind = psi_matrix(d, witness.location)[0], target, "witness row"
+            row, b, kind = psi_matrix(d, at)[0], target, "witness row"
         if added == _PROJECTION_STEPS:
             raise NonConvergence(f"projection not admissible after _PROJECTION_STEPS = "
                                  f"{added} added rows; next would be a {kind}")
@@ -275,19 +281,20 @@ def phi_matrices(theta: np.ndarray, d: int) -> FisherMatrices:
     phi0_jk = (1/2 pi) int (a_theta^2 - 1) psi_j psi_k dw,
     phi_jk  = (1/2 pi) int (a_theta^2 - 1)^{-1} psi_j psi_k dw,
 
-    by periodic trapezoid quadrature on _QUAD_GRID points.  The
-    _QUAD_GRID x (2d+1) design is built once per d in the process and is
-    read-only.
+    by periodic trapezoid quadrature on G = max(_QUAD_GRID, 2^j > 4d) points,
+    exact for phi0's integrand of degree <= 4d.  The G x (2d+1) design is
+    built once per d in the process and is read-only.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != 2 * d + 1:
         raise DimensionError(f"theta must have length {2 * d + 1}")
-    psi = _grid_design(d, _QUAD_GRID)
+    G = max(_QUAD_GRID, 1 << (4 * d).bit_length())
+    psi = _grid_design(d, G)
     weight = (psi @ theta) ** 2 - 1.0
     if np.any(weight <= 0.0):
         raise NotAdmissible("a_theta must stay above 1 for the phi matrices")
-    phi0 = (psi * weight[:, None]).T @ psi / _QUAD_GRID
-    phi = (psi / weight[:, None]).T @ psi / _QUAD_GRID
+    phi0 = (psi * weight[:, None]).T @ psi / G
+    phi = (psi / weight[:, None]).T @ psi / G
     phi0 = 0.5 * (phi0 + phi0.T)
     phi = 0.5 * (phi + phi.T)
     return FisherMatrices(phi0, phi)

@@ -68,12 +68,6 @@ def _admissible(values) -> np.ndarray:
     return values
 
 
-def _p_of(values):
-    """p = (a - 1)/(a + 1) of each density value; the first value below 1 is refused."""
-    values = _admissible(values)
-    return (values - 1.0) / (values + 1.0)
-
-
 @dataclass(frozen=True)
 class WhiteNoisePath:
     """Euler path of the signal-plus-white-noise model on [-pi, pi]."""
@@ -155,7 +149,7 @@ def simulate_geo_regression(a: SpectralDensity, n: int, variant: str,
         levels = np.asarray(eval_density(a, t), dtype=float)
     else:
         raise RangeError(f"unknown variant {variant!r}")
-    return geo_sample(_p_of(levels), rng.generator())
+    return geo_sample(2.0 / (_admissible(levels) + 1.0), rng.generator())
 
 
 def simulate_white_noise(a: SpectralDensity, n: int, L: int, transform: str,
@@ -185,7 +179,7 @@ def simulate_white_noise(a: SpectralDensity, n: int, L: int, transform: str,
         if np.any(center <= 1.0):
             raise NotAdmissible("localization center must stay above 1")
         drift = vals
-        sd = math.sqrt(TWO_PI / n) * np.sqrt(center ** 2 - 1.0)
+        sd = math.sqrt(TWO_PI / n) * np.sqrt(center - 1.0) * np.sqrt(center + 1.0)
     else:
         raise RangeError(f"unknown transform {transform!r}")
     noise = rng.generator().standard_normal(L) * sd * math.sqrt(dt)
@@ -222,7 +216,7 @@ def nb_sufficiency_test(p: float, draws: int, stream: RngStream):
         raise RangeError(f"sufficiency test needs draws >= 1, got {draws}")
     gen = stream.generator()
     sums = np.sum(nb_sample(1.0 / _NB_PIECES, p, gen, size=(draws, _NB_PIECES)), axis=1)
-    geo = geo_sample(p, gen, size=draws)
+    geo = geo_sample(1.0 - p, gen, size=draws)
     top = int(max(sums.max(), geo.max()))
     table = _merge_short_bins(np.vstack([np.bincount(sums, minlength=top + 1),
                                          np.bincount(geo, minlength=top + 1)]).astype(float))
@@ -385,7 +379,8 @@ def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],
     dec_ii = worst_ratio(sums_ii)
     report.add("decay_ratio_circulant_vs_avg", ns[0], ns[-1], dec_i, 1.0, slack=-1e-12)
     report.add("decay_ratio_points_vs_avg", ns[0], ns[-1], dec_ii, 1.0, slack=-1e-12)
-    p_mid = _p_of(eval_density(a, 0.0))
+    a_mid = _admissible(eval_density(a, 0.0))
+    p_mid = (a_mid - 1.0) / (a_mid + 1.0)
     chi2, crit, p_value = nb_sufficiency_test(p_mid, 50_000, RngStream(seed, 0))
     report.add("nb_sufficiency_chi2", ns[-1], _NB_PIECES, chi2, crit)
     report.meta["nb_sufficiency_p_value"] = p_value

@@ -157,7 +157,7 @@ def pi_moments(A) -> tuple[np.ndarray, np.ndarray]:
     mean_j = u_j* A u_j and Cov(Pi) = (U* A U)^[2] - I; requires a strictly
     faithful symbol (lambda_min(A) > 1).  A lag-built symbol whose lag floor
     (Grenander & Szego: lambda_min >= min of its lag polynomial, less the
-    grid slope and rounding allowance of ``SymbolMatrix.lambda_min_exceeds``)
+    grid curvature and rounding allowance of ``SymbolMatrix.lambda_min_exceeds``)
     clears 1 runs no eigensolve; any other symbol gates on its eigenvalues.
     """
     A = as_symbol(A)

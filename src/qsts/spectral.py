@@ -18,16 +18,17 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import HermitianSymmetryViolation, InputError, RangeError
+from .errors import HermitianSymmetryViolation, InputError, NonConvergence, RangeError
 
 TWO_PI = 2.0 * math.pi
 
 #: grid used for sup-norm reports
 _SUP_GRID = 4096
 
-#: steps of the grid on which ``density_min``, and so every membership test,
-#: takes the minimum of a density
-_MEMBERSHIP_GRID = 1024
+#: membership's largest grid; Taylor terms ((pi/8)^14/14! < 3e-17), Newton steps
+_CERTIFY_GRID = 1 << 16
+_TAYLOR_TERMS = 14
+_NEWTON_STEPS = 50
 
 
 def reduce_angle(omega: float) -> float:
@@ -298,40 +299,72 @@ def eval_density(a: SpectralDensity, omega) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def density_grid(a: SpectralDensity, size: int = _SUP_GRID):
-    """Values of a on ``size`` + 1 uniform points over [-pi, pi], both endpoints
-    included; returns (omegas, values)."""
-    w = np.linspace(-math.pi, math.pi, size + 1)
-    return w, eval_density(a, w)
+def _grid_size(k_max: int) -> int:
+    """The smallest power of two G >= 8 (K_max + 1), the grid of a density's minimum."""
+    return 1 << (8 * k_max + 7).bit_length()
+
+
+def _on_grid(lags: np.ndarray, G: int) -> np.ndarray:
+    """p(2 pi j / G), j < G, for each row a_0 .. a_K (K < G/2) of ``lags``."""
+    return np.fft.hfft(np.conj(lags), G)
+
+
+def _grid_slack(mags: np.ndarray, G: int) -> tuple[float, float]:
+    """(curvature, allowance): how far min p may lie below p's minimum on G uniform points.
+
+    ``mags`` (k = -K..K) bounds sum k^2 |a_k| and sum |a_k|.  p' vanishes at the
+    minimizer, within pi/G of a grid point, and |p''| <= sum k^2 |a_k|, hence
+    curvature = (pi/G)^2/2 sum k^2 |a_k|.  allowance = 4 (K + 1 + log2 G) eps
+    sum |a_k| covers the rounding of p and an eigensolve's backward error.
+    """
+    K = mags.size // 2
+    return ((math.pi / G) ** 2 / 2.0 * float(np.arange(-K, K + 1.0) ** 2 @ mags),
+            4.0 * (K + 1 + math.log2(G)) * 2.0 ** -52 * float(mags.sum()))
+
+
+def _certified_min(full: np.ndarray, G: int) -> tuple[float, float, float]:
+    """(lower, value, location): the minimum of p for lags ``full`` = a_{-K} .. a_K.
+
+    G >= 8 (K + 1) is a power of two, h = 2 pi / G and w = (j + t) h.  Cell j,
+    |t| <= 1/2, is bounded by p(w_j) less ``_grid_slack``; only cells bounded
+    below the grid minimum can hold the minimizer.  In each, Newton on p' = 0
+    runs from t = 0, kept in the cell, with p and its t-derivatives summed from
+    _TAYLOR_TERMS terms of their Taylor series (|k h t| <= pi/8).  ``value`` is
+    the lowest p found, ``location`` its w in [-pi, pi], and ``lower`` the least
+    cell bound, where a cell with p'' > 0 throughout (p''(w_j) >
+    (h/2) sum |k|^3 |a_k|) may take its tangent there less the allowance.
+    """
+    K, h = full.size // 2, TWO_PI / G
+    ks, mags, T = np.arange(-K, K + 1), np.abs(full), _TAYLOR_TERMS
+    orders = np.arange(T + 2)
+    curvature, allowance = _grid_slack(mags, G)
+    derivs = _on_grid(full[K:] * (1j * h * ks[K:]) ** orders[:, None], G)   # h^r p^(r)(w_j)
+    bound = derivs[0] - curvature - allowance
+    cells = np.flatnonzero(~(bound > derivs[0].min()))
+    Dc = derivs[:, cells].T
+    # h^(r + s) p^(r + s)(w_j) / r! for p and its first two t-derivatives (s = 0, 1, 2)
+    taylor = np.stack((Dc[:, :T], Dc[:, 1:T + 1], Dc[:, 2:]), axis=1) / np.cumprod(
+        np.maximum(orders[:T], 1))
+    (v, d1, d2), t = Dc[:, :3].T, np.zeros(cells.size)
+    for _ in range(_NEWTON_STEPS):
+        step = np.divide(-d1, d2, out=-np.sign(d1), where=d2 > 0.0)
+        nxt = np.minimum(np.maximum(t + step, -0.5), 0.5)
+        if np.abs(nxt - t).max() <= 1e-10:
+            break
+        t = nxt
+        v, d1, d2 = (taylor @ (t[:, None] ** orders[:T])[..., None])[..., 0].T
+    v, t, d1 = np.where(v <= Dc[:, 0], (v, t, d1), (Dc[:, 0], 0.0 * t, Dc[:, 1]))
+    convex = Dc[:, 2] > h ** 3 / 2 * float(np.abs(ks) ** 3 @ mags)
+    tangent = v - np.abs(d1) * (0.5 + np.sign(d1) * t) - allowance
+    i = int(np.argmin(v))
+    return (float(np.min(np.where(convex, np.maximum(bound[cells], tangent), bound[cells]))),
+            float(v[i]), reduce_angle(h * (cells[i] + t[i])))
 
 
 def density_min(a: SpectralDensity):
-    """Minimum of a over [-pi, pi]; exact for K_max <= 2, grid surrogate above.
-
-    For K_max <= 2 the critical points solve a small polynomial in
-    z = exp(i w), so the global minimum is found exactly; larger supports
-    fall back to the _MEMBERSHIP_GRID-step grid (plus both endpoints).
-    Returns (min, argmin).
-    """
-    w, vals = density_grid(a, _MEMBERSHIP_GRID)
-    i = int(np.argmin(vals))
-    best_w, best = float(w[i]), float(vals[i])
-    if a.k_max <= 2 and a.k_max >= 1:
-        # a'(w) = 0 as polynomial: sum_k i k a_k z^k = 0, z on the unit circle.
-        # Multiply by z^{k_max}: poly of degree 2 k_max in z.
-        K = a.k_max
-        full = a.full_coeffs()                     # indices -K..K
-        ks = np.arange(-K, K + 1)
-        poly = (1j * ks * full)[::-1]              # np.roots wants leading-first
-        if np.any(np.abs(poly) > 0):
-            roots = np.roots(poly)
-            for z in roots:
-                if abs(abs(z) - 1.0) < 1e-8:
-                    wc = float(np.angle(z))
-                    vc = float(eval_density(a, wc))
-                    if vc < best:
-                        best, best_w = vc, wc
-    return best, best_w
+    """(min, argmin) of a over [-pi, pi], by ``_certified_min`` on _grid_size(K_max) points."""
+    _, amin, at = _certified_min(a.full_coeffs(), _grid_size(a.k_max))
+    return amin, at
 
 
 def sobolev_norm(a: SpectralDensity, alpha: float):
@@ -350,8 +383,9 @@ def sobolev_norm(a: SpectralDensity, alpha: float):
 def membership(a: SpectralDensity, space: ParameterSpace) -> MembershipWitness:
     """Test membership of a density in a parameter space, with witness.
 
-    True iff the norm constraint holds and min a(w) >= 1 + 1/M - 1e-12,
-    the minimum taken by ``density_min``.
+    True iff the norm constraint holds and min a(w) >= 1 + 1/M - 1e-12: a value
+    ``_certified_min`` attains below that rejects, at its location; a lower bound
+    at or above it accepts; else its grid doubles, to _CERTIFY_GRID, then NonConvergence.
     """
     slack = 1e-12
     if space.kind == "theta1":
@@ -369,11 +403,17 @@ def membership(a: SpectralDensity, space: ParameterSpace) -> MembershipWitness:
             np.sum(np.abs(a.coeffs[1:space.d + 1]) ** 2))
         if norm_sq > space.M + slack:
             return MembershipWitness(False, "norm", math.nan, norm_sq, space.M)
-    lower = 1.0 + 1.0 / space.M
-    amin, at = density_min(a)
-    if amin < lower - slack:
-        return MembershipWitness(False, "lower_bound", at, amin, lower)
-    return MembershipWitness(True, "", math.nan, amin, lower)
+    floor = 1.0 + 1.0 / space.M
+    full, G = a.full_coeffs(), _grid_size(a.k_max)
+    while True:
+        lower, amin, at = _certified_min(full, G)
+        if amin < floor - slack:
+            return MembershipWitness(False, "lower_bound", at, amin, floor)
+        if lower >= floor - slack:
+            return MembershipWitness(True, "", math.nan, amin, floor)
+        if G >= _CERTIFY_GRID:
+            raise NonConvergence(f"min a = {amin!r} not certified above {floor!r} on {G} points")
+        G *= 2
 
 
 def local_averages(a: SpectralDensity, n: int) -> np.ndarray:

@@ -23,10 +23,11 @@ Toeplitz matrix lies in [min p, max p], for the trigonometric polynomial
 p(w) = sum_{|k|<n} a_k e^{ikw} of its own lags (Grenander & Szego, *Toeplitz
 Forms and Their Applications*, 1958).  A lag-built symbol with no solve yet
 answers from that bracket (``_lag_floor``): p on G >= 8n grid points by one
-FFT of the lags, less the slope term (pi/G) sum |k||a_k| and an allowance
-4 (n + log2 G) eps sum |a_k| for the FFT's rounding and the eigensolver's
-backward error.  Only when that floor does not clear the threshold does the
-gate solve, so an input it clears is one the solve would clear too.
+FFT of the lags, less the curvature term (pi/G)^2/2 sum k^2 |a_k| (p'
+vanishes at the minimum) and an allowance 4 (n + log2 G) eps sum |a_k| for
+the FFT's rounding and the eigensolver's backward error, by the one rule of
+``spectral._grid_slack``.  Only when that floor does not clear the threshold
+does the gate solve, so an input it clears is one the solve would clear too.
 
 A symbol built from its 2n - 1 lags keeps them, so comparing two such
 symbols (``SymbolMatrix.same_entries``) and their Hilbert-Schmidt distance
@@ -49,12 +50,7 @@ from .errors import (
     NotToeplitz,
     RangeError,
 )
-from .spectral import (
-    SpectralDensity,
-    density_grid,
-    density_min,
-    sobolev_norm,
-)
+from .spectral import SpectralDensity, _grid_size, _grid_slack, _on_grid, density_min, sobolev_norm
 
 _HERMITIZE_TOL = 1e-12
 
@@ -252,23 +248,13 @@ def _solve(solve, *args, **kwargs):
 
 
 def _lag_floor(full: np.ndarray) -> float:
-    """Lower bound on lambda_min of the Hermitian Toeplitz matrix with lags ``full``.
-
-    ``full`` holds a_{-(n-1)} .. a_{n-1}.  p(w) = sum_k a_k e^{ikw} is taken
-    at G = 2^j >= 8n uniform points by one Hermitian FFT; every w lies within
-    pi/G of one of them and |p'| <= sum |k||a_k|, so min p is at least the
-    grid minimum less (pi/G) sum |k||a_k|.  The bound subtracts that and
-    4 (n + log2 G) eps sum |a_k|, which covers the FFT's rounding and the
-    backward error of a solve on a matrix of norm <= sum |a_k|.  NaN or
-    -inf, never above a threshold, when the sums overflow.
-    """
-    n = (full.size + 1) // 2
-    G = 1 << (8 * n - 1).bit_length()
+    """Lower bound on lambda_min of the Toeplitz matrix with lags ``full`` = a_{-(n-1)} .. a_{n-1}:
+    their polynomial's minimum on _grid_size(n - 1) points less its ``_grid_slack``.
+    NaN or -inf, never above a threshold, when the sums overflow."""
+    K = full.size // 2     # n - 1
+    G = _grid_size(K)
     with np.errstate(over="ignore", invalid="ignore"):
-        mags = np.abs(full)
-        slope = math.pi / G * float(np.abs(np.arange(1 - n, n)) @ mags)
-        allowance = 4.0 * (n + math.log2(G)) * np.finfo(float).eps * float(mags.sum())
-        return float(np.fft.hfft(full[n - 1:], G).min()) - slope - allowance
+        return float(_on_grid(full[K:], G).min()) - sum(_grid_slack(np.abs(full), G))
 
 
 def _centro_halves(A: np.ndarray) -> tuple:
@@ -498,18 +484,13 @@ def eigen_bracket_check(a: SpectralDensity, n: int):
     """Check inf a - tol <= lambda_min(A_n) and lambda_max(A_n) <= sup a + tol.
 
     The quadratic form <x, A_n x> is an average of a against |trig poly|^2,
-    hence trapped between the extremes of a; the extremes here are taken
-    over ``density_grid``'s 4097 points (endpoints included), refined by the
-    exact minimum for small supports.  Returns (lambda_min, lambda_max,
-    inf_a, sup_a, pass).
+    hence trapped between the extremes of a: inf a is ``density_min(a)`` and
+    sup a is -``density_min(-a)``.  Returns (lambda_min, lambda_max, inf_a,
+    sup_a, pass).
     """
     lams = toeplitz_from_density(a, n).eigenvalues
     lam_min, lam_max = float(lams[0]), float(lams[-1])
-    _, vals = density_grid(a)
-    inf_a, sup_a = float(np.min(vals)), float(np.max(vals))
-    if a.k_max <= 2:
-        inf_a = min(inf_a, density_min(a)[0])
-        sup_a = max(sup_a, -density_min(SpectralDensity(-a.coeffs))[0])
+    inf_a, sup_a = density_min(a)[0], -density_min(SpectralDensity(-a.coeffs))[0]
     ok = (inf_a - 1e-9 <= lam_min) and (lam_max <= sup_a + 1e-9)
     return lam_min, lam_max, inf_a, sup_a, ok
 

@@ -395,3 +395,50 @@ def merge_short_bins_loop(table: np.ndarray) -> np.ndarray:
         table = np.hstack([table[:, :j], table[:, j:j + 2].sum(axis=1, keepdims=True),
                            table[:, j + 2:]])
     return table
+
+
+def density_min_oracle(coeffs) -> tuple[mpmath.mpf, float]:
+    """Minimum of p(w) = sum_{|k|<=K} a_k e^{ikw} from ``coeffs`` a_0 .. a_K, and where it lies.
+
+    p is taken on 2^20 uniform points; each local minimum of that grid within
+    twice its curvature bound of the grid minimum (the 8 lowest at most) is
+    polished by an mpmath root of p' at 40 digits, bracketed by its grid
+    neighbours, and the lowest value found is returned as (min, argmin).
+    """
+    c = np.asarray(coeffs, dtype=complex).reshape(-1)
+    ks = np.arange(c.size)
+    G = 1 << 20
+    vals = np.fft.hfft(c.conj(), G)
+    if c.size == 1 or not np.any(c[1:]):
+        return mpmath.mpf(float(c[0].real)), 0.0
+    curvature = (math.pi / G) ** 2 * float(ks * ks @ np.abs(c))
+    near = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
+    near &= vals <= vals.min() + 2.0 * curvature + 1e-12 * float(np.abs(c).sum())
+    starts = np.flatnonzero(near)
+    if starts.size > 8:      # a density flat to rounding makes every point a minimum
+        starts = starts[np.argpartition(vals[starts], 7)[:8]]
+    with mpmath.workdps(40):
+        parts = [(k, mpmath.mpf(float(v.real)), mpmath.mpf(float(v.imag)))
+                 for k, v in enumerate(c)]
+
+        def p(w, r=0):
+            # Re sum_k m_k (ik)^r a_k e^{ikw}, m_0 = 1 and m_k = 2
+            total = mpmath.mpf(0)
+            for k, re, im in parts:
+                z = (1j * k) ** r * mpmath.mpc(re, im) * mpmath.expjpi(k * w / mpmath.pi)
+                total += (1 if k == 0 else 2) * z.real
+            return total
+
+        best, where = mpmath.mpf(float(vals.min())), 2.0 * math.pi * float(np.argmin(vals)) / G
+        for j in starts:
+            # p' changes sign between the grid neighbours of a grid minimum
+            ends = (mpmath.mpf(2.0 * math.pi * float(j - 1) / G),
+                    mpmath.mpf(2.0 * math.pi * float(j + 1) / G))
+            try:
+                w = mpmath.findroot(lambda x: p(x, 1), ends, solver="illinois")
+            except (ValueError, ZeroDivisionError):
+                continue
+            value = p(w)
+            if value < best:
+                best, where = value, float(w)
+    return best, math.remainder(where, 2.0 * math.pi)

@@ -18,7 +18,14 @@ from qsts import estimators
 from qsts.cli import _write_raw_rows, build_parser, cli_dispatch
 from qsts.harness import RngStream
 from qsts.measurement import NumberOpSampler
-from qsts.spectral import RealParam, membership, parse_density, theta2prime_space
+from qsts.spectral import (
+    RealParam,
+    SpectralDensity,
+    eval_density,
+    membership,
+    parse_density,
+    theta2prime_space,
+)
 from qsts.toeplitz import toeplitz_from_density
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,6 +70,21 @@ class TestDensityCommands:
                            "cos:2,0.5", "--space", "theta2", "--d", "1",
                            "--M", "5")
         assert code == 0 and json.loads(out)["member"] is True
+
+    def test_membership_sees_a_minimum_between_grid_points(self, capsys, tmp_path):
+        # a = 1.6 + 0.5 cos(1024 w) dips to 1.1 at w = pi/1024; a grid of
+        # 1024 steps saw only its maximum 2.1 and called it a member
+        c = np.zeros(1025)
+        c[0], c[1024] = 1.6, 0.25
+        path = tmp_path / "k1024.json"
+        path.write_text(json.dumps(SpectralDensity(c).to_json()))
+        code, out, _ = run(capsys, "density", "membership", "--density", str(path),
+                           "--space", "theta2", "--d", "1024", "--M", "5")
+        obj = json.loads(out)
+        assert code == 0 and obj["member"] is False and obj["constraint"] == "lower_bound"
+        assert obj["value"] == pytest.approx(1.1, abs=1e-12)
+        assert eval_density(parse_density(str(path)), obj["location"]) == pytest.approx(
+            1.1, abs=1e-12)
 
     def test_bad_density_exit_1(self, capsys):
         code, _, err = run(capsys, "density", "eval", "--density",
@@ -185,6 +207,14 @@ class TestSimulateAndEstimate:
         code, out2, _ = run(capsys, "--seed", "3", "simulate", "geo",
                             "--density", "const:3", "--n", "10")
         assert out1 == out2 and out1.startswith("j,X")
+
+    def test_geo_at_a_symbol_above_two_to_the_53(self, capsys):
+        # p = (a - 1)/(a + 1) rounds to 1 there, and numpy refused 1 - p = 0
+        code, out, err = run(capsys, "--seed", "1", "--no-timestamp", "simulate", "geo",
+                             "--density", "const:1e17", "--n", "5")
+        assert code == 0 and err == ""
+        draws = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert len(draws) == 5 and min(draws) >= 0
 
     def test_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("QSTS_SEED", "99")

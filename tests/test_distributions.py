@@ -361,16 +361,36 @@ class TestChernoff:
         tg, vg = chernoff_geo_inf(2.0, 4.0)
         assert vq == pytest.approx(vg, abs=1e-9)
 
+    def test_quantum_quadrature_grid_follows_k_max(self):
+        # a0 = 2 + 0.5 cos(4096 w) is f(4096 w), so the exponent is the mean of
+        # the integrand over one period of f; 4096 points saw only a0 = 2.5
+        c = np.zeros(4097)
+        c[0], c[4096] = 2.0, 0.25
+        u = 2 * math.pi * np.arange(4096) / 4096
+        v0 = 2.0 + 0.5 * np.cos(u)
+        exact = float(-np.mean(np.log(0.5 * ((v0 + 1) ** 0.5 * 4.0 ** 0.5
+                                             - (v0 - 1) ** 0.5 * 2.0 ** 0.5))))
+        got = chernoff_quantum(SpectralDensity(c), SpectralDensity.constant(3.0), 0.5)
+        # 16 points per period of f leave a trapezoid error of 3e-12
+        assert got == pytest.approx(exact, abs=1e-10)
+
+    def test_quantum_refuses_a_density_below_one_between_grid_points(self):
+        # 1.6 + 1.24 cos(4096 w) reads 2.84 at every point of 4096; its minimum is 0.36
+        c = np.zeros(4097)
+        c[0], c[4096] = 1.6, 0.62
+        with pytest.raises(RangeError, match="strictly above 1"):
+            chernoff_quantum(SpectralDensity(c), SpectralDensity.constant(3.0), 0.5)
+
     def test_quantum_infimum_evaluates_each_density_once(self, monkeypatch):
         a0 = SpectralDensity.cosine(2.0, 0.5)
         a1 = SpectralDensity.cosine(3.0, 0.7)
-        seen, evaluate = [], distributions.eval_density
+        seen, evaluate = [], distributions._on_grid
 
-        def counted(a, w):
-            seen.append(a)
-            return evaluate(a, w)
+        def counted(lags, G):
+            seen.append(SpectralDensity(lags))
+            return evaluate(lags, G)
 
-        monkeypatch.setattr(distributions, "eval_density", counted)
+        monkeypatch.setattr(distributions, "_on_grid", counted)
         t, v = chernoff_quantum_inf(a0, a1)
         assert seen == [a0, a1]
         assert v == chernoff_quantum(a0, a1, t)

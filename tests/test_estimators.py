@@ -32,7 +32,7 @@ from qsts.spectral import (
 )
 from qsts.toeplitz import toeplitz_from_density
 
-from oracles import project_ball_cone
+from oracles import density_min_oracle, project_ball_cone
 
 COS_DENSITY = SpectralDensity.cosine(2.0, 0.5)
 COS_THETA = RealParam.from_density(COS_DENSITY, d=1).theta  # (0, 2, sqrt2/4)
@@ -226,7 +226,7 @@ def test_onestep_is_the_three_stage_chain():
 class TestProjection:
     SPACE = theta2prime_space(1, 5.0)
     # this point's projection adds 23 rows: 2 grid rows, then 15 tangent cuts
-    # of the ball interleaved with 6 witness rows from ``membership``
+    # of the ball interleaved with 6 witness rows from ``density_min``
     SLOW_X, SLOW_SPACE = np.array([0.2, 3.0, -3.0]), theta2prime_space(1, 10.0)
 
     def test_feasible_unchanged(self):
@@ -369,12 +369,44 @@ def test_projection_sweep_above_d1_gives_members(d):
         assert membership(RealParam(d, out).to_density(), space).member
 
 
-@pytest.mark.parametrize("d", [0, 1, 3])
+@pytest.mark.parametrize("d", [0, 1])
 def test_projection_far_outside_the_ball_gives_a_member(d):
     # at ||x|| ~ 1e6 a met floor row rounds to -1e-10 and was added again and again
     space = theta2prime_space(d, 1e4)
     out = project_theta(np.full(2 * d + 1, 1e6), space)
     assert membership(RealParam(d, out).to_density(), space).member
+
+
+def test_projection_far_outside_the_ball_at_d3_exhausts_its_rows():
+    # a member takes 355 rows here, as the ball's tangent cuts converge linearly;
+    # a 1024-step grid once let 12 rows return a result 1.99e-3 below the floor
+    with pytest.raises(NonConvergence, match="_PROJECTION_STEPS = 256 added rows"):
+        project_theta(np.full(7, 1e6), theta2prime_space(3, 1e4))
+
+
+def oracle_min_of(theta):
+    """The 40-digit minimum of a_theta."""
+    return float(density_min_oracle(RealParam((len(theta) - 1) // 2, theta).to_density().coeffs)[0])
+
+
+def test_projection_at_d3_clears_the_floor_between_grid_points():
+    # a 1024-step grid passed a result 4.4e-5 below the floor 1.1 here
+    space = theta2prime_space(3, 10.0)
+    out = project_theta(np.array([-2.2, 1.7, 1.0, 0.1, 1.9, 0.3, 2.9]), space)
+    assert oracle_min_of(out) >= 1.0 + 1.0 / space.M - 1e-12
+
+
+def test_projection_sweep_at_d3_clears_the_oracle_floor():
+    # ||x|| = 10^U(-2, 1) and M = 2.148 + 10^U(-4, 3); a 1024-step grid
+    # passed results up to 9.3e-4 below the floor on such inputs
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        x = rng.normal(size=7)
+        x *= 10.0 ** rng.uniform(-2.0, 1.0) / np.linalg.norm(x)
+        space = theta2prime_space(3, 2.148 + 10.0 ** rng.uniform(-4.0, 3.0))
+        out = project_theta(x, space)
+        assert out @ out <= space.M
+        assert oracle_min_of(out) >= 1.0 + 1.0 / space.M - 1e-12
 
 
 def phi_on_grid(theta, d, grid):
@@ -408,6 +440,28 @@ class TestPhiMatrices:
         phi0, phi = phi_on_grid(COS_THETA, 1, 2 * estimators._QUAD_GRID)
         assert np.max(np.abs(p1.phi0 - phi0)) < 1e-10
         assert np.max(np.abs(p1.phi - phi)) < 1e-10
+
+    def test_phi0_is_exact_above_the_quadrature_grid(self):
+        # a^2 - 1 = 8.09 + 1.8 sqrt2 cos(1100 w) + 0.09 cos(2200 w), and phi0's
+        # integrand reaches degree 4d = 4400: 4096 points aliased it by 0.045
+        d = 1100
+        theta = np.zeros(2 * d + 1)
+        theta[d], theta[d + 1100] = 3.0, 0.3
+        try:
+            phi0 = phi_matrices(theta, d).phi0
+        finally:
+            estimators._grid_design.cache_clear()
+        # F[m] = (1/2 pi) int (a^2 - 1) cos(m w) dw
+        F = np.zeros(4 * d + 1)
+        F[0], F[1100], F[2200] = 8.09, 0.9 * math.sqrt(2.0), 0.045
+        j = np.arange(1, d + 1)
+        diff, total = F[np.abs(j[:, None] - j)], F[j[:, None] + j]
+        exact = np.zeros((2 * d + 1, 2 * d + 1))
+        exact[d, d] = F[0]
+        exact[d, d + 1:] = exact[d + 1:, d] = math.sqrt(2.0) * F[j]
+        exact[d + 1:, d + 1:] = diff + total            # cos j w cos k w
+        exact[:d, :d] = (diff - total)[::-1, ::-1]      # sin j w sin k w
+        assert np.max(np.abs(phi0 - exact)) < 1e-12
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(8)

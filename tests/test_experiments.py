@@ -126,6 +126,14 @@ class TestWhiteNoise:
         with pytest.raises(RangeError):
             simulate_white_noise(COS_DENSITY, 32, 32, "arccosh", RngStream(1, 0))
 
+    def test_huge_local_center_keeps_the_noise_finite(self):
+        # sqrt(c^2 - 1) overflowed in c^2 above 1.34e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = simulate_white_noise(COS_DENSITY, 16, 64, "local", RngStream(1, 0),
+                                        a0=SpectralDensity.constant(1e200))
+        assert np.all(np.isfinite(path.cumulative))
+
     def test_huge_symbol_drift_is_finite(self):
         # log(a + sqrt(a * a - 1)) overflowed in a * a above 1.34e154
         with warnings.catch_warnings():

@@ -4,7 +4,7 @@ import pathlib
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from qsts.errors import HermitianSymmetryViolation, InputError, RangeError
 from qsts.spectral import (
@@ -25,6 +25,7 @@ from qsts.spectral import (
 
 from oracles import (
     coeffs_by_lag_loop,
+    density_min_oracle,
     density_by_exponentials,
     l2_distance_sq,
     step_function_values,
@@ -201,6 +202,26 @@ class TestMembership:
         amin, at = density_min(COS_2_05)
         assert amin == pytest.approx(1.0, abs=1e-10)
         assert abs(abs(at) - math.pi) < 1e-6
+
+    @given(densities())
+    def test_density_min_against_the_oracle(self, a):
+        # the grid surrogate for K_max > 2 sat up to 1e-3 above the minimum
+        amin, at = density_min(a)
+        scale = float(np.abs(a.full_coeffs()).sum())
+        assert abs(amin - float(density_min_oracle(a.coeffs)[0])) <= 1e-13 * scale
+        assert eval_density(a, at) == pytest.approx(amin, abs=1e-13 * scale)
+
+    @given(densities(), st.floats(-8.9, -1.0), st.booleans())
+    def test_membership_agrees_with_the_oracle(self, a, exponent, above):
+        # a_0 puts the floor 10^exponent above or below the 40-digit minimum
+        space = theta2_space(a.k_max, 1e4)
+        floor = 1.0 + 1.0 / space.M
+        base = density_min_oracle(np.r_[0.0, a.coeffs[1:]])[0]
+        c = a.coeffs.copy()
+        c[0] = floor - float(base) + (1.0 if above else -1.0) * 10.0 ** exponent
+        true_min = base + mpmath.mpf(c[0].real)
+        assume(abs(true_min - floor) > 1e-9)
+        assert membership(SpectralDensity(c), space).member == (true_min >= floor)
 
 
 class TestLocalAverages:

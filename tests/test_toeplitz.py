@@ -15,7 +15,7 @@ from qsts.errors import (
     NotToeplitz,
     RangeError,
 )
-from qsts.spectral import SpectralDensity, density_grid, eval_density, fourier_frequencies
+from qsts.spectral import SpectralDensity, eval_density, fourier_frequencies
 from qsts.toeplitz import (
     SymbolMatrix,
     _lag_floor,
@@ -34,6 +34,7 @@ from qsts.toeplitz import (
 from oracles import (
     circulant_by_coeff_loop,
     dense_dft_conjugate,
+    density_min_oracle,
     diagonalization_residue,
     op_norm,
 )
@@ -409,6 +410,15 @@ class TestEigenBracket:
         assert hi == pytest.approx(2.5, abs=1e-9)
         assert 1.5 - 1e-9 <= lam_min <= lam_max <= 2.5 + 1e-9
 
+    def test_extremes_are_the_oracle_extremes(self):
+        # K_max = 3, extremes between the points of a 4097-point grid, which
+        # put inf a 1.6e-6 too high
+        a = SpectralDensity(np.array([3.0, 0.4 + 0.3j, -0.35, 0.2j]))
+        _, _, lo, hi, ok = eigen_bracket_check(a, 16)
+        assert ok
+        assert lo == pytest.approx(float(density_min_oracle(a.coeffs)[0]), abs=1e-14)
+        assert hi == pytest.approx(-float(density_min_oracle(-a.coeffs)[0]), abs=1e-14)
+
     def test_lambda_min_decreases_toward_inf(self):
         mins = [eigen_bracket_check(COS_2_HALF, n)[0] for n in (4, 8, 16, 32)]
         assert all(b <= a + 1e-12 for a, b in zip(mins, mins[1:]))
@@ -517,7 +527,7 @@ class TestSpectrumProperties:
         ks = np.arange(a.k_max + 1)
         grid = 8192
         slack = np.sum(2.0 * ks ** 2 * np.abs(a.coeffs)) * (math.pi / grid) ** 2 / 2.0
-        _, vals = density_grid(a, grid)
+        vals = eval_density(a, np.linspace(-math.pi, math.pi, grid + 1))
         slack += 1e-12 * (1.0 + np.max(np.abs(vals)))
         assert np.min(vals) - slack <= lams[0]
         assert lams[-1] <= np.max(vals) + slack
