@@ -10,6 +10,8 @@ from qsts.errors import HermitianSymmetryViolation, InputError, RangeError
 from qsts.spectral import (
     RealParam,
     SpectralDensity,
+    _certified_min,
+    _grid_size,
     density_min,
     eval_density,
     fourier_truncate,
@@ -207,9 +209,12 @@ class TestMembership:
     def test_density_min_against_the_oracle(self, a):
         # the grid surrogate for K_max > 2 sat up to 1e-3 above the minimum
         amin, at = density_min(a)
-        scale = float(np.abs(a.full_coeffs()).sum())
-        assert abs(amin - float(density_min_oracle(a.coeffs)[0])) <= 1e-13 * scale
+        scale, exact = float(np.abs(a.full_coeffs()).sum()), density_min_oracle(a.coeffs)[0]
+        assert abs(amin - float(exact)) <= 1e-13 * scale
         assert eval_density(a, at) == pytest.approx(amin, abs=1e-13 * scale)
+        # the certified bound, on the first grid and a refined one
+        for G in (_grid_size(a.k_max), 4 * _grid_size(a.k_max)):
+            assert _certified_min(a.full_coeffs(), G)[0] <= exact
 
     @given(densities(), st.floats(-8.9, -1.0), st.booleans())
     def test_membership_agrees_with_the_oracle(self, a, exponent, above):
