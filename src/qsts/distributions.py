@@ -19,11 +19,16 @@ from .spectral import SpectralDensity, _grid_size, _on_grid, density_min
 _CHERNOFF_GRID = 4096
 
 
-def p_of_a(a: float) -> float:
-    """Geometric parameter p = (a - 1)/(a + 1) of the thermal symbol 1 < a < inf."""
+def _symbol(a: float) -> float:
+    """``a`` itself if 1 < a < inf, else RangeError; nan fails the test too."""
     if not 1.0 < a < math.inf:
         raise RangeError(f"need 1 < a < inf, got {a!r}")
-    return (a - 1.0) / (a + 1.0)
+    return a
+
+
+def p_of_a(a: float) -> float:
+    """Geometric parameter p = (a - 1)/(a + 1) of the thermal symbol 1 < a < inf."""
+    return (_symbol(a) - 1.0) / (a + 1.0)
 
 
 class GeoStats(NamedTuple):
@@ -79,10 +84,7 @@ def hellinger_geo(lam: float, mu: float):
     (lam - mu)^2 / ((lam - 1)(mu - 1)), and h2_exact <= h2_bound always.
     Needs 1 < lam, mu < inf; RangeError when h2_bound overflows.
     """
-    for a in (lam, mu):
-        if not 1.0 < a < math.inf:
-            raise RangeError(f"need 1 < a < inf, got {a!r}")
-    return float(hellinger_geo_exact(lam, mu)), _ratio_bound(1.0, lam, mu)
+    return float(hellinger_geo_exact(_symbol(lam), _symbol(mu))), _ratio_bound(1.0, lam, mu)
 
 
 def hellinger_geo_exact(a1, a2):
@@ -111,9 +113,7 @@ def nb_hellinger_bound_symbols(r: float, a1: float, a2: float) -> float:
     """
     if not 0.0 < r < math.inf:
         raise RangeError(f"r needs 0 < r < inf, got {r!r}")
-    if not (1.0 < a1 < math.inf and 1.0 < a2 < math.inf):
-        raise RangeError(f"need 1 < a_i < inf, got {a1!r}, {a2!r}")
-    return _ratio_bound(r, a1, a2)
+    return _ratio_bound(r, _symbol(a1), _symbol(a2))
 
 
 def nb_hellinger_bound_shapes(r1: float, r2: float) -> float:
@@ -177,8 +177,7 @@ def chernoff_geo(a0: float, a1: float, t: float) -> float:
 
     psi(t) = -log (1/2) [(a0+1)^t (a1+1)^{1-t} - (a0-1)^t (a1-1)^{1-t}].
     """
-    if a0 <= 1.0 or a1 <= 1.0:
-        raise RangeError("need a_i > 1")
+    a0, a1 = _symbol(a0), _symbol(a1)
     if not 0.0 <= t <= 1.0:
         raise RangeError("t must lie in [0, 1]")
     bracket = ((a0 + 1.0) ** t * (a1 + 1.0) ** (1.0 - t)
@@ -259,9 +258,7 @@ def chernoff_quantum_inf(a0: SpectralDensity, a1: SpectralDensity):
 
 def varstab_arccosh(a: float) -> float:
     """Variance-stabilizing transform g(a) = arccosh a = log(a + sqrt(a^2 - 1))."""
-    if a <= 1.0:
-        raise RangeError("need a > 1")
-    return math.acosh(a)
+    return math.acosh(_symbol(a))
 
 
 def varstab_ode_residual(a: float) -> float:
@@ -270,9 +267,7 @@ def varstab_ode_residual(a: float) -> float:
     g' must equal the square root of the geometric Fisher information;
     the residual is pure floating point noise, below 1e-12.
     """
-    if a <= 1.0:
-        raise RangeError("need a > 1")
-    s = math.sqrt(a - 1.0) * math.sqrt(a + 1.0)
+    s = math.sqrt(_symbol(a) - 1.0) * math.sqrt(a + 1.0)
     g_prime = (1.0 + a / s) / (a + s)
     return abs(g_prime - 1.0 / s)
 

@@ -17,20 +17,18 @@ gates have already put both spectra above 1, so the pass checks nothing,
 and x and y share one buffer with a single pass of g over it.  Each
 element takes the operations of g(x) and g(y) computed apart
 (``entropy_per_block`` in ``tests/oracles.py``), so the sum does not
-depend on the fusion.  Two symbols with
-equal entries give exactly 0 after the faithfulness gate on the first,
-with no solve of the second and no KL sum.  That gate
-(``SymbolMatrix.lambda_min_exceeds``) reads the eigenvalues of a symbol
-already solved, and solves nothing for a lag-built symbol whose lag
-polynomial clears it: by Grenander & Szego (*Toeplitz Forms and Their
-Applications*, 1958) lambda_min(A_n) >= min_w sum_{|k|<n} a_k e^{ikw},
-taken on a grid of G >= 8n points by one FFT, less the slope term
-(pi/G) sum |k||a_k| and an allowance 4 (n + log2 G) eps sum |a_k| for the
-FFT's and the eigensolver's rounding.  A symbol whose floor falls short,
-or that has no lags, takes its one solve and gates on its eigenvalues, so
-the inputs that raise and the message they print do not depend on the
-floor.  No Fock-space density operator is ever materialized; the one
-exception is the photon number law of a single thermal mode.
+depend on the fusion.  Two symbols with equal entries give exactly 0
+after the faithfulness gate on the first, with no solve of the second and
+no KL sum.  That gate (``SymbolMatrix.lambda_min_exceeds``) reads the
+eigenvalues of a symbol already solved, and solves nothing for a
+lag-built symbol whose lag floor clears it: the Grenander & Szego bound,
+its lag polynomial's minimum on an FFT grid less the curvature term and
+rounding allowance of ``spectral._grid_slack`` (see the ``toeplitz`` docstring).
+A symbol whose floor falls short, or that has no lags, takes its one
+solve and gates on its eigenvalues, so the inputs that raise and the
+message they print do not depend on the floor.  No Fock-space density
+operator is ever materialized; the one exception is the photon number
+law of a single thermal mode.
 """
 
 from __future__ import annotations

@@ -40,8 +40,8 @@ from .toeplitz import (
 
 _PSD_TOL = 1e-10
 
-#: points per unit circle of the generating-function inversion
-_PGF_GRID = 64
+#: most (k_max + 1)^m 2^m terms of the joint_pmf_from_pgf recurrence (m = 3 to k_max = 31)
+_PGF_BUDGET = 2 ** 18
 
 #: distinct (density, block size) samplers kept per process by sample_pi_blocks
 _SAMPLER_CACHE_SIZE = 8
@@ -155,10 +155,8 @@ def pi_moments(A) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of the observable vector Pi = 2N + 1.
 
     mean_j = u_j* A u_j and Cov(Pi) = (U* A U)^[2] - I; requires a strictly
-    faithful symbol (lambda_min(A) > 1).  A lag-built symbol whose lag floor
-    (Grenander & Szego: lambda_min >= min of its lag polynomial, less the
-    grid curvature and rounding allowance of ``SymbolMatrix.lambda_min_exceeds``)
-    clears 1 runs no eigensolve; any other symbol gates on its eigenvalues.
+    faithful symbol (lambda_min(A) > 1), gated by
+    ``SymbolMatrix.lambda_min_exceeds``, which solves nothing when the lags certify it.
     """
     A = as_symbol(A)
     if not A.lambda_min_exceeds(1.0):
@@ -302,26 +300,35 @@ def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
 
 
 def joint_pmf_from_pgf(A, k_max: int = 12) -> np.ndarray:
-    """Joint pmf of N on {0..k_max}^m by inverting the generating function.
+    """Exact joint pmf of N on {0..k_max}^m from the generating function 1 / D(z).
 
-    E prod z_j^{N_j} = 1 / det(I + Q'(I - Z)); the inversion samples each
-    z_j on the _PGF_GRID-point unit circle, takes one stacked determinant
-    over the whole grid^m torus and one inverse DFT.  Only for m <= 2 (cost
-    grows like _PGF_GRID^m) and 0 <= k_max < _PGF_GRID: the inversion folds
-    the mass of k + _PGF_GRID onto k, so a larger k_max would alias.
+    D(z) = det(I + Q'(I - Z)) = sum_S M_S prod_{i in S} (1 - z_i) over the principal
+    minors M_S >= 0 of Q', so D = sum_e c_e z^e, e in {0, 1}^m, where c_e =
+    (-1)^|e| sum_{S >= e} M_S sums terms of one sign.  D G = 1 gives g_0 = 1 / c_0 and
+    c_0 g_k = -sum_{e != 0} c_e g_{k-e}, g = 0 off the orthant (Miller's power
+    recurrence at r = 1; Knuth, TAOCP vol. 2, 4.7): one product per level |k|.
+    NotPSD below the sampler's lambda_min(A) = 1 - 2 _PSD_TOL; RangeError for
+    k_max < 0, (k_max+1)^m 2^m > _PGF_BUDGET or a non-finite c_e.
     """
-    M = as_symbol(A).entries
-    m = M.shape[0]
-    if m > 2:
-        raise DimensionError("generating-function inversion supports m <= 2")
-    if not 0 <= k_max < _PGF_GRID:
-        raise RangeError(f"generating-function inversion needs 0 <= k_max < {_PGF_GRID}, "
-                         f"got {k_max}")
-    eye = np.eye(m)
-    Q = 0.5 * (_dft_conjugate(M) - eye)
-    z = np.exp(2j * math.pi * np.arange(_PGF_GRID) / _PGF_GRID)
-    # diag(z_1, .., z_m) at every point of the torus, shape (_PGF_GRID,) * m + (m, m)
-    Z = np.stack(np.meshgrid(*[z] * m, indexing="ij"), axis=-1)[..., None] * eye
-    vals = 1.0 / np.linalg.det(eye + Q @ (eye - Z))
-    pmf = np.fft.fftn(vals) / _PGF_GRID ** m
-    return np.clip(pmf[(slice(k_max + 1),) * m].real, 0.0, None)
+    A = as_symbol(A)
+    m, P = A.n, k_max + 2
+    if k_max < 0 or (2 * k_max + 2) ** m > _PGF_BUDGET:
+        raise RangeError(f"need 0 <= k_max, (k_max+1)^m 2^m <= {_PGF_BUDGET}; got {k_max}, m={m}")
+    if not A.lambda_min_exceeds(1.0 - 2.0 * _PSD_TOL):
+        raise NotPSD(f"Q' has eigenvalue {0.5 * (A.eigenvalues[0] - 1.0):.3g} < -{_PSD_TOL:g}")
+    Q = 0.5 * (_dft_conjugate(A.entries) - np.eye(m))
+    E = np.indices((2,) * m).reshape(m, -1).T == 1     # rows e (and S), e = 0 first
+    with np.errstate(all="ignore"):
+        M = np.linalg.det(np.where(E[:, :, None] & E[:, None, :], Q, np.eye(m))).real
+        c = (-1.0) ** E.sum(axis=1) * (np.all(E[None] >= E[:, None], axis=2) @ M)
+    if not np.all(np.isfinite(c)):
+        raise RangeError("a coefficient of det(I + Q'(I - Z)) is not finite")
+    # g_k sits at k + 1 of a flat P^m array whose zero first layers hold the k_i = -1
+    ks = np.indices((P - 1,) * m).reshape(m, -1)
+    level = ks.sum(axis=0)
+    at = np.ravel_multi_index(tuple(ks[:, np.argsort(level, kind="stable")] + 1), (P,) * m)
+    back = E[1:] @ P ** np.arange(m - 1, -1, -1)
+    g = (np.arange(P ** m) == at[0]) / c[0]                # g_0 = 1 / c_0, else 0 so far
+    for cells in np.split(at, np.cumsum(np.bincount(level))[:-1])[1:]:   # levels 1, 2, ...
+        g[cells] = (-c[1:] / c[0]) @ g[cells - back[:, None]]
+    return g.reshape((P,) * m)[(slice(1, None),) * m]

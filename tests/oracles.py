@@ -6,6 +6,7 @@ of a quantity the package computes another way, or a law it never samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -442,3 +443,34 @@ def density_min_oracle(coeffs) -> tuple[mpmath.mpf, float]:
             if value < best:
                 best, where = value, float(w)
     return best, math.remainder(where, 2.0 * math.pi)
+
+
+def pgf_coefficients_mp(Qp: np.ndarray, k_max: int, dps: int = 40) -> np.ndarray:
+    """Coefficients of 1 / det(I + Q'(I - Z)) on {0..k_max}^m at ``dps`` digits.
+
+    The literal cell-by-cell recurrence c_0 g_k = -sum_{e != 0} c_e g_{k-e},
+    with each c_e the mpmath determinant of I + Q' whose columns in e are
+    those of -Q'.
+    """
+    m = Qp.shape[0]
+    with mpmath.workdps(dps):
+        Q = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in Qp])
+        c = {}
+        for e in itertools.product((0, 1), repeat=m):
+            M = mpmath.matrix(m, m)
+            for i, j in itertools.product(range(m), repeat=2):
+                M[i, j] = -Q[i, j] if e[j] else int(i == j) + Q[i, j]
+            c[e] = mpmath.re(mpmath.det(M))
+        zero = (0,) * m
+        g = {}
+        for k in itertools.product(range(k_max + 1), repeat=m):
+            total = mpmath.mpf(1) if k == zero else mpmath.mpf(0)
+            for e, ce in c.items():
+                back = tuple(ki - ei for ki, ei in zip(k, e))
+                if e != zero and min(back) >= 0:
+                    total -= ce * g[back]
+            g[k] = total / c[zero]
+        out = np.empty((k_max + 1,) * m)
+        for k, v in g.items():
+            out[k] = float(v)
+    return out

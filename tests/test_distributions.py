@@ -298,6 +298,15 @@ class TestNbSample:
 
 
 class TestChernoff:
+    @pytest.mark.parametrize("a0, a1", [(math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0),
+                                        (1.0, 2.0)])
+    def test_symbols_outside_one_to_inf_are_refused(self, a0, a1):
+        # a nan passed the old a <= 1 test: chernoff_geo returned nan, the infimum (t, nan)
+        with pytest.raises(RangeError, match="1 < a < inf"):
+            chernoff_geo(a0, a1, 0.5)
+        with pytest.raises(RangeError, match="1 < a < inf"):
+            chernoff_geo_inf(a0, a1)
+
     def test_equal_symbols_zero(self):
         for t in (0.0, 0.3, 1.0):
             assert chernoff_geo(3.0, 3.0, t) == pytest.approx(0.0, abs=1e-14)
@@ -408,6 +417,13 @@ class TestVarstab:
         # a * a overflowed above 1.34e154: arccosh read inf and the residual 0
         assert varstab_arccosh(1e200) == 461.2101657793691
         assert math.isfinite(varstab_ode_residual(1e200))
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, 1.0])
+    def test_symbols_outside_one_to_inf_are_refused(self, a):
+        # nan once mapped to nan and inf to inf, with no error
+        for fn in (varstab_arccosh, varstab_ode_residual):
+            with pytest.raises(RangeError, match="1 < a < inf"):
+                fn(a)
 
     def test_finite_difference(self):
         a, h = 3.0, 1e-6

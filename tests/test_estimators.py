@@ -162,6 +162,29 @@ class TestFixedPoints:
             np.testing.assert_allclose(scaled, base, atol=1e-10)
 
 
+class TestExactAtTheAnalyticMean:
+    """Both estimators return theta from exact_pi_bar_mean(theta, m), for any admissible theta."""
+
+    @given(st.data())
+    def test_exact_at_the_analytic_mean(self, data):
+        d = data.draw(st.integers(0, 3))
+        m = data.draw(st.integers(d, 15)) * 2 + 1                  # odd, 2d + 1 <= m <= 31
+        coef = st.floats(-1.0, 1.0)
+        theta = np.array(data.draw(st.lists(coef, min_size=2 * d + 1, max_size=2 * d + 1)))
+        # a_theta >= theta_0 - sqrt(2) sum_{j != 0} |theta_j| > 1
+        slack = data.draw(st.floats(0.1, 5.0))
+        theta[d] = 1.0 + math.sqrt(2.0) * (np.abs(theta).sum() - abs(theta[d])) + slack
+        # theta_0 + 0.1 outweighs the at most 0.006 (1 + 6 sqrt(2)) < 0.06 that eps takes off
+        eps = np.array(data.draw(st.lists(st.floats(-0.006, 0.006), min_size=2 * d + 1,
+                                          max_size=2 * d + 1)))
+        theta_bar = theta + eps
+        theta_bar[d] += 0.1
+        mean = exact_pi_bar_mean(theta, m)
+        tol = 1e-11 * (1.0 + np.linalg.norm(theta))
+        assert np.max(np.abs(preliminary_estimator(mean, m, d) - theta)) <= tol
+        assert np.max(np.abs(improved_estimator(mean, theta_bar, m, d) - theta)) <= tol
+
+
 class TestWeightedGate:
     """The 1e12 gate on cond(W' D^-1 W), read off its eigenvalues."""
 

@@ -2,9 +2,11 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qsts import estimators, measurement
 from qsts.errors import (
@@ -25,11 +27,12 @@ from qsts.measurement import (
     pi_moments,
     sample_pi_blocks,
 )
-from qsts.estimators import _w_matrix, preliminary_estimator
+from qsts.estimators import _w_matrix, design_matrices, preliminary_estimator
+from qsts.experiments import _chi2_sf
 from qsts.spectral import RealParam, SpectralDensity, fourier_frequencies, psi_matrix
 from qsts.toeplitz import SymbolMatrix, toeplitz_from_density
 
-from oracles import dense_dft_conjugate
+from oracles import dense_dft_conjugate, pgf_coefficients_mp
 
 COS_DENSITY = SpectralDensity.cosine(2.0, 0.5)   # 2 + 0.5 cos w
 
@@ -54,6 +57,24 @@ class TestBlockScheme:
     def test_invariant_checked(self):
         with pytest.raises(RangeError):
             BlockScheme(n=10, d=0, m=7, r=2)
+
+    @given(st.integers(8, 10 ** 7), st.integers(0, 64))
+    def test_scheme_invariants(self, n, d):
+        # floor(ln(n) / 2) is the largest k with e^(2k) <= n; no e^(2k) lies near an integer
+        m = 2 * max(k for k in range(9) if math.exp(2 * k) <= n) + 1
+        if m + d > n:
+            with pytest.raises(TooSmall):
+                block_scheme(n, d)
+            return
+        s = block_scheme(n, d)
+        assert s.m == m and s.m % 2 == 1 and s.r >= 1
+        assert s.r * (s.m + d) <= n < (s.r + 1) * (s.m + d)
+        half = (s.m - 1) // 2
+        theta = np.zeros(2 * half + 1)
+        theta[half] = 2.0
+        assert design_matrices(s.m, half, theta).W.shape == (s.m, s.m)
+        with pytest.raises(DimensionError):
+            design_matrices(s.m, half + 1, np.append(theta, [0.0, 0.0]))
 
 
 class TestPiMoments:
@@ -180,13 +201,90 @@ class TestSampler:
         expect = 0.5 * 0.5 ** np.arange(11)
         np.testing.assert_allclose(pmf, expect, atol=1e-10)
 
-    def test_pgf_refuses_an_aliasing_k_max(self):
-        # the 64-point inversion folds k + 64 onto k: k_max = 100 once gave 64 values
+    def test_pgf_k_max_has_no_alias_bound(self):
+        # a 64-point inversion once folded k + 64 onto k, so k_max >= 64 was refused
         A = SymbolMatrix(np.array([[3.0]], dtype=complex))
-        assert joint_pmf_from_pgf(A, k_max=63).shape == (64,)
-        for k_max in (64, 100, -1):
-            with pytest.raises(RangeError, match="k_max"):
-                joint_pmf_from_pgf(A, k_max=k_max)
+        np.testing.assert_allclose(joint_pmf_from_pgf(A, k_max=100), 0.5 ** np.arange(1, 102),
+                                   rtol=1e-14, atol=0.0)
+        with pytest.raises(RangeError, match="k_max"):
+            joint_pmf_from_pgf(A, k_max=-1)
+
+
+class TestExactLaw:
+    """joint_pmf_from_pgf: the coefficient recurrence of 1 / det(I + Q'(I - Z))."""
+
+    @pytest.mark.parametrize("a", [20.0, 100.0, 1000.0])
+    def test_one_mode_is_geometric(self, a):
+        # the 64-point inversion was 0.385 off at a = 100 (the mass p^64 folded onto k)
+        p = (a - 1.0) / (a + 1.0)
+        for k_max in (5, 40, 100):
+            pmf = joint_pmf_from_pgf(SymbolMatrix([[a]]), k_max)
+            np.testing.assert_allclose(pmf, (1.0 - p) * p ** np.arange(k_max + 1),
+                                       rtol=1e-12, atol=0.0)
+            assert abs(pmf.sum() + p ** (k_max + 1) - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("m, k_max", [(2, 40), (3, 12)])
+    @pytest.mark.parametrize("a", [3.0, 100.0])
+    def test_random_symbols_match_a_40_digit_recurrence(self, m, k_max, a):
+        # I + (a - 1)/2 (B - I) for B = generic_hermitian: diagonal a, lambda_min >= (a + 1)/2
+        I = np.eye(m)
+        A = SymbolMatrix(I + 0.5 * (a - 1.0) * (generic_hermitian(m, m + int(a)).entries - I))
+        exact = pgf_coefficients_mp(q_prime(A), k_max)
+        pmf = joint_pmf_from_pgf(A, k_max)
+        assert np.all(exact > 0.0)
+        assert np.max(np.abs(pmf / exact - 1.0)) < 1e-12
+
+    def test_three_modes_give_a_pmf(self):
+        # m = 3 was refused with DimensionError
+        pmf = joint_pmf_from_pgf(toeplitz_from_density(COS_DENSITY, 3), 30)
+        assert pmf.shape == (31, 31, 31) and np.all(pmf > 0.0)
+        assert 1.0 - 1e-6 < pmf.sum() < 1.0
+
+    def test_budget(self):
+        A = toeplitz_from_density(COS_DENSITY, 3)
+        assert measurement._PGF_BUDGET == 2 ** 18
+        assert joint_pmf_from_pgf(A, 31).shape == (32,) * 3     # 32^3 2^3 = 2^18 terms
+        with pytest.raises(RangeError, match="k_max"):
+            joint_pmf_from_pgf(A, 32)
+
+    def test_not_psd_refused(self):
+        # [[0.5]] once gave a "pmf" of mass 1.4998 with P(0) = 1.333
+        with pytest.raises(NotPSD):
+            joint_pmf_from_pgf([[0.5]])
+        # the sampler's threshold: lambda_min(A) >= 1 - 2 _PSD_TOL passes
+        edge = 1.0 - measurement._PSD_TOL
+        assert joint_pmf_from_pgf([[edge]], 3)[0] == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(NotPSD):
+            joint_pmf_from_pgf([[1.0 - 3.0 * measurement._PSD_TOL]], 3)
+
+    def test_overflowing_coefficients_refused(self):
+        # diag(1e200, 1e200) once returned NaNs after a numpy overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="not finite"):
+                joint_pmf_from_pgf(np.diag([1e200, 1e200]))
+
+    def test_blocked_sampler_follows_the_two_block_law(self):
+        # block_scheme(8, 0): r = 2 blocks of m = 3; the block sums have the law
+        # of the single-block pmf convolved with itself
+        scheme = block_scheme(8, 0)
+        assert (scheme.m, scheme.r) == (3, 2)
+        p = joint_pmf_from_pgf(toeplitz_from_density(COS_DENSITY, 3), 12)
+        law = np.zeros_like(p)
+        for j in np.ndindex(p.shape):
+            law[j[0]:, j[1]:, j[2]:] += p[j] * p[:13 - j[0], :13 - j[1], :13 - j[2]]
+        reps = 8000
+        counts = np.zeros_like(p)
+        for i in range(reps):
+            s = sample_pi_blocks(COS_DENSITY, scheme, RngStream(61, i)).blocks.sum(axis=0)
+            if s.max() <= 12:
+                counts[tuple(s)] += 1
+        expected = reps * law
+        cells = expected >= 5.0
+        rest = reps - expected[cells].sum(), reps - counts[cells].sum()
+        stat = float(np.sum((counts[cells] - expected[cells]) ** 2 / expected[cells])
+                     + (rest[1] - rest[0]) ** 2 / rest[0])
+        assert _chi2_sf(int(cells.sum()), stat) > 1e-3
 
 
 class TestBlocks:
