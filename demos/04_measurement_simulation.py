@@ -46,6 +46,7 @@ print("coefficient estimates (a_-1, a_0, a_1):",
       np.round([est.coeff(j) for j in (-1, 0, 1)], 4))
 print("truth:                                 ", [0.25, 2.0, 0.25])
 
-# all r blocks come from the one stream, so the draw is reproducible
+# the draw takes the column totals from the one stream, and the r blocks,
+# drawn when first read, come from it too, so the draw is reproducible
 again = sample_pi_blocks(cos, scheme, RngStream(7, 2))
 print("\nsame stream, same draw:", bool(np.array_equal(draw.blocks, again.blocks)))

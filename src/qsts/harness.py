@@ -4,8 +4,9 @@ Every random quantity in the package is drawn from a stream addressed by an
 integer path (seed, stream_id).  Streams are Philox counter-based
 generators keyed through numpy's SeedSequence hash of the path.  Monte Carlo
 replicate i owns the stream (seed, i) and draws everything from its one
-generator (a blocked measurement takes all r blocks as one batch), so it can
-be regenerated in isolation.  Replicates run serially in replicate order and
+generator (a blocked measurement draws its column totals, and its blocks
+when they are read, from that generator), so it can be regenerated in
+isolation.  Replicates run serially in replicate order and
 summaries are plain numpy reductions over that fixed row order, so results
 are deterministic.
 

@@ -9,6 +9,13 @@ Marginals are geometric with parameter p(M_jj), means are Q'_jj and
 cross covariances |Q'_jk|^2, which is what the moment formulas demand; the
 probability generating function is det(I + Q'(I - Z))^{-1}.  The
 observable vectors 2N + 1 feed the estimators in ``estimators``.
+
+The blocked measurement draws r such blocks of one symbol, and the
+estimators read only their column sums.  ``sample_pi_blocks`` draws those
+sums from their exact law, a Poisson mixture whose means come from the
+complex Bartlett decomposition of Z*Z, in about m^2 + m random numbers;
+the r x m outcomes themselves are drawn only when read, conditional on
+the sums, so the joint law is that of r independent blocks.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from typing import IO
 import numpy as np
 
 from .errors import (
-    DimensionError,
     NotFaithful,
     NotPSD,
     RangeError,
@@ -43,8 +49,8 @@ _PSD_TOL = 1e-10
 #: most (k_max + 1)^m 2^m terms of the joint_pmf_from_pgf recurrence (m = 3 to k_max = 31)
 _PGF_BUDGET = 2 ** 18
 
-#: distinct (density, block size) samplers kept per process by sample_pi_blocks
-_SAMPLER_CACHE_SIZE = 8
+#: distinct (density, block size) factors kept per process by sample_pi_blocks
+_FACTOR_CACHE_SIZE = 8
 
 #: Toeplitz symbols with at least this many modes are sampled by circulant
 #: embedding.  Below it the dense factor builds and draws once as fast or
@@ -86,29 +92,34 @@ def block_scheme(n: int, d: int) -> BlockScheme:
     return BlockScheme(n=n, d=d, m=m, r=r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementDraw:
-    """Simulated number outcomes per block and the averaged observable.
+    """Simulated number outcomes of the blocked measurement.
 
-    ``blocks`` is the r x m integer matrix of N outcomes; ``pi_bar`` is the
-    length-m average of 2 N + 1 over blocks, computed from them when first read.
+    ``totals`` holds the m column sums sum_b N_bj of the r x m integer
+    outcomes, and ``pi_bar`` the length-m average of 2 N + 1 over blocks,
+    (2 totals + r) / r: the bytes of np.mean(2.0 * blocks + 1.0, axis=0),
+    since the integer sums are exact in floats.  ``blocks``, the outcomes
+    themselves, are drawn when first read, from the generator that drew the
+    totals, conditional on them (``_conditional_blocks``).
     """
 
-    blocks: np.ndarray
+    totals: np.ndarray
     scheme: BlockScheme
-    seed_path: tuple = field(default=(), compare=False)
-    density_label: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        b = np.asarray(self.blocks)
-        if b.shape != (self.scheme.r, self.scheme.m):
-            raise DimensionError("blocks matrix does not match the scheme")
-        if np.any(b < 0):
-            raise RangeError("number outcomes must be nonnegative")
+    seed_path: tuple = ()
+    density_label: str = ""
+    #: T B^T of the draw and its generator, positioned after the totals
+    amplitudes: np.ndarray | None = field(default=None, repr=False)
+    gen: np.random.Generator | None = field(default=None, repr=False)
 
     @functools.cached_property
     def pi_bar(self) -> np.ndarray:
-        return np.mean(2.0 * self.blocks + 1.0, axis=0)
+        r = self.scheme.r
+        return (2.0 * self.totals + r) / r
+
+    @functools.cached_property
+    def blocks(self) -> np.ndarray:
+        return _conditional_blocks(self.gen, self.amplitudes, self.totals, self.scheme.r)
 
     def write_csv(self, fh: IO[str], no_timestamp: bool = True):
         """CSV rows (block, j, N) preceded by a JSON header comment line.
@@ -237,8 +248,9 @@ class NumberOpSampler:
       faster for small m.
 
     With ``faithful=True`` a symbol with lambda_min(A) <= 1 raises
-    NotFaithful.  ``sample_pi_blocks`` keeps one sampler per block symbol
-    for the whole process.
+    NotFaithful.  ``sample_pi_blocks`` does not use this class: it keeps
+    the factor B of each block symbol for the whole process
+    (``_block_factor``) and draws the column sums of its blocks directly.
     """
 
     def __init__(self, A, faithful: bool = False):
@@ -274,29 +286,79 @@ class NumberOpSampler:
         return N[0] if size is None else N
 
 
-@functools.lru_cache(maxsize=_SAMPLER_CACHE_SIZE)
-def _block_sampler(a: SpectralDensity, m: int) -> NumberOpSampler:
-    """Faithful sampler of A_m(a), keyed by the coefficient bytes of ``a`` (not its label)."""
-    return NumberOpSampler(toeplitz_from_density(a, m), faithful=True)
+@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _block_factor(a: SpectralDensity, m: int) -> np.ndarray:
+    """Read-only faithful factor B of A_m(a), keyed by the coefficients of ``a``, not its label.
+
+    The block size m = 2 floor(log(n) / 2) + 1 stays below _EMBED_MIN_N for
+    every n, so this is the map ``NumberOpSampler`` uses for the same symbol.
+    """
+    B = _poisson_mixture_factor(toeplitz_from_density(a, m), faithful=True)
+    B.setflags(write=False)
+    return B
+
+
+@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _upper_scale(k: int, m: int) -> np.ndarray:
+    """Read-only k x m matrix: sqrt(1/2) above the diagonal, 0 on and below it."""
+    U = np.triu(np.full((k, m), math.sqrt(0.5)), 1)
+    U.setflags(write=False)
+    return U
+
+
+def _conditional_blocks(gen: np.random.Generator, X: np.ndarray, totals: np.ndarray,
+                        r: int) -> np.ndarray:
+    """The r x m outcomes given their column sums ``totals``, for X = T B^T.
+
+    The normal matrix of the blocks is Z = Q T, with Q the Haar r x k
+    isometry (the QR factor of an r x k complex normal matrix, columns
+    rephased so that diag R > 0) independent of T.  Given Z the outcomes are
+    Poisson(lam), lam = |Q X|^2, whose columns sum to S, so given the totals
+    column j is Multinomial(totals_j, lam_.j / S_j).
+    """
+    re, im = gen.standard_normal((2, r, X.shape[0]))
+    Q, R = np.linalg.qr(re + 1j * im)
+    d = np.diagonal(R)
+    Q *= d / np.abs(d)
+    lam = abs_square(Q @ X)
+    return np.ascontiguousarray(gen.multinomial(totals, (lam / lam.sum(axis=0)).T).T)
 
 
 def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
                      stream: RngStream) -> MeasurementDraw:
-    """Draw r independent m-mode blocks and aggregate the averaged observable.
+    """Draw r independent m-mode blocks by their column sums; the blocks follow when read.
 
-    The r x m block matrix is one batch from the single generator of
-    ``stream``: it equals ``NumberOpSampler(toeplitz_from_density(a, m),
-    faithful=True).draw(stream, size=r)`` bit for bit, so the draw is
+    Block b is N_b ~ Poisson(|alpha_b|^2) with alpha_b = B z_b, B the factor
+    of A_m(a) and Z = (z_b) an r x m standard complex normal matrix.  Given Z
+    the column sums are independent Poisson(S_j), S_j = sum_b |alpha_bj|^2,
+    the diagonal of conj(B) Z*Z B^T.  By the complex Bartlett decomposition
+    (Goodman 1963; Anderson, An Introduction to Multivariate Statistical
+    Analysis, ch. 7) Z*Z = T*T in law, with T the k x m upper trapezoidal
+    matrix, k = min(r, m), T_ii = sqrt(Gamma(r - i)) and T_ij ~ CN(0, 1)
+    for j > i.  So S is the column sums of |T B^T|^2, and the totals take
+    about m^2 + m random numbers.  ``MeasurementDraw.blocks`` draws the
+    outcomes conditional on them, so (blocks, pi_bar) has the joint law of
+    r independent blocks.
+
+    Everything comes from the single generator of ``stream``, so the draw is
     deterministic given (seed path, scheme, density).  The block symbol must
-    satisfy lambda_min(A) > 1, else NotFaithful, on every call.
-
-    The sampler is built once per process for each (coefficient values of
-    ``a``, m): an equal-valued density built separately reuses it, whatever
-    its label, and the draw carries the label of the ``a`` passed in.
+    satisfy lambda_min(A) > 1, else NotFaithful, on every call.  The factor
+    is built once per process for each (coefficient values of ``a``, m): an
+    equal-valued density built separately reuses it, whatever its label,
+    and the draw carries the label of the ``a`` passed in.
     """
-    sampler = _block_sampler(a, scheme.m)
-    return MeasurementDraw(blocks=sampler.draw(stream, size=scheme.r), scheme=scheme,
-                           seed_path=stream.path, density_label=a.label)
+    r, m = scheme.r, scheme.m
+    k = min(r, m)
+    B = _block_factor(a, m)
+    gen = stream.generator()
+    re, im = gen.standard_normal((2, k, m))
+    T = re + 1j * im
+    T *= _upper_scale(k, m)
+    np.fill_diagonal(T, np.sqrt(gen.standard_gamma(np.arange(r, r - k, -1.0))))
+    X = T @ B.T
+    return MeasurementDraw(totals=gen.poisson(abs_square(X).sum(axis=0)), scheme=scheme,
+                           seed_path=stream.path, density_label=a.label,
+                           amplitudes=X, gen=gen)
 
 
 def joint_pmf_from_pgf(A, k_max: int = 12) -> np.ndarray:

@@ -189,7 +189,7 @@ class TestSimulateAndEstimate:
                          "--density", "cos:2,0.5", "--n", "65536", "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "8535549d82ccd0765869fca14d41f7166d69b0f81075d31c954fc790189e873d")
+            "21cab9b38e9d341366d1263500aec29867cc60a529ded793d99b21b75a2679d0")
 
     def test_measure_deterministic(self, tmp_path, capsys):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

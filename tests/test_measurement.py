@@ -265,8 +265,8 @@ class TestExactLaw:
                 joint_pmf_from_pgf(np.diag([1e200, 1e200]))
 
     def test_blocked_sampler_follows_the_two_block_law(self):
-        # block_scheme(8, 0): r = 2 blocks of m = 3; the block sums have the law
-        # of the single-block pmf convolved with itself
+        # block_scheme(8, 0): r = 2 blocks of m = 3 (r < m); the column totals have
+        # the law of the single-block pmf convolved with itself
         scheme = block_scheme(8, 0)
         assert (scheme.m, scheme.r) == (3, 2)
         p = joint_pmf_from_pgf(toeplitz_from_density(COS_DENSITY, 3), 12)
@@ -276,15 +276,36 @@ class TestExactLaw:
         reps = 8000
         counts = np.zeros_like(p)
         for i in range(reps):
-            s = sample_pi_blocks(COS_DENSITY, scheme, RngStream(61, i)).blocks.sum(axis=0)
+            s = sample_pi_blocks(COS_DENSITY, scheme, RngStream(61, i)).totals
             if s.max() <= 12:
                 counts[tuple(s)] += 1
-        expected = reps * law
-        cells = expected >= 5.0
-        rest = reps - expected[cells].sum(), reps - counts[cells].sum()
-        stat = float(np.sum((counts[cells] - expected[cells]) ** 2 / expected[cells])
-                     + (rest[1] - rest[0]) ** 2 / rest[0])
-        assert _chi2_sf(int(cells.sum()), stat) > 1e-3
+        assert pearson_p(counts, reps * law, reps) > 1e-3
+
+    @pytest.mark.parametrize("r", [2, 5])
+    def test_conditional_block_rows_follow_the_block_law(self, r):
+        # every row of the blocks drawn given the totals has the single-block law,
+        # for k = min(r, m) = r (r < m) and k = m
+        m = 3
+        scheme = BlockScheme(n=m * r, d=0, m=m, r=r)
+        p = joint_pmf_from_pgf(toeplitz_from_density(COS_DENSITY, m), 12)
+        reps = 4000
+        counts = np.zeros((2,) + p.shape)
+        for i in range(reps):
+            blocks = sample_pi_blocks(COS_DENSITY, scheme, RngStream(64, i)).blocks
+            for row, b in enumerate((0, r - 1)):
+                if blocks[b].max() <= 12:
+                    counts[row][tuple(blocks[b])] += 1
+        for row in counts:
+            assert pearson_p(row, reps * p, reps) > 1e-3
+
+
+def pearson_p(counts, expected, reps):
+    """Pearson p-value of cell counts against expected counts, cells below 5 merged."""
+    cells = expected >= 5.0
+    rest = reps - expected[cells].sum(), reps - counts[cells].sum()
+    stat = float(np.sum((counts[cells] - expected[cells]) ** 2 / expected[cells])
+                 + (rest[1] - rest[0]) ** 2 / rest[0])
+    return _chi2_sf(int(cells.sum()), stat)
 
 
 class TestBlocks:
@@ -338,15 +359,53 @@ class TestBlocks:
         se = np.sqrt(np.outer(var[:m], var[m:]) / rows.shape[0])
         assert np.all(np.abs(cross) < 5 * se)
 
-    def test_blocks_equal_sampler_batch(self):
-        # stream contract: the block matrix is one (r, m) batch of the sampler,
-        # also once sample_pi_blocks reuses its cached sampler
+    def test_blocks_sum_to_the_totals(self):
+        # the blocks, drawn when first read, sum to the totals column by column,
+        # and reading them leaves the bytes of pi_bar as they were
+        for n, d in ((8, 0), (64, 1), (4096, 1)):
+            scheme = block_scheme(n, d)
+            draw = sample_pi_blocks(COS_DENSITY, scheme, RngStream(29, n))
+            before = draw.pi_bar.tobytes()
+            assert draw.blocks.shape == (scheme.r, scheme.m)
+            assert draw.blocks.dtype == np.int64 and np.all(draw.blocks >= 0)
+            np.testing.assert_array_equal(draw.blocks.sum(axis=0), draw.totals)
+            assert draw.pi_bar.tobytes() == before
+            blocks_first = sample_pi_blocks(COS_DENSITY, scheme, RngStream(29, n))
+            np.testing.assert_array_equal(blocks_first.blocks, draw.blocks)
+            assert blocks_first.pi_bar.tobytes() == before
+
+    @pytest.mark.parametrize("m, r", [(5, 1), (5, 4), (5, 5), (5, 6), (9, 409)])
+    def test_totals_have_the_moments_of_r_blocks(self, m, r):
+        # totals = sum of r independent blocks: mean r (mean_Pi - 1)/2 and
+        # covariance r Cov(Pi)/4, for r below, at and above m
+        scheme = BlockScheme(n=(m + 1) * r, d=1, m=m, r=r)
+        mean_pi, cov_pi = pi_moments(toeplitz_from_density(COS_DENSITY, m))
+        reps = 10000
+        t = np.array([sample_pi_blocks(COS_DENSITY, scheme, RngStream(65, i)).totals
+                      for i in range(reps)], dtype=float)
+        mean, cov = r * 0.5 * (mean_pi - 1.0), r * 0.25 * cov_pi
+        assert np.all(np.abs(t.mean(axis=0) - mean) < 4.0 * np.sqrt(np.diag(cov) / reps))
+        assert np.linalg.norm(np.cov(t.T) - cov) / np.linalg.norm(cov) < 0.08
+
+    def test_totals_match_independent_sampler_batches(self):
+        # two-sample: the totals against column sums of r rows of NumberOpSampler,
+        # each coordinate binned at the pooled deciles
         scheme = block_scheme(4096, 1)
-        for i in (3, 4):
-            draw = sample_pi_blocks(COS_DENSITY, scheme, RngStream(29, i))
-            batch = NumberOpSampler(toeplitz_from_density(COS_DENSITY, scheme.m),
-                                    faithful=True).draw(RngStream(29, i), size=scheme.r)
-            np.testing.assert_array_equal(draw.blocks, batch)
+        sampler = NumberOpSampler(toeplitz_from_density(COS_DENSITY, scheme.m))
+        reps = 1500
+        fast = np.array([sample_pi_blocks(COS_DENSITY, scheme, RngStream(66, i)).totals
+                         for i in range(reps)])
+        slow = np.array([sampler.draw(RngStream(67, i), size=scheme.r).sum(axis=0)
+                         for i in range(reps)])
+        for j in range(scheme.m):
+            pooled = np.concatenate([fast[:, j], slow[:, j]])
+            edges = np.unique(np.quantile(pooled, np.linspace(0.1, 0.9, 9)))
+            table = np.array([np.bincount(np.searchsorted(edges, x, side="right"),
+                                          minlength=edges.size + 1)
+                              for x in (fast[:, j], slow[:, j])], dtype=float)
+            expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+            stat = float(np.sum((table - expected) ** 2 / expected))
+            assert _chi2_sf(edges.size, stat) > 1e-3 / scheme.m
 
     def test_one_generator_per_call(self, monkeypatch):
         calls = []
@@ -359,7 +418,7 @@ class TestBlocks:
         monkeypatch.setattr(RngStream, "generator", counted)
         scheme = block_scheme(4096, 1)
         for i in (1, 2):
-            sample_pi_blocks(COS_DENSITY, scheme, RngStream(31, i))
+            sample_pi_blocks(COS_DENSITY, scheme, RngStream(31, i)).blocks
         assert calls == [(31, 1), (31, 2)]
 
     @pytest.mark.parametrize("a0", [0.5, 0.75, 1.0])
@@ -450,11 +509,11 @@ def check_map(A, embeds):
 
 
 class TestBlockSamplerCache:
-    """sample_pi_blocks builds one sampler per (density values, m) per process."""
+    """sample_pi_blocks builds one block factor per (density values, m) per process."""
 
     @pytest.fixture(autouse=True)
     def cold_cache(self):
-        measurement._block_sampler.cache_clear()
+        measurement._block_factor.cache_clear()
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -497,7 +556,7 @@ class TestBlockSamplerCache:
         for _ in range(2):
             with pytest.raises(NotFaithful):
                 sample_pi_blocks(SpectralDensity.constant(0.75), scheme, RngStream(1, 0))
-        assert measurement._block_sampler.cache_info().currsize == 0
+        assert measurement._block_factor.cache_info().currsize == 0
 
     def test_draw_equals_two_normal_batches(self):
         # one (2, rows, width) batch is the real parts followed by the imaginary parts;
@@ -515,9 +574,9 @@ class TestBlockSamplerCache:
             np.testing.assert_array_equal(sampler.draw(RngStream(41, 0), size=5), expect)
 
     def test_cached_arrays_are_read_only(self):
-        sampler = measurement._block_sampler(COS_DENSITY, 9)
         cached = [_w_matrix(9, 1), estimators._f_diagonal(9, 1),
-                  estimators._grid_design(1, 512), sampler.factor,
+                  estimators._grid_design(1, 512), measurement._block_factor(COS_DENSITY, 9),
+                  measurement._upper_scale(9, 9),
                   NumberOpSampler(toeplitz_from_density(COS_DENSITY, E)).root]
         for arr in cached:
             with pytest.raises(ValueError):
