@@ -3,6 +3,10 @@
 The symbol value a > 1 of a thermal mode parameterizes a geometric law
 through p = (a - 1)/(a + 1); everything here is written in terms of a where
 that is the natural parameter.
+
+Both error exponents share one kernel, ``_chernoff_terms``, a sum of terms >= 0,
+so nothing cancels.  psi is a log-sum-exp of affine functions of t, so convex
+(Hoelder), as is its quantum mean: golden section finds the infimum with no guard.
 """
 
 from __future__ import annotations
@@ -172,25 +176,45 @@ def nb_sample(r: float, p: float, rng: np.random.Generator, size=None):
     return rng.poisson(lam)
 
 
-def chernoff_geo(a0: float, a1: float, t: float) -> float:
-    """Binary error exponent term for two geometric laws at mixing weight t,
+def _chernoff_terms(a0, a1):
+    """t -> psi(t) of Geo(p(a0)) against Geo(p(a1)), elementwise for 1 < a_i <= 1.7e308.
 
-    psi(t) = -log (1/2) [(a0+1)^t (a1+1)^{1-t} - (a0-1)^t (a1-1)^{1-t}].
+    psi(t) = log sum_k P0^t P1^(1-t) = -[t KL(p_t||p0) + (1-t) KL(p_t||p1)]/q_t, q = 1 - p,
+    p_t = p0^t p1^(1-t), KL(p_t||p_a) = p_a g(e) + q_a g(f) over Bernoulli laws, g of
+    ``geo_kl``, e = p_t/p_a - 1 = expm1((t-1)D) or expm1(tD), f = q_t/q_a - 1 = -(a-1)e/2,
+    D = log(p0/p1) = +-log1p(2|a0 - a1|/((hi+1)(lo-1))), log p = -log1p(2/(a-1)) and
+    q_t = -expm1(log p_t): no step overflows or loses digits as a -> 1 or inf.  q_a g(f)/q_t
+    is g(f)/r, r = q_t/q_a, or log r + 1/r - 1 where f leaves [-1/2, 1] and g(f) may
+    overflow.  Weights multiply before q_t divides, so a term of weight 0 stays 0.
     """
-    a0, a1 = _symbol(a0), _symbol(a1)
-    if not 0.0 <= t <= 1.0:
-        raise RangeError("t must lie in [0, 1]")
-    bracket = ((a0 + 1.0) ** t * (a1 + 1.0) ** (1.0 - t)
-               - (a0 - 1.0) ** t * (a1 - 1.0) ** (1.0 - t))
-    return -math.log(0.5 * bracket)
+    a = np.stack(np.broadcast_arrays(np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)))
+    hi, lo = a.max(axis=0), a.min(axis=0)
+    delta = np.copysign(np.log1p((hi - lo) / (hi + 1.0) * (2.0 / (lo - 1.0))), a[0] - a[1])
+    log_p, p, half = -np.log1p(2.0 / (a - 1.0)), (a - 1.0) / (a + 1.0), 0.5 * a + 0.5
+
+    def psi(t: float) -> np.ndarray:
+        if not 0.0 <= t <= 1.0:
+            raise RangeError("t must lie in [0, 1]")
+        qt = -np.expm1(t * log_p[0] + (1.0 - t) * log_p[1])
+        e = np.expm1(np.multiply.outer([t - 1.0, t], delta))
+        f, r = (a - 1.0) * e * -0.5, qt * half
+        g = _g(np.concatenate([e, np.clip(f, -0.5, 1.0)]))
+        k, far = g[2:] / r, np.abs(f - 0.25) > 0.75
+        k[far] = np.log(r[far]) + 1.0 / r[far] - 1.0
+        pg = p * g[:2]
+        return 0.0 - ((t * pg[0] + (1.0 - t) * pg[1]) / qt + (t * k[0] + (1.0 - t) * k[1]))
+    return psi
 
 
-def _guarded_infimum(fn):
-    """Golden section on [0, 1] to width 1e-10, cross-checked against a 101-point grid."""
+def chernoff_geo(a0: float, a1: float, t: float) -> float:
+    """Exponent -log (1/2)[(a0+1)^t (a1+1)^(1-t) - (a0-1)^t (a1-1)^(1-t)] of two geometrics."""
+    return float(_chernoff_terms(_symbol(a0), _symbol(a1))(t))
+
+
+def _golden_infimum(fn):
+    """Golden section of a convex fn on [0, 1] to width 1e-10; returns (t*, fn(t*))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 1.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    a, b, c, d = 0.0, 1.0, 1.0 - invphi, invphi
     fc, fd = fn(c), fn(d)
     while b - a > 1e-10:
         if fc < fd:
@@ -201,59 +225,34 @@ def _guarded_infimum(fn):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fn(d)
-    t_star = 0.5 * (a + b)
-    v_star = fn(t_star)
-    ts = np.linspace(0.0, 1.0, 101)
-    vals = np.array([fn(t) for t in ts])
-    i = int(np.argmin(vals))
-    if vals[i] < v_star:
-        t_star, v_star = float(ts[i]), float(vals[i])
-    return t_star, v_star
+    return 0.5 * (a + b), float(fn(0.5 * (a + b)))
 
 
 def chernoff_geo_inf(a0: float, a1: float):
     """Infimum over t in [0, 1] of chernoff_geo; returns (t*, value)."""
-    return _guarded_infimum(lambda t: chernoff_geo(a0, a1, t))
+    return _golden_infimum(_chernoff_terms(_symbol(a0), _symbol(a1)))
 
 
-def chernoff_quantum(a0: SpectralDensity, a1: SpectralDensity, t: float) -> float:
-    """Error exponent term for two quantum spectral densities at weight t,
-
-    psi(t) = -(1/2 pi) int_0^{2 pi}
-             log (1/2)[(a0(w)+1)^t (a1(w)+1)^{1-t}
-                       - (a0(w)-1)^t (a1(w)-1)^{1-t}] dw,
-
-    computed by periodic trapezoid quadrature on the ``_chernoff_grid``.  The
-    integrand is 2 pi periodic, so integrating over [0, 2 pi] or
-    [-pi, pi] gives the same value.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise RangeError("t must lie in [0, 1]")
-    return _chernoff_values(*_chernoff_grid(a0, a1), t)
-
-
-def _chernoff_grid(a0: SpectralDensity, a1: SpectralDensity):
-    """Both densities on max(_CHERNOFF_GRID, ``_grid_size``) points; each needs min a > 1."""
+def _quantum_psi(a0: SpectralDensity, a1: SpectralDensity):
+    """t -> the mean of psi over max(_CHERNOFF_GRID, ``_grid_size``) points; needs min a > 1."""
     amin, at = min(density_min(a0), density_min(a1))
     if amin <= 1.0:
         raise RangeError(f"densities must stay strictly above 1, got {amin!r} at w = {at!r}")
     G = max(_CHERNOFF_GRID, _grid_size(max(a0.k_max, a1.k_max)))
-    return _on_grid(a0.coeffs, G), _on_grid(a1.coeffs, G)
+    psi = _chernoff_terms(_on_grid(a0.coeffs, G), _on_grid(a1.coeffs, G))
+    return lambda t: np.mean(psi(t))
 
 
-def _chernoff_values(v0: np.ndarray, v1: np.ndarray, t: float) -> float:
-    bracket = ((v0 + 1.0) ** t * (v1 + 1.0) ** (1.0 - t)
-               - (v0 - 1.0) ** t * (v1 - 1.0) ** (1.0 - t))
-    return float(-np.mean(np.log(0.5 * bracket)))
+def chernoff_quantum(a0: SpectralDensity, a1: SpectralDensity, t: float) -> float:
+    """Error exponent term (1/2 pi) int_0^{2 pi} psi(a0(w), a1(w); t) dw of two spectral
+    densities, psi of ``chernoff_geo``: periodic trapezoid quadrature, the same on [-pi, pi].
+    """
+    return float(_quantum_psi(a0, a1)(t))
 
 
 def chernoff_quantum_inf(a0: SpectralDensity, a1: SpectralDensity):
-    """Infimum over t in [0, 1] of chernoff_quantum; returns (t*, value).
-
-    Both densities are evaluated once and shared by every t of the search.
-    """
-    v0, v1 = _chernoff_grid(a0, a1)
-    return _guarded_infimum(lambda t: _chernoff_values(v0, v1, t))
+    """Infimum over t in [0, 1] of chernoff_quantum, each density evaluated once; (t*, value)."""
+    return _golden_infimum(_quantum_psi(a0, a1))
 
 
 def varstab_arccosh(a: float) -> float:

@@ -6,8 +6,9 @@ repository root.  The corpus stores, per case, the exit code, stderr, the
 sha256 of stdout and stdout parsed: JSON, or else one row per line of comma
 or space separated fields, each an int, a float or a string.  It also stores the
 option surface of ``build_parser()`` and the numpy version it was recorded
-with.  ``tests/test_golden.py`` replays it.  A re-record that moves a value
-lists each moved value, old -> new, in CHANGES.md.
+with.  ``tests/test_golden.py`` replays it.  A re-record prints each value
+that moves against the committed corpus, old -> new, for CHANGES.md: it
+compares by ``same``, as the replay does, but with no tolerance.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -63,6 +65,10 @@ CASES = {
     "dist_chernoff": ["dist", "chernoff", "--a0", "const:2", "--a1", "cos:3,0.5"],
     "dist_chernoff_t": ["dist", "chernoff", "--a0", "const:2", "--a1", "const:4",
                         "--t", "0.3", "--classical"],
+    "dist_chernoff_equal": ["dist", "chernoff", "--a0", "cos:2,0.5", "--a1", "cos:2,0.5"],
+    "dist_chernoff_near": ["dist", "chernoff", "--a0", "const:43.53229371173461",
+                           "--a1", "const:43.498961346488855"],
+    "dist_chernoff_huge": ["dist", "chernoff", "--a0", "const:1e300", "--a1", "const:3"],
     "dist_varstab": ["dist", "varstab", "--a", "2"],
     "simulate_geo": ["simulate", "geo", "--density", "cos:2,0.5", "--n", "20"],
     "simulate_geo_points": ["simulate", "geo", "--density", GEOM, "--n", "20",
@@ -123,6 +129,43 @@ def parse(stdout: str):
                          for line in stdout.splitlines()]}
 
 
+def same(got, want, rel_tol: float = 1e-12) -> bool:
+    """Whether two parsed outputs agree: floats to rel_tol relative, all else exactly."""
+    if isinstance(want, float) and type(got) is float:
+        return got == want or math.isclose(got, want, rel_tol=rel_tol) or (
+            math.isnan(got) and math.isnan(want))
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, list):
+        return len(got) == len(want) and all(same(g, w, rel_tol) for g, w in zip(got, want))
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(same(got[k], want[k], rel_tol) for k in want)
+    return got == want
+
+
+def moved(old, new, rel_tol: float = 1e-12, path: str = ""):
+    """Yield (path, old, new) for each value of new that is not ``same`` as old's.
+
+    Lists of one length and dicts of one key set are walked into; any other
+    difference, a changed shape included, is one moved value at its path.
+    """
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for key in old:
+            yield from moved(old[key], new[key], rel_tol, f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (o, n) in enumerate(zip(old, new)):
+            yield from moved(o, n, rel_tol, f"{path}[{i}]")
+    elif not same(new, old, rel_tol):
+        yield path, old, new
+
+
+def case_moves(name: str, old: dict, new: dict, rel_tol: float = 1e-12) -> list:
+    """Lines "name.key...: old -> new" for a case's exit code, stderr and stdout."""
+    return [f"{name}.{key}{path}: {o!r} -> {n!r}"
+            for key in ("exit_code", "stderr", "stdout")
+            for path, o, n in moved(old[key], new[key], rel_tol)]
+
+
 def run_case(name: str) -> dict:
     """Run one case in-process from the repository root."""
     from qsts.cli import cli_dispatch
@@ -163,5 +206,13 @@ def record() -> dict:
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
-    CORPUS.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+    committed = json.loads(CORPUS.read_text())["cases"] if CORPUS.exists() else {}
+    corpus = record()
+    for name, case in corpus["cases"].items():
+        old = committed.get(name)
+        for line in case_moves(name, old, case, 0.0) if old else [f"{name}: new case"]:
+            print(line)
+    for name in committed.keys() - corpus["cases"].keys():
+        print(f"{name}: case removed")
+    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
     print(f"wrote {CORPUS.relative_to(ROOT)}: {len(CASES)} cases")

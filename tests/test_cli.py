@@ -168,6 +168,24 @@ class TestDistCommands:
         obj = json.loads(out)
         assert obj["quantum_inf"] == pytest.approx(obj["classical_inf"], abs=1e-8)
 
+    @pytest.mark.parametrize("flags", [[], ["--classical"]])
+    def test_chernoff_of_a_huge_symbol(self, capsys, flags):
+        # (a0 + 1) - (a0 - 1) rounded to 0 at t = 1: this exited 1 with a math domain error
+        code, out, _ = run(capsys, "dist", "chernoff", "--a0", "const:1e300",
+                           "--a1", "const:3", *flags)
+        obj = json.loads(out)
+        assert code == 0
+        assert sorted(obj) == (["classical_inf", "classical_t"] if flags else
+                               ["classical_inf", "classical_t", "quantum_inf", "quantum_t"])
+        assert all(v == pytest.approx(-682.17955920310225, rel=1e-13)
+                   for k, v in obj.items() if k.endswith("_inf"))
+
+    def test_chernoff_of_equal_symbols_prints_plus_zero(self, capsys):
+        code, out, _ = run(capsys, "dist", "chernoff", "--a0", "cos:2,0.5", "--a1", "cos:2,0.5")
+        obj = json.loads(out)
+        assert code == 0 and obj["classical_inf"] == 0.0 and obj["quantum_inf"] == 0.0
+        assert "-0.0" not in out
+
     def test_hellinger(self, capsys):
         code, out, _ = run(capsys, "dist", "hellinger", "--lam", "2",
                            "--mu", "3")

@@ -27,6 +27,7 @@ from qsts.spectral import SpectralDensity, eval_density
 
 from oracles import (
     NegBinomial,
+    chernoff_geo_mp,
     gaussian_square_cov,
     geo_l1,
     hellinger_geo_mp,
@@ -403,6 +404,99 @@ class TestChernoff:
         t, v = chernoff_quantum_inf(a0, a1)
         assert seen == [a0, a1]
         assert v == chernoff_quantum(a0, a1, t)
+
+
+#: a - 1 = 10^x for x in [-12, 12]; the second symbol equal up to a factor 1 + 10^y, y <= 0
+SYMBOL_EXPONENTS = st.floats(-12.0, 12.0)
+GAP_EXPONENTS = st.one_of(st.floats(-12.0, 12.0), st.floats(-16.0, 0.0))
+
+
+def symbol_pair(x, y):
+    a0 = 1.0 + 10.0 ** x
+    return a0, a0 * (1.0 + 10.0 ** y) if y <= 0.0 else 1.0 + 10.0 ** y
+
+
+class TestChernoffKernel:
+    """One kernel of terms >= 0 serves all four exponents, against the 50-digit bracket."""
+
+    NEAR = (43.53229371173461, 43.498961346488855)
+
+    def test_near_equal_pair_keeps_its_digits(self):
+        # the bracket form read -7.338059490596002e-08 here, 3.0e-8 relative off
+        got = chernoff_geo(*self.NEAR, 0.5)
+        assert abs(got - -7.3380592730269170e-08) <= 1e-14 * 7.3380592730269170e-08
+        assert got == pytest.approx(float(chernoff_geo_mp(*self.NEAR, 0.5)), rel=1e-14)
+
+    def test_near_equal_pair_minimizer(self):
+        # the 101-point guard grid returned t = 0.5 for this pair
+        t_star, value = chernoff_geo_inf(*self.NEAR)
+        assert abs(t_star - 0.50006386590347) <= 1e-7
+        assert value <= chernoff_geo(*self.NEAR, 0.5)
+        tq, vq = chernoff_quantum_inf(*(SpectralDensity.constant(a) for a in self.NEAR))
+        assert abs(tq - 0.50006386590347) <= 1e-7 and vq == pytest.approx(value, rel=1e-14)
+
+    def test_seeded_pairs_against_50_digits(self):
+        # near-equal, distant, huge (1e15 up to 1e300) and near-1 pairs
+        rng = np.random.default_rng(34)
+        pairs = []
+        for _ in range(60):
+            a = 10.0 ** rng.uniform(-3.0, 6.0)    # a - 1, moved by a factor 1 +- 10^u
+            pairs.append((1.0 + a, 1.0 + a * (1.0 + rng.choice([-1.0, 1.0])
+                                              * 10.0 ** rng.uniform(-9.0, -0.5))))
+            pairs.append(tuple(1.0 + 10.0 ** rng.uniform(-3.0, 6.0, 2)))
+            big = 10.0 ** rng.uniform(15.0, 300.0)
+            pairs.append((big, rng.choice([big * (1.0 + 10.0 ** rng.uniform(-9.0, -1.0)),
+                                           3.0, 10.0 ** rng.uniform(15.0, 300.0)])))
+            tiny = 1.0 + 10.0 ** rng.uniform(-15.0, -3.0)
+            pairs.append((tiny, rng.choice([1.0 + 10.0 ** rng.uniform(-15.0, -3.0),
+                                            tiny * (1.0 + 10.0 ** rng.uniform(-9.0, -4.0)),
+                                            10.0 ** rng.uniform(0.5, 12.0)])))
+        worst = 0.0
+        for a0, a1 in pairs:
+            t = float(rng.uniform(0.01, 0.99))
+            a0, a1 = (a1, a0) if rng.uniform() < 0.5 else (a0, a1)
+            exact = chernoff_geo_mp(a0, a1, t)
+            worst = max(worst, float(abs(chernoff_geo(a0, a1, t) - exact) / abs(exact)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("a0, a1", [(1.7e308, 1.0001), (1.0001, 1.7e308),
+                                        (1.7e308, 1.6e308)])
+    def test_largest_doubles_do_not_overflow(self, a0, a1):
+        # 2 (a0 - a1) overflowed; RuntimeWarnings are errors in this suite
+        for t in (0.0, 1e-300, 0.3, 0.5, 1.0 - 2.0 ** -53, 1.0):
+            got = chernoff_geo(a0, a1, t)
+            assert math.isfinite(got) and got <= 0.0
+        for t in (0.3, 0.5):
+            assert chernoff_geo(a0, a1, t) == pytest.approx(
+                float(chernoff_geo_mp(a0, a1, t)), rel=1e-12)
+        t_star, value = chernoff_geo_inf(a0, a1)
+        tq, vq = chernoff_quantum_inf(SpectralDensity.constant(a0), SpectralDensity.constant(a1))
+        assert value < 0.0 and vq == pytest.approx(value, rel=1e-13)
+
+    def test_equal_symbols_give_plus_zero(self):
+        # the guard grid printed -4.4e-16 (classical) and -6.8e-17 (quantum) here
+        a = SpectralDensity.cosine(2.0, 0.5)
+        for _, value in (chernoff_geo_inf(2.5, 2.5), chernoff_quantum_inf(a, a)):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert all(math.copysign(1.0, chernoff_geo(3.0, 3.0, t)) == 1.0 for t in (0.0, 0.4, 1.0))
+
+    @given(SYMBOL_EXPONENTS, GAP_EXPONENTS)
+    def test_half_is_the_hellinger_distance(self, x, y):
+        # H^2 = 2 (1 - BC) with BC = exp psi(1/2)
+        a0, a1 = symbol_pair(x, y)
+        h2 = hellinger_geo_exact(a0, a1)
+        assert abs(-2.0 * math.expm1(chernoff_geo(a0, a1, 0.5)) - h2) <= 1e-12 * h2
+
+    @given(SYMBOL_EXPONENTS, GAP_EXPONENTS, st.integers(1, 63))
+    def test_kernel_properties(self, x, y, k):
+        # t = k/64 and 1 - t are exact, so the mirror compares the same weights
+        a0, a1 = symbol_pair(x, y)
+        assert chernoff_geo(a0, a1, 0.0) == 0.0 and chernoff_geo(a0, a1, 1.0) == 0.0
+        t, h = k / 64.0, 1.0 / 64.0
+        lo, mid, hi = (chernoff_geo(a0, a1, s) for s in (t - h, t, t + h))
+        assert max(lo, mid, hi) <= 0.0
+        assert chernoff_geo(a1, a0, 1.0 - t) == pytest.approx(mid, rel=1e-12, abs=0.0)
+        assert lo - 2.0 * mid + hi >= -1e-14 * (abs(lo) + 2.0 * abs(mid) + abs(hi))
 
 
 class TestVarstab:

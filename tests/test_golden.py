@@ -11,23 +11,10 @@ import json
 import math
 from pathlib import Path
 
-from golden.record import CASES, CORPUS, command_of, option_surface, run_case
+from golden.record import (CASES, CORPUS, case_moves, command_of, moved, option_surface,
+                           run_case, same)
 
 CORPUS_DATA = json.loads(Path(CORPUS).read_text())
-
-
-def same(got, want) -> bool:
-    """Whether two parsed outputs agree: floats to 1e-12 relative, all else exactly."""
-    if isinstance(want, float) and type(got) is float:
-        return got == want or math.isclose(got, want, rel_tol=1e-12) or (
-            math.isnan(got) and math.isnan(want))
-    if type(got) is not type(want):
-        return False
-    if isinstance(want, list):
-        return len(got) == len(want) and all(map(same, got, want))
-    if isinstance(want, dict):
-        return got.keys() == want.keys() and all(same(got[k], want[k]) for k in want)
-    return got == want
 
 
 def test_corpus_covers_every_case_and_subcommand():
@@ -42,18 +29,16 @@ def test_option_surface_is_recorded():
 
 
 def test_outputs_match_the_corpus():
-    moved, byte_diffs = [], []
+    moves, byte_diffs = [], []
     for name in CASES:
         want, got = CORPUS_DATA["cases"][name], run_case(name)
-        for key in ("exit_code", "stderr", "stdout"):
-            if not same(got[key], want[key]):
-                moved.append(f"{name}: {key}")
+        moves += case_moves(name, want, got)
         if got["sha256"] != want["sha256"]:
             byte_diffs.append(name)
     if byte_diffs:
         print(f"stdout bytes differ from the corpus (numpy {CORPUS_DATA['numpy']}): "
               + ", ".join(byte_diffs))
-    assert moved == []
+    assert moves == []
 
 
 def test_same_compares_floats_relatively_and_all_else_exactly():
@@ -61,3 +46,15 @@ def test_same_compares_floats_relatively_and_all_else_exactly():
     assert not same([1.0], [1.0 + 1e-9])
     assert not same([1], [1.0]) and not same([True], [1]) and not same(["1"], [1])
     assert same(math.nan, math.nan) and not same({"a": 1}, {"b": 1})
+    assert not same([1.0], [1.0 + 1e-14], rel_tol=0.0)
+
+
+def test_moved_lists_each_value_that_moves_old_to_new():
+    old = {"json": {"v": [1.0, 2.0], "t": "a"}}
+    new = {"json": {"v": [1.0 + 1e-14, 2.5], "t": "b"}}
+    assert list(moved(old, new)) == [(".json.v[1]", 2.0, 2.5), (".json.t", "a", "b")]
+    assert list(moved(old, new, 0.0))[0] == (".json.v[0]", 1.0, 1.0 + 1e-14)
+    assert list(moved([1, 2], [1, 2, 3])) == [("", [1, 2], [1, 2, 3])]
+    case = {"exit_code": 0, "stderr": "", "stdout": {"json": {"x": 1.0}}}
+    assert case_moves("c", case, {**case, "stdout": {"json": {"x": -1.0}}}) == [
+        "c.stdout.json.x: 1.0 -> -1.0"]
