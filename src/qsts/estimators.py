@@ -34,19 +34,22 @@ from .spectral import (
     RealParam,
     ParameterSpace,
     TWO_PI,
+    _certified_min,
+    _grid_size,
     _grid_slack,
+    _on_grid,
     density_min,
     fourier_frequencies,
     membership,
     psi_matrix,
 )
 
-#: quadrature points of the phi matrices
-_QUAD_GRID = 4096
-
-#: distinct (m, d) designs and (d, grid_size) uniform-grid designs kept
-#: per process
+#: distinct (m, d) block designs, and (d, grid_size) designs of the
+#: projection's uniform grid, kept per process
 _DESIGN_CACHE_SIZE = 32
+
+#: the largest quadrature grid of the phi matrices (then NonConvergence)
+_PHI_GRID_CAP = 1 << 20
 
 #: the projection's tolerance, how many rows its active-set loop may add
 #: (then NonConvergence), and the uniform grid that enforces a >= 1 + 1/M
@@ -275,28 +278,90 @@ class FisherMatrices(NamedTuple):
     phi: np.ndarray
 
 
+def _fisher_from_lags(c: np.ndarray, d: int) -> np.ndarray:
+    """(1/2 pi) int f psi_j psi_k dw from the lags c_l = (1/2 pi) int f e^{-ilw} dw.
+
+    Row i of ``c`` holds the lags l = -2d..2d of a weight f, and slice i of the
+    result its matrix.  F_l = Re c_l and S_l = -Im c_l are f's cosine and sine
+    moments (F even, S odd), and the products of the psi turn into Toeplitz
+    (k - j) plus Hankel (j + k) terms: 2 cos(jw) cos(kw) -> F_{k-j} + F_{j+k},
+    2 sin(jw) sin(kw) -> F_{k-j} - F_{j+k} and 2 cos(jw) sin(kw) -> S_{k-j} +
+    S_{j+k}.  Each gather is added into place, so at most one is held at a time.
+    """
+    F, S = c.real, -c.imag
+    j = np.arange(d + 1)
+    toe, han = j - j[:, None] + 2 * d, j + j[:, None] + 2 * d
+    out = np.empty((len(c), 2 * d + 1, 2 * d + 1))
+    # rows and columns d + j hold cos(jw), d - j sin(jw); psi_0 = cos(0w) is
+    # 2 cos(0w) / sqrt(2) in these rules, hence its row and column / sqrt(2)
+    cos_cos, sin_sin = out[:, d:, d:], out[:, :d, :d][:, ::-1, ::-1]
+    cos_sin = out[:, d:, :d][:, :, ::-1]
+    cos_cos[...] = F.take(toe, axis=-1)
+    sin_sin[...] = cos_cos[:, 1:, 1:]
+    hankel = F.take(han, axis=-1)
+    cos_cos += hankel
+    sin_sin -= hankel[:, 1:, 1:]
+    del hankel
+    cos_sin[...] = S.take(toe[:, 1:], axis=-1)
+    cos_sin += S.take(han[:, 1:], axis=-1)
+    out[:, :d, d:] = out[:, d:, :d].transpose(0, 2, 1)
+    out[:, d] *= math.sqrt(0.5)
+    out[:, :, d] *= math.sqrt(0.5)
+    return out
+
+
 def phi_matrices(theta: np.ndarray, d: int) -> FisherMatrices:
     """Limit matrices of the estimators,
 
     phi0_jk = (1/2 pi) int (a_theta^2 - 1) psi_j psi_k dw,
     phi_jk  = (1/2 pi) int (a_theta^2 - 1)^{-1} psi_j psi_k dw,
 
-    by periodic trapezoid quadrature on G = max(_QUAD_GRID, 2^j > 4d) points,
-    exact for phi0's integrand of degree <= 4d.  The G x (2d+1) design is
-    built once per d in the process and is read-only.
+    assembled by ``_fisher_from_lags`` from the lags 0..2d of w = a_theta^2 - 1
+    and 1/w, which one rfft of their samples on G points gives (the periodic
+    trapezoid rule).  On the first grid, G = _grid_size(2d) >= 8 (2d + 1),
+    a_theta > 1 is decided by its minimum less ``_grid_slack``, else by
+    ``_certified_min`` (else NotAdmissible), and w's lags are exact.  The lags
+    G/2 - 2d .. G/2 of 1/w are what the rule on G/2 points aliased onto lags
+    0..2d; G doubles while they exceed the samples' rounding, up to
+    _PHI_GRID_CAP (then NonConvergence).  That rounding is the mean of
+    2 a_j / w_j^2 (the change of 1/w_j per unit of a_j) times the
+    ``_grid_slack`` allowance of a, plus 4 log2(G) eps max 1/w for the rfft.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != 2 * d + 1:
         raise DimensionError(f"theta must have length {2 * d + 1}")
-    G = max(_QUAD_GRID, 1 << (4 * d).bit_length())
-    psi = _grid_design(d, G)
-    weight = (psi @ theta) ** 2 - 1.0
-    if np.any(weight <= 0.0):
+    if not np.all(np.isfinite(theta)):
+        raise NotAdmissible("theta must be finite for the phi matrices")
+    # a_0 .. a_d of a_theta by RealParam.to_density's rule, without building
+    # and validating a SpectralDensity (theta is checked above)
+    half = np.empty(d + 1, dtype=complex)
+    half[0] = theta[d]
+    half[1:] = (theta[d + 1:] - 1j * theta[:d][::-1]) / math.sqrt(2.0)
+    full = np.concatenate((np.conj(half[:0:-1]), half))
+    G = _grid_size(2 * d)
+    a = _on_grid(half, G)
+    curvature, allowance = _grid_slack(np.abs(full), G)
+    low = float(a.min())
+    if not (low - curvature - allowance > 1.0
+            or (low > 1.0 and _certified_min(full, G)[0] > 1.0)):
         raise NotAdmissible("a_theta must stay above 1 for the phi matrices")
-    phi0 = (psi * weight[:, None]).T @ psi / G
-    phi = (psi / weight[:, None]).T @ psi / G
-    phi0 = 0.5 * (phi0 + phi0.T)
-    phi = 0.5 * (phi + phi.T)
+    while True:
+        weights = np.empty((2, G))
+        np.subtract(a * a, 1.0, out=weights[0])
+        np.divide(1.0, weights[0], out=weights[1])
+        lags = np.fft.rfft(weights, axis=-1, norm="forward")
+        rounding = (float(a @ weights[1] ** 2) * 2.0 / G * allowance
+                    + 4.0 * math.log2(G) * 2.0 ** -52 * float(weights[1].max()))
+        if float(np.abs(lags[1, G // 2 - 2 * d:]).max()) <= rounding:
+            break
+        if G >= _PHI_GRID_CAP:
+            raise NonConvergence(f"lags of 1/(a_theta^2 - 1) not converged on "
+                                 f"G = {G} points (_PHI_GRID_CAP)")
+        G *= 2
+        a = _on_grid(half, G)
+        allowance = _grid_slack(np.abs(full), G)[1]
+    phi0, phi = _fisher_from_lags(
+        np.concatenate((np.conj(lags[:, 2 * d:0:-1]), lags[:, :2 * d + 1]), axis=-1), d)
     return FisherMatrices(phi0, phi)
 
 

@@ -421,6 +421,46 @@ def merge_short_bins_loop(table: np.ndarray) -> np.ndarray:
     return table
 
 
+def fisher_by_basis_change(lags: np.ndarray, d: int) -> np.ndarray:
+    """(1/2 pi) int f psi_j psi_k dw from f's lags c_l, l = -2d..2d, as U C U^H.
+
+    psi_j = sum_k U_jk e^{ikw} (k = -d..d) and C_kl = c_{l-k}, with
+    c_l = (1/2 pi) int f e^{-ilw} dw, is the Toeplitz matrix of f in the
+    exponentials; a dense product of (2d + 1)-square complex matrices.
+    """
+    n, r = 2 * d + 1, math.sqrt(0.5)
+    U = np.zeros((n, n), dtype=complex)
+    U[d, d] = 1.0
+    for s in range(1, d + 1):
+        U[d + s, d + s] = U[d + s, d - s] = r                       # sqrt2 cos(sw)
+        U[d - s, d + s], U[d - s, d - s] = -1j * r, 1j * r          # sqrt2 sin(sw)
+    ks = np.arange(n)
+    C = np.asarray(lags)[ks[None, :] - ks[:, None] + 2 * d]
+    out = U @ C @ U.conj().T
+    assert np.abs(out.imag).max() <= 1e-12 * max(1.0, np.abs(out.real).max())
+    return out.real
+
+
+def phi_cosine_closed_form(c0: float, c1: float) -> np.ndarray:
+    """phi at d = 1 for a = c0 + c1 cos w, c0 > 1 + |c1|, in closed form.
+
+    1/(a^2 - 1) = (1/(a - 1) - 1/(a + 1)) / 2, and (1/2 pi) int cos(nw) dw /
+    (alpha + beta cos w) = r^n / sqrt(alpha^2 - beta^2) with
+    r = (sqrt(alpha^2 - beta^2) - alpha) / beta; alpha^2 - beta^2 is taken as
+    (alpha - beta)(alpha + beta).
+    """
+    def moments(alpha):
+        root = math.sqrt((alpha - c1) * (alpha + c1))
+        r = (root - alpha) / c1 if c1 else 0.0
+        return np.array([1.0, r, r * r]) / root
+
+    F = (moments(c0 - 1.0) - moments(c0 + 1.0)) / 2.0
+    s2 = math.sqrt(2.0)
+    return np.array([[F[0] - F[2], 0.0, 0.0],
+                     [0.0, F[0], s2 * F[1]],
+                     [0.0, s2 * F[1], F[0] + F[2]]])
+
+
 def density_min_oracle(coeffs) -> tuple[mpmath.mpf, float]:
     """Minimum of p(w) = sum_{|k|<=K} a_k e^{ikw} from ``coeffs`` a_0 .. a_K, and where it lies.
 

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qsts import estimators
 from qsts.errors import (
@@ -26,13 +27,19 @@ from qsts.measurement import block_scheme, pi_moments, sample_pi_blocks
 from qsts.spectral import (
     RealParam,
     SpectralDensity,
+    density_min,
     membership,
     psi_matrix,
     theta2prime_space,
 )
 from qsts.toeplitz import toeplitz_from_density
 
-from oracles import density_min_oracle, project_ball_cone
+from oracles import (
+    density_min_oracle,
+    fisher_by_basis_change,
+    phi_cosine_closed_form,
+    project_ball_cone,
+)
 
 COS_DENSITY = SpectralDensity.cosine(2.0, 0.5)
 COS_THETA = RealParam.from_density(COS_DENSITY, d=1).theta  # (0, 2, sqrt2/4)
@@ -433,12 +440,28 @@ def test_projection_sweep_at_d3_clears_the_oracle_floor():
 
 
 def phi_on_grid(theta, d, grid):
-    """phi0 and phi by the trapezoid rule on ``grid`` points, the design rebuilt."""
-    psi = psi_matrix(d, -math.pi + 2.0 * math.pi * np.arange(grid) / grid)
-    weight = (psi @ theta) ** 2 - 1.0
-    phi0 = (psi * weight[:, None]).T @ psi / grid
-    phi = (psi / weight[:, None]).T @ psi / grid
-    return 0.5 * (phi0 + phi0.T), 0.5 * (phi + phi.T)
+    """phi0 and phi by the trapezoid rule on ``grid`` points, the design rebuilt.
+
+    Each entry is one pairwise ``np.sum`` over the grid, whose rounding grows
+    like log(grid); a BLAS product's grows like grid (2.4e-12 relative for a
+    constant weight on 2^16 points).
+    """
+    psi = psi_matrix(d, -math.pi + 2.0 * math.pi * np.arange(grid) / grid).T.copy()
+    weight = (theta @ psi) ** 2 - 1.0
+    out = []
+    for f in (weight, 1.0 / weight):
+        m = np.array([(psi[j] * f * psi).sum(axis=-1) for j in range(2 * d + 1)]) / grid
+        out.append(0.5 * (m + m.T))
+    return tuple(out)
+
+
+def with_floor_gap(theta, gap):
+    """theta with theta_0 set so that min a_theta = 1 + gap."""
+    d = (len(theta) - 1) // 2
+    theta = np.array(theta, dtype=float)
+    theta[d] = 0.0
+    theta[d] = 1.0 + gap - density_min(RealParam(d, theta).to_density())[0]
+    return theta
 
 
 class TestPhiMatrices:
@@ -460,20 +483,27 @@ class TestPhiMatrices:
 
     def test_quadrature_doubling(self):
         p1 = phi_matrices(COS_THETA, 1)
-        phi0, phi = phi_on_grid(COS_THETA, 1, 2 * estimators._QUAD_GRID)
-        assert np.max(np.abs(p1.phi0 - phi0)) < 1e-10
-        assert np.max(np.abs(p1.phi - phi)) < 1e-10
+        phi0, phi = phi_on_grid(COS_THETA, 1, 1 << 14)
+        assert np.max(np.abs(p1.phi0 - phi0)) < 1e-13
+        assert np.max(np.abs(p1.phi - phi)) < 1e-13
 
     def test_phi0_is_exact_above_the_quadrature_grid(self):
         # a^2 - 1 = 8.09 + 1.8 sqrt2 cos(1100 w) + 0.09 cos(2200 w), and phi0's
-        # integrand reaches degree 4d = 4400: 4096 points aliased it by 0.045
+        # integrand reaches degree 4d = 4400: 4096 points aliased it by 0.045.
+        # The dense 8192 x 2201 design took 3.6 s, 387 MB, and stayed cached.
         d = 1100
         theta = np.zeros(2 * d + 1)
         theta[d], theta[d + 1100] = 3.0, 0.3
+        cached = estimators._grid_design.cache_info().currsize
+        tracemalloc.start()
         try:
-            phi0 = phi_matrices(theta, d).phi0
+            phi0, phi = phi_matrices(theta, d)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            estimators._grid_design.cache_clear()
+            tracemalloc.stop()
+        # the two returned matrices are 77.5 MB; the work around them stays small
+        assert peak - phi0.nbytes - phi.nbytes < 64e6
+        assert estimators._grid_design.cache_info().currsize == cached
         # F[m] = (1/2 pi) int (a^2 - 1) cos(m w) dw
         F = np.zeros(4 * d + 1)
         F[0], F[1100], F[2200] = 8.09, 0.9 * math.sqrt(2.0), 0.045
@@ -485,6 +515,60 @@ class TestPhiMatrices:
         exact[d + 1:, d + 1:] = diff + total            # cos j w cos k w
         exact[:d, :d] = (diff - total)[::-1, ::-1]      # sin j w sin k w
         assert np.max(np.abs(phi0 - exact)) < 1e-12
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 5, 10])
+    def test_phi0_is_the_autoconvolution_of_the_lags(self, d):
+        # a^2 - 1 has the lags of a convolved with themselves, less 1 at lag 0
+        rng = np.random.default_rng(40 + d)
+        for _ in range(10):
+            theta = rng.normal(size=2 * d + 1)
+            theta *= rng.uniform(0.1, 2.0) / max(np.linalg.norm(theta), 1.0)
+            theta = with_floor_gap(theta, 10.0 ** rng.uniform(-6.0, 0.0))
+            full = RealParam(d, theta).to_density().full_coeffs()
+            lags = np.convolve(full, full)
+            lags[2 * d] -= 1.0
+            exact = fisher_by_basis_change(lags, d)
+            assert np.max(np.abs(phi_matrices(theta, d).phi0 - exact)) <= (
+                1e-14 * np.max(np.abs(exact)))
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 5])
+    def test_toeplitz_plus_hankel_is_the_basis_change(self, d):
+        # sine lags too: random Hermitian lags, against the dense U C U^H
+        rng = np.random.default_rng(50 + d)
+        c = rng.normal(size=(2, 4 * d + 1)) + 1j * rng.normal(size=(2, 4 * d + 1))
+        c += np.conj(c[:, ::-1])
+        got = estimators._fisher_from_lags(c, d)
+        for g, lags in zip(got, c):
+            exact = fisher_by_basis_change(lags, d)
+            assert np.max(np.abs(g - exact)) <= 1e-15 * np.max(np.abs(exact)) * (2 * d + 1)
+            assert np.array_equal(g, g.T)
+
+    @pytest.mark.parametrize("a0", [1.500001, 1.5000001])
+    def test_phi_near_the_floor_matches_the_closed_form(self, a0):
+        # 4096 fixed points missed phi by 5.6e-4 and 0.16 relative here; the rounding
+        # of a near 1 alone moves 1/(a^2 - 1) by about eps / (a_min - 1) relative
+        theta = RealParam.from_density(SpectralDensity.cosine(a0, 0.5), d=1).theta
+        exact = phi_cosine_closed_form(a0, 0.5)
+        tol = 4.0 * np.finfo(float).eps / (a0 - 1.5)
+        assert np.max(np.abs(phi_matrices(theta, 1).phi - exact)) <= tol * np.max(np.abs(exact))
+
+    @settings(max_examples=20)
+    @given(st.integers(0, 3), st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7),
+           st.floats(-1.0, 0.5), st.integers(-5, 0), st.floats(1.0, 10.0))
+    @example(3, [0.3, -0.2, 0.5, 0.0, 1.0, 0.1, -0.7], 0.5, -5, 1.0)
+    def test_phi_matches_a_fine_dense_rule(self, d, direction, log_norm, log_gap, scale):
+        # the dense rule's own rounding near the floor is about eps / (a_min - 1)
+        theta = np.array(direction[:2 * d + 1])
+        theta[d] = 0.0
+        if np.linalg.norm(theta) > 0.0:
+            theta *= 10.0 ** log_norm / np.linalg.norm(theta)
+        gap = scale * 10.0 ** log_gap / 10.0
+        theta = with_floor_gap(theta, gap)
+        got = phi_matrices(theta, d)
+        ref = phi_on_grid(theta, d, 1 << 18 if gap < 1e-4 else 1 << 16)
+        tol = 1e-13 + 16.0 * np.finfo(float).eps / gap
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r)) <= tol * np.max(np.abs(r))
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(8)
@@ -510,18 +594,35 @@ class TestPhiMatrices:
         with pytest.raises(NotAdmissible):
             phi_matrices(np.array([0.0, 1.0, 0.0]), 1)
 
+    @pytest.mark.parametrize("theta", [
+        [0.0, -3.0, 0.0],                  # a^2 - 1 = 8 > 0, yet a < 1 everywhere
+        [0.0, 2.0, math.sqrt(2.0)],        # a = 2 + 2 cos w reaches 0
+        [0.0, 1.5 + 1e-15, 0.25 * math.sqrt(2.0)],   # within rounding of 1
+        [0.0, math.nan, 0.0],
+        [0.0, math.inf, 0.0],
+    ])
+    def test_a_theta_must_be_certified_above_one(self, theta):
+        # a^2 - 1 > 0 on the grid once accepted a = -3 and returned phi0 = 8 I
+        with pytest.raises(NotAdmissible):
+            phi_matrices(np.array(theta), 1)
+
+    def test_grid_cap_is_a_numerical_failure(self):
+        theta = RealParam.from_density(SpectralDensity.cosine(1.5 + 1e-12, 0.5), d=1).theta
+        with pytest.raises(NonConvergence, match=f"G = {estimators._PHI_GRID_CAP} points"):
+            phi_matrices(theta, 1)
+
     @pytest.mark.parametrize("d, grid", [(0, 17), (1, 4096), (3, 4096), (3, 1000)])
     def test_cached_design_gives_the_uncached_bytes(self, d, grid):
-        # reference: the design rebuilt on every call; phi_matrices reads the
-        # _QUAD_GRID one, the projection a design of its own size
+        # reference: the design rebuilt on every call; phi_matrices reads no
+        # design and agrees with the trapezoid rule on 2^14 points
         theta = np.zeros(2 * d + 1)
         theta[d] = 2.5
         theta[d + 1:] = 0.1
-        phi0, phi = phi_on_grid(theta, d, estimators._QUAD_GRID)
+        phi0, phi = phi_on_grid(theta, d, 1 << 14)
         for _ in range(2):
             got = phi_matrices(theta, d)
-            assert got.phi0.tobytes() == phi0.tobytes()
-            assert got.phi.tobytes() == phi.tobytes()
+            assert np.max(np.abs(got.phi0 - phi0)) <= 1e-13 * np.max(np.abs(phi0))
+            assert np.max(np.abs(got.phi - phi)) <= 1e-13 * np.max(np.abs(phi))
         psi = psi_matrix(d, -math.pi + 2.0 * math.pi * np.arange(grid) / grid)
         design = estimators._grid_design(d, grid)
         assert design.tobytes() == psi.tobytes()
