@@ -4,9 +4,9 @@ The symbol value a > 1 of a thermal mode parameterizes a geometric law
 through p = (a - 1)/(a + 1); everything here is written in terms of a where
 that is the natural parameter.
 
-Both error exponents share one kernel, ``_chernoff_terms``, a sum of terms >= 0,
-so nothing cancels.  psi is a log-sum-exp of affine functions of t, so convex
-(Hoelder), as is its quantum mean: golden section finds the infimum with no guard.
+``geo_kl`` and both error exponents share one kernel of two Bernoulli KL terms >= 0,
+``_bernoulli_terms``, so nothing cancels.  psi is a log-sum-exp of affine functions of t,
+so convex (Hoelder), as is its quantum mean: golden section finds the infimum, unguarded.
 """
 
 from __future__ import annotations
@@ -176,16 +176,32 @@ def nb_sample(r: float, p: float, rng: np.random.Generator, size=None):
     return rng.poisson(lam)
 
 
+def _bernoulli_terms(ef: np.ndarray, r: np.ndarray):
+    """(g(e), g(f)/r) >= 0: KL(Ber(p) || Ber(p_a)) = p_a g(e) + q g(f)/r, q = 1 - p.
+
+    e = p/p_a - 1, f = q/q_a - 1 and r = q/q_a, of the shape of f.  ``ef`` = [e, f] is
+    overwritten: g of ``_g`` runs once over both.  Where f leaves [-1/2, 1] and g(f)
+    may overflow, g(f)/r is taken as log r + 1/r - 1."""
+    f = ef[1, ...]
+    far = (f < -0.5) | (f > 1.0)
+    f[far] = 1.0
+    g = _g(ef)
+    k = g[1, ...]
+    k /= r
+    rf = r[far]
+    k[far] = np.log(rf) + 1.0 / rf - 1.0
+    return g[0, ...], k
+
+
 def _chernoff_terms(a0, a1):
     """t -> psi(t) of Geo(p(a0)) against Geo(p(a1)), elementwise for 1 < a_i <= 1.7e308.
 
     psi(t) = log sum_k P0^t P1^(1-t) = -[t KL(p_t||p0) + (1-t) KL(p_t||p1)]/q_t, q = 1 - p,
-    p_t = p0^t p1^(1-t), KL(p_t||p_a) = p_a g(e) + q_a g(f) over Bernoulli laws, g of
-    ``geo_kl``, e = p_t/p_a - 1 = expm1((t-1)D) or expm1(tD), f = q_t/q_a - 1 = -(a-1)e/2,
+    p_t = p0^t p1^(1-t), each KL over Bernoulli laws by ``_bernoulli_terms``, with
+    e = p_t/p_a - 1 = expm1((t-1)D) or expm1(tD), f = q_t/q_a - 1 = -(a-1)e/2,
     D = log(p0/p1) = +-log1p(2|a0 - a1|/((hi+1)(lo-1))), log p = -log1p(2/(a-1)) and
-    q_t = -expm1(log p_t): no step overflows or loses digits as a -> 1 or inf.  q_a g(f)/q_t
-    is g(f)/r, r = q_t/q_a, or log r + 1/r - 1 where f leaves [-1/2, 1] and g(f) may
-    overflow.  Weights multiply before q_t divides, so a term of weight 0 stays 0.
+    q_t = -expm1(log p_t): no step overflows or loses digits as a -> 1 or inf.  Weights
+    multiply before q_t divides, so a term of weight 0 stays 0.
     """
     a = np.stack(np.broadcast_arrays(np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)))
     hi, lo = a.max(axis=0), a.min(axis=0)
@@ -197,11 +213,8 @@ def _chernoff_terms(a0, a1):
             raise RangeError("t must lie in [0, 1]")
         qt = -np.expm1(t * log_p[0] + (1.0 - t) * log_p[1])
         e = np.expm1(np.multiply.outer([t - 1.0, t], delta))
-        f, r = (a - 1.0) * e * -0.5, qt * half
-        g = _g(np.concatenate([e, np.clip(f, -0.5, 1.0)]))
-        k, far = g[2:] / r, np.abs(f - 0.25) > 0.75
-        k[far] = np.log(r[far]) + 1.0 / r[far] - 1.0
-        pg = p * g[:2]
+        ge, k = _bernoulli_terms(np.stack([e, (a - 1.0) * e * -0.5]), qt * half)
+        pg = p * ge
         return 0.0 - ((t * pg[0] + (1.0 - t) * pg[1]) / qt + (t * k[0] + (1.0 - t) * k[1]))
     return psi
 
@@ -301,15 +314,12 @@ def _g(t: np.ndarray) -> np.ndarray:
 
 
 def geo_kl(a1, a2):
-    """KL(Geo(p(a1)) || Geo(p(a2))), broadcasting over arrays.
+    """KL(Geo(p(a1)) || Geo(p(a2))), broadcasting over arrays; every a_i must be finite and > 1.
 
-    KL = [(a2 - 1) g(x) - (a2 + 1) g(y)] / 2 with x = (a1 - a2)/(a2 - 1) and
-    y = (a1 - a2)/(a2 + 1).  Both terms are of second order in a1 - a2, so
-    near-equal symbols keep their relative accuracy, and as 0 < y/x < 1 the
-    convexity of g makes KL >= 0.  Every a_i must be finite and > 1.
-    """
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
+    KL(Ber(p1) || Ber(p2))/q1 = p2 g(e)/q1 + g(f)/r of ``_bernoulli_terms`` (the t = 1
+    face of ``_chernoff_terms``): q = 2/(a + 1), f = q1/q2 - 1 = (a2 - a1)/(a1 + 1),
+    e = p1/p2 - 1 = -2f/(a2 - 1) and r = (a2 + 1)/(a1 + 1), with nothing cancelling."""
+    a1, a2 = np.asarray(a1, dtype=float), np.asarray(a2, dtype=float)
     if not all(np.all((a > 1.0) & (a < math.inf)) for a in (a1, a2)):
         raise RangeError("need finite a_i > 1")
     out = _geo_kl_unchecked(a1, a2)
@@ -317,23 +327,12 @@ def geo_kl(a1, a2):
 
 
 def _geo_kl_unchecked(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """``geo_kl`` of float arrays already known to be finite and > 1.
-
-    x and y share one (2, *shape) buffer, so g runs once over both, and
-    the rest runs in place.  Each element takes the operations of the
-    formula above in their order, as g(x) and g(y) taken apart would, so
-    the result does not depend on the fusion.
-    """
-    lo, hi = a2 - 1.0, a2 + 1.0
-    xy = np.empty((2,) + np.broadcast(a1, a2).shape)
-    x, y = xy[0, ...], xy[1, ...]
-    np.subtract(a1, a2, out=x)
-    np.divide(x, hi, out=y)
-    x /= lo
-    g = _g(xy)
-    gx, gy = g[0, ...], g[1, ...]
-    gx *= lo
-    gy *= hi
-    gx -= gy
-    gx *= 0.5
-    return gx
+    """``geo_kl`` of float arrays known finite and > 1; e and f share one buffer, as g runs."""
+    ef = np.empty((2,) + np.broadcast(a1, a2).shape)
+    e, f = ef[0, ...], ef[1, ...]
+    c1, c2, m2 = a1 + 1.0, a2 + 1.0, a2 - 1.0
+    np.divide(np.subtract(a2, a1, out=f), c1, out=f)
+    np.multiply(f, -2.0 / m2, out=e)
+    kl, k = _bernoulli_terms(ef, c2 / c1)
+    kl *= (m2 / c2) * (0.5 * c1)
+    return np.add(kl, k, out=kl)

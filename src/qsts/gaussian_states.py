@@ -12,14 +12,10 @@ operator trace formula as the reference.  Two real centrosymmetric symbols
 parities, symmetric and skew, and V1* V2 vanishes between parities; the sum
 then runs per parity block over the half-size solves
 (``SymbolMatrix.halves``), and no full V is built.  Each block takes one
-fused KL pass (``distributions._geo_kl_unchecked``): the faithfulness
-gates have already put both spectra above 1, so the pass checks nothing,
-and x and y share one buffer with a single pass of g over it.  Each
-element takes the operations of g(x) and g(y) computed apart
-(``entropy_per_block`` in ``tests/oracles.py``), so the sum does not
-depend on the fusion.  Two symbols with equal entries give exactly 0
-after the faithfulness gate on the first, with no solve of the second and
-no KL sum.  That gate (``SymbolMatrix.lambda_min_exceeds``) reads the
+KL pass (``distributions._geo_kl_unchecked``), which checks nothing: the
+faithfulness gates have put both spectra above 1.  Two symbols with equal
+entries give exactly 0 after the gate on the first, with no solve of the
+second and no KL sum.  That gate (``SymbolMatrix.lambda_min_exceeds``) reads the
 eigenvalues of a symbol already solved, and solves nothing for a
 lag-built symbol whose lag floor clears it: the Grenander & Szego bound,
 its lag polynomial's minimum on an FFT grid less the curvature term and
@@ -95,8 +91,9 @@ def relative_entropy(A1, A2) -> float:
     in ``tests/oracles.py``.  When both symbols have ``halves``, the
     overlaps between a symmetric and a skew eigenvector are zero, and the
     sum is taken over the symmetric and the skew block, each with the
-    half-size overlap W1^T W2.  Every term is nonnegative, so S is real and
-    >= 0 by construction.  Both symbols must be strictly faithful:
+    half-size overlap W1^T W2.  Each KL is the sum of the two terms >= 0 of
+    ``distributions._bernoulli_terms``, so S is real and >= 0 by
+    construction.  Both symbols must be strictly faithful:
     lambda_min(A) > 1 + EPS_FAITHFUL.  Two symbols with equal entries
     (``SymbolMatrix.same_entries``) give exactly 0.0 once A1 passes that
     gate, from its lag floor or, when that falls short, the eigenvalues of
@@ -115,7 +112,6 @@ def relative_entropy(A1, A2) -> float:
         blocks = [(A1.spectrum, A2.spectrum)]
     _check_faithful(A1)
     _check_faithful(A2)
-    # the gates have put both spectra above 1 + EPS_FAITHFUL, which geo_kl would check
     return float(sum(np.sum(abs_square(V1.conj().T @ V2) * _geo_kl_unchecked(l1[:, None], l2[None, :]))
                      for (l1, V1), (l2, V2) in blocks))
 

@@ -22,9 +22,6 @@ from .errors import HermitianSymmetryViolation, InputError, NonConvergence, Rang
 
 TWO_PI = 2.0 * math.pi
 
-#: grid used for sup-norm reports
-_SUP_GRID = 4096
-
 #: membership's largest grid; Taylor terms ((pi/8)^14/14! < 3e-17), Newton steps
 _CERTIFY_GRID = 1 << 16
 _TAYLOR_TERMS = 14
@@ -451,10 +448,12 @@ def _truncated_density(a: SpectralDensity, m: int) -> SpectralDensity:
 
 
 def fourier_truncate(a: SpectralDensity, m: int) -> TruncationResult:
-    """Keep lags |k| <= (m-1)/2; reports the sup-error on a 4096 grid."""
+    """Keep lags |k| <= (m-1)/2; sup_error = sup |tail| of the dropped lags, the larger
+    of -``density_min`` of +-tail, as ``eigen_bracket_check`` takes sup a."""
     kept = _truncated_density(a, m)
-    w = np.linspace(-math.pi, math.pi, _SUP_GRID + 1)
-    err = float(np.max(np.abs(eval_density(a, w) - eval_density(kept, w))))
+    tail = a.coeffs.copy()
+    tail[:kept.k_max + 1] = 0.0
+    err = max(0.0, *(-density_min(SpectralDensity(s * tail))[0] for s in (1.0, -1.0)))
     return TruncationResult(kept, err)
 
 

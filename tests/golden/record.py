@@ -52,6 +52,8 @@ CASES = {
     "symbol_bracket_geom": ["symbol", "bracket", "--density", GEOM, "--n", "64"],
     "state_entropy": ["state", "entropy", "--a1", "cos:2,0.5", "--a2", "cos:2.2,0.4",
                       "--n", "16"],
+    "state_entropy_distant": ["state", "entropy", "--a1", "const:1.0001", "--a2", "const:1e300",
+                              "--n", "1"],
     "state_pinsker": ["state", "pinsker", "--a1", "cos:2,0.5", "--a2", "cos:2.2,0.4",
                       "--n", "16"],
     "state_bound": ["state", "bound", "--a1", "cos:3,0.5", "--a2", "cos:3.05,0.5",

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 from scipy.special import gammaln
 
-from qsts.distributions import _G_SERIES, p_of_a
+from qsts.distributions import geo_kl, p_of_a
 from qsts.errors import EigenFailure, NotPSD, RangeError, SpectralRangeError
 from qsts.gaussian_states import _check_r_open_interval
 from qsts.harness import RngStream
@@ -68,23 +68,25 @@ def s2_matrix(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
     return 0.5 * (raw + raw.conj().T)
 
 
-def geo_kl_two_pass(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """KL(Geo(p(a1)) || Geo(p(a2))) as the gap, x, y and two passes of g, each masked for its series."""
+def geo_kl_mp(a1: float, a2: float) -> mpmath.mpf:
+    """KL(Geo(p(a1)) || Geo(p(a2))) = log(q1/q2) + (p1/q1) log(p1/p2) at 50 digits, q = 1 - p.
 
-    def g(t):
-        out = np.asarray((1.0 + t) * np.log1p(t) - t)
-        small = np.abs(t) < 1e-2
-        if small.any():
-            ts = t[small]
-            out[small] = ts * ts * np.polyval(_G_SERIES, ts)
-        return out
-
-    gap = a1 - a2
-    return 0.5 * ((a2 - 1.0) * g(gap / (a2 - 1.0)) - (a2 + 1.0) * g(gap / (a2 + 1.0)))
+    With hi and lo the larger and smaller a and s the sign of a1 - a2,
+    log(q1/q2) = -s log1p((hi - lo)/(lo + 1)), log(p1/p2) =
+    s log1p(2 (hi - lo)/((hi + 1)(lo - 1))) and p1/q1 = (a1 - 1)/2: every log1p
+    takes an argument >= 0, where a plain log of the ratios would round them to 1
+    near a = 1e300 even at 60 digits.
+    """
+    with mpmath.workdps(50):
+        x, y = mpmath.mpf(a1), mpmath.mpf(a2)
+        hi, lo, s = max(x, y), min(x, y), 1 if x >= y else -1
+        log_q = -s * mpmath.log1p((hi - lo) / (lo + 1))
+        log_p = s * mpmath.log1p(2 * (hi - lo) / ((hi + 1) * (lo - 1)))
+        return log_q + (x - 1) / 2 * log_p
 
 
 def entropy_per_block(A1: SymbolMatrix, A2: SymbolMatrix) -> float:
-    """The spectral entropy sum, one two-pass KL matrix per parity block, blocks summed in order.
+    """The spectral entropy sum, one ``geo_kl`` matrix per parity block, blocks summed in order.
 
     Real centrosymmetric pairs sum over their ``halves``; any other pair
     takes the full spectra.
@@ -93,7 +95,7 @@ def entropy_per_block(A1: SymbolMatrix, A2: SymbolMatrix) -> float:
         blocks = zip(A1.halves, A2.halves)
     else:
         blocks = [(A1.spectrum, A2.spectrum)]
-    return float(sum(np.sum(abs_square(V1.conj().T @ V2) * geo_kl_two_pass(l1[:, None], l2[None, :]))
+    return float(sum(np.sum(abs_square(V1.conj().T @ V2) * geo_kl(l1[:, None], l2[None, :]))
                      for (l1, V1), (l2, V2) in blocks))
 
 

@@ -140,6 +140,13 @@ class TestStateCommands:
                            "--a2", "const:5", "--n", "1")
         assert float(out) == pytest.approx(math.log(9 / 8), abs=1e-12)
 
+    def test_entropy_of_distant_one_mode_symbols(self, capsys):
+        # printed nan, after numpy's divide-by-zero warning, when the subtractive
+        # KL form rounded (a1 - a2)/(a2 + 1) to -1
+        code, out, err = run(capsys, "state", "entropy", "--a1", "const:1.0001",
+                             "--a2", "const:1e300", "--n", "1")
+        assert (code, out, err) == (0, "690.081835542026\n", "")
+
     def test_not_faithful_exit_2(self, capsys):
         code, _, err = run(capsys, "state", "entropy", "--a1", "const:1",
                            "--a2", "const:3", "--n", "2")

@@ -29,6 +29,7 @@ from oracles import (
     NegBinomial,
     chernoff_geo_mp,
     gaussian_square_cov,
+    geo_kl_mp,
     geo_l1,
     hellinger_geo_mp,
     nb_hellinger_bound_shapes_mp,
@@ -499,6 +500,36 @@ class TestChernoffKernel:
         assert lo - 2.0 * mid + hi >= -1e-14 * (abs(lo) + 2.0 * abs(mid) + abs(hi))
 
 
+#: a - 1 = 10^x up to a = 1e300
+KL_EXPONENTS = st.floats(-12.0, 300.0)
+
+
+class TestGeoKlProperties:
+    """geo_kl, the t = 1 face of the Bernoulli kernel: 0 on the diagonal, >= D_1/2 >= 0, Pinsker."""
+
+    @given(KL_EXPONENTS)
+    def test_zero_on_the_diagonal(self, x):
+        a = 1.0 + 10.0 ** x
+        assert distributions.geo_kl(a, a) == 0.0
+
+    @given(KL_EXPONENTS, GAP_EXPONENTS, st.booleans())
+    def test_at_least_the_order_half_divergence(self, x, y, swap):
+        # KL is the Renyi divergence of order 1, at least the one of order 1/2, -2 psi(1/2)
+        a1, a2 = symbol_pair(x, y)
+        a1, a2 = (a2, a1) if swap else (a1, a2)
+        kl = distributions.geo_kl(a1, a2)
+        half = -2.0 * float(distributions._chernoff_terms(a1, a2)(0.5))
+        assert math.isfinite(kl) and kl >= 0.0 and half >= 0.0
+        assert kl >= half * (1.0 - 1e-12)
+
+    @given(st.floats(-3.0, 2.0), st.one_of(st.floats(-3.0, 2.0), st.floats(-9.0, 0.0)),
+           st.booleans())
+    def test_classical_pinsker(self, x, y, swap):
+        a1, a2 = symbol_pair(x, y)
+        a1, a2 = (a2, a1) if swap else (a1, a2)
+        assert distributions.geo_kl(a1, a2) >= 0.5 * geo_l1(a1, a2) ** 2
+
+
 class TestVarstab:
     def test_limit_at_one(self):
         assert varstab_arccosh(1.0 + 1e-12) == pytest.approx(0.0, abs=1e-5)
@@ -629,7 +660,6 @@ class TestExactSeriesHelpers:
         assert geo_kl(2.0, 3.5) == pytest.approx(brute, abs=1e-12)
 
     def test_geo_kl_small_gaps_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
         from qsts.distributions import geo_kl
 
         bs = np.array([1.001, 1.5, 2.5, 40.0])
@@ -637,13 +667,19 @@ class TestExactSeriesHelpers:
             a = bs * (1.0 + rel)
             got = geo_kl(a, bs)
             for x, y, value in zip(a, bs, got):
-                with mp.workdps(50):
-                    p1 = (mp.mpf(x) - 1) / (mp.mpf(x) + 1)
-                    p2 = (mp.mpf(y) - 1) / (mp.mpf(y) + 1)
-                    oracle = float(mp.log((1 - p1) / (1 - p2))
-                                   + p1 / (1 - p1) * mp.log(p1 / p2))
+                oracle = float(geo_kl_mp(x, y))
                 assert abs(value - oracle) <= 1e-12 * oracle
                 assert geo_kl(float(x), float(y)) == value
+
+    @pytest.mark.parametrize("a1, a2", [(1e8, 1e7), (1e12, 1e11), (1e16, 1e15), (1e20, 1e19),
+                                        (1.0001, 1e300), (1e300, 1.0001), (2.0, 3.0)])
+    def test_geo_kl_distant_symbols_keep_their_digits(self, a1, a2):
+        # [(a2 - 1) g(x) - (a2 + 1) g(y)]/2 read 7.0 for 6.6974 at (1e16, 1e15), 0.0 at
+        # (1e20, 1e19) and nan at (1.0001, 1e300), where y rounded to -1
+        from qsts.distributions import geo_kl
+
+        exact = geo_kl_mp(a1, a2)
+        assert abs(geo_kl(a1, a2) - exact) <= 1e-14 * exact
 
     def test_g_equals_the_two_branch_form_bit_for_bit(self):
         # the series is evaluated only where |t| < 1e-2; every value keeps
@@ -678,17 +714,19 @@ class TestExactSeriesHelpers:
         with pytest.raises(RangeError, match="finite"):
             geo_kl(a1, a2)
 
-    def test_geo_kl_broadcasts_to_the_two_pass_form(self):
+    def test_geo_kl_broadcasts_to_its_scalar_calls(self):
+        # near-equal, far (f outside [-1/2, 1]) and equal pairs in one grid
         from qsts.distributions import geo_kl
-        from oracles import geo_kl_two_pass
 
         rng = np.random.default_rng(11)
         a1 = 1.0 + rng.exponential(1.0, (5, 1))
-        a2 = np.concatenate((1.0 + rng.exponential(1.0, 6), a1[:2, 0] * (1.0 + 1e-9)))
+        a2 = np.concatenate((1.0 + rng.exponential(1.0, 6), a1[:2, 0] * (1.0 + 1e-9),
+                             [1e-6 + 1.0, 1e300, a1[4, 0]]))
         got = geo_kl(a1, a2)
-        assert got.shape == (5, 8)
-        assert got.tobytes() == geo_kl_two_pass(a1, a2).tobytes()
-        assert geo_kl(a1[0, 0], a2[3]) == float(geo_kl_two_pass(a1[0, 0], a2[3]))
+        assert got.shape == (5, 11)
+        scalar = np.array([[geo_kl(float(x), float(y)) for y in a2] for x in a1[:, 0]])
+        assert got.tobytes() == scalar.tobytes()
+        assert got[4, 10] == 0.0
 
     def test_geo_l1_series(self):
         k = np.arange(5000)

@@ -233,6 +233,23 @@ class TestWeightedGate:
         with pytest.raises(SingularSystem):
             weighted_estimator(np.full(self.M, 2.0), delta, self.M, self.D)
 
+    def test_eigensolve_only_where_the_weight_ratio_can_trip_the_gate(self, solves):
+        # W has orthonormal columns, so cond(W' D^-1 W) <= max delta / min delta; the
+        # blocked replicates of n = 4096 (409 blocks of m = 9) never come near 1e9
+        from qsts.estimators import weighted_estimator
+
+        a, scheme, space = SpectralDensity.cosine(2.0, 0.5), block_scheme(4096, 1), \
+            theta2prime_space(1, 5.0)
+        for i in range(1, 201):
+            pi_bar = sample_pi_blocks(a, scheme, RngStream(37, i)).pi_bar
+            projected = project_theta(preliminary_estimator(pi_bar, scheme.m, 1), space)
+            assert np.all(np.isfinite(improved_estimator(pi_bar, projected, scheme.m, 1)))
+        assert [call for call in solves if call[0] == "eigvalsh"] == []
+        delta = np.ones(self.M)
+        delta[0] = 2e9
+        assert np.all(np.isfinite(weighted_estimator(np.full(self.M, 2.0), delta, self.M, self.D)))
+        assert [call for call in solves if call[0] == "eigvalsh"] == [("eigvalsh", (3, 3))]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_refused(self, bad):
         from qsts.estimators import weighted_estimator

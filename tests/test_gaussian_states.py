@@ -29,25 +29,7 @@ from qsts.toeplitz import (
     toeplitz_from_density,
 )
 
-from oracles import entropy_per_block, geo_l1, s2_matrix
-
-
-def geo_p(a):
-    return (a - 1.0) / (a + 1.0)
-
-
-def geo_kl_series(a1, a2, tail=1e-14):
-    """Oracle: KL(Geo(p1) || Geo(p2)) by direct series summation."""
-    p1, p2 = geo_p(a1), geo_p(a2)
-    total, k = 0.0, 0
-    while True:
-        q1 = (1 - p1) * p1 ** k
-        q2 = (1 - p2) * p2 ** k
-        total += q1 * math.log(q1 / q2)
-        # remaining mass bound: geometric tail times max log-ratio growth
-        if q1 * (1 + k) * 10 < tail and k > 50:
-            return total
-        k += 1
+from oracles import entropy_per_block, geo_kl_mp, geo_l1, s2_matrix
 
 
 def random_faithful_symbol(n, rng, spread=1.0):
@@ -90,7 +72,7 @@ class TestRelativeEntropy:
     def test_one_mode_matches_geometric_kl(self):
         S = relative_entropy(np.array([[3.0]], dtype=complex),
                              np.array([[5.0]], dtype=complex))
-        assert S == pytest.approx(geo_kl_series(3.0, 5.0), abs=1e-12)
+        assert S == pytest.approx(float(geo_kl_mp(3.0, 5.0)), abs=1e-12)
         assert S == pytest.approx(math.log(9.0 / 8.0), abs=1e-12)
 
     def test_diagonal_additivity(self):
@@ -101,7 +83,7 @@ class TestRelativeEntropy:
             d2 = 1.2 + rng.uniform(0.2, 4.0, size=n)
             S = relative_entropy(np.diag(d1).astype(complex),
                                  np.diag(d2).astype(complex))
-            expect = sum(geo_kl_series(x, y) for x, y in zip(d1, d2))
+            expect = float(sum(geo_kl_mp(x, y) for x, y in zip(d1, d2)))
             assert S == pytest.approx(expect, abs=1e-10)
 
     def test_nonnegative_random_pairs(self):
@@ -267,7 +249,7 @@ class TestOneEigensolvePerSymbol:
         S = relative_entropy(A1, A2)
         assert solves == [("eigh", (1, 1))] * 2
         # the entropy of two one-mode states, KL(Geo(p1) || Geo(p2)) at l = 2, 3
-        assert S == 0.08494951839769871
+        assert S == 0.08494951839769868
         assert S == pytest.approx(float(geo_kl(2.0, 3.0)), rel=1e-14)
 
     @pytest.mark.parametrize("equal", [False, True])
@@ -322,9 +304,9 @@ class TestParityBlocks:
     @example((SpectralDensity([3.0, 0.5j]), SpectralDensity([2.5, -0.4, 0.1 + 0.2j])), 6)
     @example((SpectralDensity([3.0, 0.5j]), SpectralDensity([2.5, -0.4, 0.1 + 0.2j])), 1)
     def test_fused_pass_keeps_the_bytes_of_the_per_block_form(self, pair, n):
-        # one KL pass over x and y together, against the gap, x, y and two
-        # passes of g per block: real pairs by halves (n = 1: an empty skew
-        # half), complex or mixed pairs by the full form
+        # the entropy sums one geo_kl matrix per block in this order: real
+        # pairs by halves (n = 1: an empty skew half), complex or mixed pairs
+        # by the full form
         A1, A2 = (toeplitz_from_density(a, n) for a in pair)
         assume(not A1.same_entries(A2))
         S = relative_entropy(A1, A2)
@@ -491,7 +473,32 @@ class TestPinsker:
         assert vals[0] < vals[1] < vals[2]
 
 
+@st.composite
+def bracketed_pairs(draw):
+    """(A1, A2, lam): Toeplitz symbols with R spectra in (1 - lam, lam) and ||R1 - R2|| < delta.
+
+    l in (lo, hi) puts (l - 1)/(l + 1) in (1 - lam, lam); A1 strays at most a fifth of
+    that band from its middle, and each lag of A2 - A1 is at most delta / (sqrt(n) (2 K + 1)), so
+    ||R1 - R2||_2 <= 2 ||A1 - A2||_2 / (1 + lo)^2 < delta / 2.
+    """
+    lam, n, k_max = draw(st.floats(0.55, 0.95)), draw(st.integers(1, 8)), draw(st.integers(0, 3))
+    lo, hi = (2.0 - lam) / lam, (1.0 + lam) / (1.0 - lam)
+    delta = min((1.0 - lam) / 2.0, (1.0 - lam) ** 3 / (8.0 * lam))
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=k_max + 1, max_size=k_max + 1)
+    lags = np.array(draw(unit)) * (0.1 * (hi - lo) / max(k_max, 1))
+    lags[0] = 0.5 * (lo + hi)
+    step = np.array(draw(unit)) * (delta / (math.sqrt(n) * (2 * k_max + 1)))
+    return (toeplitz_from_density(SpectralDensity(lags), n),
+            toeplitz_from_density(SpectralDensity(lags + step), n), lam)
+
+
 class TestEntropySymbolBound:
+    @given(bracketed_pairs())
+    def test_holds_where_not_vacuous(self, pair):
+        A1, A2, lam = pair
+        rep = entropy_symbol_bound(A1, A2, lam)
+        assert not rep.vacuous and rep.holds and rep.entropy >= 0.0
+
     def test_equal_symbols(self):
         A = np.diag([2.0, 3.0]).astype(complex)
         rep = entropy_symbol_bound(A, A, lam=0.8)

@@ -1,5 +1,6 @@
 import math
 import pathlib
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -284,6 +285,22 @@ class TestFourierTruncate:
     def test_monotone_sup_error(self):
         errs = [fourier_truncate(GEOM, m).sup_error for m in (3, 5, 9, 17, 33)]
         assert all(e2 <= e1 + 1e-14 for e1, e2 in zip(errs, errs[1:]))
+
+    def test_sup_error_between_the_points_of_a_fixed_grid(self):
+        # a = 3 + 0.1 cos(4096 w) - 0.1 cos(8192 w): both cosines are 1 at every point
+        # of a 4097-point grid, which read 0.0 from two dense designs of about 1 GB;
+        # the tail's sup is 0.2, at w = pi/4096
+        c = np.zeros(8193, dtype=complex)
+        c[0], c[4096], c[8192] = 3.0, 0.05, -0.05
+        tracemalloc.start()
+        try:
+            kept, err = fourier_truncate(SpectralDensity(c), 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(kept.coeffs, [3.0, 0.0, 0.0, 0.0, 0.0])
+        assert err == pytest.approx(0.2, rel=1e-12)
+        assert peak < 100e6
 
     def test_even_m_rejected(self):
         with pytest.raises(RangeError):
