@@ -332,7 +332,8 @@ def _geo_kl_unchecked(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     e, f = ef[0, ...], ef[1, ...]
     c1, c2, m2 = a1 + 1.0, a2 + 1.0, a2 - 1.0
     np.divide(np.subtract(a2, a1, out=f), c1, out=f)
-    np.multiply(f, -2.0 / m2, out=e)
+    # e + 1 = p1/p2 > p1 >= 2^-53 for doubles a1 > 1, but the product may round to -1
+    np.maximum(np.multiply(f, -2.0 / m2, out=e), 2.0 ** -53 - 1.0, out=e)
     kl, k = _bernoulli_terms(ef, c2 / c1)
     kl *= (m2 / c2) * (0.5 * c1)
     return np.add(kl, k, out=kl)

@@ -500,8 +500,8 @@ class TestChernoffKernel:
         assert lo - 2.0 * mid + hi >= -1e-14 * (abs(lo) + 2.0 * abs(mid) + abs(hi))
 
 
-#: a - 1 = 10^x up to a = 1e300
-KL_EXPONENTS = st.floats(-12.0, 300.0)
+#: a - 1 = 10^x from about 2^-52 up to a = 1e300
+KL_EXPONENTS = st.floats(-15.6, 300.0)
 
 
 class TestGeoKlProperties:
@@ -672,10 +672,13 @@ class TestExactSeriesHelpers:
                 assert geo_kl(float(x), float(y)) == value
 
     @pytest.mark.parametrize("a1, a2", [(1e8, 1e7), (1e12, 1e11), (1e16, 1e15), (1e20, 1e19),
-                                        (1.0001, 1e300), (1e300, 1.0001), (2.0, 3.0)])
+                                        (1.0001, 1e300), (1e300, 1.0001), (2.0, 3.0),
+                                        (1.0 + 2.0 ** -52, 1e10), (1.0 + 2.0 ** -52, 1.7e308),
+                                        (1e300, 1.0 + 2.0 ** -52), (1.0 + 1e-15, 1e10)])
     def test_geo_kl_distant_symbols_keep_their_digits(self, a1, a2):
         # [(a2 - 1) g(x) - (a2 + 1) g(y)]/2 read 7.0 for 6.6974 at (1e16, 1e15), 0.0 at
-        # (1e20, 1e19) and nan at (1.0001, 1e300), where y rounded to -1
+        # (1e20, 1e19) and nan where x or y rounded to -1, as at (1.0001, 1e300); with
+        # a1 = 1 + 2^-52, e = p1/p2 - 1 may round to -1 unless held above it
         from qsts.distributions import geo_kl
 
         exact = geo_kl_mp(a1, a2)
