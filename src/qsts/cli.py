@@ -21,6 +21,10 @@ fixed seed and --no-timestamp, output files are byte identical across
 runs.  --threads is accepted and has no effect: replicate loops run
 serially, and mc moments draws all its replicates as one batch from
 stream (seed, 0).
+The batch commands (mc moments, simulate measure, audit chain, audit
+sufficiency) release each batch temporary as soon as the next exists and
+format their rows a chunk at a time, so each holds about two copies of its
+batch at its peak.
 
 No command loads a scipy module: numpy is the only runtime dependency.
 """
@@ -64,7 +68,7 @@ from .experiments import (
     simulate_white_noise,
 )
 from .gaussian_states import entropy_symbol_bound, pinsker_trace_bound, relative_entropy
-from .harness import RngStream, mc_run, normality_check
+from .harness import _CHUNK_ROWS, RngStream, mc_run, normality_check
 from .measurement import (
     NumberOpSampler,
     block_scheme,
@@ -469,10 +473,12 @@ def _write_raw_rows(path: str, rows: np.ndarray):
     """Raw replicate dump, one line per (replicate, coordinate, value)."""
     # one write per replicate: field 0 is the replicate, field j + 1 its coordinate j
     lines = "".join(f"{{0}},{j},{{{j + 1}!r}}\n" for j in range(rows.shape[1]))
+    rows = np.asarray(rows, dtype=float)
     with open(path, "w") as fh:
         fh.write("replicate,coordinate,value\n")
-        for i, row in enumerate(np.asarray(rows, dtype=float).tolist(), 1):
-            fh.write(lines.format(i, *row))
+        for start in range(0, rows.shape[0], _CHUNK_ROWS):
+            for i, row in enumerate(rows[start:start + _CHUNK_ROWS].tolist(), start + 1):
+                fh.write(lines.format(i, *row))
 
 
 @command("mc", "normality", "scaled estimator errors against "
@@ -516,7 +522,8 @@ def cmd_mc_moments(args):
     mean, cov = pi_moments(A)
     if args.replicates < 2:
         raise RangeError("need at least 2 replicates")
-    rows = 2.0 * NumberOpSampler(A).draw(RngStream(args.seed, 0), size=args.replicates) + 1.0
+    rows = 2.0 * NumberOpSampler(A).draw(RngStream(args.seed, 0), size=args.replicates)
+    rows += 1.0
     if args.raw_out:
         _write_raw_rows(args.raw_out, rows)
     empirical = rows.mean(axis=0)

@@ -165,15 +165,19 @@ def geo_sample(q, rng: np.random.Generator, size=None):
 def nb_sample(r: float, p: float, rng: np.random.Generator, size=None):
     """Draw from NB(r, p) as a Gamma-Poisson mixture.
 
-    lam ~ Gamma(shape r, rate (1-p)/p), then Poisson(lam); works for any
-    real r > 0 including r < 1.
+    lam ~ Gamma(shape r, rate (1-p)/p) of ``_nb_rates``, then Poisson(lam);
+    works for any real r > 0 including r < 1.
     """
+    return rng.poisson(_nb_rates(r, p, rng, size))
+
+
+def _nb_rates(r: float, p: float, rng: np.random.Generator, size=None):
+    """The Gamma(shape r, rate (1-p)/p) Poisson rates of ``nb_sample``, with its checks."""
     if not 0.0 < r < math.inf:
         raise RangeError(f"r needs 0 < r < inf, got {r!r}")
     if not 0.0 < p < 1.0:
         raise RangeError("p must lie in (0, 1)")
-    lam = rng.gamma(shape=r, scale=p / (1.0 - p), size=size)
-    return rng.poisson(lam)
+    return rng.gamma(shape=r, scale=p / (1.0 - p), size=size)
 
 
 def _bernoulli_terms(ef: np.ndarray, r: np.ndarray):

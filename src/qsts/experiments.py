@@ -19,11 +19,11 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .distributions import geo_sample, hellinger_geo_exact, nb_sample
+from .distributions import _nb_rates, geo_sample, hellinger_geo_exact
 from .errors import DegenerateSamples, NotAdmissible, RangeError
 from .estimators import phi_matrices
 from .gaussian_states import relative_entropy
-from .harness import _QUANTILE_STEPS, RngStream, _bracketed_newton
+from .harness import _CHUNK_ROWS, _QUANTILE_STEPS, RngStream, _bracketed_newton
 from .spectral import (
     SpectralDensity,
     TWO_PI,
@@ -211,11 +211,22 @@ def nb_sufficiency_test(p: float, draws: int, stream: RngStream):
     Returns (statistic, critical value at alpha = 0.001, p-value).  Bins are
     merged from the right until every expected count is at least 5; fewer
     than two bins left raises DegenerateSamples.
+
+    The draws x 8 Gamma rates of ``nb_sample`` are drawn and stored as one
+    batch, and their Poisson draws are taken ``_CHUNK_ROWS`` rows at a time,
+    each chunk summed into one int64 vector: numpy reads the stream one
+    element at a time in C order, so these are the draws of one
+    ``nb_sample`` call, without its second draws x 8 array.
     """
     if draws < 1:
         raise RangeError(f"sufficiency test needs draws >= 1, got {draws}")
     gen = stream.generator()
-    sums = np.sum(nb_sample(1.0 / _NB_PIECES, p, gen, size=(draws, _NB_PIECES)), axis=1)
+    lam = _nb_rates(1.0 / _NB_PIECES, p, gen, size=(draws, _NB_PIECES))
+    sums = np.empty(draws, dtype=np.int64)
+    for start in range(0, draws, _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        np.sum(gen.poisson(lam[start:stop]), axis=1, out=sums[start:stop])
+    del lam
     geo = geo_sample(1.0 - p, gen, size=draws)
     top = int(max(sums.max(), geo.max()))
     table = _merge_short_bins(np.vstack([np.bincount(sums, minlength=top + 1),

@@ -28,6 +28,11 @@ from .errors import DegenerateSamples, InputError, NonConvergence, NotPSD, Range
 #: Newton or bisection steps a quantile solve may take
 _QUANTILE_STEPS = 64
 
+#: rows per chunk where a batch is drawn or written in pieces (the amplitudes
+#: of a NumberOpSampler batch, the Poisson draws of the sufficiency test, the
+#: block and replicate CSVs), so that no second full-size copy is held
+_CHUNK_ROWS = 1024
+
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 

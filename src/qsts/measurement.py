@@ -15,7 +15,13 @@ estimators read only their column sums.  ``sample_pi_blocks`` draws those
 sums from their exact law, a Poisson mixture whose means come from the
 complex Bartlett decomposition of Z*Z, in about m^2 + m random numbers;
 the r x m outcomes themselves are drawn only when read, conditional on
-the sums, so the joint law is that of r independent blocks.
+the sums, so the joint law is that of r independent blocks.  Those blocks
+need only the R of a QR of the r x k normal matrix of the blocks: the
+Haar isometry Q is never formed.
+
+Every batch temporary is released as soon as the next one exists, so a
+batch draw holds about two copies of its batch at its peak, and the block
+CSV is formatted ``_CHUNK_ROWS`` blocks at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .errors import (
     RangeError,
     TooSmall,
 )
-from .harness import RngStream
+from .harness import _CHUNK_ROWS, RngStream
 from .spectral import SpectralDensity
 from .toeplitz import (
     SymbolMatrix,
@@ -142,8 +148,24 @@ class MeasurementDraw:
         half = (self.scheme.m - 1) // 2
         # one write per block: field 0 is the block, field idx + 1 its column idx
         rows = "".join(f"{{0}},{idx - half},{{{idx + 1}}}\n" for idx in range(self.scheme.m))
-        for b, block in enumerate(np.asarray(self.blocks, dtype=np.int64).tolist()):
-            fh.write(rows.format(b, *block))
+        blocks = np.asarray(self.blocks, dtype=np.int64)
+        for start in range(0, blocks.shape[0], _CHUNK_ROWS):
+            for b, block in enumerate(blocks[start:start + _CHUNK_ROWS].tolist(), start):
+                fh.write(rows.format(b, *block))
+
+
+def _complex_normals(gen: np.random.Generator, rows: int, width: int) -> np.ndarray:
+    """(rows, width) complex matrix of the next 2 rows width normals of ``gen``.
+
+    The real parts are the first rows x width normals, the imaginary parts
+    the next: the bytes of ``re + 1j * im`` for ``re, im`` one (2, rows,
+    width) batch.  Both halves pass through one real buffer.
+    """
+    z = np.empty((rows, width), dtype=complex)
+    half = gen.standard_normal((rows, width))
+    z.real = half
+    z.imag = gen.standard_normal(out=half)
+    return z
 
 
 def _dft_rows(X: np.ndarray) -> np.ndarray:
@@ -275,14 +297,22 @@ class NumberOpSampler:
         return _dft_rows(x.T).T
 
     def draw(self, rng: RngStream, size: int | None = None) -> np.ndarray:
-        """Number outcomes of ``size`` draws (one without it) from the generator of ``rng``."""
+        """Number outcomes of ``size`` draws (one without it) from the generator of ``rng``.
+
+        The amplitudes are taken ``_CHUNK_ROWS`` rows at a time and squared
+        into the Poisson rates, so the batch holds z and the rates, never a
+        second complex copy; z is released before the Poisson call.
+        """
         gen = rng.generator()
         rows = 1 if size is None else int(size)
-        # real parts are the first rows x width normals, imaginary parts the next
-        re, im = gen.standard_normal((2, rows, self.width))
-        z = re + 1j * im
+        z = _complex_normals(gen, rows, self.width)
         z /= math.sqrt(2.0)
-        N = gen.poisson(np.abs(self.amplitudes(z)) ** 2)
+        lam = np.empty((rows, self.m))
+        for start in range(0, rows, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            np.square(np.abs(self.amplitudes(z[start:stop])), out=lam[start:stop])
+        del z
+        N = gen.poisson(lam)
         return N[0] if size is None else N
 
 
@@ -306,22 +336,38 @@ def _upper_scale(k: int, m: int) -> np.ndarray:
     return U
 
 
+def _block_rates(gen: np.random.Generator, X: np.ndarray, r: int) -> np.ndarray:
+    """Poisson rates lam = |Q X|^2 of the r blocks, for X = T B^T, from R alone.
+
+    The normal matrix of the blocks is Z = Q T, with Q the Haar r x k
+    isometry independent of T: the QR factor of an r x k complex normal
+    matrix G with its columns rephased by D = diag(d / |d|), d = diag R, so
+    that the diagonal of R is positive (Mezzadri, Notices AMS 54, 2007).
+    Q D X = G R^-1 D X, so lam = |G M|^2 with M = R^-1 D X, k x m: only the
+    R of ``np.linalg.qr`` is taken, and Q is never formed.
+    """
+    G = _complex_normals(gen, r, X.shape[0])
+    R = np.linalg.qr(G, mode="r")
+    d = np.diagonal(R)
+    Y = G @ np.linalg.solve(R, (d / np.abs(d))[:, None] * X)
+    del G
+    # |Y|^2 from the real and imaginary parts: no complex temporary beside Y
+    lam = np.square(Y.real)
+    lam += np.square(Y.imag)
+    return lam
+
+
 def _conditional_blocks(gen: np.random.Generator, X: np.ndarray, totals: np.ndarray,
                         r: int) -> np.ndarray:
     """The r x m outcomes given their column sums ``totals``, for X = T B^T.
 
-    The normal matrix of the blocks is Z = Q T, with Q the Haar r x k
-    isometry (the QR factor of an r x k complex normal matrix, columns
-    rephased so that diag R > 0) independent of T.  Given Z the outcomes are
-    Poisson(lam), lam = |Q X|^2, whose columns sum to S, so given the totals
-    column j is Multinomial(totals_j, lam_.j / S_j).
+    Given Z = Q T the outcomes are Poisson(lam), lam = |Q X|^2 of
+    ``_block_rates``, whose columns sum to S, so given the totals column j
+    is Multinomial(totals_j, lam_.j / S_j).
     """
-    re, im = gen.standard_normal((2, r, X.shape[0]))
-    Q, R = np.linalg.qr(re + 1j * im)
-    d = np.diagonal(R)
-    Q *= d / np.abs(d)
-    lam = abs_square(Q @ X)
-    return np.ascontiguousarray(gen.multinomial(totals, (lam / lam.sum(axis=0)).T).T)
+    lam = _block_rates(gen, X, r)
+    lam /= lam.sum(axis=0)
+    return np.ascontiguousarray(gen.multinomial(totals, lam.T).T)
 
 
 def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
@@ -351,8 +397,7 @@ def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
     k = min(r, m)
     B = _block_factor(a, m)
     gen = stream.generator()
-    re, im = gen.standard_normal((2, k, m))
-    T = re + 1j * im
+    T = _complex_normals(gen, k, m)
     T *= _upper_scale(k, m)
     np.fill_diagonal(T, np.sqrt(gen.standard_gamma(np.arange(r, r - k, -1.0))))
     X = T @ B.T

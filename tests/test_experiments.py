@@ -486,6 +486,20 @@ class TestNbSufficiency:
         with pytest.raises(DegenerateSamples):
             nb_sufficiency_test(0.01, 1, RngStream(seed, 0))
 
+    @pytest.mark.parametrize("draws", [1023, 1024, 1025, 5000])
+    def test_chunked_poisson_draws_are_those_of_one_nb_sample_call(self, draws):
+        # the Poisson draws over the stored gammas, taken in row chunks, are the
+        # draws of one nb_sample call on the same stream
+        from qsts.distributions import geo_sample, nb_sample
+        gen = RngStream(41, 0).generator()
+        sums = np.sum(nb_sample(1.0 / 8, 0.5, gen, size=(draws, 8)), axis=1)
+        geo = geo_sample(0.5, gen, size=draws)
+        top = int(max(sums.max(), geo.max()))
+        table = np.vstack([np.bincount(sums, minlength=top + 1),
+                           np.bincount(geo, minlength=top + 1)]).astype(float)
+        expect = _pearson_2xk(_merge_short_bins(table))
+        assert nb_sufficiency_test(0.5, draws, RngStream(41, 0)) == expect
+
     def test_no_draws_refused(self):
         # zero draws once failed in numpy's max of an empty array
         with pytest.raises(RangeError, match="draws >= 1"):

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import math
@@ -32,7 +33,12 @@ from qsts.experiments import _chi2_sf
 from qsts.spectral import RealParam, SpectralDensity, fourier_frequencies, psi_matrix
 from qsts.toeplitz import SymbolMatrix, toeplitz_from_density
 
-from oracles import dense_dft_conjugate, pgf_coefficients_mp
+from oracles import (
+    block_rates_full_q,
+    conditional_blocks_full_q,
+    dense_dft_conjugate,
+    pgf_coefficients_mp,
+)
 
 COS_DENSITY = SpectralDensity.cosine(2.0, 0.5)   # 2 + 0.5 cos w
 
@@ -374,6 +380,21 @@ class TestBlocks:
             np.testing.assert_array_equal(blocks_first.blocks, draw.blocks)
             assert blocks_first.pi_bar.tobytes() == before
 
+    @pytest.mark.parametrize("r, m", [(2, 3), (3, 3), (7, 3), (409, 9), (5957, 11)])
+    def test_r_only_blocks_equal_the_full_q_reference(self, r, m):
+        # Q D X = G R^-1 D X: the blocks drawn from R alone are the bytes of those
+        # drawn with the Haar isometry formed, for r < m, square G, the golden
+        # simulate measure case and the two benchmarked schemes
+        scheme = BlockScheme(n=r * m, d=0, m=m, r=r)
+        for seed in range(20):
+            draw = sample_pi_blocks(COS_DENSITY, scheme, RngStream(71, seed))
+            gens = [copy.deepcopy(draw.gen) for _ in range(3)]
+            lam = measurement._block_rates(gens[0], draw.amplitudes, r)
+            lam_ref = block_rates_full_q(gens[1], draw.amplitudes, r)
+            np.testing.assert_allclose(lam, lam_ref, rtol=1e-12, atol=0.0)
+            ref = conditional_blocks_full_q(gens[2], draw.amplitudes, draw.totals, r)
+            assert draw.blocks.tobytes() == ref.tobytes(), seed
+
     @pytest.mark.parametrize("m, r", [(5, 1), (5, 4), (5, 5), (5, 6), (9, 409)])
     def test_totals_have_the_moments_of_r_blocks(self, m, r):
         # totals = sum of r independent blocks: mean r (mean_Pi - 1)/2 and
@@ -497,6 +518,16 @@ def q_prime(A):
     """(U* A U - I)/2 for odd m, (A - I)/2 in the given basis for even m."""
     D = dense_dft_conjugate(A.entries) if A.n % 2 == 1 else A.entries
     return 0.5 * (D - np.eye(A.n))
+
+
+@st.composite
+def band_limited_densities(draw):
+    """Density with inf a > 1: a_0 exceeds 1 + 2 sum |a_k| over up to 12 complex lags by a margin."""
+    k_max = draw(st.integers(0, 12))
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=k_max, max_size=k_max)
+    coeffs = [complex(x, y) for x, y in zip(draw(unit), draw(unit))]
+    a0 = 1.0 + draw(st.floats(0.05, 3.0)) + 2.0 * sum(abs(c) for c in coeffs)
+    return SpectralDensity(np.array([a0] + coeffs, dtype=complex))
 
 
 def check_map(A, embeds):
@@ -629,6 +660,17 @@ class TestMixtureFactor:
              "const:3": lambda: toeplitz_from_density(SpectralDensity.constant(3.0), m),
              "generic": lambda: generic_hermitian(m, m)}[kind]()
         check_map(A, embeds=kind != "generic" and m >= E)
+
+    @given(band_limited_densities(), st.integers(E, 160))
+    def test_embedding_map_equals_the_dense_q_prime(self, a, n):
+        # the circulant's eigenvalues are (a - 1)/2 on its grid, all positive, so the
+        # map is the embedding; its images of the unit normals give P P* = Q'
+        A = toeplitz_from_density(a, n)
+        sampler = NumberOpSampler(A)
+        assert sampler.root is not None
+        P = linear_map(sampler)
+        Qp = 0.5 * (measurement._dft_conjugate(A.entries) - np.eye(n))
+        assert np.linalg.norm(P @ P.conj().T - Qp, 2) <= 1e-12 * np.linalg.norm(Qp, 2)
 
     def test_embedding_width_is_n_plus_last_lag(self):
         # GEOM has K = 3; const:3 has K = 0, a circulant of size n
