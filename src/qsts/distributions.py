@@ -7,20 +7,20 @@ that is the natural parameter.
 ``geo_kl`` and both error exponents share one kernel of two Bernoulli KL terms >= 0,
 ``_bernoulli_terms``, so nothing cancels.  psi is a log-sum-exp of affine functions of t,
 so convex (Hoelder), as is its quantum mean: golden section finds the infimum, unguarded.
+The quantum mean is the periodic trapezoid rule on a grid that ``spectral._halving``
+sizes from the densities, from ``_grid_size(K_max)`` points up; no fixed grid decides it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import RangeError
-from .spectral import SpectralDensity, _grid_size, _on_grid, density_min
-
-#: the fewest quadrature points of the quantum error exponent
-_CHERNOFF_GRID = 4096
+from .spectral import SpectralDensity, _grid_size, _grid_slack, _halving, _on_grid, density_min
 
 
 def _symbol(a: float) -> float:
@@ -251,25 +251,68 @@ def chernoff_geo_inf(a0: float, a1: float):
 
 
 def _quantum_psi(a0: SpectralDensity, a1: SpectralDensity):
-    """t -> the mean of psi over max(_CHERNOFF_GRID, ``_grid_size``) points; needs min a > 1."""
+    """G -> the ``_halving`` rule of the mean of psi on the G points 2 pi j / G; needs min a > 1.
+
+    The rule maps t to (mean, gap, rounding), gap the distance of the mean over the
+    even G/2 samples.  The last G is kept, so the densities are sampled and psi built
+    once per grid.  A sample a_i moves psi by at most w_i (1 + 2 r/(a_i - 1)) / (a_i + 1)
+    per unit, r = p_t/q_t and (w_0, w_1) = (t, 1 - t), as psi = t log q_0 + (1 - t)
+    log q_1 - log q_t; the samples' rounding is the mean of that times the
+    ``_grid_slack`` allowance of a_i, plus 4 log2(G) eps max |psi| for the mean.
+    """
     amin, at = min(density_min(a0), density_min(a1))
     if amin <= 1.0:
         raise RangeError(f"densities must stay strictly above 1, got {amin!r} at w = {at!r}")
-    G = max(_CHERNOFF_GRID, _grid_size(max(a0.k_max, a1.k_max)))
-    psi = _chernoff_terms(_on_grid(a0.coeffs, G), _on_grid(a1.coeffs, G))
-    return lambda t: np.mean(psi(t))
+    mags = [np.abs(a.full_coeffs()) for a in (a0, a1)]
+
+    @functools.lru_cache(maxsize=1)
+    def on(G: int):
+        v = np.stack([_on_grid(a.coeffs, G) for a in (a0, a1)])
+        psi = _chernoff_terms(v[0], v[1])
+        dlog_q = np.array([_grid_slack(m, G)[1] for m in mags])[:, None] / (v + 1.0)
+        dlog_p = dlog_q * (2.0 / (v - 1.0))
+        log_p = -np.log1p(2.0 / (v - 1.0))
+
+        def rule(t: float):
+            s = psi(t)
+            mean = float(np.mean(s))
+            w = np.array([[t], [1.0 - t]])
+            r = 1.0 / np.expm1(-(w * log_p).sum(axis=0))
+            rounding = (float(np.mean((w * (dlog_q + r * dlog_p)).sum(axis=0)))
+                        + 4.0 * math.log2(G) * 2.0 ** -52 * float(np.abs(s).max()))
+            return mean, abs(float(np.mean(s[::2])) - mean), rounding
+        return psi, rule
+    return on
 
 
 def chernoff_quantum(a0: SpectralDensity, a1: SpectralDensity, t: float) -> float:
     """Error exponent term (1/2 pi) int_0^{2 pi} psi(a0(w), a1(w); t) dw of two spectral
-    densities, psi of ``chernoff_geo``: periodic trapezoid quadrature, the same on [-pi, pi].
+    densities, psi of ``chernoff_geo``: the periodic trapezoid rule, the same on [-pi, pi],
+    on the grid that ``_halving`` checks at this t.
     """
-    return float(_quantum_psi(a0, a1)(t))
+    on = _quantum_psi(a0, a1)
+    return _halving(lambda G: on(G)[1](t), _grid_size(max(a0.k_max, a1.k_max)),
+                    "Chernoff exponent")[0]
 
 
 def chernoff_quantum_inf(a0: SpectralDensity, a1: SpectralDensity):
-    """Infimum over t in [0, 1] of chernoff_quantum, each density evaluated once; (t*, value)."""
-    return _golden_infimum(_quantum_psi(a0, a1))
+    """Infimum over t in [0, 1] of chernoff_quantum; returns (t*, value).
+
+    The integrand depends on t, so the grid is checked at two values of t: ``_halving``
+    sizes it at t = 1/2 before the golden-section search, and checks it again at the
+    returned t*; where t* fails, the search repeats on the doubled grid.  Each grid
+    samples the densities and builds psi once, and the search and checks reuse them.
+    """
+    on = _quantum_psi(a0, a1)
+    G = _halving(lambda G: on(G)[1](0.5), _grid_size(max(a0.k_max, a1.k_max)),
+                 "Chernoff exponent")[1]
+
+    def search(G):
+        psi, rule = on(G)
+        t, _ = _golden_infimum(lambda t: np.mean(psi(t)))
+        value, gap, rounding = rule(t)
+        return (t, value), gap, rounding
+    return _halving(search, G, "Chernoff exponent")[0]
 
 
 def varstab_arccosh(a: float) -> float:

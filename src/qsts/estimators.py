@@ -37,6 +37,7 @@ from .spectral import (
     _certified_min,
     _grid_size,
     _grid_slack,
+    _halving,
     _on_grid,
     density_min,
     fourier_frequencies,
@@ -47,9 +48,6 @@ from .spectral import (
 #: distinct (m, d) block designs, and (d, grid_size) designs of the
 #: projection's uniform grid, kept per process
 _DESIGN_CACHE_SIZE = 32
-
-#: the largest quadrature grid of the phi matrices (then NonConvergence)
-_PHI_GRID_CAP = 1 << 20
 
 #: the projection's tolerance, how many rows its active-set loop may add
 #: (then NonConvergence), and the uniform grid that enforces a >= 1 + 1/M
@@ -323,12 +321,12 @@ def phi_matrices(theta: np.ndarray, d: int) -> FisherMatrices:
     and 1/w, which one rfft of their samples on G points gives (the periodic
     trapezoid rule).  On the first grid, G = _grid_size(2d) >= 8 (2d + 1),
     a_theta > 1 is decided by its minimum less ``_grid_slack``, else by
-    ``_certified_min`` (else NotAdmissible), and w's lags are exact.  The lags
-    G/2 - 2d .. G/2 of 1/w are what the rule on G/2 points aliased onto lags
-    0..2d; G doubles while they exceed the samples' rounding, up to
-    _PHI_GRID_CAP (then NonConvergence).  That rounding is the mean of
-    2 a_j / w_j^2 (the change of 1/w_j per unit of a_j) times the
-    ``_grid_slack`` allowance of a, plus 4 log2(G) eps max 1/w for the rfft.
+    ``_certified_min`` (else NotAdmissible), and w's lags are exact.  G is
+    sized by ``_halving``: the lags G/2 - 2d .. G/2 of 1/w are how far the
+    rule on the even G/2 samples lies from the rule on all G at lags 0..2d,
+    and the samples' rounding is the mean of 2 a_j / w_j^2 (the change of
+    1/w_j per unit of a_j) times the ``_grid_slack`` allowance of a, plus
+    4 log2(G) eps max 1/w for the rfft.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != 2 * d + 1:
@@ -341,28 +339,26 @@ def phi_matrices(theta: np.ndarray, d: int) -> FisherMatrices:
     half[0] = theta[d]
     half[1:] = (theta[d + 1:] - 1j * theta[:d][::-1]) / math.sqrt(2.0)
     full = np.concatenate((np.conj(half[:0:-1]), half))
-    G = _grid_size(2 * d)
-    a = _on_grid(half, G)
-    curvature, allowance = _grid_slack(np.abs(full), G)
-    low = float(a.min())
-    if not (low - curvature - allowance > 1.0
-            or (low > 1.0 and _certified_min(full, G)[0] > 1.0)):
+    G0, mags = _grid_size(2 * d), np.abs(full)
+    a0 = _on_grid(half, G0)
+    curvature, allowance0 = _grid_slack(mags, G0)
+    low = float(a0.min())
+    if not (low - curvature - allowance0 > 1.0
+            or (low > 1.0 and _certified_min(full, G0)[0] > 1.0)):
         raise NotAdmissible("a_theta must stay above 1 for the phi matrices")
-    while True:
+
+    def rule(G):
+        a, allowance = (a0, allowance0) if G == G0 else (_on_grid(half, G),
+                                                         _grid_slack(mags, G)[1])
         weights = np.empty((2, G))
         np.subtract(a * a, 1.0, out=weights[0])
         np.divide(1.0, weights[0], out=weights[1])
         lags = np.fft.rfft(weights, axis=-1, norm="forward")
         rounding = (float(a @ weights[1] ** 2) * 2.0 / G * allowance
                     + 4.0 * math.log2(G) * 2.0 ** -52 * float(weights[1].max()))
-        if float(np.abs(lags[1, G // 2 - 2 * d:]).max()) <= rounding:
-            break
-        if G >= _PHI_GRID_CAP:
-            raise NonConvergence(f"lags of 1/(a_theta^2 - 1) not converged on "
-                                 f"G = {G} points (_PHI_GRID_CAP)")
-        G *= 2
-        a = _on_grid(half, G)
-        allowance = _grid_slack(np.abs(full), G)[1]
+        return lags, float(np.abs(lags[1, G // 2 - 2 * d:]).max()), rounding
+
+    lags, _ = _halving(rule, G0, "lags of 1/(a_theta^2 - 1)")
     phi0, phi = _fisher_from_lags(
         np.concatenate((np.conj(lags[:, 2 * d:0:-1]), lags[:, :2 * d + 1]), axis=-1), d)
     return FisherMatrices(phi0, phi)

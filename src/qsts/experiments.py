@@ -27,10 +27,9 @@ from .harness import _CHUNK_ROWS, _QUANTILE_STEPS, RngStream, _bracketed_newton
 from .spectral import (
     SpectralDensity,
     TWO_PI,
+    _on_grid,
     _truncated_density,
     eval_density,
-    fourier_frequencies,
-    grids,
     local_averages,
     sobolev_norm,
 )
@@ -145,11 +144,15 @@ def simulate_geo_regression(a: SpectralDensity, n: int, variant: str,
     if variant == "averages":
         levels = local_averages(a, n)
     elif variant == "points":
-        t, _ = grids(n, 1)
-        levels = np.asarray(eval_density(a, t), dtype=float)
+        levels = _point_values(a, n)
     else:
         raise RangeError(f"unknown variant {variant!r}")
     return geo_sample(2.0 / (_admissible(levels) + 1.0), rng.generator())
+
+
+def _point_values(a: SpectralDensity, n: int) -> np.ndarray:
+    """a(t_{j,n}) on the point grid t_{j,n} = 2 pi (j/n - 1/2), j = 1..n, by ``_on_grid``."""
+    return _on_grid(a.coeffs, n, 1.0 - n / 2)
 
 
 def simulate_white_noise(a: SpectralDensity, n: int, L: int, transform: str,
@@ -164,8 +167,7 @@ def simulate_white_noise(a: SpectralDensity, n: int, L: int, transform: str,
     if L < 64:
         raise RangeError("need L >= 64 grid steps")
     grid = np.linspace(-math.pi, math.pi, L + 1)
-    w = grid[:-1]
-    vals = np.asarray(eval_density(a, w), dtype=float)
+    vals = _on_grid(a.coeffs, L, -L / 2)
     if np.any(vals <= 1.0) and transform == "arccosh":
         raise NotAdmissible("arccosh drift needs a > 1 on the grid")
     dt = TWO_PI / L
@@ -175,7 +177,7 @@ def simulate_white_noise(a: SpectralDensity, n: int, L: int, transform: str,
     elif transform == "local":
         if a0 is None:
             raise RangeError("local transform needs the center density a0")
-        center = np.asarray(eval_density(a0, w), dtype=float)
+        center = _on_grid(a0.coeffs, L, -L / 2)
         if np.any(center <= 1.0):
             raise NotAdmissible("localization center must stay above 1")
         drift = vals
@@ -370,9 +372,9 @@ def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],
     sums_i, sums_ii = [], []
     for n in ns:
         J = local_averages(a, n)
-        s1 = _hellinger_sum(eval_density(_truncated_density(a, n),
-                                         fourier_frequencies(n)), J)
-        s2 = _hellinger_sum(eval_density(a, grids(n, 1)[0]), J)
+        # the truncation at the centred Fourier frequencies 2 pi j / n, |j| <= (n - 1)/2
+        s1 = _hellinger_sum(_on_grid(_truncated_density(a, n).coeffs, n, (1 - n) / 2), J)
+        s2 = _hellinger_sum(_point_values(a, n), J)
         sums_i.append(s1)
         sums_ii.append(s2)
         last = n == ns[-1]

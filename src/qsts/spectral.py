@@ -288,7 +288,9 @@ def psi_matrix(d: int, omega) -> np.ndarray:
 def eval_density(a: SpectralDensity, omega) -> float | np.ndarray:
     """Evaluate a(w) as psi_matrix(K_max, w) @ theta, theta its real coordinates.
 
-    Scalars are reduced mod 2 pi first and return a float.
+    For arbitrary points: a dense (points x (2 K_max + 1)) design.  Uniform grids
+    go through ``_on_grid``, one FFT.  Scalars are reduced mod 2 pi first and
+    return a float.
     """
     scalar = np.isscalar(omega)
     w = np.array([reduce_angle(float(omega))]) if scalar else omega
@@ -301,9 +303,46 @@ def _grid_size(k_max: int) -> int:
     return 1 << (8 * k_max + 7).bit_length()
 
 
-def _on_grid(lags: np.ndarray, G: int) -> np.ndarray:
-    """p(2 pi j / G), j < G, for each row a_0 .. a_K (K < G/2) of ``lags``."""
+#: the largest grid of ``_halving`` (then NonConvergence)
+_GRID_CAP = 1 << 20
+
+
+def _on_grid(lags: np.ndarray, G: int, start: float = 0.0) -> np.ndarray:
+    """p(2 pi (j + start) / G), j < G, for each row a_0 .. a_K of ``lags``, by one FFT.
+
+    The grid starts at w0 = 2 pi start / G, so the lags become a_k exp(i k w0); for
+    ``start`` a multiple of 1/2, k start mod G is exact and each phase rounds once.
+    hfft reads only the lags 0 .. G/2, so lags at or past G/2 are first folded onto
+    k mod G, which is exact for the samples.
+    """
+    K = lags.shape[-1] - 1
+    if start:
+        lags = lags * np.exp(1j * TWO_PI / G * np.remainder(np.arange(K + 1) * start, G))
+    if 2 * K >= G:
+        full = np.concatenate((np.conj(lags[..., :0:-1]), lags), axis=-1)   # k = -K .. K
+        pad = [(0, 0)] * (full.ndim - 1) + [(0, -full.shape[-1] % G)]
+        rows = np.pad(full, pad).reshape(full.shape[:-1] + (-1, G)).sum(axis=-2)
+        lags = np.roll(rows, -K, axis=-1)[..., :G // 2 + 1]   # bin m: the lags k = m mod G
     return np.fft.hfft(np.conj(lags), G)
+
+
+def _halving(rule, G: int, what: str):
+    """(value, G): the periodic trapezoid rule ``rule`` on the first of G, 2G, ... that converged.
+
+    rule(G) returns (value, gap, rounding), with gap how far the rule on the even G/2
+    samples lies from the rule on all G, and rounding what the samples' rounding
+    alone may move it.  G doubles while gap > rounding; past _GRID_CAP it raises
+    NonConvergence naming the G reached.  The rule converges geometrically for an
+    analytic integrand (Trefethen and Weideman, SIAM Review 56, 2014), so the value
+    on G is far closer than gap.
+    """
+    while True:
+        value, gap, rounding = rule(G)
+        if gap <= rounding:
+            return value, G
+        if G >= _GRID_CAP:
+            raise NonConvergence(f"{what} not converged on G = {G} points")
+        G *= 2
 
 
 def _grid_slack(mags: np.ndarray, G: int) -> tuple[float, float]:
@@ -417,21 +456,14 @@ def local_averages(a: SpectralDensity, n: int) -> np.ndarray:
     """Cell averages J_j = n int_{(j-1)/n}^{j/n} a(2 pi (x - 1/2)) dx, j = 1..n.
 
     Computed in closed form from the coefficients: the change of variables
-    maps cell j to W_{j,n} = 2 pi ((j-1)/n - 1/2, j/n - 1/2) and
-    int exp(i k w) dw has an elementary antiderivative.
+    maps cell j to W_{j,n} = 2 pi ((j-1)/n - 1/2, j/n - 1/2), and the mean of
+    exp(i k w) over a cell is exp(i k c) sinc(pi k / n) at its centre c.  So J
+    is the density of lags a_k sinc(pi k / n) at the n cell centres
+    -pi + pi/n + 2 pi (j - 1)/n, one ``_on_grid`` call.
     """
     if n < 1:
         raise RangeError("n must be >= 1")
-    j = np.arange(1, n + 1)
-    w_lo = TWO_PI * ((j - 1) / n - 0.5)
-    w_hi = TWO_PI * (j / n - 0.5)
-    out = np.full(n, float(a.coeffs[0].real))
-    for k in range(1, a.k_max + 1):
-        ak = a.coeffs[k]
-        integral = (np.exp(1j * k * w_hi) - np.exp(1j * k * w_lo)) / (1j * k)
-        # k and -k contribute conjugate terms: 2 Re(a_k * integral)
-        out = out + (n / TWO_PI) * 2.0 * (ak * integral).real
-    return out
+    return _on_grid(a.coeffs * np.sinc(np.arange(a.k_max + 1) / n), n, 0.5 - n / 2)
 
 
 class TruncationResult(NamedTuple):

@@ -296,6 +296,19 @@ def coeffs_by_lag_loop(theta: np.ndarray) -> np.ndarray:
     return c
 
 
+def local_averages_by_antiderivative(a: SpectralDensity, n: int) -> np.ndarray:
+    """Cell averages J_j, j = 1..n, one lag at a time from the antiderivative of exp(i k w)."""
+    j = np.arange(1, n + 1)
+    w_lo = TWO_PI * ((j - 1) / n - 0.5)
+    w_hi = TWO_PI * (j / n - 0.5)
+    out = np.full(n, float(a.coeffs[0].real))
+    for k in range(1, a.k_max + 1):
+        integral = (np.exp(1j * k * w_hi) - np.exp(1j * k * w_lo)) / (1j * k)
+        # k and -k contribute conjugate terms: 2 Re(a_k * integral)
+        out = out + (n / TWO_PI) * 2.0 * (a.coeffs[k] * integral).real
+    return out
+
+
 def step_function_values(heights: np.ndarray, omega: np.ndarray, n: int) -> np.ndarray:
     """Evaluate the piecewise-constant function with given cell heights."""
     x = np.clip((np.asarray(omega) / TWO_PI + 0.5) * n, 0, n - 1e-9)

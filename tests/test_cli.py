@@ -574,9 +574,12 @@ EXIT_CASES = {
                              "--omega", "nan", "inf"]),
     "numerical": (2, ["state", "entropy", "--a1", "const:1", "--a2", "const:3",
                       "--n", "2"]),
-    # a_min - 1 = 1e-12: the lags of 1/(a^2 - 1) need more than _PHI_GRID_CAP points
+    # a_min - 1 = 1e-12: the lags of 1/(a^2 - 1) need more than spectral._GRID_CAP points
     "phi_grid_cap": (2, ["mc", "normality", "--density", "cos:1.500000000001,0.5",
                          "--n", "64", "--d", "1", "--replicates", "500"]),
+    # a_min - 1 = 1e-13: the Chernoff quadrature needs more than spectral._GRID_CAP points
+    "chernoff_grid_cap": (2, ["dist", "chernoff", "--a0", "cos:1.5000000000001,0.5",
+                              "--a1", "const:3"]),
     "audit": (3, ["symbol", "gap", "--density", GEOM_DECAY, "--n", "16", "--m", "19",
                   "--alpha", "1", "--M", "1e-9"]),
 }

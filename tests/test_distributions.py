@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from qsts import distributions
+from qsts import distributions, spectral
 from qsts.distributions import (
     chernoff_geo,
     chernoff_geo_inf,
@@ -22,7 +22,7 @@ from qsts.distributions import (
     varstab_arccosh,
     varstab_ode_residual,
 )
-from qsts.errors import NotPSD, RangeError
+from qsts.errors import NonConvergence, NotPSD, RangeError
 from qsts.spectral import SpectralDensity, eval_density
 
 from oracles import (
@@ -358,12 +358,12 @@ class TestChernoff:
     def test_quantum_quadrature_refinement(self):
         a0 = SpectralDensity.cosine(2.0, 0.5)
         a1 = SpectralDensity.cosine(3.0, 0.4)
-        # the fixed grid against the same rule on twice as many points
-        grid = 2 * distributions._CHERNOFF_GRID
+        # the checked grid against the same rule on 8192 points, far finer
+        grid = 8192
         v0, v1 = (eval_density(a, 2 * math.pi * np.arange(grid) / grid) for a in (a0, a1))
-        doubled = float(-np.mean(np.log(0.5 * ((v0 + 1) ** 0.3 * (v1 + 1) ** 0.7
-                                               - (v0 - 1) ** 0.3 * (v1 - 1) ** 0.7))))
-        assert abs(chernoff_quantum(a0, a1, 0.3) - doubled) < 1e-10
+        finer = float(-np.mean(np.log(0.5 * ((v0 + 1) ** 0.3 * (v1 + 1) ** 0.7
+                                             - (v0 - 1) ** 0.3 * (v1 - 1) ** 0.7))))
+        assert abs(chernoff_quantum(a0, a1, 0.3) - finer) < 1e-14
 
     def test_quantum_infimum_constant(self):
         a0 = SpectralDensity.constant(2.0)
@@ -392,19 +392,64 @@ class TestChernoff:
         with pytest.raises(RangeError, match="strictly above 1"):
             chernoff_quantum(SpectralDensity(c), SpectralDensity.constant(3.0), 0.5)
 
-    def test_quantum_infimum_evaluates_each_density_once(self, monkeypatch):
+    def test_quantum_infimum_evaluates_each_density_once_per_grid(self, monkeypatch):
         a0 = SpectralDensity.cosine(2.0, 0.5)
         a1 = SpectralDensity.cosine(3.0, 0.7)
-        seen, evaluate = [], distributions._on_grid
+        seen, built = [], []
+        evaluate, terms = distributions._on_grid, distributions._chernoff_terms
 
         def counted(lags, G):
-            seen.append(SpectralDensity(lags))
+            seen.append((SpectralDensity(lags), G))
             return evaluate(lags, G)
 
+        def counted_terms(v0, v1):
+            built.append(len(v0))
+            return terms(v0, v1)
+
         monkeypatch.setattr(distributions, "_on_grid", counted)
+        monkeypatch.setattr(distributions, "_chernoff_terms", counted_terms)
         t, v = chernoff_quantum_inf(a0, a1)
-        assert seen == [a0, a1]
-        assert v == chernoff_quantum(a0, a1, t)
+        # the grids from 16 points up, the last one sized at t = 1/2 and then
+        # searched and checked at t*; psi is built once per grid, not per step
+        grids = [16 << i for i in range(len(built))]
+        assert len(built) >= 3 and built == grids
+        assert seen == [(a, G) for G in grids for a in (a0, a1)]
+        monkeypatch.undo()
+        assert v == pytest.approx(chernoff_quantum(a0, a1, t), rel=1e-15)
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10])
+    def test_quantum_near_the_floor_matches_a_fine_rule(self, gap):
+        # 4096 fixed points were off the 2^22-point rule by 8.6e-11, 6.6e-8 and
+        # 1.3e-7 relative here, and nothing detected it
+        grid, chunk = 1 << 22, 1 << 18
+        a0, a1 = SpectralDensity.cosine(1.5 + gap, 0.5), SpectralDensity.constant(3.0)
+        total = 0.0
+        for start in range(0, grid, chunk):
+            w = 2 * math.pi * np.arange(start, start + chunk) / grid
+            v0 = 1.5 + gap + 0.5 * np.cos(w)
+            total += float(np.sum(distributions._chernoff_terms(v0, np.full(chunk, 3.0))(0.5)))
+        fine = total / grid
+        try:
+            got = chernoff_quantum(a0, a1, 0.5)
+        except NonConvergence as exc:
+            assert gap < 1e-8 and f"G = {spectral._GRID_CAP} points" in str(exc)
+        else:
+            assert abs(got - fine) <= 1e-12 * abs(fine)
+
+    def test_quantum_grid_starts_at_the_densities_own_size(self, monkeypatch):
+        # two constants need the first grid of K_max = 0, 8 points, not 4096
+        sizes, evaluate = [], distributions._on_grid
+        monkeypatch.setattr(distributions, "_on_grid",
+                            lambda lags, G: sizes.append(G) or evaluate(lags, G))
+        t, v = chernoff_quantum_inf(SpectralDensity.constant(2.0),
+                                    SpectralDensity.constant(3.0))
+        assert set(sizes) == {8}
+        assert v == pytest.approx(chernoff_geo_inf(2.0, 3.0)[1], rel=1e-13)
+
+    def test_quantum_grid_cap_is_a_numerical_failure(self):
+        a0 = SpectralDensity.cosine(1.5 + 1e-13, 0.5)
+        with pytest.raises(NonConvergence, match=f"G = {spectral._GRID_CAP} points"):
+            chernoff_quantum_inf(a0, SpectralDensity.constant(3.0))
 
 
 #: a - 1 = 10^x for x in [-12, 12]; the second symbol equal up to a factor 1 + 10^y, y <= 0
@@ -628,15 +673,15 @@ class TestProductInequalities:
 
 class TestChernoffIntervalConvention:
     def test_zero_to_2pi_equals_symmetric_interval(self):
-        # with 4096 uniform points, pi is a grid point, so the [0, 2pi) and
-        # [-pi, pi) quadrature grids coincide as sets and the averages agree
+        # the rule on [0, 2pi) agrees with a finer rule on [-pi, pi): with an even
+        # number of points pi is a grid point, and the two grids coincide as sets
         import math
         from qsts.spectral import eval_density
 
         a0 = SpectralDensity.cosine(2.0, 0.5)
         a1 = SpectralDensity.cosine(3.0, 0.4)
         t = 0.3
-        grid = distributions._CHERNOFF_GRID
+        grid = 4096
         w_sym = -math.pi + 2 * math.pi * np.arange(grid) / grid
         v0 = np.asarray(eval_density(a0, w_sym))
         v1 = np.asarray(eval_density(a1, w_sym))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qsts import estimators
+from qsts import estimators, spectral
 from qsts.errors import (
     DimensionError,
     NonConvergence,
@@ -625,7 +625,7 @@ class TestPhiMatrices:
 
     def test_grid_cap_is_a_numerical_failure(self):
         theta = RealParam.from_density(SpectralDensity.cosine(1.5 + 1e-12, 0.5), d=1).theta
-        with pytest.raises(NonConvergence, match=f"G = {estimators._PHI_GRID_CAP} points"):
+        with pytest.raises(NonConvergence, match=f"G = {spectral._GRID_CAP} points"):
             phi_matrices(theta, 1)
 
     @pytest.mark.parametrize("d, grid", [(0, 17), (1, 4096), (3, 4096), (3, 1000)])

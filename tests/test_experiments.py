@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -27,6 +28,7 @@ from qsts.experiments import (
 from qsts.harness import RngStream, mc_run
 from qsts.spectral import (
     SpectralDensity,
+    _on_grid,
     _truncated_density,
     eval_density,
     fourier_frequencies,
@@ -134,6 +136,34 @@ class TestWhiteNoise:
                                         a0=SpectralDensity.constant(1e200))
         assert np.all(np.isfinite(path.cumulative))
 
+    @pytest.mark.parametrize("transform", ["arccosh", "local"])
+    def test_drift_and_noise_read_the_densities_on_the_path_grid(self, transform):
+        a, center, L, n = LIFTED_GEOM, SpectralDensity.cosine(3.0, 0.4), 65, 16
+        path = simulate_white_noise(a, n, L, transform, RngStream(3, 0), a0=center)
+        w = path.grid[:-1]
+        vals, c = eval_density(a, w), eval_density(center, w)
+        drift = np.arccosh(vals) if transform == "arccosh" else vals
+        sd = 1.0 if transform == "arccosh" else np.sqrt(c * c - 1.0)
+        dt = 2 * math.pi / L
+        noise = RngStream(3, 0).generator().standard_normal(L) * sd * math.sqrt(
+            2 * math.pi / n * dt)
+        np.testing.assert_allclose(np.diff(path.cumulative), drift * dt + noise,
+                                   rtol=0.0, atol=1e-13)
+
+    def test_large_grid_memory_is_bounded(self):
+        # the dense (L x 513) design took 513 MB at L = 2^16, K_max = 256
+        rng = np.random.default_rng(3)
+        c = np.zeros(257, dtype=complex)
+        c[0], c[1:] = 4.0, 0.5 * rng.normal(size=256) / np.arange(1, 257) ** 2
+        a = SpectralDensity(c)
+        tracemalloc.start()
+        try:
+            simulate_white_noise(a, 16, 1 << 16, "local", RngStream(1, 0), a0=a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_huge_symbol_drift_is_finite(self):
         # log(a + sqrt(a * a - 1)) overflowed in a * a above 1.34e154
         with warnings.catch_warnings():
@@ -215,14 +245,19 @@ class TestHellingerChain:
         # H^2 from the rounded p was off by up to 2.2e-5 relative at n = 513
         ns = [65, 129, 257, 513]
         rep = audit_hellinger_chain(COS_DENSITY, ns)
-        for label, levels_of in (
-                ("hellinger_circulant_vs_avg", lambda n: eval_density(
-                    _truncated_density(COS_DENSITY, n), fourier_frequencies(n))),
-                ("hellinger_points_vs_avg", lambda n: eval_density(COS_DENSITY,
-                                                                   grids(n, 1)[0]))):
+        # the audit's own levels, which are the dense design's within rounding: the
+        # sums' error, not the levels', is what is checked
+        for label, levels_of, points_of in (
+                ("hellinger_circulant_vs_avg", lambda n: _on_grid(
+                    _truncated_density(COS_DENSITY, n).coeffs, n, (1 - n) / 2),
+                 fourier_frequencies),
+                ("hellinger_points_vs_avg", lambda n: experiments._point_values(
+                    COS_DENSITY, n), lambda n: grids(n, 1)[0])):
             got = [r.value for r in rep.rows if r.label == label]
             for n, value in zip(ns, got, strict=True):
-                pairs = zip(levels_of(n).tolist(), local_averages(COS_DENSITY, n).tolist())
+                levels = levels_of(n)
+                assert np.abs(levels - eval_density(COS_DENSITY, points_of(n))).max() <= 4e-15
+                pairs = zip(levels.tolist(), local_averages(COS_DENSITY, n).tolist())
                 with mpmath.workdps(50):
                     exact = mpmath.fsum(hellinger_geo_mp(x, y) for x, y in pairs)
                 assert abs(value - exact) <= 1e-14 * exact, (label, n)

@@ -13,6 +13,7 @@ from qsts.spectral import (
     SpectralDensity,
     _certified_min,
     _grid_size,
+    _on_grid,
     density_min,
     eval_density,
     fourier_truncate,
@@ -31,6 +32,7 @@ from oracles import (
     density_min_oracle,
     density_by_exponentials,
     l2_distance_sq,
+    local_averages_by_antiderivative,
     step_function_values,
     theta_by_lag_loop,
 )
@@ -230,7 +232,48 @@ class TestMembership:
         assert membership(SpectralDensity(c), space).member == (true_min >= floor)
 
 
+class TestOnGrid:
+    def test_lag_at_half_the_grid_is_folded_not_cropped(self):
+        # a = 3 + cos(8 w) reads 4 at every one of 8 points; cropping lag 8 read 3
+        c = np.zeros(9, dtype=complex)
+        c[0], c[8] = 3.0, 0.5
+        w = 2 * math.pi * np.arange(8) / 8
+        np.testing.assert_allclose(_on_grid(c, 8), eval_density(SpectralDensity(c), w),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(_on_grid(c, 8), 4.0, rtol=1e-14)
+
+    @pytest.mark.parametrize("G", [8, 9, 16])
+    def test_lags_past_the_grid_fold_onto_k_mod_g(self, G):
+        # K = 3G/2 (rounded up for odd G): lags K, G + 1 and G - 1 alias the low ones
+        rng = np.random.default_rng(G)
+        K = (3 * G + 1) // 2
+        c = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
+        c[0] = c[0].real
+        a = SpectralDensity(c)
+        for start in (0.0, -G / 2):
+            w = 2 * math.pi * (np.arange(G) + start) / G
+            np.testing.assert_allclose(_on_grid(a.coeffs, G, start), eval_density(a, w),
+                                       rtol=0.0, atol=1e-14 * np.abs(c).sum())
+
+    @given(densities(), st.integers(1, 64))
+    def test_equals_the_dense_design_at_each_grid_start(self, a, n):
+        # the starts in use: -pi, -pi + 2 pi / n, the centred Fourier frequencies of
+        # odd n and the cell centres -pi + pi / n; n <= 2 K_max folds
+        starts = [-n / 2, 1.0 - n / 2, 0.5 - n / 2] + ([(1 - n) / 2] if n % 2 else [])
+        scale = 2.0 * float(np.abs(a.coeffs).sum())
+        for start in starts:
+            w = 2 * math.pi * (np.arange(n) + start) / n
+            assert np.abs(_on_grid(a.coeffs, n, start) - eval_density(a, w)).max() <= (
+                1e-14 * scale)
+
+
 class TestLocalAverages:
+    @given(densities(), st.integers(1, 64))
+    def test_equals_the_antiderivative_closed_form(self, a, n):
+        scale = 2.0 * float(np.abs(a.coeffs).sum())
+        assert np.abs(local_averages(a, n)
+                      - local_averages_by_antiderivative(a, n)).max() <= 1e-14 * scale
+
     def test_constant(self):
         out = local_averages(SpectralDensity.constant(3.0), 5)
         np.testing.assert_allclose(out, 3.0, atol=1e-14)
