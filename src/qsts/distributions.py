@@ -13,7 +13,6 @@ sizes from the densities, from ``_grid_size(K_max)`` points up; no fixed grid de
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -251,37 +250,30 @@ def chernoff_geo_inf(a0: float, a1: float):
 
 
 def _quantum_psi(a0: SpectralDensity, a1: SpectralDensity):
-    """G -> the ``_halving`` rule of the mean of psi on the G points 2 pi j / G; needs min a > 1.
+    """G -> (psi, check) on the G points 2 pi j / G; needs min a > 1.
 
-    The rule maps t to (mean, gap, rounding), gap the distance of the mean over the
-    even G/2 samples.  The last G is kept, so the densities are sampled and psi built
-    once per grid.  A sample a_i moves psi by at most w_i (1 + 2 r/(a_i - 1)) / (a_i + 1)
-    per unit, r = p_t/q_t and (w_0, w_1) = (t, 1 - t), as psi = t log q_0 + (1 - t)
-    log q_1 - log q_t; the samples' rounding is the mean of that times the
-    ``_grid_slack`` allowance of a_i, plus 4 log2(G) eps max |psi| for the mean.
+    check(t) is the ``_halving`` triple of the mean of psi(t): the gap to the mean
+    over the even G/2 samples, and as rounding the mean move of psi(t) when either
+    density's samples rise by their ``_grid_slack`` allowance, summed over the two,
+    plus 4 log2(G) eps max |psi| for the mean itself.
     """
     amin, at = min(density_min(a0), density_min(a1))
     if amin <= 1.0:
         raise RangeError(f"densities must stay strictly above 1, got {amin!r} at w = {at!r}")
-    mags = [np.abs(a.full_coeffs()) for a in (a0, a1)]
 
-    @functools.lru_cache(maxsize=1)
     def on(G: int):
-        v = np.stack([_on_grid(a.coeffs, G) for a in (a0, a1)])
-        psi = _chernoff_terms(v[0], v[1])
-        dlog_q = np.array([_grid_slack(m, G)[1] for m in mags])[:, None] / (v + 1.0)
-        dlog_p = dlog_q * (2.0 / (v - 1.0))
-        log_p = -np.log1p(2.0 / (v - 1.0))
+        v = [_on_grid(a.coeffs, G) for a in (a0, a1)]
+        up = [x + _grid_slack(np.abs(a.full_coeffs()), G)[1] for x, a in zip(v, (a0, a1))]
+        psi = _chernoff_terms(*v)
 
-        def rule(t: float):
+        def check(t: float):
             s = psi(t)
             mean = float(np.mean(s))
-            w = np.array([[t], [1.0 - t]])
-            r = 1.0 / np.expm1(-(w * log_p).sum(axis=0))
-            rounding = (float(np.mean((w * (dlog_q + r * dlog_p)).sum(axis=0)))
+            rounding = (sum(float(np.mean(np.abs(_chernoff_terms(*m)(t) - s)))
+                            for m in ((up[0], v[1]), (v[0], up[1])))
                         + 4.0 * math.log2(G) * 2.0 ** -52 * float(np.abs(s).max()))
             return mean, abs(float(np.mean(s[::2])) - mean), rounding
-        return psi, rule
+        return psi, check
     return on
 
 
@@ -298,21 +290,21 @@ def chernoff_quantum(a0: SpectralDensity, a1: SpectralDensity, t: float) -> floa
 def chernoff_quantum_inf(a0: SpectralDensity, a1: SpectralDensity):
     """Infimum over t in [0, 1] of chernoff_quantum; returns (t*, value).
 
-    The integrand depends on t, so the grid is checked at two values of t: ``_halving``
-    sizes it at t = 1/2 before the golden-section search, and checks it again at the
-    returned t*; where t* fails, the search repeats on the doubled grid.  Each grid
-    samples the densities and builds psi once, and the search and checks reuse them.
+    The integrand depends on t, so ``_halving`` checks each grid at two values of t:
+    at t = 1/2, and where that passes, again at the t* that golden section returns;
+    where either fails, the grid doubles.  Each grid samples the densities and
+    builds psi once, and the search reuses it.
     """
     on = _quantum_psi(a0, a1)
-    G = _halving(lambda G: on(G)[1](0.5), _grid_size(max(a0.k_max, a1.k_max)),
-                 "Chernoff exponent")[1]
 
-    def search(G):
-        psi, rule = on(G)
-        t, _ = _golden_infimum(lambda t: np.mean(psi(t)))
-        value, gap, rounding = rule(t)
+    def rule(G: int):
+        psi, check = on(G)
+        t, (value, gap, rounding) = 0.5, check(0.5)
+        if gap <= rounding:
+            t = _golden_infimum(lambda t: np.mean(psi(t)))[0]
+            value, gap, rounding = check(t)
         return (t, value), gap, rounding
-    return _halving(search, G, "Chernoff exponent")[0]
+    return _halving(rule, _grid_size(max(a0.k_max, a1.k_max)), "Chernoff exponent")[0]
 
 
 def varstab_arccosh(a: float) -> float:

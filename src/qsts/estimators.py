@@ -348,6 +348,7 @@ def phi_matrices(theta: np.ndarray, d: int) -> FisherMatrices:
         raise NotAdmissible("a_theta must stay above 1 for the phi matrices")
 
     def rule(G):
+        # the first grid reuses the admissibility test's samples and allowance
         a, allowance = (a0, allowance0) if G == G0 else (_on_grid(half, G),
                                                          _grid_slack(mags, G)[1])
         weights = np.empty((2, G))

@@ -395,8 +395,9 @@ class TestChernoff:
     def test_quantum_infimum_evaluates_each_density_once_per_grid(self, monkeypatch):
         a0 = SpectralDensity.cosine(2.0, 0.5)
         a1 = SpectralDensity.cosine(3.0, 0.7)
-        seen, built = [], []
+        seen, built, searched = [], [], []
         evaluate, terms = distributions._on_grid, distributions._chernoff_terms
+        golden = distributions._golden_infimum
 
         def counted(lags, G):
             seen.append((SpectralDensity(lags), G))
@@ -406,16 +407,26 @@ class TestChernoff:
             built.append(len(v0))
             return terms(v0, v1)
 
+        def counted_search(fn):
+            before = len(built)
+            out = golden(fn)
+            searched.append(len(built) - before)
+            return out
+
         monkeypatch.setattr(distributions, "_on_grid", counted)
         monkeypatch.setattr(distributions, "_chernoff_terms", counted_terms)
+        monkeypatch.setattr(distributions, "_golden_infimum", counted_search)
         t, v = chernoff_quantum_inf(a0, a1)
-        # the grids from 16 points up, the last one sized at t = 1/2 and then
-        # searched and checked at t*; psi is built once per grid, not per step
-        grids = [16 << i for i in range(len(built))]
-        assert len(built) >= 3 and built == grids
+        # the grids from 16 points up, the last one checked at t = 1/2 and then
+        # searched and checked at t*: each grid samples the densities once, and
+        # the search builds no psi of its own
+        grids = [16 << i for i in range(len(set(built)))]
+        assert len(grids) >= 3 and sorted(set(built)) == grids
         assert seen == [(a, G) for G in grids for a in (a0, a1)]
+        assert searched == [0]
         monkeypatch.undo()
-        assert v == pytest.approx(chernoff_quantum(a0, a1, t), rel=1e-15)
+        # chernoff_quantum checks at t* alone and stops on the same grid
+        assert v == chernoff_quantum(a0, a1, t)
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10])
     def test_quantum_near_the_floor_matches_a_fine_rule(self, gap):
@@ -672,24 +683,26 @@ class TestProductInequalities:
 
 
 class TestChernoffIntervalConvention:
-    def test_zero_to_2pi_equals_symmetric_interval(self):
-        # the rule on [0, 2pi) agrees with a finer rule on [-pi, pi): with an even
-        # number of points pi is a grid point, and the two grids coincide as sets
+    def test_zero_to_2pi_equals_symmetric_interval(self, monkeypatch):
+        # the rule's grid has an even number of points, so pi is a grid point and the
+        # grid on [0, 2pi) and as many points from -pi coincide as sets: the same
+        # kernel on the [-pi, pi) grid gives the same mean
         import math
         from qsts.spectral import eval_density
 
         a0 = SpectralDensity.cosine(2.0, 0.5)
         a1 = SpectralDensity.cosine(3.0, 0.4)
         t = 0.3
-        grid = 4096
+        sizes, evaluate = [], distributions._on_grid
+        monkeypatch.setattr(distributions, "_on_grid",
+                            lambda lags, G: sizes.append(G) or evaluate(lags, G))
+        value = chernoff_quantum(a0, a1, t)
+        grid = max(sizes)
         w_sym = -math.pi + 2 * math.pi * np.arange(grid) / grid
         v0 = np.asarray(eval_density(a0, w_sym))
         v1 = np.asarray(eval_density(a1, w_sym))
-        bracket = ((v0 + 1) ** t * (v1 + 1) ** (1 - t)
-                   - (v0 - 1) ** t * (v1 - 1) ** (1 - t))
-        sym_value = float(-np.mean(np.log(0.5 * bracket)))
-        assert chernoff_quantum(a0, a1, t) == pytest.approx(
-            sym_value, abs=1e-12)
+        sym_value = float(np.mean(distributions._chernoff_terms(v0, v1)(t)))
+        assert value == pytest.approx(sym_value, rel=1e-15, abs=0.0)
 
 
 class TestExactSeriesHelpers:
