@@ -6,13 +6,13 @@ the Fourier frequencies scaled by m^{-1/2}.  This makes theta estimable by
 orthogonality (preliminary estimator) or by weighted least squares with the
 inverse variance weights Delta(theta)^{-1} (improved estimator); the
 one-step estimator applies the latter at the projected preliminary value.
-Both reproduce theta exactly when fed the analytic mean.  The projection onto
-the admissible set is one dual active-set loop that adds one violated
-half-space per step (a floor row on the grid, a tangent cut of the ball, or
-the floor row where ``density_min`` finds a miss) until ``membership``
-certifies the result.  The nonparametric estimate is the preliminary
-estimator at full length n, and the complex coefficients of its density
-are the unbiased symbol-coefficient estimates.
+Both reproduce theta exactly when fed the analytic mean.  The projection keeps
+a feasible input (by its lag bound, else the grid, else ``membership``), else
+adds one violated half-space per step of a dual active-set loop (a floor row
+on the grid, a tangent cut of the ball, or the floor row where ``density_min``
+finds a miss) until ``membership`` certifies the result.  The nonparametric
+estimate is the preliminary estimator at full length n, and the complex
+coefficients of its density are the unbiased symbol-coefficient estimates.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .spectral import (
     RealParam,
     ParameterSpace,
     TWO_PI,
+    _allowance,
     _certified_min,
     _grid_size,
     _grid_slack,
@@ -90,8 +91,8 @@ def design_matrices(m: int, d: int, theta: np.ndarray) -> DesignMatrices:
 
     W and F are built once per (m, d) in the process and are read-only.
     Delta is the diagonal a_theta^2(w_{j,m}) - 1 over the Fourier
-    frequencies; every entry must be positive (so not NaN) or the parameter
-    is inadmissible.
+    frequencies; its minimum must be positive (so no entry is NaN) or the
+    parameter is inadmissible.
     """
     W = _w_matrix(m, d)
     F = _f_diagonal(m, d)
@@ -99,7 +100,7 @@ def design_matrices(m: int, d: int, theta: np.ndarray) -> DesignMatrices:
     if theta.size != 2 * d + 1:
         raise DimensionError(f"theta must have length {2 * d + 1}")
     Delta = (math.sqrt(m) * (W @ theta)) ** 2 - 1.0
-    if not np.all(Delta > 0.0):
+    if not Delta.min() > 0.0:           # NaN propagates through min
         raise NotAdmissible("a_theta^2 - 1 must be positive at all frequencies")
     return DesignMatrices(W, F, Delta)
 
@@ -120,23 +121,25 @@ def weighted_estimator(pi_bar: np.ndarray, delta: np.ndarray,
 
     Scale invariant in D by construction (the weights enter both the normal
     matrix and the right-hand side); the small system is solved, never
-    inverted.  The condition number of the SPD normal matrix is
-    lambda_max / lambda_min from its eigenvalues; beyond 1e12, with
-    lambda_min <= 0, or with a non-finite weight, the system is refused.
-    W has orthonormal columns, so it is at most max delta / min delta:
-    where min delta > 0 and that is at most 1e9, no eigenvalue is computed.
+    inverted.  The SPD normal matrix is refused where its condition number
+    lambda_max / lambda_min exceeds 1e12 or lambda_min <= 0, as is a non-finite
+    weight.  W has orthonormal columns, so that number is at most max delta /
+    min delta: one min and one max of delta (which NaN and +-inf reach) serve
+    every check, and where min delta > 0 and that ratio is at most 1e9, no
+    eigenvalue is computed.
     """
     pi_bar = np.asarray(pi_bar, dtype=float).reshape(-1)
     delta = np.asarray(delta, dtype=float).reshape(-1)
     if pi_bar.size != m or delta.size != m:
         raise DimensionError(f"pi_bar and delta must have length m = {m}")
-    if not np.all(np.isfinite(delta)):
+    lo, hi = float(delta.min()), float(delta.max())   # NaN propagates through both
+    if not -math.inf < lo <= hi < math.inf:
         raise SingularSystem("weights delta must all be finite")
     W = _w_matrix(m, d)
     F = _f_diagonal(m, d)
     Winv = W / delta[:, None]
     G = W.T @ Winv                       # W' Delta^{-1} W, symmetric PD
-    if not (delta.min() > 0.0 and delta.max() <= 1e9 * delta.min()):
+    if not (lo > 0.0 and hi <= 1e9 * lo):
         lams = np.linalg.eigvalsh(G)
         if lams[0] <= 0.0 or lams[-1] / lams[0] > 1e12:
             raise SingularSystem("weighted normal equations are too ill-conditioned")
@@ -178,20 +181,25 @@ def _grid_design(d: int, grid_size: int) -> np.ndarray:
     return C
 
 
-def _admissible(x: np.ndarray, C: np.ndarray, space: ParameterSpace) -> bool:
-    """Whether ``membership`` accepts theta = x, asked only when the grid cannot tell.
+def _admissible(x: np.ndarray, space: ParameterSpace) -> bool:
+    """Whether ``membership`` accepts theta = x, asked only when neither bound can tell.
 
-    a_theta lies above its minimum over the G rows of C less sqrt(2) times
-    ``_grid_slack`` of |theta_j|, which bounds that of the |a_j|.  A grid
-    minimum below the floor's 1e-12 slack by the allowance is a rejection.
+    The lag bound theta_0 - sqrt(2) sum_j hypot(theta_j, theta_{-j}) <= a_theta, else
+    (sampled only then) the grid minimum less ``_grid_slack``, accepts inside the ball once
+    it clears the floor by sqrt(2) times the allowance of |theta_j| (which bounds that of
+    the |a_j|).  A grid minimum below the floor's 1e-12 slack by the allowance rejects.
     """
-    curvature, allowance = _grid_slack(np.abs(x), len(C))
-    floor, low = 1.0 + 1.0 / space.M, float((C @ x).min())
-    if x @ x <= space.M and low - math.sqrt(2.0) * (curvature + allowance) >= floor:
+    t, d, floor, G = x.tolist(), (x.size - 1) // 2, 1.0 + 1.0 / space.M, _PROJECTION_GRID
+    inside, allowance = x @ x <= space.M, _allowance(sum(map(abs, t)), d, G)
+    lag_bound = t[d] - math.sqrt(2.0) * sum(map(math.hypot, t[d + 1:], t[:d][::-1]))
+    if inside and lag_bound - math.sqrt(2.0) * allowance >= floor:
+        return True
+    low, curvature = float((_grid_design(d, G) @ x).min()), _grid_slack(np.abs(x), G)[0]
+    if inside and low - math.sqrt(2.0) * (curvature + allowance) >= floor:
         return True
     if low < floor - 1e-12 - math.sqrt(2.0) * allowance:
         return False
-    return membership(RealParam((x.size - 1) // 2, x).to_density(), space).member
+    return membership(RealParam(d, x).to_density(), space).member
 
 
 def _add_row(v: np.ndarray, N: np.ndarray, u: np.ndarray, c: np.ndarray, b: float):
@@ -237,16 +245,18 @@ def project_theta(theta_hat: np.ndarray, space: ParameterSpace) -> np.ndarray:
     shrunken set, so v is never farther from theta_hat than its projection
     onto that set.  A row that leaves needs no memory: grid rows are checked
     at every step, a violated old cut means ||v|| > radius, and
-    ``density_min`` finds a missed witness again.  Feasible input is returned
-    unchanged.
+    ``density_min`` finds a missed witness again.  Feasible input, by the lag
+    bound, else the grid, else ``membership`` (``_admissible``), is returned unchanged.
     """
     if space.kind != "theta2prime":
         raise RangeError("projection is defined for theta2prime spaces")
     x = np.asarray(theta_hat, dtype=float).reshape(-1).copy()
+    if x.size % 2 == 0:
+        raise DimensionError("theta must have odd length 2d + 1")
+    if _admissible(x, space):
+        return x
     d = (x.size - 1) // 2
     C = _grid_design(d, _PROJECTION_GRID)
-    if _admissible(x, C, space):
-        return x
     radius = math.sqrt(space.M) - _PROJECTION_TOL
     target = 1.0 + 1.0 / space.M + _PROJECTION_TOL * math.sqrt(2 * d + 1)
     v, N, u = x, np.empty((0, x.size)), np.empty(0)

@@ -96,7 +96,11 @@ def mc_run(sampler: Callable[[RngStream], np.ndarray], replicates: int,
     if replicates < 2:
         raise RangeError("need at least 2 replicates")
     results = [sampler(RngStream(seed, i)) for i in range(1, replicates + 1)]
-    rows = np.asarray([np.atleast_1d(np.asarray(r, dtype=float)) for r in results])
+    try:
+        rows = np.array(results, dtype=float)
+    except ValueError as exc:   # rows of different lengths
+        raise InputError("sampler must return vectors of a fixed length") from exc
+    rows = rows[:, None] if rows.ndim == 1 else rows    # a scalar sampler
     if rows.ndim != 2:
         raise InputError("sampler must return vectors of a fixed length")
     mean, cov = _mean_cov(rows)

@@ -329,11 +329,13 @@ def _block_factor(a: SpectralDensity, m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _upper_scale(k: int, m: int) -> np.ndarray:
-    """Read-only k x m matrix: sqrt(1/2) above the diagonal, 0 on and below it."""
-    U = np.triu(np.full((k, m), math.sqrt(0.5)), 1)
+def _bartlett_layout(r: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only k x m sqrt(1/2) above T's diagonal, else 0, and T_ii^2's shapes r - i."""
+    k = min(r, m)
+    U, shapes = np.triu(np.full((k, m), math.sqrt(0.5)), 1), np.arange(r, r - k, -1.0)
     U.setflags(write=False)
-    return U
+    shapes.setflags(write=False)
+    return U, shapes
 
 
 def _block_rates(gen: np.random.Generator, X: np.ndarray, r: int) -> np.ndarray:
@@ -381,10 +383,10 @@ def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
     (Goodman 1963; Anderson, An Introduction to Multivariate Statistical
     Analysis, ch. 7) Z*Z = T*T in law, with T the k x m upper trapezoidal
     matrix, k = min(r, m), T_ii = sqrt(Gamma(r - i)) and T_ij ~ CN(0, 1)
-    for j > i.  So S is the column sums of |T B^T|^2, and the totals take
-    about m^2 + m random numbers.  ``MeasurementDraw.blocks`` draws the
-    outcomes conditional on them, so (blocks, pi_bar) has the joint law of
-    r independent blocks.
+    for j > i.  So S is the column sums of |T B^T|^2, and the totals take about
+    m^2 + m random numbers, the m Poisson ones by scalar calls (the draws of one array
+    call, faster).  ``MeasurementDraw.blocks`` draws the outcomes conditional on them,
+    so (blocks, pi_bar) has the joint law of r independent blocks.
 
     Everything comes from the single generator of ``stream``, so the draw is
     deterministic given (seed path, scheme, density).  The block symbol must
@@ -394,14 +396,13 @@ def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
     and the draw carries the label of the ``a`` passed in.
     """
     r, m = scheme.r, scheme.m
-    k = min(r, m)
-    B = _block_factor(a, m)
+    B, (U, shapes) = _block_factor(a, m), _bartlett_layout(r, m)
     gen = stream.generator()
-    T = _complex_normals(gen, k, m)
-    T *= _upper_scale(k, m)
-    np.fill_diagonal(T, np.sqrt(gen.standard_gamma(np.arange(r, r - k, -1.0))))
+    T = _complex_normals(gen, *U.shape) * U
+    T.reshape(-1)[::m + 1] = np.sqrt(gen.standard_gamma(shapes))   # the diagonal, k <= m
     X = T @ B.T
-    return MeasurementDraw(totals=gen.poisson(abs_square(X).sum(axis=0)), scheme=scheme,
+    totals = np.array([gen.poisson(s) for s in abs_square(X).sum(axis=0).tolist()])
+    return MeasurementDraw(totals=totals, scheme=scheme,
                            seed_path=stream.path, density_label=a.label,
                            amplitudes=X, gen=gen)
 

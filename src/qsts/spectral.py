@@ -355,7 +355,12 @@ def _grid_slack(mags: np.ndarray, G: int) -> tuple[float, float]:
     """
     K = mags.size // 2
     return ((math.pi / G) ** 2 / 2.0 * float(np.arange(-K, K + 1.0) ** 2 @ mags),
-            4.0 * (K + 1 + math.log2(G)) * 2.0 ** -52 * float(mags.sum()))
+            _allowance(float(mags.sum()), K, G))
+
+
+def _allowance(total: float, K: int, G: int) -> float:
+    """``_grid_slack``'s allowance 4 (K + 1 + log2 G) eps total, for total = sum |a_k|."""
+    return 4.0 * (K + 1 + math.log2(G)) * 2.0 ** -52 * total
 
 
 def _certified_min(full: np.ndarray, G: int) -> tuple[float, float, float]:

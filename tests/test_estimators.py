@@ -250,7 +250,7 @@ class TestWeightedGate:
         assert np.all(np.isfinite(weighted_estimator(np.full(self.M, 2.0), delta, self.M, self.D)))
         assert [call for call in solves if call[0] == "eigvalsh"] == [("eigvalsh", (3, 3))]
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_refused(self, bad):
         from qsts.estimators import weighted_estimator
 
@@ -360,10 +360,45 @@ class TestProjection:
         assert out.tobytes() == COS_THETA.tobytes()
 
     def test_feasible_input_near_the_floor_unchanged(self):
-        # an exact minimum 1e-9 above the floor: the grid cannot tell, membership can
+        # an exact minimum 1e-9 above the floor: the grid cannot tell; the lag
+        # bound, exact at d = 1, can
         x = np.array([0.3, 0.0, 0.4])
         x[1] = 1.2 + 1e-9 + math.sqrt(2.0) * 0.5
         assert project_theta(x, self.SPACE).tobytes() == x.tobytes()
+
+    @given(st.integers(0, 3), st.sampled_from([5.0, 10.0]),
+           st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+           st.sampled_from(["floor", "near floor", "ball"]), st.floats(-1.0, 1.0))
+    @example(0, 5.0, [0.0] * 6, "near floor", 1.0)
+    @example(3, 5.0, [0.1, -0.2, 0.05, 0.0, 0.3, -0.1], "near floor", -1.0)
+    @example(1, 5.0, [0.2, 0.1] + [0.0] * 4, "floor", 0.001)
+    @example(1, 10.0, [0.2, 0.1] + [0.0] * 4, "ball", -0.05)
+    def test_lag_bound_accepts_only_members(self, d, M, coords, where, offset):
+        # theta_0 puts the lag bound theta_0 - sqrt(2) sum_j hypot(theta_j, theta_-j)
+        # at floor + delta, or ||theta||^2 at M (1 + 1e-11 offset).  Within
+        # 1e-13 of the floor (delta in [-1e-13, 1e-14], below the rounding allowance,
+        # which exceeds 1.3e-14 here) the bound must leave the answer to the grid
+        space, floor = theta2prime_space(d, M), 1.0 + 1.0 / M
+        pairs = 0.3 * np.array(coords[:2 * d])
+        lag = float(np.hypot(pairs[:d][::-1], pairs[d:]).sum())   # theta_-j, theta_j
+        if where == "floor":
+            theta0 = floor + math.sqrt(2.0) * lag + 0.5 * offset
+        elif where == "near floor":
+            theta0 = floor + math.sqrt(2.0) * lag - 1e-13 + 0.55e-13 * (offset + 1.0)
+        else:
+            theta0 = math.sqrt(M * (1.0 + 1e-11 * offset) - float(pairs @ pairs))
+        x = np.concatenate((pairs[:d], [theta0], pairs[d:]))
+        member = membership(RealParam(d, x).to_density(), space).member
+        grid = estimators._grid_design.cache_info()
+        admissible = estimators._admissible(x, space)
+        after = estimators._grid_design.cache_info()
+        quick = after.hits + after.misses == grid.hits + grid.misses
+        assert admissible == member
+        if quick:
+            assert member
+            assert project_theta(x, space).tobytes() == x.tobytes()
+        if where == "near floor":
+            assert not quick
 
     def assert_near_exact(self, x, M):
         """A member, within 2e-5 of the exact projection and no farther from x."""

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -64,6 +65,41 @@ class TestMcRun:
     def test_minimum_replicates(self):
         with pytest.raises(RangeError):
             mc_run(lambda s: np.array([0.0]), 1, seed=1)
+
+    def test_rows_of_different_lengths_refused(self):
+        # numpy's own stacking error ("inhomogeneous shape") is not the documented one
+        with pytest.raises(InputError, match="fixed length") as info:
+            mc_run(lambda s: np.zeros(1 + s.stream_id % 2), 4, seed=1)
+        assert info.value.exit_code == 1
+
+    def test_matrix_rows_refused(self):
+        with pytest.raises(InputError, match="fixed length"):
+            mc_run(lambda s: np.zeros((2, 2)), 4, seed=1)
+
+    def test_scalar_rows_are_one_column(self):
+        out, rows = mc_run(lambda s: float(s.stream_id), 3, seed=1, collect=True)
+        np.testing.assert_array_equal(rows, [[1.0], [2.0], [3.0]])
+        assert out.mean.shape == (1,)
+
+    def test_blocked_pipeline_rows_are_pinned(self):
+        # the benchmark's chain at n = 4096 (409 blocks of m = 9), whose bytes the
+        # golden corpus, pinned at n = 64, does not reach
+        from qsts import estimators, measurement, spectral
+
+        a, d = spectral.parse_density("cos:2,0.5"), 1
+        scheme, space = measurement.block_scheme(4096, d), spectral.theta2prime_space(d, 5.0)
+        theta = spectral.RealParam.from_density(a, d=d).theta
+        m, root_rm = scheme.m, math.sqrt(scheme.r * scheme.m)
+
+        def replicate(stream):
+            pi_bar = measurement.sample_pi_blocks(a, scheme, stream).pi_bar
+            projected = estimators.project_theta(
+                estimators.preliminary_estimator(pi_bar, m, d), space)
+            return root_rm * (estimators.improved_estimator(pi_bar, projected, m, d) - theta)
+
+        _, rows = mc_run(replicate, 500, seed=2 ** 20, collect=True)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+            "09c4e63ec45b634662dc6e1f8e2d6f0b408e428d9d289a7a65c92400decb7d67")
 
 
 class TestNormalityCheck:

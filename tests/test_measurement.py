@@ -607,11 +607,26 @@ class TestBlockSamplerCache:
     def test_cached_arrays_are_read_only(self):
         cached = [_w_matrix(9, 1), estimators._f_diagonal(9, 1),
                   estimators._grid_design(1, 512), measurement._block_factor(COS_DENSITY, 9),
-                  measurement._upper_scale(9, 9),
+                  *measurement._bartlett_layout(409, 9),
                   NumberOpSampler(toeplitz_from_density(COS_DENSITY, E)).root]
         for arr in cached:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    def test_scalar_poisson_draws_equal_one_array_call(self):
+        # sample_pi_blocks draws its m totals by m scalar Generator.poisson calls, which
+        # must give the draws of one array call; numpy switches its Poisson method at
+        # rate 10, so rates on both sides of it are drawn, repeated to cover both paths
+        rates = np.tile([0.0, 1e-3, 9.99, 10.0, 10.01, 1e4], 50)
+        for seed in range(20):
+            one = RngStream(seed, 7).generator()
+            each = RngStream(seed, 7).generator()
+            array = one.poisson(rates)
+            scalar = np.array([each.poisson(lam) for lam in rates.tolist()])
+            assert scalar.dtype == array.dtype
+            np.testing.assert_array_equal(scalar, array)
+            # and the generator is left in the same state
+            assert one.standard_normal() == each.standard_normal()
 
 
 def check_gate(m, kind, k):
