@@ -20,7 +20,6 @@ from .errors import (
     InputError,
     NonConvergence,
     NotAdmissible,
-    NotCirculant,
     NotFaithful,
     NotPSD,
     NotToeplitz,

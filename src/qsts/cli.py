@@ -230,6 +230,8 @@ def cmd_density_membership(args):
          DENSITY, N, arg("--circulant", action="store_true"),
          arg("--m", type=int, default=None))
 def cmd_symbol_build(args):
+    if args.m is not None and not args.circulant:
+        raise InputError("--m sets the circulant size: it needs --circulant")
     a = parse_density(args.density)
     if args.circulant:
         M = circulant_from_density(a, args.m if args.m is not None else args.n)
@@ -298,11 +300,13 @@ def cmd_state_bound(args):
          arg("--lam", type=_finite_float, required=True), arg("--mu", type=_finite_float, required=True),
          arg("--r", type=_finite_float, default=None), arg("--r2", type=_finite_float, default=None))
 def cmd_dist_hellinger(args):
+    if args.r2 is not None and args.r is None:
+        raise InputError("--r2 is the second shape of --r: it needs --r")
     out = {}
-    if args.r is not None and args.r2 is None:
-        out["nb_bound_symbols"] = nb_hellinger_bound_symbols(args.r, args.lam, args.mu)
-    elif args.r is not None and args.r2 is not None:
+    if args.r2 is not None:
         out["nb_bound_shapes"] = nb_hellinger_bound_shapes(args.r, args.r2)
+    elif args.r is not None:
+        out["nb_bound_symbols"] = nb_hellinger_bound_symbols(args.r, args.lam, args.mu)
     h2, bound = hellinger_geo(args.lam, args.mu)
     out.update({"h2_exact": h2, "h2_bound": bound})
     _emit(args, _json_dump(out))
@@ -367,6 +371,8 @@ def cmd_simulate_geo(args):
          arg("--center", default=None,
              help="localization center density for --transform local"))
 def cmd_simulate_wn(args):
+    if args.center is not None and args.transform != "local":
+        raise InputError("--center localizes the noise of --transform local only")
     center = parse_density(args.center) if args.center else None
     path = simulate_white_noise(parse_density(args.density), args.n, args.L,
                                 args.transform, RngStream(args.seed, 0), a0=center)

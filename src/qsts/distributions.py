@@ -9,6 +9,7 @@ that is the natural parameter.
 so convex (Hoelder), as is its quantum mean: golden section finds the infimum, unguarded.
 The quantum mean is the periodic trapezoid rule on a grid that ``spectral._halving``
 sizes from the densities, from ``_grid_size(K_max)`` points up; no fixed grid decides it.
+On a doubled grid, the search runs only in a bracket about the last grid's t*.
 """
 
 from __future__ import annotations
@@ -227,10 +228,20 @@ def chernoff_geo(a0: float, a1: float, t: float) -> float:
     return float(_chernoff_terms(_symbol(a0), _symbol(a1))(t))
 
 
-def _golden_infimum(fn):
-    """Golden section of a convex fn on [0, 1] to width 1e-10; returns (t*, fn(t*))."""
+def _golden_infimum(fn, t0=None):
+    """Golden section of a convex fn to width 1e-10 on [0, 1], or about t0: from t0 -+ 1e-8,
+    each end moves out fourfold until fn there exceeds fn(t0) or it reaches 0 or 1, so by
+    convexity the minimum lies between.  Returns (t*, fn(t*))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b, c, d = 0.0, 1.0, 1.0 - invphi, invphi
+    a, b = 0.0, 1.0
+    if t0 is not None:
+        f0, lo, hi = fn(t0), 1e-8, 1e-8
+        while t0 - lo > 0.0 and fn(t0 - lo) <= f0:
+            lo *= 4.0
+        while t0 + hi < 1.0 and fn(t0 + hi) <= f0:
+            hi *= 4.0
+        a, b = max(t0 - lo, 0.0), min(t0 + hi, 1.0)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
     while b - a > 1e-10:
         if fc < fd:
@@ -293,15 +304,16 @@ def chernoff_quantum_inf(a0: SpectralDensity, a1: SpectralDensity):
     The integrand depends on t, so ``_halving`` checks each grid at two values of t:
     at t = 1/2, and where that passes, again at the t* that golden section returns;
     where either fails, the grid doubles.  Each grid samples the densities and
-    builds psi once, and the search reuses it.
+    builds psi once, and the search reuses it; a later search brackets the last t*.
     """
-    on = _quantum_psi(a0, a1)
+    on, last = _quantum_psi(a0, a1), None
 
     def rule(G: int):
+        nonlocal last
         psi, check = on(G)
         t, (value, gap, rounding) = 0.5, check(0.5)
         if gap <= rounding:
-            t = _golden_infimum(lambda t: np.mean(psi(t)))[0]
+            t = last = _golden_infimum(lambda t: np.mean(psi(t)), last)[0]
             value, gap, rounding = check(t)
         return (t, value), gap, rounding
     return _halving(rule, _grid_size(max(a0.k_max, a1.k_max)), "Chernoff exponent")[0]

@@ -30,10 +30,6 @@ class HermitianSymmetryViolation(InputError):
     """Coefficient set breaks the a_{-k} = conj(a_k) symmetry."""
 
 
-class NotCirculant(InputError):
-    """Matrix tagged or required circulant is not."""
-
-
 class NotToeplitz(InputError):
     """Matrix tagged Toeplitz is not constant along its diagonals."""
 

@@ -66,7 +66,9 @@ class DesignMatrices(NamedTuple):
 
 
 @functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
-def _w_matrix(m: int, d: int) -> np.ndarray:
+def _design(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W, F) of block size m and bandwidth d, read-only: W = psi over the Fourier
+    frequencies / sqrt(m), and F = m / (m - |j|), j = -d..d."""
     if m % 2 == 0:
         raise DimensionError("design needs odd m")
     if d < 0:
@@ -74,16 +76,10 @@ def _w_matrix(m: int, d: int) -> np.ndarray:
     if 2 * d + 1 > m:
         raise DimensionError(f"2d+1 = {2 * d + 1} exceeds m = {m}")
     W = psi_matrix(d, fourier_frequencies(m)) / math.sqrt(m)
+    F = m / (m - np.abs(np.arange(-d, d + 1)))
     W.setflags(write=False)
-    return W
-
-
-@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
-def _f_diagonal(m: int, d: int) -> np.ndarray:
-    js = np.arange(-d, d + 1)
-    F = m / (m - np.abs(js))
     F.setflags(write=False)
-    return F
+    return W, F
 
 
 def design_matrices(m: int, d: int, theta: np.ndarray) -> DesignMatrices:
@@ -94,8 +90,7 @@ def design_matrices(m: int, d: int, theta: np.ndarray) -> DesignMatrices:
     frequencies; its minimum must be positive (so no entry is NaN) or the
     parameter is inadmissible.
     """
-    W = _w_matrix(m, d)
-    F = _f_diagonal(m, d)
+    W, F = _design(m, d)
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != 2 * d + 1:
         raise DimensionError(f"theta must have length {2 * d + 1}")
@@ -110,8 +105,7 @@ def preliminary_estimator(pi_bar: np.ndarray, m: int, d: int) -> np.ndarray:
     pi_bar = np.asarray(pi_bar, dtype=float).reshape(-1)
     if pi_bar.size != m:
         raise DimensionError(f"pi_bar must have length m = {m}")
-    W = _w_matrix(m, d)
-    F = _f_diagonal(m, d)
+    W, F = _design(m, d)
     return F * (W.T @ pi_bar) / math.sqrt(m)
 
 
@@ -135,8 +129,7 @@ def weighted_estimator(pi_bar: np.ndarray, delta: np.ndarray,
     lo, hi = float(delta.min()), float(delta.max())   # NaN propagates through both
     if not -math.inf < lo <= hi < math.inf:
         raise SingularSystem("weights delta must all be finite")
-    W = _w_matrix(m, d)
-    F = _f_diagonal(m, d)
+    W, F = _design(m, d)
     Winv = W / delta[:, None]
     G = W.T @ Winv                       # W' Delta^{-1} W, symmetric PD
     if not (lo > 0.0 and hi <= 1e9 * lo):
@@ -168,8 +161,7 @@ def exact_pi_bar_mean(theta: np.ndarray, m: int) -> np.ndarray:
     """Analytic mean of the averaged observable, m^{1/2} W F^{-1} theta."""
     theta = np.asarray(theta, dtype=float)
     d = (theta.size - 1) // 2
-    W = _w_matrix(m, d)
-    F = _f_diagonal(m, d)
+    W, F = _design(m, d)
     return math.sqrt(m) * (W @ (theta / F))
 
 

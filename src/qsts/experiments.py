@@ -28,7 +28,6 @@ from .spectral import (
     SpectralDensity,
     TWO_PI,
     _on_grid,
-    _truncated_density,
     eval_density,
     local_averages,
     sobolev_norm,
@@ -37,6 +36,7 @@ from .toeplitz import (
     _gap_bound,
     _symbol_gap_sq,
     circulant_block,
+    circulant_eigs,
     toeplitz_from_density,
 )
 
@@ -372,8 +372,7 @@ def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],
     sums_i, sums_ii = [], []
     for n in ns:
         J = local_averages(a, n)
-        # the truncation at the centred Fourier frequencies 2 pi j / n, |j| <= (n - 1)/2
-        s1 = _hellinger_sum(_on_grid(_truncated_density(a, n).coeffs, n, (1 - n) / 2), J)
+        s1 = _hellinger_sum(circulant_eigs(a, n), J)
         s2 = _hellinger_sum(_point_values(a, n), J)
         sums_i.append(s1)
         sums_ii.append(s2)

@@ -46,11 +46,11 @@ from .errors import (
     DimensionError,
     EigenFailure,
     InputError,
-    NotCirculant,
     NotToeplitz,
     RangeError,
 )
-from .spectral import SpectralDensity, _grid_size, _grid_slack, _on_grid, density_min, sobolev_norm
+from .spectral import (SpectralDensity, _grid_size, _grid_slack, _on_grid, _truncated_density,
+                       density_min, sobolev_norm)
 
 _HERMITIZE_TOL = 1e-12
 
@@ -65,16 +65,13 @@ class SymbolMatrix:
     in O(n^2): an asymmetry above 1e-12, or an entry that is non-finite
     before or after Hermitizing, is an error.  Entries that are already
     Hermitian exactly are kept as given, signed zeros included, so
-    rebuilding a symbol from its own entries gives an equal symbol.
+    rebuilding a symbol from its own entries gives the same entry bytes.
     ``toeplitz_from_density``, ``circulant_from_density`` and
     ``circulant_block`` instead check their 2n - 1 lags and keep ``entries``
     as a read-only strided view of them, so the symbol costs O(n) memory.
 
-    ``==`` and ``hash`` compare tag, shape and entry bytes.
-    They cost O(n^2) time and memory on every call, also on a lag-built
-    symbol, whose view is copied out in full: do not compare or hash large
-    symbols.  ``same_entries`` compares entries in value, whatever the tags,
-    in O(n) for two lag-built symbols.
+    Symbols compare by identity; ``same_entries`` compares entries in value,
+    whatever the tags, in O(n) for two lag-built symbols.
     """
 
     entries: np.ndarray
@@ -127,18 +124,6 @@ class SymbolMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def _key(self) -> tuple:
-        """What ``==`` and ``hash`` compare: tag, shape and entry bytes."""
-        return self.tag, self.entries.shape, self.entries.tobytes()
-
-    def __eq__(self, other):
-        if not isinstance(other, SymbolMatrix):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def same_entries(self, other: "SymbolMatrix") -> bool:
         """True when both symbols have equal entries in value, whatever their tags.
@@ -398,14 +383,12 @@ def circulant_block(a: SpectralDensity, m: int, n: int) -> SymbolMatrix:
 def circulant_eigs(a: SpectralDensity, m: int) -> np.ndarray:
     """Eigenvalues of ``circulant_from_density(a, m)``, indexed j = -(m-1)/2..(m-1)/2.
 
-    eigenvalue_j = sum_s c_s exp(-i s w_{j,m}) at the Fourier frequencies: one
-    FFT of the representing vector c, read from the lags in O(m log m) and
-    reordered to run from j = -(m-1)/2.  No matrix is built.
+    The DFT diagonalizes the circulant, so eigenvalue j is the density of the
+    lags |k| <= (m-1)/2 at the Fourier frequency w_{j,m} = 2 pi j / m (Gray,
+    *Toeplitz and Circulant Matrices: A Review*, 2006, 3.1): one ``_on_grid``
+    call, O(m log m), real by construction.  No matrix is built.
     """
-    vals = np.fft.fftshift(np.fft.fft(_circulant_lags(a, m, -np.arange(m))))
-    if np.max(np.abs(vals.imag)) > 1e-10 * (1.0 + np.max(np.abs(vals.real))):
-        raise NotCirculant("circulant is not Hermitian: complex eigenvalues")
-    return vals.real
+    return _on_grid(_truncated_density(a, m).coeffs, m, (1 - m) / 2)
 
 
 def abs_square(M: np.ndarray) -> np.ndarray:

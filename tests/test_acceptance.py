@@ -372,13 +372,13 @@ def test_criterion_15_thread_determinism(tmp_path):
 # the infinite-m limit matrices.
 
 def test_companion_covariance_exact_target():
-    from qsts.estimators import _f_diagonal, _w_matrix
+    from qsts.estimators import _design
 
     scheme = block_scheme(1024, 1)
     m, d = scheme.m, 1
     A = toeplitz_from_density(COS_DENSITY, m)
     _, cov_pi = pi_moments(A)
-    W, F = _w_matrix(m, d), _f_diagonal(m, d)
+    W, F = _design(m, d)
     target = np.diag(F) @ W.T @ cov_pi @ W @ np.diag(F)
 
     def sampler(stream):
@@ -392,14 +392,14 @@ def test_companion_covariance_exact_target():
 
 
 def test_companion_normality_exact_target():
-    from qsts.estimators import _f_diagonal, _w_matrix, design_matrices
+    from qsts.estimators import _design, design_matrices
 
     n, d, reps = 4096, 1, 2000
     scheme = block_scheme(n, d)
     m = scheme.m
     A = toeplitz_from_density(COS_DENSITY, m)
     _, cov_pi = pi_moments(A)
-    W, F = _w_matrix(m, d), _f_diagonal(m, d)
+    W, F = _design(m, d)
     _, _, Delta = design_matrices(m, d, COS_THETA)
     Wd = W / Delta[:, None]
     G = np.linalg.solve(W.T @ Wd, Wd.T)

@@ -580,6 +580,12 @@ EXIT_CASES = {
     # a_min - 1 = 1e-13: the Chernoff quadrature needs more than spectral._GRID_CAP points
     "chernoff_grid_cap": (2, ["dist", "chernoff", "--a0", "cos:1.5000000000001,0.5",
                               "--a1", "const:3"]),
+    # an option that another one qualifies is refused without it, not dropped
+    "r2_without_r": (1, ["dist", "hellinger", "--lam", "2", "--mu", "3", "--r2", "2.5"]),
+    "m_without_circulant": (1, ["symbol", "build", "--density", "cos:2,0.5", "--n", "4",
+                                "--m", "5"]),
+    "center_without_local": (1, ["simulate", "wn", "--density", "cos:2,0.5", "--n", "16",
+                                 "--L", "64", "--center", "cos:2,0.4"]),
     "audit": (3, ["symbol", "gap", "--density", GEOM_DECAY, "--n", "16", "--m", "19",
                   "--alpha", "1", "--M", "1e-9"]),
 }

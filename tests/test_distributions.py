@@ -407,9 +407,9 @@ class TestChernoff:
             built.append(len(v0))
             return terms(v0, v1)
 
-        def counted_search(fn):
+        def counted_search(fn, t0=None):
             before = len(built)
-            out = golden(fn)
+            out = golden(fn, t0)
             searched.append(len(built) - before)
             return out
 
@@ -427,6 +427,32 @@ class TestChernoff:
         monkeypatch.undo()
         # chernoff_quantum checks at t* alone and stops on the same grid
         assert v == chernoff_quantum(a0, a1, t)
+
+    def test_quantum_search_on_a_later_grid_brackets_the_last_minimizer(self, monkeypatch):
+        # t = 1/2 passes on two grids here, so the infimum searches twice
+        a0, a1 = SpectralDensity.cosine(1.500003, 0.5), SpectralDensity.constant(3.0)
+        evaluations, sizes = [], []
+        golden, evaluate = distributions._golden_infimum, distributions._on_grid
+
+        def counted_search(fn, t0=None):
+            evaluations.append(0)
+
+            def counted(t):
+                evaluations[-1] += 1
+                return fn(t)
+            return golden(counted, t0)
+
+        monkeypatch.setattr(distributions, "_golden_infimum", counted_search)
+        monkeypatch.setattr(distributions, "_on_grid",
+                            lambda lags, G: sizes.append(G) or evaluate(lags, G))
+        t, v = chernoff_quantum_inf(a0, a1)
+        monkeypatch.undo()
+        assert len(evaluations) == 2 and evaluations[1] < evaluations[0]
+        assert v == chernoff_quantum(a0, a1, t)
+        # a full [0, 1] search on the last grid finds the same minimum within its rounding
+        psi, check = distributions._quantum_psi(a0, a1)(max(sizes))
+        t_full, v_full = golden(lambda t: np.mean(psi(t)))
+        assert abs(v - v_full) <= check(t_full)[2]
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10])
     def test_quantum_near_the_floor_matches_a_fine_rule(self, gap):

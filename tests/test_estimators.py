@@ -198,9 +198,9 @@ class TestWeightedGate:
     M, D = 9, 1
 
     def normal_matrix(self, delta):
-        from qsts.estimators import _w_matrix
+        from qsts.estimators import _design
 
-        W = _w_matrix(self.M, self.D)
+        W, _ = _design(self.M, self.D)
         return W.T @ (W / delta[:, None])
 
     def test_sweep_across_the_gate(self):
@@ -699,8 +699,8 @@ class TestMonteCarloCalibration:
         m, r, d = scheme.m, scheme.r, 1
         A = toeplitz_from_density(COS_DENSITY, m)
         _, cov_pi = pi_moments(A)
-        from qsts.estimators import _f_diagonal, _w_matrix
-        W, F = _w_matrix(m, d), _f_diagonal(m, d)
+        from qsts.estimators import _design
+        W, F = _design(m, d)
         target = np.diag(F) @ W.T @ cov_pi @ W @ np.diag(F)
 
         def sampler(stream):

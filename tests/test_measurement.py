@@ -28,7 +28,7 @@ from qsts.measurement import (
     pi_moments,
     sample_pi_blocks,
 )
-from qsts.estimators import _w_matrix, design_matrices, preliminary_estimator
+from qsts.estimators import _design, design_matrices, preliminary_estimator
 from qsts.experiments import _chi2_sf
 from qsts.spectral import RealParam, SpectralDensity, fourier_frequencies, psi_matrix
 from qsts.toeplitz import SymbolMatrix, toeplitz_from_density
@@ -605,7 +605,7 @@ class TestBlockSamplerCache:
             np.testing.assert_array_equal(sampler.draw(RngStream(41, 0), size=5), expect)
 
     def test_cached_arrays_are_read_only(self):
-        cached = [_w_matrix(9, 1), estimators._f_diagonal(9, 1),
+        cached = [*_design(9, 1),
                   estimators._grid_design(1, 512), measurement._block_factor(COS_DENSITY, 9),
                   *measurement._bartlett_layout(409, 9),
                   NumberOpSampler(toeplitz_from_density(COS_DENSITY, E)).root]
@@ -747,7 +747,7 @@ def coefficient_estimates(pi, d):
 class TestVectorsAndEstimates:
     def test_w_orthonormal(self):
         for m, d in ((9, 0), (11, 1), (11, 5), (1025, 3)):
-            W = _w_matrix(m, d)
+            W, _ = _design(m, d)
             np.testing.assert_array_equal(
                 W, psi_matrix(d, fourier_frequencies(m)) / math.sqrt(m))
             np.testing.assert_allclose(W.T @ W, np.eye(2 * d + 1), atol=1e-12)

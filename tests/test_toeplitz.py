@@ -11,7 +11,6 @@ from qsts.errors import (
     DimensionError,
     EigenFailure,
     InputError,
-    NotCirculant,
     NotToeplitz,
     RangeError,
 )
@@ -46,6 +45,11 @@ INVSQ = SpectralDensity(np.array([(1.0 + k) ** -2 for k in range(60)],
                                  dtype=complex))
 
 
+def same_bytes(A, B):
+    """Equal tags and entry bytes (signed zeros included): what a rebuilt symbol keeps."""
+    return A.tag == B.tag and A.entries.tobytes() == B.entries.tobytes()
+
+
 def random_hermitian(n, rng):
     M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (M + M.conj().T)
@@ -59,15 +63,15 @@ class TestSymbolMatrix:
         with pytest.raises(InputError, match="finite"):
             SymbolMatrix(np.diag([bad, 2.0]))
 
-    def test_equality_and_hash_follow_tag_shape_and_entry_bytes(self):
+    def test_same_entries_compares_values_whatever_the_tags(self):
         A = toeplitz_from_density(GEOM, 6)
         same = SymbolMatrix(A.entries.copy(), tag="toeplitz")
-        assert A == same and hash(A) == hash(same)
-        assert len({A, same}) == 1
-        assert A != SymbolMatrix(A.entries, tag="general")
-        assert A != toeplitz_from_density(GEOM, 5)
-        assert A != toeplitz_from_density(COS_2_05, 6)
-        assert A.__eq__(A.entries) is NotImplemented
+        assert A.same_entries(same) and same_bytes(A, same)
+        assert A.same_entries(SymbolMatrix(A.entries, tag="general"))
+        assert not A.same_entries(toeplitz_from_density(GEOM, 5))
+        assert not A.same_entries(toeplitz_from_density(COS_2_05, 6))
+        # == and hash are identity's: no O(n^2) copy of the entries
+        assert A != same and len({A, same}) == 2
 
     def test_overflow_when_hermitizing_rejected(self):
         # finite entries whose Hermitized sum overflows once gave inf+nanj entries
@@ -85,8 +89,7 @@ class TestSymbolMatrix:
         a = SpectralDensity(np.array([0.0, a1]))
         for A in (circulant_from_density(a, 3), toeplitz_from_density(a, 3),
                   circulant_block(a, 3, 2)):
-            rebuilt = SymbolMatrix(A.entries, tag=A.tag)
-            assert rebuilt == A and hash(rebuilt) == hash(A)
+            assert same_bytes(SymbolMatrix(A.entries, tag=A.tag), A)
 
     def test_entries_copied_when_kept_as_given(self):
         M = np.diag([2.0, 3.0]).astype(complex)
@@ -280,15 +283,6 @@ class TestCirculantEigs:
         np.testing.assert_allclose(circulant_eigs(a, m),
                                    np.diag(dense_dft_conjugate(C.entries)).real,
                                    rtol=0, atol=1e-11)
-
-    def test_complex_eigenvalues_rejected(self, monkeypatch):
-        # a Hermitian density always gives real eigenvalues; lags that are not
-        # Hermitian reach the guard
-        import qsts.toeplitz as toeplitz
-        monkeypatch.setattr(toeplitz, "_circulant_lags",
-                            lambda a, m, lags: np.array([2.0, 0.5j, 0.5j]))
-        with pytest.raises(NotCirculant, match="complex eigenvalues"):
-            circulant_eigs(COS_2_05, 3)
 
     @pytest.mark.parametrize("m", [0, 2, -3])
     def test_even_or_nonpositive_m_rejected(self, m):
@@ -538,7 +532,7 @@ class TestSpectrumProperties:
 
     @given(st.one_of(toeplitz_symbols().map(lambda case: case[1]), general_symbols()))
     def test_rebuild_from_entries_is_identity(self, A):
-        assert SymbolMatrix(A.entries, tag=A.tag) == A
+        assert same_bytes(SymbolMatrix(A.entries, tag=A.tag), A)
 
     @given(st.one_of(toeplitz_symbols().map(lambda case: case[1]), general_symbols()))
     def test_eigenvalues_equal_the_spectrum_whichever_is_read_first(self, A):
@@ -620,8 +614,12 @@ class TestCirculantBuildProperties:
         m = 2 * data.draw(st.integers(0, 45)) + 1
         expect = circulant_by_coeff_loop(a, m)
         assert circulant_from_density(a, m).entries.tobytes() == expect.entries.tobytes()
-        fft = np.fft.fftshift(np.fft.fft(expect.entries[:, 0])).real
-        assert circulant_eigs(a, m).tobytes() == fft.tobytes()
+        # the eigenvalues are the density on the Fourier grid, one hfft, and the dense
+        # column's FFT rounds otherwise: within a few eps per level of sum |c|
+        c = expect.entries[:, 0]
+        fft = np.fft.fftshift(np.fft.fft(c)).real
+        tol = 4.0 * (1.0 + math.log2(m)) * 2.0 ** -52 * np.abs(c).sum()
+        assert np.abs(circulant_eigs(a, m) - fft).max() <= tol
 
     @given(st.data())
     def test_circulant_block_equals_dense_block(self, data):
@@ -684,11 +682,11 @@ class TestJsonRoundTrip:
 
     @given(st.one_of(toeplitz_symbols().map(lambda case: case[1]), general_symbols()))
     def test_symbol(self, A):
-        assert SymbolMatrix.from_json(json.loads(json.dumps(A.to_json()))) == A
+        assert same_bytes(SymbolMatrix.from_json(json.loads(json.dumps(A.to_json()))), A)
 
     def test_signed_zeros_survive(self):
         a = SpectralDensity(np.array([2.0, complex(-0.0, -0.0), complex(0.5, -0.0)]))
         assert SpectralDensity.from_json(a.to_json()) == a
         for A in (toeplitz_from_density(COS_2_HALF, 4), circulant_from_density(a, 5)):
             assert np.signbit(A.entries.imag).any()
-            assert SymbolMatrix.from_json(A.to_json()) == A
+            assert same_bytes(SymbolMatrix.from_json(A.to_json()), A)
