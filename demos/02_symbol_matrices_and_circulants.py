@@ -16,9 +16,10 @@ from qsts import (
     circulant_from_density,
     dft_unitary,
     eigen_bracket_check,
+    sobolev_norm,
+    toeplitz_circulant_gap,
     toeplitz_from_density,
 )
-from qsts.toeplitz import gap_bound_report
 
 cos = SpectralDensity.cosine(2.0, 0.5)
 
@@ -44,6 +45,8 @@ print(f"\neigenvalue bracket at n=64: {lo:.3f} <= {lam_min:.4f} .. "
 
 # the wrap-around gap and its bound, for a geometric-decay density
 geom = SpectralDensity(np.array([2.0 ** -k for k in range(40)], dtype=complex))
+_, M = sobolev_norm(geom, 1.0)
 print("\nsquared HS gap ||A_n - circulant block||^2 vs bound (n = 32):")
-for m, gap, bound in gap_bound_report(geom, 32, alpha=1.0)[::7]:
+for m in range(33, 62, 14):
+    gap, bound = toeplitz_circulant_gap(geom, 32, m, alpha=1.0, M=M)
     print(f"  m={m}: gap = {gap:.3e} <= bound = {bound:.3e}")

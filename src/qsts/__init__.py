@@ -38,7 +38,6 @@ from .spectral import (
     SpectralDensity,
     eval_density,
     fourier_truncate,
-    grids,
     local_averages,
     membership,
     parse_density,

@@ -322,20 +322,17 @@ def cmd_dist_chernoff(args):
     a1 = parse_density(args.a1)
     out = {}
     want_both = args.quantum == args.classical  # neither or both flags
-    if args.t is not None:
-        if args.quantum or want_both:
+    if args.quantum or want_both:
+        if args.t is None:
+            out["quantum_t"], out["quantum_inf"] = chernoff_quantum_inf(a0, a1)
+        else:
             out["quantum"] = chernoff_quantum(a0, a1, args.t)
-        if args.classical or want_both:
-            out["classical"] = chernoff_geo(
-                float(eval_density(a0, 0.0)), float(eval_density(a1, 0.0)), args.t)
-    else:
-        if args.quantum or want_both:
-            t, v = chernoff_quantum_inf(a0, a1)
-            out["quantum_t"], out["quantum_inf"] = t, v
-        if args.classical or want_both:
-            t, v = chernoff_geo_inf(
-                float(eval_density(a0, 0.0)), float(eval_density(a1, 0.0)))
-            out["classical_t"], out["classical_inf"] = t, v
+    if args.classical or want_both:
+        p0, p1 = float(eval_density(a0, 0.0)), float(eval_density(a1, 0.0))
+        if args.t is None:
+            out["classical_t"], out["classical_inf"] = chernoff_geo_inf(p0, p1)
+        else:
+            out["classical"] = chernoff_geo(p0, p1, args.t)
     _emit(args, _json_dump(out))
 
 

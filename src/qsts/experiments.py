@@ -164,6 +164,8 @@ def simulate_white_noise(a: SpectralDensity, n: int, L: int, transform: str,
     noise sd sqrt(2 pi / n); transform "local": drift = a(w), noise sd
     sqrt(2 pi / n) sqrt(a0(w)^2 - 1) with the localization center a0.
     """
+    if n < 1:
+        raise RangeError("n must be >= 1")
     if L < 64:
         raise RangeError("need L >= 64 grid steps")
     grid = np.linspace(-math.pi, math.pi, L + 1)
@@ -195,6 +197,8 @@ def simulate_hetero_normal(theta: np.ndarray, n: int, d: int,
 
     The factor R with R R' = Phi^{-1} comes from the eigensystem of Phi.
     """
+    if n < 1:
+        raise RangeError("n must be >= 1")
     theta = np.asarray(theta, dtype=float)
     lams, V = np.linalg.eigh(phi_matrices(theta, d).phi)
     root = V * (1.0 / np.sqrt(lams))
@@ -356,7 +360,7 @@ def _chi2_critical(dof: int) -> float:
 
 def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],
                           seed: int = 20240801) -> AuditReport:
-    """Hellinger-sum decay audit over a ladder of odd sizes.
+    """Hellinger-sum decay audit over a nonempty, strictly increasing ladder of odd sizes.
 
     Per n: (i) the circulant-grid vs cell-average geometric regression sum
     and (ii) the point vs cell-average sum, both exact.  One extra row runs
@@ -367,6 +371,8 @@ def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],
     ns = [int(n) for n in n_list]
     if any(n % 2 == 0 for n in ns):
         raise RangeError("audit sizes must be odd")
+    if not ns or any(x >= y for x, y in zip(ns, ns[1:])):
+        raise RangeError("audit sizes must be a nonempty, strictly increasing ladder")
     report = AuditReport(meta={"density": a.label or "custom", "seed": seed,
                                "kind": "hellinger_chain"})
     sums_i, sums_ii = [], []
@@ -405,6 +411,8 @@ def default_audit_m(n: int) -> int:
     The gap bound wants m - n large while m < 2(n - 1); a cube-root gap
     satisfies both comfortably at desk scale.
     """
+    if n < 1:
+        raise RangeError("n must be >= 1")
     m = n + int(math.ceil(n ** (1.0 / 3.0)))
     if m % 2 == 0:
         m += 1

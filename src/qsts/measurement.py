@@ -266,20 +266,19 @@ class NumberOpSampler:
       ``_poisson_mixture_factor``, from a Cholesky and one FFT, which is
       faster for small m.
 
-    With ``faithful=True`` a symbol with lambda_min(A) <= 1 raises
-    NotFaithful.  ``sample_pi_blocks`` does not use this class: it keeps
-    the factor B of each block symbol for the whole process
-    (``_block_factor``) and draws the column sums of its blocks directly.
+    ``sample_pi_blocks`` does not use this class: it keeps the factor B of
+    each block symbol for the whole process (``_block_factor``) and draws
+    the column sums of its blocks directly.
     """
 
-    def __init__(self, A, faithful: bool = False):
+    def __init__(self, A):
         A = as_symbol(A)
         self.m = A.n
         self.root = None
         if A.tag == "toeplitz" and A.n >= _EMBED_MIN_N:
             self.root = _embedding_root(A)
         if self.root is None:
-            self.factor = _poisson_mixture_factor(A, faithful)
+            self.factor = _poisson_mixture_factor(A)
             self.factor.setflags(write=False)
             self.width = self.m
         else:

@@ -494,25 +494,12 @@ def fourier_truncate(a: SpectralDensity, m: int) -> TruncationResult:
     return TruncationResult(kept, err)
 
 
-def grids(n: int, m: int):
-    """Equidistant point grid t_{j,n} and Fourier frequency grid w_{j,m}.
-
-    t_{j,n} = 2 pi (j/n - 1/2) for j = 1..n;
-    w_{j,m} = 2 pi j / m for j = -(m-1)/2 .. (m-1)/2 (m odd).
-    """
-    if n < 1:
-        raise RangeError("n must be >= 1")
+def fourier_frequencies(m: int) -> np.ndarray:
+    """w_{j,m} = 2 pi j / m for j = -(m-1)/2 .. (m-1)/2 (m odd)."""
     if m < 1 or m % 2 == 0:
         raise RangeError("m must be odd and >= 1")
-    t = TWO_PI * (np.arange(1, n + 1) / n - 0.5)
     half = (m - 1) // 2
-    w = TWO_PI * np.arange(-half, half + 1) / m
-    return t, w
-
-
-def fourier_frequencies(m: int) -> np.ndarray:
-    """w_{j,m} for j = -(m-1)/2 .. (m-1)/2."""
-    return grids(1, m)[1]
+    return TWO_PI * np.arange(-half, half + 1) / m
 
 
 def parse_density(text: str) -> SpectralDensity:

@@ -50,7 +50,7 @@ from .errors import (
     RangeError,
 )
 from .spectral import (SpectralDensity, _grid_size, _grid_slack, _on_grid, _truncated_density,
-                       density_min, sobolev_norm)
+                       density_min)
 
 _HERMITIZE_TOL = 1e-12
 
@@ -476,16 +476,3 @@ def eigen_bracket_check(a: SpectralDensity, n: int):
     inf_a, sup_a = density_min(a)[0], -density_min(SpectralDensity(-a.coeffs))[0]
     ok = (inf_a - 1e-9 <= lam_min) and (lam_max <= sup_a + 1e-9)
     return lam_min, lam_max, inf_a, sup_a, ok
-
-
-def gap_bound_report(a: SpectralDensity, n: int, alpha: float,
-                     M: float | None = None):
-    """(m, gap, bound) rows of ``toeplitz_circulant_gap`` for every admissible odd m at this n.
-
-    A_n is built once and every circulant block is read against it.
-    """
-    if M is None:
-        _, M = sobolev_norm(a, alpha)
-    A = toeplitz_from_density(a, n)
-    return [(m, _symbol_gap_sq(A, circulant_block(a, m, n), m), _gap_bound(n, m, alpha, M))
-            for m in range(n + 1 + n % 2, 2 * (n - 1), 2)]

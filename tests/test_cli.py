@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsts import estimators
+from qsts import errors, estimators
 from qsts.cli import _write_raw_rows, build_parser, cli_dispatch
 from qsts.harness import RngStream
 from qsts.measurement import NumberOpSampler
@@ -560,6 +560,15 @@ EXIT_CASES = {
     "negative_design_bandwidth": (1, ["estimate", "nonparam", "--density", "cos:2,0.5",
                                       "--n", "65", "--d-n", "-1"]),
     "no_sufficiency_draws": (1, ["audit", "sufficiency", "--draws", "0"]),
+    # n = 0 once divided by zero, n = -1 took sqrt(2 pi / n) or a complex cube root
+    "white_noise_n_zero": (1, ["simulate", "wn", "--density", "cos:2,0.5", "--n", "0"]),
+    "white_noise_n_negative": (1, ["simulate", "wn", "--density", "cos:2,0.5", "--n", "-1"]),
+    "audit_state_n_negative": (1, ["audit", "state", "--density", "cos:2,0.5", "--n", "-1"]),
+    # a ladder out of order once failed its decay row (exit 3) with no bound violated
+    "audit_chain_decreasing": (1, ["audit", "chain", "--density", "cos:2,0.5",
+                                   "--n-list", "65,33"]),
+    "audit_chain_repeated": (1, ["audit", "chain", "--density", "cos:2,0.5",
+                                 "--n-list", "65,65"]),
     # symbols at 1 or near the float limit: a typed error or finite values, no traceback
     "hellinger_symbol_at_one": (1, ["dist", "hellinger", "--lam", "1", "--mu", "2"]),
     "hellinger_huge_symbol": (0, ["dist", "hellinger", "--lam", "1e308", "--mu", "2"]),
@@ -645,6 +654,74 @@ class TestExitCodes:
         obj = json.loads(err)
         assert (code, out) == (1, "")
         assert obj["error"] == "InputError" and "finite" in obj["message"]
+
+
+D = ["--density", "cos:2,0.5"]
+# one valid argument set per registered command, each run in well under a second
+SWEEP_BASES = {
+    ("density", "eval"): [*D, "--omega", "0"],
+    ("density", "norms"): [*D, "--alpha", "1"],
+    ("density", "membership"): [*D, "--space", "theta2", "--M", "5"],
+    ("symbol", "build"): [*D, "--n", "5", "--circulant"],
+    ("symbol", "eigs"): [*D, "--m", "5"],
+    ("symbol", "gap"): [*D, "--n", "20", "--m", "25"],
+    ("symbol", "bracket"): [*D, "--n", "4"],
+    ("state", "entropy"): ["--a1", "cos:2,0.5", "--a2", "const:3", "--n", "4"],
+    ("state", "pinsker"): ["--a1", "cos:2,0.5", "--a2", "const:3", "--n", "4"],
+    ("state", "bound"): ["--a1", "const:3", "--a2", "const:4", "--n", "4", "--lam", "0.75"],
+    ("dist", "hellinger"): ["--lam", "2", "--mu", "3"],
+    ("dist", "chernoff"): ["--a0", "const:2", "--a1", "const:3"],
+    ("dist", "varstab"): ["--a", "2"],
+    ("simulate", "geo"): [*D, "--n", "10"],
+    ("simulate", "wn"): [*D, "--n", "16", "--L", "64"],
+    ("simulate", "measure"): [*D, "--n", "16", "--d", "1"],
+    ("estimate", "prelim"): [*D, "--n", "65", "--d", "1"],
+    ("estimate", "onestep"): [*D, "--n", "65", "--d", "1", "--M", "5"],
+    ("estimate", "nonparam"): [*D, "--n", "65", "--d-n", "1"],
+    ("audit", "chain"): [*D, "--n-list", "9,17"],
+    ("audit", "state"): [*D, "--n", "16"],
+    ("audit", "sufficiency"): ["--draws", "500"],
+    ("mc", "normality"): [*D, "--n", "64", "--d", "1", "--replicates", "500",
+                          "--frob-tol", "1"],
+    ("mc", "moments"): [*D, "--m", "5", "--replicates", "20"],
+}
+# integer sizes at 0 and -1, bandwidths (0 is valid) at -1, ladders not increasing
+SIZE_VALUES = {"--n": ("0", "-1"), "--m": ("0", "-1"), "--L": ("0", "-1"),
+               "--draws": ("0", "-1"), "--replicates": ("0", "-1"),
+               "--d": ("-1",), "--d-n": ("-1",), "--n-list": ("9,9", "17,9")}
+SIZE_CASES = [(key, flag, value)
+              for key, parser in build_parser().commands.items()
+              for action in parser._actions
+              for flag in action.option_strings if flag in SIZE_VALUES
+              for value in SIZE_VALUES[flag]]
+
+
+def _with(argv, flag, value):
+    """argv with ``flag`` set to ``value``: replaced where it is given, else appended."""
+    if flag in argv:
+        i = argv.index(flag) + 1
+        return [*argv[:i], value, *argv[i + 1:]]
+    return [*argv, flag, value]
+
+
+class TestSizeSweep:
+    """No size value escapes the CLI as a traceback, a bare ValueError or an audit failure."""
+
+    def test_every_command_has_a_valid_base(self, capsys):
+        assert set(SWEEP_BASES) == set(build_parser().commands)
+        for key, argv in SWEEP_BASES.items():
+            assert run(capsys, *key, *argv)[0] == 0, key
+
+    @pytest.mark.parametrize("key, flag, value", SIZE_CASES,
+                             ids=[f"{g}-{c}{f}={v}" for (g, c), f, v in SIZE_CASES])
+    def test_size_value_is_an_input_error(self, key, flag, value, capsys):
+        code, _, err = run(capsys, "--json-errors", *key, *_with(SWEEP_BASES[key], flag, value))
+        lines = err.splitlines()
+        assert (code, len(lines)) == (1, 1), err
+        obj = json.loads(lines[0])
+        assert set(obj) == {"error", "message", "exit_code"} and obj["exit_code"] == 1
+        cls = getattr(errors, obj["error"], None)
+        assert isinstance(cls, type) and issubclass(cls, errors.InputError), obj
 
 
 class TestConfigPrecedence:

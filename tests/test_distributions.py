@@ -454,6 +454,13 @@ class TestChernoff:
         t_full, v_full = golden(lambda t: np.mean(psi(t)))
         assert abs(v - v_full) <= check(t_full)[2]
 
+    @pytest.mark.parametrize("t0", [0.9, 0.05])
+    def test_search_about_t0_widens_toward_the_minimizer(self, t0):
+        # the bracket t0 -+ 1e-8 misses t* = 0.3: from 0.9 its lower end moves out
+        # fourfold until it passes t*, from 0.05 its upper end
+        t, v = distributions._golden_infimum(lambda t: (t - 0.3) ** 2, t0)
+        assert abs(t - 0.3) <= 1e-9 and v <= 1e-18
+
     @pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10])
     def test_quantum_near_the_floor_matches_a_fine_rule(self, gap):
         # 4096 fixed points were off the 2^22-point rule by 8.6e-11, 6.6e-8 and

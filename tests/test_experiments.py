@@ -32,7 +32,6 @@ from qsts.spectral import (
     _truncated_density,
     eval_density,
     fourier_frequencies,
-    grids,
     local_averages,
 )
 from qsts.distributions import varstab_arccosh
@@ -128,6 +127,12 @@ class TestWhiteNoise:
         with pytest.raises(RangeError):
             simulate_white_noise(COS_DENSITY, 32, 32, "arccosh", RngStream(1, 0))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_size_guard(self, n):
+        # the noise sd sqrt(2 pi / n) once divided by zero or took a negative root
+        with pytest.raises(RangeError, match="n must be >= 1"):
+            simulate_white_noise(COS_DENSITY, n, 64, "arccosh", RngStream(1, 0))
+
     def test_huge_local_center_keeps_the_noise_finite(self):
         # sqrt(c^2 - 1) overflowed in c^2 above 1.34e154
         with warnings.catch_warnings():
@@ -221,6 +226,14 @@ class TestHeteroNormal:
                 np.testing.assert_array_equal(
                     simulate_hetero_normal(theta, 40, d, RngStream(23, i)), direct)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_size_guard(self, n):
+        # n = 0 once returned +-inf with a divide-by-zero warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="n must be >= 1"):
+                simulate_hetero_normal(np.array([0.0, 2.0, 0.1]), n, 1, RngStream(1, 0))
+
 
 class TestHellingerChain:
     def test_constant_density_sums_zero(self):
@@ -241,6 +254,12 @@ class TestHellingerChain:
         with pytest.raises(RangeError):
             audit_hellinger_chain(COS_DENSITY, [64, 128])
 
+    @pytest.mark.parametrize("ns", [[], [65, 33], [65, 65]])
+    def test_ladder_must_strictly_increase(self, ns):
+        # an empty ladder raised IndexError; one out of order failed its decay row
+        with pytest.raises(RangeError, match="strictly increasing"):
+            audit_hellinger_chain(COS_DENSITY, ns)
+
     def test_sums_against_50_digits(self):
         # H^2 from the rounded p was off by up to 2.2e-5 relative at n = 513
         ns = [65, 129, 257, 513]
@@ -252,7 +271,7 @@ class TestHellingerChain:
                     _truncated_density(COS_DENSITY, n).coeffs, n, (1 - n) / 2),
                  fourier_frequencies),
                 ("hellinger_points_vs_avg", lambda n: experiments._point_values(
-                    COS_DENSITY, n), lambda n: grids(n, 1)[0])):
+                    COS_DENSITY, n), lambda n: 2 * math.pi * (np.arange(1, n + 1) / n - 0.5))):
             got = [r.value for r in rep.rows if r.label == label]
             for n, value in zip(ns, got, strict=True):
                 levels = levels_of(n)
@@ -274,6 +293,14 @@ class TestHellingerChain:
 
 
 class TestStateApproximation:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_size_guard(self, n):
+        # (-1) ** (1/3) is complex, and ceil of it raised TypeError
+        with pytest.raises(RangeError, match="n must be >= 1"):
+            experiments.default_audit_m(n)
+        with pytest.raises(RangeError, match="n must be >= 1"):
+            audit_state_approximation(COS_DENSITY, n)
+
     def test_banded_density_gap_zero_entropy_tiny(self):
         rep = audit_state_approximation(COS_DENSITY, 16, 21)
         gap = [r for r in rep.rows if r.label == "symbol_gap_sq"][0]

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from qsts.errors import HermitianSymmetryViolation, InputError, RangeError
+from qsts import spectral
+from qsts.errors import HermitianSymmetryViolation, InputError, NonConvergence, RangeError
 from qsts.spectral import (
     RealParam,
     SpectralDensity,
@@ -16,8 +17,8 @@ from qsts.spectral import (
     _on_grid,
     density_min,
     eval_density,
+    fourier_frequencies,
     fourier_truncate,
-    grids,
     local_averages,
     membership,
     parse_density,
@@ -155,6 +156,21 @@ class TestMembership:
     def test_support_violation(self):
         w = membership(GEOM, theta2_space(3, 50.0))
         assert not w.member and w.constraint == "support"
+
+    def test_sobolev_norm_above_M_fails_theta1(self):
+        # a > 1 + 1/M everywhere, but a_0^2 = 9 alone exceeds M = 4
+        a = SpectralDensity.cosine(3.0, 1.0)
+        w = membership(a, theta1_space(1.0, 4.0))
+        assert not w.member and w.constraint == "norm" and math.isnan(w.location)
+        assert (w.value, w.limit) == (sobolev_norm(a, 1.0)[1], 4.0)
+
+    def test_minimum_inside_the_slack_below_the_floor_is_not_certified(self):
+        # min a = 100 - b lies 0.5e-12 below 1 + 1/M: no grid value is below the floor
+        # by the 1e-12 slack, and no lower bound clears it, up to _CERTIFY_GRID points
+        M = 1e5
+        b = 100.0 - (1.0 + 1.0 / M) + 0.5e-12
+        with pytest.raises(NonConvergence, match=f"on {spectral._CERTIFY_GRID} points"):
+            membership(SpectralDensity.cosine(100.0, -b), theta2_space(1, M))
 
     def test_monotone_in_M(self):
         a = SpectralDensity.cosine(2.0, 0.5)
@@ -361,22 +377,24 @@ class TestFourierTruncate:
 
 
 class TestGrids:
-    def test_points_n2(self):
-        t, _ = grids(2, 3)
-        np.testing.assert_allclose(t, [0.0, math.pi], atol=1e-15)
+    """The Fourier grid w_{j,m} of ``fourier_frequencies``."""
 
     def test_frequencies_m3(self):
-        _, w = grids(1, 3)
-        np.testing.assert_allclose(w, [-2 * math.pi / 3, 0.0, 2 * math.pi / 3],
-                                   atol=1e-15)
+        np.testing.assert_allclose(fourier_frequencies(3),
+                                   [-2 * math.pi / 3, 0.0, 2 * math.pi / 3], atol=1e-15)
 
     def test_midpoints_are_fourier_frequencies(self):
         # midpoint of cell W_{j,5} equals w_{j-3,5}
         m = 5
-        _, w = grids(1, m)
+        w = fourier_frequencies(m)
         j = np.arange(1, m + 1)
         mid = 2 * math.pi * ((j - 0.5) / m - 0.5)
         np.testing.assert_allclose(mid, w, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [0, -1, 4])
+    def test_even_or_nonpositive_m_rejected(self, m):
+        with pytest.raises(RangeError, match="odd"):
+            fourier_frequencies(m)
 
 
 class TestRealParam:

@@ -362,27 +362,6 @@ class TestGap:
         with pytest.raises(RangeError):
             toeplitz_circulant_gap(GEOM, 16, 20, 1.0, 1.0)  # even m
 
-    @pytest.mark.parametrize("n", [16, 17, 32])
-    def test_report_builds_A_n_once_and_gives_the_gap_rows(self, n, monkeypatch):
-        # it once rebuilt A_n for every row: 15 builds at n = 32
-        import qsts.toeplitz as tz
-
-        builds = []
-
-        def counted(a, n):
-            builds.append(n)
-            return toeplitz_from_density(a, n)
-
-        monkeypatch.setattr(tz, "toeplitz_from_density", counted)
-        rows = tz.gap_bound_report(GEOM, n, 1.0)
-        assert builds == [n]
-        _, M = tz.sobolev_norm(GEOM, 1.0)
-        expect = [(m, *toeplitz_circulant_gap(GEOM, n, m, 1.0, M))
-                  for m in range(n + 1 + n % 2, 2 * (n - 1), 2)]
-        assert len(rows) == len(expect) == (15 if n == 32 else 7)
-        assert [(m, g.hex(), b.hex()) for m, g, b in rows] == \
-            [(m, g.hex(), b.hex()) for m, g, b in expect]
-
     @pytest.mark.parametrize("alpha, M", [
         (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
     def test_non_finite_alpha_or_M_refused(self, alpha, M):
