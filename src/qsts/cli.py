@@ -11,11 +11,11 @@ stderr.
 A JSON config (--config FILE) supplies option defaults for the chosen
 command.  Its keys are option dests (density, n_list, frob_tol,
 no_timestamp, ...); each value is converted and checked as the option's
-own value would be, and a key that names no option is an error.  A float
-option, on the command line or in the config, takes finite numbers only:
-nan and inf exit 1.  An option given on the command line wins, so the seed
-is --seed, else the config's seed, else the QSTS_SEED environment
-variable, else a built-in default.
+own value would be, and a key that names no option is an error.  Each
+option's type converts its text, so a malformed density or seed exits 1
+naming its option, and a float option takes finite numbers only.  An
+option given on the command line wins, so the seed is --seed, else the
+config's seed, else QSTS_SEED (converted as --seed is), else a built-in.
 --format (csv or json) exists on audit chain and audit state only.  With a
 fixed seed and --no-timestamp, output files are byte identical across
 runs.  --threads is accepted and has no effect: replicate loops run
@@ -146,7 +146,7 @@ def _finite_float(text: str) -> float:
 
 ROOT = (
     arg("--version", action="version", version=__version__),
-    arg("--seed", type=int, default=None,
+    arg("--seed", type=int,
         help="random seed; default from the config, QSTS_SEED or built in"),
     arg("--threads", type=int, default=1,
         help="accepted and has no effect; replicate loops run serially"),
@@ -157,12 +157,12 @@ ROOT = (
     arg("--config", default=None,
         help="JSON config file supplying option defaults"),
 )
-DENSITY = arg("--density", required=True,
+DENSITY = arg("--density", type=parse_density, required=True,
               help="const:<v>, cos:<a0>,<a1> or a density JSON path")
 N = arg("--n", type=int, required=True)
 D = arg("--d", type=int, required=True)
-A1 = arg("--a1", required=True)
-A2 = arg("--a2", required=True)
+A1 = arg("--a1", type=parse_density, required=True)
+A2 = arg("--a2", type=parse_density, required=True)
 FORMAT = arg("--format", choices=("csv", "json"), default="csv")
 RAW_OUT = arg("--raw-out", default=None,
               help="also dump raw replicates as CSV (large)")
@@ -199,14 +199,13 @@ def _check(ok: bool, message: str):
 @command("density", "eval", "a(w) = sum_k a_k exp(ikw) at given frequencies",
          DENSITY, arg("--omega", type=_finite_float, nargs="+", required=True))
 def cmd_density_eval(args):
-    a = parse_density(args.density)
-    _emit(args, "\n".join(f"{w:.12g} {eval_density(a, w):.15g}" for w in args.omega))
+    _emit(args, "\n".join(f"{w:.12g} {eval_density(args.density, w):.15g}" for w in args.omega))
 
 
 @command("density", "norms", "Sobolev seminorm and norm squared sum |k|^(2a)|a_k|^2",
          DENSITY, arg("--alpha", type=_finite_float, required=True))
 def cmd_density_norms(args):
-    semi, norm = sobolev_norm(parse_density(args.density), args.alpha)
+    semi, norm = sobolev_norm(args.density, args.alpha)
     _emit(args, _json_dump({"alpha": args.alpha, "seminorm_sq": semi,
                             "norm_sq": norm}))
 
@@ -218,32 +217,27 @@ def cmd_density_norms(args):
          arg("--d", type=int, default=0),
          arg("--M", type=_finite_float, required=True))
 def cmd_density_membership(args):
-    a = parse_density(args.density)
-    w = membership(a, ParameterSpace(args.space, M=args.M, alpha=args.alpha, d=args.d))
+    w = membership(args.density, ParameterSpace(args.space, M=args.M, alpha=args.alpha, d=args.d))
     _emit(args, _json_dump({**w._asdict(),
                             "location": None if math.isnan(w.location) else w.location}))
 
 
 # ----------------------------------------------------------------- symbol
 
-@command("symbol", "build", "Toeplitz A[j][k] = a_{k-j} or its circulant",
-         DENSITY, N, arg("--circulant", action="store_true"),
-         arg("--m", type=int, default=None))
+@command("symbol", "build", "Toeplitz A[j][k] = a_{k-j}, or with --circulant the n x n "
+                            "circulant", DENSITY, N, arg("--circulant", action="store_true"))
 def cmd_symbol_build(args):
-    if args.m is not None and not args.circulant:
-        raise InputError("--m sets the circulant size: it needs --circulant")
-    a = parse_density(args.density)
     if args.circulant:
-        M = circulant_from_density(a, args.m if args.m is not None else args.n)
+        M = circulant_from_density(args.density, args.n)
     else:
-        M = toeplitz_from_density(a, args.n)
+        M = toeplitz_from_density(args.density, args.n)
     _emit(args, _json_dump(M.to_json()))
 
 
 @command("symbol", "eigs", "circulant eigenvalues a~_m(2 pi j / m)",
          DENSITY, arg("--m", type=int, required=True))
 def cmd_symbol_eigs(args):
-    eigs = circulant_eigs(parse_density(args.density), args.m)
+    eigs = circulant_eigs(args.density, args.m)
     _emit(args, "\n".join(f"{v:.15g}" for v in eigs))
 
 
@@ -251,9 +245,8 @@ def cmd_symbol_eigs(args):
          DENSITY, N, arg("--m", type=int, required=True),
          arg("--alpha", type=_finite_float, default=1.0), arg("--M", type=_finite_float, default=None))
 def cmd_symbol_gap(args):
-    a = parse_density(args.density)
-    M = args.M if args.M is not None else sobolev_norm(a, args.alpha)[1]
-    gap, bound = toeplitz_circulant_gap(a, args.n, args.m, args.alpha, M)
+    M = args.M if args.M is not None else sobolev_norm(args.density, args.alpha)[1]
+    gap, bound = toeplitz_circulant_gap(args.density, args.n, args.m, args.alpha, M)
     ok = gap <= bound + 1e-9
     _emit(args, _json_dump({"hs_sq": gap, "bound": bound, "pass": ok}))
     _check(ok, "Toeplitz-circulant gap exceeds its bound")
@@ -261,7 +254,7 @@ def cmd_symbol_gap(args):
 
 @command("symbol", "bracket", "inf a <= eigenvalues of A_n <= sup a", DENSITY, N)
 def cmd_symbol_bracket(args):
-    lam_min, lam_max, lo, hi, ok = eigen_bracket_check(parse_density(args.density), args.n)
+    lam_min, lam_max, lo, hi, ok = eigen_bracket_check(args.density, args.n)
     _emit(args, _json_dump({"lambda_min": lam_min, "lambda_max": lam_max,
                             "inf_a": lo, "sup_a": hi, "pass": ok}))
     _check(ok, "an eigenvalue of A_n lies outside [inf a, sup a]")
@@ -270,8 +263,8 @@ def cmd_symbol_bracket(args):
 # ------------------------------------------------------------------ state
 
 def _symbols(args):
-    return (toeplitz_from_density(parse_density(args.a1), args.n),
-            toeplitz_from_density(parse_density(args.a2), args.n))
+    return (toeplitz_from_density(args.a1, args.n),
+            toeplitz_from_density(args.a2, args.n))
 
 
 @command("state", "entropy", "S = Tr (I+Q1)[R1(log R1 - log R2) + "
@@ -315,20 +308,19 @@ def cmd_dist_hellinger(args):
 @command("dist", "chernoff", "error exponent "
          "-log (1/2)[(a0+1)^t(a1+1)^(1-t) - (a0-1)^t(a1-1)^(1-t)], "
          "frequency averaged in the quantum case",
-         arg("--a0", required=True), A1, arg("--t", type=_finite_float, default=None),
+         arg("--a0", type=parse_density, required=True), A1,
+         arg("--t", type=_finite_float, default=None),
          arg("--quantum", action="store_true"), arg("--classical", action="store_true"))
 def cmd_dist_chernoff(args):
-    a0 = parse_density(args.a0)
-    a1 = parse_density(args.a1)
     out = {}
     want_both = args.quantum == args.classical  # neither or both flags
     if args.quantum or want_both:
         if args.t is None:
-            out["quantum_t"], out["quantum_inf"] = chernoff_quantum_inf(a0, a1)
+            out["quantum_t"], out["quantum_inf"] = chernoff_quantum_inf(args.a0, args.a1)
         else:
-            out["quantum"] = chernoff_quantum(a0, a1, args.t)
+            out["quantum"] = chernoff_quantum(args.a0, args.a1, args.t)
     if args.classical or want_both:
-        p0, p1 = float(eval_density(a0, 0.0)), float(eval_density(a1, 0.0))
+        p0, p1 = float(eval_density(args.a0, 0.0)), float(eval_density(args.a1, 0.0))
         if args.t is None:
             out["classical_t"], out["classical_inf"] = chernoff_geo_inf(p0, p1)
         else:
@@ -348,15 +340,14 @@ def cmd_dist_varstab(args):
 
 def _blocks(args):
     """The block scheme of (--n, --d) and one blocked draw from stream (seed, 0)."""
-    a = parse_density(args.density)
     scheme = block_scheme(args.n, args.d)
-    return scheme, sample_pi_blocks(a, scheme, RngStream(args.seed, 0))
+    return scheme, sample_pi_blocks(args.density, scheme, RngStream(args.seed, 0))
 
 
 @command("simulate", "geo", "X_j ~ Geo(p(J_{j,n})) or Geo(p(a(t_{j,n})))",
          DENSITY, N, arg("--variant", choices=("averages", "points"), default="averages"))
 def cmd_simulate_geo(args):
-    draws = simulate_geo_regression(parse_density(args.density), args.n, args.variant,
+    draws = simulate_geo_regression(args.density, args.n, args.variant,
                                     RngStream(args.seed, 0))
     _emit(args, "\n".join(["j,X"] + [f"{j + 1},{int(x)}" for j, x in enumerate(draws)]))
 
@@ -365,14 +356,13 @@ def cmd_simulate_geo(args):
                            "arccosh(a) or a with localized noise",
          DENSITY, N, arg("--L", type=int, default=1024),
          arg("--transform", choices=("arccosh", "local"), default="arccosh"),
-         arg("--center", default=None,
+         arg("--center", type=parse_density, default=None,
              help="localization center density for --transform local"))
 def cmd_simulate_wn(args):
     if args.center is not None and args.transform != "local":
         raise InputError("--center localizes the noise of --transform local only")
-    center = parse_density(args.center) if args.center else None
-    path = simulate_white_noise(parse_density(args.density), args.n, args.L,
-                                args.transform, RngStream(args.seed, 0), a0=center)
+    path = simulate_white_noise(args.density, args.n, args.L,
+                                args.transform, RngStream(args.seed, 0), a0=args.center)
     lines = ["omega,cumulative"]
     lines += [f"{float(w)!r},{float(y)!r}" for w, y in zip(path.grid, path.cumulative)]
     _emit(args, "\n".join(lines))
@@ -415,10 +405,9 @@ def cmd_estimate_onestep(args):
 @command("estimate", "nonparam", "truncated series estimate sum_j theta_hat_j psi_j",
          DENSITY, N, arg("--d-n", type=int, required=True))
 def cmd_estimate_nonparam(args):
-    a = parse_density(args.density)
     if args.n % 2 == 0:
         raise InputError("nonparametric estimation needs odd n")
-    sampler = NumberOpSampler(toeplitz_from_density(a, args.n))
+    sampler = NumberOpSampler(toeplitz_from_density(args.density, args.n))
     N = sampler.draw(RngStream(args.seed, 0))
     density, theta = nonparametric_estimate(2.0 * N + 1.0, args.d_n)
     obj = density.to_json()
@@ -442,7 +431,7 @@ def _write_report(args, report):
          DENSITY, arg("--n-list", type=_int_list, required=True,
                       help="comma separated odd sizes"), FORMAT)
 def cmd_audit_chain(args):
-    _write_report(args, audit_hellinger_chain(parse_density(args.density), args.n_list,
+    _write_report(args, audit_hellinger_chain(args.density, args.n_list,
                                               seed=args.seed))
 
 
@@ -454,7 +443,7 @@ def cmd_audit_chain(args):
          arg("--alpha", type=_finite_float, default=1.0), arg("--M", type=_finite_float, default=None),
          FORMAT)
 def cmd_audit_state(args):
-    _write_report(args, audit_state_approximation(parse_density(args.density), args.n,
+    _write_report(args, audit_state_approximation(args.density, args.n,
                                                   args.m, alpha=args.alpha, M=args.M))
 
 
@@ -490,16 +479,15 @@ def _write_raw_rows(path: str, rows: np.ndarray):
          arg("--replicates", type=int, default=2000),
          arg("--frob-tol", type=_finite_float, default=0.15), RAW_OUT)
 def cmd_mc_normality(args):
-    a = parse_density(args.density)
     scheme = block_scheme(args.n, args.d)
-    theta_true = RealParam.from_density(a, d=args.d).theta
+    theta_true = RealParam.from_density(args.density, d=args.d).theta
     _, phi = phi_matrices(theta_true, args.d)
     target = np.linalg.inv(phi)
     space = theta2prime_space(args.d, args.M)
     scale = math.sqrt(scheme.r * scheme.m)
 
     def one(stream):
-        draw = sample_pi_blocks(a, scheme, stream)
+        draw = sample_pi_blocks(args.density, scheme, stream)
         return scale * (onestep_estimator(draw.pi_bar, scheme.m, args.d, space) - theta_true)
 
     _, rows = mc_run(one, args.replicates, args.seed, collect=True)
@@ -521,7 +509,7 @@ def cmd_mc_normality(args):
          DENSITY, arg("--m", type=int, required=True),
          arg("--replicates", type=int, default=20_000), RAW_OUT)
 def cmd_mc_moments(args):
-    A = toeplitz_from_density(parse_density(args.density), args.m)
+    A = toeplitz_from_density(args.density, args.m)
     mean, cov = pi_moments(A)
     if args.replicates < 2:
         raise RangeError("need at least 2 replicates")
@@ -554,6 +542,8 @@ def _root_parser(**kw) -> _Parser:
     root = _Parser(prog="qsts", description=__doc__, **kw)
     for flags, opts in ROOT:
         root.add_argument(*flags, **opts)
+    # a string default goes through --seed's type, as a command-line value would
+    root.set_defaults(seed=os.environ.get("QSTS_SEED") or str(_DEFAULT_SEED))
     return root
 
 
@@ -632,9 +622,6 @@ def cli_dispatch(argv=None) -> int:
     try:
         args = _parse(argv)
         json_errors = args.json_errors
-        if args.seed is None:
-            env = os.environ.get("QSTS_SEED")
-            args.seed = int(env) if env else _DEFAULT_SEED
         args.fn(args)
         return 0
     except (QstsError, ValueError, OSError) as exc:

@@ -191,7 +191,10 @@ def _admissible(x: np.ndarray, space: ParameterSpace) -> bool:
         return True
     if low < floor - 1e-12 - math.sqrt(2.0) * allowance:
         return False
-    return membership(RealParam(d, x).to_density(), space).member
+    try:
+        return membership(RealParam(d, x).to_density(), space).member
+    except NonConvergence:   # undecided is not certified feasible: x is projected
+        return False
 
 
 def _add_row(v: np.ndarray, N: np.ndarray, u: np.ndarray, c: np.ndarray, b: float):

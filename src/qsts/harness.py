@@ -50,7 +50,7 @@ class RngStream:
     """A deterministic random stream addressed by (seed, stream_id).
 
     ``generator()`` always returns a fresh generator positioned at the
-    start of the stream.
+    start of the stream; a negative seed or stream id is a RangeError there.
     """
 
     seed: int
@@ -61,6 +61,8 @@ class RngStream:
         return (int(self.seed), int(self.stream_id))
 
     def generator(self) -> np.random.Generator:
+        if not (self.seed >= 0 and self.stream_id >= 0):
+            raise RangeError(f"seed and stream id must be non-negative, got {self.path}")
         ss = np.random.SeedSequence(list(self.path))
         return np.random.Generator(np.random.Philox(seed=ss))
 

@@ -43,8 +43,8 @@ CASES = {
     "density_membership_theta2prime": ["density", "membership", "--density", GEOM,
                                        "--space", "theta2prime", "--d", "20", "--M", "20"],
     "symbol_build": ["symbol", "build", "--density", "cos:2,0.5", "--n", "4"],
-    "symbol_build_circulant": ["symbol", "build", "--density", GEOM, "--n", "3",
-                               "--circulant", "--m", "5"],
+    "symbol_build_circulant": ["symbol", "build", "--density", GEOM, "--n", "5",
+                               "--circulant"],
     "symbol_eigs": ["symbol", "eigs", "--density", GEOM, "--m", "7"],
     "symbol_gap": ["symbol", "gap", "--density", "cos:2,0.5", "--n", "16", "--m", "21",
                    "--alpha", "1"],

@@ -108,15 +108,6 @@ class TestSymbolCommands:
         assert code == 0
         assert [float(x) for x in out.split()] == pytest.approx([4.0] * 3)
 
-    def test_circulant_size_zero_is_not_absent(self, capsys):
-        # --m 0 is an invalid size, not a request for the n-circulant
-        code, out, err = run(capsys, "symbol", "build", "--circulant", "--density",
-                             "cos:2,0.5", "--n", "3", "--m", "0")
-        assert code == 1 and out == "" and "RangeError" in err
-        code, out, _ = run(capsys, "symbol", "build", "--circulant", "--density",
-                           "cos:2,0.5", "--n", "3", "--m", "5")
-        assert code == 0 and json.loads(out)["n"] == 5
-
     def test_gap_passes(self, capsys):
         code, out, _ = run(capsys, "symbol", "gap", "--density", "cos:2,0.5",
                            "--n", "16", "--m", "21", "--alpha", "1")
@@ -386,6 +377,17 @@ class TestMcCommands:
         self.per_entry_raw_rows(tmp_path / "old.csv", rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    def test_normality_raw_rows(self, tmp_path, capsys):
+        argv = ["--seed", "2", "mc", "normality", "--density", "cos:2,0.5", "--n", "64",
+                "--d", "1", "--replicates", "500", "--frob-tol", "1"]
+        raw = tmp_path / "raw.csv"
+        code, out, _ = run(capsys, *argv, "--raw-out", str(raw))
+        assert (code, out) == run(capsys, *argv)[:2]
+        lines = raw.read_text().splitlines()
+        assert lines[0] == "replicate,coordinate,value" and len(lines) == 1 + 500 * 3
+        assert [ln.split(",")[:2] for ln in lines[1:4]] == [["1", "0"], ["1", "1"], ["1", "2"]]
+        assert lines[-1].startswith("500,2,")
+
     def test_moments_one_replicate_exits_1(self, capsys):
         code, out, err = run(capsys, "mc", "moments", "--density", "const:3",
                              "--m", "3", "--replicates", "1")
@@ -520,10 +522,14 @@ def test_symbol_gap_far_past_a_dense_symbol():
     assert obj["pass"] and obj["hs_sq"] == 0.0
 
 
-def _json_file(tmp_path, name, obj):
+def _text_file(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(text)
     return str(path)
+
+
+def _json_file(tmp_path, name, obj):
+    return _text_file(tmp_path, name, json.dumps(obj))
 
 
 def _config(tmp_path, obj):
@@ -536,6 +542,16 @@ EXIT_CASES = {
     "usage": (1, ["density", "eval", "--omega", "0"]),
     "overflow": (1, ["symbol", "build", "--density", "const:1.5e308", "--n", "2"]),
     "config_schema": (1, ["--config", "{cfg}", "dist", "varstab", "--a", "2"]),
+    "config_unreadable": (1, ["--config", "{absent}", "dist", "varstab", "--a", "2"]),
+    "config_invalid_json": (1, ["--config", "{bad_json}", "dist", "varstab", "--a", "2"]),
+    "config_not_an_object": (1, ["--config", "{list_cfg}", "dist", "varstab", "--a", "2"]),
+    "config_flag_not_boolean": (1, ["--config", "{flag_cfg}", "dist", "varstab", "--a", "2"]),
+    # a seed that SeedSequence refuses, from --seed or from the environment
+    "negative_seed": (1, ["--seed", "-3", "simulate", "geo", "--density", "cos:2,0.5",
+                          "--n", "3"]),
+    "negative_env_seed": (1, ["QSTS_SEED=-3", "simulate", "geo", "--density", "cos:2,0.5",
+                              "--n", "3"]),
+    "non_numeric_omega": (1, ["density", "eval", "--density", "cos:2,0.5", "--omega", "abc"]),
     "density_json_missing_key": (1, ["density", "eval", "--density", "{no_im}",
                                      "--omega", "0"]),
     "density_json_bare_coeff": (1, ["density", "eval", "--density", "{bare}",
@@ -564,6 +580,17 @@ EXIT_CASES = {
     "white_noise_n_zero": (1, ["simulate", "wn", "--density", "cos:2,0.5", "--n", "0"]),
     "white_noise_n_negative": (1, ["simulate", "wn", "--density", "cos:2,0.5", "--n", "-1"]),
     "audit_state_n_negative": (1, ["audit", "state", "--density", "cos:2,0.5", "--n", "-1"]),
+    # no odd m with n < m < 2 (n - 1) exists for n = 2
+    "audit_state_no_default_m": (1, ["audit", "state", "--density", "cos:2,0.5", "--n", "2"]),
+    # a = 1.2 + 0.5 cos w dips to 0.7, where arccosh is undefined
+    "white_noise_drift_below_one": (1, ["simulate", "wn", "--density", "cos:1.2,0.5",
+                                        "--n", "16", "--L", "64"]),
+    "white_noise_center_below_one": (1, ["simulate", "wn", "--density", "cos:2,0.5",
+                                         "--n", "16", "--L", "64", "--transform", "local",
+                                         "--center", "const:0.5"]),
+    "white_noise_local_without_center": (1, ["simulate", "wn", "--density", "cos:2,0.5",
+                                             "--n", "16", "--L", "64",
+                                             "--transform", "local"]),
     # a ladder out of order once failed its decay row (exit 3) with no bound violated
     "audit_chain_decreasing": (1, ["audit", "chain", "--density", "cos:2,0.5",
                                    "--n-list", "65,33"]),
@@ -591,8 +618,6 @@ EXIT_CASES = {
                               "--a1", "const:3"]),
     # an option that another one qualifies is refused without it, not dropped
     "r2_without_r": (1, ["dist", "hellinger", "--lam", "2", "--mu", "3", "--r2", "2.5"]),
-    "m_without_circulant": (1, ["symbol", "build", "--density", "cos:2,0.5", "--n", "4",
-                                "--m", "5"]),
     "center_without_local": (1, ["simulate", "wn", "--density", "cos:2,0.5", "--n", "16",
                                  "--L", "64", "--center", "cos:2,0.4"]),
     "audit": (3, ["symbol", "gap", "--density", GEOM_DECAY, "--n", "16", "--m", "19",
@@ -602,10 +627,14 @@ EXIT_CASES = {
 
 class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(EXIT_CASES))
-    def test_exit_code_and_json_error(self, case, tmp_path, capsys):
+    def test_exit_code_and_json_error(self, case, tmp_path, capsys, monkeypatch):
         expect, argv = EXIT_CASES[case]
         files = {"{cfg}": _config(tmp_path, {"bogus": 1}),
                  "{nan_cfg}": _json_file(tmp_path, "nan_cfg.json", {"M": math.nan}),
+                 "{absent}": str(tmp_path / "absent.json"),
+                 "{bad_json}": _text_file(tmp_path, "bad.json", "{"),
+                 "{list_cfg}": _json_file(tmp_path, "list.json", [{"a": 2}]),
+                 "{flag_cfg}": _json_file(tmp_path, "flag.json", {"no_timestamp": "yes"}),
                  "{no_im}": _json_file(tmp_path, "no_im.json",
                                        {"K_max": 1, "coeffs": [{"k": 0, "re": 2.0}]}),
                  "{bare}": _json_file(tmp_path, "bare.json", {"K_max": 1, "coeffs": [3]}),
@@ -621,6 +650,8 @@ class TestExitCodes:
                                                {"k": 0, "re": 2.0, "im": 0.0},
                                                {"k": 0, "re": 3.0, "im": 0.0}]})}
         argv = [files.get(a, a) for a in argv]
+        if argv[0].startswith("QSTS_SEED="):   # an environment prefix, as in a shell
+            monkeypatch.setenv("QSTS_SEED", argv.pop(0).split("=", 1)[1])
         code, _, err = run(capsys, *argv)
         assert code == expect
         assert (err == "") == (expect == 0)
@@ -630,7 +661,12 @@ class TestExitCodes:
         if expect == 0:
             assert lines == []
         else:
-            assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == expect
+            obj = json.loads(lines[0])
+            assert len(lines) == 1 and obj["exit_code"] == expect
+            # the error is the package's own class for that exit code, not a bare ValueError
+            cls = getattr(errors, obj["error"], None)
+            assert isinstance(cls, type) and issubclass(cls, errors.QstsError), obj
+            assert cls.exit_code == expect
 
     def test_exhausted_projection_budget_is_a_numerical_failure(self, capsys, monkeypatch):
         # a solver that gave up with a bare RuntimeError once ended in a traceback
@@ -716,12 +752,54 @@ class TestSizeSweep:
                              ids=[f"{g}-{c}{f}={v}" for (g, c), f, v in SIZE_CASES])
     def test_size_value_is_an_input_error(self, key, flag, value, capsys):
         code, _, err = run(capsys, "--json-errors", *key, *_with(SWEEP_BASES[key], flag, value))
-        lines = err.splitlines()
-        assert (code, len(lines)) == (1, 1), err
-        obj = json.loads(lines[0])
-        assert set(obj) == {"error", "message", "exit_code"} and obj["exit_code"] == 1
-        cls = getattr(errors, obj["error"], None)
-        assert isinstance(cls, type) and issubclass(cls, errors.InputError), obj
+        assert_one_input_error(code, err)
+
+
+def assert_one_input_error(code, err):
+    """Exit 1 with exactly one JSON line on stderr that names an InputError subclass."""
+    lines = err.splitlines()
+    assert (code, len(lines)) == (1, 1), err
+    obj = json.loads(lines[0])
+    assert set(obj) == {"error", "message", "exit_code"} and obj["exit_code"] == 1
+    cls = getattr(errors, obj["error"], None)
+    assert isinstance(cls, type) and issubclass(cls, errors.InputError), obj
+
+
+# a malformed number (argparse names the option), a malformed shorthand and a missing
+# file (parse_density's own messages)
+DENSITY_VALUES = ("cos:x,1", "const:", "cos:1", "{missing}")
+DENSITY_CASES = [(key, action.option_strings[0], value)
+                 for key, parser in build_parser().commands.items()
+                 for action in parser._actions if action.type is parse_density
+                 for value in DENSITY_VALUES]
+
+
+class TestDensitySweep:
+    """No density or seed text escapes the CLI as anything but an InputError."""
+
+    def test_every_density_option_is_typed(self):
+        options = {(key, flag) for key, flag, _ in DENSITY_CASES}
+        assert len(options) == 26
+        assert {flag for _, flag in options} == {"--density", "--a0", "--a1", "--a2",
+                                                 "--center"}
+
+    @pytest.mark.parametrize("key, flag, value", DENSITY_CASES,
+                             ids=[f"{g}-{c}{f}={v}" for (g, c), f, v in DENSITY_CASES])
+    def test_density_value_is_an_input_error(self, key, flag, value, tmp_path, capsys):
+        argv = SWEEP_BASES[key]
+        if flag == "--center":
+            argv = _with(argv, "--transform", "local")
+        value = str(tmp_path / "absent.json") if value == "{missing}" else value
+        code, _, err = run(capsys, "--json-errors", *key, *_with(argv, flag, value))
+        assert_one_input_error(code, err)
+
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_environment_seed_is_an_input_error(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("QSTS_SEED", value)
+        code, _, err = run(capsys, "--json-errors", "simulate", "geo",
+                           *SWEEP_BASES["simulate", "geo"])
+        assert_one_input_error(code, err)
+        assert "--seed" in json.loads(err)["message"]
 
 
 class TestConfigPrecedence:
@@ -784,7 +862,8 @@ class TestConfigPrecedence:
         assert outs["config"] == outs["s42"] != outs["env"]
 
 
-def test_readme_commands_parse():
+def test_readme_commands_parse(monkeypatch):
+    monkeypatch.chdir(ROOT)   # a density path in the README is relative to the repository
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## CLI", 1)[1]
     block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)

@@ -116,6 +116,14 @@ class TestDesignMatrices:
         with pytest.raises(DimensionError):
             design_matrices(9, 1, np.array([0.0, 0.0, 2.0, 0.0, 0.0]))
 
+    def test_estimator_inputs_of_the_wrong_length_rejected(self):
+        from qsts.estimators import weighted_estimator
+
+        with pytest.raises(DimensionError, match="pi_bar must have length m = 9"):
+            preliminary_estimator(np.full(8, 2.0), 9, 1)
+        with pytest.raises(DimensionError, match="pi_bar and delta must have length m = 9"):
+            weighted_estimator(np.full(9, 2.0), np.ones(8), 9, 1)
+
     def test_nan_theta_rejected(self):
         # NaN <= 0 is False, so only a test for positivity catches a NaN Delta
         with pytest.raises(NotAdmissible):
@@ -302,6 +310,20 @@ class TestProjection:
         out = project_theta(x, self.SPACE)
         oracle = quad_project_oracle(x, self.SPACE)
         np.testing.assert_allclose(out, oracle, atol=5e-6)
+
+    def test_input_membership_cannot_decide_is_projected(self):
+        # min a lies 9.76e-13 below the floor, inside membership's 1e-12 slack, and
+        # _certified_min's bound stays ~1e-12 below it on every grid: membership
+        # raised NonConvergence at _CERTIFY_GRID, and the projection with it
+        x = np.array([0.39698851206326063, 2.3223229630202953, 0.7500072617860729])
+        space = theta2prime_space(1, 8.181253576197452)
+        with pytest.raises(NonConvergence):
+            membership(RealParam(1, x).to_density(), space)
+        out = project_theta(x, space)
+        a = RealParam(1, out).to_density()
+        assert membership(a, space).member
+        assert 0.0 < np.linalg.norm(out - x) < 1e-9
+        assert density_min(a)[0] >= 1.0 + 1.0 / space.M
 
     def test_idempotent(self):
         x = np.array([1.8, 0.9, -2.2])

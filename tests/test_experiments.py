@@ -133,6 +133,16 @@ class TestWhiteNoise:
         with pytest.raises(RangeError, match="n must be >= 1"):
             simulate_white_noise(COS_DENSITY, n, 64, "arccosh", RngStream(1, 0))
 
+    @pytest.mark.parametrize("a, transform, a0, error, match", [
+        (SpectralDensity.cosine(1.2, 0.5), "arccosh", None, NotAdmissible, "a > 1"),
+        (COS_DENSITY, "local", SpectralDensity.constant(0.5), NotAdmissible, "above 1"),
+        (COS_DENSITY, "local", None, RangeError, "center density"),
+        (COS_DENSITY, "cube", None, RangeError, "unknown transform"),
+    ], ids=["drift_below_one", "center_below_one", "no_center", "unknown_transform"])
+    def test_refusals(self, a, transform, a0, error, match):
+        with pytest.raises(error, match=match):
+            simulate_white_noise(a, 16, 64, transform, RngStream(1, 0), a0=a0)
+
     def test_huge_local_center_keeps_the_noise_finite(self):
         # sqrt(c^2 - 1) overflowed in c^2 above 1.34e154
         with warnings.catch_warnings():
@@ -300,6 +310,11 @@ class TestStateApproximation:
             experiments.default_audit_m(n)
         with pytest.raises(RangeError, match="n must be >= 1"):
             audit_state_approximation(COS_DENSITY, n)
+
+    def test_no_default_m_for_n_two(self):
+        # n + ceil(n^(1/3)) is 4, made odd 5, and no m has 2 < m < 2 (n - 1) = 2
+        with pytest.raises(RangeError, match="no valid default m for n = 2"):
+            experiments.default_audit_m(2)
 
     def test_banded_density_gap_zero_entropy_tiny(self):
         rep = audit_state_approximation(COS_DENSITY, 16, 21)

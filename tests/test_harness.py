@@ -29,6 +29,13 @@ class TestRngStream:
         b = RngStream(123, 2).generator().standard_normal(10)
         assert not np.allclose(a, b)
 
+    @pytest.mark.parametrize("path", [(-3, 0), (3, -1)])
+    def test_negative_seed_or_stream_is_a_range_error(self, path):
+        # SeedSequence's own refusal was a bare ValueError
+        stream = RngStream(*path)
+        with pytest.raises(RangeError, match="non-negative"):
+            stream.generator()
+
     def test_pairwise_correlation_smoke(self):
         worst = stream_correlation(2024, ids=[1, 2, 3], n=10 ** 6)
         assert worst < 5.0 / math.sqrt(10 ** 6)
@@ -118,6 +125,14 @@ class TestNormalityCheck:
         rep = normality_check(samples, np.array([[4.0 / 3.0]]))
         assert not rep.passed and rep.ks_stats[0] >= rep.ks_critical
 
+    def test_one_dimensional_samples_are_one_coordinate(self):
+        samples = np.random.default_rng(17).standard_normal(600)
+        one = normality_check(samples, 1.0)
+        column = normality_check(samples[:, None], np.eye(1))
+        assert one.frob_rel_err == column.frob_rel_err and one.passed == column.passed
+        np.testing.assert_array_equal(one.ks_stats, column.ks_stats)
+        assert len(one.ks_stats) == 1
+
     def test_zero_variance_coordinate(self):
         samples = np.zeros((1000, 2))
         samples[:, 0] = np.random.default_rng(0).standard_normal(1000)
@@ -150,6 +165,16 @@ class TestNormalityCheckRefusals:
             normality_check(wide, np.eye(1), frob_tol=100.0, ks_alpha=alpha)
         with pytest.raises(RangeError, match="0 < alpha < 1"):
             ks_critical(500, alpha)
+
+    def test_too_few_samples(self):
+        samples = np.random.default_rng(15).standard_normal((499, 1))
+        with pytest.raises(RangeError, match="at least 500 samples"):
+            normality_check(samples, np.eye(1))
+
+    def test_target_of_the_wrong_shape(self):
+        samples = np.random.default_rng(16).standard_normal((600, 2))
+        with pytest.raises(InputError, match="wrong shape"):
+            normality_check(samples, np.eye(3))
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_ks_critical_needs_a_sample(self, n):
