@@ -22,7 +22,6 @@ from .errors import (
     NotAdmissible,
     NotFaithful,
     NotPSD,
-    NotToeplitz,
     NumericalError,
     QstsError,
     RangeError,

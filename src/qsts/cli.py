@@ -228,6 +228,8 @@ def cmd_density_membership(args):
                             "circulant", DENSITY, N, arg("--circulant", action="store_true"))
 def cmd_symbol_build(args):
     if args.circulant:
+        if args.n < 1 or args.n % 2 == 0:
+            raise RangeError(f"--n must be odd and >= 1 with --circulant, got {args.n}")
         M = circulant_from_density(args.density, args.n)
     else:
         M = toeplitz_from_density(args.density, args.n)

@@ -30,10 +30,6 @@ class HermitianSymmetryViolation(InputError):
     """Coefficient set breaks the a_{-k} = conj(a_k) symmetry."""
 
 
-class NotToeplitz(InputError):
-    """Matrix tagged Toeplitz is not constant along its diagonals."""
-
-
 class NotAdmissible(InputError):
     """Density or parameter fails an admissibility constraint (a > 1 etc.)."""
 

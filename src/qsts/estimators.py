@@ -34,12 +34,14 @@ from .spectral import (
     RealParam,
     ParameterSpace,
     TWO_PI,
+    _MEMBERSHIP_SLACK,
     _allowance,
     _certified_min,
     _grid_size,
     _grid_slack,
     _halving,
     _on_grid,
+    _theta_coeffs,
     density_min,
     fourier_frequencies,
     membership,
@@ -179,7 +181,7 @@ def _admissible(x: np.ndarray, space: ParameterSpace) -> bool:
     The lag bound theta_0 - sqrt(2) sum_j hypot(theta_j, theta_{-j}) <= a_theta, else
     (sampled only then) the grid minimum less ``_grid_slack``, accepts inside the ball once
     it clears the floor by sqrt(2) times the allowance of |theta_j| (which bounds that of
-    the |a_j|).  A grid minimum below the floor's 1e-12 slack by the allowance rejects.
+    the |a_j|).  A grid minimum below the floor less _MEMBERSHIP_SLACK by the allowance rejects.
     """
     t, d, floor, G = x.tolist(), (x.size - 1) // 2, 1.0 + 1.0 / space.M, _PROJECTION_GRID
     inside, allowance = x @ x <= space.M, _allowance(sum(map(abs, t)), d, G)
@@ -189,7 +191,7 @@ def _admissible(x: np.ndarray, space: ParameterSpace) -> bool:
     low, curvature = float((_grid_design(d, G) @ x).min()), _grid_slack(np.abs(x), G)[0]
     if inside and low - math.sqrt(2.0) * (curvature + allowance) >= floor:
         return True
-    if low < floor - 1e-12 - math.sqrt(2.0) * allowance:
+    if low < floor - _MEMBERSHIP_SLACK - math.sqrt(2.0) * allowance:
         return False
     try:
         return membership(RealParam(d, x).to_density(), space).member
@@ -267,7 +269,7 @@ def project_theta(theta_hat: np.ndarray, space: ParameterSpace) -> np.ndarray:
             row, b, kind = -v / nrm, -radius, "tangent cut of the ball"
         else:
             a = RealParam(d, v).to_density()
-            amin, at = density_min(a)   # at or above the floor, membership has 1e-12 to certify
+            amin, at = density_min(a)   # at or above the floor, membership has its slack to certify
             if amin >= 1.0 + 1.0 / space.M and membership(a, space).member:
                 return v
             row, b, kind = psi_matrix(d, at)[0], target, "witness row"
@@ -340,9 +342,7 @@ def phi_matrices(theta: np.ndarray, d: int) -> FisherMatrices:
         raise NotAdmissible("theta must be finite for the phi matrices")
     # a_0 .. a_d of a_theta by RealParam.to_density's rule, without building
     # and validating a SpectralDensity (theta is checked above)
-    half = np.empty(d + 1, dtype=complex)
-    half[0] = theta[d]
-    half[1:] = (theta[d + 1:] - 1j * theta[:d][::-1]) / math.sqrt(2.0)
+    half = _theta_coeffs(theta)
     full = np.concatenate((np.conj(half[:0:-1]), half))
     G0, mags = _grid_size(2 * d), np.abs(full)
     a0 = _on_grid(half, G0)

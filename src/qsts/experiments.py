@@ -19,7 +19,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .distributions import _nb_rates, geo_sample, hellinger_geo_exact
+from .distributions import _nb_rates, geo_sample, hellinger_geo_exact, p_of_a
 from .errors import DegenerateSamples, NotAdmissible, RangeError
 from .estimators import phi_matrices
 from .gaussian_states import relative_entropy
@@ -397,8 +397,7 @@ def audit_hellinger_chain(a: SpectralDensity, n_list: Sequence[int],
     dec_ii = worst_ratio(sums_ii)
     report.add("decay_ratio_circulant_vs_avg", ns[0], ns[-1], dec_i, 1.0, slack=-1e-12)
     report.add("decay_ratio_points_vs_avg", ns[0], ns[-1], dec_ii, 1.0, slack=-1e-12)
-    a_mid = _admissible(eval_density(a, 0.0))
-    p_mid = (a_mid - 1.0) / (a_mid + 1.0)
+    p_mid = p_of_a(float(eval_density(a, 0.0)))
     chi2, crit, p_value = nb_sufficiency_test(p_mid, 50_000, RngStream(seed, 0))
     report.add("nb_sufficiency_chi2", ns[-1], _NB_PIECES, chi2, crit)
     report.meta["nb_sufficiency_p_value"] = p_value

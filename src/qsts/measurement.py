@@ -58,7 +58,7 @@ _PGF_BUDGET = 2 ** 18
 #: distinct (density, block size) factors kept per process by sample_pi_blocks
 _FACTOR_CACHE_SIZE = 8
 
-#: Toeplitz symbols with at least this many modes are sampled by circulant
+#: Lag-built symbols with at least this many modes are sampled by circulant
 #: embedding.  Below it the dense factor builds and draws once as fast or
 #: faster (measured crossover: n = 37-39 odd, 52-56 even), and it holds every
 #: block of the blocked pipeline.
@@ -224,8 +224,8 @@ def _poisson_mixture_factor(A: SymbolMatrix, faithful: bool = False) -> np.ndarr
     return _dft_rows(L)
 
 
-def _embedding_root(A: SymbolMatrix) -> np.ndarray | None:
-    """sqrt of the eigenvalues of a circulant that embeds Q = (A - I)/2, or None.
+def _embedding_root(row: np.ndarray) -> np.ndarray | None:
+    """sqrt of the eigenvalues of a circulant embedding Q = (A - I)/2, A of first row ``row``, or None.
 
     With K the last nonzero lag of the first row q of Q, Q is the leading
     n x n block of the N = n + K circulant C with entries c_{(j-k) mod N},
@@ -233,12 +233,11 @@ def _embedding_root(A: SymbolMatrix) -> np.ndarray | None:
     eigenvalues, in FFT order, are one FFT of c.  None when one of them is
     <= 0: C is then no covariance, though Q may still be one.
     """
-    q = toeplitz_first_row(A).copy()
-    q[0] -= 1.0
-    q *= 0.5
+    q = 0.5 * row
+    q[0] -= 0.5
     lags = np.flatnonzero(q[1:])
     K = int(lags[-1]) + 1 if lags.size else 0
-    c = np.zeros(A.n + K, dtype=complex)
+    c = np.zeros(q.size + K, dtype=complex)
     c[:K + 1] = q[:K + 1].conj()
     c[c.size - K:] = q[K:0:-1]
     lam = np.fft.fft(c).real
@@ -256,15 +255,15 @@ class NumberOpSampler:
     to amplitudes alpha with E[alpha alpha*] = Q' = (U* A U - I)/2 (U = I
     for even m, as in ``_dft_rows``), then takes one Poisson batch.  The map is built once, read-only, on one of two paths:
 
-    - a Toeplitz symbol with m >= _EMBED_MIN_N is embedded in the N-point
-      circulant C of ``_embedding_root``, and alpha = U* P W* (sqrt(lam) z)
-      with W the unitary DFT and P the first m of N coordinates: one FFT
-      down each row, and one more for odd m.  It is taken only when
-      min lam > 0, which proves lambda_min(A) > 1, since
+    - a symbol built from its lags, Toeplitz or circulant, with m >= _EMBED_MIN_N
+      is embedded in the N-point circulant C of ``_embedding_root``, and
+      alpha = U* P W* (sqrt(lam) z) with W the unitary DFT and P the first m of
+      N coordinates: one FFT down each row, and one more for odd m.  It is
+      taken only when min lam > 0, which proves lambda_min(A) > 1, since
       x* Q x = (P* x)* C (P* x) >= min lam |x|^2;
-    - otherwise alpha = B z with the m x m factor B of
-      ``_poisson_mixture_factor``, from a Cholesky and one FFT, which is
-      faster for small m.
+    - otherwise, and for entries given one by one whatever their tag,
+      alpha = B z with the m x m factor B of ``_poisson_mixture_factor``,
+      from a Cholesky and one FFT, which is faster for small m.
 
     ``sample_pi_blocks`` does not use this class: it keeps the factor B of
     each block symbol for the whole process (``_block_factor``) and draws
@@ -275,8 +274,9 @@ class NumberOpSampler:
         A = as_symbol(A)
         self.m = A.n
         self.root = None
-        if A.tag == "toeplitz" and A.n >= _EMBED_MIN_N:
-            self.root = _embedding_root(A)
+        row = toeplitz_first_row(A)
+        if row is not None and A.n >= _EMBED_MIN_N:
+            self.root = _embedding_root(row)
         if self.root is None:
             self.factor = _poisson_mixture_factor(A)
             self.factor.setflags(write=False)

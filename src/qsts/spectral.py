@@ -22,7 +22,8 @@ from .errors import HermitianSymmetryViolation, InputError, NonConvergence, Rang
 
 TWO_PI = 2.0 * math.pi
 
-#: membership's largest grid; Taylor terms ((pi/8)^14/14! < 3e-17), Newton steps
+#: membership's slack and largest grid; Taylor terms ((pi/8)^14/14! < 3e-17), Newton steps
+_MEMBERSHIP_SLACK = 1e-12
 _CERTIFY_GRID = 1 << 16
 _TAYLOR_TERMS = 14
 _NEWTON_STEPS = 50
@@ -247,17 +248,8 @@ class RealParam:
         object.__setattr__(self, "theta", th)
 
     def to_density(self, label: str = "") -> SpectralDensity:
-        """a_0 = theta_0 and a_j = (theta_j - i theta_{-j}) / sqrt(2)."""
-        d, s = self.d, math.sqrt(2.0)
-        x, y = self.theta[d + 1:], self.theta[:d][::-1]
-        c = np.empty(d + 1, dtype=complex)
-        c[0] = self.theta[d]
-        # Python's complex arithmetic for (x - 1j y) / s, spelled out so that
-        # the signed zeros come out the same
-        re, im = x - 0.0 * y, 0.0 - y
-        c[1:].real = (re + 0.0 * im) / s
-        c[1:].imag = (im - 0.0 * re) / s
-        return SpectralDensity(c, label=label)
+        """a_0 = theta_0 and a_j = (theta_j - i theta_{-j}) / sqrt(2), by ``_theta_coeffs``."""
+        return SpectralDensity(_theta_coeffs(self.theta), label=label)
 
     @classmethod
     def from_density(cls, a: SpectralDensity, d: int | None = None) -> "RealParam":
@@ -268,6 +260,20 @@ class RealParam:
         th[d + 1:] = math.sqrt(2.0) * c[1:].real
         th[:d] = (-math.sqrt(2.0) * c[1:].imag)[::-1]
         return cls(d, th)
+
+
+def _theta_coeffs(theta: np.ndarray) -> np.ndarray:
+    """a_0 .. a_d of theta_{-d} .. theta_d: a_0 = theta_0, a_j = (theta_j - i theta_{-j}) / sqrt(2)."""
+    d, s = theta.size // 2, math.sqrt(2.0)
+    x, y = theta[d + 1:], theta[:d][::-1]
+    c = np.empty(d + 1, dtype=complex)
+    c[0] = theta[d]
+    # Python's complex arithmetic for (x - 1j y) / s, spelled out so that
+    # the signed zeros come out the same
+    re, im = x - 0.0 * y, 0.0 - y
+    c[1:].real = (re + 0.0 * im) / s
+    c[1:].imag = (im - 0.0 * re) / s
+    return c
 
 
 def psi_matrix(d: int, omega) -> np.ndarray:
@@ -424,14 +430,13 @@ def sobolev_norm(a: SpectralDensity, alpha: float):
 def membership(a: SpectralDensity, space: ParameterSpace) -> MembershipWitness:
     """Test membership of a density in a parameter space, with witness.
 
-    True iff the norm constraint holds and min a(w) >= 1 + 1/M - 1e-12: a value
+    True iff the norm constraint holds and min a(w) >= 1 + 1/M - _MEMBERSHIP_SLACK: a value
     ``_certified_min`` attains below that rejects, at its location; a lower bound
     at or above it accepts; else its grid doubles, to _CERTIFY_GRID, then NonConvergence.
     """
-    slack = 1e-12
     if space.kind == "theta1":
         _, norm_sq = sobolev_norm(a, space.alpha)
-        if norm_sq > space.M + slack:
+        if norm_sq > space.M + _MEMBERSHIP_SLACK:
             return MembershipWitness(False, "norm", math.nan, norm_sq, space.M)
     else:
         if a.k_max > space.d:
@@ -442,15 +447,15 @@ def membership(a: SpectralDensity, space: ParameterSpace) -> MembershipWitness:
                                          float(np.max(extra)), 0.0)
         norm_sq = float(a.coeffs[0].real) ** 2 + 2.0 * float(
             np.sum(np.abs(a.coeffs[1:space.d + 1]) ** 2))
-        if norm_sq > space.M + slack:
+        if norm_sq > space.M + _MEMBERSHIP_SLACK:
             return MembershipWitness(False, "norm", math.nan, norm_sq, space.M)
     floor = 1.0 + 1.0 / space.M
     full, G = a.full_coeffs(), _grid_size(a.k_max)
     while True:
         lower, amin, at = _certified_min(full, G)
-        if amin < floor - slack:
+        if amin < floor - _MEMBERSHIP_SLACK:
             return MembershipWitness(False, "lower_bound", at, amin, floor)
-        if lower >= floor - slack:
+        if lower >= floor - _MEMBERSHIP_SLACK:
             return MembershipWitness(True, "", math.nan, amin, floor)
         if G >= _CERTIFY_GRID:
             raise NonConvergence(f"min a = {amin!r} not certified above {floor!r} on {G} points")

@@ -46,7 +46,6 @@ from .errors import (
     DimensionError,
     EigenFailure,
     InputError,
-    NotToeplitz,
     RangeError,
 )
 from .spectral import (SpectralDensity, _grid_size, _grid_slack, _on_grid, _truncated_density,
@@ -57,11 +56,10 @@ _HERMITIZE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class SymbolMatrix:
-    """Dense Hermitian matrix with a structure tag.
+    """Dense Hermitian matrix with a label of how it was built.
 
-    The tag records how the matrix was built ("toeplitz", "circulant" or
-    "general"); operations that need the structure check the tag.  Entries
-    given one by one (directly or from JSON) are checked and Hermitized here,
+    The tag ("toeplitz", "circulant" or "general") is only the label that
+    ``to_json`` prints.  Entries given one by one are checked and Hermitized here,
     in O(n^2): an asymmetry above 1e-12, or an entry that is non-finite
     before or after Hermitizing, is an error.  Entries that are already
     Hermitian exactly are kept as given, signed zeros included, so
@@ -207,22 +205,6 @@ class SymbolMatrix:
             "im": self.entries.imag.tolist(),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SymbolMatrix":
-        try:
-            re = np.asarray(obj["re"], dtype=float)
-            im = np.asarray(obj["im"], dtype=float)
-            tag = obj["tag"]
-            n = int(obj["n"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed matrix JSON: {exc}") from exc
-        if re.shape != (n, n) or im.shape != (n, n):
-            raise DimensionError("matrix JSON dimensions do not match n")
-        # re + 1j * im would turn every -0.0 imaginary part into +0.0
-        e = np.empty((n, n), dtype=complex)
-        e.real, e.imag = re, im
-        return cls(e, tag=tag)
-
 
 def _solve(solve, *args, **kwargs):
     """``solve(*args, **kwargs)``, with numpy's LinAlgError raised as EigenFailure."""
@@ -325,23 +307,9 @@ def toeplitz_from_density(a: SpectralDensity, n: int) -> SymbolMatrix:
     return SymbolMatrix._from_lags(a.full_coeffs(n - 1))
 
 
-def toeplitz_first_row(A: SymbolMatrix) -> np.ndarray:
-    """First row (a_0, a_1, ..., a_{n-1}) of a Toeplitz symbol, read-only.
-
-    A symbol from ``toeplitz_from_density`` returns its stored lags, checked
-    when it was built.  A Toeplitz-tagged symbol given entry by entry
-    (directly or from JSON) is checked here, in O(n^2), against its
-    diagonals, else NotToeplitz.
-    """
-    if A.tag != "toeplitz":
-        raise NotToeplitz(f"matrix tagged {A.tag!r}")
-    if A._lags is not None:
-        return A._lags[A.n - 1:]
-    row = A.entries[0]
-    rebuilt = _lag_view(np.concatenate((row[:0:-1].conj(), row)))
-    if np.max(np.abs(rebuilt - A.entries)) > 1e-12 * (1 + np.max(np.abs(row))):
-        raise NotToeplitz("entries are not constant along the diagonals")
-    return row
+def toeplitz_first_row(A: SymbolMatrix) -> np.ndarray | None:
+    """Stored first row (a_0, ..., a_{n-1}) of a symbol built from its lags, read-only, else None."""
+    return None if A._lags is None else A._lags[A.n - 1:]
 
 
 def _circulant_lags(a: SpectralDensity, m: int, lags: np.ndarray) -> np.ndarray:
@@ -372,8 +340,7 @@ def circulant_block(a: SpectralDensity, m: int, n: int) -> SymbolMatrix:
 
     The block is Toeplitz with lag t equal to a_t for |t| <= (m-1)/2 and to
     a_{t - sign(t) m} otherwise; it is built by ``SymbolMatrix._from_lags``
-    in O(n), with entries equal byte for byte to the dense block, and is
-    tagged "toeplitz".
+    in O(n), with entries equal byte for byte to the dense block, tagged "toeplitz".
     """
     if n < 1 or n > m:
         raise DimensionError(f"block size {n} outside 1..{m}")

@@ -622,6 +622,20 @@ EXIT_CASES = {
                                  "--L", "64", "--center", "cos:2,0.4"]),
     "audit": (3, ["symbol", "gap", "--density", GEOM_DECAY, "--n", "16", "--m", "19",
                   "--alpha", "1", "--M", "1e-9"]),
+    # refusals that once named the library's parameter (m, p), not what the user typed
+    "circulant_even_n": (1, ["symbol", "build", "--density", "cos:2,0.5", "--n", "4",
+                             "--circulant"]),
+    "circulant_n_zero": (1, ["symbol", "build", "--density", "cos:2,0.5", "--n", "0",
+                             "--circulant"]),
+    "audit_chain_density_at_one": (1, ["audit", "chain", "--density", "const:1",
+                                       "--n-list", "9,17"]),
+}
+
+#: the part of the JSON error message that a case of EXIT_CASES must print
+EXIT_MESSAGES = {
+    "circulant_even_n": "--n must be odd and >= 1 with --circulant, got 4",
+    "circulant_n_zero": "--n must be odd and >= 1 with --circulant, got 0",
+    "audit_chain_density_at_one": "need 1 < a < inf, got 1.0",
 }
 
 
@@ -667,6 +681,7 @@ class TestExitCodes:
             cls = getattr(errors, obj["error"], None)
             assert isinstance(cls, type) and issubclass(cls, errors.QstsError), obj
             assert cls.exit_code == expect
+            assert EXIT_MESSAGES.get(case, "") in obj["message"]
 
     def test_exhausted_projection_budget_is_a_numerical_failure(self, capsys, monkeypatch):
         # a solver that gave up with a bare RuntimeError once ended in a traceback

@@ -545,6 +545,23 @@ class TestPhiMatrices:
         np.testing.assert_allclose(phi0, (c * c - 1) * np.eye(3), atol=1e-10)
         np.testing.assert_allclose(phi, np.eye(3) / (c * c - 1), atol=1e-10)
 
+    @pytest.mark.parametrize("d", range(5))
+    def test_coefficients_are_the_bytes_of_to_density(self, d, monkeypatch):
+        # one theta -> a_k rule: an inline (x - 1j y) / sqrt(2) was one ulp off in the
+        # last bit, since numpy divides a complex array by multiplying by 1 / sqrt(2)
+        seen = []
+
+        def spy(theta):
+            seen.append(spectral._theta_coeffs(theta))
+            return seen[-1]
+
+        monkeypatch.setattr(estimators, "_theta_coeffs", spy)
+        rng = np.random.default_rng(70 + d)
+        for _ in range(20):
+            theta = with_floor_gap(rng.normal(size=2 * d + 1), rng.uniform(0.1, 1.0))
+            phi_matrices(theta, d)
+            assert seen[-1].tobytes() == RealParam(d, theta).to_density().coeffs.tobytes()
+
     def test_cosine_phi0_closed_form(self):
         # hand integrals for a = 2 + 0.5 cos: a^2-1 = 3.125 + 2 cos + 0.125 cos 2w
         phi0, _ = phi_matrices(COS_THETA, 1)

@@ -15,7 +15,6 @@ from qsts.errors import (
     InputError,
     NotFaithful,
     NotPSD,
-    NotToeplitz,
     RangeError,
     TooSmall,
 )
@@ -31,7 +30,7 @@ from qsts.measurement import (
 from qsts.estimators import _design, design_matrices, preliminary_estimator
 from qsts.experiments import _chi2_sf
 from qsts.spectral import RealParam, SpectralDensity, fourier_frequencies, psi_matrix
-from qsts.toeplitz import SymbolMatrix, toeplitz_from_density
+from qsts.toeplitz import SymbolMatrix, circulant_from_density, toeplitz_from_density
 
 from oracles import (
     block_rates_full_q,
@@ -166,13 +165,12 @@ class TestSampler:
         se_cov = np.sqrt(prod_var / reps)
         assert np.all(np.abs(emp_cov - cov) < 5 * se_cov)
 
-    def test_same_draw_from_the_lags_and_from_the_entries(self):
-        # rebuilt entry by entry, the symbol carries no lags and its first row is checked
-        A = toeplitz_from_density(COS_DENSITY, 1025)
+    def test_entrywise_copy_takes_the_factor_whatever_its_tag(self):
+        # rebuilt entry by entry, the symbol carries no lags: the tag does not embed it
+        A = toeplitz_from_density(COS_DENSITY, 129)
         B = SymbolMatrix(np.array(A.entries), tag="toeplitz")
-        assert A._lags is not None and B._lags is None
-        N_lags, N_entries = (NumberOpSampler(S).draw(RngStream(2, 0)) for S in (A, B))
-        assert N_lags.tobytes() == N_entries.tobytes()
+        assert NumberOpSampler(A).root is not None and NumberOpSampler(B).root is None
+        check_map(B, embeds=False)
 
     def test_full_length_draw_memory_is_linear_in_n(self):
         # one 4097 x 4097 complex matrix alone would take 268 MB
@@ -707,11 +705,11 @@ class TestMixtureFactor:
         check_map(A, embeds=n % 2 == 0)
         assert float(A.spectrum[0][0]) == pytest.approx(1.0002, abs=1e-12)
 
-    def test_mistagged_json_symbol_rejected(self):
-        obj = generic_hermitian(E + 1, 3).to_json()
-        obj["tag"] = "toeplitz"
-        with pytest.raises(NotToeplitz):
-            NumberOpSampler(SymbolMatrix.from_json(obj))
+    @pytest.mark.parametrize("m", [E + 1, 2 * E + 1])
+    @pytest.mark.parametrize("a", [COS_DENSITY, SpectralDensity(np.array([3, 0.5, 0.2j, -0.1]))],
+                             ids=["cos:2,0.5", "complex"])
+    def test_lag_built_circulant_is_embedded(self, m, a):
+        check_map(circulant_from_density(a, m), embeds=True)
 
     @pytest.mark.parametrize("kind", ["const", "cos"])
     @pytest.mark.parametrize("k", range(1, 17))
