@@ -109,7 +109,6 @@ from .experiments import (
     audit_state_approximation,
     nb_sufficiency_test,
     simulate_geo_regression,
-    simulate_hetero_normal,
     simulate_white_noise,
 )
 from .harness import (

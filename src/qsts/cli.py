@@ -12,10 +12,11 @@ A JSON config (--config FILE) supplies option defaults for the chosen
 command.  Its keys are option dests (density, n_list, frob_tol,
 no_timestamp, ...); each value is converted and checked as the option's
 own value would be, and a key that names no option is an error.  Each
-option's type converts its text, so a malformed density or seed exits 1
-naming its option, and a float option takes finite numbers only.  An
-option given on the command line wins, so the seed is --seed, else the
-config's seed, else QSTS_SEED (converted as --seed is), else a built-in.
+option's type converts its text before the command runs, so a malformed
+density, a negative or malformed seed and an --out or --raw-out path that
+cannot be written exit 1 naming their option, and a float option takes
+finite numbers only.  An option given on the command line wins, so the seed
+is --seed, else the config's seed, else QSTS_SEED, else a built-in.
 --format (csv or json) exists on audit chain and audit state only.  With a
 fixed seed and --no-timestamp, output files are byte identical across
 runs.  --threads is accepted and has no effect: replicate loops run
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import datetime
 import json
 import math
 import os
@@ -53,7 +55,7 @@ from .distributions import (
     varstab_arccosh,
     varstab_ode_residual,
 )
-from .errors import AuditFailure, InputError, QstsError, RangeError, SchemaError
+from .errors import AuditFailure, InputError, NotFaithful, QstsError, RangeError, SchemaError
 from .estimators import (
     nonparametric_estimate,
     onestep_estimator,
@@ -68,7 +70,7 @@ from .experiments import (
     simulate_white_noise,
 )
 from .gaussian_states import entropy_symbol_bound, pinsker_trace_bound, relative_entropy
-from .harness import _CHUNK_ROWS, RngStream, mc_run, normality_check
+from .harness import _CHUNK_ROWS, _NORMALITY_MIN_SAMPLES, RngStream, mc_run, normality_check
 from .measurement import (
     NumberOpSampler,
     block_scheme,
@@ -144,9 +146,35 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """The value of --seed, from the command line, a config or QSTS_SEED: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _output_path(text: str) -> str:
+    """The value of --out or --raw-out: - or empty as it is, else a path writable now."""
+    if text in ("", "-"):
+        return text
+    parent = os.path.dirname(text) or "."
+    why = ("it is a directory" if os.path.isdir(text)
+           else f"no directory {parent!r}" if not os.path.isdir(parent)
+           else "permission denied" if not os.access(
+               text if os.path.exists(text) else parent, os.W_OK)
+           else None)
+    if why:
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: {why}")
+    return text
+
+
 ROOT = (
     arg("--version", action="version", version=__version__),
-    arg("--seed", type=int,
+    arg("--seed", type=_seed,
         help="random seed; default from the config, QSTS_SEED or built in"),
     arg("--threads", type=int, default=1,
         help="accepted and has no effect; replicate loops run serially"),
@@ -164,9 +192,9 @@ D = arg("--d", type=int, required=True)
 A1 = arg("--a1", type=parse_density, required=True)
 A2 = arg("--a2", type=parse_density, required=True)
 FORMAT = arg("--format", choices=("csv", "json"), default="csv")
-RAW_OUT = arg("--raw-out", default=None,
+RAW_OUT = arg("--raw-out", type=_output_path, default=None,
               help="also dump raw replicates as CSV (large)")
-OUT = arg("--out", default="-", help="output path, - for stdout")
+OUT = arg("--out", type=_output_path, default="-", help="output path, - for stdout")
 
 
 @contextlib.contextmanager
@@ -374,9 +402,17 @@ def cmd_simulate_wn(args):
                                 "m-mode blocks, plus averaged 2N+1",
          DENSITY, N, arg("--d", type=int, default=0))
 def cmd_simulate_measure(args):
-    _, draw = _blocks(args)
+    scheme = block_scheme(args.n, args.d)
+    A = toeplitz_from_density(args.density, scheme.m)
+    if not A.lambda_min_exceeds(1.0):
+        raise NotFaithful(f"block symbol has lambda_min = {float(A.eigenvalues[0]):.6g}, need > 1")
+    blocks = NumberOpSampler(A).draw(RngStream(args.seed, 0), size=scheme.r)
+    header = {"seed": args.seed, "n": scheme.n, "d": scheme.d, "m": scheme.m, "r": scheme.r,
+              "density": args.density.label}
+    if not args.no_timestamp:
+        header["written"] = datetime.datetime.now().isoformat()
     with _output(args) as fh:
-        draw.write_csv(fh, no_timestamp=args.no_timestamp)
+        _write_block_rows(fh, header, blocks)
 
 
 # --------------------------------------------------------------- estimate
@@ -409,8 +445,11 @@ def cmd_estimate_onestep(args):
 def cmd_estimate_nonparam(args):
     if args.n % 2 == 0:
         raise InputError("nonparametric estimation needs odd n")
-    sampler = NumberOpSampler(toeplitz_from_density(args.density, args.n))
-    N = sampler.draw(RngStream(args.seed, 0))
+    A = toeplitz_from_density(args.density, args.n)
+    if not 0 <= args.d_n <= math.sqrt(args.n) / 2.0:
+        raise RangeError(f"--d-n must lie in 0..sqrt(n)/2 = {math.sqrt(args.n) / 2.0:.6g}, "
+                         f"got {args.d_n}")
+    N = NumberOpSampler(A).draw(RngStream(args.seed, 0))
     density, theta = nonparametric_estimate(2.0 * N + 1.0, args.d_n)
     obj = density.to_json()
     obj.update(theta=list(theta), n=args.n, seed=args.seed)
@@ -463,6 +502,18 @@ def cmd_audit_sufficiency(args):
 
 # --------------------------------------------------------------------- mc
 
+def _write_block_rows(fh, header: dict, blocks: np.ndarray):
+    """Block CSV: ``header`` as a JSON comment, then rows (block, j, N), |j| <= (m-1)/2."""
+    fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+    fh.write("block,j,N\n")
+    m = blocks.shape[1]
+    # one write per block: field 0 is the block, field idx + 1 its column idx
+    rows = "".join(f"{{0}},{idx - (m - 1) // 2},{{{idx + 1}}}\n" for idx in range(m))
+    for start in range(0, blocks.shape[0], _CHUNK_ROWS):
+        for b, block in enumerate(blocks[start:start + _CHUNK_ROWS].tolist(), start):
+            fh.write(rows.format(b, *block))
+
+
 def _write_raw_rows(path: str, rows: np.ndarray):
     """Raw replicate dump, one line per (replicate, coordinate, value)."""
     # one write per replicate: field 0 is the replicate, field j + 1 its coordinate j
@@ -481,6 +532,9 @@ def _write_raw_rows(path: str, rows: np.ndarray):
          arg("--replicates", type=int, default=2000),
          arg("--frob-tol", type=_finite_float, default=0.15), RAW_OUT)
 def cmd_mc_normality(args):
+    if args.replicates < _NORMALITY_MIN_SAMPLES:
+        raise RangeError(f"--replicates must be >= {_NORMALITY_MIN_SAMPLES} for the normality "
+                         f"check, got {args.replicates}")
     scheme = block_scheme(args.n, args.d)
     theta_true = RealParam.from_density(args.density, d=args.d).theta
     _, phi = phi_matrices(theta_true, args.d)

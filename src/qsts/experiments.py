@@ -21,7 +21,6 @@ import numpy as np
 
 from .distributions import _nb_rates, geo_sample, hellinger_geo_exact, p_of_a
 from .errors import DegenerateSamples, NotAdmissible, RangeError
-from .estimators import phi_matrices
 from .gaussian_states import relative_entropy
 from .harness import _CHUNK_ROWS, _QUANTILE_STEPS, RngStream, _bracketed_newton
 from .spectral import (
@@ -189,20 +188,6 @@ def simulate_white_noise(a: SpectralDensity, n: int, L: int, transform: str,
     noise = rng.generator().standard_normal(L) * sd * math.sqrt(dt)
     cumulative = np.concatenate([[0.0], np.cumsum(drift * dt + noise)])
     return WhiteNoisePath(grid=grid, cumulative=cumulative)
-
-
-def simulate_hetero_normal(theta: np.ndarray, n: int, d: int,
-                           rng: RngStream) -> np.ndarray:
-    """One draw from N(theta, n^{-1} Phi_theta^{-1}).
-
-    The factor R with R R' = Phi^{-1} comes from the eigensystem of Phi.
-    """
-    if n < 1:
-        raise RangeError("n must be >= 1")
-    theta = np.asarray(theta, dtype=float)
-    lams, V = np.linalg.eigh(phi_matrices(theta, d).phi)
-    root = V * (1.0 / np.sqrt(lams))
-    return theta + (root @ rng.generator().standard_normal(theta.size)) / math.sqrt(n)
 
 
 def _hellinger_sum(levels: np.ndarray, J: np.ndarray) -> float:

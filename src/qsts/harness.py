@@ -4,11 +4,9 @@ Every random quantity in the package is drawn from a stream addressed by an
 integer path (seed, stream_id).  Streams are Philox counter-based
 generators keyed through numpy's SeedSequence hash of the path.  Monte Carlo
 replicate i owns the stream (seed, i) and draws everything from its one
-generator (a blocked measurement draws its column totals, and its blocks
-when they are read, from that generator), so it can be regenerated in
-isolation.  Replicates run serially in replicate order and
-summaries are plain numpy reductions over that fixed row order, so results
-are deterministic.
+generator, so it can be regenerated in isolation.  Replicates run serially
+in replicate order and summaries are plain numpy reductions over that fixed
+row order, so results are deterministic.
 
 The normality check needs only the standard normal cdf and the quantile of
 the limiting Kolmogorov law; both are closed form here, on ``math.erf`` and
@@ -32,6 +30,9 @@ _QUANTILE_STEPS = 64
 #: of a NumberOpSampler batch, the Poisson draws of the sufficiency test, the
 #: block and replicate CSVs), so that no second full-size copy is held
 _CHUNK_ROWS = 1024
+
+#: fewest samples ``normality_check`` takes, and so fewest replicates of ``mc normality``
+_NORMALITY_MIN_SAMPLES = 500
 
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -240,17 +241,17 @@ def normality_check(samples: np.ndarray, target_cov: np.ndarray,
     Frobenius error within ``frob_tol`` and every KS statistic below the
     asymptotic critical value at ``ks_alpha``.
 
-    Refused, with the CLI exit code: fewer than 500 samples or ks_alpha
-    outside (0, 1) (RangeError, 1); a target of the wrong shape or with a
-    non-finite entry (InputError, 1); a target diagonal entry not > 0
-    (NotPSD, 2); a non-finite sample or a coordinate of zero variance
-    (DegenerateSamples, 2).
+    Refused, with the CLI exit code: fewer than _NORMALITY_MIN_SAMPLES
+    samples or ks_alpha outside (0, 1) (RangeError, 1); a target of the
+    wrong shape or with a non-finite entry (InputError, 1); a target diagonal
+    entry not > 0 (NotPSD, 2); a non-finite sample or a coordinate of zero
+    variance (DegenerateSamples, 2).
     """
     rows = np.asarray(samples, dtype=float)
     if rows.ndim == 1:
         rows = rows[:, None]
-    if rows.shape[0] < 500:
-        raise RangeError("normality check needs at least 500 samples")
+    if rows.shape[0] < _NORMALITY_MIN_SAMPLES:
+        raise RangeError(f"normality check needs at least {_NORMALITY_MIN_SAMPLES} samples")
     crit = ks_critical(rows.shape[0], ks_alpha)
     target = np.atleast_2d(np.asarray(target_cov, dtype=float))
     if target.shape != (rows.shape[1], rows.shape[1]):

@@ -13,24 +13,19 @@ observable vectors 2N + 1 feed the estimators in ``estimators``.
 The blocked measurement draws r such blocks of one symbol, and the
 estimators read only their column sums.  ``sample_pi_blocks`` draws those
 sums from their exact law, a Poisson mixture whose means come from the
-complex Bartlett decomposition of Z*Z, in about m^2 + m random numbers;
-the r x m outcomes themselves are drawn only when read, conditional on
-the sums, so the joint law is that of r independent blocks.  Those blocks
-need only the R of a QR of the r x k normal matrix of the blocks: the
-Haar isometry Q is never formed.
+complex Bartlett decomposition of Z*Z, in about m^2 + m random numbers.
+The r x m outcomes themselves, which ``simulate measure`` writes, are r
+independent draws of ``NumberOpSampler``.
 
 Every batch temporary is released as soon as the next one exists, so a
-batch draw holds about two copies of its batch at its peak, and the block
-CSV is formatted ``_CHUNK_ROWS`` blocks at a time.
+batch draw holds about two copies of its batch at its peak.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, field
-from typing import IO
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,58 +95,21 @@ def block_scheme(n: int, d: int) -> BlockScheme:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementDraw:
-    """Simulated number outcomes of the blocked measurement.
+    """Column sums of the simulated number outcomes of the blocked measurement.
 
     ``totals`` holds the m column sums sum_b N_bj of the r x m integer
     outcomes, and ``pi_bar`` the length-m average of 2 N + 1 over blocks,
     (2 totals + r) / r: the bytes of np.mean(2.0 * blocks + 1.0, axis=0),
-    since the integer sums are exact in floats.  ``blocks``, the outcomes
-    themselves, are drawn when first read, from the generator that drew the
-    totals, conditional on them (``_conditional_blocks``).
+    since the integer sums are exact in floats.
     """
 
     totals: np.ndarray
     scheme: BlockScheme
-    seed_path: tuple = ()
-    density_label: str = ""
-    #: T B^T of the draw and its generator, positioned after the totals
-    amplitudes: np.ndarray | None = field(default=None, repr=False)
-    gen: np.random.Generator | None = field(default=None, repr=False)
 
     @functools.cached_property
     def pi_bar(self) -> np.ndarray:
         r = self.scheme.r
         return (2.0 * self.totals + r) / r
-
-    @functools.cached_property
-    def blocks(self) -> np.ndarray:
-        return _conditional_blocks(self.gen, self.amplitudes, self.totals, self.scheme.r)
-
-    def write_csv(self, fh: IO[str], no_timestamp: bool = True):
-        """CSV rows (block, j, N) preceded by a JSON header comment line.
-
-        The header's seed is the first entry of ``seed_path``, None without one.
-        """
-        header = {
-            "seed": self.seed_path[0] if self.seed_path else None,
-            "n": self.scheme.n,
-            "d": self.scheme.d,
-            "m": self.scheme.m,
-            "r": self.scheme.r,
-            "density": self.density_label,
-        }
-        if not no_timestamp:
-            import datetime
-            header["written"] = datetime.datetime.now().isoformat()
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        fh.write("block,j,N\n")
-        half = (self.scheme.m - 1) // 2
-        # one write per block: field 0 is the block, field idx + 1 its column idx
-        rows = "".join(f"{{0}},{idx - half},{{{idx + 1}}}\n" for idx in range(self.scheme.m))
-        blocks = np.asarray(self.blocks, dtype=np.int64)
-        for start in range(0, blocks.shape[0], _CHUNK_ROWS):
-            for b, block in enumerate(blocks[start:start + _CHUNK_ROWS].tolist(), start):
-                fh.write(rows.format(b, *block))
 
 
 def _complex_normals(gen: np.random.Generator, rows: int, width: int) -> np.ndarray:
@@ -334,43 +292,9 @@ def _bartlett_layout(r: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return U, shapes
 
 
-def _block_rates(gen: np.random.Generator, X: np.ndarray, r: int) -> np.ndarray:
-    """Poisson rates lam = |Q X|^2 of the r blocks, for X = T B^T, from R alone.
-
-    The normal matrix of the blocks is Z = Q T, with Q the Haar r x k
-    isometry independent of T: the QR factor of an r x k complex normal
-    matrix G with its columns rephased by D = diag(d / |d|), d = diag R, so
-    that the diagonal of R is positive (Mezzadri, Notices AMS 54, 2007).
-    Q D X = G R^-1 D X, so lam = |G M|^2 with M = R^-1 D X, k x m: only the
-    R of ``np.linalg.qr`` is taken, and Q is never formed.
-    """
-    G = _complex_normals(gen, r, X.shape[0])
-    R = np.linalg.qr(G, mode="r")
-    d = np.diagonal(R)
-    Y = G @ np.linalg.solve(R, (d / np.abs(d))[:, None] * X)
-    del G
-    # |Y|^2 from the real and imaginary parts: no complex temporary beside Y
-    lam = np.square(Y.real)
-    lam += np.square(Y.imag)
-    return lam
-
-
-def _conditional_blocks(gen: np.random.Generator, X: np.ndarray, totals: np.ndarray,
-                        r: int) -> np.ndarray:
-    """The r x m outcomes given their column sums ``totals``, for X = T B^T.
-
-    Given Z = Q T the outcomes are Poisson(lam), lam = |Q X|^2 of
-    ``_block_rates``, whose columns sum to S, so given the totals column j
-    is Multinomial(totals_j, lam_.j / S_j).
-    """
-    lam = _block_rates(gen, X, r)
-    lam /= lam.sum(axis=0)
-    return np.ascontiguousarray(gen.multinomial(totals, lam.T).T)
-
-
 def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
                      stream: RngStream) -> MeasurementDraw:
-    """Draw r independent m-mode blocks by their column sums; the blocks follow when read.
+    """The column sums of r independent m-mode blocks, drawn from their exact law.
 
     Block b is N_b ~ Poisson(|alpha_b|^2) with alpha_b = B z_b, B the factor
     of A_m(a) and Z = (z_b) an r x m standard complex normal matrix.  Given Z
@@ -381,26 +305,21 @@ def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
     matrix, k = min(r, m), T_ii = sqrt(Gamma(r - i)) and T_ij ~ CN(0, 1)
     for j > i.  So S is the column sums of |T B^T|^2, and the totals take about
     m^2 + m random numbers, the m Poisson ones by scalar calls (the draws of one array
-    call, faster).  ``MeasurementDraw.blocks`` draws the outcomes conditional on them,
-    so (blocks, pi_bar) has the joint law of r independent blocks.
+    call, faster).
 
     Everything comes from the single generator of ``stream``, so the draw is
     deterministic given (seed path, scheme, density).  The block symbol must
     satisfy lambda_min(A) > 1, else NotFaithful, on every call.  The factor
     is built once per process for each (coefficient values of ``a``, m): an
-    equal-valued density built separately reuses it, whatever its label,
-    and the draw carries the label of the ``a`` passed in.
+    equal-valued density built separately reuses it, whatever its label.
     """
     r, m = scheme.r, scheme.m
     B, (U, shapes) = _block_factor(a, m), _bartlett_layout(r, m)
     gen = stream.generator()
     T = _complex_normals(gen, *U.shape) * U
     T.reshape(-1)[::m + 1] = np.sqrt(gen.standard_gamma(shapes))   # the diagonal, k <= m
-    X = T @ B.T
-    totals = np.array([gen.poisson(s) for s in abs_square(X).sum(axis=0).tolist()])
-    return MeasurementDraw(totals=totals, scheme=scheme,
-                           seed_path=stream.path, density_label=a.label,
-                           amplitudes=X, gen=gen)
+    totals = np.array([gen.poisson(s) for s in abs_square(T @ B.T).sum(axis=0).tolist()])
+    return MeasurementDraw(totals=totals, scheme=scheme)
 
 
 def joint_pmf_from_pgf(A, k_max: int = 12) -> np.ndarray:

@@ -552,23 +552,3 @@ def pgf_coefficients_mp(Qp: np.ndarray, k_max: int, dps: int = 40) -> np.ndarray
         for k, v in g.items():
             out[k] = float(v)
     return out
-
-
-def block_rates_full_q(gen: np.random.Generator, X: np.ndarray, r: int) -> np.ndarray:
-    """lam = |Q X|^2 with the r x k Haar isometry Q formed, for X = T B^T (k x m).
-
-    Q is the QR factor of an r x k complex normal matrix, the real parts drawn
-    first, with its columns rephased by diag(R) / |diag(R)| so that diag R > 0.
-    """
-    re, im = gen.standard_normal((2, r, X.shape[0]))
-    Q, R = np.linalg.qr(re + 1j * im)
-    d = np.diagonal(R)
-    Q *= d / np.abs(d)
-    return abs_square(Q @ X)
-
-
-def conditional_blocks_full_q(gen: np.random.Generator, X: np.ndarray, totals: np.ndarray,
-                              r: int) -> np.ndarray:
-    """The r x m blocks given their column sums: column j ~ Multinomial(totals_j, lam_.j / S_j)."""
-    lam = block_rates_full_q(gen, X, r)
-    return np.ascontiguousarray(gen.multinomial(totals, (lam / lam.sum(axis=0)).T).T)

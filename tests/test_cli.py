@@ -18,7 +18,7 @@ import pytest
 from qsts import errors, estimators
 from qsts.cli import _write_raw_rows, build_parser, cli_dispatch
 from qsts.harness import RngStream
-from qsts.measurement import NumberOpSampler
+from qsts.measurement import NumberOpSampler, block_scheme
 from qsts.spectral import (
     RealParam,
     SpectralDensity,
@@ -200,13 +200,30 @@ class TestDistCommands:
 
 class TestSimulateAndEstimate:
     def test_measure_file_bytes_are_pinned(self, tmp_path, capsys):
-        # SHA-256 of the file as the per-entry writer produced it
+        # SHA-256 of the file of the NumberOpSampler draw, as the per-entry writer wrote it
         out = tmp_path / "m.csv"
         code, _, _ = run(capsys, "--seed", "5", "--no-timestamp", "simulate", "measure",
                          "--density", "cos:2,0.5", "--n", "65536", "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "21cab9b38e9d341366d1263500aec29867cc60a529ded793d99b21b75a2679d0")
+            "8535549d82ccd0765869fca14d41f7166d69b0f81075d31c954fc790189e873d")
+
+    @pytest.mark.parametrize("n, d", [(30, 1), (4096, 1), (65536, 0)])
+    def test_measure_rows_are_the_sampler_draw(self, n, d, tmp_path, capsys):
+        # the rows are NumberOpSampler(A_m).draw(stream (seed, 0), size=r), byte for byte
+        out = tmp_path / "m.csv"
+        code, _, _ = run(capsys, "--seed", "5", "--no-timestamp", "simulate", "measure",
+                         "--density", "cos:2,0.5", "--n", str(n), "--d", str(d), "--out", str(out))
+        scheme = block_scheme(n, d)
+        A = toeplitz_from_density(parse_density("cos:2,0.5"), scheme.m)
+        blocks = NumberOpSampler(A).draw(RngStream(5, 0), size=scheme.r)
+        header = {"d": d, "density": "cos:2,0.5", "m": scheme.m, "n": n, "r": scheme.r,
+                  "seed": 5}
+        half = (scheme.m - 1) // 2
+        text = "".join([f"# {json.dumps(header)}\nblock,j,N\n"] + [
+            f"{b},{j - half},{N}\n" for b, row in enumerate(blocks.tolist())
+            for j, N in enumerate(row)])
+        assert code == 0 and out.read_bytes() == text.encode()
 
     def test_measure_deterministic(self, tmp_path, capsys):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -629,6 +646,19 @@ EXIT_CASES = {
                              "--circulant"]),
     "audit_chain_density_at_one": (1, ["audit", "chain", "--density", "const:1",
                                        "--n-list", "9,17"]),
+    # the block symbol A_m of const:1 is the vacuum, lambda_min = 1
+    "simulate_measure_not_faithful": (2, ["simulate", "measure", "--density", "const:1",
+                                          "--n", "64"]),
+    # refused before the run, not after it: an output path in no directory, too few
+    # replicates for the normality check, a bandwidth past sqrt(n)/2
+    "out_unwritable": (1, ["mc", "normality", "--density", "cos:2,0.5", "--n", "64", "--d", "1",
+                           "--replicates", "500", "--out", "{no_dir}"]),
+    "raw_out_unwritable": (1, ["mc", "normality", "--density", "cos:2,0.5", "--n", "64",
+                               "--d", "1", "--replicates", "500", "--raw-out", "{no_dir}"]),
+    "normality_too_few_replicates": (1, ["mc", "normality", "--density", "cos:2,0.5",
+                                         "--n", "64", "--d", "1", "--replicates", "499"]),
+    "design_bandwidth_past_sqrt_n": (1, ["estimate", "nonparam", "--density", "cos:2,0.5",
+                                         "--n", "65", "--d-n", "5"]),
 }
 
 #: the part of the JSON error message that a case of EXIT_CASES must print
@@ -636,36 +666,67 @@ EXIT_MESSAGES = {
     "circulant_even_n": "--n must be odd and >= 1 with --circulant, got 4",
     "circulant_n_zero": "--n must be odd and >= 1 with --circulant, got 0",
     "audit_chain_density_at_one": "need 1 < a < inf, got 1.0",
+    "simulate_measure_not_faithful": "block symbol has lambda_min = 1, need > 1",
+    "negative_seed": "argument --seed: must be >= 0, got -3",
+    "negative_env_seed": "argument --seed: must be >= 0, got -3",
+    "out_unwritable": "argument --out: cannot write",
+    "raw_out_unwritable": "argument --raw-out: cannot write",
+    "normality_too_few_replicates": "--replicates must be >= 500 for the normality check, got 499",
+    "negative_design_bandwidth": "--d-n must lie in 0..sqrt(n)/2 = 4.03113, got -1",
+    "design_bandwidth_past_sqrt_n": "--d-n must lie in 0..sqrt(n)/2 = 4.03113, got 5",
 }
+
+
+class _DrawStarted(Exception):
+    """Raised in place of a random generator: the command got as far as its first draw."""
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Replace RngStream.generator by a sentinel that raises _DrawStarted."""
+    def sentinel(self):
+        raise _DrawStarted(self.path)
+
+    monkeypatch.setattr(RngStream, "generator", sentinel)
+
+
+def _case_argv(case, tmp_path, monkeypatch) -> list:
+    """The argv of an EXIT_CASES row, its file placeholders written under tmp_path.
+
+    A leading QSTS_SEED=value is set in the environment, as a shell would.
+    """
+    files = {"{cfg}": _config(tmp_path, {"bogus": 1}),
+             "{nan_cfg}": _json_file(tmp_path, "nan_cfg.json", {"M": math.nan}),
+             "{absent}": str(tmp_path / "absent.json"),
+             "{no_dir}": str(tmp_path / "absent" / "out.csv"),
+             "{bad_json}": _text_file(tmp_path, "bad.json", "{"),
+             "{list_cfg}": _json_file(tmp_path, "list.json", [{"a": 2}]),
+             "{flag_cfg}": _json_file(tmp_path, "flag.json", {"no_timestamp": "yes"}),
+             "{no_im}": _json_file(tmp_path, "no_im.json",
+                                   {"K_max": 1, "coeffs": [{"k": 0, "re": 2.0}]}),
+             "{bare}": _json_file(tmp_path, "bare.json", {"K_max": 1, "coeffs": [3]}),
+             # K_max beyond the stored lags would allocate 1.42 PiB
+             "{huge}": _json_file(tmp_path, "huge.json",
+                                  {"K_max": 10 ** 14, "coeffs": []}),
+             "{negative}": _json_file(tmp_path, "negative.json",
+                                      {"K_max": -5, "coeffs": [{"k": 0, "re": 2.0,
+                                                                "im": 0.0}]}),
+             # lag 0 twice and lag 1 not at all
+             "{duplicate}": _json_file(tmp_path, "duplicate.json",
+                                       {"K_max": 1, "coeffs": [
+                                           {"k": 0, "re": 2.0, "im": 0.0},
+                                           {"k": 0, "re": 3.0, "im": 0.0}]})}
+    argv = [files.get(a, a) for a in EXIT_CASES[case][1]]
+    if argv[0].startswith("QSTS_SEED="):
+        monkeypatch.setenv("QSTS_SEED", argv.pop(0).split("=", 1)[1])
+    return argv
 
 
 class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(EXIT_CASES))
     def test_exit_code_and_json_error(self, case, tmp_path, capsys, monkeypatch):
-        expect, argv = EXIT_CASES[case]
-        files = {"{cfg}": _config(tmp_path, {"bogus": 1}),
-                 "{nan_cfg}": _json_file(tmp_path, "nan_cfg.json", {"M": math.nan}),
-                 "{absent}": str(tmp_path / "absent.json"),
-                 "{bad_json}": _text_file(tmp_path, "bad.json", "{"),
-                 "{list_cfg}": _json_file(tmp_path, "list.json", [{"a": 2}]),
-                 "{flag_cfg}": _json_file(tmp_path, "flag.json", {"no_timestamp": "yes"}),
-                 "{no_im}": _json_file(tmp_path, "no_im.json",
-                                       {"K_max": 1, "coeffs": [{"k": 0, "re": 2.0}]}),
-                 "{bare}": _json_file(tmp_path, "bare.json", {"K_max": 1, "coeffs": [3]}),
-                 # K_max beyond the stored lags would allocate 1.42 PiB
-                 "{huge}": _json_file(tmp_path, "huge.json",
-                                      {"K_max": 10 ** 14, "coeffs": []}),
-                 "{negative}": _json_file(tmp_path, "negative.json",
-                                          {"K_max": -5, "coeffs": [{"k": 0, "re": 2.0,
-                                                                    "im": 0.0}]}),
-                 # lag 0 twice and lag 1 not at all
-                 "{duplicate}": _json_file(tmp_path, "duplicate.json",
-                                           {"K_max": 1, "coeffs": [
-                                               {"k": 0, "re": 2.0, "im": 0.0},
-                                               {"k": 0, "re": 3.0, "im": 0.0}]})}
-        argv = [files.get(a, a) for a in argv]
-        if argv[0].startswith("QSTS_SEED="):   # an environment prefix, as in a shell
-            monkeypatch.setenv("QSTS_SEED", argv.pop(0).split("=", 1)[1])
+        expect = EXIT_CASES[case][0]
+        argv = _case_argv(case, tmp_path, monkeypatch)
         code, _, err = run(capsys, *argv)
         assert code == expect
         assert (err == "") == (expect == 0)
@@ -682,6 +743,13 @@ class TestExitCodes:
             assert isinstance(cls, type) and issubclass(cls, errors.QstsError), obj
             assert cls.exit_code == expect
             assert EXIT_MESSAGES.get(case, "") in obj["message"]
+
+    @pytest.mark.parametrize("case", sorted(c for c, (code, _) in EXIT_CASES.items() if code == 1))
+    def test_input_errors_come_before_any_draw(self, case, tmp_path, capsys, monkeypatch,
+                                               no_draw):
+        # bad input is refused before the first random generator is made
+        argv = _case_argv(case, tmp_path, monkeypatch)
+        assert run(capsys, *argv)[0] == 1
 
     def test_exhausted_projection_budget_is_a_numerical_failure(self, capsys, monkeypatch):
         # a solver that gave up with a bare RuntimeError once ended in a traceback
@@ -756,7 +824,10 @@ def _with(argv, flag, value):
 
 
 class TestSizeSweep:
-    """No size value escapes the CLI as a traceback, a bare ValueError or an audit failure."""
+    """No size value escapes the CLI as a traceback, a bare ValueError or an audit failure.
+
+    Each is refused before the first random draw (the ``no_draw`` sentinel).
+    """
 
     def test_every_command_has_a_valid_base(self, capsys):
         assert set(SWEEP_BASES) == set(build_parser().commands)
@@ -765,7 +836,7 @@ class TestSizeSweep:
 
     @pytest.mark.parametrize("key, flag, value", SIZE_CASES,
                              ids=[f"{g}-{c}{f}={v}" for (g, c), f, v in SIZE_CASES])
-    def test_size_value_is_an_input_error(self, key, flag, value, capsys):
+    def test_size_value_is_an_input_error(self, key, flag, value, capsys, no_draw):
         code, _, err = run(capsys, "--json-errors", *key, *_with(SWEEP_BASES[key], flag, value))
         assert_one_input_error(code, err)
 
@@ -790,7 +861,7 @@ DENSITY_CASES = [(key, action.option_strings[0], value)
 
 
 class TestDensitySweep:
-    """No density or seed text escapes the CLI as anything but an InputError."""
+    """No density or seed text escapes the CLI as anything but an InputError, before any draw."""
 
     def test_every_density_option_is_typed(self):
         options = {(key, flag) for key, flag, _ in DENSITY_CASES}
@@ -800,7 +871,7 @@ class TestDensitySweep:
 
     @pytest.mark.parametrize("key, flag, value", DENSITY_CASES,
                              ids=[f"{g}-{c}{f}={v}" for (g, c), f, v in DENSITY_CASES])
-    def test_density_value_is_an_input_error(self, key, flag, value, tmp_path, capsys):
+    def test_density_value_is_an_input_error(self, key, flag, value, tmp_path, capsys, no_draw):
         argv = SWEEP_BASES[key]
         if flag == "--center":
             argv = _with(argv, "--transform", "local")

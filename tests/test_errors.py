@@ -26,7 +26,7 @@ LEAVES = sorted(c.__name__ for c in CLASSES
 
 
 #: the option types of the CLI raise argparse's own error, which argparse reports
-OPTION_TYPE_RAISES = [("cli.py", "argparse.ArgumentTypeError")] * 2
+OPTION_TYPE_RAISES = [("cli.py", "argparse.ArgumentTypeError")] * 5
 
 
 def raise_sites() -> list:

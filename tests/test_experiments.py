@@ -10,7 +10,6 @@ import pytest
 
 from qsts import experiments
 from qsts.errors import DegenerateSamples, NonConvergence, NotAdmissible, RangeError
-from qsts.estimators import phi_matrices
 from qsts.experiments import (
     _CHI2_TAIL,
     AuditReport,
@@ -22,7 +21,6 @@ from qsts.experiments import (
     audit_state_approximation,
     nb_sufficiency_test,
     simulate_geo_regression,
-    simulate_hetero_normal,
     simulate_white_noise,
 )
 from qsts.harness import RngStream, mc_run
@@ -186,63 +184,6 @@ class TestWhiteNoise:
             path = simulate_white_noise(SpectralDensity.constant(1e200), 16, 64, "arccosh",
                                         RngStream(1, 0))
         assert np.all(np.isfinite(path.cumulative))
-
-
-class TestHeteroNormal:
-    def test_constant_theta_iid_coordinates(self):
-        theta = np.array([0.0, 3.0, 0.0])
-        n = 100
-
-        def sampler(stream):
-            return simulate_hetero_normal(theta, n, 1, stream)
-
-        out, rows = mc_run(sampler, 10 ** 4, seed=13, collect=True)
-        target_var = (3.0 ** 2 - 1.0) / n  # phi = (c^2-1)^{-1} I, inverse scaled
-        emp = np.var(rows, axis=0)
-        se = target_var * math.sqrt(2.0 / rows.shape[0])
-        assert np.all(np.abs(emp - target_var) < 5 * se)
-
-    def test_covariance_matches_phi_inverse(self):
-        from qsts.spectral import RealParam
-        theta = RealParam.from_density(COS_DENSITY, d=1).theta
-        n = 50
-        _, phi = phi_matrices(theta, 1)
-        target = np.linalg.inv(phi) / n
-
-        def sampler(stream):
-            return simulate_hetero_normal(theta, n, 1, stream)
-
-        out, rows = mc_run(sampler, 10 ** 4, seed=17, collect=True)
-        emp = np.cov(rows.T)
-        scale = np.sqrt(np.outer(np.diag(target), np.diag(target)) + target ** 2)
-        assert np.all(np.abs(emp - target) < 5 * scale / math.sqrt(rows.shape[0]))
-
-    def test_seed_determinism(self):
-        theta = np.array([0.0, 2.0, 0.1])
-        a = simulate_hetero_normal(theta, 64, 1, RngStream(19, 0))
-        b = simulate_hetero_normal(theta, 64, 1, RngStream(19, 0))
-        np.testing.assert_array_equal(a, b)
-
-    def test_cached_root_equals_direct_formula(self):
-        # draws match the root of Phi^-1 built from the eigensystem of Phi
-        for theta, d in ((np.array([0.0, 2.0, 0.1]), 1),
-                         (np.array([0.05, -0.1, 2.5, 0.2, 0.1]), 2)):
-            _, phi = phi_matrices(theta, d)
-            lams, V = np.linalg.eigh(phi)
-            root = V * (1.0 / np.sqrt(lams))
-            for i in range(3):
-                gen = RngStream(23, i).generator()
-                direct = theta + (root @ gen.standard_normal(theta.size)) / math.sqrt(40)
-                np.testing.assert_array_equal(
-                    simulate_hetero_normal(theta, 40, d, RngStream(23, i)), direct)
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_size_guard(self, n):
-        # n = 0 once returned +-inf with a divide-by-zero warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(RangeError, match="n must be >= 1"):
-                simulate_hetero_normal(np.array([0.0, 2.0, 0.1]), n, 1, RngStream(1, 0))
 
 
 class TestHellingerChain:

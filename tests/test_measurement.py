@@ -1,4 +1,4 @@
-import copy
+import contextlib
 import io
 import json
 import math
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qsts import estimators, measurement
+from qsts.cli import _write_block_rows, cli_dispatch
 from qsts.errors import (
     DimensionError,
     InputError,
@@ -32,12 +33,7 @@ from qsts.experiments import _chi2_sf
 from qsts.spectral import RealParam, SpectralDensity, fourier_frequencies, psi_matrix
 from qsts.toeplitz import SymbolMatrix, circulant_from_density, toeplitz_from_density
 
-from oracles import (
-    block_rates_full_q,
-    conditional_blocks_full_q,
-    dense_dft_conjugate,
-    pgf_coefficients_mp,
-)
+from oracles import dense_dft_conjugate, pgf_coefficients_mp
 
 COS_DENSITY = SpectralDensity.cosine(2.0, 0.5)   # 2 + 0.5 cos w
 
@@ -285,24 +281,6 @@ class TestExactLaw:
                 counts[tuple(s)] += 1
         assert pearson_p(counts, reps * law, reps) > 1e-3
 
-    @pytest.mark.parametrize("r", [2, 5])
-    def test_conditional_block_rows_follow_the_block_law(self, r):
-        # every row of the blocks drawn given the totals has the single-block law,
-        # for k = min(r, m) = r (r < m) and k = m
-        m = 3
-        scheme = BlockScheme(n=m * r, d=0, m=m, r=r)
-        p = joint_pmf_from_pgf(toeplitz_from_density(COS_DENSITY, m), 12)
-        reps = 4000
-        counts = np.zeros((2,) + p.shape)
-        for i in range(reps):
-            blocks = sample_pi_blocks(COS_DENSITY, scheme, RngStream(64, i)).blocks
-            for row, b in enumerate((0, r - 1)):
-                if blocks[b].max() <= 12:
-                    counts[row][tuple(blocks[b])] += 1
-        for row in counts:
-            assert pearson_p(row, reps * p, reps) > 1e-3
-
-
 def pearson_p(counts, expected, reps):
     """Pearson p-value of cell counts against expected counts, cells below 5 merged."""
     cells = expected >= 5.0
@@ -312,18 +290,21 @@ def pearson_p(counts, expected, reps):
     return _chi2_sf(int(cells.sum()), stat)
 
 
+def block_sampler(scheme):
+    """The sampler of the r x m outcomes that ``simulate measure`` writes for COS_DENSITY."""
+    return NumberOpSampler(toeplitz_from_density(COS_DENSITY, scheme.m))
+
+
 class TestBlocks:
     def test_determinism(self):
         scheme = block_scheme(128, 1)
+        sampler = block_sampler(scheme)
+        np.testing.assert_array_equal(sampler.draw(RngStream(7, 0), size=scheme.r),
+                                      sampler.draw(RngStream(7, 0), size=scheme.r))
         d1 = sample_pi_blocks(COS_DENSITY, scheme, RngStream(7, 0))
         d2 = sample_pi_blocks(COS_DENSITY, scheme, RngStream(7, 0))
-        np.testing.assert_array_equal(d1.blocks, d2.blocks)
+        np.testing.assert_array_equal(d1.totals, d2.totals)
         np.testing.assert_array_equal(d1.pi_bar, d2.pi_bar)
-
-    def test_pi_bar_is_read_off_the_blocks(self):
-        draw = sample_pi_blocks(COS_DENSITY, block_scheme(128, 1), RngStream(7, 0))
-        assert draw.pi_bar.tobytes() == np.mean(2.0 * draw.blocks + 1.0, axis=0).tobytes()
-        assert draw.pi_bar is draw.pi_bar
 
     def test_constant_density_symmetric_components(self):
         scheme = block_scheme(512, 0)
@@ -351,10 +332,10 @@ class TestBlocks:
 
     def test_cross_block_independence(self):
         scheme = block_scheme(128, 1)
+        blocks = block_sampler(scheme)
 
         def sampler(stream):
-            d = sample_pi_blocks(COS_DENSITY, scheme, stream)
-            return d.blocks[:2].ravel()  # first two blocks side by side
+            return blocks.draw(stream, size=scheme.r)[:2].ravel()  # first two blocks side by side
 
         out, rows = mc_run(sampler, 4000, seed=17, collect=True)
         m = scheme.m
@@ -362,36 +343,6 @@ class TestBlocks:
         var = np.diag(out.cov)
         se = np.sqrt(np.outer(var[:m], var[m:]) / rows.shape[0])
         assert np.all(np.abs(cross) < 5 * se)
-
-    def test_blocks_sum_to_the_totals(self):
-        # the blocks, drawn when first read, sum to the totals column by column,
-        # and reading them leaves the bytes of pi_bar as they were
-        for n, d in ((8, 0), (64, 1), (4096, 1)):
-            scheme = block_scheme(n, d)
-            draw = sample_pi_blocks(COS_DENSITY, scheme, RngStream(29, n))
-            before = draw.pi_bar.tobytes()
-            assert draw.blocks.shape == (scheme.r, scheme.m)
-            assert draw.blocks.dtype == np.int64 and np.all(draw.blocks >= 0)
-            np.testing.assert_array_equal(draw.blocks.sum(axis=0), draw.totals)
-            assert draw.pi_bar.tobytes() == before
-            blocks_first = sample_pi_blocks(COS_DENSITY, scheme, RngStream(29, n))
-            np.testing.assert_array_equal(blocks_first.blocks, draw.blocks)
-            assert blocks_first.pi_bar.tobytes() == before
-
-    @pytest.mark.parametrize("r, m", [(2, 3), (3, 3), (7, 3), (409, 9), (5957, 11)])
-    def test_r_only_blocks_equal_the_full_q_reference(self, r, m):
-        # Q D X = G R^-1 D X: the blocks drawn from R alone are the bytes of those
-        # drawn with the Haar isometry formed, for r < m, square G, the golden
-        # simulate measure case and the two benchmarked schemes
-        scheme = BlockScheme(n=r * m, d=0, m=m, r=r)
-        for seed in range(20):
-            draw = sample_pi_blocks(COS_DENSITY, scheme, RngStream(71, seed))
-            gens = [copy.deepcopy(draw.gen) for _ in range(3)]
-            lam = measurement._block_rates(gens[0], draw.amplitudes, r)
-            lam_ref = block_rates_full_q(gens[1], draw.amplitudes, r)
-            np.testing.assert_allclose(lam, lam_ref, rtol=1e-12, atol=0.0)
-            ref = conditional_blocks_full_q(gens[2], draw.amplitudes, draw.totals, r)
-            assert draw.blocks.tobytes() == ref.tobytes(), seed
 
     @pytest.mark.parametrize("m, r", [(5, 1), (5, 4), (5, 5), (5, 6), (9, 409)])
     def test_totals_have_the_moments_of_r_blocks(self, m, r):
@@ -436,9 +387,15 @@ class TestBlocks:
 
         monkeypatch.setattr(RngStream, "generator", counted)
         scheme = block_scheme(4096, 1)
+        sampler = block_sampler(scheme)
         for i in (1, 2):
-            sample_pi_blocks(COS_DENSITY, scheme, RngStream(31, i)).blocks
-        assert calls == [(31, 1), (31, 2)]
+            sample_pi_blocks(COS_DENSITY, scheme, RngStream(31, i))
+            sampler.draw(RngStream(32, i), size=scheme.r)
+        assert calls == [(31, 1), (32, 1), (31, 2), (32, 2)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_dispatch(["--seed", "33", "simulate", "measure", "--density", "cos:2,0.5",
+                                 "--n", "4096", "--d", "1"]) == 0
+        assert calls[4:] == [(33, 0)]
 
     @pytest.mark.parametrize("a0", [0.5, 0.75, 1.0])
     def test_not_faithful_before_not_psd(self, a0):
@@ -453,38 +410,40 @@ class TestBlocks:
 
     def test_csv_export(self):
         scheme = block_scheme(64, 1)
-        draw = sample_pi_blocks(COS_DENSITY, scheme, RngStream(21, 0))
-        buf = io.StringIO()
-        draw.write_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli_dispatch(["--seed", "21", "simulate", "measure", "--density", "cos:2,0.5",
+                                 "--n", "64", "--d", "1"]) == 0
+        lines = out.getvalue().strip().split("\n")
         assert lines[0].startswith("# {")
-        assert json.loads(lines[0][2:])["seed"] == 21   # from the draw's seed path
+        header = json.loads(lines[0][2:])
+        assert header.pop("written")    # without --no-timestamp
+        assert header == {"seed": 21, "n": 64, "d": 1, "m": scheme.m, "r": scheme.r,
+                          "density": "cos:2,0.5"}
         assert lines[1] == "block,j,N"
         assert len(lines) == 2 + scheme.r * scheme.m
 
     @staticmethod
-    def per_entry_csv(draw) -> str:
+    def per_entry_csv(header, blocks) -> str:
         """The earlier writer: one write and one numpy scalar read per entry."""
         fh = io.StringIO()
-        header = {"seed": draw.seed_path[0] if draw.seed_path else None,
-                  "n": draw.scheme.n, "d": draw.scheme.d, "m": draw.scheme.m,
-                  "r": draw.scheme.r, "density": draw.density_label}
         fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
         fh.write("block,j,N\n")
-        half = (draw.scheme.m - 1) // 2
-        for b in range(draw.scheme.r):
-            for idx in range(draw.scheme.m):
-                fh.write(f"{b},{idx - half},{int(draw.blocks[b, idx])}\n")
+        half = (blocks.shape[1] - 1) // 2
+        for b in range(blocks.shape[0]):
+            for idx in range(blocks.shape[1]):
+                fh.write(f"{b},{idx - half},{int(blocks[b, idx])}\n")
         return fh.getvalue()
 
     @pytest.mark.parametrize("n, d, r", [(8, 2, 1), (64, 1, 10), (65536, 0, 5957)])
     def test_csv_bytes_equal_the_per_entry_writer(self, n, d, r):
         scheme = block_scheme(n, d)
-        draw = sample_pi_blocks(COS_DENSITY, scheme, RngStream(21, 0))
+        blocks = block_sampler(scheme).draw(RngStream(21, 0), size=scheme.r)
+        header = {"seed": 21, "n": n, "d": d, "m": scheme.m, "r": scheme.r, "density": "cos"}
         buf = io.StringIO()
-        draw.write_csv(buf)
+        _write_block_rows(buf, header, blocks)
         assert scheme.r == r
-        assert buf.getvalue() == self.per_entry_csv(draw)
+        assert buf.getvalue() == self.per_entry_csv(header, blocks)
 
 
 GEOM = SpectralDensity.from_coeff_map({0: 3.0, 1: 0.6 + 0.2j, 2: -0.3j, 3: 0.1})
@@ -560,13 +519,10 @@ class TestBlockSamplerCache:
 
     def test_equal_values_reuse_the_sampler(self, calls):
         scheme = block_scheme(4096, 1)
-        first = sample_pi_blocks(SpectralDensity.cosine(2.0, 0.5, label="first"),
-                                 scheme, RngStream(3, 1))
+        sample_pi_blocks(SpectralDensity.cosine(2.0, 0.5, label="first"), scheme, RngStream(3, 1))
         assert calls == {"cholesky": 1, "eigh": 0}
-        again = sample_pi_blocks(SpectralDensity.cosine(2.0, 0.5, label="again"),
-                                 scheme, RngStream(3, 2))
+        sample_pi_blocks(SpectralDensity.cosine(2.0, 0.5, label="again"), scheme, RngStream(3, 2))
         assert calls["cholesky"] == 1
-        assert (first.density_label, again.density_label) == ("first", "again")
 
     def test_other_values_or_block_size_build_their_own(self, calls):
         sample_pi_blocks(COS_DENSITY, block_scheme(4096, 1), RngStream(3, 1))
