@@ -14,9 +14,10 @@ no_timestamp, ...); each value is converted and checked as the option's
 own value would be, and a key that names no option is an error.  Each
 option's type converts its text before the command runs, so a malformed
 density, a negative or malformed seed and an --out or --raw-out path that
-cannot be written exit 1 naming their option, and a float option takes
-finite numbers only.  An option given on the command line wins, so the seed
-is --seed, else the config's seed, else QSTS_SEED, else a built-in.
+cannot be written exit 1 naming their option, as does an OSError while
+writing that file, and a float option takes finite numbers only.  An
+option given on the command line wins, so the seed is --seed, else the
+config's seed, else QSTS_SEED, else a built-in.
 --format (csv or json) exists on audit chain and audit state only.  With a
 fixed seed and --no-timestamp, output files are byte identical across
 runs.  --threads is accepted and has no effect: replicate loops run
@@ -55,7 +56,7 @@ from .distributions import (
     varstab_arccosh,
     varstab_ode_residual,
 )
-from .errors import AuditFailure, InputError, NotFaithful, QstsError, RangeError, SchemaError
+from .errors import AuditFailure, InputError, QstsError, RangeError, SchemaError
 from .estimators import (
     nonparametric_estimate,
     onestep_estimator,
@@ -73,6 +74,7 @@ from .gaussian_states import entropy_symbol_bound, pinsker_trace_bound, relative
 from .harness import _CHUNK_ROWS, _NORMALITY_MIN_SAMPLES, RngStream, mc_run, normality_check
 from .measurement import (
     NumberOpSampler,
+    _block_sampler,
     block_scheme,
     pi_moments,
     sample_pi_blocks,
@@ -198,13 +200,19 @@ OUT = arg("--out", type=_output_path, default="-", help="output path, - for stdo
 
 
 @contextlib.contextmanager
+def _written(path: str, option: str):
+    """``path`` opened for writing and closed on exit; an OSError on it is an InputError."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"{option}: cannot write {path!r}: {exc}") from exc
+
+
 def _output(args):
     """The --out file, opened for writing and closed on exit; stdout for -."""
-    if args.out in ("", "-"):
-        yield sys.stdout
-    else:
-        with open(args.out, "w") as fh:
-            yield fh
+    return (contextlib.nullcontext(sys.stdout) if args.out in ("", "-")
+            else _written(args.out, "--out"))
 
 
 def _emit(args, text: str):
@@ -261,7 +269,8 @@ def cmd_symbol_build(args):
         M = circulant_from_density(args.density, args.n)
     else:
         M = toeplitz_from_density(args.density, args.n)
-    _emit(args, _json_dump(M.to_json()))
+    _emit(args, _json_dump({"n": M.n, "tag": "circulant" if args.circulant else "toeplitz",
+                            "re": M.entries.real.tolist(), "im": M.entries.imag.tolist()}))
 
 
 @command("symbol", "eigs", "circulant eigenvalues a~_m(2 pi j / m)",
@@ -368,9 +377,17 @@ def cmd_dist_varstab(args):
 
 # --------------------------------------------------------------- simulate
 
+def _scheme(args):
+    """The block scheme of (--n, --d); a RangeError names both as typed."""
+    try:
+        return block_scheme(args.n, args.d)
+    except RangeError as exc:
+        raise RangeError(f"--n {args.n}, --d {args.d}: {exc}") from None
+
+
 def _blocks(args):
     """The block scheme of (--n, --d) and one blocked draw from stream (seed, 0)."""
-    scheme = block_scheme(args.n, args.d)
+    scheme = _scheme(args)
     return scheme, sample_pi_blocks(args.density, scheme, RngStream(args.seed, 0))
 
 
@@ -402,11 +419,8 @@ def cmd_simulate_wn(args):
                                 "m-mode blocks, plus averaged 2N+1",
          DENSITY, N, arg("--d", type=int, default=0))
 def cmd_simulate_measure(args):
-    scheme = block_scheme(args.n, args.d)
-    A = toeplitz_from_density(args.density, scheme.m)
-    if not A.lambda_min_exceeds(1.0):
-        raise NotFaithful(f"block symbol has lambda_min = {float(A.eigenvalues[0]):.6g}, need > 1")
-    blocks = NumberOpSampler(A).draw(RngStream(args.seed, 0), size=scheme.r)
+    scheme = _scheme(args)
+    blocks = _block_sampler(args.density, scheme.m).draw(RngStream(args.seed, 0), size=scheme.r)
     header = {"seed": args.seed, "n": scheme.n, "d": scheme.d, "m": scheme.m, "r": scheme.r,
               "density": args.density.label}
     if not args.no_timestamp:
@@ -519,7 +533,7 @@ def _write_raw_rows(path: str, rows: np.ndarray):
     # one write per replicate: field 0 is the replicate, field j + 1 its coordinate j
     lines = "".join(f"{{0}},{j},{{{j + 1}!r}}\n" for j in range(rows.shape[1]))
     rows = np.asarray(rows, dtype=float)
-    with open(path, "w") as fh:
+    with _written(path, "--raw-out") as fh:
         fh.write("replicate,coordinate,value\n")
         for start in range(0, rows.shape[0], _CHUNK_ROWS):
             for i, row in enumerate(rows[start:start + _CHUNK_ROWS].tolist(), start + 1):
@@ -535,7 +549,7 @@ def cmd_mc_normality(args):
     if args.replicates < _NORMALITY_MIN_SAMPLES:
         raise RangeError(f"--replicates must be >= {_NORMALITY_MIN_SAMPLES} for the normality "
                          f"check, got {args.replicates}")
-    scheme = block_scheme(args.n, args.d)
+    scheme = _scheme(args)
     theta_true = RealParam.from_density(args.density, d=args.d).theta
     _, phi = phi_matrices(theta_true, args.d)
     target = np.linalg.inv(phi)

@@ -11,11 +11,11 @@ probability generating function is det(I + Q'(I - Z))^{-1}.  The
 observable vectors 2N + 1 feed the estimators in ``estimators``.
 
 The blocked measurement draws r such blocks of one symbol, and the
-estimators read only their column sums.  ``sample_pi_blocks`` draws those
-sums from their exact law, a Poisson mixture whose means come from the
+estimators read only their column sums.  One ``NumberOpSampler`` per block
+symbol draws both: the r x m outcomes, which ``simulate measure`` writes, as
+r independent draws, and their column sums, which ``sample_pi_blocks``
+returns, from their exact law, a Poisson mixture whose means come from the
 complex Bartlett decomposition of Z*Z, in about m^2 + m random numbers.
-The r x m outcomes themselves, which ``simulate measure`` writes, are r
-independent draws of ``NumberOpSampler``.
 
 Every batch temporary is released as soon as the next one exists, so a
 batch draw holds about two copies of its batch at its peak.
@@ -50,8 +50,8 @@ _PSD_TOL = 1e-10
 #: most (k_max + 1)^m 2^m terms of the joint_pmf_from_pgf recurrence (m = 3 to k_max = 31)
 _PGF_BUDGET = 2 ** 18
 
-#: distinct (density, block size) factors kept per process by sample_pi_blocks
-_FACTOR_CACHE_SIZE = 8
+#: distinct (density, block size) samplers kept per process by sample_pi_blocks
+_BLOCK_CACHE_SIZE = 8
 
 #: Lag-built symbols with at least this many modes are sampled by circulant
 #: embedding.  Below it the dense factor builds and draws once as fast or
@@ -87,9 +87,11 @@ def block_scheme(n: int, d: int) -> BlockScheme:
     if d < 0:
         raise RangeError("need d >= 0")
     m = 2 * int(math.floor(math.log(n) / 2.0)) + 1
-    r = int(math.floor(n / (m + d)))
+    r = n // (m + d)
     if r < 1:
         raise TooSmall(f"no block of size {m}+{d} fits into n={n}")
+    if r > 2 ** 53:   # past it the Bartlett draw's gamma shapes r - i are not exact floats
+        raise RangeError(f"need r <= 2^53 blocks, got r = {r}")
     return BlockScheme(n=n, d=d, m=m, r=r)
 
 
@@ -158,23 +160,19 @@ def pi_moments(A) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(D).real.copy(), abs_square(D) - np.eye(A.n)
 
 
-def _poisson_mixture_factor(A: SymbolMatrix, faithful: bool = False) -> np.ndarray:
+def _poisson_mixture_factor(A: SymbolMatrix) -> np.ndarray:
     """Factor B = U* L with B B* = Q' = U* Q U, L = chol(Q), Q = (A - I)/2.
 
     The Cholesky succeeds exactly when lambda_min(A) > 1, and then no
     eigensolve runs.  Only when it fails is the cached spectrum of A read:
-    ``faithful`` raises NotFaithful, by the gate ``lambda_min_exceeds(1)``
-    on that spectrum, before the PSD guard raises NotPSD, and a
-    singular PSD Q (``const:1``, the vacuum) gets L = V sqrt(q), the one place
-    that clips, and only eigenvalues of Q within _PSD_TOL below 0.
+    the PSD guard raises NotPSD, and a singular PSD Q (``const:1``, the
+    vacuum) gets L = V sqrt(q), the one place that clips, and only
+    eigenvalues of Q within _PSD_TOL below 0.
     """
     try:
         L = np.linalg.cholesky(0.5 * (A.entries - np.eye(A.n)))
     except np.linalg.LinAlgError:
         lams, V = A.spectrum
-        if faithful and not A.lambda_min_exceeds(1.0):
-            raise NotFaithful(
-                f"block symbol has lambda_min = {lams[0]:.6g}, need > 1") from None
         q = 0.5 * (lams - 1.0)
         if q[0] < -_PSD_TOL:
             raise NotPSD(f"Q has eigenvalue {q[0]:.3g} < -{_PSD_TOL:g}") from None
@@ -219,13 +217,13 @@ class NumberOpSampler:
       N coordinates: one FFT down each row, and one more for odd m.  It is
       taken only when min lam > 0, which proves lambda_min(A) > 1, since
       x* Q x = (P* x)* C (P* x) >= min lam |x|^2;
-    - otherwise, and for entries given one by one whatever their tag,
+    - otherwise, and for entries given one by one,
       alpha = B z with the m x m factor B of ``_poisson_mixture_factor``,
       from a Cholesky and one FFT, which is faster for small m.
 
-    ``sample_pi_blocks`` does not use this class: it keeps the factor B of
-    each block symbol for the whole process (``_block_factor``) and draws
-    the column sums of its blocks directly.
+    ``draw`` gives the outcomes of independent blocks, ``totals`` the column
+    sums of r of them; ``sample_pi_blocks`` keeps one sampler per block
+    symbol for the whole process (``_block_sampler``).
     """
 
     def __init__(self, A):
@@ -269,57 +267,55 @@ class NumberOpSampler:
         N = gen.poisson(lam)
         return N[0] if size is None else N
 
+    def totals(self, rng: RngStream, r: int) -> np.ndarray:
+        """Column sums of ``draw(rng, size=r)`` in law, from about width^2 + m random numbers.
 
-@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _block_factor(a: SpectralDensity, m: int) -> np.ndarray:
-    """Read-only faithful factor B of A_m(a), keyed by the coefficients of ``a``, not its label.
+        Given the r x width normals Z the sums are independent Poisson(S), S
+        the diagonal of G* Z*Z G for the matrix G of ``amplitudes``, and Z*Z =
+        T*T in law by the complex Bartlett decomposition (Goodman 1963;
+        Anderson, An Introduction to Multivariate Statistical Analysis, ch. 7):
+        T is k x width upper trapezoidal, k = min(r, width), T_ii =
+        sqrt(Gamma(r - i)) and T_ij ~ CN(0, 1) for j > i.  The m Poisson
+        draws are scalar calls (the draws of one array call, faster).
+        """
+        U, shapes = _bartlett_layout(r, self.width)
+        gen = rng.generator()
+        T = _complex_normals(gen, *U.shape) * U
+        T.reshape(-1)[::self.width + 1] = np.sqrt(gen.standard_gamma(shapes))   # the diagonal
+        S = abs_square(self.amplitudes(T)).sum(axis=0)
+        return np.array([gen.poisson(s) for s in S.tolist()])
 
-    The block size m = 2 floor(log(n) / 2) + 1 stays below _EMBED_MIN_N for
-    every n, so this is the map ``NumberOpSampler`` uses for the same symbol.
-    """
-    B = _poisson_mixture_factor(toeplitz_from_density(a, m), faithful=True)
-    B.setflags(write=False)
-    return B
 
-
-@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _bartlett_layout(r: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only k x m sqrt(1/2) above T's diagonal, else 0, and T_ii^2's shapes r - i."""
-    k = min(r, m)
-    U, shapes = np.triu(np.full((k, m), math.sqrt(0.5)), 1), np.arange(r, r - k, -1.0)
+@functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _bartlett_layout(r: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only k x width sqrt(1/2) above T's diagonal, else 0, and T_ii^2's shapes r - i."""
+    k = min(r, width)
+    U, shapes = np.triu(np.full((k, width), math.sqrt(0.5)), 1), np.arange(r, r - k, -1.0)
     U.setflags(write=False)
     shapes.setflags(write=False)
     return U, shapes
 
 
+@functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _block_sampler(a: SpectralDensity, m: int) -> NumberOpSampler:
+    """``NumberOpSampler`` of A_m(a), keyed by the values of ``a``; NotFaithful unless A_m > I."""
+    A = toeplitz_from_density(a, m)
+    if not A.lambda_min_exceeds(1.0):
+        raise NotFaithful(f"block symbol has lambda_min = {float(A.eigenvalues[0]):.6g}, need > 1")
+    return NumberOpSampler(A)
+
+
 def sample_pi_blocks(a: SpectralDensity, scheme: BlockScheme,
                      stream: RngStream) -> MeasurementDraw:
-    """The column sums of r independent m-mode blocks, drawn from their exact law.
-
-    Block b is N_b ~ Poisson(|alpha_b|^2) with alpha_b = B z_b, B the factor
-    of A_m(a) and Z = (z_b) an r x m standard complex normal matrix.  Given Z
-    the column sums are independent Poisson(S_j), S_j = sum_b |alpha_bj|^2,
-    the diagonal of conj(B) Z*Z B^T.  By the complex Bartlett decomposition
-    (Goodman 1963; Anderson, An Introduction to Multivariate Statistical
-    Analysis, ch. 7) Z*Z = T*T in law, with T the k x m upper trapezoidal
-    matrix, k = min(r, m), T_ii = sqrt(Gamma(r - i)) and T_ij ~ CN(0, 1)
-    for j > i.  So S is the column sums of |T B^T|^2, and the totals take about
-    m^2 + m random numbers, the m Poisson ones by scalar calls (the draws of one array
-    call, faster).
+    """The column sums of r independent m-mode blocks of A_m(a), by ``NumberOpSampler.totals``.
 
     Everything comes from the single generator of ``stream``, so the draw is
     deterministic given (seed path, scheme, density).  The block symbol must
-    satisfy lambda_min(A) > 1, else NotFaithful, on every call.  The factor
-    is built once per process for each (coefficient values of ``a``, m): an
-    equal-valued density built separately reuses it, whatever its label.
+    satisfy lambda_min(A) > 1, else NotFaithful, on every call.  The sampler
+    is built once per process for each (coefficient values of ``a``, m),
+    whatever the label of ``a``.
     """
-    r, m = scheme.r, scheme.m
-    B, (U, shapes) = _block_factor(a, m), _bartlett_layout(r, m)
-    gen = stream.generator()
-    T = _complex_normals(gen, *U.shape) * U
-    T.reshape(-1)[::m + 1] = np.sqrt(gen.standard_gamma(shapes))   # the diagonal, k <= m
-    totals = np.array([gen.poisson(s) for s in abs_square(T @ B.T).sum(axis=0).tolist()])
-    return MeasurementDraw(totals=totals, scheme=scheme)
+    return MeasurementDraw(_block_sampler(a, scheme.m).totals(stream, scheme.r), scheme)
 
 
 def joint_pmf_from_pgf(A, k_max: int = 12) -> np.ndarray:

@@ -56,10 +56,9 @@ _HERMITIZE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class SymbolMatrix:
-    """Dense Hermitian matrix with a label of how it was built.
+    """Dense Hermitian matrix, given entry by entry or built from its lags.
 
-    The tag ("toeplitz", "circulant" or "general") is only the label that
-    ``to_json`` prints.  Entries given one by one are checked and Hermitized here,
+    Entries given one by one are checked and Hermitized here,
     in O(n^2): an asymmetry above 1e-12, or an entry that is non-finite
     before or after Hermitizing, is an error.  Entries that are already
     Hermitian exactly are kept as given, signed zeros included, so
@@ -69,11 +68,10 @@ class SymbolMatrix:
     as a read-only strided view of them, so the symbol costs O(n) memory.
 
     Symbols compare by identity; ``same_entries`` compares entries in value,
-    whatever the tags, in O(n) for two lag-built symbols.
+    in O(n) for two lag-built symbols.
     """
 
     entries: np.ndarray
-    tag: str = "general"
     # the lags -(n-1) .. n-1 under a lag-built symbol, else None
     _lags: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -81,8 +79,6 @@ class SymbolMatrix:
         e = np.asarray(self.entries, dtype=complex)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise DimensionError(f"symbol matrix must be square, got {e.shape}")
-        if self.tag not in ("toeplitz", "circulant", "general"):
-            raise InputError(f"unknown tag {self.tag!r}")
         scale = np.max(np.abs(e))
         if not np.isfinite(scale):
             raise InputError("matrix entries must be finite")
@@ -100,7 +96,7 @@ class SymbolMatrix:
         object.__setattr__(self, "entries", e)
 
     @classmethod
-    def _from_lags(cls, full: np.ndarray, tag: str = "toeplitz") -> "SymbolMatrix":
+    def _from_lags(cls, full: np.ndarray) -> "SymbolMatrix":
         """Symbol with entry (j, k) = full[n - 1 + k - j], checked in O(n).
 
         ``full`` (length 2n - 1) must equal its reversed conjugate exactly, so,
@@ -115,7 +111,7 @@ class SymbolMatrix:
         f = full.copy()
         f.setflags(write=False)   # and with it the view over f
         self = object.__new__(cls)
-        for name, value in (("entries", _lag_view(f)), ("tag", tag), ("_lags", f)):
+        for name, value in (("entries", _lag_view(f)), ("_lags", f)):
             object.__setattr__(self, name, value)
         return self
 
@@ -124,7 +120,7 @@ class SymbolMatrix:
         return self.entries.shape[0]
 
     def same_entries(self, other: "SymbolMatrix") -> bool:
-        """True when both symbols have equal entries in value, whatever their tags.
+        """True when both symbols have equal entries in value.
 
         Two lag-built symbols compare their lags, in O(n); any other pair
         compares its entries, in O(n^2).
@@ -196,14 +192,6 @@ class SymbolMatrix:
         lams.setflags(write=False)
         V.setflags(write=False)
         return lams, V
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "tag": self.tag,
-            "re": self.entries.real.tolist(),
-            "im": self.entries.imag.tolist(),
-        }
 
 
 def _solve(solve, *args, **kwargs):
@@ -329,10 +317,9 @@ def circulant_from_density(a: SpectralDensity, m: int) -> SymbolMatrix:
     (j, k) is c_{(j-k) mod m}; on the central band |k-j| <= (m-1)/2 this
     agrees with the Toeplitz matrix of the truncated density.  It is built
     by ``SymbolMatrix._from_lags`` from its 2m - 1 lags in O(m), like
-    ``circulant_block``, and keeps the tag "circulant".
+    ``circulant_block``.
     """
-    return SymbolMatrix._from_lags(_circulant_lags(a, m, np.arange(1 - m, m)),
-                                   tag="circulant")
+    return SymbolMatrix._from_lags(_circulant_lags(a, m, np.arange(1 - m, m)))
 
 
 def circulant_block(a: SpectralDensity, m: int, n: int) -> SymbolMatrix:
@@ -340,7 +327,7 @@ def circulant_block(a: SpectralDensity, m: int, n: int) -> SymbolMatrix:
 
     The block is Toeplitz with lag t equal to a_t for |t| <= (m-1)/2 and to
     a_{t - sign(t) m} otherwise; it is built by ``SymbolMatrix._from_lags``
-    in O(n), with entries equal byte for byte to the dense block, tagged "toeplitz".
+    in O(n), with entries equal byte for byte to the dense block.
     """
     if n < 1 or n > m:
         raise DimensionError(f"block size {n} outside 1..{m}")

@@ -247,7 +247,7 @@ def circulant_by_coeff_loop(a: SpectralDensity, m: int) -> SymbolMatrix:
     for i in range(half + 1, m):
         c[i] = a.coeff(m - i)
     idx = np.arange(m)
-    return SymbolMatrix(c[(idx[:, None] - idx[None, :]) % m], tag="circulant")
+    return SymbolMatrix(c[(idx[:, None] - idx[None, :]) % m])
 
 
 def diagonalization_residue(a: SpectralDensity, m: int) -> float:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsts import errors, estimators
+from qsts import cli, errors, estimators
 from qsts.cli import _write_raw_rows, build_parser, cli_dispatch
 from qsts.harness import RngStream
 from qsts.measurement import NumberOpSampler, block_scheme
@@ -405,6 +406,23 @@ class TestMcCommands:
         assert [ln.split(",")[:2] for ln in lines[1:4]] == [["1", "0"], ["1", "1"], ["1", "2"]]
         assert lines[-1].startswith("500,2,")
 
+    @pytest.mark.parametrize("option", ["--out", "--raw-out"])
+    def test_write_error_is_an_input_error_naming_its_option(self, option, tmp_path, capsys,
+                                                             monkeypatch):
+        # a full disk once escaped as a bare OSError, with no option named
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        path = str(tmp_path / "out.csv")
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+        code, _, err = run(capsys, "--json-errors", "mc", "moments", "--density", "const:3",
+                           "--m", "3", "--replicates", "20", option, path)
+        obj = json.loads(err)
+        assert (code, obj["error"]) == (1, "InputError")
+        assert obj["message"] == (f"{option}: cannot write {path!r}: "
+                                  f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+
     def test_moments_one_replicate_exits_1(self, capsys):
         code, out, err = run(capsys, "mc", "moments", "--density", "const:3",
                              "--m", "3", "--replicates", "1")
@@ -659,6 +677,16 @@ EXIT_CASES = {
                                          "--n", "64", "--d", "1", "--replicates", "499"]),
     "design_bandwidth_past_sqrt_n": (1, ["estimate", "nonparam", "--density", "cos:2,0.5",
                                          "--n", "65", "--d-n", "5"]),
+    # r = n // (m + d) past 2^53: once a float r off by 85 at 10^20 (exit 0 and exit 3),
+    # and a TypeError traceback from standard_gamma at 10^30
+    "prelim_n_1e20": (1, ["estimate", "prelim", "--density", "cos:2,0.5", "--n", str(10 ** 20),
+                          "--d", "1"]),
+    "prelim_n_1e30": (1, ["estimate", "prelim", "--density", "cos:2,0.5", "--n", str(10 ** 30),
+                          "--d", "1"]),
+    "normality_n_1e20": (1, ["mc", "normality", "--density", "cos:2,0.5", "--n", str(10 ** 20),
+                             "--d", "1", "--replicates", "500"]),
+    "normality_n_1e30": (1, ["mc", "normality", "--density", "cos:2,0.5", "--n", str(10 ** 30),
+                             "--d", "1", "--replicates", "500"]),
 }
 
 #: the part of the JSON error message that a case of EXIT_CASES must print
@@ -674,6 +702,13 @@ EXIT_MESSAGES = {
     "normality_too_few_replicates": "--replicates must be >= 500 for the normality check, got 499",
     "negative_design_bandwidth": "--d-n must lie in 0..sqrt(n)/2 = 4.03113, got -1",
     "design_bandwidth_past_sqrt_n": "--d-n must lie in 0..sqrt(n)/2 = 4.03113, got 5",
+    "prelim_n_1e20": f"--n {10 ** 20}, --d 1: need r <= 2^53 blocks, got r = 2083333333333333333",
+    "prelim_n_1e30": f"--n {10 ** 30}, --d 1: need r <= 2^53 blocks, got r = "
+                     "14285714285714285714285714285",
+    "normality_n_1e20": f"--n {10 ** 20}, --d 1: need r <= 2^53 blocks, got r = "
+                        "2083333333333333333",
+    "normality_n_1e30": f"--n {10 ** 30}, --d 1: need r <= 2^53 blocks, got r = "
+                        "14285714285714285714285714285",
 }
 
 

@@ -55,6 +55,18 @@ class TestBlockScheme:
         with pytest.raises((TooSmall, RangeError)):
             block_scheme(8, 100)
 
+    def test_r_is_exact_past_float_precision(self):
+        # 10^17 + 79 rounds to 10^17 + 80 = 40 (2.5e15 + 2) as a float
+        s = block_scheme(10 ** 17 + 79, 1)
+        assert (s.m, s.r) == (39, 2_500_000_000_000_001)
+
+    def test_more_than_2_53_blocks_refused(self):
+        # past 2^53 the gamma shapes r - i of the Bartlett draw are no longer exact floats
+        assert block_scheme(2 ** 53 * 42 + 41, 1).r == 2 ** 53
+        for n in (2 ** 53 * 42 + 42, 10 ** 20, 10 ** 30):
+            with pytest.raises(RangeError, match=r"need r <= 2\^53 blocks"):
+                block_scheme(n, 1)
+
     def test_invariant_checked(self):
         with pytest.raises(RangeError):
             BlockScheme(n=10, d=0, m=7, r=2)
@@ -161,10 +173,10 @@ class TestSampler:
         se_cov = np.sqrt(prod_var / reps)
         assert np.all(np.abs(emp_cov - cov) < 5 * se_cov)
 
-    def test_entrywise_copy_takes_the_factor_whatever_its_tag(self):
-        # rebuilt entry by entry, the symbol carries no lags: the tag does not embed it
+    def test_entrywise_copy_takes_the_factor(self):
+        # rebuilt entry by entry, the symbol carries no lags, so it is not embedded
         A = toeplitz_from_density(COS_DENSITY, 129)
-        B = SymbolMatrix(np.array(A.entries), tag="toeplitz")
+        B = SymbolMatrix(np.array(A.entries))
         assert NumberOpSampler(A).root is not None and NumberOpSampler(B).root is None
         check_map(B, embeds=False)
 
@@ -357,6 +369,35 @@ class TestBlocks:
         assert np.all(np.abs(t.mean(axis=0) - mean) < 4.0 * np.sqrt(np.diag(cov) / reps))
         assert np.linalg.norm(np.cov(t.T) - cov) / np.linalg.norm(cov) < 0.08
 
+    @pytest.mark.parametrize("r", [3, 200])
+    def test_embedded_totals_have_the_moments_of_r_blocks(self, r):
+        # the Bartlett draw over the embedding's width = m + 3 normals per row:
+        # mean r (mean_Pi - 1)/2 and variance r diag(Cov(Pi))/4, for r below and
+        # above the width
+        A = toeplitz_from_density(GEOM, E + 1)
+        sampler = NumberOpSampler(A)
+        assert sampler.root is not None and sampler.width == E + 4
+        mean_pi, cov_pi = pi_moments(A)
+        mean, var = r * 0.5 * (mean_pi - 1.0), r * 0.25 * np.diag(cov_pi)
+        reps = 4000
+        t = np.array([sampler.totals(RngStream(68, r * reps + i), r) for i in range(reps)],
+                     dtype=float)
+        assert np.all(np.abs(t.mean(axis=0) - mean) < 4.0 * np.sqrt(var / reps))
+        # SE of each variance from the spread of the squared deviations
+        sq = (t - t.mean(axis=0)) ** 2
+        assert np.all(np.abs(sq.mean(axis=0) - var) < 5.0 * sq.std(axis=0) / math.sqrt(reps))
+
+    @pytest.mark.parametrize("n, d", [(8, 0), (4096, 1), (10 ** 7, 3)])
+    def test_sample_pi_blocks_draws_the_sampler_totals(self, n, d):
+        # on the factor path a fresh sampler of A_m gives the cached one's bytes
+        scheme = block_scheme(n, d)
+        sampler = NumberOpSampler(toeplitz_from_density(COS_DENSITY, scheme.m))
+        assert sampler.root is None
+        for i in range(20):
+            expect = sampler.totals(RngStream(69, i), scheme.r)
+            got = sample_pi_blocks(COS_DENSITY, scheme, RngStream(69, i)).totals
+            assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
     def test_totals_match_independent_sampler_batches(self):
         # two-sample: the totals against column sums of r rows of NumberOpSampler,
         # each coordinate binned at the pooled deciles
@@ -497,11 +538,11 @@ def check_map(A, embeds):
 
 
 class TestBlockSamplerCache:
-    """sample_pi_blocks builds one block factor per (density values, m) per process."""
+    """sample_pi_blocks builds one block sampler per (density values, m) per process."""
 
     @pytest.fixture(autouse=True)
     def cold_cache(self):
-        measurement._block_factor.cache_clear()
+        measurement._block_sampler.cache_clear()
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -541,7 +582,7 @@ class TestBlockSamplerCache:
         for _ in range(2):
             with pytest.raises(NotFaithful):
                 sample_pi_blocks(SpectralDensity.constant(0.75), scheme, RngStream(1, 0))
-        assert measurement._block_factor.cache_info().currsize == 0
+        assert measurement._block_sampler.cache_info().currsize == 0
 
     def test_draw_equals_two_normal_batches(self):
         # one (2, rows, width) batch is the real parts followed by the imaginary parts;
@@ -560,7 +601,7 @@ class TestBlockSamplerCache:
 
     def test_cached_arrays_are_read_only(self):
         cached = [*_design(9, 1),
-                  estimators._grid_design(1, 512), measurement._block_factor(COS_DENSITY, 9),
+                  estimators._grid_design(1, 512), measurement._block_sampler(COS_DENSITY, 9).factor,
                   *measurement._bartlett_layout(409, 9),
                   NumberOpSampler(toeplitz_from_density(COS_DENSITY, E)).root]
         for arr in cached:
@@ -584,25 +625,25 @@ class TestBlockSamplerCache:
 
 
 def check_gate(m, kind, k):
-    """NotFaithful exactly when the Cholesky fails and lambda_min(A) <= 1, as it tends to 1."""
+    """_block_sampler refuses A_m exactly when lambda_min_exceeds(1) is False, as it tends to 1.
+
+    The symbol's own sampler draws finite outcomes >= 0 either way.
+    """
     if kind == "const":
         a = SpectralDensity.constant(1.0 + 10.0 ** -k)
     else:
         # tridiagonal: lambda_min = a0 - 0.5 cos(pi / (m + 1)) = 1 + 10^-k
         a = SpectralDensity.cosine(1.0 + 10.0 ** -k + 0.5 * math.cos(math.pi / (m + 1)), 0.5)
     A = toeplitz_from_density(a, m)
-    try:
-        np.linalg.cholesky(0.5 * (A.entries - np.eye(m)))
-        cholesky_ok = True
-    except np.linalg.LinAlgError:
-        cholesky_ok = False
-    lam_min = float(A.spectrum[0][0])
+    faithful = A.lambda_min_exceeds(1.0)
     if 10.0 ** -k >= 1e-8:
-        assert cholesky_ok and lam_min > 1.0
+        assert faithful
     try:
-        measurement._poisson_mixture_factor(A, faithful=True)
+        measurement._block_sampler(a, m)
+        refused = False
     except NotFaithful:
-        assert not cholesky_ok and lam_min <= 1.0
+        refused = True
+    assert refused == (not faithful)
     N = NumberOpSampler(A).draw(RngStream(37, k), size=200)
     assert np.all(np.isfinite(N)) and np.all(N >= 0)
 
@@ -687,8 +728,9 @@ class TestMixtureFactor:
         sampler = NumberOpSampler(A)
         assert sampler.root is None
         assert np.all(sampler.draw(RngStream(38, 0), size=20) == 0)
-        with pytest.raises(NotFaithful):
-            measurement._poisson_mixture_factor(A, faithful=True)
+        # as a block symbol it is refused by the gate, before any factor is built
+        with pytest.raises(NotFaithful, match="block symbol has lambda_min = 1, need > 1"):
+            measurement._block_sampler(SpectralDensity.constant(1.0), A.n)
 
 
 def coefficient_estimates(pi, d):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qsts.cli import cli_dispatch
 from qsts.errors import (
     DimensionError,
     EigenFailure,
@@ -45,8 +46,8 @@ INVSQ = SpectralDensity(np.array([(1.0 + k) ** -2 for k in range(60)],
 
 
 def same_bytes(A, B):
-    """Equal tags and entry bytes (signed zeros included): what a rebuilt symbol keeps."""
-    return A.tag == B.tag and A.entries.tobytes() == B.entries.tobytes()
+    """Equal entry bytes (signed zeros included): what a rebuilt symbol keeps."""
+    return A.entries.tobytes() == B.entries.tobytes()
 
 
 def random_hermitian(n, rng):
@@ -62,11 +63,10 @@ class TestSymbolMatrix:
         with pytest.raises(InputError, match="finite"):
             SymbolMatrix(np.diag([bad, 2.0]))
 
-    def test_same_entries_compares_values_whatever_the_tags(self):
+    def test_same_entries_compares_values(self):
         A = toeplitz_from_density(GEOM, 6)
-        same = SymbolMatrix(A.entries.copy(), tag="toeplitz")
+        same = SymbolMatrix(A.entries.copy())
         assert A.same_entries(same) and same_bytes(A, same)
-        assert A.same_entries(SymbolMatrix(A.entries, tag="general"))
         assert not A.same_entries(toeplitz_from_density(GEOM, 5))
         assert not A.same_entries(toeplitz_from_density(COS_2_05, 6))
         # == and hash are identity's: no O(n^2) copy of the entries
@@ -88,7 +88,7 @@ class TestSymbolMatrix:
         a = SpectralDensity(np.array([0.0, a1]))
         for A in (circulant_from_density(a, 3), toeplitz_from_density(a, 3),
                   circulant_block(a, 3, 2)):
-            assert same_bytes(SymbolMatrix(A.entries, tag=A.tag), A)
+            assert same_bytes(SymbolMatrix(A.entries), A)
 
     def test_entries_copied_when_kept_as_given(self):
         M = np.diag([2.0, 3.0]).astype(complex)
@@ -137,7 +137,7 @@ class TestToeplitzBuild:
         a = SpectralDensity(np.concatenate(([3.0], gen.normal(size=40) + 1j * gen.normal(size=40))))
         idx = np.arange(n)
         full = a.full_coeffs(n - 1)
-        expect = SymbolMatrix(full[idx[None, :] - idx[:, None] + (n - 1)], tag="toeplitz")
+        expect = SymbolMatrix(full[idx[None, :] - idx[:, None] + (n - 1)])
         assert np.array_equal(toeplitz_from_density(a, n).entries, expect.entries)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 1025])
@@ -157,12 +157,12 @@ class TestToeplitzBuild:
         padded = np.concatenate((coeffs, np.zeros(n, dtype=complex)))
         lag = np.arange(n)[None, :] - np.arange(n)[:, None]    # k - j
         dense = np.where(lag >= 0, padded[np.abs(lag)], np.conj(padded[np.abs(lag)]))
-        expect = SymbolMatrix(dense, tag="toeplitz")
+        expect = SymbolMatrix(dense)
         A = toeplitz_from_density(a, n)
         assert A.entries.tobytes() == expect.entries.tobytes()
         assert not A.entries.flags.writeable
         assert toeplitz_first_row(A).tobytes() == A.entries[0].tobytes()
-        assert toeplitz_first_row(expect) is None   # given entry by entry, whatever its tag
+        assert toeplitz_first_row(expect) is None   # given entry by entry
 
     def test_nesting(self):
         big = toeplitz_from_density(GEOM, 12)
@@ -186,17 +186,15 @@ class TestToeplitzFirstRow:
 
     @pytest.mark.parametrize("m", [3, 9])
     def test_circulant_row_is_its_stored_lags(self, m):
-        # every lag-built symbol is Toeplitz, whatever its tag
+        # every lag-built symbol is Toeplitz, the circulant too
         C = circulant_from_density(COS_2_05, m)
-        assert C.tag == "circulant"
         assert toeplitz_first_row(C).tobytes() == C.entries[0].tobytes()
 
     @pytest.mark.parametrize("n", [4, 65])
     def test_entrywise_symbol_has_no_stored_row(self, n):
-        # the structure is read from the lags, never from the tag
+        # the structure is read from the lags, never from the entries
         e = np.array(toeplitz_from_density(GEOM, n).entries)
-        for tag in ("toeplitz", "circulant", "general"):
-            assert toeplitz_first_row(SymbolMatrix(e, tag=tag)) is None
+        assert toeplitz_first_row(SymbolMatrix(e)) is None
 
 
 class TestCirculant:
@@ -224,7 +222,7 @@ class TestCirculant:
     def test_entries_are_a_view_over_the_lags(self, m):
         # no m x m array: the entries are a strided view over the 2m - 1 lags
         C = circulant_from_density(GEOM, m)
-        assert C.tag == "circulant" and C.entries.base is C._lags
+        assert C.entries.base is C._lags
         assert C._lags.size == 2 * m - 1 and not C.entries.flags.writeable
 
     def test_banded_fully_inside_band_equal(self):
@@ -503,7 +501,7 @@ class TestSpectrumProperties:
 
     @given(st.one_of(toeplitz_symbols().map(lambda case: case[1]), general_symbols()))
     def test_rebuild_from_entries_is_identity(self, A):
-        assert same_bytes(SymbolMatrix(A.entries, tag=A.tag), A)
+        assert same_bytes(SymbolMatrix(A.entries), A)
 
     @given(st.one_of(toeplitz_symbols().map(lambda case: case[1]), general_symbols()))
     def test_eigenvalues_equal_the_spectrum_whichever_is_read_first(self, A):
@@ -512,14 +510,14 @@ class TestSpectrumProperties:
         assert not lams.flags.writeable and np.all(np.diff(lams) >= 0.0)
         assert lams.tobytes() == A.spectrum[0].tobytes()
         # spectrum first, then the values
-        B = SymbolMatrix(A.entries, tag=A.tag)
+        B = SymbolMatrix(A.entries)
         lams = B.spectrum[0]
         assert B.eigenvalues.tobytes() == lams.tobytes()
 
     @given(st.one_of(toeplitz_symbols().map(lambda case: case[1]), general_symbols()))
     def test_eigenvalues_after_a_vector_solve_are_its_values(self, A):
         # halves first (the entropy's order): merged, the spectrum unbuilt
-        B = SymbolMatrix(A.entries, tag=A.tag)
+        B = SymbolMatrix(A.entries)
         if B.halves is not None:
             lams = B.eigenvalues
             assert "spectrum" not in B.__dict__
@@ -644,19 +642,23 @@ class TestLagHsDistance:
 
 
 class TestJsonRoundTrip:
-    """A density's JSON rebuilds an equal density, and a symbol's JSON holds its entry
-    bytes, signed zeros included."""
+    """A density's JSON rebuilds an equal density, and the symbol JSON of ``symbol build``
+    holds its entry bytes, signed zeros included."""
 
     @given(st.data())
     def test_density(self, data):
         a = _density(data.draw, data.draw(st.booleans()))
         assert SpectralDensity.from_json(json.loads(json.dumps(a.to_json()))) == a
 
-    def test_signed_zeros_survive(self):
+    def test_signed_zeros_survive(self, tmp_path, capsys):
         a = SpectralDensity(np.array([2.0, complex(-0.0, -0.0), complex(0.5, -0.0)]))
         assert SpectralDensity.from_json(a.to_json()) == a
-        for A in (toeplitz_from_density(COS_2_HALF, 4), circulant_from_density(a, 5)):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(a.to_json()))
+        for A, argv in ((toeplitz_from_density(COS_2_HALF, 4), ["cos:2,0.5", "--n", "4"]),
+                        (circulant_from_density(a, 5), [str(path), "--n", "5", "--circulant"])):
             assert np.signbit(A.entries.imag).any()
-            obj = json.loads(json.dumps(A.to_json()))
+            assert cli_dispatch(["symbol", "build", "--density", *argv]) == 0
+            obj = json.loads(capsys.readouterr().out)
             for part, key in ((A.entries.real, "re"), (A.entries.imag, "im")):
                 assert np.array(obj[key]).tobytes() == part.tobytes()
